@@ -1,17 +1,19 @@
 """Macro-benchmark harness for the simulation substrate (``repro.bench``).
 
-``python -m repro.bench`` times the registry experiments end-to-end on
-both substrates — the fast path (burst-lane queue, batched broadcast,
-compiled send paths; see :mod:`repro.sim.fastpath`) and the reference
-slow path — and asserts that the paper-facing metrics they produce are
-**byte-identical**.  The speedup numbers are therefore meaningful: both
-runs executed the same schedule and computed the same Table I / figure
-data, only the substrate differed.
+``python -m repro.bench`` runs the registry experiments end-to-end,
+fingerprints the paper-facing metrics each produces (canonical JSON,
+SHA-256) and records the deterministic counters of the run (kernel
+events, messages, EQ row work).  It is a **determinism and fingerprint
+gate**: repeats of one case must agree bit for bit, and ``--baseline``
+compares fingerprints and counters exactly against a checked-in report
+of the same mode.  Wall-clock is printed but never gated — the numbers
+(absolute, per layer, with regression bounds) are ``benchmarks/ledger``'s
+job; see ``BENCHMARK.json``.
 
-The output report (``BENCH_macro.json`` by default) is the repo's
-performance trajectory: it is checked in, and CI re-runs a smoke-sized
-version of every case (``--smoke``) to catch substrate regressions and
-fast/slow divergence early.
+Two reports are checked in: ``BENCH_macro.json`` (full size) and
+``BENCH_macro.smoke.json`` (``--smoke``; CI's bench-smoke job gates
+against it).  The comparison of whole runs against the reference
+queue/network/view plane is a tier-1 test (``tests/bench/test_oracle.py``).
 
 Cases
 -----
@@ -23,7 +25,7 @@ Cases
     SCAN latency vs ``k`` under the staircase, up to ``k = 21``.
 ``interference``
     The double-collect critique experiment (seeded *random* delays — the
-    adversarial case for the burst lane and batching; expect ~1x).
+    adversarial case for the burst lane and batching).
 ``byzantine``
     Honest latency vs the number of Byzantine nodes.
 """

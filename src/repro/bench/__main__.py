@@ -6,13 +6,14 @@ Examples::
     python -m repro.bench table1 scale_k        # just the lockstep cases
     python -m repro.bench --smoke               # CI-sized, ~seconds
     python -m repro.bench --validate BENCH_macro.json
-    python -m repro.bench --smoke --baseline BENCH_macro.json  # perf gate
+    python -m repro.bench --smoke --baseline BENCH_macro.smoke.json  # gate
 
 The report is written to ``--out`` (default ``BENCH_macro.json``) and a
-summary table is printed.  Exit status is non-zero if the fast and
-reference substrates disagree on any paper-facing metric, if
-``--validate`` finds schema problems, or if ``--baseline`` detects a
-perf regression (see :mod:`repro.bench.compare` for the gate rules).
+summary table is printed.  Exit status: 1 if two repeats of a case
+disagree on a paper-facing metric, if ``--validate`` finds schema
+problems, or if ``--baseline`` finds a fingerprint or counter drift
+(see :mod:`repro.bench.compare`); 2 if a worker crashed or the
+``--baseline`` report is of the other mode (nothing comparable).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="macro-benchmarks of the simulation substrate "
-        "(fast path vs reference path, with byte-identity checks)",
+        "(determinism check + exact fingerprint/counter baseline gate)",
     )
     parser.add_argument(
         "cases",
@@ -49,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="timed runs per (case, substrate); the minimum wall-clock "
+        help="timed runs per case; the minimum wall-clock "
         "is reported.  Default: 3, or 1 with --smoke; an explicit "
         "--repeats always wins over the --smoke preset",
     )
@@ -65,10 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes measuring the (case, substrate) grid "
-        "(default 1 = serial; fingerprints and counters are identical "
-        "for any N, wall-clock is machine-dependent and exempt from "
-        "the --baseline speedup gate)",
+        help="worker processes measuring the cases (default 1 = serial; "
+        "fingerprints and counters are identical for any N, wall-clock "
+        "is machine-dependent)",
     )
     parser.add_argument(
         "--out",
@@ -84,16 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         metavar="FILE",
-        help="diff the fresh report against this one and fail on a "
-        "perf regression or metrics_identical break",
-    )
-    parser.add_argument(
-        "--baseline-tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="allowed slowdown before the baseline gate fails "
-        "(default: 0.15)",
+        help="diff the fresh report against this same-mode one and fail "
+        "on any fingerprint or deterministic-counter drift",
     )
     args = parser.parse_args(argv)
 
@@ -153,11 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.out}")
 
     if args.baseline is not None:
-        from repro.bench.compare import (
-            DEFAULT_TOLERANCE,
-            compare_reports,
-            format_comparison,
-        )
+        from repro.bench.compare import compare_reports, format_comparison
 
         try:
             baseline = json.loads(Path(args.baseline).read_text())
@@ -169,13 +157,12 @@ def main(argv: list[str] | None = None) -> int:
             for problem in problems:
                 print(f"baseline invalid: {problem}", file=sys.stderr)
             return 1
-        tolerance = (
-            args.baseline_tolerance
-            if args.baseline_tolerance is not None
-            else DEFAULT_TOLERANCE
-        )
-        problems = compare_reports(report, baseline, tolerance=tolerance)
-        print(format_comparison(report, baseline, problems))
+        try:
+            problems = compare_reports(report, baseline)
+        except ValueError as exc:
+            print(f"bench gate: nothing comparable — {exc}", file=sys.stderr)
+            return 2
+        print(format_comparison(report, problems))
         return 1 if problems else 0
     return 0
 

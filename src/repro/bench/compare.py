@@ -1,128 +1,83 @@
-"""Perf-regression gate: diff a fresh bench report against a baseline.
+"""Determinism gate: diff a fresh bench report against a baseline.
 
 The CI bench-smoke job runs ``python -m repro.bench --smoke --baseline
-BENCH_macro.json``: the fresh report is diffed against the checked-in
-one and the build fails on a regression.  What "regression" means
-depends on whether the two reports ran the same workload size:
+BENCH_macro.smoke.json``: the fresh report is diffed against the
+checked-in one of the *same mode* and the build fails on any drift.  The
+two reports ran the identical seeded workloads, so the metric
+fingerprint and the deterministic counters must match **exactly** — a
+counter drift means a substrate or observability change perturbed a
+seeded schedule; a fingerprint drift means paper-facing numbers moved.
 
-- **always** — any fresh case with ``metrics_identical == false`` is
-  fatal (the fast and reference substrates disagreed on paper-facing
-  output; no timing number excuses that);
-- **same mode** (full vs full, smoke vs smoke) — the workloads are
-  identical, so the fast-path speedup ratio may not drop by more than
-  ``tolerance`` (default 15%) relative to the baseline, and the
-  deterministic ``events``/``messages`` counters and the metric
-  fingerprint must match *exactly* — a counter drift means an obs or
-  substrate change perturbed a seeded schedule;
-- **cross mode** (CI's smoke run vs the checked-in full report) —
-  speedup ratios are not comparable across workload sizes (fixed
-  overheads dominate small runs), so the gate degrades to the absolute
-  floor that the fast path is at most ``tolerance`` slower than the
-  reference substrate on the same fresh run.
-
-Wall-clock seconds are never compared across machines — only ratios
-measured within one report.  Timing ratios are additionally gated on
-the run being long enough to measure: a case whose reference
-measurement is under :data:`MIN_GATED_WALL_S` is warmup-noise, not
-signal (a cold 10 ms smoke run can show the fast path 3x "slower"),
-so only its deterministic counters are compared.
-
-A report measured with ``--workers`` (its top-level ``workers`` key
-``> 1``) is the *same mode* as a serial report of the same workload
-size — the fingerprints and counters must still match exactly, because
-worker fan-out is bit-transparent — but every wall-clock ratio check is
-skipped for the pair: parallel wall-clock is contention- and
-machine-dependent, so a speedup ratio measured under fan-out is not
-comparable to the serial baseline in either direction.
+Wall-clock is never compared (it is machine- and contention-dependent;
+``benchmarks/ledger`` owns timing and its regression bounds), which is
+also why a ``--workers`` report gates exactly like a serial one.
+Reports of different modes ran different workloads and share nothing
+comparable: :func:`compare_reports` raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-#: default allowed slowdown before the gate fails
-DEFAULT_TOLERANCE = 0.15
-
-#: reference-substrate wall seconds below which timing ratios are
-#: noise-dominated and the speedup checks are skipped
-MIN_GATED_WALL_S = 0.05
+#: per-run counters that are pure functions of (case, mode).
+#: ``messages_packed`` is not one: its intern table outlives a case, so
+#: it depends on what ran earlier in the same process.
+GATED_COUNTERS = (
+    "events",
+    "messages",
+    "eq_evals",
+    "eq_rows_scanned",
+    "eq_rows_saved",
+    "eq_batched_scans",
+    "values_interned",
+)
 
 Report = dict[str, Any]
 
 
-def compare_reports(
-    fresh: Report, baseline: Report, *, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Human-readable regression findings (empty = gate passes)."""
-    problems: list[str] = []
-    same_mode = fresh.get("mode") == baseline.get("mode")
-    parallel = fresh.get("workers", 1) > 1 or baseline.get("workers", 1) > 1
-    base_cases = {case["name"]: case for case in baseline.get("cases", ())}
+def compare_reports(fresh: Report, baseline: Report) -> list[str]:
+    """Human-readable drift findings (empty = gate passes).
 
+    Raises:
+        ValueError: the reports are of different modes.
+    """
+    if fresh.get("mode") != baseline.get("mode"):
+        raise ValueError(
+            f"fresh report is {fresh.get('mode')!r}, baseline is "
+            f"{baseline.get('mode')!r}: different workloads"
+        )
+    problems: list[str] = []
+    base_cases = {case["name"]: case for case in baseline.get("cases", ())}
     for case in fresh.get("cases", ()):
         name = case["name"]
-        if not case.get("metrics_identical", False):
-            problems.append(
-                f"{name}: metrics_identical is false — fast and reference "
-                "substrates disagreed on paper-facing output"
-            )
         base = base_cases.get(name)
         if base is None:
             continue  # new case: nothing to regress against yet
-        measurable = (
-            not parallel and case["slow"]["wall_s_min"] >= MIN_GATED_WALL_S
-        )
-
-        if same_mode:
-            floor = base["speedup"] * (1.0 - tolerance)
-            if measurable and case["speedup"] < floor:
+        for key in GATED_COUNTERS:
+            was, now = base["measurement"][key], case["measurement"][key]
+            if was != now:
                 problems.append(
-                    f"{name}: fast-path speedup regressed "
-                    f"{base['speedup']:.2f}x -> {case['speedup']:.2f}x "
-                    f"(more than {tolerance:.0%} below baseline)"
+                    f"{name}.{key}: {was} -> {now} — a seeded schedule was "
+                    "perturbed"
                 )
-            for side in ("fast", "slow"):
-                for key in ("events", "messages"):
-                    if case[side][key] != base[side][key]:
-                        problems.append(
-                            f"{name}.{side}.{key}: {base[side][key]} -> "
-                            f"{case[side][key]} — a seeded schedule was "
-                            "perturbed"
-                        )
-            if case["fingerprint_sha256"] != base["fingerprint_sha256"]:
-                problems.append(
-                    f"{name}: metric fingerprint changed "
-                    f"({base['fingerprint_sha256'][:12]}… -> "
-                    f"{case['fingerprint_sha256'][:12]}…) — paper-facing "
-                    "numbers drifted from the baseline"
-                )
-        else:
-            floor = 1.0 - tolerance
-            if measurable and case["speedup"] < floor:
-                problems.append(
-                    f"{name}: fast path is {1 / case['speedup']:.2f}x slower "
-                    f"than the reference substrate (speedup "
-                    f"{case['speedup']:.2f} < {floor:.2f}; cross-mode "
-                    "baseline only bounds the absolute floor)"
-                )
+        if case["fingerprint_sha256"] != base["fingerprint_sha256"]:
+            problems.append(
+                f"{name}: metric fingerprint changed "
+                f"({base['fingerprint_sha256'][:12]}… -> "
+                f"{case['fingerprint_sha256'][:12]}…) — paper-facing "
+                "numbers drifted from the baseline"
+            )
     return problems
 
 
-def format_comparison(
-    fresh: Report, baseline: Report, problems: list[str]
-) -> str:
+def format_comparison(fresh: Report, problems: list[str]) -> str:
     """One-line verdict plus findings, for the CLI/CI log."""
-    modes = f"{fresh.get('mode')} vs {baseline.get('mode')} baseline"
+    mode = fresh.get("mode")
     if not problems:
-        return f"perf gate: OK ({modes}, {len(fresh.get('cases', ()))} cases)"
-    lines = [f"perf gate: FAIL ({modes})"]
+        return f"bench gate: OK ({mode}, {len(fresh.get('cases', ()))} cases)"
+    lines = [f"bench gate: FAIL ({mode})"]
     lines.extend(f"  {problem}" for problem in problems)
     return "\n".join(lines)
 
 
-__all__ = [
-    "DEFAULT_TOLERANCE",
-    "MIN_GATED_WALL_S",
-    "compare_reports",
-    "format_comparison",
-]
+__all__ = ["GATED_COUNTERS", "compare_reports", "format_comparison"]

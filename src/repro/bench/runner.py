@@ -2,20 +2,18 @@
 
 Each :class:`BenchCase` is a registry-experiment workload returning its
 paper-facing metrics as a JSON-serializable object.  :func:`run_bench`
-times the workload on both substrates (fast path, then the reference
-slow path via :func:`repro.sim.fastpath.set_fast_path`), counting
-executed kernel events and network messages through
-:data:`repro.sim.fastpath.STATS`, and asserts two invariants:
+times each workload, counts executed kernel events, network messages and
+view-plane row work through :data:`repro.sim.fastpath.STATS`, and
+fingerprints the metrics object (canonical JSON, SHA-256).
 
-- **determinism** — every repeat of a workload on one substrate yields
-  the identical metrics object (canonical-JSON fingerprint);
-- **substrate invariance** — fast and slow substrates yield the
-  identical metrics object.  This is the paper-facing byte-identity
-  guarantee: the fast path may only change *how long* an experiment
-  takes, never what it computes.
-
-A violated invariant raises :class:`FingerprintMismatch` — the bench is
-a correctness gate first and a stopwatch second.
+The bench is a determinism gate first and a stopwatch second: every
+repeat of a workload must yield the identical fingerprint
+(:class:`FingerprintMismatch` otherwise), and ``--baseline`` compares
+fingerprints and counters *exactly* against a same-mode report
+(:mod:`repro.bench.compare`).  Wall-clock is reported, never gated —
+absolute per-layer timing and its regression bounds belong to
+``benchmarks/ledger``.  The whole-run comparison against the reference
+queue/network/view plane lives in tier-1 (``tests/bench/test_oracle.py``).
 """
 
 from __future__ import annotations
@@ -26,11 +24,12 @@ import json
 import resource
 import time  # lint: ignore[RL001] host wall-clock for the stopwatch; simulation code never reads it
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.bench.schema import SCHEMA_VERSION
 from repro.obs.registry import telemetry
-from repro.sim.fastpath import STATS, set_fast_path
+from repro.sim.fastpath import STATS
 
 
 class BenchError(RuntimeError):
@@ -38,7 +37,7 @@ class BenchError(RuntimeError):
 
 
 class FingerprintMismatch(BenchError):
-    """Fast and slow substrates (or two repeats) disagreed on metrics."""
+    """Two repeats of one workload disagreed on metrics."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +46,7 @@ class BenchCase:
 
     ``full``/``smoke`` return the workload's paper-facing metrics as a
     JSON-serializable object; the runner fingerprints it for the
-    determinism and substrate-invariance checks.
+    determinism check and the baseline gate.
     """
 
     name: str
@@ -149,7 +148,7 @@ CASES: dict[str, BenchCase] = {
     "interference": BenchCase(
         "interference",
         "double-collect critique: seeded random delays (adversarial for "
-        "the burst lane and broadcast batching — expect ~1x)",
+        "the burst lane and broadcast batching)",
         lockstep=False,
         full=_interference,
         smoke=lambda: _interference(ns=(5,)),
@@ -191,8 +190,8 @@ CASES: dict[str, BenchCase] = {
     "views": BenchCase(
         "views",
         "EQ-bound view-vector stress: concurrent update/scan chains at "
-        "every node (bitset data plane vs frozenset reference; the "
-        "eq_rows_* counters show the incremental-EQ row savings)",
+        "every node (the eq_rows_* counters show the incremental-EQ "
+        "row savings)",
         lockstep=True,
         full=_views,
         smoke=lambda: _views(n=6, f=2, rounds=6, scan_every=3),
@@ -211,7 +210,7 @@ def _fingerprint(metrics: Any) -> str:
 def _measure(
     workload: Callable[[], Any], *, repeats: int, warmup: int
 ) -> tuple[dict[str, Any], str]:
-    """Time ``workload`` on the current substrate.
+    """Time ``workload``.
 
     Returns the measurement record and the metrics fingerprint; raises
     :class:`FingerprintMismatch` if two repeats disagree (a determinism
@@ -250,7 +249,7 @@ def _measure(
         "messages_per_s": round(messages / wall_min) if wall_min > 0 else 0,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         # data-plane counters (per run): how much EQ row work the
-        # representation did vs skipped; differ between planes by design
+        # incremental evaluation did vs skipped
         "eq_evals": deltas["eq_evals"],
         "eq_rows_scanned": deltas["eq_rows_scanned"],
         "eq_rows_saved": deltas["eq_rows_saved"],
@@ -261,76 +260,26 @@ def _measure(
     return record, fingerprints[0]
 
 
-def _case_record(
-    case: BenchCase,
-    fast: dict[str, Any],
-    fast_fp: str,
-    slow: dict[str, Any],
-    slow_fp: str,
+def run_case(
+    case: BenchCase, *, smoke: bool, repeats: int, warmup: int
 ) -> dict[str, Any]:
-    """Cross-check the substrate fingerprints and build the case entry."""
+    """Benchmark one case and build its report entry."""
+    workload = case.smoke if smoke else case.full
+    measurement, fingerprint = _measure(workload, repeats=repeats, warmup=warmup)
     telemetry().counter("bench.cases").inc()
-    if fast_fp != slow_fp:
-        telemetry().counter("bench.fingerprint_mismatches").inc()
-        raise FingerprintMismatch(
-            f"case {case.name!r}: fast substrate metrics differ from the "
-            f"reference substrate ({fast_fp[:12]} != {slow_fp[:12]}) — "
-            "the fast path changed a paper-facing output"
-        )
     return {
         "name": case.name,
         "description": case.description,
         "lockstep": case.lockstep,
-        "fast": fast,
-        "slow": slow,
-        "speedup": round(slow["wall_s_min"] / fast["wall_s_min"], 2),
-        "metrics_identical": True,
-        "fingerprint_sha256": fast_fp,
+        "measurement": measurement,
+        "fingerprint_sha256": fingerprint,
     }
 
 
-def run_case(
-    case: BenchCase, *, smoke: bool, repeats: int, warmup: int
-) -> dict[str, Any]:
-    """Benchmark one case on both substrates and cross-check metrics."""
-    workload = case.smoke if smoke else case.full
-    previous = set_fast_path(True)
-    try:
-        fast, fast_fp = _measure(workload, repeats=repeats, warmup=warmup)
-        set_fast_path(False)
-        slow, slow_fp = _measure(workload, repeats=repeats, warmup=warmup)
-    finally:
-        set_fast_path(previous)
-    return _case_record(case, fast, fast_fp, slow, slow_fp)
-
-
-@dataclass(frozen=True, slots=True)
-class _CaseTask:
-    """Picklable description of one (case, substrate) measurement —
-    the parallel sweep unit of ``run_bench(workers > 1)``."""
-
-    name: str
-    substrate: str  # "fast" | "slow"
-    smoke: bool
-    repeats: int
-    warmup: int
-
-
-def _measure_task(task: _CaseTask) -> tuple[dict[str, Any], str]:
-    """Worker-side: measure one case on one substrate.
-
-    Each measurement is deterministic given (case, substrate, mode), so
-    fanning the (case, substrate) grid out to processes reproduces the
-    serial path's fingerprints and counters exactly; only wall-clock
-    (machine-dependent by definition) differs.
-    """
-    case = CASES[task.name]
-    workload = case.smoke if task.smoke else case.full
-    previous = set_fast_path(task.substrate == "fast")
-    try:
-        return _measure(workload, repeats=task.repeats, warmup=task.warmup)
-    finally:
-        set_fast_path(previous)
+def _run_named(name: str, *, smoke: bool, repeats: int, warmup: int) -> dict[str, Any]:
+    """:func:`run_case` by registry name — the picklable sweep unit
+    (a :class:`BenchCase` holds lambdas)."""
+    return run_case(CASES[name], smoke=smoke, repeats=repeats, warmup=warmup)
 
 
 def run_bench(
@@ -343,12 +292,11 @@ def run_bench(
 ) -> dict[str, Any]:
     """Run the selected cases (default: all) and build the report.
 
-    ``workers > 1`` measures the (case, substrate) grid on a process
-    pool; fingerprints, counters and the substrate-invariance check are
-    identical to the serial path (wall-clock numbers are whatever the
-    contended machine produces — the perf gate exempts them, see
-    :mod:`repro.bench.compare`).  The report carries a ``workers`` key
-    only in that mode, so serial reports are unchanged.
+    ``workers > 1`` measures the cases on a process pool.  Each
+    measurement is deterministic given (case, mode), so fingerprints and
+    counters are identical to the serial path (wall-clock numbers are
+    whatever the contended machine produces).  The report carries a
+    ``workers`` key only in that mode, so serial reports are unchanged.
     """
     names = case_names or list(CASES)
     unknown = [n for n in names if n not in CASES]
@@ -365,48 +313,35 @@ def run_bench(
         "repeats": repeats,
         "warmup": warmup,
     }
+    run = partial(_run_named, smoke=smoke, repeats=repeats, warmup=warmup)
     if workers <= 1:
-        report["cases"] = [
-            run_case(CASES[name], smoke=smoke, repeats=repeats, warmup=warmup)
-            for name in names
-        ]
-        return report
-    from repro.parallel import run_tasks
+        report["cases"] = [run(name) for name in names]
+    else:
+        from repro.parallel import run_tasks
 
-    tasks = [
-        _CaseTask(
-            name=name, substrate=substrate, smoke=smoke,
-            repeats=repeats, warmup=warmup,
+        report["workers"] = workers
+        report["cases"] = run_tasks(
+            run, names, workers=workers, labels=[f"case {name}" for name in names]
         )
-        for name in names
-        for substrate in ("fast", "slow")
-    ]
-    labels = [f"case {t.name} substrate {t.substrate}" for t in tasks]
-    measured = run_tasks(_measure_task, tasks, workers=workers, labels=labels)
-    report["workers"] = workers
-    report["cases"] = [
-        _case_record(CASES[name], *measured[2 * i], *measured[2 * i + 1])
-        for i, name in enumerate(names)
-    ]
     return report
 
 
 def format_report(report: dict[str, Any]) -> str:
     """Human-readable summary table of a bench report."""
     header = (
-        f"{'case':14s} {'fast (s)':>9s} {'slow (s)':>9s} {'speedup':>8s} "
-        f"{'events/s':>10s} {'msgs/s':>10s}  identical"
+        f"{'case':18s} {'wall (s)':>9s} {'events':>9s} {'messages':>9s} "
+        f"{'events/s':>10s} {'msgs/s':>10s}  fingerprint"
     )
     lines = [f"repro.bench [{report['mode']}] repeats={report['repeats']}", header]
     lines.append("-" * len(header))
     for case in report["cases"]:
+        m = case["measurement"]
         mark = " (lockstep)" if case["lockstep"] else ""
         lines.append(
-            f"{case['name']:14s} {case['fast']['wall_s_min']:>9.3f} "
-            f"{case['slow']['wall_s_min']:>9.3f} {case['speedup']:>7.2f}x "
-            f"{case['fast']['events_per_s']:>10d} "
-            f"{case['fast']['messages_per_s']:>10d}  "
-            f"{'yes' if case['metrics_identical'] else 'NO'}{mark}"
+            f"{case['name']:18s} {m['wall_s_min']:>9.3f} {m['events']:>9d} "
+            f"{m['messages']:>9d} {m['events_per_s']:>10d} "
+            f"{m['messages_per_s']:>10d}  "
+            f"{case['fingerprint_sha256'][:12]}{mark}"
         )
     return "\n".join(lines)
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from typing import Any
 
-SCHEMA_VERSION = 1
+#: v2: one ``measurement`` object per case (v1 carried a ``fast``/``slow``
+#: pair, a ``speedup`` ratio and ``metrics_identical``)
+SCHEMA_VERSION = 2
 
-#: required keys of one substrate measurement, with their types
+#: required keys of one case measurement, with their types
 _MEASUREMENT_FIELDS: dict[str, type | tuple[type, ...]] = {
     "wall_s_min": (int, float),
     "wall_s_all": list,
@@ -22,11 +24,6 @@ _MEASUREMENT_FIELDS: dict[str, type | tuple[type, ...]] = {
     "events_per_s": (int, float),
     "messages_per_s": (int, float),
     "peak_rss_kb": int,
-}
-
-#: optional data-plane counters (type-checked only when present, so
-#: pre-bitset reports stay valid)
-_OPTIONAL_MEASUREMENT_FIELDS: dict[str, type | tuple[type, ...]] = {
     "eq_evals": int,
     "eq_rows_scanned": int,
     "eq_rows_saved": int,
@@ -39,10 +36,7 @@ _CASE_FIELDS: dict[str, type | tuple[type, ...]] = {
     "name": str,
     "description": str,
     "lockstep": bool,
-    "fast": dict,
-    "slow": dict,
-    "speedup": (int, float),
-    "metrics_identical": bool,
+    "measurement": dict,
     "fingerprint_sha256": str,
 }
 
@@ -103,10 +97,13 @@ def validate_report(report: Any) -> list[str]:
         )
     )
     if report["schema_version"] != SCHEMA_VERSION:
-        problems.append(
-            f"report.schema_version: expected {SCHEMA_VERSION}, "
-            f"got {report['schema_version']}"
-        )
+        # another version is another shape: one line, not a field-by-
+        # field list of everything that moved
+        return [
+            f"report.schema_version: expected {SCHEMA_VERSION}, got "
+            f"{report['schema_version']} — regenerate it with "
+            "`python -m repro.bench`"
+        ]
     if report["mode"] not in ("full", "smoke"):
         problems.append(f"report.mode: expected 'full'|'smoke', got {report['mode']!r}")
     if not report["cases"]:
@@ -117,21 +114,11 @@ def validate_report(report: Any) -> list[str]:
         problems.extend(case_problems)
         if case_problems:
             continue
-        for side in ("fast", "slow"):
-            problems.extend(
-                check_fields(case[side], _MEASUREMENT_FIELDS, f"{where}.{side}")
+        problems.extend(
+            check_fields(
+                case["measurement"], _MEASUREMENT_FIELDS, f"{where}.measurement"
             )
-            present = {
-                key: types
-                for key, types in _OPTIONAL_MEASUREMENT_FIELDS.items()
-                if key in case[side]
-            }
-            problems.extend(check_fields(case[side], present, f"{where}.{side}"))
-        if not case["metrics_identical"]:
-            problems.append(
-                f"{where}: metrics_identical is false — fast and slow "
-                "substrates disagreed on paper-facing output"
-            )
+        )
         if len(case["fingerprint_sha256"]) != 64:
             problems.append(f"{where}.fingerprint_sha256: not a sha256 hex digest")
     return problems

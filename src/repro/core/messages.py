@@ -9,32 +9,28 @@ acks *for this request*; counting a stale ack from an earlier round could
 return an outdated tag and break the ``op_i → op_j ⟹ T_i ≤ T_j``
 invariant that Lemma 3 rests on.
 
-**Interned fast-path construction.**  These are the hottest allocations
-in the whole simulation (every UPDATE broadcasts a value and runs a
+**Interned construction.**  These are the hottest allocations in the
+whole simulation (every UPDATE broadcasts a value and runs a
 writeTag/writeAck/echoTag round; every SCAN a readTag/readAck round),
 and snapshot protocols construct the *same few payloads* over and over:
 the identical ack is built once per received request, the same echoTag
-re-broadcast by every node in a round.  Under
-:func:`repro.sim.fastpath.fast_path_enabled` (the default) the
-metaclass therefore interns instances: constructing a message with
-field values seen before returns the existing frozen object instead of
-allocating (a bounded table of :data:`PACKED_INTERN_MAX` entries,
-cleared outright — deterministically — when full; intern hits are
-counted in the ``messages_packed`` substrate stat).  Every field of
-every message is hashable and immutable, which is what makes interning
-sound, and nothing in the tree observes object identity, which is what
-keeps the fast and slow paths byte-identical.
+re-broadcast by every node in a round.  The metaclass therefore interns
+instances: constructing a message with field values seen before returns
+the existing frozen object instead of allocating (a bounded table of
+:data:`PACKED_INTERN_MAX` entries, cleared outright — deterministically
+— when full; intern hits are counted in the ``messages_packed``
+substrate stat).  Every field of every message is hashable and
+immutable, which is what makes interning sound, and nothing in the tree
+observes object identity (the whole-run oracle test re-runs every bench
+case with plain, un-interned construction patched in and compares
+fingerprints).
 
-The runtime *layout* is deliberately the same dataclass on both paths:
-``type(payload)`` is always the public class, so ``match`` arms and
+``type(payload)`` is always the public dataclass, so ``match`` arms and
 ``isinstance`` checks in handlers dispatch through CPython's exact-type
 fast path with no Python-level ``__instancecheck__`` in the way — on a
 message-bound run, failed ``match`` arms outnumber constructions by
 more than an order of magnitude, so keeping dispatch at C speed is
-worth far more than a leaner per-instance layout.  Under
-``repro.sim.slow_path()`` construction is the plain dataclass call
-(fresh instance every time), kept as the behavioural oracle that
-``python -m repro.bench`` diffs against.
+worth far more than a leaner per-instance layout.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.tags import ValueTs
-from repro.sim import fastpath
 from repro.sim.fastpath import STATS
 
 #: Bound on the message intern table.  The working set of distinct live
@@ -56,21 +51,17 @@ _intern: dict[tuple[type, tuple[Any, ...]], Any] = {}
 
 
 class _MsgMeta(type):
-    """Construction-time interning behind the fast/slow switch.
+    """Construction-time interning.
 
-    ``cls(*args)`` on the fast path returns the interned instance for
-    those field values, constructing one only on a miss; keyword
-    construction and the slow path fall through to the plain dataclass
-    call.  The metaclass adds no ``__instancecheck__``: instances are
-    always the public dataclass, so dispatch stays exact-type.
+    ``cls(*args)`` returns the interned instance for those field values,
+    constructing one only on a miss; keyword construction falls through
+    to the plain dataclass call.  The metaclass adds no
+    ``__instancecheck__``: instances are always the public dataclass, so
+    dispatch stays exact-type.
     """
 
     def __call__(cls, *args: Any, **kwargs: Any) -> Any:
-        # the switch is read as a module attribute, not through
-        # fast_path_enabled(): construction is hot and set_fast_path
-        # rebinds the flag, so a call-time read stays correct while
-        # skipping a Python frame per message
-        if kwargs or not fastpath._fast_enabled:
+        if kwargs:
             return super().__call__(*args, **kwargs)
         key = (cls, args)
         hit = _intern.get(key)

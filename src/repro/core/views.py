@@ -10,36 +10,28 @@ property of Observation 1.
 equal row ``i`` (the *equivalence set*).  The multi-shot algorithm checks
 the predicate on the tag-restricted vector ``V^{≤r}``.
 
-Two interchangeable **data planes** implement the structure, mirroring the
-fast/slow simulation substrate of :mod:`repro.sim.fastpath`:
+**Representation.**  Every distinct value is interned into a dense
+integer id by a per-node :class:`ValueInterner`, a row is a Python int
+used as a bitset (``row |= 1 << id``), a tag restriction ``V[j]^{≤r}`` is
+``row & mask(r)`` for a memoized mask, and ``EQ(V^{≤r}, i)`` is
+**incremental** masked integer equality: the runtime re-polls the
+predicate after *every* delivery while a lattice operation waits, so the
+vector tracks which rows changed since the last poll and maintains a
+bitmask of rows matching row ``i`` — a delivery that touched no row
+re-checks nothing, and a typical delivery re-checks exactly one row
+instead of rebuilding ``n`` frozensets.  Incremental match state is kept
+for up to :data:`MAX_EQ_STATES` distinct ``(i, r)`` predicates
+simultaneously, and one pass over the dirty rows refreshes *every*
+pending predicate's match mask (the batched-EQ evaluation): a lattice
+operation returning to a tag it polled before — phase-0 at ``r`` followed
+by a renewal, or the three-attempt renewal loop — answers from its kept
+mask instead of re-scanning all ``n`` rows.  ``STATS.eq_batched_scans``
+counts the piggybacked refreshes.
 
-- :class:`BitsetViewVector` (the default): every distinct value is
-  interned into a dense integer id by a per-node :class:`ValueInterner`,
-  a row is a Python int used as a bitset (``row |= 1 << id``), a tag
-  restriction ``V[j]^{≤r}`` is ``row & mask(r)`` for a memoized mask,
-  and ``EQ(V^{≤r}, i)`` is **incremental** masked integer equality: the
-  runtime re-polls the predicate after *every* delivery while a lattice
-  operation waits, so the plane tracks which rows changed since the last
-  poll and maintains a bitmask of rows matching row ``i`` — a delivery
-  that touched no row re-checks nothing, and a typical delivery
-  re-checks exactly one row instead of rebuilding ``n`` frozensets.
-  Incremental match state is kept for up to :data:`MAX_EQ_STATES`
-  distinct ``(i, r)`` predicates simultaneously, and one pass over the
-  dirty rows refreshes *every* pending predicate's match mask (the
-  batched-EQ evaluation): a lattice operation returning to a tag it
-  polled before — phase-0 at ``r`` followed by a renewal, or the
-  three-attempt renewal loop — answers from its kept mask instead of
-  re-scanning all ``n`` rows.  ``STATS.eq_batched_scans`` counts the
-  piggybacked refreshes.
-- :class:`ReferenceViewVector`: the original frozenset-per-row
-  implementation, kept as the behavioural oracle.
-
-``ViewVector(n)`` consults :func:`repro.sim.fastpath.fast_path_enabled`
-at construction time, exactly like the simulation substrate: flipping the
-switch never affects a live object, randomized differential tests drive
-both planes through identical operation interleavings, and every run of
-``python -m repro.bench`` asserts the two planes produce byte-identical
-paper-facing metrics before reporting a speedup.
+Algorithms never observe the representation.  The original
+frozenset-per-row implementation lives on as the behavioural oracle in
+``tests/support/reference_substrate.py``; randomized differential tests
+drive both through identical operation interleavings.
 """
 
 from __future__ import annotations
@@ -47,7 +39,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.core.tags import ValueTs, tag_of
-from repro.sim.fastpath import STATS, fast_path_enabled
+from repro.sim.fastpath import STATS
 
 #: Upper bound on concurrently-tracked incremental EQ states per vector.
 #: A node polls EQ for its own row at the current read tag plus the
@@ -168,113 +160,8 @@ class ValueInterner:
 
 
 class ViewVector:
-    """The vector ``V[0..n-1]`` of value sets at one node.
-
-    Constructing ``ViewVector(n)`` returns the active data plane:
-    :class:`BitsetViewVector` under the fast path (the default),
-    :class:`ReferenceViewVector` under ``repro.sim.slow_path()``.  The
-    public API below is identical for both planes — algorithms never
-    observe the representation, which is what makes the planes (and the
-    bench's byte-identity guarantee) interchangeable.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int) -> "ViewVector":
-        if cls is ViewVector:
-            impl = BitsetViewVector if fast_path_enabled() else ReferenceViewVector
-            return object.__new__(impl)
-        return object.__new__(cls)
-
-    # -- mutation -------------------------------------------------------
-    def add(self, j: int, vt: ValueTs) -> bool:
-        """Add ``vt`` to row ``j``; returns True if it was new to that row."""
-        raise NotImplementedError
-
-    # -- row access -----------------------------------------------------
-    def row(self, j: int) -> frozenset[ValueTs]:
-        """A read-only snapshot of row ``j`` (the full, unrestricted view)."""
-        raise NotImplementedError
-
-    def row_size(self, j: int) -> int:
-        raise NotImplementedError
-
-    def contains(self, j: int, vt: ValueTs) -> bool:
-        raise NotImplementedError
-
-    def restricted_row(self, j: int, r: int) -> frozenset[ValueTs]:
-        """``V[j]^{≤r}`` — the values in row ``j`` with tag at most ``r``."""
-        raise NotImplementedError
-
-    def matching_restricted_rows(self, r: int, ids: frozenset[ValueTs]) -> int:
-        """How many rows satisfy ``V[j]^{≤r} == ids``.
-
-        This is the verifier's side of the Byzantine row-verified borrow
-        (DESIGN.md §3.3): the caller compares the count against its
-        ``n − f`` quorum.  The bitset plane answers with one mask
-        comparison per row instead of building ``n`` frozensets.
-        """
-        raise NotImplementedError
-
-    # -- whole-vector diagnostics --------------------------------------
-    def all_values(self) -> frozenset[ValueTs]:
-        """Union of all rows (every value this node has ever seen).
-
-        Maintained incrementally by :meth:`add` — feeds per-op harness
-        diagnostics, never the algorithm.
-        """
-        raise NotImplementedError
-
-    def max_value_tag(self) -> int:
-        """Largest tag among received values (0 if none).
-
-        Note this is *not* the algorithm's ``maxTag`` variable: per the
-        paper (Sec. III-D, "Message Handlers"), ``maxTag`` is updated only
-        by writeTag/echoTag messages — a dedicated test pins that rule.
-        This helper only feeds diagnostics and is maintained incrementally
-        by :meth:`add`.
-        """
-        raise NotImplementedError
-
-    # -- the predicate --------------------------------------------------
-    def eq_predicate(
-        self, i: int, f: int, r: int | None = None
-    ) -> tuple[tuple[int, ...], frozenset[ValueTs]] | None:
-        """Evaluate ``EQ(V^{≤r}, i)`` (Definition 6).
-
-        Args:
-            i: the node evaluating the predicate.
-            f: fault threshold; the quorum size is ``n − f``.
-            r: tag bound; ``None`` means the unrestricted predicate
-               (one-shot algorithm, Sec. III-C).
-
-        Returns:
-            ``(quorum, equivalence_set)`` if the predicate holds — the
-            quorum is the sorted tuple of *all* matching rows (a superset
-            of some ``n − f``-quorum) — else ``None``.
-        """
-        raise NotImplementedError
-
-    # -- memory management ---------------------------------------------
-    def prune_below(self, r: int) -> None:
-        """Evict cached tag restrictions below ``r``.
-
-        Called by :meth:`repro.core.eq_aso.EqAso._gc_old_tags` with the
-        ``gc_tag_window`` cutoff: restrictions at pruned tags can no
-        longer be requested by future lattice operations (read tags are
-        non-decreasing), so evicting them bounds cache growth on
-        long-lived deployments.  Caches only — never affects results.
-        """
-        raise NotImplementedError
-
-    def cache_stats(self) -> dict[str, int | str]:
-        """Diagnostics: plane name and cache/table sizes (tests and the
-        ``views`` macro-benchmark read this; algorithms never do)."""
-        raise NotImplementedError
-
-
-class BitsetViewVector(ViewVector):
-    """The interned-bitset data plane with incremental EQ (the default)."""
+    """The vector ``V[0..n-1]`` of value sets at one node (interned
+    bitset rows with incremental EQ — see the module docstring)."""
 
     __slots__ = (
         "n",
@@ -307,6 +194,7 @@ class BitsetViewVector(ViewVector):
         self._max_seen_tag = 0
 
     def add(self, j: int, vt: ValueTs) -> bool:
+        """Add ``vt`` to row ``j``; returns True if it was new to that row."""
         bit = 1 << self._interner.intern(vt)
         row = self._rows[j]
         if row & bit:
@@ -321,6 +209,7 @@ class BitsetViewVector(ViewVector):
         return True
 
     def row(self, j: int) -> frozenset[ValueTs]:
+        """A read-only snapshot of row ``j`` (the full, unrestricted view)."""
         return self._interner.unpack(self._rows[j])
 
     def row_size(self, j: int) -> int:
@@ -331,6 +220,7 @@ class BitsetViewVector(ViewVector):
         return idx is not None and (self._rows[j] >> idx) & 1 == 1
 
     def restricted_row(self, j: int, r: int) -> frozenset[ValueTs]:
+        """``V[j]^{≤r}`` — the values in row ``j`` with tag at most ``r``."""
         masked = self._rows[j] & self._interner.mask_at_most(r)
         key = (j, r)
         hit = self._filter_cache.get(key)
@@ -341,6 +231,12 @@ class BitsetViewVector(ViewVector):
         return out
 
     def matching_restricted_rows(self, r: int, ids: frozenset[ValueTs]) -> int:
+        """How many rows satisfy ``V[j]^{≤r} == ids``.
+
+        This is the verifier's side of the Byzantine row-verified borrow
+        (DESIGN.md §3.3): the caller compares the count against its
+        ``n − f`` quorum.  One mask comparison per row.
+        """
         id_of = self._interner.id_of
         claim = 0
         for vt in ids:
@@ -354,14 +250,40 @@ class BitsetViewVector(ViewVector):
         return sum(1 for row in self._rows if row & mask == claim)
 
     def all_values(self) -> frozenset[ValueTs]:
+        """Union of all rows (every value this node has ever seen).
+
+        Maintained incrementally by :meth:`add` — feeds per-op harness
+        diagnostics, never the algorithm.
+        """
         return self._interner.unpack(self._union_mask)
 
     def max_value_tag(self) -> int:
+        """Largest tag among received values (0 if none).
+
+        Note this is *not* the algorithm's ``maxTag`` variable: per the
+        paper (Sec. III-D, "Message Handlers"), ``maxTag`` is updated only
+        by writeTag/echoTag messages — a dedicated test pins that rule.
+        This helper only feeds diagnostics and is maintained incrementally
+        by :meth:`add`.
+        """
         return self._max_seen_tag
 
     def eq_predicate(
         self, i: int, f: int, r: int | None = None
     ) -> tuple[tuple[int, ...], frozenset[ValueTs]] | None:
+        """Evaluate ``EQ(V^{≤r}, i)`` (Definition 6).
+
+        Args:
+            i: the node evaluating the predicate.
+            f: fault threshold; the quorum size is ``n − f``.
+            r: tag bound; ``None`` means the unrestricted predicate
+               (one-shot algorithm, Sec. III-C).
+
+        Returns:
+            ``(quorum, equivalence_set)`` if the predicate holds — the
+            quorum is the sorted tuple of *all* matching rows (a superset
+            of some ``n − f``-quorum) — else ``None``.
+        """
         STATS.eq_evals += 1
         rows = self._rows
         n = self.n
@@ -458,6 +380,14 @@ class BitsetViewVector(ViewVector):
         return None
 
     def prune_below(self, r: int) -> None:
+        """Evict cached tag restrictions below ``r``.
+
+        Called by :meth:`repro.core.eq_aso.EqAso._gc_old_tags` with the
+        ``gc_tag_window`` cutoff: restrictions at pruned tags can no
+        longer be requested by future lattice operations (read tags are
+        non-decreasing), so evicting them bounds cache growth on
+        long-lived deployments.  Caches only — never affects results.
+        """
         for key in [k for k in self._filter_cache if k[1] < r]:
             del self._filter_cache[key]
         for eq_key in [
@@ -467,6 +397,8 @@ class BitsetViewVector(ViewVector):
         self._interner.prune_masks_below(r)
 
     def cache_stats(self) -> dict[str, int | str]:
+        """Diagnostics: cache/table sizes (tests and the ``views``
+        macro-benchmark read this; algorithms never do)."""
         stats = self._interner.mask_stats()
         return {
             "plane": "bitset",
@@ -476,98 +408,6 @@ class BitsetViewVector(ViewVector):
             "tag_masks": stats["tag_masks"],
             "cum_masks": stats["cum_masks"],
             "unpack_cache": stats["unpack_cache"],
-        }
-
-
-class ReferenceViewVector(ViewVector):
-    """The original set-based data plane — the behavioural oracle.
-
-    Rows only ever grow; the class exploits that to cache tag-restricted
-    rows (the EQ predicate is re-evaluated after every delivery while a
-    lattice operation waits, and most rows are unchanged between checks).
-    """
-
-    __slots__ = ("n", "_rows", "_filter_cache", "_union_values", "_max_seen_tag")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self._rows: list[set[ValueTs]] = [set() for _ in range(n)]
-        #: (j, r) -> (row size at filter time, materialized frozenset)
-        self._filter_cache: dict[tuple[int, int], tuple[int, frozenset[ValueTs]]] = {}
-        self._union_values: set[ValueTs] = set()
-        self._max_seen_tag = 0
-
-    def add(self, j: int, vt: ValueTs) -> bool:
-        row = self._rows[j]
-        if vt in row:
-            return False
-        row.add(vt)
-        if vt not in self._union_values:
-            self._union_values.add(vt)
-            tag = tag_of(vt)
-            if tag > self._max_seen_tag:
-                self._max_seen_tag = tag
-        return True
-
-    def row(self, j: int) -> frozenset[ValueTs]:
-        return frozenset(self._rows[j])
-
-    def row_size(self, j: int) -> int:
-        return len(self._rows[j])
-
-    def contains(self, j: int, vt: ValueTs) -> bool:
-        return vt in self._rows[j]
-
-    def restricted_row(self, j: int, r: int) -> frozenset[ValueTs]:
-        key = (j, r)
-        size = len(self._rows[j])
-        hit = self._filter_cache.get(key)
-        if hit is not None and hit[0] == size:
-            return hit[1]
-        filtered = frozenset(vt for vt in self._rows[j] if tag_of(vt) <= r)
-        self._filter_cache[key] = (size, filtered)
-        return filtered
-
-    def matching_restricted_rows(self, r: int, ids: frozenset[ValueTs]) -> int:
-        target = ids if isinstance(ids, frozenset) else frozenset(ids)
-        return sum(1 for j in range(self.n) if self.restricted_row(j, r) == target)
-
-    def all_values(self) -> frozenset[ValueTs]:
-        return frozenset(self._union_values)
-
-    def max_value_tag(self) -> int:
-        return self._max_seen_tag
-
-    def eq_predicate(
-        self, i: int, f: int, r: int | None = None
-    ) -> tuple[tuple[int, ...], frozenset[ValueTs]] | None:
-        STATS.eq_evals += 1
-        n = self.n
-        need = n - f
-        if r is None:
-            target: frozenset[ValueTs] = self.row(i)
-            rows = [self.row(j) for j in range(n)]
-        else:
-            target = self.restricted_row(i, r)
-            rows = [self.restricted_row(j, r) for j in range(n)]
-        STATS.eq_rows_scanned += n
-        quorum = tuple(j for j in range(n) if rows[j] == target)
-        if len(quorum) >= need:
-            return quorum, target
-        return None
-
-    def prune_below(self, r: int) -> None:
-        for key in [k for k in self._filter_cache if k[1] < r]:
-            del self._filter_cache[key]
-
-    def cache_stats(self) -> dict[str, int | str]:
-        return {
-            "plane": "reference",
-            "filter_cache": len(self._filter_cache),
-            "eq_states": 0,
-            "interned": 0,
-            "tag_masks": 0,
-            "cum_masks": 0,
         }
 
 
@@ -586,8 +426,6 @@ __all__ = [
     "MAX_EQ_IDLE",
     "MAX_EQ_STATES",
     "UNPACK_CACHE_MAX",
-    "BitsetViewVector",
-    "ReferenceViewVector",
     "ValueInterner",
     "ViewVector",
     "eq_predicate",

@@ -6,12 +6,12 @@ delivery at a node re-polls its parked EQ predicate (the runtime
 re-checks :class:`~repro.runtime.protocol.WaitUntil` after each
 delivery), so with every node both writing and waiting the workload is
 dominated by ``EQ(V^{≤r}, i)`` evaluations over a steadily growing
-value universe — exactly the path the bitset data plane's interning and
-incremental match tracking accelerate.  The reference plane
-(:class:`~repro.core.views.ReferenceViewVector`) re-derives the same
-answers from frozenset rows, so the paper-facing metrics below are
-byte-identical across planes and the wall-clock ratio isolates the data
-plane itself.
+value universe — exactly the path :class:`~repro.core.views.ViewVector`'s
+interning and incremental match tracking accelerate (the ``eq_rows_*``
+counters of the bench report show the row work done and skipped).  The
+frozenset oracle under ``tests/support/`` re-derives the same answers,
+and the whole-run oracle test requires the paper-facing metrics below to
+be byte-identical between the two.
 
 Metrics are latency statistics in units of ``D`` plus total message
 counts — deterministic on the lockstep substrate, independent of the

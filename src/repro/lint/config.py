@@ -52,8 +52,8 @@ DEFAULT_IO_MODULES: frozenset[str] = frozenset(
     }
 )
 
-#: Representation-private attributes of the view-vector data planes and
-#: the value interner (RL006).  Accessing one of these on a non-``self``
+#: Representation-private attributes of the view vector and the value
+#: interner (RL006).  Accessing one of these on a non-``self``
 #: receiver outside the view-plane module couples the caller to one
 #: concrete representation.
 DEFAULT_VIEW_PLANE_ATTRS: frozenset[str] = frozenset(

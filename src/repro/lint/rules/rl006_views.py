@@ -1,12 +1,12 @@
 """RL006 — view-plane encapsulation.
 
-The view vector has two interchangeable representations (the bitset data
-plane and the frozenset reference, :mod:`repro.core.views`), selected at
-construction time by the fast-path switch.  That swap is only sound while
-every other module goes through the shared ``ViewVector`` API — code that
-reaches into ``V._rows``, ``V._filter_cache`` or the interner's tables is
-coupled to one representation and silently breaks (or worse, diverges)
-under the other.
+The view vector's representation (interned bitset rows,
+:mod:`repro.core.views`) is private: the differential tests swap the
+frozenset oracle in through the public ``ViewVector`` API, and the
+representation has changed before.  That is only sound while every other
+module goes through that API — code that reaches into ``V._rows``,
+``V._filter_cache`` or the interner's tables is coupled to one
+representation and silently breaks (or worse, diverges) under another.
 
 The check: outside the view-plane module(s), no attribute access on a
 *non-self* receiver may name a data-plane private attribute
@@ -35,8 +35,8 @@ class ViewPlaneEncapsulationRule(Rule):
     )
     fix_hint = (
         "use the ViewVector API (row/restricted_row/eq_predicate/"
-        "matching_restricted_rows/cache_stats/prune_below) so both data "
-        "planes stay interchangeable"
+        "matching_restricted_rows/cache_stats/prune_below) so the "
+        "representation stays private"
     )
 
     def check(

@@ -14,30 +14,29 @@ Crashed nodes neither send nor receive: sends by a crashed node are
 rejected upstream (the cluster silences it) and deliveries to a node that
 crashed in the meantime are dropped at delivery time.
 
-Hot-path design.  ``__init__`` compiles one of two send paths:
+There is one send path.  Per-message scheduling is closure-free (the
+delivery event carries ``(src, dst, payload, sent_at)``), the FIFO clamp
+table is a flat ``n*n`` float list, constant-delay models are sampled
+without a virtual call, and :meth:`Network.broadcast` batches its
+fan-out — one delivery event per distinct post-clamp delivery time
+carrying the destination list, so a lockstep broadcast costs ~1 kernel
+event instead of ``n − 1``.  Per-destination crash-drop checks still
+happen at delivery time.
 
-- the **fast path** (no tracer, no delivery trace, fast substrate
-  enabled): per-message scheduling is closure-free
-  (:meth:`Simulator.schedule_call_at` with ``_arrive_fast``), the FIFO
-  clamp table is a flat ``n*n`` float list instead of a tuple-keyed
-  dict, constant-delay models are sampled without a double virtual
-  call, and :meth:`broadcast` batches its fan-out — one delivery event
-  per distinct post-clamp delivery time carrying the destination list,
-  so a lockstep broadcast costs ~1 kernel event instead of ``n − 1``.
-  Per-destination crash-drop checks still happen at delivery time.
-- the **instrumented path** (tracer enabled or ``record_trace``): the
-  original one-event-per-message scheduling with human-readable event
-  tags.  Because batching preserves the exact ``(time, priority, seq)``
-  delivery order (a broadcast's sends hold consecutive sequence
-  numbers; nothing can interleave), both paths produce identical
-  executions — so enabling tracing still cannot perturb the schedule,
-  and the disabled-tracer path pays nothing at all.
+Everything that looks at individual messages — tracer callbacks, the
+:class:`DeliveryRecord` trace, link gating — sits inline behind one
+flag, ``_watched``, which is true iff a tracer is enabled, the delivery
+trace is recorded, or some channel is currently gated.  Observation
+never changes the schedule: a watched run executes the same kernel
+events in the same ``(time, priority, seq)`` order as a bare one.
 
-Batching never changes observable order: within one batch the
-destination list preserves the per-destination sequence order, and any
-event scheduled by an earlier delivery's handler carries a larger
-sequence number than the whole batch, exactly as it would have with
-per-message events.
+Batching never changes observable order: a broadcast's sends would hold
+consecutive sequence numbers (nothing can interleave), within one batch
+the destination list preserves the per-destination order, and any event
+scheduled by an earlier delivery's handler carries a larger sequence
+number than the whole batch, exactly as it would with per-message
+events.  ``tests/support/reference_substrate.py`` keeps the
+one-event-per-message network as the oracle for that claim.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Any, Callable, Sequence
 
 from repro.net.delays import ConstantDelay, DelayModel
 from repro.net.faults import CrashPlan
-from repro.sim.fastpath import STATS, fast_path_enabled
+from repro.sim.fastpath import STATS
 from repro.sim.kernel import Simulator
 
 
@@ -76,7 +75,6 @@ class Network:
         *,
         record_trace: bool = False,
         tracer: Any = None,
-        fast: bool | None = None,
     ) -> None:
         """
         Args:
@@ -91,46 +89,39 @@ class Network:
                 (memory-heavy; off by default, on in figure regenerators).
             tracer: optional :class:`repro.obs.Tracer`; send/deliver/drop
                 events are emitted through it.  A disabled tracer is
-                normalized to ``None``, which selects the fast send path —
-                the disabled branches are compiled out entirely.
-            fast: substrate selector; ``None`` follows the global
-                :func:`repro.sim.fastpath.fast_path_enabled` switch.
+                normalized to ``None``.
         """
         self.sim = sim
         self.n = n
         self.delay_model = delay_model
         self.crash_plan = crash_plan
         self._deliver = deliver
-        #: flat FIFO-clamp table, indexed ``src * n + dst`` (fast path)
+        #: flat FIFO-clamp table, indexed ``src * n + dst``
         self._last_delivery = [0.0] * (n * n)
-        #: tuple-keyed FIFO-clamp table (reference/instrumented path)
-        self._last_delivery_map: dict[tuple[int, int], float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.sent_by_node: list[int] = [0] * n
         self.trace: list[DeliveryRecord] = []
         self._record_trace = record_trace
-        #: ordered channels currently gated by :meth:`disconnect`, and the
-        #: sends parked on them awaiting :meth:`reconnect` (FIFO)
-        self._gated: set[tuple[int, int]] = set()
-        self._parked: dict[tuple[int, int], list[Any]] = {}
+        #: channels (``src * n + dst``) currently gated by
+        #: :meth:`disconnect`, and the sends parked on them awaiting
+        #: :meth:`reconnect` (FIFO)
+        self._gated: set[int] = set()
+        self._parked: dict[int, list[Any]] = {}
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
+        #: does anything look at individual messages?  Kept current by
+        #: disconnect/reconnect; the unwatched hot path tests only this.
+        self._watched = self._tracer is not None or record_trace
         #: constant per-message delay, or None for model-driven sampling
         self._const_delay: float | None = (
             delay_model.delay if type(delay_model) is ConstantDelay else None
         )
-        use_fast = fast_path_enabled() if fast is None else fast
-        # compile the send path: the fast pair only when nothing observes
-        # individual message events.  Bind the queue's push and the crash
-        # predicate once — delivery times are provably >= now (delay >= 0
-        # plus a monotone clamp), so the kernel's schedule-time validation
-        # is redundant on this path.
+        # delivery times are provably >= now (delay >= 0 plus a monotone
+        # clamp), so the kernel's schedule-time validation is redundant:
+        # bind the queue's push and the crash predicate once.
         self._push_call = sim.queue.push_call
         self._is_crashed = crash_plan.is_crashed
-        if use_fast and self._tracer is None and not record_trace:
-            self.send = self._send_fast  # type: ignore[method-assign]
-            self.broadcast = self._broadcast_fast  # type: ignore[method-assign]
 
     @property
     def D(self) -> float:
@@ -140,6 +131,15 @@ class Network:
     # ------------------------------------------------------------------
     # link gating (temporary partitions)
     # ------------------------------------------------------------------
+    def _channel(self, src: int, dst: int) -> int:
+        """Index of the gateable channel ``src -> dst``.  A node's
+        self-addressed messages never traverse the network
+        (:mod:`repro.net.delays`), so there is no ``i -> i`` link to gate."""
+        n = self.n
+        if not (0 <= src < n and 0 <= dst < n) or src == dst:
+            raise ValueError(f"bad endpoints {src}->{dst} for n={n}")
+        return src * n + dst
+
     def disconnect(self, src: int, dst: int) -> None:
         """Gate the ordered channel ``src -> dst``: subsequent sends are
         parked (in order) until :meth:`reconnect` releases them.
@@ -147,37 +147,51 @@ class Network:
         While a link is gated the synchrony bound ``delay <= D`` does not
         hold for its parked messages — a partition suspends the bound by
         definition; reliability and FIFO order are preserved.  Messages
-        already in flight when the gate closes still deliver.  Gating
-        needs per-message bookkeeping, so the first call permanently
-        reverts a compiled fast send path to the reference path (gated
-        runs are observability runs; benches never gate).
+        already in flight when the gate closes still deliver, and
+        ungated channels keep batching.
         """
-        if "send" in self.__dict__:  # compiled fast path: revert
-            del self.send
-            del self.broadcast
-        self._gated.add((src, dst))
+        self._gated.add(self._channel(src, dst))
+        self._watched = True
         if self._tracer is not None:
             self._tracer.on_link(src, dst, up=False)
 
     def reconnect(self, src: int, dst: int) -> None:
         """Release a gated channel, scheduling its parked sends with
         fresh delays sampled at release time (FIFO clamp keeps order)."""
-        if (src, dst) not in self._gated:
+        idx = self._channel(src, dst)
+        if idx not in self._gated:
             return
-        self._gated.discard((src, dst))
+        self._gated.discard(idx)
+        self._watched = (
+            bool(self._gated) or self._tracer is not None or self._record_trace
+        )
         if self._tracer is not None:
             self._tracer.on_link(src, dst, up=True)
-        for payload in self._parked.pop((src, dst), []):
-            self._schedule_delivery(src, dst, payload)
+        for payload in self._parked.pop(idx, ()):
+            self._schedule(src, dst, payload)
 
     # ------------------------------------------------------------------
-    # fast path (compiled in __init__ when untraced)
+    # sending
     # ------------------------------------------------------------------
-    def _send_fast(self, src: int, dst: int, payload: Any) -> None:
+    def send(self, src: int, dst: int, payload: Any) -> None:
         """Hand one message to the network (reliable from this point on)."""
         n = self.n
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"bad endpoints {src}->{dst} for n={n}")
+        self.messages_sent += 1
+        self.sent_by_node[src] += 1
+        STATS.messages += 1
+        if self._watched:
+            if self._tracer is not None:
+                self._tracer.on_send(src, dst, payload)
+            idx = src * n + dst
+            if idx in self._gated:
+                self._parked.setdefault(idx, []).append(payload)
+                return
+        self._schedule(src, dst, payload)
+
+    def _schedule(self, src: int, dst: int, payload: Any) -> None:
+        """Sample a delay, apply the FIFO clamp, push the delivery."""
         now = self.sim.now
         if src == dst:
             delay = 0.0
@@ -186,19 +200,24 @@ class Network:
             if delay is None:
                 delay = self.delay_model.delay_for(src, dst, payload, now)
         deliver_at = now + delay
-        idx = src * n + dst
+        idx = src * self.n + dst
         last = self._last_delivery
         if deliver_at < last[idx]:
             deliver_at = last[idx]  # FIFO clamp; see module docstring
         else:
             last[idx] = deliver_at
-        self.messages_sent += 1
-        self.sent_by_node[src] += 1
-        STATS.messages += 1
-        self._push_call(deliver_at, self._arrive_fast, (src, dst, payload))
+        self._push_call(deliver_at, self._arrive, (src, dst, payload, now))
 
-    def _broadcast_fast(self, src: int, payload: Any, dests: Sequence[int]) -> None:
-        """Batched fan-out: one delivery event per distinct delivery time."""
+    def broadcast(self, src: int, payload: Any, dests: Sequence[int]) -> None:
+        """Send ``payload`` to each destination as one batched fan-out
+        (one delivery event per distinct delivery time), applying
+        mid-broadcast crash truncation (Definition 11) if the crash plan
+        says so.
+
+        A :class:`~repro.net.faults.BroadcastCrash` leaves only the
+        adversary-chosen destinations in the send loop; the caller (the
+        cluster) is then told to crash the node via the plan state.
+        """
         allowed, crash_now = self.crash_plan.filter_broadcast(src, payload, dests)
         if allowed:
             n = self.n
@@ -209,6 +228,8 @@ class Network:
             self.messages_sent += count
             self.sent_by_node[src] += count
             STATS.messages += count
+            watched = self._watched
+            tracer = self._tracer
             const_delay = self._const_delay
             delay_model = self.delay_model
             last = self._last_delivery
@@ -217,6 +238,13 @@ class Network:
             for dst in allowed:
                 if not 0 <= dst < n:
                     raise ValueError(f"bad endpoints {src}->{dst} for n={n}")
+                idx = base + dst
+                if watched:
+                    if tracer is not None:
+                        tracer.on_send(src, dst, payload)
+                    if idx in self._gated:
+                        self._parked.setdefault(idx, []).append(payload)
+                        continue
                 if src == dst:
                     delay = 0.0
                 elif const_delay is not None:
@@ -224,7 +252,6 @@ class Network:
                 else:
                     delay = delay_model.delay_for(src, dst, payload, now)
                 deliver_at = now + delay
-                idx = base + dst
                 if deliver_at < last[idx]:
                     deliver_at = last[idx]  # FIFO clamp
                 else:
@@ -237,23 +264,45 @@ class Network:
             push_call = self._push_call
             for deliver_at, dsts in groups.items():
                 if len(dsts) == 1:
-                    push_call(deliver_at, self._arrive_fast, (src, dsts[0], payload))
+                    push_call(deliver_at, self._arrive, (src, dsts[0], payload, now))
                 else:
-                    push_call(deliver_at, self._arrive_batch, (src, dsts, payload))
+                    push_call(deliver_at, self._arrive_batch, (src, dsts, payload, now))
         if crash_now:
             self.crash_plan.mark_crashed(src)
+            if self._tracer is not None:
+                self._tracer.on_crash(src, detail="mid-broadcast crash")
 
-    def _arrive_fast(self, src: int, dst: int, payload: Any) -> None:
-        if self._is_crashed(dst):
+    # ------------------------------------------------------------------
+    # delivery
+    # ------------------------------------------------------------------
+    def _arrive(self, src: int, dst: int, payload: Any, sent_at: float) -> None:
+        dropped = self._is_crashed(dst)
+        if self._watched:
+            if self._record_trace:
+                self.trace.append(
+                    DeliveryRecord(src, dst, payload, sent_at, self.sim.now, dropped)
+                )
+            if self._tracer is not None:
+                if dropped:
+                    self._tracer.on_drop(src, dst, payload)
+                else:
+                    self._tracer.on_deliver(src, dst, payload)
+        if dropped:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
         self._deliver(dst, src, payload)
 
-    def _arrive_batch(self, src: int, dsts: list[int], payload: Any) -> None:
+    def _arrive_batch(
+        self, src: int, dsts: list[int], payload: Any, sent_at: float
+    ) -> None:
         """Deliver one batched fan-out group, re-checking crash state per
         destination (a destination may have died since the send — or be
         killed by an earlier delivery in this very batch)."""
+        if self._watched:
+            for dst in dsts:
+                self._arrive(src, dst, payload, sent_at)
+            return
         crashed = self._is_crashed
         deliver = self._deliver
         for dst in dsts:
@@ -262,75 +311,6 @@ class Network:
             else:
                 self.messages_delivered += 1
                 deliver(dst, src, payload)
-
-    # ------------------------------------------------------------------
-    # reference path (slow substrate, tracer and/or delivery trace).
-    # Kept deliberately identical to the pre-optimization implementation
-    # — one closure-carrying event per message, human-readable tags — so
-    # ``repro.bench``'s fast-vs-slow comparison measures the real before
-    # / after, and traces keep their per-message tags.
-    # ------------------------------------------------------------------
-    def send(self, src: int, dst: int, payload: Any) -> None:
-        """Hand one message to the network (reliable from this point on)."""
-        if not (0 <= src < self.n and 0 <= dst < self.n):
-            raise ValueError(f"bad endpoints {src}->{dst} for n={self.n}")
-        self.messages_sent += 1
-        self.sent_by_node[src] += 1
-        STATS.messages += 1
-        if self._tracer is not None:
-            self._tracer.on_send(src, dst, payload)
-        if (src, dst) in self._gated:
-            self._parked.setdefault((src, dst), []).append(payload)
-            return
-        self._schedule_delivery(src, dst, payload)
-
-    def _schedule_delivery(self, src: int, dst: int, payload: Any) -> None:
-        now = self.sim.now
-        delay = self.delay_model.delay_for(src, dst, payload, now)
-        deliver_at = now + delay
-        pair = (src, dst)
-        prev = self._last_delivery_map.get(pair, 0.0)
-        if deliver_at < prev:
-            deliver_at = prev  # FIFO clamp; see module docstring
-        self._last_delivery_map[pair] = deliver_at
-        self.sim.schedule_at(
-            deliver_at,
-            lambda: self._arrive(src, dst, payload, now),
-            tag=f"deliver:{src}->{dst}",
-        )
-
-    def broadcast(self, src: int, payload: Any, dests: Sequence[int]) -> None:
-        """Send ``payload`` to each destination, applying mid-broadcast
-        crash truncation (Definition 11) if the crash plan says so.
-
-        A :class:`~repro.net.faults.BroadcastCrash` leaves only the
-        adversary-chosen destinations in the send loop; the caller (the
-        cluster) is then told to crash the node via the plan state.
-        """
-        allowed, crash_now = self.crash_plan.filter_broadcast(src, payload, dests)
-        for dst in allowed:
-            self.send(src, dst, payload)
-        if crash_now:
-            self.crash_plan.mark_crashed(src)
-            if self._tracer is not None:
-                self._tracer.on_crash(src, detail="mid-broadcast crash")
-
-    # ------------------------------------------------------------------
-    def _arrive(self, src: int, dst: int, payload: Any, sent_at: float) -> None:
-        dropped = self.crash_plan.is_crashed(dst)
-        if self._record_trace:
-            self.trace.append(
-                DeliveryRecord(src, dst, payload, sent_at, self.sim.now, dropped)
-            )
-        if dropped:
-            self.messages_dropped += 1
-            if self._tracer is not None:
-                self._tracer.on_drop(src, dst, payload)
-            return
-        self.messages_delivered += 1
-        if self._tracer is not None:
-            self._tracer.on_deliver(src, dst, payload)
-        self._deliver(dst, src, payload)
 
 
 __all__ = ["Network", "DeliveryRecord"]

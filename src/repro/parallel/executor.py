@@ -28,8 +28,8 @@ scheduling.  Remaining tasks still run to completion; a sweep's outcome
 never depends on which worker happened to die first.
 
 The pool uses the ``fork`` start method: workers inherit the parent's
-imported modules (no re-import races) and the construction-time
-fast/slow switches behave identically in the child.
+imported modules (no re-import races) and module state patched in the
+parent — a test's substituted collaborator — is the same in the child.
 """
 
 from __future__ import annotations

@@ -249,6 +249,11 @@ class AioCluster:
     # link gating (temporary partitions)
     # ------------------------------------------------------------------
     def _gate(self, src: int, dst: int) -> asyncio.Event:
+        # same contract as the DES Network: a node's self-addressed
+        # messages never traverse the network, so there is no i -> i link
+        n = self.n
+        if not (0 <= src < n and 0 <= dst < n) or src == dst:
+            raise ValueError(f"bad endpoints {src}->{dst} for n={n}")
         gate = self._gates.get((src, dst))
         if gate is None:
             gate = self._gates[(src, dst)] = asyncio.Event()

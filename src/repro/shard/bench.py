@@ -19,8 +19,9 @@ Two cases, registered in :mod:`repro.bench.runner`:
 
 Both workloads route every float through ``round(..., 6)`` before the
 report so canonical-JSON fingerprints are stable, and neither consults
-the wall clock — the substrate-invariance gate (fast vs slow metrics
-byte-identical) applies to them exactly as to every other case.
+the wall clock — the bench's fingerprint gate and the tier-1 whole-run
+oracle (shipped vs reference substrate, byte-identical metrics) apply to
+them exactly as to every other case.
 """
 
 from __future__ import annotations

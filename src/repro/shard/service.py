@@ -379,8 +379,8 @@ class ShardRunReport:
 
     ``as_dict()`` is the JSON-stable projection the bench fingerprints;
     it contains only simulated quantities (times in ``D``, counts,
-    digests) — never wall-clock — so fast/slow substrates and serial/
-    parallel executions produce identical bytes.
+    digests) — never wall-clock — so the shipped and reference
+    substrates and serial/parallel executions produce identical bytes.
     """
 
     config: ShardConfig

@@ -14,28 +14,18 @@ The kernel is deliberately small and fully deterministic:
   experiment is replayable from its seed.
 """
 
-from repro.sim.events import Event, EventQueue, ReferenceEventQueue
-from repro.sim.fastpath import (
-    STATS,
-    SubstrateStats,
-    fast_path_enabled,
-    set_fast_path,
-    slow_path,
-)
+from repro.sim.events import Event, EventQueue
+from repro.sim.fastpath import STATS, SubstrateStats
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import SeededRng, derive_seed
 
 __all__ = [
     "Event",
     "EventQueue",
-    "ReferenceEventQueue",
     "STATS",
     "SubstrateStats",
     "SimulationError",
     "Simulator",
     "SeededRng",
     "derive_seed",
-    "fast_path_enabled",
-    "set_fast_path",
-    "slow_path",
 ]

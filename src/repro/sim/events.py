@@ -5,24 +5,19 @@ increasing sequence number makes ordering total and deterministic even when
 many events share a timestamp (common under the constant-delay model used
 by the worst-case adversaries).
 
-Two implementations share that contract:
-
-- :class:`EventQueue` — the fast path.  A binary heap plus a *burst
-  lane*: an append-only FIFO holding the longest sorted run of recent
-  pushes.  Under the lockstep adversaries (constant delay ``D``) every
-  delivery scheduled while processing time ``t`` lands at ``t + D`` with
-  the same priority, i.e. pushes arrive in non-decreasing key order —
-  the burst lane absorbs the entire steady state in O(1) per event where
-  the heap pays O(log m) per push *and* pop.  Popping merges the two
-  internally-sorted lanes by ``(time, priority, seq)``, so the execution
-  order is exactly the heap-only order (verified by differential tests).
-- :class:`ReferenceEventQueue` — the original heap-only implementation,
-  kept as the behavioural reference for differential tests and for the
-  ``repro.bench`` fast-vs-slow byte-stability assertions.
+:class:`EventQueue` is a binary heap plus a *burst lane*: an append-only
+FIFO holding the longest sorted run of recent pushes.  Under the lockstep
+adversaries (constant delay ``D``) every delivery scheduled while
+processing time ``t`` lands at ``t + D`` with the same priority, i.e.
+pushes arrive in non-decreasing key order — the burst lane absorbs the
+entire steady state in O(1) per event where the heap pays O(log m) per
+push *and* pop.  Popping merges the two internally-sorted lanes by
+``(time, priority, seq)``, so the execution order is exactly the
+heap-only order (differential tests drive it against the heap-only
+reference queue in ``tests/support/reference_substrate.py``).
 
 Events are lean ``__slots__`` records holding ``(fn, args)`` instead of a
-closure; the kernel fires them with ``event.fn(*event.args)``.  The
-``action`` property preserves the historical zero-argument-callable view.
+closure; the kernel fires them with ``event.fn(*event.args)``.
 
 Cancellation is a state flag on the event itself: an event is *pending*
 until it is popped (fired) or cancelled.  Cancelling an event that
@@ -77,14 +72,6 @@ class Event:
         self._state = _PENDING
 
     @property
-    def action(self) -> Callable[[], None]:
-        """The event body as a zero-argument callable (compat view)."""
-        fn, args = self.fn, self.args
-        if not args:
-            return fn
-        return lambda: fn(*args)
-
-    @property
     def cancelled(self) -> bool:
         return self._state == _CANCELLED
 
@@ -106,10 +93,10 @@ class Event:
 class EventQueue:
     """A deterministic priority queue of :class:`Event` objects.
 
-    Fast path: a heap plus the burst lane described in the module
-    docstring.  The burst lane (``_fifo``) is a plain list consumed from
-    the left via an index cursor (amortized O(1), no deque needed since
-    entries are only appended at the right); it always holds a sorted run
+    A heap plus the burst lane described in the module docstring.  The
+    burst lane (``_fifo``) is a plain list consumed from the left via an
+    index cursor (amortized O(1), no deque needed since entries are only
+    appended at the right); it always holds a sorted run
     — an event may be appended iff its ``(time, priority)`` is >= the
     last entry's (sequence numbers are assigned monotonically, so equal
     keys stay sorted).  Any push that would break the run goes to the
@@ -253,82 +240,4 @@ class EventQueue:
             return None
 
 
-class ReferenceEventQueue:
-    """The original heap-only queue — the slow-path behavioural reference.
-
-    Functionally identical to :class:`EventQueue` (same API, same
-    ``(time, priority, seq)`` pop order, same fired/cancelled
-    semantics); every push and pop goes through the binary heap.  Used
-    by the slow path (:func:`repro.sim.fastpath.slow_path`) and as the
-    oracle in the differential tests.
-    """
-
-    __slots__ = ("_heap", "_seq", "_live")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._seq = 0
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(
-        self,
-        time: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        tag: str = "",
-    ) -> Event:
-        return self.push_call(time, action, (), priority=priority, tag=tag)
-
-    def push_call(
-        self,
-        time: float,
-        fn: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        *,
-        priority: int = 0,
-        tag: str = "",
-    ) -> Event:
-        if time != time:  # NaN guard
-            raise ValueError("event time must not be NaN")
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, priority, seq, fn, args, tag)
-        heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        return event
-
-    def cancel(self, event: Event) -> None:
-        if event._state == _PENDING:
-            event._state = _CANCELLED
-            self._live -= 1
-
-    def pop(self) -> Event:
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            if event._state == _CANCELLED:
-                continue
-            event._state = _FIRED
-            self._live -= 1
-            return event
-        raise IndexError("pop from empty EventQueue")
-
-    def peek_time(self) -> float | None:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._state == _CANCELLED:
-                heappop(heap)
-                continue
-            return entry[0]
-        return None
-
-
-__all__ = ["Event", "EventQueue", "ReferenceEventQueue"]
+__all__ = ["Event", "EventQueue"]

@@ -1,70 +1,17 @@
-"""Global fast-path switch and substrate counters.
-
-The simulation substrate has two implementations of its hot paths:
-
-- the **fast path** (default): closure-free ``(fn, *args)`` scheduling,
-  the same-time burst lane of :class:`repro.sim.events.EventQueue`, and
-  the batched broadcast fan-out of :class:`repro.net.network.Network`;
-- the **slow path**: the original heap-only queue
-  (:class:`repro.sim.events.ReferenceEventQueue`) and one delivery event
-  per message, kept as the behavioural reference.
-
-Both paths execute events in the identical ``(time, priority, seq)``
-total order, so every paper-facing measurement (latencies in ``D``,
-message counts, growth exponents, observability event logs) is
-byte-identical between them.  ``python -m repro.bench`` asserts exactly
-that, and the differential tests in ``tests/sim`` cover the queue at the
-operation level.
-
-The same switch also selects the view-vector **data plane**
-(:mod:`repro.core.views`): the fast path interns values and keeps rows
-as integer bitsets with incremental EQ evaluation; the slow path keeps
-the original frozenset rows as the behavioural oracle.
-
-The switch is consulted at *construction* time (``Simulator.__init__``,
-``Network.__init__`` and ``ViewVector.__new__``); flipping it never
-affects a live kernel or vector.  Use the :func:`slow_path` context
-manager around cluster construction to force the reference substrate::
-
-    with slow_path():
-        result = run_experiment("table1")   # reference substrate
+"""Process-wide substrate and data-plane counters.
 
 :class:`SubstrateStats` accumulates executed-event and sent-message
-totals across all kernels and networks in the process; the bench runner
-snapshots it around each timed run to report events/sec and
-messages/sec.  The counters are observability-only — nothing in the
-simulation reads them back.
+totals across all kernels and networks in the process, plus the
+view-vector data plane's EQ-evaluation counters; ``repro.bench`` and
+``benchmarks/ledger`` read :meth:`SubstrateStats.counters` around each
+timed run to report events, messages and row work per run.  The counters
+are observability-only — nothing in the simulation reads them back.
+
+The module name is historical and load-bearing: ``benchmarks/ledger``
+imports ``STATS`` from this path.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
-
-_fast_enabled: bool = True
-
-
-def fast_path_enabled() -> bool:
-    """Whether newly built kernels/networks use the fast substrate."""
-    return _fast_enabled
-
-
-def set_fast_path(enabled: bool) -> bool:
-    """Set the global switch; returns the previous value."""
-    global _fast_enabled
-    previous = _fast_enabled
-    _fast_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def slow_path() -> Iterator[None]:
-    """Force the reference (pre-optimization) substrate within the block."""
-    previous = set_fast_path(False)
-    try:
-        yield
-    finally:
-        set_fast_path(previous)
 
 
 class SubstrateStats:
@@ -72,8 +19,8 @@ class SubstrateStats:
 
     ``events``/``messages`` come from the simulation substrate (kernel
     and network); the ``eq_*``/``values_interned`` counters come from the
-    view-vector data plane (:mod:`repro.core.views`) and let the bench
-    report how much row work the incremental EQ evaluation avoided.
+    view-vector data plane (:mod:`repro.core.views`) and show how much
+    row work the incremental EQ evaluation avoided.
     """
 
     __slots__ = (
@@ -90,11 +37,11 @@ class SubstrateStats:
     def __init__(self) -> None:
         self.events = 0
         self.messages = 0
-        #: EQ-predicate evaluations across every ViewVector (both planes)
+        #: EQ-predicate evaluations across every ViewVector
         self.eq_evals = 0
         #: rows actually (re)compared during those evaluations
         self.eq_rows_scanned = 0
-        #: rows the bitset plane's incremental match tracking skipped
+        #: rows the incremental match tracking skipped
         self.eq_rows_saved = 0
         #: pending EQ states refreshed as a batch while flushing dirty
         #: rows for a *different* predicate's evaluation (each one is a
@@ -103,15 +50,11 @@ class SubstrateStats:
         #: distinct values interned across every ValueInterner
         self.values_interned = 0
         #: wire-message constructions answered from the intern table
-        #: instead of allocating (:mod:`repro.core.messages`, fast path
-        #: only)
+        #: instead of allocating (:mod:`repro.core.messages`)
         self.messages_packed = 0
 
-    def snapshot(self) -> tuple[int, int]:
-        return (self.events, self.messages)
-
     def counters(self) -> dict[str, int]:
-        """All counters by name (the bench snapshots this around runs)."""
+        """All counters by name (benches snapshot this around runs)."""
         return {name: getattr(self, name) for name in self.__slots__}
 
 
@@ -119,10 +62,4 @@ class SubstrateStats:
 STATS = SubstrateStats()
 
 
-__all__ = [
-    "STATS",
-    "SubstrateStats",
-    "fast_path_enabled",
-    "set_fast_path",
-    "slow_path",
-]
+__all__ = ["STATS", "SubstrateStats"]

@@ -5,10 +5,10 @@ deterministic order.  It is the global clock of the paper's analysis
 (Sec. II-A): only the harness reads :attr:`Simulator.now`; protocol code
 never does.
 
-Hot-path design (see :mod:`repro.sim.fastpath`): events carry
-``(fn, args)`` instead of a closure — :meth:`Simulator.schedule_call`
-schedules a call without allocating anything besides the event record
-itself — and :meth:`Simulator.run` drives a tight pop/execute loop with
+Hot-path design: events carry ``(fn, args)`` instead of a closure —
+:meth:`Simulator.schedule_call` schedules a call without allocating
+anything besides the event record itself — and :meth:`Simulator.run`
+drives a tight pop/execute loop with
 the ``until``/``stop_when``/trace-hook branches hoisted out of the
 steady state.  The executed-event total is folded into
 :data:`repro.sim.fastpath.STATS` when ``run`` returns, which is how
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.sim.events import Event, EventQueue, ReferenceEventQueue
-from repro.sim.fastpath import STATS, fast_path_enabled
+from repro.sim.events import Event, EventQueue
+from repro.sim.fastpath import STATS
 
 
 class SimulationError(RuntimeError):
@@ -34,10 +34,6 @@ class Simulator:
 
     Args:
         max_steps: executed-event budget (livelock guard).
-        fast: pick the queue implementation; ``None`` (default) follows
-            the global :func:`repro.sim.fastpath.fast_path_enabled`
-            switch.  Both implementations execute events in the identical
-            ``(time, priority, seq)`` order.
 
     Example:
         >>> sim = Simulator()
@@ -50,13 +46,8 @@ class Simulator:
 
     __slots__ = ("_queue", "_now", "_steps", "_max_steps", "_running", "_trace_hooks")
 
-    def __init__(
-        self, *, max_steps: int = 50_000_000, fast: bool | None = None
-    ) -> None:
-        use_fast = fast_path_enabled() if fast is None else fast
-        self._queue: EventQueue | ReferenceEventQueue = (
-            EventQueue() if use_fast else ReferenceEventQueue()
-        )
+    def __init__(self, *, max_steps: int = 50_000_000) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._steps = 0
         self._max_steps = max_steps
@@ -82,12 +73,12 @@ class Simulator:
         return len(self._queue)
 
     @property
-    def queue(self) -> EventQueue | ReferenceEventQueue:
+    def queue(self) -> EventQueue:
         """The underlying event queue (advanced, hot-path API).
 
-        Exposed so compiled hot paths (the network's untraced send path)
-        can bind ``queue.push_call`` once and schedule without the
-        per-call ``time >= now`` validation — callers own the proof that
+        Exposed so hot paths (the network's send path) can bind
+        ``queue.push_call`` once and schedule without the per-call
+        ``time >= now`` validation — callers own the proof that
         their times are never in the past (deliveries use
         ``now + delay`` with ``delay >= 0`` and a monotone FIFO clamp).
         Everything else should use the ``schedule*`` methods."""

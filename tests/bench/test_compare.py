@@ -1,9 +1,12 @@
-"""Perf-regression gate: same-mode strictness, cross-mode floor, CLI."""
+"""Bench baseline gate: exact same-mode equality, nothing cross-mode, CLI."""
 
 import copy
 import json
 
+import pytest
+
 from repro.bench.compare import compare_reports, format_comparison
+from repro.bench.schema import SCHEMA_VERSION
 
 
 def report(mode="smoke", **case_overrides):
@@ -11,7 +14,7 @@ def report(mode="smoke", **case_overrides):
         "name": "table1",
         "description": "d",
         "lockstep": True,
-        "fast": {
+        "measurement": {
             "wall_s_min": 0.1,
             "wall_s_all": [0.1],
             "events": 100,
@@ -19,23 +22,18 @@ def report(mode="smoke", **case_overrides):
             "events_per_s": 1000,
             "messages_per_s": 4000,
             "peak_rss_kb": 1,
+            "eq_evals": 50,
+            "eq_rows_scanned": 120,
+            "eq_rows_saved": 130,
+            "eq_batched_scans": 3,
+            "values_interned": 20,
+            "messages_packed": 300,
         },
-        "slow": {
-            "wall_s_min": 0.2,
-            "wall_s_all": [0.2],
-            "events": 500,
-            "messages": 400,
-            "events_per_s": 2500,
-            "messages_per_s": 2000,
-            "peak_rss_kb": 1,
-        },
-        "speedup": 2.0,
-        "metrics_identical": True,
         "fingerprint_sha256": "ab" * 32,
     }
     case.update(case_overrides)
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "generated_by": "repro.bench",
         "mode": mode,
         "repeats": 1,
@@ -49,23 +47,13 @@ def test_identical_reports_pass():
     assert compare_reports(fresh, copy.deepcopy(fresh)) == []
 
 
-def test_same_mode_speedup_regression_fails():
-    base = report()
-    fresh = report(speedup=2.0 * 0.84)  # > 15% below baseline
-    problems = compare_reports(fresh, base)
-    assert any("speedup regressed" in p for p in problems)
-    # within tolerance passes
-    assert compare_reports(report(speedup=2.0 * 0.86), base) == []
-    # a looser tolerance lets the same regression through
-    assert compare_reports(fresh, base, tolerance=0.30) == []
-
-
 def test_same_mode_counter_drift_fails():
     base = report()
-    fresh = report()
-    fresh["cases"][0]["fast"]["events"] += 1
-    problems = compare_reports(fresh, base)
-    assert any("seeded schedule was perturbed" in p for p in problems)
+    for key in ("events", "messages", "eq_rows_scanned"):
+        fresh = report()
+        fresh["cases"][0]["measurement"][key] += 1
+        problems = compare_reports(fresh, base)
+        assert any("seeded schedule was perturbed" in p for p in problems), key
 
 
 def test_same_mode_fingerprint_drift_fails():
@@ -75,70 +63,43 @@ def test_same_mode_fingerprint_drift_fails():
     assert any("fingerprint changed" in p for p in problems)
 
 
-def test_metrics_identical_break_always_fatal():
-    base = report(mode="full")
-    fresh = report(mode="smoke", metrics_identical=False)
-    problems = compare_reports(fresh, base)
-    assert any("metrics_identical is false" in p for p in problems)
-
-
-def test_cross_mode_only_bounds_absolute_floor():
-    base = report(mode="full", speedup=2.83)
-    # smoke speedups are legitimately far below full ones
-    fresh = report(mode="smoke", speedup=1.1)
-    assert compare_reports(fresh, base) == []
-    # ... but a fast path slower than the reference still fails
-    slow = report(mode="smoke", speedup=0.7)
-    problems = compare_reports(slow, base)
-    assert any("slower than the reference substrate" in p for p in problems)
+def test_cross_mode_is_nothing_comparable():
+    """Smoke and full ran different workloads: no verdict, not a pass."""
+    with pytest.raises(ValueError, match="different workloads"):
+        compare_reports(report(mode="smoke"), report(mode="full"))
 
 
 def test_sub_threshold_runs_skip_timing_but_not_counters():
-    """A 10ms reference run is warmup noise: no speedup verdicts, but
-    deterministic counters are still compared exactly."""
+    """Wall-clock is never compared, however short or different the run
+    (and ``messages_packed`` depends on process history, so it is not
+    gated either); deterministic counters are compared exactly."""
     base = report()
-    fresh = report(speedup=0.1)  # looks catastrophically slow...
-    for side in ("fast", "slow"):
-        fresh["cases"][0][side]["wall_s_min"] = 0.01  # ...but unmeasurable
+    fresh = report()
+    fresh["cases"][0]["measurement"].update(
+        wall_s_min=0.001, wall_s_all=[0.001], events_per_s=9, messages_packed=0
+    )
     assert compare_reports(fresh, base) == []
-    fresh["cases"][0]["fast"]["events"] += 1
+    fresh["cases"][0]["measurement"]["events"] += 1
     problems = compare_reports(fresh, base)
     assert any("seeded schedule was perturbed" in p for p in problems)
 
 
 def test_workers_report_exempt_from_speedup_but_not_counters():
-    """A --workers report is same-mode for equality gates but its
-    wall-clock ratios are machine-dependent and never gated."""
+    """A --workers report gates exactly like a serial one: its wall-clock
+    is machine-dependent (and never compared), its counters and
+    fingerprint must still match."""
     base = report()
-    fresh = report(speedup=0.4)  # would fail the ratio gate badly...
+    fresh = report()
     fresh["workers"] = 4
-    assert compare_reports(fresh, base) == []  # ...but is exempt
-    # deterministic counters and the fingerprint still gate exactly
-    fresh["cases"][0]["fast"]["events"] += 1
+    fresh["cases"][0]["measurement"]["wall_s_min"] = 0.9
+    assert compare_reports(fresh, base) == []
+    fresh["cases"][0]["measurement"]["events"] += 1
     problems = compare_reports(fresh, base)
     assert any("seeded schedule was perturbed" in p for p in problems)
     drifted = report(fingerprint_sha256="cd" * 32)
     drifted["workers"] = 4
     problems = compare_reports(drifted, base)
     assert any("fingerprint changed" in p for p in problems)
-
-
-def test_workers_baseline_also_disables_ratio_gate():
-    base = report(speedup=3.0)
-    base["workers"] = 2
-    assert compare_reports(report(speedup=0.4), base) == []
-
-
-def test_workers_cross_mode_skips_the_absolute_floor_too():
-    base = report(mode="full")
-    fresh = report(mode="smoke", speedup=0.7)
-    fresh["workers"] = 2
-    assert compare_reports(fresh, base) == []
-    # metrics_identical breaks stay fatal even under --workers
-    broken = report(mode="smoke", metrics_identical=False)
-    broken["workers"] = 2
-    problems = compare_reports(broken, base)
-    assert any("metrics_identical is false" in p for p in problems)
 
 
 def test_new_case_without_baseline_is_ignored():
@@ -148,9 +109,9 @@ def test_new_case_without_baseline_is_ignored():
 
 
 def test_format_comparison_verdicts():
-    fresh, base = report(), report()
-    assert "OK" in format_comparison(fresh, base, [])
-    out = format_comparison(fresh, base, ["table1: boom"])
+    fresh = report()
+    assert "OK" in format_comparison(fresh, [])
+    out = format_comparison(fresh, ["table1: boom"])
     assert "FAIL" in out and "table1: boom" in out
 
 
@@ -159,38 +120,30 @@ def test_cli_baseline_gate(tmp_path, capsys):
     from repro.bench.__main__ import main as bench_main
 
     out = tmp_path / "fresh.json"
-    assert (
-        bench_main(["views", "--smoke", "--out", str(out)]) == 0
-    )
+    assert bench_main(["views", "--smoke", "--out", str(out)]) == 0
     capsys.readouterr()
     fresh = json.loads(out.read_text())
 
-    # a same-mode baseline with identical counters passes (speedup is
-    # floored far below any plausible run so timing jitter can't flake)
-    for case in fresh["cases"]:
-        case["speedup"] = 0.01
+    # a same-mode baseline (its own previous run) passes
     base_ok = tmp_path / "base.json"
     base_ok.write_text(json.dumps(fresh))
-    assert (
-        bench_main(
-            ["views", "--smoke", "--out", str(out), "--baseline", str(base_ok)]
-        )
-        == 0
-    )
-    assert "perf gate: OK" in capsys.readouterr().out
+    run = ["views", "--smoke", "--out", str(out)]
+    assert bench_main(run + ["--baseline", str(base_ok)]) == 0
+    assert "bench gate: OK" in capsys.readouterr().out
 
-    # a doctored baseline counter fails the gate (counter equality is
-    # enforced regardless of how short the timed run was)
-    doctored = json.loads(out.read_text())
+    # a doctored baseline counter fails the gate
+    doctored = copy.deepcopy(fresh)
     for case in doctored["cases"]:
-        case["speedup"] = 0.01
-        case["fast"]["events"] += 1
+        case["measurement"]["events"] += 1
     base_bad = tmp_path / "bad.json"
     base_bad.write_text(json.dumps(doctored))
-    assert (
-        bench_main(
-            ["views", "--smoke", "--out", str(out), "--baseline", str(base_bad)]
-        )
-        == 1
-    )
-    assert "perf gate: FAIL" in capsys.readouterr().out
+    assert bench_main(run + ["--baseline", str(base_bad)]) == 1
+    assert "bench gate: FAIL" in capsys.readouterr().out
+
+    # a baseline of the other mode is not silently passed: exit 2
+    other = copy.deepcopy(fresh)
+    other["mode"] = "full"
+    base_full = tmp_path / "full.json"
+    base_full.write_text(json.dumps(other))
+    assert bench_main(run + ["--baseline", str(base_full)]) == 2
+    assert "nothing comparable" in capsys.readouterr().err

@@ -14,6 +14,12 @@ def _measurement():
         "events_per_s": 10000,
         "messages_per_s": 20000,
         "peak_rss_kb": 50000,
+        "eq_evals": 10,
+        "eq_rows_scanned": 20,
+        "eq_rows_saved": 30,
+        "eq_batched_scans": 1,
+        "values_interned": 5,
+        "messages_packed": 7,
     }
 
 
@@ -29,10 +35,7 @@ def _valid_report():
                 "name": "table1",
                 "description": "lockstep columns",
                 "lockstep": True,
-                "fast": _measurement(),
-                "slow": _measurement(),
-                "speedup": 2.1,
-                "metrics_identical": True,
+                "measurement": _measurement(),
                 "fingerprint_sha256": "0" * 64,
             }
         ],
@@ -69,21 +72,26 @@ def test_empty_cases_rejected():
 
 def test_missing_measurement_field():
     report = _valid_report()
-    del report["cases"][0]["fast"]["events_per_s"]
+    del report["cases"][0]["measurement"]["events_per_s"]
     assert any("events_per_s" in p for p in validate_report(report))
 
 
-def test_metrics_divergence_is_a_schema_error():
-    """A report recording fast/slow disagreement must not validate —
-    the trajectory file doubles as a correctness witness."""
+def test_old_report_shape_rejected_with_one_line():
+    """A v1 report (fast/slow pair per case) is another shape entirely:
+    one line saying so, not a field-by-field list."""
     report = _valid_report()
-    report["cases"][0]["metrics_identical"] = False
-    assert any("metrics_identical" in p for p in validate_report(report))
+    report["schema_version"] = 1
+    case = report["cases"][0]
+    case["fast"] = case["slow"] = case.pop("measurement")
+    case["speedup"], case["metrics_identical"] = 2.1, True
+    problems = validate_report(report)
+    assert len(problems) == 1
+    assert "schema_version" in problems[0] and "regenerate" in problems[0]
 
 
 def test_bool_is_not_an_int():
     report = _valid_report()
-    report["cases"][0]["fast"]["events"] = True
+    report["cases"][0]["measurement"]["events"] = True
     assert any("events" in p for p in validate_report(report))
 
 

@@ -1,10 +1,8 @@
-"""Interned fast-path message construction (:mod:`repro.core.messages`)."""
+"""Interned message construction (:mod:`repro.core.messages`)."""
 
 from __future__ import annotations
 
 import pickle
-
-import pytest
 
 import repro.core.messages as messages
 from repro.core.messages import (
@@ -13,14 +11,8 @@ from repro.core.messages import (
     MReadAck,
     MWriteTag,
 )
-from repro.sim.fastpath import STATS, set_fast_path, slow_path
-
-
-@pytest.fixture(autouse=True)
-def _fast_path():
-    set_fast_path(True)
-    yield
-    set_fast_path(True)
+from repro.sim.fastpath import STATS
+from tests.support.reference_substrate import reference_substrate
 
 
 def test_fast_path_interns_repeated_constructions():
@@ -32,9 +24,9 @@ def test_fast_path_interns_repeated_constructions():
 
 def test_instances_are_always_the_dataclass():
     # exact-type dispatch (match statements, type(payload) tables) must
-    # see the public class on both paths
+    # see the public class, interned or (under the oracle patch) fresh
     assert type(MWriteTag(1, 2)) is MWriteTag
-    with slow_path():
+    with reference_substrate():
         assert type(MWriteTag(1, 2)) is MWriteTag
 
 
@@ -44,11 +36,14 @@ def test_different_kinds_with_equal_fields_stay_distinct():
 
 
 def test_slow_path_constructs_fresh_instances():
-    with slow_path():
+    """The oracle patch (plain dataclass construction, historically the
+    "slow path") really does bypass the intern table."""
+    with reference_substrate():
         a = MEchoTag(5)
         b = MEchoTag(5)
     assert a == b
     assert a is not b
+    assert MEchoTag(5) is MEchoTag(5)  # interning is back outside the block
 
 
 def test_keyword_construction_bypasses_the_intern_table():

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.tags import Timestamp, ValueTs
 from repro.core.views import ViewVector, eq_predicate
+from tests.support.reference_substrate import ReferenceViewVector
 
 
 def vt(value, tag, writer=0, useq=1):
@@ -119,29 +120,12 @@ def test_eq_set_equals_own_restricted_row(adds):
 
 
 # ----------------------------------------------------------------------
-# data-plane selection and cache management
+# cache management (shipped vector and the reference oracle)
 # ----------------------------------------------------------------------
 
 
-def test_viewvector_dispatches_on_the_fast_path_switch():
-    from repro.core.views import BitsetViewVector, ReferenceViewVector
-    from repro.sim.fastpath import slow_path
-
-    assert isinstance(ViewVector(3), BitsetViewVector)
-    with slow_path():
-        assert isinstance(ViewVector(3), ReferenceViewVector)
-    # flipping the switch never affects a live vector, and naming a
-    # plane explicitly ignores the switch (the differential tests rely
-    # on driving both planes side by side)
-    with slow_path():
-        assert type(BitsetViewVector(3)) is BitsetViewVector
-    assert type(ReferenceViewVector(3)) is ReferenceViewVector
-
-
 def test_cache_stats_names_the_plane():
-    from repro.core.views import BitsetViewVector, ReferenceViewVector
-
-    assert BitsetViewVector(2).cache_stats()["plane"] == "bitset"
+    assert ViewVector(2).cache_stats()["plane"] == "bitset"
     assert ReferenceViewVector(2).cache_stats()["plane"] == "reference"
 
 
@@ -149,11 +133,9 @@ def test_filter_cache_bounded_under_long_update_stream():
     """10k updates with ever-growing tags: periodic prune_below (what
     EqAso._gc_old_tags calls) must keep the restriction caches bounded
     on both planes instead of accreting one entry per tag forever."""
-    from repro.core.views import BitsetViewVector, ReferenceViewVector
-
     window, prune_every, query_every = 8, 100, 10
     n = 4
-    for plane_cls in (BitsetViewVector, ReferenceViewVector):
+    for plane_cls in (ViewVector, ReferenceViewVector):
         V = plane_cls(n)
         high_water = 0
         for i in range(10_000):
@@ -197,9 +179,7 @@ def test_prune_below_never_changes_results():
 # ----------------------------------------------------------------------
 def _mirrored(n, adds):
     """The same add-sequence applied to both planes (for differential EQ)."""
-    from repro.core.views import BitsetViewVector, ReferenceViewVector
-
-    V, ref = BitsetViewVector(n), ReferenceViewVector(n)
+    V, ref = ViewVector(n), ReferenceViewVector(n)
     for j, value in adds:
         V.add(j, value)
         ref.add(j, value)
@@ -219,9 +199,9 @@ def _probe(V, i, r):
 
 
 def test_eq_state_cache_bounded_with_front_eviction():
-    from repro.core.views import MAX_EQ_STATES, BitsetViewVector
+    from repro.core.views import MAX_EQ_STATES
 
-    V = BitsetViewVector(4)
+    V = ViewVector(4)
     for j in range(4):
         V.add(j, vt("seed", 1))
     for r in [None] + list(range(1, MAX_EQ_STATES + 2)):
@@ -235,9 +215,9 @@ def test_eq_state_cache_bounded_with_front_eviction():
 
 
 def test_eq_state_hit_refreshes_lru_order():
-    from repro.core.views import MAX_EQ_STATES, BitsetViewVector
+    from repro.core.views import MAX_EQ_STATES
 
-    V = BitsetViewVector(4)
+    V = ViewVector(4)
     for j in range(4):
         V.add(j, vt("seed", 1))
     for r in range(1, MAX_EQ_STATES + 1):
@@ -273,10 +253,10 @@ def test_eq_eviction_costs_full_rescan_but_stays_exact():
 
 
 def test_eq_idle_states_expire_during_dirty_flush():
-    from repro.core.views import MAX_EQ_IDLE, BitsetViewVector, ReferenceViewVector
+    from repro.core.views import MAX_EQ_IDLE
 
     n = 4
-    V, ref = BitsetViewVector(n), ReferenceViewVector(n)
+    V, ref = ViewVector(n), ReferenceViewVector(n)
     V.eq_predicate(0, 1, None)  # register key A, then leave it idle
     for step in range(MAX_EQ_IDLE + 2):
         value = vt(f"w{step}", step + 1, writer=step % n, useq=step + 1)

@@ -1,11 +1,11 @@
-"""Randomized differential test: bitset plane vs frozenset reference.
+"""Randomized differential test: bitset views vs the frozenset oracle.
 
-Drives both :class:`~repro.core.views.BitsetViewVector` and
-:class:`~repro.core.views.ReferenceViewVector` through identical
-adversarial operation interleavings and asserts every observable answer
-is identical.  This is the micro-level version of the bench's
-``metrics_identical`` guarantee: the representation (interned bitsets +
-incremental EQ vs frozensets) must never be observable through the
+Drives both :class:`~repro.core.views.ViewVector` and the
+``ReferenceViewVector`` oracle through identical adversarial operation
+interleavings and asserts every observable answer is identical.  This
+is the micro-level version of the whole-run oracle test
+(``tests/bench/test_oracle.py``): the representation (interned bitsets
++ incremental EQ vs frozensets) must never be observable through the
 ``ViewVector`` API.
 """
 
@@ -14,7 +14,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tags import Timestamp, ValueTs
-from repro.core.views import BitsetViewVector, ReferenceViewVector
+from repro.core.views import ViewVector
+from tests.support.reference_substrate import ReferenceViewVector
 
 N = 4
 MAX_TAG = 6
@@ -46,7 +47,7 @@ OPS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(OPS)
 def test_planes_agree_on_every_observation(ops):
-    fast = BitsetViewVector(N)
+    fast = ViewVector(N)
     slow = ReferenceViewVector(N)
     for op in ops:
         match op:
@@ -85,7 +86,7 @@ def test_incremental_eq_matches_reference_under_repolling(adds, i, f, r):
     every single add — exactly what the runtime does while a lattice
     operation waits.  The incremental matcher must track the reference
     at every step, including polls where nothing changed."""
-    fast = BitsetViewVector(N)
+    fast = ViewVector(N)
     slow = ReferenceViewVector(N)
     assert fast.eq_predicate(i, f, r) == slow.eq_predicate(i, f, r)
     for j, vi in adds:

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.net.delays import AdversarialDelay, ConstantDelay
+from repro.net.delays import AdversarialDelay, ConstantDelay, UniformDelay
 from repro.net.faults import BroadcastCrash, CrashPlan
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
+from repro.sim.rng import SeededRng
 
 
 def make_net(n=3, delay_model=None, plan=None, record=False):
@@ -118,3 +119,75 @@ def test_self_send_is_instant():
     net.send(1, 1, "self")
     sim.run()
     assert received == [(1, 1, "self", 0.0)]
+
+
+# ----------------------------------------------------------------------
+# link gating
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("src,dst", [(0, 7), (7, 0), (-1, 1), (1, 1)])
+def test_gate_endpoints_validated_like_send(src, dst):
+    """Regression: out-of-range pairs used to sit silently in the gated
+    set, and gating i -> i parked a node's self-addressed messages
+    forever although self-delivery never traverses the network."""
+    sim, net, received = make_net()
+    with pytest.raises(ValueError, match="bad endpoints"):
+        net.disconnect(src, dst)
+    with pytest.raises(ValueError, match="bad endpoints"):
+        net.reconnect(src, dst)
+    net.send(1, 1, "self")  # still delivered instantly
+    sim.run()
+    assert received == [(1, 1, "self", 0.0)]
+
+
+def test_gating_parks_fifo_keeps_batching_and_unwatches():
+    sim, net, received = make_net(n=4)
+    assert not net._watched
+    net.disconnect(0, 1)
+    assert net._watched
+    net.broadcast(0, "a", [0, 1, 2, 3])
+    net.send(0, 1, "b")
+    # 0->1 parked both; 0->0 is one instant event; 0->2 and 0->3 share
+    # one batched delivery event although a gate is closed elsewhere
+    assert sim.pending == 2
+    assert net.messages_sent == 5
+    sim.run()
+    assert sorted(received) == [(0, 0, "a", 0.0), (2, 0, "a", 1.0), (3, 0, "a", 1.0)]
+    sim.schedule_at(2.5, lambda: net.reconnect(0, 1))
+    sim.run()
+    # released in send order, delays sampled at release time
+    assert received[3:] == [(1, 0, "a", 3.5), (1, 0, "b", 3.5)]
+    assert not net._watched  # nothing observes any more
+    net.reconnect(0, 1)  # idempotent on an open channel
+    assert net.messages_delivered == 5
+
+
+def test_watched_stays_true_while_any_gate_or_observer_remains():
+    sim, net, _ = make_net(n=3)
+    net.disconnect(0, 1)
+    net.disconnect(1, 2)
+    net.reconnect(0, 1)
+    assert net._watched  # 1->2 still gated
+    net.reconnect(1, 2)
+    assert not net._watched
+    sim, traced, _ = make_net(n=3, record=True)
+    traced.disconnect(0, 1)
+    traced.reconnect(0, 1)
+    assert traced._watched  # the delivery trace still observes
+
+
+def test_parked_release_samples_fresh_delays_under_fifo_clamp():
+    model = UniformDelay(1.0, SeededRng(5), lo=0.1)
+    sim, net, received = make_net(delay_model=model)
+    net.send(0, 1, "in-flight")  # sent before the gate closes: delivers
+    net.disconnect(0, 1)
+    for i in range(6):
+        net.send(0, 1, i)
+    sim.run()
+    assert [p for (_, _, p, _) in received] == ["in-flight"]
+    sim.schedule_at(4.0, lambda: net.reconnect(0, 1))
+    sim.run()
+    released = received[1:]
+    assert [p for (_, _, p, _) in released] == list(range(6))
+    times = [t for (_, _, _, t) in released]
+    assert times == sorted(times)
+    assert all(4.0 < t <= 5.0 for t in times)  # within D of the release

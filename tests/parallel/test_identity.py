@@ -40,21 +40,19 @@ def test_bench_fingerprints_identical_for_any_worker_count():
     assert parallel["workers"] == 4
     for s_case, p_case in zip(serial["cases"], parallel["cases"]):
         assert s_case["fingerprint_sha256"] == p_case["fingerprint_sha256"]
-        assert s_case["metrics_identical"] and p_case["metrics_identical"]
-        for side in ("fast", "slow"):
-            for key in (
-                "events",
-                "messages",
-                "eq_evals",
-                "eq_rows_scanned",
-                "eq_rows_saved",
-                "eq_batched_scans",
-                "values_interned",
-                "messages_packed",
-            ):
-                assert s_case[side][key] == p_case[side][key], (
-                    f"{s_case['name']}.{side}.{key} drifted under --workers"
-                )
+        for key in (
+            "events",
+            "messages",
+            "eq_evals",
+            "eq_rows_scanned",
+            "eq_rows_saved",
+            "eq_batched_scans",
+            "values_interned",
+            "messages_packed",
+        ):
+            assert s_case["measurement"][key] == p_case["measurement"][key], (
+                f"{s_case['name']}.{key} drifted under --workers"
+            )
 
 
 def test_crashing_worker_surfaces_failing_seed_and_exits_2(

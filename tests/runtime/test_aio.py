@@ -177,3 +177,21 @@ def test_aio_trace_replay_checks_under_crash(tmp_path):
     result = replay_check(meta, spans)
     assert result.ok and result.level == "linearizable"
     assert obs_main(["check", str(path)]) == 0
+
+
+def test_gate_endpoints_validated():
+    """Regression: same contract as the DES network — out-of-range ids
+    and ``src == dst`` are rejected, not silently gated."""
+
+    async def main():
+        cluster = AioCluster(EqAso, n=3, f=1, seed=1)
+        await cluster.start()
+        for src, dst in [(0, 7), (1, 1)]:
+            with pytest.raises(ValueError, match="bad endpoints"):
+                cluster.disconnect(src, dst)
+            with pytest.raises(ValueError, match="bad endpoints"):
+                cluster.reconnect(src, dst)
+        assert await cluster.call(1, "update", "x") == "ACK"
+        await cluster.shutdown()
+
+    run(main())

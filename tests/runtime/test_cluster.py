@@ -179,3 +179,14 @@ def test_deterministic_replay():
         return [(h.node, h.kind, h.t_inv, h.t_resp) for h in handles]
 
     assert run() == run()
+
+
+def test_gate_endpoints_validated():
+    """Regression: ``disconnect(0, 7)`` on n=3 was silently accepted and
+    ``disconnect(1, 1)`` parked a node's self-addressed messages."""
+    cluster = Cluster(EqAso, n=3, f=1)
+    for src, dst in [(0, 7), (1, 1)]:
+        with pytest.raises(ValueError, match="bad endpoints"):
+            cluster.disconnect(src, dst)
+        with pytest.raises(ValueError, match="bad endpoints"):
+            cluster.reconnect(src, dst, symmetric=True)

@@ -94,6 +94,18 @@ def test_trace_byte_stable_across_runs():
     assert '"kind":"disconnect"' in first and '"kind":"reconnect"' in first
 
 
+def test_trace_matches_the_pinned_digest():
+    """The crash + partition trace, byte for byte as the three-path
+    network produced it before the send paths were folded into one
+    (PR 12): batching a traced, gated run must not move a single event."""
+    import hashlib
+
+    digest = hashlib.sha256(dumps_trace(faulty_run()[1]).encode()).hexdigest()
+    assert digest == (
+        "7ea3ebe30c7d2bc9ed68893610f45c4bad28d407b8d1998816780a2fbabf37d6"
+    )
+
+
 def test_replay_check_passes_healthy_run(tmp_path):
     _cluster, tracer = faulty_run()
     meta, _events, spans = read_trace_str(tracer)

@@ -1,20 +1,20 @@
-"""Differential and property tests for the fast-path substrate.
+"""Differential and property tests for the simulation substrate.
 
-The fast :class:`EventQueue` (burst lane + heap) must be observationally
-identical to :class:`ReferenceEventQueue` (heap-only) — same pop order,
-same cancel semantics, same live counts — under arbitrary interleavings
-of pushes, cancels, and pops, including the adversarial case of many
-events sharing one timestamp.  The batched-broadcast network path must
-likewise produce executions indistinguishable from the per-message
-reference path.
+The shipped :class:`EventQueue` (burst lane + heap) must be
+observationally identical to the heap-only :class:`ReferenceEventQueue`
+oracle — same pop order, same cancel semantics, same live counts —
+under arbitrary interleavings of pushes, cancels, and pops, including
+the adversarial case of many events sharing one timestamp.  The
+batched-broadcast network must likewise produce executions
+indistinguishable from the per-message reference network.
 """
 
 import pytest
 
-from repro.sim.events import Event, EventQueue, ReferenceEventQueue
-from repro.sim.fastpath import STATS, fast_path_enabled, set_fast_path, slow_path
-from repro.sim.kernel import Simulator
+from repro.sim.events import Event, EventQueue
+from repro.sim.fastpath import STATS
 from repro.sim.rng import SeededRng
+from tests.support.reference_substrate import ReferenceEventQueue, reference_substrate
 
 
 # ----------------------------------------------------------------------
@@ -131,45 +131,29 @@ def test_burst_lane_compaction_bounds_memory():
     assert len(q._fifo) < 8192
 
 
-# ----------------------------------------------------------------------
-# substrate switch
-# ----------------------------------------------------------------------
-def test_slow_path_switches_queue_and_restores():
-    assert fast_path_enabled()
-    assert isinstance(Simulator().queue, EventQueue)
-    with slow_path():
-        assert not fast_path_enabled()
-        assert isinstance(Simulator().queue, ReferenceEventQueue)
-    assert fast_path_enabled()
-    previous = set_fast_path(False)
-    assert previous is True
-    try:
-        assert not fast_path_enabled()
-    finally:
-        set_fast_path(True)
-
-
 def test_stats_count_events_and_messages():
     from repro.core import EqAso
     from repro.runtime.cluster import Cluster
 
-    events0, messages0 = STATS.snapshot()
+    before = STATS.counters()
     cluster = Cluster(EqAso, n=3, f=1)
     handle = cluster.invoke_at(0.0, 0, "update", "v")
     cluster.run_until_complete([handle])
-    events1, messages1 = STATS.snapshot()
-    assert events1 > events0
-    assert messages1 > messages0
+    after = STATS.counters()
+    assert after["events"] > before["events"]
+    assert after["messages"] > before["messages"]
 
 
 # ----------------------------------------------------------------------
 # network: batched broadcast vs per-message reference
 # ----------------------------------------------------------------------
 def _run_cluster(factory, *, fast: bool, n: int = 5, crash=None):
+    """``fast=False`` runs on the reference queue/network/views."""
+    from contextlib import nullcontext
+
     from repro.runtime.cluster import Cluster
 
-    previous = set_fast_path(fast)
-    try:
+    with nullcontext() if fast else reference_substrate():
         kwargs = {} if crash is None else {"crash_plan": crash()}
         cluster = Cluster(factory, n=n, f=(n - 1) // 2, **kwargs)
         handles = []
@@ -185,14 +169,12 @@ def _run_cluster(factory, *, fast: bool, n: int = 5, crash=None):
         net = cluster.network
         counts = (net.messages_sent, net.messages_delivered, net.messages_dropped)
         return results, counts, cluster.sim.steps
-    finally:
-        set_fast_path(previous)
 
 
 @pytest.mark.parametrize("algo", ["EqAso", "ScdAso"])
 def test_fast_and_slow_substrates_agree(algo):
-    """Same ops, same results, same message counts on both substrates —
-    batching may only reduce the number of *kernel events*."""
+    """Same ops, same results, same message counts as on the reference
+    substrate — batching may only reduce the number of *kernel events*."""
     import repro.baselines as baselines
     import repro.core as core
 
@@ -215,19 +197,6 @@ def test_fast_and_slow_agree_under_crashes():
     slow_results, slow_counts, _ = _run_cluster(EqAso, fast=False, crash=crash)
     assert fast_results == slow_results
     assert fast_counts == slow_counts
-
-
-def test_tracer_forces_reference_send_path():
-    """An enabled tracer must see every per-message event, so the network
-    keeps the instrumented send path even on the fast substrate."""
-    from repro.core import EqAso
-    from repro.obs import MemorySink, Tracer
-    from repro.runtime.cluster import Cluster
-
-    traced = Cluster(EqAso, n=3, f=1, tracer=Tracer(MemorySink()))
-    assert traced.network.send.__func__ is not traced.network._send_fast.__func__
-    plain = Cluster(EqAso, n=3, f=1)
-    assert plain.network.send.__func__ is plain.network._send_fast.__func__
 
 
 def test_traced_run_matches_untraced_results():

@@ -66,3 +66,34 @@ def test_module_docstrings_present():
     ):
         m = importlib.import_module(mod)
         assert m.__doc__ and len(m.__doc__) > 60, mod
+
+
+def test_one_substrate_no_selection_surface():
+    """There is one queue, one network send path, one view
+    representation: nothing public selects an implementation."""
+    import inspect
+
+    import repro.sim
+    import repro.sim.fastpath as fastpath
+    from repro.net.network import Network
+    from repro.sim.kernel import Simulator
+
+    assert set(repro.sim.__all__) == {
+        "Event",
+        "EventQueue",
+        "STATS",
+        "SubstrateStats",
+        "SimulationError",
+        "Simulator",
+        "SeededRng",
+        "derive_seed",
+    }
+    assert fastpath.__all__ == ["STATS", "SubstrateStats"]
+    assert list(inspect.signature(Simulator.__init__).parameters) == [
+        "self",
+        "max_steps",
+    ]
+    assert "fast" not in inspect.signature(Network.__init__).parameters
+    net = Network.__dict__
+    assert {"send", "broadcast", "_arrive", "_arrive_batch"} <= set(net)
+    assert not [name for name in net if name.endswith(("_fast", "_slow"))]
