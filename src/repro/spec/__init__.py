@@ -7,7 +7,13 @@ sufficiency proof, and exponential brute-force reference checkers used to
 cross-validate everything on small histories.
 """
 
-from repro.spec.base import Base, comparable, is_prefix_closed, scan_base
+from repro.spec.base import (
+    Base,
+    BaseVector,
+    base_vector,
+    comparable,
+    scan_base,
+)
 from repro.spec.brute import (
     brute_force_linearizable,
     brute_force_sequentially_consistent,
@@ -21,6 +27,7 @@ from repro.spec.history import SCAN, UPDATE, History, OpRecord
 from repro.spec.sso_conditions import check_sso_conditions
 from repro.spec.linearize import LinearizationError, linearize, sequentialize
 from repro.spec.order import (
+    CheckerInternalError,
     OrderResult,
     effective_ops,
     order_check,
@@ -40,8 +47,9 @@ def is_linearizable(history: History) -> bool:
 
 __all__ = [
     "Base",
+    "BaseVector",
+    "base_vector",
     "comparable",
-    "is_prefix_closed",
     "scan_base",
     "brute_force_linearizable",
     "brute_force_sequentially_consistent",
@@ -55,6 +63,7 @@ __all__ = [
     "LinearizationError",
     "linearize",
     "sequentialize",
+    "CheckerInternalError",
     "OrderResult",
     "effective_ops",
     "order_check",

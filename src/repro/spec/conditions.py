@@ -8,22 +8,29 @@ Given a history, :func:`check_atomicity_conditions` verifies:
 - (A4) if an UPDATE ``op`` is in the base of a SCAN, every UPDATE that
   precedes ``op`` is too.
 
-plus two well-formedness checks the theorem presupposes: each base is
-per-writer prefix-closed, and each returned value matches the UPDATE that
-allegedly wrote it.  By Theorem 1, all-pass implies the history is
-linearizable (and :mod:`repro.spec.linearize` will construct a witness).
+plus the well-formedness check the theorem presupposes: each returned
+value matches the UPDATE that allegedly wrote it (per-writer prefix
+closure holds by representation, :mod:`repro.spec.base`).  By Theorem 1,
+all-pass implies the history is linearizable (and
+:mod:`repro.spec.linearize` will construct a witness).
+
+Every condition is *decided* in O(n log N) per scan on prefix vectors and
+the per-writer timestamp columns of :class:`~repro.spec.base.UpdateIndex`
+— "every update of ``j`` that responded before ``t``" is the first
+``bisect(t_resp[j], t)`` of them, so comparing that count with ``c[j]``
+replaces a loop over updates.  Violations are then listed from the same
+ranges ((A4) walks the base of a scan that failed); only (A1) and (A3),
+whose witnesses are pairs of scans, fall back to enumerating pairs, and
+only once a one-pass test has found that a violating pair exists.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 
-from repro.spec.base import (
-    comparable,
-    is_prefix_closed,
-    legal_against_history,
-    scan_base,
-)
+from repro.spec.base import UpdateIndex, base_vector, incomparable_pairs, leq
 from repro.spec.history import History
 
 
@@ -44,32 +51,28 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     history.validate_well_formed()
     violations: list[Violation] = []
     scans = history.scans()
-    updates = history.updates(include_pending=True)
-    bases = {sc.op_id: scan_base(sc) for sc in scans}
+    bases = [base_vector(sc) for sc in scans]
+    updates = UpdateIndex(history)
+    # per scan and writer, how many of the base's updates the history has
+    # (all of them unless the scan names a phantom, which "legal" reports)
+    in_history = [
+        [min(c, len(seq)) for c, seq in zip(base, updates.ops)] for base in bases
+    ]
 
-    # well-formedness: legality of returned values + prefix closure
+    # well-formedness: legality of returned values
     for sc in scans:
-        err = legal_against_history(sc, history)
+        err = updates.legality_error(sc)
         if err is not None:
             violations.append(Violation("legal", err, (sc.op_id,)))
-        if not is_prefix_closed(bases[sc.op_id]):
-            violations.append(
-                Violation(
-                    "prefix",
-                    f"scan {sc.op_id} has a non-prefix-closed base",
-                    (sc.op_id,),
-                )
-            )
 
     # (A0) no reads from the future: every update referenced by a scan's
     # base was invoked before the scan responded.  Implicit in the paper
     # (a value must physically reach the scanner); made explicit here so
     # that (A0)-(A4) are jointly sufficient (see repro.spec.linearize).
-    registry0 = history.update_registry()
-    for sc in scans:
-        for uid in bases[sc.op_id]:
-            up = registry0.get(uid)
-            if up is not None and sc.t_resp is not None and up.t_inv >= sc.t_resp:
+    for sc, known in zip(scans, in_history):
+        for j, k in enumerate(known):
+            early = bisect_left(updates.t_inv[j], sc.t_resp, 0, k)
+            for up in updates.ops[j][early:k]:
                 violations.append(
                     Violation(
                         "A0",
@@ -80,63 +83,88 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
                 )
 
     # (A1) pairwise comparable bases
-    for a in range(len(scans)):
-        for b in range(a + 1, len(scans)):
-            sc1, sc2 = scans[a], scans[b]
-            if not comparable(bases[sc1.op_id], bases[sc2.op_id]):
-                violations.append(
-                    Violation(
-                        "A1",
-                        f"bases of scans {sc1.op_id} and {sc2.op_id} are incomparable",
-                        (sc1.op_id, sc2.op_id),
-                    )
-                )
+    for a, b in incomparable_pairs(bases):
+        violations.append(
+            Violation(
+                "A1",
+                f"bases of scans {scans[a].op_id} and {scans[b].op_id} "
+                "are incomparable",
+                (scans[a].op_id, scans[b].op_id),
+            )
+        )
 
     # (A2) every preceding UPDATE is in the base
-    for sc in scans:
-        base = bases[sc.op_id]
-        for up in updates:
-            if History.precedes(up, sc) and up.uid() not in base:
-                violations.append(
-                    Violation(
-                        "A2",
-                        f"update {up.op_id} {up.uid()} precedes scan {sc.op_id} "
-                        "but is missing from its base",
-                        (up.op_id, sc.op_id),
-                    )
+    for sc, base in zip(scans, bases):
+        missing = [
+            up
+            for j, c in enumerate(base)
+            for up in updates.ops[j][c : bisect_left(updates.t_resp[j], sc.t_inv)]
+        ]
+        for up in sorted(missing, key=lambda up: up.op_id):
+            violations.append(
+                Violation(
+                    "A2",
+                    f"update {up.op_id} {up.uid()} precedes scan {sc.op_id} "
+                    "but is missing from its base",
+                    (up.op_id, sc.op_id),
                 )
+            )
 
-    # (A3) scan order implies base containment
-    for sc1 in scans:
-        for sc2 in scans:
-            if sc1 is sc2 or not History.precedes(sc1, sc2):
-                continue
-            if not bases[sc1.op_id] <= bases[sc2.op_id]:
-                violations.append(
-                    Violation(
-                        "A3",
-                        f"scan {sc1.op_id} precedes scan {sc2.op_id} but "
-                        "B(sc1) ⊄ B(sc2)",
-                        (sc1.op_id, sc2.op_id),
-                    )
-                )
-
-    # (A4) bases are closed under the precedes relation on updates
-    registry = history.update_registry()
-    for sc in scans:
-        base = bases[sc.op_id]
-        in_base = [registry[uid] for uid in base if uid in registry]
-        for v in in_base:
-            for u in updates:
-                if History.precedes(u, v) and u.uid() not in base:
+    # (A3) scan order implies base containment.  Sweeping scans by
+    # invocation time, the union of the bases of all scans that already
+    # responded (a componentwise max) must be inside each new base.
+    by_resp = sorted(range(len(scans)), key=lambda i: scans[i].t_resp)
+    responded = [0] * history.n
+    r = 0
+    monotone = True
+    for sc, base in sorted(zip(scans, bases), key=lambda pair: pair[0].t_inv):
+        while r < len(by_resp) and scans[by_resp[r]].t_resp < sc.t_inv:
+            responded = list(map(max, responded, bases[by_resp[r]]))
+            r += 1
+        if not leq(responded, base):
+            monotone = False
+            break
+    if not monotone:
+        for sc1, base1 in zip(scans, bases):
+            for sc2, base2 in zip(scans, bases):
+                if History.precedes(sc1, sc2) and not leq(base1, base2):
                     violations.append(
                         Violation(
-                            "A4",
-                            f"update {u.op_id} precedes update {v.op_id} which is "
-                            f"in the base of scan {sc.op_id}, but {u.op_id} is not",
-                            (u.op_id, v.op_id, sc.op_id),
+                            "A3",
+                            f"scan {sc1.op_id} precedes scan {sc2.op_id} but "
+                            "B(sc1) ⊄ B(sc2)",
+                            (sc1.op_id, sc2.op_id),
                         )
                     )
+
+    # (A4) bases are closed under the precedes relation on updates.  A
+    # writer's invocation times grow with useq, so whatever precedes any
+    # update in the base precedes the latest-invoked one: one bisect per
+    # writer against that time decides; the triples are listed only for a
+    # scan that failed.
+    for sc, base, known in zip(scans, bases, in_history):
+        latest_inv = max(
+            (updates.t_inv[w][k - 1] for w, k in enumerate(known) if k), default=-inf
+        )
+        if all(
+            bisect_left(updates.t_resp[j], latest_inv) <= c
+            for j, c in enumerate(base)
+        ):
+            continue
+        for w, k in enumerate(known):
+            for v in updates.ops[w][:k]:
+                for j, c in enumerate(base):
+                    before_v = bisect_left(updates.t_resp[j], v.t_inv)
+                    for u in updates.ops[j][c:before_v]:
+                        violations.append(
+                            Violation(
+                                "A4",
+                                f"update {u.op_id} precedes update {v.op_id} "
+                                f"which is in the base of scan {sc.op_id}, but "
+                                f"{u.op_id} is not",
+                                (u.op_id, v.op_id, sc.op_id),
+                            )
+                        )
     return violations
 
 

@@ -9,8 +9,6 @@ occur-before relation on operations) holds iff ``op1`` responded before
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -122,6 +120,11 @@ class History:
             raise ValueError(f"{op!r} already responded")
         if t_resp < op.t_inv:
             raise ValueError("response precedes invocation")
+        if op.kind == SCAN and isinstance(result, Snapshot) and result.n != self.n:
+            raise ValueError(
+                f"scan {op.op_id} returned {result.n} segments, history has "
+                f"n={self.n} nodes"
+            )
         op.t_resp = t_resp
         op.result = result
         if self._open_op[op.node] is op:
@@ -167,15 +170,20 @@ class History:
         return op1.t_resp is not None and op1.t_resp < op2.t_inv
 
     def validate_well_formed(self) -> None:
-        """Check per-node sequentiality (defense against runtime bugs)."""
-        for node in range(self.n):
-            ops = sorted(self.by_node(node), key=lambda o: o.t_inv)
-            for a, b in itertools.pairwise(ops):
-                a_resp = a.t_resp if a.t_resp is not None else math.inf
-                if a_resp > b.t_inv:
-                    raise ValueError(
-                        f"node {node} has overlapping ops {a!r} and {b!r}"
-                    )
+        """Check per-node sequentiality (defense against runtime bugs):
+        each node's operations, in recording order, respond before the
+        next is invoked — so a pending operation is its node's last, and
+        a node's slice of :attr:`ops` is its program order with ``useq``,
+        ``t_inv`` and ``t_resp`` all non-decreasing along it.  The
+        checkers rely on exactly that."""
+        last: list[OpRecord | None] = [None] * self.n
+        for op in self.ops:
+            prev = last[op.node]
+            if prev is not None and (prev.t_resp is None or prev.t_resp > op.t_inv):
+                raise ValueError(
+                    f"node {op.node} has overlapping ops {prev!r} and {op!r}"
+                )
+            last[op.node] = op
 
 
 __all__ = ["History", "OpRecord", "UPDATE", "SCAN"]

@@ -24,10 +24,17 @@ bug in this construction cannot silently corrupt experiment conclusions.
 
 from __future__ import annotations
 
-from repro.spec.base import scan_base
+from bisect import bisect_left
+
+from repro.spec.base import base_vector
 from repro.spec.conditions import Violation, check_atomicity_conditions
 from repro.spec.history import History, OpRecord
-from repro.spec.order import effective_ops, order_check, validate_serialization
+from repro.spec.order import (
+    CheckerInternalError,
+    effective_ops,
+    order_check,
+    validate_serialization,
+)
 
 
 class LinearizationError(ValueError):
@@ -53,30 +60,29 @@ def linearize(history: History) -> list[OpRecord]:
         raise LinearizationError(violations)
 
     ops = effective_ops(history)
-    scans = [op for op in ops if op.is_scan]
-    updates = [op for op in ops if op.is_update]
-    bases = {sc.op_id: scan_base(sc) for sc in scans}
+    bases = {op.op_id: base_vector(op) for op in ops if op.is_scan}
 
     # Step I: scans ordered by base inclusion, ties by invocation time.
     # (A1) guarantees bases form a chain, so (|base|, t_inv) sorts them.
     scans_ordered = sorted(
-        scans, key=lambda sc: (len(bases[sc.op_id]), sc.t_inv, sc.op_id)
+        (op for op in ops if op.is_scan),
+        key=lambda sc: (sum(bases[sc.op_id]), sc.t_inv, sc.op_id),
     )
 
     # Step II: place each update before the first scan containing it.
-    slot_of: dict[int, int] = {}
-    for up in updates:
-        uid = up.uid()
-        slot = len(scans_ordered)  # default: after all scans
-        for idx, sc in enumerate(scans_ordered):
-            if uid in bases[sc.op_id]:
-                slot = idx
-                break
-        slot_of[up.op_id] = slot
+    # Along the chain every writer's prefix length is non-decreasing, so
+    # that scan is a bisect on the writer's column; updates in no base
+    # land in the extra last slot.
+    columns = [
+        [bases[sc.op_id][j] for sc in scans_ordered] for j in range(history.n)
+    ]
+    slots: list[list[OpRecord]] = [[] for _ in range(len(scans_ordered) + 1)]
+    for op in ops:
+        if op.is_update:
+            slots[bisect_left(columns[op.node], op.useq)].append(op)
 
     linearization: list[OpRecord] = []
-    for idx in range(len(scans_ordered) + 1):
-        batch = [up for up in updates if slot_of[up.op_id] == idx]
+    for idx, batch in enumerate(slots):
         batch.sort(key=lambda op: (op.t_inv, op.op_id))
         linearization.extend(batch)
         if idx < len(scans_ordered):
@@ -84,7 +90,7 @@ def linearize(history: History) -> list[OpRecord]:
 
     errors = validate_serialization(history, linearization, real_time=True)
     if errors:
-        raise AssertionError(
+        raise CheckerInternalError(
             "Theorem 1 construction produced an invalid linearization "
             "(checker bug): " + "; ".join(errors)
         )

@@ -14,8 +14,8 @@ property-tested against randomized histories, so the conditions below are
 - **(S2b)** the bases of a node's own SCANs are monotone in program order;
 - **(S3)** a SCAN's base never contains a *later* UPDATE of its own node
   (no reads of one's own future);
-- **(S4)** every base is per-writer prefix-closed, and every returned
-  value matches the UPDATE that wrote it (well-formedness).
+- **(S4)** every returned value matches the UPDATE that wrote it
+  (well-formedness; per-writer prefix closure holds by representation).
 
 Relative to the ASO conditions, the real-time requirements (A0, A2, A3
 across nodes, A4) are dropped and replaced by their per-node shadows —
@@ -24,9 +24,9 @@ which is precisely the semantic gap between Definition 3 and Definition 2.
 
 from __future__ import annotations
 
-from repro.spec.base import is_prefix_closed, legal_against_history, scan_base
+from repro.spec.base import UpdateIndex, base_vector, incomparable_pairs, leq
 from repro.spec.conditions import Violation
-from repro.spec.history import History
+from repro.spec.history import History, OpRecord
 
 
 def check_sso_conditions(history: History) -> list[Violation]:
@@ -35,75 +35,63 @@ def check_sso_conditions(history: History) -> list[Violation]:
     history.validate_well_formed()
     violations: list[Violation] = []
     scans = history.scans()
-    bases = {sc.op_id: scan_base(sc) for sc in scans}
+    bases = {sc.op_id: base_vector(sc) for sc in scans}
 
     # (S4) well-formedness
+    updates = UpdateIndex(history)
     for sc in scans:
-        err = legal_against_history(sc, history)
+        err = updates.legality_error(sc)
         if err is not None:
             violations.append(Violation("S4", err, (sc.op_id,)))
-        if not is_prefix_closed(bases[sc.op_id]):
-            violations.append(
-                Violation(
-                    "S4",
-                    f"scan {sc.op_id} has a non-prefix-closed base",
-                    (sc.op_id,),
-                )
-            )
 
     # (S1) comparability
-    for i in range(len(scans)):
-        for j in range(i + 1, len(scans)):
-            a, b = bases[scans[i].op_id], bases[scans[j].op_id]
-            if not (a <= b or b <= a):
-                violations.append(
-                    Violation(
-                        "S1",
-                        f"bases of scans {scans[i].op_id} and "
-                        f"{scans[j].op_id} are incomparable",
-                        (scans[i].op_id, scans[j].op_id),
-                    )
-                )
+    for a, b in incomparable_pairs([bases[sc.op_id] for sc in scans]):
+        violations.append(
+            Violation(
+                "S1",
+                f"bases of scans {scans[a].op_id} and "
+                f"{scans[b].op_id} are incomparable",
+                (scans[a].op_id, scans[b].op_id),
+            )
+        )
 
     # per-node program-order conditions
-    for node in range(history.n):
-        ops = sorted(
-            (op for op in history.by_node(node) if op.complete),
-            key=lambda o: o.t_inv,
-        )
+    program: list[list[OpRecord]] = [[] for _ in range(history.n)]
+    for op in history.ops:
+        if op.complete:
+            program[op.node].append(op)
+    for node, ops in enumerate(program):
         updates_so_far = 0
         last_scan_base = None
         last_scan_id = None
         for op in ops:
             if op.is_update:
                 updates_so_far += 1
-            else:
+            elif op.is_scan:
                 base = bases[op.op_id]
-                own = {s for (w, s) in base if w == node}
+                own = base[node]
                 # (S2a): all own preceding updates visible
-                expected = set(range(1, updates_so_far + 1))
-                if not expected <= own:
+                if own < updates_so_far:
                     violations.append(
                         Violation(
                             "S2a",
                             f"scan {op.op_id} at node {node} misses its own "
-                            f"update(s) {sorted(expected - own)}",
+                            f"update(s) {list(range(own + 1, updates_so_far + 1))}",
                             (op.op_id,),
                         )
                     )
                 # (S3): no own future reads
-                future = {s for s in own if s > updates_so_far}
-                if future:
+                if own > updates_so_far:
                     violations.append(
                         Violation(
                             "S3",
                             f"scan {op.op_id} at node {node} returns its own "
-                            f"future update(s) {sorted(future)}",
+                            f"future update(s) {list(range(updates_so_far + 1, own + 1))}",
                             (op.op_id,),
                         )
                     )
                 # (S2b): own scan bases monotone
-                if last_scan_base is not None and not (last_scan_base <= base):
+                if last_scan_base is not None and not leq(last_scan_base, base):
                     violations.append(
                         Violation(
                             "S2b",

@@ -65,3 +65,20 @@ def test_empty_workload_is_trivially_ok():
     result = run_plan(plan)
     assert result.ok
     assert result.effective_op_count == 0
+
+
+def test_phantom_update_is_an_atomicity_failure_not_a_crash():
+    """A scan naming an update that was never invoked used to kill the
+    campaign with an AssertionError from the checker's own validation."""
+    from repro.chaos.runner import check_history
+    from tests.spec.builders import HistoryBuilder
+
+    plan = generate_plan(get_profile("delporte"), 0)
+    b = HistoryBuilder(plan.n)
+    b.update(0, "a", 0.0, 1.0)
+    sc = b.scan(1, 2.0, 3.0, {0: ("never-written", 4)})
+    result = check_history(plan, b.done())
+    assert result.failure is not None
+    assert result.failure.kind == "atomicity"
+    assert f"op_ids=[{sc.op_id}]" in result.failure.detail
+    assert result.cross_validated  # brute force agrees: nothing can serialize it

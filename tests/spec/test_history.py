@@ -102,3 +102,35 @@ def test_validate_well_formed_catches_overlap():
     b.t_inv = 1.0  # force overlap
     with pytest.raises(ValueError, match="overlap"):
         h.validate_well_formed()
+
+
+def test_respond_rejects_a_snapshot_of_the_wrong_width():
+    """A scan result must have one segment per node; a short one used to
+    reach the checkers (IndexError in validate_serialization, a silent
+    all-clear from check_atomicity_conditions)."""
+    h = History(3)
+    sc = h.invoke(0, SCAN, (), 0.0)
+    vt = ValueTs("x", Timestamp(1, 0), 1)
+    with pytest.raises(ValueError, match="2 segments"):
+        h.respond(sc, 1.0, Snapshot(values=("x", None), meta=(vt, None)))
+    assert not sc.complete  # the rejected response left no trace
+
+
+def test_validate_well_formed_requires_recording_in_program_order():
+    h = History(1)
+    a = h.invoke(0, UPDATE, ("a",), 5.0)
+    h.respond(a, 6.0, "ACK")
+    b = h.invoke(0, UPDATE, ("b",), 1.0)  # recorded second, timed first
+    h.respond(b, 2.0, "ACK")
+    with pytest.raises(ValueError, match="overlap"):
+        h.validate_well_formed()
+
+
+def test_validate_well_formed_pending_op_must_be_last():
+    h = History(1)
+    a = h.invoke(0, UPDATE, ("a",), 0.0)
+    h.abort(a)
+    b = h.invoke(0, UPDATE, ("b",), 9.0)
+    h.respond(b, 10.0, "ACK")
+    with pytest.raises(ValueError, match="overlap"):
+        h.validate_well_formed()

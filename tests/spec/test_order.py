@@ -1,5 +1,8 @@
 """Tests for the constraint-graph order checker."""
 
+import pytest
+
+from repro.spec import CheckerInternalError, check_atomicity_conditions
 from repro.spec.order import effective_ops, order_check, validate_serialization
 
 from .builders import HistoryBuilder
@@ -107,3 +110,41 @@ def test_update_scan_update_interleavings():
     b2.update(0, "a2", 2.0, 3.0)
     b2.scan(1, 0.5, 2.5, {0: ("a2", 2)})
     assert order_check(b2.done(), real_time=True).ok
+
+
+def phantom_history():
+    """Writer 0 wrote once; the scan claims to have seen its 4th update."""
+    b = HistoryBuilder(2)
+    b.update(0, "a", 0.0, 1.0)
+    sc = b.scan(1, 2.0, 3.0, {0: ("never-written", 4)})
+    return b.done(), sc
+
+
+@pytest.mark.parametrize("real_time", [True, False])
+def test_phantom_update_is_a_verdict_not_a_crash(real_time):
+    """A scan naming an update the history does not contain can be placed
+    nowhere: not linearizable / not SC, and the scan is the culprit."""
+    h, sc = phantom_history()
+    result = order_check(h, real_time=real_time)
+    assert not result.ok
+    assert result.cycle == [sc.op_id]
+    assert {v.condition for v in check_atomicity_conditions(h)} == {"legal"}
+
+
+def test_internal_error_is_typed():
+    assert issubclass(CheckerInternalError, RuntimeError)
+    assert not issubclass(CheckerInternalError, AssertionError)
+
+
+def test_large_failing_history_reports_a_cycle_without_recursion():
+    """The cycle search walks predecessors iteratively: a rejection deep
+    in a long per-node chain must not hit the recursion limit."""
+    b = HistoryBuilder(2)
+    t = 0.0
+    for i in range(3000):
+        b.update(0, i, t, t + 0.5)
+        t += 1.0
+    stale = b.scan(1, t, t + 1.0, {0: (0, 1)})  # misses 2999 completed updates
+    result = order_check(b.done(), real_time=True)
+    assert not result.ok
+    assert stale.op_id in result.cycle

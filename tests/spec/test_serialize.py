@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core import EqAso
 from repro.runtime.cluster import Cluster
 from repro.spec import is_linearizable, order_check
@@ -92,3 +94,26 @@ def test_violating_history_stays_violating():
     b.scan(3, 0.0, 10.0, {1: ("b", 1)})
     rebuilt = history_from_dict(history_to_dict(b.done()))
     assert not order_check(rebuilt, real_time=True).ok
+
+
+def short_snapshot_payload():
+    """n=3 history whose one scan carries only two segments."""
+    return {
+        "n": 3,
+        "ops": [
+            {"op_id": 0, "node": 0, "kind": "update", "useq": 1,
+             "t_inv": 0.0, "t_resp": 1.0, "value": "a"},
+            {"op_id": 1, "node": 1, "kind": "scan", "useq": 0,
+             "t_inv": 2.0, "t_resp": 3.0,
+             "snapshot": [{"value": "a", "tag": 1, "writer": 0, "useq": 1}, None]},
+        ],
+    }
+
+
+def test_short_snapshot_is_rejected_on_load(tmp_path):
+    with pytest.raises(ValueError, match="2 segments"):
+        history_from_dict(short_snapshot_payload())
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(short_snapshot_payload()))
+    with pytest.raises(ValueError, match="2 segments"):
+        load_history(str(path))
