@@ -31,6 +31,7 @@ the only reading under which the algorithm is live.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Set
 from typing import Any, Generator
 
 from repro.core.messages import (
@@ -46,7 +47,10 @@ from repro.core.tags import Timestamp, ValueTs, extract
 from repro.core.views import ViewVector
 from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
 
-View = frozenset[ValueTs]
+#: a view is a set of values; the view plane hands them out as handles
+#: (:class:`repro.core.views.ViewHandle`), ``ByzantineAso`` also holds
+#: plain frozensets received off the wire
+View = Set[ValueTs]
 
 
 class EqAso(ProtocolNode):
@@ -309,10 +313,10 @@ class EqAso(ProtocolNode):
         unless :attr:`gc_tag_window` is set).  The tag a renewal is
         actively waiting on is always retained.
 
-        Also evicts the view vector's cached tag restrictions below the
-        cutoff: read tags are non-decreasing, so no future lattice
-        operation restricts below it, and without eviction the cache
-        would leak one entry per (row, tag) pair over a long-lived run.
+        Also retires the view vector's per-tag bookkeeping (incremental
+        EQ states, cumulative masks) below the cutoff: read tags are
+        non-decreasing, so no future lattice operation restricts below
+        it.
         """
         if self.gc_tag_window is None:
             return

@@ -21,6 +21,7 @@ failures ``k``, not the threshold ``f`` (measured by the LA-ES benchmark).
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
@@ -84,7 +85,7 @@ class EarlyStoppingLA(ProtocolNode):
         yield WaitUntil(quorum_acked, "LA proposal ack quorum")
         self.phase_exit("disseminate")
 
-        holder: list[frozenset] = []
+        holder: list[Set[LAElement]] = []
 
         def eq_holds() -> bool:
             hit = self.V.eq_predicate(self.node_id, self.f)

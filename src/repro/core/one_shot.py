@@ -12,6 +12,7 @@ the computational core of the early-stopping lattice agreement algorithm
 
 from __future__ import annotations
 
+from collections.abc import Set
 from typing import Any
 
 from repro.core.messages import MValue, MValueAck
@@ -58,7 +59,7 @@ class OneShotAso(ProtocolNode):
 
     def scan(self) -> OpGen:
         """SCAN(): wait for EQ(V, i), return extract(equivalence set)."""
-        holder: list[frozenset[ValueTs]] = []
+        holder: list[Set[ValueTs]] = []
 
         def pred() -> bool:
             hit = self.V.eq_predicate(self.node_id, self.f)

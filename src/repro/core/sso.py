@@ -28,7 +28,7 @@ the semantic gap between Definition 2 and Definition 3.
 from __future__ import annotations
 
 from repro.core.eq_aso import EqAso, View
-from repro.core.tags import ValueTs, extract
+from repro.core.tags import extract
 from repro.runtime.protocol import OpGen
 
 
@@ -40,14 +40,16 @@ class SsoFastScan(EqAso):
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
-        self._safe_view: frozenset[ValueTs] = frozenset()
+        # the empty view *of this node's plane*, so that the unions below
+        # stay handles of one interner and never copy a value
+        self._safe_view: View = self.V.row(node_id)
         self.scan_messages = 0  # stays 0 forever; asserted by tests
 
     def _on_safe_view(self, view: View) -> None:
         # Views from good lattice operations form a chain (Lemma 2), so
         # the running union equals the maximum view learned so far.
-        # Keeping the view frozen lets SCAN hand it out without copying;
-        # the subset guard skips the rebuild for stale/duplicate views.
+        # Views are immutable, so SCAN hands this one out without
+        # copying; the subset guard skips stale/duplicate views.
         if not view <= self._safe_view:
             self._safe_view = self._safe_view | view
 

@@ -11,7 +11,7 @@ correctness checker (:mod:`repro.spec`) applies uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 
@@ -49,10 +49,29 @@ class ValueTs:
     value: Any
     ts: Timestamp
     useq: int
+    #: ``hash((value, ts, useq))``, computed once on first use: a value is
+    #: hashed on every interner, forward-once-filter and message-intern
+    #: probe, and the generated ``__hash__`` would re-hash the nested
+    #: timestamp each time.  (Not at construction: the baselines build
+    #: snapshot metadata they never hash, and a history loaded from JSON
+    #: may carry an unhashable list payload.)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.useq < 1:
             raise ValueError(f"useq must be >= 1, got {self.useq}")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.value, self.ts, self.useq))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # rebuild through the constructor: a pickled hash would be stale
+        # in a worker process with another str-hash seed
+        return (ValueTs, (self.value, self.ts, self.useq))
 
     @property
     def tag(self) -> int:
@@ -113,22 +132,33 @@ def tag_of(value: Any) -> int:
     return getattr(value, "tag", 0)
 
 
-def extract(view: Iterable[ValueTs], n: int) -> Snapshot:
-    """The paper's ``extract(S)`` procedure (Algorithm 1, lines 31–34).
-
-    For each node ``j``, pick the value in the view written by ``j`` with
-    the largest tag (``⊥``/``None`` if the view contains none).
-    """
+def latest_by_scan(view: Iterable[ValueTs], n: int) -> list[ValueTs | None]:
+    """For each writer ``j < n``, the value in ``view`` written by ``j``
+    with the largest timestamp (``None`` if there is none), found by
+    visiting every member."""
     best: list[ValueTs | None] = [None] * n
     for vt in view:
         j = vt.writer
         cur = best[j]
         if cur is None or vt.ts > cur.ts:
             best[j] = vt
+    return best
+
+
+def extract(view: Iterable[ValueTs], n: int) -> Snapshot:
+    """The paper's ``extract(S)`` procedure (Algorithm 1, lines 31–34).
+
+    For each node ``j``, pick the value in the view written by ``j`` with
+    the largest tag (``⊥``/``None`` if the view contains none).  A view
+    that indexes its members by writer (the view plane's handle, see
+    :mod:`repro.core.views`) answers without a pass over all of them.
+    """
+    indexed = getattr(view, "latest_per_writer", None)
+    best = latest_by_scan(view, n) if indexed is None else indexed(n)
     return Snapshot(
         values=tuple(None if b is None else b.value for b in best),
         meta=tuple(best),
     )
 
 
-__all__ = ["Timestamp", "ValueTs", "Snapshot", "extract", "tag_of"]
+__all__ = ["Timestamp", "ValueTs", "Snapshot", "extract", "latest_by_scan", "tag_of"]

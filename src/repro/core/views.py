@@ -12,9 +12,32 @@ the predicate on the tag-restricted vector ``V^{≤r}``.
 
 **Representation.**  Every distinct value is interned into a dense
 integer id by a per-node :class:`ValueInterner`, a row is a Python int
-used as a bitset (``row |= 1 << id``), a tag restriction ``V[j]^{≤r}`` is
-``row & mask(r)`` for a memoized mask, and ``EQ(V^{≤r}, i)`` is
-**incremental** masked integer equality: the runtime re-polls the
+used as a bitset (``row |= 1 << id``), and a tag restriction
+``V[j]^{≤r}`` is ``row & mask(r)`` for a cumulative mask the interner
+keeps current — one ``&``, nothing to cache.
+
+**A view is a handle.**  ``row``, ``restricted_row``, ``all_values`` and
+the equivalence set of ``eq_predicate`` are :class:`ViewHandle` objects:
+the pair ``(interner, mask)``, an immutable ``collections.abc.Set``.
+Ids are append-only and never reused, so a mask names the same set of
+values forever and handing one out copies nothing.  ``len`` is a
+popcount, ``in`` one id lookup and a bit test, ``==``/``<=``/``|``/``&``
+between two handles of one node are integer operations, iteration walks
+the set bits in id order, and :func:`repro.core.tags.extract` reads the
+interner's per-writer, timestamp-ordered id lists from the newest entry
+down instead of visiting every member.  A handle *materializes* — builds
+the ``frozenset`` it denotes, once, and keeps it — only when it meets
+something outside its own interner: a comparison or union with another
+node's handle or a plain ``frozenset``, or ``hash()`` (``ByzantineAso``
+keys dicts on views; the hash equals the frozenset's).  A crash-model
+DES run never does: an UPDATE discards its renewal view, a SCAN
+extracts from it, ``goodLA`` records and the SSO's safe view stay
+handles of one interner.  So the cost of a lattice operation is what
+the paper counts — messages and ``D`` — not an O(N) copy of everything
+written so far.
+
+**Incremental EQ.**  ``EQ(V^{≤r}, i)`` is masked integer equality kept
+up to date across polls: the runtime re-polls the
 predicate after *every* delivery while a lattice operation waits, so the
 vector tracks which rows changed since the last poll and maintains a
 bitmask of rows matching row ``i`` — a delivery that touched no row
@@ -36,9 +59,12 @@ drive both through identical operation interleavings.
 
 from __future__ import annotations
 
-from typing import Hashable
+import operator
+from bisect import insort
+from collections.abc import Set
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
-from repro.core.tags import ValueTs, tag_of
+from repro.core.tags import ValueTs, latest_by_scan, tag_of
 from repro.sim.fastpath import STATS
 
 #: Upper bound on concurrently-tracked incremental EQ states per vector.
@@ -54,12 +80,6 @@ MAX_EQ_STATES = 8
 #: otherwise tax every flush until `prune_below` retires its tag.
 MAX_EQ_IDLE = 64
 
-#: Bound on the interner's mask -> frozenset memo (:meth:`ValueInterner.
-#: unpack`).  Unpacking is a pure function of the mask (ids are assigned
-#: append-only and never reused), so entries never go stale; the table
-#: is cleared outright when full, like the message intern table.
-UNPACK_CACHE_MAX = 2048
-
 
 class ValueInterner:
     """Per-vector table assigning each distinct value a dense integer id.
@@ -70,16 +90,29 @@ class ValueInterner:
     is a single ``&``.  Memoized masks are kept current as new values are
     interned (a new bit is OR-ed into every covering mask), so a memoized
     mask is never stale.
+
+    For ``extract`` it also keeps, per writer, the ``(tag, id)`` pairs of
+    that writer's values in timestamp order (one writer's timestamps
+    differ only in the tag), and the mask of ids that carry no timestamp
+    at all (lattice-agreement proposals).
     """
 
-    __slots__ = ("_ids", "_values", "_tag_masks", "_cum_masks", "_unpack_cache")
+    __slots__ = (
+        "_ids",
+        "_values",
+        "_tag_masks",
+        "_cum_masks",
+        "_by_writer",
+        "_untagged_mask",
+    )
 
     def __init__(self) -> None:
         self._ids: dict[Hashable, int] = {}
         self._values: list[Hashable] = []
         self._tag_masks: dict[int, int] = {}
         self._cum_masks: dict[int, int] = {}
-        self._unpack_cache: dict[int, frozenset] = {}
+        self._by_writer: list[list[tuple[int, int]]] = []
+        self._untagged_mask = 0
 
     def __len__(self) -> int:
         return len(self._values)
@@ -97,6 +130,18 @@ class ValueInterner:
             for r in self._cum_masks:
                 if tag <= r:
                     self._cum_masks[r] |= bit
+            ts = getattr(value, "ts", None)
+            if ts is None:
+                self._untagged_mask |= bit
+            else:
+                by_writer = self._by_writer
+                while len(by_writer) <= ts.writer:
+                    by_writer.append([])
+                entries = by_writer[ts.writer]
+                if not entries or entries[-1][0] < tag:
+                    entries.append((tag, idx))
+                else:  # arrived out of timestamp order (jitter, Byzantine)
+                    insort(entries, (tag, idx))
             STATS.values_interned += 1
         return idx
 
@@ -115,34 +160,6 @@ class ValueInterner:
             self._cum_masks[r] = mask
         return mask
 
-    def unpack(self, mask: int) -> frozenset:
-        """The set of values whose bits are set in ``mask`` (memoized).
-
-        The same masks recur constantly — a waiting operation re-polls
-        its predicate after every delivery and gets the same equivalence
-        set back until a row changes — and building the frozenset hashes
-        every member value, which profiles as the single hottest step of
-        an EQ-bound run.  Since ids are append-only the result is a pure
-        function of the mask, so a bounded memo answers repeats with one
-        int-keyed dict hit and zero value hashing.
-        """
-        cache = self._unpack_cache
-        hit = cache.get(mask)
-        if hit is not None:
-            return hit
-        values = self._values
-        out = []
-        m = mask
-        while m:
-            low = m & -m
-            out.append(values[low.bit_length() - 1])
-            m ^= low
-        result = frozenset(out)
-        if len(cache) >= UNPACK_CACHE_MAX:
-            cache.clear()
-        cache[mask] = result
-        return result
-
     def prune_masks_below(self, r: int) -> None:
         """Drop memoized cumulative masks for restrictions below ``r``
         (recomputable from the per-tag masks if ever queried again)."""
@@ -155,8 +172,141 @@ class ValueInterner:
             "interned": len(self._values),
             "tag_masks": len(self._tag_masks),
             "cum_masks": len(self._cum_masks),
-            "unpack_cache": len(self._unpack_cache),
         }
+
+
+class ViewHandle(Set):
+    """An immutable set of interned values: ``(interner, mask)``.
+
+    Behaves as the ``frozenset`` of the values whose ids are set in
+    ``mask`` — equal to it, hashing like it, usable wherever one is —
+    without building it.  Operations between two handles of the same
+    interner are integer operations on the masks; anything else goes
+    through :meth:`_materialize` (see the module docstring).
+    """
+
+    __slots__ = ("_interner", "_mask", "_frozen")
+
+    def __init__(self, interner: ValueInterner, mask: int) -> None:
+        self._interner = interner
+        self._mask = mask
+        self._frozen: frozenset | None = None
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[Any]) -> frozenset:
+        # results of the inherited element-wise operators (-, ^)
+        return frozenset(it)
+
+    def _materialize(self) -> frozenset:
+        """The frozenset this handle denotes, built once and kept."""
+        frozen = self._frozen
+        if frozen is None:
+            frozen = self._frozen = frozenset(self)
+        return frozen
+
+    def _peer_mask(self, other: object) -> int | None:
+        """``other``'s mask if it is a handle of this interner."""
+        if type(other) is ViewHandle and other._interner is self._interner:
+            return other._mask
+        return None
+
+    def _foreign(self, op: Callable[[Any, Any], Any], other: object) -> Any:
+        """``op`` against anything that is not a handle of this interner:
+        on the materialized frozensets."""
+        if not isinstance(other, Set):
+            return NotImplemented
+        if type(other) is ViewHandle:
+            other = other._materialize()
+        return op(self._materialize(), other)
+
+    def __len__(self) -> int:
+        return self._mask.bit_count()
+
+    def __bool__(self) -> bool:
+        return self._mask != 0
+
+    def __contains__(self, value: object) -> bool:
+        idx = self._interner._ids.get(value)
+        return idx is not None and (self._mask >> idx) & 1 == 1
+
+    def __iter__(self) -> Iterator[Any]:
+        values = self._interner._values
+        m = self._mask
+        while m:
+            low = m & -m
+            yield values[low.bit_length() - 1]
+            m ^= low
+
+    def __hash__(self) -> int:
+        return hash(self._materialize())
+
+    def __repr__(self) -> str:
+        return f"ViewHandle({set(self)!r})" if self._mask else "ViewHandle()"
+
+    # ``!=`` and ``<``/``>`` come from these through ``object`` and the
+    # ``Set`` mixin; ``-``, ``^`` and ``isdisjoint`` are the mixin's
+    # element-wise versions.
+    def __eq__(self, other: object) -> bool:
+        peer = self._peer_mask(other)
+        if peer is None:
+            return self._foreign(operator.eq, other)
+        return self._mask == peer
+
+    def __le__(self, other: Set) -> bool:
+        peer = self._peer_mask(other)
+        if peer is None:
+            return self._foreign(operator.le, other)
+        return self._mask & ~peer == 0
+
+    def __ge__(self, other: Set) -> bool:
+        peer = self._peer_mask(other)
+        if peer is None:
+            return self._foreign(operator.ge, other)
+        return peer & ~self._mask == 0
+
+    def __or__(self, other: Set) -> Set:
+        peer = self._peer_mask(other)
+        if peer is None:
+            return self._foreign(operator.or_, other)
+        return ViewHandle(self._interner, self._mask | peer)
+
+    __ror__ = __or__
+
+    def __and__(self, other: Set) -> Set:
+        peer = self._peer_mask(other)
+        if peer is None:
+            return self._foreign(operator.and_, other)
+        return ViewHandle(self._interner, self._mask & peer)
+
+    __rand__ = __and__
+
+    def latest_per_writer(self, n: int) -> list[Any]:
+        """For each writer ``j < n``, the member written by ``j`` with the
+        largest timestamp (``None`` if there is none) — what
+        :func:`repro.core.tags.extract` needs of a view.
+
+        Walks each writer's timestamp-ordered ids from the newest down to
+        the first one in the mask: a view is a recent prefix of what the
+        node has learned, so that is the first or second entry in
+        practice, and exact whatever the arrival order was.  Timestamps
+        are unique (footnote 2); were one reused, the value interned
+        last would win.
+        """
+        interner = self._interner
+        mask = self._mask
+        by_writer = interner._by_writer
+        if mask & interner._untagged_mask or len(by_writer) > n:
+            # a member without a timestamp, or a writer outside 0..n-1:
+            # let the generic scan report it the way it always has
+            return latest_by_scan(self, n)
+        values = interner._values
+        best: list[Any] = [None] * n
+        for j, entries in enumerate(by_writer):
+            for _, idx in reversed(entries):
+                if (mask >> idx) & 1:
+                    best[j] = values[idx]
+                    break
+        return best
 
 
 class ViewVector:
@@ -168,7 +318,6 @@ class ViewVector:
         "_interner",
         "_rows",
         "_dirty",
-        "_filter_cache",
         "_eq_states",
         "_eq_tick",
         "_union_mask",
@@ -181,8 +330,6 @@ class ViewVector:
         self._rows: list[int] = [0] * n
         #: bitmask of rows changed since the last eq_predicate evaluation
         self._dirty = 0
-        #: (j, r) -> (masked row bits, materialized frozenset)
-        self._filter_cache: dict[tuple[int, int], tuple[int, frozenset[ValueTs]]] = {}
         #: (i, r) -> mutable [target bits, match bitmask, last-queried
         #: tick]; insertion order is least-recently-queried (each hit
         #: reinserts its key), bounded at MAX_EQ_STATES by evicting the
@@ -208,9 +355,9 @@ class ViewVector:
                 self._max_seen_tag = tag
         return True
 
-    def row(self, j: int) -> frozenset[ValueTs]:
+    def row(self, j: int) -> ViewHandle:
         """A read-only snapshot of row ``j`` (the full, unrestricted view)."""
-        return self._interner.unpack(self._rows[j])
+        return ViewHandle(self._interner, self._rows[j])
 
     def row_size(self, j: int) -> int:
         return self._rows[j].bit_count()
@@ -219,18 +366,12 @@ class ViewVector:
         idx = self._interner.id_of(vt)
         return idx is not None and (self._rows[j] >> idx) & 1 == 1
 
-    def restricted_row(self, j: int, r: int) -> frozenset[ValueTs]:
+    def restricted_row(self, j: int, r: int) -> ViewHandle:
         """``V[j]^{≤r}`` — the values in row ``j`` with tag at most ``r``."""
-        masked = self._rows[j] & self._interner.mask_at_most(r)
-        key = (j, r)
-        hit = self._filter_cache.get(key)
-        if hit is not None and hit[0] == masked:
-            return hit[1]
-        out = self._interner.unpack(masked)
-        self._filter_cache[key] = (masked, out)
-        return out
+        interner = self._interner
+        return ViewHandle(interner, self._rows[j] & interner.mask_at_most(r))
 
-    def matching_restricted_rows(self, r: int, ids: frozenset[ValueTs]) -> int:
+    def matching_restricted_rows(self, r: int, ids: Set[ValueTs]) -> int:
         """How many rows satisfy ``V[j]^{≤r} == ids``.
 
         This is the verifier's side of the Byzantine row-verified borrow
@@ -249,13 +390,13 @@ class ViewVector:
             return 0  # some claimed value has tag > r: no restriction matches
         return sum(1 for row in self._rows if row & mask == claim)
 
-    def all_values(self) -> frozenset[ValueTs]:
+    def all_values(self) -> ViewHandle:
         """Union of all rows (every value this node has ever seen).
 
         Maintained incrementally by :meth:`add` — feeds per-op harness
         diagnostics, never the algorithm.
         """
-        return self._interner.unpack(self._union_mask)
+        return ViewHandle(self._interner, self._union_mask)
 
     def max_value_tag(self) -> int:
         """Largest tag among received values (0 if none).
@@ -270,7 +411,7 @@ class ViewVector:
 
     def eq_predicate(
         self, i: int, f: int, r: int | None = None
-    ) -> tuple[tuple[int, ...], frozenset[ValueTs]] | None:
+    ) -> tuple[tuple[int, ...], ViewHandle] | None:
         """Evaluate ``EQ(V^{≤r}, i)`` (Definition 6).
 
         Args:
@@ -376,20 +517,19 @@ class ViewVector:
         states[key] = state
         if matches.bit_count() >= n - f:
             quorum = tuple(j for j in range(n) if (matches >> j) & 1)
-            return quorum, interner.unpack(target)
+            return quorum, ViewHandle(interner, target)
         return None
 
     def prune_below(self, r: int) -> None:
-        """Evict cached tag restrictions below ``r``.
+        """Retire incremental EQ states and cumulative masks below ``r``.
 
         Called by :meth:`repro.core.eq_aso.EqAso._gc_old_tags` with the
-        ``gc_tag_window`` cutoff: restrictions at pruned tags can no
-        longer be requested by future lattice operations (read tags are
-        non-decreasing), so evicting them bounds cache growth on
-        long-lived deployments.  Caches only — never affects results.
+        ``gc_tag_window`` cutoff: read tags are non-decreasing, so no
+        future lattice operation restricts below it.  A restriction
+        itself leaves no state behind (it is one ``&``); this only stops
+        the per-tag bookkeeping from growing over a long-lived
+        deployment, and never affects results.
         """
-        for key in [k for k in self._filter_cache if k[1] < r]:
-            del self._filter_cache[key]
         for eq_key in [
             k for k in self._eq_states if k[1] is not None and k[1] < r
         ]:
@@ -397,23 +537,18 @@ class ViewVector:
         self._interner.prune_masks_below(r)
 
     def cache_stats(self) -> dict[str, int | str]:
-        """Diagnostics: cache/table sizes (tests and the ``views``
-        macro-benchmark read this; algorithms never do)."""
-        stats = self._interner.mask_stats()
+        """Diagnostics: table sizes (tests read this; algorithms never
+        do)."""
         return {
             "plane": "bitset",
-            "filter_cache": len(self._filter_cache),
             "eq_states": len(self._eq_states),
-            "interned": stats["interned"],
-            "tag_masks": stats["tag_masks"],
-            "cum_masks": stats["cum_masks"],
-            "unpack_cache": stats["unpack_cache"],
+            **self._interner.mask_stats(),
         }
 
 
 def eq_predicate(
     V: ViewVector, i: int, f: int, r: int | None = None
-) -> tuple[tuple[int, ...], frozenset[ValueTs]] | None:
+) -> tuple[tuple[int, ...], ViewHandle] | None:
     """Evaluate ``EQ(V^{≤r}, i)`` (Definition 6).
 
     Thin functional wrapper over :meth:`ViewVector.eq_predicate`, kept
@@ -425,8 +560,8 @@ def eq_predicate(
 __all__ = [
     "MAX_EQ_IDLE",
     "MAX_EQ_STATES",
-    "UNPACK_CACHE_MAX",
     "ValueInterner",
+    "ViewHandle",
     "ViewVector",
     "eq_predicate",
 ]

@@ -52,18 +52,16 @@ DEFAULT_IO_MODULES: frozenset[str] = frozenset(
     }
 )
 
-#: Representation-private attributes of the view vector and the value
-#: interner (RL006).  Accessing one of these on a non-``self``
+#: Representation-private attributes of the view vector, the value
+#: interner and the view handle (RL006).  Accessing one of these on a non-``self``
 #: receiver outside the view-plane module couples the caller to one
 #: concrete representation.
 DEFAULT_VIEW_PLANE_ATTRS: frozenset[str] = frozenset(
     {
         "_rows",
         "_interner",
-        "_filter_cache",
         "_dirty",
         "_eq_states",
-        "_unpack_cache",
         "_union_mask",
         "_union_values",
         "_max_seen_tag",
@@ -71,6 +69,10 @@ DEFAULT_VIEW_PLANE_ATTRS: frozenset[str] = frozenset(
         "_values",
         "_tag_masks",
         "_cum_masks",
+        "_by_writer",
+        "_untagged_mask",
+        "_mask",
+        "_frozen",
     }
 )
 

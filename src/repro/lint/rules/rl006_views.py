@@ -1,19 +1,21 @@
 """RL006 — view-plane encapsulation.
 
-The view vector's representation (interned bitset rows,
-:mod:`repro.core.views`) is private: the differential tests swap the
-frozenset oracle in through the public ``ViewVector`` API, and the
-representation has changed before.  That is only sound while every other
-module goes through that API — code that reaches into ``V._rows``,
-``V._filter_cache`` or the interner's tables is coupled to one
-representation and silently breaks (or worse, diverges) under another.
+The view vector's representation (interned bitset rows handed out as
+``(interner, mask)`` view handles, :mod:`repro.core.views`) is private:
+the differential tests swap the frozenset oracle in through the public
+``ViewVector`` API, and the representation has changed before.  That is
+only sound while every other module goes through that API — code that
+reaches into ``V._rows``, a handle's ``_mask`` or the interner's tables
+is coupled to one representation and silently breaks (or worse,
+diverges) under another.
 
 The check: outside the view-plane module(s), no attribute access on a
 *non-self* receiver may name a data-plane private attribute
-(``_rows``, ``_interner``, ``_filter_cache``, the interner tables, the
-incremental-EQ state).  ``self.<attr>`` stays allowed everywhere — an
-unrelated class defining its own ``_dirty`` is not a view-plane
-violation; reaching into *another* object's ``_dirty`` is.
+(``_rows``, ``_interner``, the interner tables, the incremental-EQ
+state, a view handle's ``_mask``/``_frozen``).  ``self.<attr>`` stays
+allowed everywhere — an unrelated class defining its own ``_dirty`` is
+not a view-plane violation; reaching into *another* object's ``_dirty``
+is.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ def _search(history: History, *, real_time: bool, max_ops: int) -> bool:
             if a is b:
                 continue
             forced = False
-            if a.node == b.node and a.t_inv < b.t_inv:
-                forced = True
+            if a.node == b.node and a.op_id < b.op_id:
+                forced = True  # program order is recording order
             if real_time and History.precedes(a, b):
                 forced = True
             if forced:

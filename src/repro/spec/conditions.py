@@ -8,6 +8,15 @@ Given a history, :func:`check_atomicity_conditions` verifies:
 - (A4) if an UPDATE ``op`` is in the base of a SCAN, every UPDATE that
   precedes ``op`` is too.
 
+"Precedes" is :meth:`History.occurs_before`: responded strictly before
+the other's invocation, *or* earlier in the same node's program order —
+which strict timestamps miss when a node invokes at the instant its
+previous operation responded.  Program order matters to (A0) (a node's
+earlier update is not "from the future"), (A2) (a scan must see its own
+node's earlier updates) and (A3) (a node's scans are monotone); it adds
+nothing to (A4), because two updates of one node are
+two updates of one writer and a base is a per-writer prefix.
+
 plus the well-formedness check the theorem presupposes: each returned
 value matches the UPDATE that allegedly wrote it (per-writer prefix
 closure holds by representation, :mod:`repro.spec.base`).  By Theorem 1,
@@ -29,9 +38,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
+from operator import attrgetter
 
 from repro.spec.base import UpdateIndex, base_vector, incomparable_pairs, leq
-from repro.spec.history import History
+from repro.spec.history import History, OpRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +54,19 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.condition}] {self.detail} (ops {self.ops})"
+
+
+def _own_earlier(updates: UpdateIndex, scan: OpRecord) -> int:
+    """How many updates of the scan's own node come before it in program
+    order (recording order, see the module docstring)."""
+    return bisect_left(updates.ops[scan.node], scan.op_id, key=attrgetter("op_id"))
+
+
+def _preceding(updates: UpdateIndex, j: int, scan: OpRecord) -> int:
+    """How many updates of writer ``j`` precede ``scan``."""
+    if j == scan.node:
+        return _own_earlier(updates, scan)
+    return bisect_left(updates.t_resp[j], scan.t_inv)
 
 
 def check_atomicity_conditions(history: History) -> list[Violation]:
@@ -69,9 +92,14 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     # base was invoked before the scan responded.  Implicit in the paper
     # (a value must physically reach the scanner); made explicit here so
     # that (A0)-(A4) are jointly sufficient (see repro.spec.linearize).
+    # On the scan's own node "before" is program order: an instantaneous
+    # update and the instantaneous scan after it may share one timestamp.
     for sc, known in zip(scans, in_history):
         for j, k in enumerate(known):
-            early = bisect_left(updates.t_inv[j], sc.t_resp, 0, k)
+            if j == sc.node:
+                early = min(k, _own_earlier(updates, sc))
+            else:
+                early = bisect_left(updates.t_inv[j], sc.t_resp, 0, k)
             for up in updates.ops[j][early:k]:
                 violations.append(
                     Violation(
@@ -98,7 +126,7 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
         missing = [
             up
             for j, c in enumerate(base)
-            for up in updates.ops[j][c : bisect_left(updates.t_resp[j], sc.t_inv)]
+            for up in updates.ops[j][c : _preceding(updates, j, sc)]
         ]
         for up in sorted(missing, key=lambda up: up.op_id):
             violations.append(
@@ -112,7 +140,9 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
 
     # (A3) scan order implies base containment.  Sweeping scans by
     # invocation time, the union of the bases of all scans that already
-    # responded (a componentwise max) must be inside each new base.
+    # responded (a componentwise max) must be inside each new base; and
+    # along each node's program order bases must not shrink (``scans`` is
+    # in recording order, so consecutive pairs per node decide that).
     by_resp = sorted(range(len(scans)), key=lambda i: scans[i].t_resp)
     responded = [0] * history.n
     r = 0
@@ -124,10 +154,17 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
         if not leq(responded, base):
             monotone = False
             break
+    own_last: list[tuple[int, ...] | None] = [None] * history.n
+    for sc, base in zip(scans, bases):
+        prev = own_last[sc.node]
+        if prev is not None and not leq(prev, base):
+            monotone = False
+            break
+        own_last[sc.node] = base
     if not monotone:
         for sc1, base1 in zip(scans, bases):
             for sc2, base2 in zip(scans, bases):
-                if History.precedes(sc1, sc2) and not leq(base1, base2):
+                if History.occurs_before(sc1, sc2) and not leq(base1, base2):
                     violations.append(
                         Violation(
                             "A3",
@@ -141,7 +178,8 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     # writer's invocation times grow with useq, so whatever precedes any
     # update in the base precedes the latest-invoked one: one bisect per
     # writer against that time decides; the triples are listed only for a
-    # scan that failed.
+    # scan that failed.  (Strict timestamps suffice here: program order
+    # relates updates of one writer, which a prefix cannot separate.)
     for sc, base, known in zip(scans, bases, in_history):
         latest_inv = max(
             (updates.t_inv[w][k - 1] for w, k in enumerate(known) if k), default=-inf

@@ -169,6 +169,19 @@ class History:
         op2.  Pending operations precede nothing."""
         return op1.t_resp is not None and op1.t_resp < op2.t_inv
 
+    @staticmethod
+    def occurs_before(op1: OpRecord, op2: OpRecord) -> bool:
+        """``op1 → op2`` as the conditions of Theorem 1 read it:
+        :meth:`precedes`, or program order on one node.  A node may invoke
+        its next operation at the very observer-clock instant its previous
+        one responded (``chain_ops(gap=0)`` does so on every op); the two
+        are ordered all the same, and recording order says so when the
+        timestamps cannot."""
+        return op1.t_resp is not None and (
+            op1.t_resp < op2.t_inv
+            or (op1.node == op2.node and op1.op_id < op2.op_id)
+        )
+
     def validate_well_formed(self) -> None:
         """Check per-node sequentiality (defense against runtime bugs):
         each node's operations, in recording order, respond before the

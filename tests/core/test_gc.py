@@ -64,17 +64,28 @@ def test_gc_matches_ungc_results():
     assert run(EqAso) == run(GcEqAso)
 
 
-def test_gc_prunes_view_restriction_caches():
-    """_gc_old_tags also evicts the view vector's cached tag
-    restrictions, so a long-lived node's caches track the window."""
-    cluster = Cluster(GcEqAso, n=4, f=1)
-    handles = cluster.chain_ops(
-        0, [("update", (f"v{i}",)) for i in range(20)]
-    )
-    cluster.run_until_complete(handles)
-    cluster.run(until=cluster.sim.now + 3.0)
-    for node in cluster.nodes:
-        cached = int(node.V.cache_stats()["filter_cache"])
-        # only restrictions at tags >= maxTag - window survive: at most
-        # (window + 1) tags x n rows, plus the unrestricted entries
-        assert cached <= 4 * (GcEqAso.gc_tag_window + 2), cached
+def test_gc_prunes_view_plane_tag_state():
+    """A tag restriction leaves no state in the view plane at all (a
+    view is a handle on the row's bits); what _gc_old_tags retires is
+    the per-tag bookkeeping — incremental EQ states and cumulative masks
+    — so a long-lived node's tables track the window, not the run."""
+
+    def tables(factory):
+        cluster = Cluster(factory, n=4, f=1)
+        handles = cluster.chain_ops(
+            0, [("update", (f"v{i}",)) for i in range(20)]
+        )
+        cluster.run_until_complete(handles)
+        cluster.run(until=cluster.sim.now + 3.0)
+        return [node.V.cache_stats() for node in cluster.nodes]
+
+    for stats in tables(GcEqAso):
+        # everything the plane keeps, and none of it per restriction
+        assert set(stats) == {
+            "plane", "eq_states", "interned", "tag_masks", "cum_masks"
+        }
+        # only tags >= maxTag - window survive the last prune
+        assert int(stats["cum_masks"]) <= GcEqAso.gc_tag_window + 2, stats
+        assert int(stats["eq_states"]) <= GcEqAso.gc_tag_window + 2, stats
+    # without a window the same run keeps one cumulative mask per tag
+    assert max(int(s["cum_masks"]) for s in tables(EqAso)) >= 15

@@ -129,32 +129,37 @@ def test_cache_stats_names_the_plane():
     assert ReferenceViewVector(2).cache_stats()["plane"] == "reference"
 
 
-def test_filter_cache_bounded_under_long_update_stream():
-    """10k updates with ever-growing tags: periodic prune_below (what
-    EqAso._gc_old_tags calls) must keep the restriction caches bounded
-    on both planes instead of accreting one entry per tag forever."""
+def test_plane_state_bounded_under_long_update_stream():
+    """10k updates with ever-growing tags, restricted and polled as they
+    go.  A restriction leaves nothing behind — the plane has no table
+    keyed by (row, tag) — and periodic prune_below (what
+    EqAso._gc_old_tags calls) retires the per-tag state that does exist,
+    EQ states and cumulative masks, so it tracks the window."""
     window, prune_every, query_every = 8, 100, 10
     n = 4
-    for plane_cls in (ViewVector, ReferenceViewVector):
-        V = plane_cls(n)
-        high_water = 0
-        for i in range(10_000):
-            tag = i + 1
-            writer = i % n
-            V.add(writer, ValueTs(f"x{i}", Timestamp(tag, writer), i + 1))
-            if tag % query_every == 0:
-                V.restricted_row(writer, tag)
-            if tag % prune_every == 0:
-                V.prune_below(tag - window)
-                high_water = max(high_water, int(V.cache_stats()["filter_cache"]))
-        stats = V.cache_stats()
-        bound = prune_every + window + 1  # entries since the last prune
-        assert high_water <= bound, (plane_cls.__name__, high_water)
-        assert int(stats["filter_cache"]) <= bound
-        if stats["plane"] == "bitset":
-            # memoized cumulative tag masks are pruned the same way
-            assert int(stats["cum_masks"]) <= bound
-            assert int(stats["interned"]) == 10_000
+    V = ViewVector(n)
+    high_water = 0
+    for i in range(10_000):
+        tag = i + 1
+        writer = i % n
+        V.add(writer, ValueTs(f"x{i}", Timestamp(tag, writer), i + 1))
+        if tag % query_every == 0:
+            V.eq_predicate(writer, 1, tag)
+            before = V.cache_stats()
+            views = [V.restricted_row(j, tag) for j in range(n)]
+            assert sum(map(len, views)) == tag
+            assert V.cache_stats() == before  # n restrictions, no new state
+        if tag % prune_every == 0:
+            V.prune_below(tag - window)
+            stats = V.cache_stats()
+            high_water = max(
+                high_water, int(stats["cum_masks"]), int(stats["eq_states"])
+            )
+    stats = V.cache_stats()
+    assert set(stats) == {"plane", "eq_states", "interned", "tag_masks", "cum_masks"}
+    # after a prune only tags inside the window are left
+    assert high_water <= window // query_every + 1, high_water
+    assert int(stats["interned"]) == 10_000
 
 
 def test_prune_below_never_changes_results():
@@ -163,7 +168,7 @@ def test_prune_below_never_changes_results():
     V.add(0, a)
     V.add(0, b)
     before = (V.restricted_row(0, 3), V.restricted_row(0, 5))
-    V.prune_below(10)  # evicts every cached restriction
+    V.prune_below(10)  # retires every cumulative mask
     assert (V.restricted_row(0, 3), V.restricted_row(0, 5)) == before
 
 

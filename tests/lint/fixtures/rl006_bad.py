@@ -4,6 +4,6 @@ of *another* object, coupling itself to one concrete representation."""
 
 def peek_plane(vv):
     rows = vv._rows  # bitset plane only; frozenset plane differs
-    cache = vv._filter_cache
+    bits = vv.row(0)._mask  # a frozenset view has no mask
     masks = vv._interner._tag_masks
-    return rows, cache, masks
+    return rows, bits, masks

@@ -128,10 +128,10 @@ def test_rl005_transitive_helper_resolution():
 
 def test_rl006_flags_each_plane_internal_access():
     findings = lint_fixture("rl006_bad.py", select=["RL006"])
-    # vv._rows, vv._filter_cache, vv._interner and the chained ._tag_masks
+    # vv._rows, a handle's ._mask, vv._interner and the chained ._tag_masks
     assert len(findings) == 4
     attrs = {f.message.split("'")[1] for f in findings}
-    assert attrs == {"_rows", "_filter_cache", "_interner", "_tag_masks"}
+    assert attrs == {"_rows", "_mask", "_interner", "_tag_masks"}
 
 
 def test_rl006_exempts_the_view_plane_module():

@@ -1,7 +1,13 @@
 """Tests for the (A0)-(A4) condition checker: one crafted violation per
 condition, plus clean histories that must pass."""
 
+import pytest
+
+from repro.spec.brute import brute_force_linearizable
 from repro.spec.conditions import check_atomicity_conditions
+from repro.spec.linearize import LinearizationError, linearize
+from repro.spec.order import order_check
+from tests.support import reference_checkers as ref
 
 from .builders import HistoryBuilder
 
@@ -85,3 +91,81 @@ def test_pending_update_visible_in_scan_is_allowed():
     b.update(0, "ghostly", 0.0, None)  # pending forever
     b.scan(1, 5.0, 6.0, {0: ("ghostly", 1)})
     assert check_atomicity_conditions(b.done()) == []
+
+
+# ----------------------------------------------------------------------
+# same-node ties: a node invokes at the instant its previous op responded
+# (chain_ops(gap=0)); program order must still count as precedence
+# ----------------------------------------------------------------------
+
+
+def assert_rejected_by_every_checker(history, condition):
+    got = check_atomicity_conditions(history)
+    assert condition in {v.condition for v in got}
+    assert sorted(map(str, got)) == sorted(
+        map(str, ref.check_atomicity_conditions(history))
+    )
+    assert not order_check(history, real_time=True).ok
+    assert not brute_force_linearizable(history)
+    with pytest.raises(LinearizationError):  # not CheckerInternalError
+        linearize(history)
+
+
+def test_a0_same_node_tie_own_update_is_not_from_the_future():
+    b = HistoryBuilder(2)
+    b.update(0, "a", 1.0, 1.0)  # instantaneous
+    b.scan(0, 1.0, 1.0, {0: ("a", 1)})  # same node, same instant, sees it
+    history = b.done()
+    assert check_atomicity_conditions(history) == []
+    assert ref.check_atomicity_conditions(history) == []
+    assert brute_force_linearizable(history)
+    assert [op.op_id for op in linearize(history)] == [0, 1]
+
+
+def test_a2_same_node_tie_scan_misses_own_update():
+    b = HistoryBuilder(2)
+    b.update(0, "a", 0.0, 1.0)
+    b.scan(0, 1.0, 2.0, {})  # invoked at the update's response time
+    assert_rejected_by_every_checker(b.done(), "A2")
+
+
+def test_a3_same_node_tie_scans_shrink():
+    b = HistoryBuilder(2)
+    b.update(1, "b", 0.0, 10.0)  # concurrent with both scans
+    b.scan(0, 1.0, 2.0, {1: ("b", 1)})
+    b.scan(0, 2.0, 3.0, {})  # same node, tied, sees less
+    assert_rejected_by_every_checker(b.done(), "A3")
+
+
+def test_a4_same_node_tie_adds_nothing():
+    """Program order relates updates of one writer only, and a base is a
+    per-writer prefix: the tie a → a2 can never open an (A4) gap, and a
+    history with one is judged like any other."""
+    b = HistoryBuilder(3)
+    b.update(0, "a", 0.0, 1.0)
+    b.update(0, "a2", 1.0, 2.0)  # tied with a's response
+    b.update(1, "b", 2.5, 3.0)  # a2 strictly precedes b
+    b.scan(2, 0.0, 4.0, {0: ("a2", 2), 1: ("b", 1)})
+    history = b.done()
+    assert check_atomicity_conditions(history) == []
+    assert ref.check_atomicity_conditions(history) == []
+    assert brute_force_linearizable(history)
+    assert [op.op_id for op in linearize(history)] == [0, 1, 2, 3]
+    # ...and (A4) proper is still seen through the tie: b in, a2 out
+    b = HistoryBuilder(3)
+    b.update(0, "a", 0.0, 1.0)
+    b.update(0, "a2", 1.0, 2.0)
+    b.update(1, "b", 2.5, 3.0)
+    b.scan(2, 0.0, 4.0, {0: ("a", 1), 1: ("b", 1)})
+    assert_rejected_by_every_checker(b.done(), "A4")
+
+
+def test_brute_reads_program_order_off_recording_order():
+    """Two zero-length operations of one node at one instant: only
+    recording order tells them apart."""
+    b = HistoryBuilder(2)
+    b.update(0, "a", 1.0, 1.0)
+    b.scan(0, 1.0, 1.0, {})  # misses the update it follows
+    history = b.done()
+    assert not brute_force_linearizable(history)
+    assert not order_check(history, real_time=True).ok

@@ -6,7 +6,9 @@ forced-order graph.  The originals live here, unchanged: a base as the
 frozenset of ``(writer, useq)`` identities, the dense graph with every
 one of the ~N² forced edges, the pairwise real-time validation loop, the
 (A0)–(A4) / (S1)–(S4) checkers as loops over pairs and triples, and the
-O(S·U) Step II slotting.  ``tests/spec/test_reference_checkers.py``
+O(S·U) Step II slotting ("precedes" in (A0)–(A4) is
+``History.occurs_before``, as in the shipped conditions).
+``tests/spec/test_reference_checkers.py``
 proves the shipped checkers give the same verdicts, witnesses and
 violations.  Nothing under ``src/`` knows these exist.
 """
@@ -319,7 +321,11 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     for sc in scans:
         for uid in bases[sc.op_id]:
             up = registry0.get(uid)
-            if up is not None and sc.t_resp is not None and up.t_inv >= sc.t_resp:
+            if (
+                up is not None
+                and up.t_inv >= sc.t_resp
+                and not History.occurs_before(up, sc)
+            ):
                 violations.append(
                     Violation(
                         "A0",
@@ -346,7 +352,7 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     for sc in scans:
         base = bases[sc.op_id]
         for up in updates:
-            if History.precedes(up, sc) and up.uid() not in base:
+            if History.occurs_before(up, sc) and up.uid() not in base:
                 violations.append(
                     Violation(
                         "A2",
@@ -359,7 +365,7 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     # (A3) scan order implies base containment
     for sc1 in scans:
         for sc2 in scans:
-            if sc1 is sc2 or not History.precedes(sc1, sc2):
+            if sc1 is sc2 or not History.occurs_before(sc1, sc2):
                 continue
             if not bases[sc1.op_id] <= bases[sc2.op_id]:
                 violations.append(
@@ -378,7 +384,7 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
         in_base = [registry[uid] for uid in base if uid in registry]
         for v in in_base:
             for u in updates:
-                if History.precedes(u, v) and u.uid() not in base:
+                if History.occurs_before(u, v) and u.uid() not in base:
                     violations.append(
                         Violation(
                             "A4",

@@ -300,7 +300,6 @@ class ReferenceViewVector:
     def cache_stats(self) -> dict[str, int | str]:
         return {
             "plane": "reference",
-            "filter_cache": len(self._filter_cache),
             "eq_states": 0,
             "interned": 0,
             "tag_masks": 0,
