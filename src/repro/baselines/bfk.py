@@ -54,11 +54,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.tags import Snapshot, Timestamp, ValueTs
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
-
-# a replica's segment array: tuple of (seq, value) with seq 0 = ⊥
-SegArray = tuple[tuple[int, Any], ...]
+from repro.baselines.delporte import SegArray, _merge, _to_snapshot
+from repro.runtime.protocol import OpGen, ProtocolNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,11 +99,6 @@ class MStableB:
     view: SegArray
 
 
-def _merge(a: SegArray, b: SegArray) -> SegArray:
-    """Pointwise max-by-seq merge of two segment arrays."""
-    return tuple(x if x[0] >= y[0] else y for x, y in zip(a, b))
-
-
 def _covers(s: SegArray, m: SegArray) -> bool:
     """True iff ``s`` pointwise dominates ``m`` (``s ⊇ m``)."""
     return all(x[0] >= y[0] for x, y in zip(s, m))
@@ -130,8 +122,6 @@ class BfkAso(ProtocolNode):
         self.stable: SegArray | None = None  #: largest confirmed view seen
         self._seq = 0
         self._reqids = itertools.count(1)
-        self._store_acks: dict[tuple[int, int], set[int]] = {}
-        self._collect_acks: dict[int, dict[int, SegArray]] = {}
         # instrumentation
         self.collect_rounds = 0
         self.fast_scans = 0  #: scans confirmed by their first collect
@@ -142,16 +132,13 @@ class BfkAso(ProtocolNode):
         """UPDATE(v): one store round trip — O(D)."""
         self._seq += 1
         seq = self._seq
-        key = (self.node_id, seq)
-        self._store_acks[key] = set()
         self.phase_enter("store")
-        self.broadcast(MStoreB(self.node_id, seq, value))
-        yield WaitUntil(
-            lambda: len(self._store_acks[key]) >= self.quorum_size,
+        yield from self.quorum_round(
+            (self.node_id, seq),
+            MStoreB(self.node_id, seq, value),
             f"bfk store ack quorum (seq {seq})",
         )
         self.phase_exit("store")
-        del self._store_acks[key]
         return "ACK"
 
     def scan(self) -> OpGen:
@@ -162,15 +149,12 @@ class BfkAso(ProtocolNode):
             self.collect_rounds += 1
             rounds += 1
             reqid = next(self._reqids)
-            acks: dict[int, SegArray] = {}
-            self._collect_acks[reqid] = acks
             query_view = self.reg
-            self.broadcast(MQueryB(reqid, query_view))
-            yield WaitUntil(
-                lambda: len(acks) >= self.quorum_size,
+            acks = yield from self.quorum_round(
+                reqid,
+                MQueryB(reqid, query_view),
                 f"bfk collect quorum (req {reqid})",
             )
-            del self._collect_acks[reqid]
             confirmations = sum(1 for v in acks.values() if v == query_view)
             for v in acks.values():
                 self.reg = _merge(self.reg, v)
@@ -183,27 +167,15 @@ class BfkAso(ProtocolNode):
                 if rounds == 1:
                     self.fast_scans += 1
                 self.phase_exit("stable-collect")
-                return self._to_snapshot(query_view)
+                return _to_snapshot(query_view)
             # borrow: a stable view dominating everything we merged from a
             # full post-invocation collect is safe to return as-is
             borrowed = self.stable
             if borrowed is not None and _covers(borrowed, self.reg):
                 self.borrowed_scans += 1
                 self.phase_exit("stable-collect")
-                return self._to_snapshot(borrowed)
+                return _to_snapshot(borrowed)
             # else: a concurrent update moved the object; go around again
-
-    def _to_snapshot(self, view: SegArray) -> Snapshot:
-        meta = []
-        values = []
-        for j, (seq, value) in enumerate(view):
-            if seq == 0:
-                meta.append(None)
-                values.append(None)
-            else:
-                meta.append(ValueTs(value, Timestamp(seq, j), useq=seq))
-                values.append(value)
-        return Snapshot(values=tuple(values), meta=tuple(meta))
 
     def _adopt_stable(self, view: SegArray | None) -> None:
         if view is not None and (
@@ -221,17 +193,13 @@ class BfkAso(ProtocolNode):
                     self.reg = tuple(reg)
                 self.send(src, MStoreAckB(writer, seq))
             case MStoreAckB(writer, seq):
-                acks = self._store_acks.get((writer, seq))
-                if acks is not None:
-                    acks.add(src)
+                self.round_reply(MStoreB, (writer, seq), src)
             case MQueryB(reqid, view):
                 self.reg = _merge(self.reg, view)
                 self.send(src, MQueryAckB(reqid, self.reg, self.stable))
             case MQueryAckB(reqid, view, stable):
                 self._adopt_stable(stable)
-                acks = self._collect_acks.get(reqid)
-                if acks is not None:
-                    acks[src] = view
+                self.round_reply(MQueryB, reqid, src, view)
             case MStableB(view):
                 self._adopt_stable(view)
             case _:

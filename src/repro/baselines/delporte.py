@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.tags import Snapshot, Timestamp, ValueTs
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
+from repro.runtime.protocol import OpGen, ProtocolNode
 
 # a replica's segment array: tuple of (seq, value) with seq 0 = ⊥
 SegArray = tuple[tuple[int, Any], ...]
@@ -70,6 +70,22 @@ def _merge(a: SegArray, b: SegArray) -> SegArray:
     return tuple(x if x[0] >= y[0] else y for x, y in zip(a, b))
 
 
+def _to_snapshot(view: Iterable[tuple[int, Any]]) -> Snapshot:
+    """A segment array as the :class:`Snapshot` a SCAN returns (shared by
+    every per-writer ``(seq, value)`` algorithm: [19], [BFK24], [IMPR16]
+    and the SCD-broadcast snapshot)."""
+    meta = []
+    values = []
+    for j, (seq, value) in enumerate(view):
+        if seq == 0:
+            meta.append(None)
+            values.append(None)
+        else:
+            meta.append(ValueTs(value, Timestamp(seq, j), useq=seq))
+            values.append(value)
+    return Snapshot(values=tuple(values), meta=tuple(meta))
+
+
 class DelporteAso(ProtocolNode):
     """Crash-tolerant ASO in the style of [19] (``n > 2f``)."""
 
@@ -80,8 +96,6 @@ class DelporteAso(ProtocolNode):
         self.reg: SegArray = tuple((0, None) for _ in range(n))
         self._seq = 0
         self._reqids = itertools.count(1)
-        self._write_acks: dict[tuple[int, int], set[int]] = {}
-        self._collect_acks: dict[int, dict[int, SegArray]] = {}
         self.collect_rounds = 0  # instrumentation: scan round count
 
     # ------------------------------------------------------------------
@@ -89,16 +103,13 @@ class DelporteAso(ProtocolNode):
         """UPDATE(v): one write round trip — O(D)."""
         self._seq += 1
         seq = self._seq
-        key = (self.node_id, seq)
-        self._write_acks[key] = set()
         self.phase_enter("write")
-        self.broadcast(MWrite(self.node_id, seq, value))
-        yield WaitUntil(
-            lambda: len(self._write_acks[key]) >= self.quorum_size,
+        yield from self.quorum_round(
+            (self.node_id, seq),
+            MWrite(self.node_id, seq, value),
             f"delporte write ack quorum (seq {seq})",
         )
         self.phase_exit("write")
-        del self._write_acks[key]
         return "ACK"
 
     def scan(self) -> OpGen:
@@ -107,35 +118,20 @@ class DelporteAso(ProtocolNode):
         while True:
             self.collect_rounds += 1
             reqid = next(self._reqids)
-            acks: dict[int, SegArray] = {}
-            self._collect_acks[reqid] = acks
             query_view = self.reg
-            self.broadcast(MCollect(reqid, query_view))
-            yield WaitUntil(
-                lambda: len(acks) >= self.quorum_size,
+            acks = yield from self.quorum_round(
+                reqid,
+                MCollect(reqid, query_view),
                 f"delporte collect quorum (req {reqid})",
             )
-            del self._collect_acks[reqid]
             confirmations = sum(1 for v in acks.values() if v == query_view)
             # merge everything we learned (monotone local view)
             for v in acks.values():
                 self.reg = _merge(self.reg, v)
             if confirmations >= self.quorum_size and self.reg == query_view:
                 self.phase_exit("stable-collect")
-                return self._to_snapshot(query_view)
+                return _to_snapshot(query_view)
             # else: a concurrent update moved the object; go around again
-
-    def _to_snapshot(self, view: SegArray) -> Snapshot:
-        meta = []
-        values = []
-        for j, (seq, value) in enumerate(view):
-            if seq == 0:
-                meta.append(None)
-                values.append(None)
-            else:
-                meta.append(ValueTs(value, Timestamp(seq, j), useq=seq))
-                values.append(value)
-        return Snapshot(values=tuple(values), meta=tuple(meta))
 
     # ------------------------------------------------------------------
     def on_message(self, src: int, payload: Any) -> None:
@@ -147,16 +143,12 @@ class DelporteAso(ProtocolNode):
                     self.reg = tuple(reg)
                 self.send(src, MWriteAckD(writer, seq))
             case MWriteAckD(writer, seq):
-                acks = self._write_acks.get((writer, seq))
-                if acks is not None:
-                    acks.add(src)
+                self.round_reply(MWrite, (writer, seq), src)
             case MCollect(reqid, view):
                 self.reg = _merge(self.reg, view)
                 self.send(src, MCollectAck(reqid, self.reg))
             case MCollectAck(reqid, view):
-                acks = self._collect_acks.get(reqid)
-                if acks is not None:
-                    acks[src] = view
+                self.round_reply(MCollect, reqid, src, view)
             case _:
                 raise TypeError(f"Delporte ASO got unknown message {payload!r}")
 

@@ -48,11 +48,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.tags import Snapshot, Timestamp, ValueTs
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
-
-# the emulated register array: tuple of (seq, value) with seq 0 = ⊥
-RegArray = tuple[tuple[int, Any], ...]
+from repro.baselines.delporte import SegArray, _merge, _to_snapshot
+from repro.runtime.protocol import OpGen, ProtocolNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +73,7 @@ class MRegRead:
 @dataclass(frozen=True, slots=True)
 class MRegReadAck:
     reqid: int
-    array: RegArray
+    array: SegArray
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,17 +82,12 @@ class MRegWriteBack:
     quorum-stored before the reader returns it."""
 
     reqid: int
-    array: RegArray
+    array: SegArray
 
 
 @dataclass(frozen=True, slots=True)
 class MRegWriteBackAck:
     reqid: int
-
-
-def _merge(a: RegArray, b: RegArray) -> RegArray:
-    """Pointwise max-by-seq merge of two register arrays."""
-    return tuple(x if x[0] >= y[0] else y for x, y in zip(a, b))
 
 
 class ImprRegisters(ProtocolNode):
@@ -110,12 +102,9 @@ class ImprRegisters(ProtocolNode):
         super().__init__(node_id, n, f)
         if n <= 2 * f:
             raise ValueError(f"IMPR registers require n > 2f (n={n}, f={f})")
-        self.regs: RegArray = tuple((0, None) for _ in range(n))
+        self.regs: SegArray = tuple((0, None) for _ in range(n))
         self._seq = 0
         self._reqids = itertools.count(1)
-        self._write_acks: dict[tuple[int, int], set[int]] = {}
-        self._read_acks: dict[int, dict[int, RegArray]] = {}
-        self._wb_acks: dict[int, set[int]] = {}
         # instrumentation
         self.fast_reads = 0  #: unanimous collects (no write-back round)
         self.write_backs = 0
@@ -125,16 +114,13 @@ class ImprRegisters(ProtocolNode):
         """write(v) into the own SWMR register: one round trip."""
         self._seq += 1
         seq = self._seq
-        key = (self.node_id, seq)
-        self._write_acks[key] = set()
         self.phase_enter("reg-write")
-        self.broadcast(MRegWrite(self.node_id, seq, value))
-        yield WaitUntil(
-            lambda: len(self._write_acks[key]) >= self.quorum_size,
+        yield from self.quorum_round(
+            (self.node_id, seq),
+            MRegWrite(self.node_id, seq, value),
             f"impr write ack quorum (seq {seq})",
         )
         self.phase_exit("reg-write")
-        del self._write_acks[key]
         return "ACK"
 
     def collect(self) -> OpGen:
@@ -144,16 +130,11 @@ class ImprRegisters(ProtocolNode):
         write-back round otherwise.
         """
         reqid = next(self._reqids)
-        acks: dict[int, RegArray] = {}
-        self._read_acks[reqid] = acks
         self.phase_enter("reg-read")
-        self.broadcast(MRegRead(reqid))
-        yield WaitUntil(
-            lambda: len(acks) >= self.quorum_size,
-            f"impr read quorum (req {reqid})",
+        acks = yield from self.quorum_round(
+            reqid, MRegRead(reqid), f"impr read quorum (req {reqid})"
         )
         self.phase_exit("reg-read")
-        del self._read_acks[reqid]
         replies = list(acks.values())
         merged = replies[0]
         for arr in replies[1:]:
@@ -166,16 +147,11 @@ class ImprRegisters(ProtocolNode):
             return merged
         self.write_backs += 1
         wb = next(self._reqids)
-        wb_acks: set[int] = set()
-        self._wb_acks[wb] = wb_acks
         self.phase_enter("write-back")
-        self.broadcast(MRegWriteBack(wb, merged))
-        yield WaitUntil(
-            lambda: len(wb_acks) >= self.quorum_size,
-            f"impr write-back quorum (req {wb})",
+        yield from self.quorum_round(
+            wb, MRegWriteBack(wb, merged), f"impr write-back quorum (req {wb})"
         )
         self.phase_exit("write-back")
-        del self._wb_acks[wb]
         return merged
 
     # -- server thread ----------------------------------------------------
@@ -188,22 +164,16 @@ class ImprRegisters(ProtocolNode):
                     self.regs = tuple(regs)
                 self.send(src, MRegWriteAck(writer, seq))
             case MRegWriteAck(writer, seq):
-                acks = self._write_acks.get((writer, seq))
-                if acks is not None:
-                    acks.add(src)
+                self.round_reply(MRegWrite, (writer, seq), src)
             case MRegRead(reqid):
                 self.send(src, MRegReadAck(reqid, self.regs))
             case MRegReadAck(reqid, array):
-                acks = self._read_acks.get(reqid)
-                if acks is not None:
-                    acks[src] = array
+                self.round_reply(MRegRead, reqid, src, array)
             case MRegWriteBack(reqid, array):
                 self.regs = _merge(self.regs, array)
                 self.send(src, MRegWriteBackAck(reqid))
             case MRegWriteBackAck(reqid):
-                wb_acks = self._wb_acks.get(reqid)
-                if wb_acks is not None:
-                    wb_acks.add(src)
+                self.round_reply(MRegWriteBack, reqid, src)
             case _:
                 raise TypeError(f"IMPR registers got unknown message {payload!r}")
 
@@ -233,20 +203,8 @@ class ImprRegisterAso(ImprRegisters):
             current = yield from self.collect()
             if current == previous:
                 self.phase_exit("double-collect")
-                return self._to_snapshot(current)
+                return _to_snapshot(current)
             previous = current
-
-    def _to_snapshot(self, view: RegArray) -> Snapshot:
-        meta = []
-        values = []
-        for j, (seq, value) in enumerate(view):
-            if seq == 0:
-                meta.append(None)
-                values.append(None)
-            else:
-                meta.append(ValueTs(value, Timestamp(seq, j), useq=seq))
-                values.append(value)
-        return Snapshot(values=tuple(values), meta=tuple(meta))
 
 
 __all__ = ["ImprRegisterAso", "ImprRegisters"]

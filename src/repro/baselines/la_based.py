@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.core.tags import Timestamp, ValueTs, extract
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
+from repro.runtime.protocol import OpGen, ProtocolNode
 
 Atom = tuple[int, int, Any]  # (proposer/writer, seq, value)
 
@@ -76,8 +76,6 @@ class _ClassifierCore:
     def _init_classifier(self) -> None:
         self._store: dict[tuple[Hashable, int, int], set[Atom]] = {}
         self._cls_reqids = itertools.count(1)
-        self._cls_write_acks: dict[int, set[int]] = {}
-        self._cls_read_acks: dict[int, dict[int, frozenset[Atom]]] = {}
         self.classifier_rounds = 0
 
     def _classifier_run(self, instance: Hashable, atoms: frozenset[Atom]):
@@ -90,24 +88,18 @@ class _ClassifierCore:
             label = (lo + hi + 1) // 2
             # quorum write
             reqid = next(self._cls_reqids)
-            ackers: set[int] = set()
-            self._cls_write_acks[reqid] = ackers
-            self.broadcast(MClsWrite(instance, rnd, label, reqid, frozenset(v)))
-            yield WaitUntil(
-                lambda: len(ackers) >= self.quorum_size,
+            yield from self.quorum_round(
+                reqid,
+                MClsWrite(instance, rnd, label, reqid, frozenset(v)),
                 f"classifier write quorum r{rnd} label {label}",
             )
-            del self._cls_write_acks[reqid]
             # quorum read
             reqid = next(self._cls_reqids)
-            reads: dict[int, frozenset[Atom]] = {}
-            self._cls_read_acks[reqid] = reads
-            self.broadcast(MClsRead(instance, rnd, label, reqid))
-            yield WaitUntil(
-                lambda: len(reads) >= self.quorum_size,
+            reads = yield from self.quorum_round(
+                reqid,
+                MClsRead(instance, rnd, label, reqid),
                 f"classifier read quorum r{rnd} label {label}",
             )
-            del self._cls_read_acks[reqid]
             union = set(v)
             for got in reads.values():
                 union |= got
@@ -126,18 +118,14 @@ class _ClassifierCore:
                 self.send(src, MClsWriteAck(reqid))
                 return True
             case MClsWriteAck(reqid):
-                ackers = self._cls_write_acks.get(reqid)
-                if ackers is not None:
-                    ackers.add(src)
+                self.round_reply(MClsWrite, reqid, src)
                 return True
             case MClsRead(instance, rnd, label, reqid):
                 stored = self._store.get((instance, rnd, label), set())
                 self.send(src, MClsReadAck(reqid, frozenset(stored)))
                 return True
             case MClsReadAck(reqid, atoms):
-                reads = self._cls_read_acks.get(reqid)
-                if reads is not None:
-                    reads[src] = atoms
+                self.round_reply(MClsRead, reqid, src, atoms)
                 return True
             case _:
                 return False
@@ -210,7 +198,6 @@ class LatticeAso(_ClassifierCore, ProtocolNode):
         self._useq = 0
         self._instance = itertools.count(1)
         self._commit_reqids = itertools.count(1)
-        self._commit_acks: dict[int, dict[int, frozenset[Atom]]] = {}
         self.commit_rounds = 0
 
     # -- operations ------------------------------------------------------
@@ -244,16 +231,11 @@ class LatticeAso(_ClassifierCore, ProtocolNode):
         while True:
             self.commit_rounds += 1
             reqid = next(self._commit_reqids)
-            acks: dict[int, frozenset[Atom]] = {}
-            self._commit_acks[reqid] = acks
             want = frozenset(candidate)
             self.committed |= want
-            self.broadcast(MCommit(reqid, want))
-            yield WaitUntil(
-                lambda: len(acks) >= self.quorum_size,
-                f"commit quorum (req {reqid})",
+            acks = yield from self.quorum_round(
+                reqid, MCommit(reqid, want), f"commit quorum (req {reqid})"
             )
-            del self._commit_acks[reqid]
             stable = sum(1 for got in acks.values() if got == want)
             for got in acks.values():
                 candidate |= got
@@ -276,9 +258,7 @@ class LatticeAso(_ClassifierCore, ProtocolNode):
                 self.committed |= atoms
                 self.send(src, MCommitAck(reqid, frozenset(self.committed)))
             case MCommitAck(reqid, atoms):
-                acks = self._commit_acks.get(reqid)
-                if acks is not None:
-                    acks[src] = atoms
+                self.round_reply(MCommit, reqid, src, atoms)
             case _:
                 raise TypeError(f"lattice ASO got unknown message {payload!r}")
 

@@ -44,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.tags import Snapshot, Timestamp, ValueTs
+from repro.baselines.delporte import _to_snapshot
 from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
 
 Mid = tuple[int, int]  # (origin, origin-local sequence number)
@@ -215,15 +215,7 @@ class ScdAso(ScdBroadcastNode):
             lambda: self.is_delivered(smid), f"scd delivery of scan sync {smid}"
         )
         self.phase_exit("sync")
-        values, meta = [], []
-        for j, (seq, value) in enumerate(self.reg):
-            if seq == 0:
-                values.append(None)
-                meta.append(None)
-            else:
-                values.append(value)
-                meta.append(ValueTs(value, Timestamp(seq, j), useq=seq))
-        return Snapshot(values=tuple(values), meta=tuple(meta))
+        return _to_snapshot(self.reg)
 
 
 __all__ = ["ScdBroadcastNode", "ScdAso", "ScdWrite", "ScdSync", "MForward"]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.tags import Snapshot, Timestamp, ValueTs, extract
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
+from repro.runtime.protocol import OpGen, ProtocolNode
 
 Triple = tuple[int, int, Any]  # (writer, useq, value)
 
@@ -81,8 +81,6 @@ class StoreCollectObject(ProtocolNode):
         self.knowledge: frozenset[Triple] = frozenset()
         self._store_seq = 0
         self._reqids = itertools.count(1)
-        self._store_acks: dict[int, set[int]] = {}
-        self._query_acks: dict[int, dict[int, frozenset[Triple]]] = {}
         self.collect_rounds = 0
 
     # -- primitive operations -------------------------------------------
@@ -91,30 +89,21 @@ class StoreCollectObject(ProtocolNode):
         self._store_seq += 1
         seq = self._store_seq
         self.knowledge |= view
-        self._store_acks[seq] = set()
         self.phase_enter("store")
-        self.broadcast(MStore(seq, frozenset(view)))
-        yield WaitUntil(
-            lambda: len(self._store_acks[seq]) >= self.quorum_size,
-            f"store ack quorum (seq {seq})",
+        yield from self.quorum_round(
+            seq, MStore(seq, frozenset(view)), f"store ack quorum (seq {seq})"
         )
         self.phase_exit("store")
-        del self._store_acks[seq]
         return "ACK"
 
     def collect(self) -> OpGen:
         """collect(): one query round trip, merged result (no stability)."""
         reqid = next(self._reqids)
-        acks: dict[int, frozenset[Triple]] = {}
-        self._query_acks[reqid] = acks
         self.phase_enter("collect")
-        self.broadcast(MQuery(reqid, self.knowledge))
-        yield WaitUntil(
-            lambda: len(acks) >= self.quorum_size,
-            f"collect quorum (req {reqid})",
+        acks = yield from self.quorum_round(
+            reqid, MQuery(reqid, self.knowledge), f"collect quorum (req {reqid})"
         )
         self.phase_exit("collect")
-        del self._query_acks[reqid]
         for view in acks.values():
             self.knowledge |= view
         return self.knowledge
@@ -126,15 +115,12 @@ class StoreCollectObject(ProtocolNode):
         while True:
             self.collect_rounds += 1
             reqid = next(self._reqids)
-            acks: dict[int, frozenset[Triple]] = {}
-            self._query_acks[reqid] = acks
             query_view = self.knowledge
-            self.broadcast(MQuery(reqid, query_view))
-            yield WaitUntil(
-                lambda: len(acks) >= self.quorum_size,
+            acks = yield from self.quorum_round(
+                reqid,
+                MQuery(reqid, query_view),
                 f"stable-collect quorum (req {reqid})",
             )
-            del self._query_acks[reqid]
             confirmations = sum(1 for v in acks.values() if v == query_view)
             for view in acks.values():
                 self.knowledge |= view
@@ -149,16 +135,12 @@ class StoreCollectObject(ProtocolNode):
                 self.knowledge |= view
                 self.send(src, MStoreAck(src, seq))
             case MStoreAck(_, seq):
-                acks = self._store_acks.get(seq)
-                if acks is not None:
-                    acks.add(src)
+                self.round_reply(MStore, seq, src)
             case MQuery(reqid, view):
                 self.knowledge |= view
                 self.send(src, MQueryAck(reqid, self.knowledge))
             case MQueryAck(reqid, view):
-                acks = self._query_acks.get(reqid)
-                if acks is not None:
-                    acks[src] = view
+                self.round_reply(MQuery, reqid, src, view)
             case _:
                 raise TypeError(f"store-collect got unknown message {payload!r}")
 

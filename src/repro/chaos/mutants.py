@@ -43,8 +43,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.baselines.bfk import BfkAso, MStoreB
-from repro.baselines.delporte import DelporteAso, MCollect, MWrite
-from repro.baselines.impr import ImprRegisterAso, MRegRead, RegArray, _merge
+from repro.baselines.delporte import DelporteAso, MCollect, MWrite, _to_snapshot
+from repro.baselines.impr import ImprRegisterAso, MRegRead
 from repro.chaos.algos import LINEARIZABLE, AlgoProfile
 from repro.runtime.protocol import OpGen, WaitUntil
 
@@ -52,22 +52,16 @@ from repro.runtime.protocol import OpGen, WaitUntil
 class DelporteWeakWriteQuorum(DelporteAso):
     """[mutant] write-ack quorum n−f → 1 (see module docstring)."""
 
-    def update(self, value: Any) -> OpGen:
-        self._seq += 1
-        seq = self._seq
-        key = (self.node_id, seq)
-        self._write_acks[key] = set()
-        self.phase_enter("write")
-        self.broadcast(MWrite(self.node_id, seq, value))
+    def quorum_round(self, key: Any, payload: Any, what: str) -> OpGen:
+        if type(payload) is not MWrite:
+            return (yield from super().quorum_round(key, payload, what))
+        replies = self._rounds[MWrite].setdefault(key, {})
+        self.broadcast(payload)
         # mutation: any single ack — in practice the writer's own
         # zero-delay self-ack — releases the update
-        yield WaitUntil(
-            lambda: len(self._write_acks[key]) >= 1,
-            f"weakened write ack quorum (seq {seq})",
-        )
-        self.phase_exit("write")
-        del self._write_acks[key]
-        return "ACK"
+        yield WaitUntil(lambda: len(replies) >= 1, f"weakened {what}")
+        del self._rounds[MWrite][key]
+        return replies
 
 
 class DelporteWeakScanQuorum(DelporteAso):
@@ -77,65 +71,48 @@ class DelporteWeakScanQuorum(DelporteAso):
         self.phase_enter("stable-collect")
         self.collect_rounds += 1
         reqid = next(self._reqids)
-        acks: dict[int, Any] = {}
-        self._collect_acks[reqid] = acks
         query_view = self.reg
+        replies = self._rounds[MCollect].setdefault(reqid, {})
         self.broadcast(MCollect(reqid, query_view))
         # mutation: one ack (the scanner's own) "confirms" the view, so
         # the stable-collect loop degenerates to a local read
         yield WaitUntil(
-            lambda: len(acks) >= 1,
-            f"weakened collect quorum (req {reqid})",
+            lambda: len(replies) >= 1, f"weakened collect quorum (req {reqid})"
         )
-        del self._collect_acks[reqid]
+        del self._rounds[MCollect][reqid]
         self.phase_exit("stable-collect")
-        return self._to_snapshot(query_view)
+        return _to_snapshot(query_view)
 
 
 class BfkWeakStoreQuorum(BfkAso):
     """[mutant] BFK UPDATE store quorum n−f → 1 (see module docstring)."""
 
-    def update(self, value: Any) -> OpGen:
-        self._seq += 1
-        seq = self._seq
-        key = (self.node_id, seq)
-        self._store_acks[key] = set()
-        self.phase_enter("store")
-        self.broadcast(MStoreB(self.node_id, seq, value))
+    def quorum_round(self, key: Any, payload: Any, what: str) -> OpGen:
+        if type(payload) is not MStoreB:
+            return (yield from super().quorum_round(key, payload, what))
+        replies = self._rounds[MStoreB].setdefault(key, {})
+        self.broadcast(payload)
         # mutation: any single ack — in practice the writer's own
         # zero-delay self-ack — releases the update
-        yield WaitUntil(
-            lambda: len(self._store_acks[key]) >= 1,
-            f"weakened bfk store quorum (seq {seq})",
-        )
-        self.phase_exit("store")
-        del self._store_acks[key]
-        return "ACK"
+        yield WaitUntil(lambda: len(replies) >= 1, f"weakened {what}")
+        del self._rounds[MStoreB][key]
+        return replies
 
 
 class ImprWeakCollectQuorum(ImprRegisterAso):
     """[mutant] IMPR register-read quorum n−f → 1."""
 
-    def collect(self) -> OpGen:
-        reqid = next(self._reqids)
-        acks: dict[int, RegArray] = {}
-        self._read_acks[reqid] = acks
-        self.phase_enter("reg-read")
-        self.broadcast(MRegRead(reqid))
+    def quorum_round(self, key: Any, payload: Any, what: str) -> OpGen:
+        if type(payload) is not MRegRead:
+            return (yield from super().quorum_round(key, payload, what))
+        replies = self._rounds[MRegRead].setdefault(key, {})
+        self.broadcast(payload)
         # mutation: one reply (the reader's own) settles the read, so
         # every collect is a unanimous local read and the double collect
         # degenerates to a local view
-        yield WaitUntil(
-            lambda: len(acks) >= 1,
-            f"weakened impr read quorum (req {reqid})",
-        )
-        self.phase_exit("reg-read")
-        del self._read_acks[reqid]
-        merged = next(iter(acks.values()))
-        for arr in acks.values():
-            merged = _merge(merged, arr)
-        self.regs = _merge(self.regs, merged)
-        return merged
+        yield WaitUntil(lambda: len(replies) >= 1, f"weakened {what}")
+        del self._rounds[MRegRead][key]
+        return replies
 
 
 #: mutant registry — separate namespace from the healthy profiles

@@ -91,8 +91,6 @@ class EqAso(ProtocolNode):
         self._seen: set[ValueTs] = set()  # forward-once filter (line 41)
         self._useq = 0  # per-writer update sequence number (footnote 2)
         self._reqids = itertools.count(1)
-        self._read_acks: dict[int, dict[int, int]] = {}
-        self._write_acks: dict[int, set[int]] = {}
         # goodLA views recorded per (tag, sender) at receipt time; the
         # per-tag record is the race-free generalization of D[j] needed by
         # the asyncio runtime (handlers and client threads interleave there)
@@ -213,31 +211,21 @@ class EqAso(ProtocolNode):
     def _read_tag(self) -> Generator[WaitUntil, None, int]:
         """readTag() — lines 35-37."""
         reqid = next(self._reqids)
-        acks: dict[int, int] = {}
-        self._read_acks[reqid] = acks
         self.phase_enter("readTag")
-        self.broadcast(MReadTag(reqid))  # line 35
-        yield WaitUntil(
-            lambda: len(acks) >= self.quorum_size,
-            f"readTag quorum (req {reqid})",
-        )  # line 36
+        acks = yield from self.quorum_round(
+            reqid, MReadTag(reqid), f"readTag quorum (req {reqid})"
+        )  # lines 35-36
         self.phase_exit("readTag")
-        del self._read_acks[reqid]
         return max(acks.values())  # line 37
 
     def _write_tag(self, tag: int) -> Generator[WaitUntil, None, None]:
         """writeTag(tag) — lines 38-39."""
         reqid = next(self._reqids)
-        ackers: set[int] = set()
-        self._write_acks[reqid] = ackers
         self.phase_enter("writeTag")
-        self.broadcast(MWriteTag(tag, reqid))  # line 38
-        yield WaitUntil(
-            lambda: len(ackers) >= self.quorum_size,
-            f"writeTag({tag}) quorum (req {reqid})",
-        )  # line 39
+        yield from self.quorum_round(
+            reqid, MWriteTag(tag, reqid), f"writeTag({tag}) quorum (req {reqid})"
+        )  # lines 38-39
         self.phase_exit("writeTag")
-        del self._write_acks[reqid]
 
     # ==================================================================
     # server thread (lines 40-49); each invocation is atomic
@@ -273,9 +261,7 @@ class EqAso(ProtocolNode):
                 self.send(src, MWriteAck(tag, reqid))
                 return True
             case MWriteAck(_, reqid):
-                ackers = self._write_acks.get(reqid)
-                if ackers is not None:
-                    ackers.add(src)
+                self.round_reply(MWriteTag, reqid, src)
                 return True
             case MEchoTag(tag):  # line 47
                 if tag > self.max_tag:
@@ -286,9 +272,7 @@ class EqAso(ProtocolNode):
                 self.send(src, MReadAck(self.max_tag, reqid))
                 return True
             case MReadAck(tag, reqid):
-                acks = self._read_acks.get(reqid)
-                if acks is not None:
-                    acks[src] = tag
+                self.round_reply(MReadTag, reqid, src, tag)
                 return True
             case _:
                 return False

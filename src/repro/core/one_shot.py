@@ -34,7 +34,6 @@ class OneShotAso(ProtocolNode):
             raise ValueError(f"one-shot ASO requires n > 2f (n={n}, f={f})")
         self.V = ViewVector(n)
         self._seen: set[ValueTs] = set()
-        self._acks: dict[ValueTs, set[int]] = {}
         self._updated = False
 
     # ------------------------------------------------------------------
@@ -47,12 +46,9 @@ class OneShotAso(ProtocolNode):
         self._updated = True
         vt = ValueTs(value, Timestamp(1, self.node_id), useq=1)
         self._seen.add(vt)
-        self._acks[vt] = set()
         self.phase_enter("value-ack")
-        self.broadcast(MValue(vt))
-        yield WaitUntil(
-            lambda: len(self._acks[vt]) >= self.quorum_size,
-            f"one-shot update ack quorum for {vt!r}",
+        yield from self.quorum_round(
+            vt, MValue(vt), f"one-shot update ack quorum for {vt!r}"
         )
         self.phase_exit("value-ack")
         return "ACK"
@@ -87,11 +83,10 @@ class OneShotAso(ProtocolNode):
                 # ack the *writer* so its update can complete
                 if vt.writer != self.node_id:
                     self.send(vt.writer, MValueAck(vt))
-                elif vt in self._acks:
-                    self._acks[vt].add(self.node_id)
+                else:
+                    self.round_reply(MValue, vt, self.node_id)
             case MValueAck(vt):
-                if vt in self._acks:
-                    self._acks[vt].add(src)
+                self.round_reply(MValue, vt, src)
             case _:
                 raise TypeError(f"one-shot ASO got unknown message {payload!r}")
 

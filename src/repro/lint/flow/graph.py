@@ -5,8 +5,8 @@ Built once per :class:`~repro.lint.project.ProjectIndex` (memoized in its
 conversation-level rules:
 
 - **send sites** — a frozen message dataclass constructed directly inside
-  a call to a send-style method (``send``/``broadcast``/``rbc_broadcast``/
-  ``scd_broadcast``) on *any* receiver, so Byzantine behaviors sending
+  a call to a send-style method (``send``/``broadcast``/``quorum_round``/
+  ``rbc_broadcast``/``scd_broadcast``) on *any* receiver, so Byzantine behaviors sending
   through their shell and ``BrachaRBC`` sending through ``self._node``
   count too;
 - **consume sites** — ``match``-case class patterns and ``isinstance``
@@ -40,6 +40,7 @@ ClassResolver = Callable[[ast.expr], "str | None"]
 SEND_METHODS: dict[str, int] = {
     "send": 1,
     "broadcast": 0,
+    "quorum_round": 1,
     "rbc_broadcast": 0,
     "scd_broadcast": 0,
 }
@@ -636,8 +637,8 @@ def _narrowed_reads(
 
 def self_attr_root(node: ast.expr) -> str | None:
     """The ``self.<attr>`` at the base of an access chain, peeling
-    subscripts, attribute lookups and calls: ``self._acks[reqid].add``
-    and ``self._acks.get(reqid)`` both root at ``_acks``."""
+    subscripts, attribute lookups and calls: ``self._rounds[kind][key]``
+    and ``self._rounds[kind].get(key)`` both root at ``_rounds``."""
     current: ast.expr = node
     while True:
         if isinstance(current, ast.Subscript):
@@ -673,12 +674,13 @@ def local_aliases(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> dict[str, frozenset[str]]:
     """Local name -> ``self`` attributes it may alias, in either
-    direction: ``acks = self._collect_acks[reqid]`` (load) or
-    ``self._read_acks[reqid] = acks`` (store — the local *is* the shared
-    object the attribute holds).
+    direction: ``replies = self._rounds[kind].get(key)`` (load, as in
+    ``ProtocolNode.round_reply``) or ``self._rounds[kind][key] = replies``
+    (store, as in ``quorum_round`` — the local *is* the shared object
+    the attribute holds).
 
     The map is flow-insensitive, so a name rebound in different branches
-    (``acks = self._write_acks…`` in one match arm, ``…_collect_acks…``
+    (``acks = self._votes…`` in one match arm, ``acks = self._echoes…``
     in another) carries *every* binding — mutation attribution
     over-approximates, which is the sound direction for liveness."""
     out: dict[str, set[str]] = {}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.lint.project import ClassInfo, ProjectIndex
+from repro.lint.project import ProjectIndex
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,9 +276,18 @@ def threshold_comparisons(
     return out
 
 
-def threshold_form(compare: ast.Compare, expr: ast.expr) -> Lin | None:
+def threshold_form(
+    compare: ast.Compare, expr: ast.expr, fn: ast.AST | None = None
+) -> Lin | None:
     """The effective threshold of one comparison: strict bounds
-    (``len > T`` / ``T < len``) demand one more ack than ``T``."""
+    (``len > T`` / ``T < len``) demand one more ack than ``T``.  A local
+    assigned once in ``fn`` (``need = self.n - self.f`` hoisted above the
+    wait, as in ``quorum_round``) is read through its assignment."""
+    if isinstance(expr, ast.Name) and fn is not None:
+        assigns = (a for a in ast.walk(fn) if isinstance(a, ast.Assign))
+        bound = [a.value for a in assigns if getattr(a.targets[0], "id", "") == expr.id]
+        if len(bound) == 1:
+            expr = bound[0]
     form = parse_linear(expr)
     if form is None:
         return None
@@ -295,10 +304,6 @@ def _is_len_call(node: ast.expr) -> bool:
     )
 
 
-def fault_model_of_class(info: ClassInfo, index: ProjectIndex) -> FaultModel:
-    return fault_model_for(index, info.name)
-
-
 __all__ = [
     "DEFAULT_MODEL",
     "FaultModel",
@@ -306,7 +311,6 @@ __all__ = [
     "QuorumViolation",
     "check_intersection",
     "fault_model_for",
-    "fault_model_of_class",
     "parse_linear",
     "protocol_fault_models",
     "threshold_comparisons",

@@ -1,7 +1,7 @@
 """RL009 — symbolic quorum safety.
 
 For every lower-bound count comparison inside a ``WaitUntil`` predicate
-(``len(acks) >= T`` and friends), parse ``T`` as a linear form over
+(``len(replies) >= T`` and friends), parse ``T`` as a linear form over
 ``n``/``f``/``quorum_size`` and *prove* that two waits of that size must
 intersect under the class's declared fault model — in an honest node,
 when the model is Byzantine.  The fault model is read off the
@@ -17,9 +17,10 @@ then exhibits dynamically.  This generalizes RL004 (which pattern-matches
 a handful of known-bad threshold idioms) into a decision procedure.
 
 A wait inherited from a base protocol class is analyzed under *that*
-class's model; mixin methods (defined in non-protocol helper classes)
-are analyzed under the model of each protocol class that inherits them,
-with identical findings deduplicated.  Thresholds the linear parser
+class's model; methods of ``ProtocolNode`` itself — ``quorum_round``, the
+one count-wait every algorithm shares — and of mixins (non-protocol
+helper classes) are analyzed under the model of each protocol class that
+inherits them, with identical findings deduplicated.  Thresholds the linear parser
 cannot express (``//``, data-dependent bounds) are skipped, not guessed.
 """
 
@@ -79,7 +80,7 @@ class QuorumSafetyRule(Rule):
                     continue
                 for site in waits_by_cls.get(owner.name, ()):
                     for compare, expr in threshold_comparisons(site.predicate):
-                        form = threshold_form(compare, expr)
+                        form = threshold_form(compare, expr, site.enclosing_fn)
                         if form is None:
                             continue
                         violation = check_intersection(form, model)

@@ -8,7 +8,7 @@ delivery callback such as RBC's).  This rule checks, per wait site:
 1. which ``self`` attributes the predicate depends on — direct reads,
    reads through self-method/property calls (depth-limited), and local
    closure variables aliasing a ``self`` attribute (in either
-   assignment direction, e.g. ``self._round_acks[r] = acks``);
+   assignment direction, e.g. ``self._rounds[kind][key] = replies``);
 2. whether *any* of those attributes is mutated somewhere in the
    handler closure (``on_message`` plus component callbacks, expanded
    through self-calls along the MRO) by code whose governing

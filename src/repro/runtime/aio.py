@@ -40,7 +40,8 @@ import asyncio
 from typing import Any, Callable
 
 from repro.net.faults import CrashPlan
-from repro.runtime.protocol import ProtocolNode, WaitUntil, _Broadcast, _Send
+from repro.runtime.driver import OpDriver, OpHandle
+from repro.runtime.protocol import ProtocolNode
 from repro.sim.rng import SeededRng
 from repro.spec.history import History
 
@@ -108,15 +109,18 @@ class AioCluster:
         self._postmortem = postmortem
         if self._tracer is not None:
             self._tracer.bind(self)  # the tracer reads ``now`` from us
-            for node in self.nodes:
-                node._phase_hook = self._tracer.phase
-            self._tracer.meta.setdefault("algorithm", type(self.nodes[0]).__name__)
-            self._tracer.meta.setdefault("n", n)
-            self._tracer.meta.setdefault("f", f)
-            # the synchrony bound of the sampled delay distribution
-            self._tracer.meta.setdefault("D", 1.8 * mean_delay)
-            self._tracer.meta.setdefault("runtime", "aio")
-            self._tracer.meta.setdefault("seed", seed)
+        self._driver = OpDriver(
+            self.nodes,
+            self.crash_plan,
+            self.history,
+            self._tracer,
+            clock=self,
+            send=self._enqueue,
+            broadcast=self._broadcast,
+            sent=self._sent,
+            # D: the synchrony bound of the sampled delay distribution
+            meta={"D": 1.8 * mean_delay, "runtime": "aio", "seed": seed},
+        )
 
     @property
     def now(self) -> float:
@@ -148,7 +152,7 @@ class AioCluster:
             if not self.crash_plan.is_crashed(node.node_id):
                 async with self._locks[node.node_id]:
                     node.on_start()
-                    self._flush(node.node_id)
+                    self._driver.flush(node.node_id)
 
     async def shutdown(self) -> None:
         """Cancel all channel forwarders."""
@@ -156,9 +160,6 @@ class AioCluster:
             task.cancel()
         await asyncio.gather(*self._forwarders, return_exceptions=True)
         self._forwarders.clear()
-
-    def _now(self) -> float:
-        return self.now
 
     # ------------------------------------------------------------------
     # transport
@@ -173,28 +174,17 @@ class AioCluster:
             if queue.qsize() == self._hwm:
                 self._tracer.on_backpressure(src, dst, queue.qsize())
 
-    def _flush(self, node_id: int) -> None:
-        """Drain a node's outbox into the channels (caller holds its lock)."""
-        node = self.nodes[node_id]
-        while node.outbox:
-            if self.crash_plan.is_crashed(node_id):
-                node.outbox.clear()
-                return
-            item = node.outbox.popleft()
-            if isinstance(item, _Send):
-                self._enqueue(node_id, item.dst, item.payload)
-            elif isinstance(item, _Broadcast):
-                allowed, crash_now = self.crash_plan.filter_broadcast(
-                    node_id, item.payload, item.dests
-                )
-                for dst in allowed:
-                    self._enqueue(node_id, dst, item.payload)
-                if crash_now:
-                    self.crash_plan.mark_crashed(node_id)
-                    if self._tracer is not None:
-                        self._tracer.on_crash(node_id, detail="mid-broadcast crash")
-                    self._wakeups[node_id].set()  # release a parked op
-                    self._dump_postmortem(node_id, "mid-broadcast crash")
+    def _broadcast(self, src: int, payload: Any, dests: tuple[int, ...]) -> None:
+        """Fan one broadcast out, truncated by a mid-broadcast crash."""
+        allowed, crash_now = self.crash_plan.filter_broadcast(src, payload, dests)
+        for dst in allowed:
+            self._enqueue(src, dst, payload)
+        if crash_now:
+            self.crash_plan.mark_crashed(src)
+            if self._tracer is not None:
+                self._tracer.on_crash(src, detail="mid-broadcast crash")
+            self._wakeups[src].set()  # release a parked op
+            self._dump_postmortem(src, "mid-broadcast crash")
 
     async def _forward(self, src: int, dst: int, queue: asyncio.Queue) -> None:
         """One FIFO channel: sequential delay-then-deliver."""
@@ -218,7 +208,7 @@ class AioCluster:
                 if self._tracer is not None:
                     self._tracer.on_deliver(src, dst, payload)
                 self.nodes[dst].on_message(src, payload)
-                self._flush(dst)
+                self._driver.flush(dst)
             self._wakeups[dst].set()
 
     def crash(self, node_id: int) -> None:
@@ -288,68 +278,24 @@ class AioCluster:
             RuntimeError: the node crashed mid-operation.
         """
         await self.start()
-        node = self.nodes[node_id]
         if self.crash_plan.is_crashed(node_id):
             raise RuntimeError(f"node {node_id} is crashed")
-        tracer = self._tracer
-        span = None
-        sent_at_inv = 0
-        async with self._locks[node_id]:
-            record = self.history.invoke(node_id, opname, args, self._now())
-            if tracer is not None:
-                sent_at_inv = self._sent[node_id]
-                span = tracer.op_begin(node_id, opname, args)
-            gen = getattr(node, opname)(*args)
-        try:
-            result = await self._drive(node_id, gen)
-        except _Crashed:
-            self.history.abort(record)
-            if span is not None:
-                tracer.op_abort(span, messages=self._sent[node_id] - sent_at_inv)
-            raise RuntimeError(f"node {node_id} crashed during {opname}") from None
-        async with self._locks[node_id]:
-            self.history.respond(record, self._now(), result)
-            if span is not None:
-                tracer.op_end(
-                    span,
-                    messages=self._sent[node_id] - sent_at_inv,
-                    result=result,
-                )
-        return result
-
-    async def _drive(self, node_id: int, gen) -> Any:
-        wakeup = self._wakeups[node_id]
-        while True:
-            async with self._locks[node_id]:
-                try:
-                    yielded = gen.send(None)
-                except StopIteration as stop:
-                    self._flush(node_id)
-                    if self.crash_plan.is_crashed(node_id):
-                        raise _Crashed()
-                    return stop.value
-                if not isinstance(yielded, WaitUntil):
-                    raise TypeError(f"unexpected yield {yielded!r}")
-                self._flush(node_id)
-                if self.crash_plan.is_crashed(node_id):
-                    raise _Crashed()
+        op = OpHandle(node_id, opname, args)
+        lock, wakeup = self._locks[node_id], self._wakeups[node_id]
+        async with lock:
+            wakeup.clear()
+            self._driver.begin(op)
+        while op.wait is not None:  # parked: a delivery or a crash wakes us
+            await wakeup.wait()
+            async with lock:
                 wakeup.clear()
-                satisfied = yielded.predicate()
-            if satisfied:
-                continue
-            while True:
-                await wakeup.wait()
                 if self.crash_plan.is_crashed(node_id):
-                    raise _Crashed()
-                async with self._locks[node_id]:
-                    wakeup.clear()
-                    if yielded.predicate():
-                        break
-            # predicate satisfied; loop to advance the generator
-
-
-class _Crashed(Exception):
-    """Internal: the node died while its operation was parked."""
+                    self._driver.abort(op)
+                else:
+                    self._driver.poll(op)
+        if op.aborted:
+            raise RuntimeError(f"node {node_id} crashed during {opname}")
+        return op.result
 
 
 __all__ = ["AioCluster"]

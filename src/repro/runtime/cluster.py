@@ -15,15 +15,15 @@ enforces the paper's execution discipline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.net.delays import ConstantDelay, DelayModel
 from repro.net.faults import CrashPlan
 from repro.net.network import Network
-from repro.runtime.protocol import ProtocolNode, WaitUntil, _Broadcast, _Send
+from repro.runtime.driver import OpDriver, OpHandle
+from repro.runtime.protocol import ProtocolNode
 from repro.sim.kernel import Simulator
-from repro.spec.history import History, OpRecord
+from repro.spec.history import History
 
 
 class StuckError(RuntimeError):
@@ -31,104 +31,6 @@ class StuckError(RuntimeError):
     pending — a liveness failure.  The message lists each stuck operation
     and the ``WaitUntil`` description it is parked on (this is the primary
     diagnostic output of the ablation experiments)."""
-
-
-@dataclass
-class OpHandle:
-    """Handle to one invoked client operation."""
-
-    node: int
-    kind: str
-    args: tuple[Any, ...]
-    record: OpRecord | None = None
-    result: Any = None
-    done: bool = False
-    aborted: bool = False
-    sent_at_inv: int = 0
-    sent_at_resp: int = 0
-    callbacks: list[Callable[["OpHandle"], None]] = field(default_factory=list)
-    #: observability span (:class:`repro.obs.OpSpan`); ``None`` unless the
-    #: cluster was built with an enabled tracer
-    span: Any = None
-
-    @property
-    def t_inv(self) -> float:
-        assert self.record is not None, "operation not yet invoked"
-        return self.record.t_inv
-
-    @property
-    def t_resp(self) -> float:
-        assert self.record is not None and self.record.t_resp is not None
-        return self.record.t_resp
-
-    @property
-    def latency(self) -> float:
-        return self.t_resp - self.t_inv
-
-    @property
-    def messages_sent(self) -> int:
-        """Messages this node handed to the network during the operation
-        (includes forwarding duties that happened to run concurrently —
-        use quiet-network workloads for exact per-op message costs)."""
-        return self.sent_at_resp - self.sent_at_inv
-
-    def on_complete(self, fn: Callable[["OpHandle"], None]) -> None:
-        self.callbacks.append(fn)
-
-
-class _OpRunner:
-    """Drives one client-operation generator to completion."""
-
-    __slots__ = ("cluster", "node_id", "gen", "handle", "wait")
-
-    def __init__(self, cluster: "Cluster", node_id: int, gen, handle: OpHandle):
-        self.cluster = cluster
-        self.node_id = node_id
-        self.gen = gen
-        self.handle = handle
-        self.wait: WaitUntil | None = None
-
-    def advance(self) -> None:
-        cluster = self.cluster
-        self.wait = None
-        while True:
-            try:
-                yielded = self.gen.send(None)
-            except StopIteration as stop:
-                self._finish(stop.value)
-                return
-            if not isinstance(yielded, WaitUntil):
-                raise TypeError(
-                    f"operation generator yielded {yielded!r}; expected WaitUntil"
-                )
-            cluster._flush(self.node_id)
-            if cluster.crash_plan.is_crashed(self.node_id):
-                cluster._abort_runner(self)
-                return
-            if yielded.predicate():
-                continue
-            self.wait = yielded
-            return
-
-    def _finish(self, result: Any) -> None:
-        cluster = self.cluster
-        cluster._flush(self.node_id)
-        if cluster.crash_plan.is_crashed(self.node_id):
-            cluster._abort_runner(self)
-            return
-        handle = self.handle
-        handle.result = result
-        handle.done = True
-        handle.sent_at_resp = cluster.network.sent_by_node[self.node_id]
-        if handle.record is not None:
-            cluster.history.respond(handle.record, cluster.sim.now, result)
-        if handle.span is not None:
-            cluster._tracer.op_end(
-                handle.span, messages=handle.messages_sent, result=result
-            )
-        cluster._runners[self.node_id] = None
-        for fn in handle.callbacks:
-            fn(handle)
 
 
 class Cluster:
@@ -184,14 +86,18 @@ class Cluster:
         )
         self.history = History(n)
         self.nodes: list[ProtocolNode] = [factory(i, n, f) for i in range(n)]
-        if self._tracer is not None:
-            for node in self.nodes:
-                node._phase_hook = self._tracer.phase
-            self._tracer.meta.setdefault("algorithm", type(self.nodes[0]).__name__)
-            self._tracer.meta.setdefault("n", n)
-            self._tracer.meta.setdefault("f", f)
-            self._tracer.meta.setdefault("D", self.delay_model.D)
-        self._runners: list[_OpRunner | None] = [None] * n
+        self._driver = OpDriver(
+            self.nodes,
+            self.crash_plan,
+            self.history,
+            self._tracer,
+            clock=self.sim,
+            send=self.network.send,
+            broadcast=self.network.broadcast,
+            sent=self.network.sent_by_node,
+            meta={"D": self.delay_model.D},
+        )
+        self._flush = self._driver.flush  # flush(node_id): drain its outbox
         self._started = False
         for node_id, time in self.crash_plan.timed_crashes():
             self.sim.schedule_call_at(time, self.crash, node_id)
@@ -222,9 +128,9 @@ class Cluster:
         if self._tracer is not None:
             self._tracer.on_crash(node_id)
         self.nodes[node_id].outbox.clear()
-        runner = self._runners[node_id]
-        if runner is not None:
-            self._abort_runner(runner)
+        op = self._driver.ops[node_id]
+        if op is not None:
+            self._driver.abort(op)
 
     def disconnect(self, src: int, dst: int, *, symmetric: bool = False) -> None:
         """Gate the ordered channel ``src -> dst`` (both directions with
@@ -315,42 +221,10 @@ class Cluster:
 
     def _begin(self, handle: OpHandle, record: bool) -> None:
         self.start()
-        node_id = handle.node
-        if self.crash_plan.is_crashed(node_id):
+        if self.crash_plan.is_crashed(handle.node):
             handle.aborted = True
             return
-        if self._runners[node_id] is not None:
-            raise RuntimeError(
-                f"node {node_id} invoked {handle.kind} while another "
-                "operation is pending (nodes are sequential, Sec. II-A)"
-            )
-        node = self.nodes[node_id]
-        method = getattr(node, handle.kind)
-        gen = method(*handle.args)
-        if record:
-            handle.record = self.history.invoke(
-                node_id, handle.kind, handle.args, self.sim.now
-            )
-        handle.sent_at_inv = self.network.sent_by_node[node_id]
-        if self._tracer is not None:
-            handle.span = self._tracer.op_begin(node_id, handle.kind, handle.args)
-        runner = _OpRunner(self, node_id, gen, handle)
-        self._runners[node_id] = runner
-        runner.advance()
-
-    def _abort_runner(self, runner: _OpRunner) -> None:
-        runner.handle.aborted = True
-        if runner.handle.record is not None:
-            self.history.abort(runner.handle.record)
-        if runner.handle.span is not None:
-            sent = self.network.sent_by_node[runner.node_id]
-            self._tracer.op_abort(
-                runner.handle.span, messages=sent - runner.handle.sent_at_inv
-            )
-        if self._runners[runner.node_id] is runner:
-            self._runners[runner.node_id] = None
-        for fn in runner.handle.callbacks:  # settled-callbacks fire on abort too
-            fn(runner.handle)
+        self._driver.begin(handle, record=record)
 
     # ------------------------------------------------------------------
     # transport plumbing
@@ -361,42 +235,13 @@ class Cluster:
         # this callback), so no re-check is needed here
         node = self.nodes[dst]
         node.on_message(src, payload)
+        driver = self._driver
         if node.outbox:
-            self._flush(dst)
-        runner = self._runners[dst]
-        if runner is not None:
-            wait = runner.wait
-            if wait is not None and wait.predicate():
-                runner.advance()
-
-    def _flush(self, node_id: int) -> None:
-        outbox = self.nodes[node_id].outbox
-        if outbox:
-            network = self.network
-            is_crashed = self.crash_plan.is_crashed
-            while outbox:
-                if is_crashed(node_id):
-                    # the node died mid-loop (BroadcastCrash): remaining
-                    # queued sends never happened
-                    outbox.clear()
-                    break
-                item = outbox.popleft()
-                if type(item) is _Send:
-                    network.send(node_id, item.dst, item.payload)
-                elif type(item) is _Broadcast:
-                    network.broadcast(node_id, item.payload, item.dests)
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown outbox item {item!r}")
-        if self.crash_plan.is_crashed(node_id):
-            runner = self._runners[node_id]
-            if runner is not None:
-                self._abort_runner(runner)
-
-    def _maybe_resume(self, node_id: int) -> None:
-        runner = self._runners[node_id]
-        if runner is not None and runner.wait is not None:
-            if runner.wait.predicate():
-                runner.advance()
+            driver.flush(dst)
+        op = driver.ops[dst]
+        if op is not None:
+            # resumed synchronously, before any further delivery
+            driver.poll(op)
 
     # ------------------------------------------------------------------
     # execution
@@ -441,10 +286,9 @@ class Cluster:
             for h in handles:
                 if h.done or h.aborted:
                     continue
-                runner = self._runners[h.node]
                 waiting = (
-                    runner.wait.description
-                    if runner is not None and runner.wait is not None
+                    h.wait.description
+                    if h.wait is not None
                     else "not started or not parked"
                 )
                 lines.append(

@@ -1,0 +1,233 @@
+"""The op driver: what every runtime does around a sans-io node, once.
+
+A runtime (:class:`~repro.runtime.cluster.Cluster` on the simulator,
+:class:`~repro.runtime.aio.AioCluster` on asyncio) owns the transport and
+the scheduling — kernel events and completion callbacks on one side;
+locks, wakeups and channel forwarders on the other.  The rest is the same
+and lives here, written against a clock, a ``send`` and a ``broadcast``:
+**open** an operation (resolve the method, record the invocation, note
+the node's ``sent`` count, open a span); **resume** its generator until
+it parks on a false :class:`WaitUntil`, returns, or its node is found
+crashed, flushing the outbox after every yield; **drain** an outbox item
+by item, so that a node dying mid-loop
+(:class:`~repro.net.faults.BroadcastCrash`) loses what is left; and
+**settle** the operation exactly once — respond or abort in the history
+and the span, free the node, fire the completion callbacks — also when
+the generator raises or yields something that is not a ``WaitUntil``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
+
+from repro.net.faults import CrashPlan
+from repro.runtime.protocol import ProtocolNode, WaitUntil, _Broadcast
+from repro.spec.history import History, OpRecord
+
+
+@dataclass
+class OpHandle:
+    """Handle to one invoked client operation."""
+
+    node: int
+    kind: str
+    args: tuple[Any, ...]
+    record: OpRecord | None = None
+    result: Any = None
+    done: bool = False
+    aborted: bool = False
+    sent_at_inv: int = 0
+    sent_at_resp: int = 0
+    callbacks: list[Callable[["OpHandle"], None]] = field(default_factory=list)
+    #: observability span (:class:`repro.obs.OpSpan`); ``None`` unless the
+    #: runtime was built with an enabled tracer
+    span: Any = None
+    #: the running generator and the wait it is parked on (driver state)
+    gen: Any = field(default=None, repr=False)
+    wait: WaitUntil | None = field(default=None, repr=False)
+
+    @property
+    def t_inv(self) -> float:
+        assert self.record is not None, "operation not yet invoked"
+        return self.record.t_inv
+
+    @property
+    def t_resp(self) -> float:
+        assert self.record is not None and self.record.t_resp is not None
+        return self.record.t_resp
+
+    @property
+    def latency(self) -> float:
+        return self.t_resp - self.t_inv
+
+    @property
+    def messages_sent(self) -> int:
+        """Messages this node handed to the network during the operation
+        (includes forwarding duties that happened to run concurrently —
+        use quiet-network workloads for exact per-op message costs)."""
+        return self.sent_at_resp - self.sent_at_inv
+
+    def on_complete(self, fn: Callable[["OpHandle"], None]) -> None:
+        self.callbacks.append(fn)
+
+
+class OpDriver:
+    """Drives the client operations of a cluster of protocol nodes.
+
+    Args:
+        nodes: the protocol nodes, indexed by node id.
+        crash_plan: consulted after every outbox item and every flush.
+        history: where invocations, responses and aborts are recorded.
+        tracer: an *enabled* :class:`repro.obs.Tracer` or ``None``; the
+            driver installs the phase hook and the run's ``meta``
+            (``algorithm``, ``n``, ``f``, then the runtime's own keys).
+        clock: anything with a ``now`` attribute (the simulator, or the
+            asyncio cluster's wall clock).
+        send, broadcast: ``send(src, dst, payload)`` and
+            ``broadcast(src, payload, dests)`` of the transport.
+        sent: per-node count of messages handed to the transport.
+        meta: the runtime's own tracer ``meta`` entries.
+    """
+
+    def __init__(
+        self,
+        nodes: Sequence[ProtocolNode],
+        crash_plan: CrashPlan,
+        history: History,
+        tracer: Any,
+        *,
+        clock: Any,
+        send: Callable[[int, int, Any], None],
+        broadcast: Callable[[int, Any, tuple[int, ...]], None],
+        sent: Sequence[int],
+        meta: dict[str, Any],
+    ) -> None:
+        self.nodes = nodes
+        self.is_crashed = crash_plan.is_crashed
+        self.history = history
+        self.tracer = tracer
+        self.clock = clock
+        self.send = send
+        self.broadcast = broadcast
+        self.sent = sent
+        #: the operation pending at each node (nodes are sequential)
+        self.ops: list[OpHandle | None] = [None] * len(nodes)
+        if tracer is not None:
+            for node in nodes:
+                node._phase_hook = tracer.phase
+            first = nodes[0]
+            shared = {"algorithm": type(first).__name__, "n": first.n, "f": first.f}
+            for key, value in {**shared, **meta}.items():
+                tracer.meta.setdefault(key, value)
+
+    # -- operations -------------------------------------------------------
+    def begin(self, op: OpHandle, *, record: bool = True) -> None:
+        """Open ``op`` at its node and run it to its first park."""
+        node_id = op.node
+        if self.ops[node_id] is not None:
+            raise RuntimeError(
+                f"node {node_id} invoked {op.kind} while another "
+                "operation is pending (nodes are sequential, Sec. II-A)"
+            )
+        # resolve before recording: a bad name must leave no trace
+        op.gen = getattr(self.nodes[node_id], op.kind)(*op.args)
+        if record:
+            op.record = self.history.invoke(node_id, op.kind, op.args, self.clock.now)
+        op.sent_at_inv = self.sent[node_id]
+        if self.tracer is not None:
+            op.span = self.tracer.op_begin(node_id, op.kind, op.args)
+        self.ops[node_id] = op
+        self.resume(op)
+
+    def resume(self, op: OpHandle) -> None:
+        """Step ``op``'s generator until it parks on a false predicate
+        (``op.wait`` is set), returns (``op.done``) or its node is found
+        crashed after a flush (``op.aborted``)."""
+        op.wait = None
+        while True:
+            try:
+                yielded = op.gen.send(None)
+                if not isinstance(yielded, WaitUntil):
+                    raise TypeError(
+                        f"operation generator yielded {yielded!r}; expected WaitUntil"
+                    )
+            except StopIteration as stop:
+                self._finish(op, stop.value)
+                return
+            except BaseException:
+                self.abort(op)  # the op failed: free the node, then report
+                raise
+            self.flush(op.node)
+            if op.aborted:
+                return
+            if not yielded.predicate():
+                op.wait = yielded
+                return
+
+    def poll(self, op: OpHandle) -> None:
+        """Re-evaluate a parked operation's predicate; resume it if it
+        now holds (runtimes call this after a handler ran at the node)."""
+        wait = op.wait
+        if wait is not None and wait.predicate():
+            self.resume(op)
+
+    def _finish(self, op: OpHandle, result: Any) -> None:
+        self.flush(op.node)
+        if op.aborted:
+            return
+        op.result = result
+        op.done = True
+        op.sent_at_resp = self.sent[op.node]
+        if op.record is not None:
+            self.history.respond(op.record, self.clock.now, result)
+        if op.span is not None:
+            self.tracer.op_end(op.span, messages=op.messages_sent, result=result)
+        self._settle(op)
+
+    def abort(self, op: OpHandle) -> None:
+        """The op's node crashed, or its generator failed: it stays
+        pending in the history forever.  Idempotent."""
+        if op.done or op.aborted:
+            return
+        op.aborted = True
+        if op.record is not None:
+            self.history.abort(op.record)
+        if op.span is not None:
+            self.tracer.op_abort(
+                op.span, messages=self.sent[op.node] - op.sent_at_inv
+            )
+        self._settle(op)
+
+    def _settle(self, op: OpHandle) -> None:
+        op.gen = op.wait = None  # a kept handle must not keep the frame alive
+        if self.ops[op.node] is op:
+            self.ops[op.node] = None
+        for fn in op.callbacks:  # settled-callbacks fire on abort too
+            fn(op)
+
+    # -- transport plumbing -----------------------------------------------
+    def flush(self, node_id: int) -> None:
+        """Drain a node's outbox into the transport, in order."""
+        outbox = self.nodes[node_id].outbox
+        if not outbox:
+            return
+        is_crashed = self.is_crashed
+        while outbox:
+            if is_crashed(node_id):
+                # the node died mid-loop (BroadcastCrash): remaining
+                # queued sends never happened
+                outbox.clear()
+                break
+            item = outbox.popleft()
+            if type(item) is _Broadcast:
+                self.broadcast(node_id, item.payload, item.dests)
+            else:
+                self.send(node_id, item.dst, item.payload)
+        if is_crashed(node_id):
+            op = self.ops[node_id]
+            if op is not None:
+                self.abort(op)
+
+
+__all__ = ["OpDriver", "OpHandle"]

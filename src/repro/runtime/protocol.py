@@ -12,7 +12,7 @@ under both the discrete-event simulator and asyncio.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
@@ -70,12 +70,48 @@ class ProtocolNode(ABC):
         #: installed by a runtime when tracing is enabled; ``None`` keeps
         #: the phase annotations below free (one attribute read per call).
         self._phase_hook: Callable[[int, str, bool], None] | None = None
+        #: open quorum rounds, ``request type -> key -> {src: value}``
+        #: (:meth:`quorum_round` registers, :meth:`round_reply` files)
+        self._rounds: defaultdict[type, dict[Any, dict]] = defaultdict(dict)
 
     # -- fault-tolerance arithmetic -------------------------------------
     @property
     def quorum_size(self) -> int:
         """``n − f``: the size of every wait-for quorum in the paper."""
         return self.n - self.f
+
+    # -- the quorum round -------------------------------------------------
+    def quorum_round(
+        self, key: Any, payload: Any, what: str
+    ) -> Generator[WaitUntil, None, dict[int, Any]]:
+        """One "send to all, wait for ``n − f`` replies" round — the idiom
+        every algorithm of Table I is built from (Algorithm 1 lines
+        35-39): register ``key``, broadcast ``payload``, park until
+        ``n − f`` distinct nodes replied, unregister, return
+        ``{src: value}``.
+
+        The round's *kind* is ``type(payload)``.  A reply is filed only
+        by a :meth:`round_reply` naming that request type, so an ack of
+        another kind carrying the same key — a late one from a different
+        counter, or a forged one — never lands in this round.
+        """
+        replies: dict[int, Any] = {}
+        kind = type(payload)
+        self._rounds[kind][key] = replies
+        self.broadcast(payload)
+        need = self.n - self.f
+        yield WaitUntil(lambda: len(replies) >= need, what)
+        del self._rounds[kind][key]
+        return replies
+
+    def round_reply(self, kind: type, key: Any, src: int, value: Any = None) -> None:
+        """Handler side of :meth:`quorum_round`: file ``src``'s reply to
+        the open round of request type ``kind`` under ``key``.  Replies
+        to a round that is closed (late) or was never opened (stale,
+        forged) are dropped."""
+        replies = self._rounds[kind].get(key)
+        if replies is not None:
+            replies[src] = value
 
     # -- transport-facing API -------------------------------------------
     def send(self, dst: int, payload: Any) -> None:

@@ -35,7 +35,7 @@ only once a one-pass test has found that a violating pair exists.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
 from operator import attrgetter
@@ -88,18 +88,20 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
         if err is not None:
             violations.append(Violation("legal", err, (sc.op_id,)))
 
-    # (A0) no reads from the future: every update referenced by a scan's
-    # base was invoked before the scan responded.  Implicit in the paper
+    # (A0) no reads from the future: no update referenced by a scan's
+    # base was invoked after the scan responded (``sc → up``, strictly:
+    # another node's update invoked at the very instant the scan responds
+    # is concurrent with it and may be returned).  Implicit in the paper
     # (a value must physically reach the scanner); made explicit here so
     # that (A0)-(A4) are jointly sufficient (see repro.spec.linearize).
-    # On the scan's own node "before" is program order: an instantaneous
+    # On the scan's own node "after" is program order: an instantaneous
     # update and the instantaneous scan after it may share one timestamp.
     for sc, known in zip(scans, in_history):
         for j, k in enumerate(known):
             if j == sc.node:
                 early = min(k, _own_earlier(updates, sc))
             else:
-                early = bisect_left(updates.t_inv[j], sc.t_resp, 0, k)
+                early = bisect_right(updates.t_inv[j], sc.t_resp, 0, k)
             for up in updates.ops[j][early:k]:
                 violations.append(
                     Violation(

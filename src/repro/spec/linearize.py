@@ -11,11 +11,14 @@ Implements the paper's two-step construction verbatim:
   (again via invocation time, which refines ``→`` and per-writer order).
 
 One pragmatic note: conditions (A1)–(A4) as stated in the paper implicitly
-assume that a scan's base only references updates *invoked before the scan
+assume that a scan's base references no update *invoked after the scan
 responded* (true of any message-passing implementation — a value must
 physically reach the scanner).  Our condition checker enforces this
 explicitly as condition (A0); without it a "scan that reads from the
-future" would satisfy (A1)–(A4) yet admit no linearization.
+future" would satisfy (A1)–(A4) yet admit no linearization.  "After" is
+strict, like ``→``: another node's update invoked at the very instant the
+scan responds is concurrent with it, and Step II places it before the
+scan like any other update of the base.
 
 The result is re-validated against the sequential specification and the
 real-time order by :func:`repro.spec.order.validate_serialization`, so a

@@ -228,13 +228,13 @@ def test_instrumentation_counters():
 def test_read_tag_requests_are_scoped():
     """Stale readAcks from an earlier request must not satisfy a newer
     request's quorum (the reqid mechanism)."""
-    from repro.core.messages import MReadAck
+    from repro.core.messages import MReadAck, MReadTag
 
     node = EqAso(0, 5, 2)
     gen = node._read_tag()
     gen.send(None)  # starts the request; reqid 1
     node.on_message(1, MReadAck(0, reqid=999))  # stale/foreign ack
-    assert 1 in node._read_acks and len(node._read_acks[1]) == 0
+    assert node._rounds[MReadTag] == {1: {}}  # round 1 open, nothing filed
     node.on_message(1, MReadAck(4, reqid=1))
     node.on_message(2, MReadAck(2, reqid=1))
     node.on_message(3, MReadAck(0, reqid=1))

@@ -122,6 +122,27 @@ def test_a0_same_node_tie_own_update_is_not_from_the_future():
     assert [op.op_id for op in linearize(history)] == [0, 1]
 
 
+def test_a0_cross_node_tie_is_concurrent_not_from_the_future():
+    """Two nodes' clocks coincide: a scan responding at ``t`` may return
+    another node's update invoked at exactly ``t`` (``sc → up`` needs
+    ``t_resp < t_inv``, so the two are concurrent) — all four checkers
+    accept, and ``linearize`` places the update before the scan."""
+    b = HistoryBuilder(2)
+    b.scan(0, 0.0, 1.0, {1: ("b", 1)})  # responds at 1.0 ...
+    b.update(1, "b", 1.0, 2.0)  # ... the instant b is invoked
+    history = b.done()
+    assert check_atomicity_conditions(history) == []
+    assert ref.check_atomicity_conditions(history) == []
+    assert order_check(history, real_time=True).ok
+    assert brute_force_linearizable(history)
+    assert [op.op_id for op in linearize(history)] == [1, 0]
+    # one tick later the update is from the future, for every checker
+    b = HistoryBuilder(2)
+    b.scan(0, 0.0, 1.0, {1: ("b", 1)})
+    b.update(1, "b", 1.5, 2.0)
+    assert_rejected_by_every_checker(b.done(), "A0")
+
+
 def test_a2_same_node_tie_scan_misses_own_update():
     b = HistoryBuilder(2)
     b.update(0, "a", 0.0, 1.0)

@@ -122,6 +122,10 @@ def assert_agrees_with_reference(history):
     assert sorted(map(_key, got_a)) == sorted(
         map(_key, ref.check_atomicity_conditions(history))
     )
+    # Theorem 1 both ways, ties across nodes included: (A0)-(A4) hold
+    # iff the forced-order graph is acyclic (which ignores value contents)
+    ordered = all(v.condition == "legal" for v in got_a)
+    assert ordered == order_check(history, real_time=True).ok
     assert check_sso_conditions(history) == ref.check_sso_conditions(history)
 
     if got_a:

@@ -313,19 +313,16 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
                 )
             )
 
-    # (A0) no reads from the future: every update referenced by a scan's
-    # base was invoked before the scan responded.  Implicit in the paper
-    # (a value must physically reach the scanner); made explicit here so
-    # that (A0)-(A4) are jointly sufficient (see repro.spec.linearize).
+    # (A0) no reads from the future: no update referenced by a scan's
+    # base comes after the scan (``sc → up``: strictly later, or later in
+    # the scan's own program order).  Implicit in the paper (a value must
+    # physically reach the scanner); made explicit here so that (A0)-(A4)
+    # are jointly sufficient (see repro.spec.linearize).
     registry0 = history.update_registry()
     for sc in scans:
         for uid in bases[sc.op_id]:
             up = registry0.get(uid)
-            if (
-                up is not None
-                and up.t_inv >= sc.t_resp
-                and not History.occurs_before(up, sc)
-            ):
+            if up is not None and History.occurs_before(sc, up):
                 violations.append(
                     Violation(
                         "A0",
