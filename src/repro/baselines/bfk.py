@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.baselines.delporte import SegArray, _merge, _to_snapshot
-from repro.runtime.protocol import OpGen, ProtocolNode
+from repro.runtime.protocol import OpGen, ProtocolNode, handles
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,26 +184,31 @@ class BfkAso(ProtocolNode):
             self.stable = view
 
     # ------------------------------------------------------------------
-    def on_message(self, src: int, payload: Any) -> None:
-        match payload:
-            case MStoreB(writer, seq, value):
-                if seq > self.reg[writer][0]:
-                    reg = list(self.reg)
-                    reg[writer] = (seq, value)
-                    self.reg = tuple(reg)
-                self.send(src, MStoreAckB(writer, seq))
-            case MStoreAckB(writer, seq):
-                self.round_reply(MStoreB, (writer, seq), src)
-            case MQueryB(reqid, view):
-                self.reg = _merge(self.reg, view)
-                self.send(src, MQueryAckB(reqid, self.reg, self.stable))
-            case MQueryAckB(reqid, view, stable):
-                self._adopt_stable(stable)
-                self.round_reply(MQueryB, reqid, src, view)
-            case MStableB(view):
-                self._adopt_stable(view)
-            case _:
-                raise TypeError(f"BFK snapshot got unknown message {payload!r}")
+    @handles(MStoreB)
+    def _on_store(self, src: int, m: MStoreB) -> None:
+        if m.seq > self.reg[m.writer][0]:
+            reg = list(self.reg)
+            reg[m.writer] = (m.seq, m.value)
+            self.reg = tuple(reg)
+        self.send(src, MStoreAckB(m.writer, m.seq))
+
+    @handles(MStoreAckB)
+    def _on_store_ack(self, src: int, m: MStoreAckB) -> None:
+        self.round_reply(MStoreB, (m.writer, m.seq), src)
+
+    @handles(MQueryB)
+    def _on_query(self, src: int, m: MQueryB) -> None:
+        self.reg = _merge(self.reg, m.view)
+        self.send(src, MQueryAckB(m.reqid, self.reg, self.stable))
+
+    @handles(MQueryAckB)
+    def _on_query_ack(self, src: int, m: MQueryAckB) -> None:
+        self._adopt_stable(m.stable)
+        self.round_reply(MQueryB, m.reqid, src, m.view)
+
+    @handles(MStableB)
+    def _on_stable(self, src: int, m: MStableB) -> None:
+        self._adopt_stable(m.view)
 
 
 __all__ = ["BfkAso"]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.core.tags import Snapshot, Timestamp, ValueTs
-from repro.runtime.protocol import OpGen, ProtocolNode
+from repro.runtime.protocol import OpGen, ProtocolNode, handles
 
 # a replica's segment array: tuple of (seq, value) with seq 0 = ⊥
 SegArray = tuple[tuple[int, Any], ...]
@@ -134,23 +134,26 @@ class DelporteAso(ProtocolNode):
             # else: a concurrent update moved the object; go around again
 
     # ------------------------------------------------------------------
-    def on_message(self, src: int, payload: Any) -> None:
-        match payload:
-            case MWrite(writer, seq, value):
-                if seq > self.reg[writer][0]:
-                    reg = list(self.reg)
-                    reg[writer] = (seq, value)
-                    self.reg = tuple(reg)
-                self.send(src, MWriteAckD(writer, seq))
-            case MWriteAckD(writer, seq):
-                self.round_reply(MWrite, (writer, seq), src)
-            case MCollect(reqid, view):
-                self.reg = _merge(self.reg, view)
-                self.send(src, MCollectAck(reqid, self.reg))
-            case MCollectAck(reqid, view):
-                self.round_reply(MCollect, reqid, src, view)
-            case _:
-                raise TypeError(f"Delporte ASO got unknown message {payload!r}")
+    @handles(MWrite)
+    def _on_write(self, src: int, m: MWrite) -> None:
+        if m.seq > self.reg[m.writer][0]:
+            reg = list(self.reg)
+            reg[m.writer] = (m.seq, m.value)
+            self.reg = tuple(reg)
+        self.send(src, MWriteAckD(m.writer, m.seq))
+
+    @handles(MWriteAckD)
+    def _on_write_ack(self, src: int, m: MWriteAckD) -> None:
+        self.round_reply(MWrite, (m.writer, m.seq), src)
+
+    @handles(MCollect)
+    def _on_collect(self, src: int, m: MCollect) -> None:
+        self.reg = _merge(self.reg, m.view)
+        self.send(src, MCollectAck(m.reqid, self.reg))
+
+    @handles(MCollectAck)
+    def _on_collect_ack(self, src: int, m: MCollectAck) -> None:
+        self.round_reply(MCollect, m.reqid, src, m.view)
 
 
 __all__ = ["DelporteAso"]

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.baselines.delporte import SegArray, _merge, _to_snapshot
-from repro.runtime.protocol import OpGen, ProtocolNode
+from repro.runtime.protocol import OpGen, ProtocolNode, handles
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,27 +155,34 @@ class ImprRegisters(ProtocolNode):
         return merged
 
     # -- server thread ----------------------------------------------------
-    def on_message(self, src: int, payload: Any) -> None:
-        match payload:
-            case MRegWrite(writer, seq, value):
-                if seq > self.regs[writer][0]:
-                    regs = list(self.regs)
-                    regs[writer] = (seq, value)
-                    self.regs = tuple(regs)
-                self.send(src, MRegWriteAck(writer, seq))
-            case MRegWriteAck(writer, seq):
-                self.round_reply(MRegWrite, (writer, seq), src)
-            case MRegRead(reqid):
-                self.send(src, MRegReadAck(reqid, self.regs))
-            case MRegReadAck(reqid, array):
-                self.round_reply(MRegRead, reqid, src, array)
-            case MRegWriteBack(reqid, array):
-                self.regs = _merge(self.regs, array)
-                self.send(src, MRegWriteBackAck(reqid))
-            case MRegWriteBackAck(reqid):
-                self.round_reply(MRegWriteBack, reqid, src)
-            case _:
-                raise TypeError(f"IMPR registers got unknown message {payload!r}")
+    @handles(MRegWrite)
+    def _on_reg_write(self, src: int, m: MRegWrite) -> None:
+        if m.seq > self.regs[m.writer][0]:
+            regs = list(self.regs)
+            regs[m.writer] = (m.seq, m.value)
+            self.regs = tuple(regs)
+        self.send(src, MRegWriteAck(m.writer, m.seq))
+
+    @handles(MRegWriteAck)
+    def _on_reg_write_ack(self, src: int, m: MRegWriteAck) -> None:
+        self.round_reply(MRegWrite, (m.writer, m.seq), src)
+
+    @handles(MRegRead)
+    def _on_reg_read(self, src: int, m: MRegRead) -> None:
+        self.send(src, MRegReadAck(m.reqid, self.regs))
+
+    @handles(MRegReadAck)
+    def _on_reg_read_ack(self, src: int, m: MRegReadAck) -> None:
+        self.round_reply(MRegRead, m.reqid, src, m.array)
+
+    @handles(MRegWriteBack)
+    def _on_write_back(self, src: int, m: MRegWriteBack) -> None:
+        self.regs = _merge(self.regs, m.array)
+        self.send(src, MRegWriteBackAck(m.reqid))
+
+    @handles(MRegWriteBackAck)
+    def _on_write_back_ack(self, src: int, m: MRegWriteBackAck) -> None:
+        self.round_reply(MRegWriteBack, m.reqid, src)
 
 
 class ImprRegisterAso(ImprRegisters):

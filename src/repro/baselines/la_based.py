@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.core.tags import Timestamp, ValueTs, extract
-from repro.runtime.protocol import OpGen, ProtocolNode
+from repro.runtime.protocol import OpGen, ProtocolNode, handles
 
 Atom = tuple[int, int, Any]  # (proposer/writer, seq, value)
 
@@ -111,24 +111,24 @@ class _ClassifierCore:
                 hi = label - 1
         return frozenset(v)
 
-    def _classifier_handle(self, src: int, payload: Any) -> bool:
-        match payload:
-            case MClsWrite(instance, rnd, label, reqid, atoms):
-                self._store.setdefault((instance, rnd, label), set()).update(atoms)
-                self.send(src, MClsWriteAck(reqid))
-                return True
-            case MClsWriteAck(reqid):
-                self.round_reply(MClsWrite, reqid, src)
-                return True
-            case MClsRead(instance, rnd, label, reqid):
-                stored = self._store.get((instance, rnd, label), set())
-                self.send(src, MClsReadAck(reqid, frozenset(stored)))
-                return True
-            case MClsReadAck(reqid, atoms):
-                self.round_reply(MClsRead, reqid, src, atoms)
-                return True
-            case _:
-                return False
+    @handles(MClsWrite)
+    def _on_cls_write(self, src: int, m: MClsWrite) -> None:
+        key = (m.instance, m.round, m.label)
+        self._store.setdefault(key, set()).update(m.atoms)
+        self.send(src, MClsWriteAck(m.reqid))
+
+    @handles(MClsWriteAck)
+    def _on_cls_write_ack(self, src: int, m: MClsWriteAck) -> None:
+        self.round_reply(MClsWrite, m.reqid, src)
+
+    @handles(MClsRead)
+    def _on_cls_read(self, src: int, m: MClsRead) -> None:
+        stored = self._store.get((m.instance, m.round, m.label), set())
+        self.send(src, MClsReadAck(m.reqid, frozenset(stored)))
+
+    @handles(MClsReadAck)
+    def _on_cls_read_ack(self, src: int, m: MClsReadAck) -> None:
+        self.round_reply(MClsRead, m.reqid, src, m.atoms)
 
 
 class ClassifierLA(_ClassifierCore, ProtocolNode):
@@ -155,10 +155,6 @@ class ClassifierLA(_ClassifierCore, ProtocolNode):
         decided = yield from self._classifier_run("oneshot", atoms)
         self.phase_exit("classifier")
         return frozenset(a[2] for a in decided)
-
-    def on_message(self, src: int, payload: Any) -> None:
-        if not self._classifier_handle(src, payload):
-            raise TypeError(f"classifier LA got unknown message {payload!r}")
 
 
 # ----------------------------------------------------------------------
@@ -245,22 +241,22 @@ class LatticeAso(_ClassifierCore, ProtocolNode):
                 return want
 
     # -- server thread ------------------------------------------------------
-    def on_message(self, src: int, payload: Any) -> None:
-        if self._classifier_handle(src, payload):
-            return
-        match payload:
-            case MGossip(atom):
-                self.known.add(atom)
-                if atom not in self._seen_gossip:
-                    self._seen_gossip.add(atom)
-                    self.broadcast(MGossip(atom))
-            case MCommit(reqid, atoms):
-                self.committed |= atoms
-                self.send(src, MCommitAck(reqid, frozenset(self.committed)))
-            case MCommitAck(reqid, atoms):
-                self.round_reply(MCommit, reqid, src, atoms)
-            case _:
-                raise TypeError(f"lattice ASO got unknown message {payload!r}")
+    @handles(MGossip)
+    def _on_gossip(self, src: int, m: MGossip) -> None:
+        atom = m.atom
+        self.known.add(atom)
+        if atom not in self._seen_gossip:
+            self._seen_gossip.add(atom)
+            self.broadcast(MGossip(atom))
+
+    @handles(MCommit)
+    def _on_commit(self, src: int, m: MCommit) -> None:
+        self.committed |= m.atoms
+        self.send(src, MCommitAck(m.reqid, frozenset(self.committed)))
+
+    @handles(MCommitAck)
+    def _on_commit_ack(self, src: int, m: MCommitAck) -> None:
+        self.round_reply(MCommit, m.reqid, src, m.atoms)
 
 
 __all__ = ["ClassifierLA", "LatticeAso"]

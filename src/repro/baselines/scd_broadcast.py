@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.baselines.delporte import _to_snapshot
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
+from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil, handles
 
 Mid = tuple[int, int]  # (origin, origin-local sequence number)
 
@@ -88,20 +88,18 @@ class ScdBroadcastNode(ProtocolNode):
         return mid in self.delivered
 
     # -- delivery machinery ------------------------------------------------
-    def on_message(self, src: int, payload: Any) -> None:
-        match payload:
-            case MForward(mid, inner):
-                if mid not in self._arrival[src]:
-                    self._arrival[src][mid] = self._arrival_count[src]
-                    self._arrival_count[src] += 1
-                    self._forwarders.setdefault(mid, set()).add(src)
-                    self._payloads.setdefault(mid, inner)
-                    if mid not in self._forwarded:
-                        self._forwarded.add(mid)
-                        self.broadcast(MForward(mid, inner))
-                    self._try_deliver()
-            case _:
-                raise TypeError(f"SCD node got unknown message {payload!r}")
+    @handles(MForward)
+    def _on_forward(self, src: int, m: MForward) -> None:
+        mid = m.mid
+        if mid not in self._arrival[src]:
+            self._arrival[src][mid] = self._arrival_count[src]
+            self._arrival_count[src] += 1
+            self._forwarders.setdefault(mid, set()).add(src)
+            self._payloads.setdefault(mid, m.payload)
+            if mid not in self._forwarded:
+                self._forwarded.add(mid)
+                self.broadcast(MForward(mid, m.payload))
+            self._try_deliver()
 
     def _ready(self, mid: Mid) -> bool:
         return len(self._forwarders.get(mid, ())) >= self.quorum_size

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.tags import Snapshot, Timestamp, ValueTs, extract
-from repro.runtime.protocol import OpGen, ProtocolNode
+from repro.runtime.protocol import OpGen, ProtocolNode, handles
 
 Triple = tuple[int, int, Any]  # (writer, useq, value)
 
@@ -129,20 +129,23 @@ class StoreCollectObject(ProtocolNode):
                 return query_view
 
     # -- server thread ----------------------------------------------------
-    def on_message(self, src: int, payload: Any) -> None:
-        match payload:
-            case MStore(seq, view):
-                self.knowledge |= view
-                self.send(src, MStoreAck(src, seq))
-            case MStoreAck(_, seq):
-                self.round_reply(MStore, seq, src)
-            case MQuery(reqid, view):
-                self.knowledge |= view
-                self.send(src, MQueryAck(reqid, self.knowledge))
-            case MQueryAck(reqid, view):
-                self.round_reply(MQuery, reqid, src, view)
-            case _:
-                raise TypeError(f"store-collect got unknown message {payload!r}")
+    @handles(MStore)
+    def _on_store(self, src: int, m: MStore) -> None:
+        self.knowledge |= m.view
+        self.send(src, MStoreAck(src, m.seq))
+
+    @handles(MStoreAck)
+    def _on_store_ack(self, src: int, m: MStoreAck) -> None:
+        self.round_reply(MStore, m.seq, src)
+
+    @handles(MQuery)
+    def _on_query(self, src: int, m: MQuery) -> None:
+        self.knowledge |= m.view
+        self.send(src, MQueryAck(m.reqid, self.knowledge))
+
+    @handles(MQueryAck)
+    def _on_query_ack(self, src: int, m: MQueryAck) -> None:
+        self.round_reply(MQuery, m.reqid, src, m.view)
 
 
 class StoreCollectAso(StoreCollectObject):

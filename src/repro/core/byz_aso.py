@@ -44,9 +44,14 @@ from typing import Any, Generator
 
 from repro.core.byz_messages import MByzGoodLA, MHave
 from repro.core.eq_aso import EqAso, View
+from repro.core.messages import MEchoTag, MReadAck, MReadTag, MWriteAck, MWriteTag
 from repro.core.tags import Timestamp, ValueTs
 from repro.net.rbc import BrachaRBC
 from repro.runtime.protocol import OpGen, WaitUntil
+
+#: lines 43-48 run through the table inherited from EqAso; its ``value``/
+#: ``goodLA`` entries stay unreachable (RBC values, verified borrows)
+_TAG_KINDS = frozenset({MWriteTag, MWriteAck, MEchoTag, MReadTag, MReadAck})
 
 
 class ByzantineAso(EqAso):
@@ -232,7 +237,9 @@ class ByzantineAso(EqAso):
         try:
             if self.rbc.handle(src, payload):
                 return
-            if self._handle_tag_message(src, payload):
+            kind = type(payload)
+            if kind in _TAG_KINDS:
+                self._handlers[kind](self, src, payload)
                 return
             match payload:
                 case MHave(vt) if isinstance(vt, ValueTs):

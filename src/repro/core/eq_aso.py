@@ -45,7 +45,7 @@ from repro.core.messages import (
 )
 from repro.core.tags import Timestamp, ValueTs, extract
 from repro.core.views import ViewVector
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
+from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil, handles
 
 #: a view is a set of values; the view plane hands them out as handles
 #: (:class:`repro.core.views.ViewHandle`), ``ByzantineAso`` also holds
@@ -230,52 +230,50 @@ class EqAso(ProtocolNode):
     # ==================================================================
     # server thread (lines 40-49); each invocation is atomic
     # ==================================================================
-    def on_message(self, src: int, payload: Any) -> None:
-        if self._handle_tag_message(src, payload):
-            return
-        match payload:
-            case MValue(vt):  # lines 40-42
-                self.V.add(src, vt)
-                self.V.add(self.node_id, vt)
-                if vt not in self._seen:
-                    self._seen.add(vt)
-                    self.broadcast(MValue(vt))  # forward exactly once
-            case MGoodLA(tag):  # line 49
-                view = self.V.restricted_row(src, tag)
-                self.D_view[src] = view
-                self._good_la_views.setdefault(tag, {})[src] = view
-                self._on_safe_view(view)
-            case _:
-                raise TypeError(f"EQ-ASO got unknown message {payload!r}")
+    @handles(MValue)
+    def _on_value(self, src: int, m: MValue) -> None:  # lines 40-42
+        vt = m.vt
+        self.V.add(src, vt)
+        self.V.add(self.node_id, vt)
+        if vt not in self._seen:
+            self._seen.add(vt)
+            self.broadcast(MValue(vt))  # forward exactly once
 
-    def _handle_tag_message(self, src: int, payload: Any) -> bool:
-        """Handlers for the tag sub-protocol (lines 43-48); shared with the
-        Byzantine variant.  Returns True iff the message was consumed."""
-        match payload:
-            case MWriteTag(tag, reqid):  # lines 43-46
-                if tag > self.max_tag:
-                    self.max_tag = tag
-                    self.broadcast(MEchoTag(tag))
-                    self._gc_old_tags()
-                # writeAck is unconditional; see module docstring.
-                self.send(src, MWriteAck(tag, reqid))
-                return True
-            case MWriteAck(_, reqid):
-                self.round_reply(MWriteTag, reqid, src)
-                return True
-            case MEchoTag(tag):  # line 47
-                if tag > self.max_tag:
-                    self.max_tag = tag
-                    self._gc_old_tags()
-                return True
-            case MReadTag(reqid):  # line 48
-                self.send(src, MReadAck(self.max_tag, reqid))
-                return True
-            case MReadAck(tag, reqid):
-                self.round_reply(MReadTag, reqid, src, tag)
-                return True
-            case _:
-                return False
+    @handles(MGoodLA)
+    def _on_good_la(self, src: int, m: MGoodLA) -> None:  # line 49
+        view = self.V.restricted_row(src, m.tag)
+        self.D_view[src] = view
+        self._good_la_views.setdefault(m.tag, {})[src] = view
+        self._on_safe_view(view)
+
+    # the tag sub-protocol (lines 43-48); shared with the Byzantine variant
+    @handles(MWriteTag)
+    def _on_write_tag(self, src: int, m: MWriteTag) -> None:  # lines 43-46
+        tag = m.tag
+        if tag > self.max_tag:
+            self.max_tag = tag
+            self.broadcast(MEchoTag(tag))
+            self._gc_old_tags()
+        # writeAck is unconditional; see module docstring.
+        self.send(src, MWriteAck(tag, m.reqid))
+
+    @handles(MWriteAck)
+    def _on_write_ack(self, src: int, m: MWriteAck) -> None:
+        self.round_reply(MWriteTag, m.reqid, src)
+
+    @handles(MEchoTag)
+    def _on_echo_tag(self, src: int, m: MEchoTag) -> None:  # line 47
+        if m.tag > self.max_tag:
+            self.max_tag = m.tag
+            self._gc_old_tags()
+
+    @handles(MReadTag)
+    def _on_read_tag(self, src: int, m: MReadTag) -> None:  # line 48
+        self.send(src, MReadAck(self.max_tag, m.reqid))
+
+    @handles(MReadAck)
+    def _on_read_ack(self, src: int, m: MReadAck) -> None:
+        self.round_reply(MReadTag, m.reqid, src, m.tag)
 
     # ------------------------------------------------------------------
     def _record_good_la(self, tag: int, view: View) -> None:

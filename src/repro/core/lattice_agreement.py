@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from repro.core.views import ViewVector
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
+from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil, handles
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,23 +100,23 @@ class EarlyStoppingLA(ProtocolNode):
         decided = holder[-1]
         return frozenset(el.item for el in decided)
 
-    def on_message(self, src: int, payload: Any) -> None:
-        match payload:
-            case MLAValue(el):
-                self.V.add(src, el)  # type: ignore[arg-type]
-                self.V.add(self.node_id, el)  # type: ignore[arg-type]
-                if el not in self._seen:
-                    self._seen.add(el)
-                    self.broadcast(MLAValue(el))
-                if el.proposer != self.node_id:
-                    self.send(el.proposer, MLAAck(el))
-                elif el in self._acks:
-                    self._acks[el].add(self.node_id)
-            case MLAAck(el):
-                if el in self._acks:
-                    self._acks[el].add(src)
-            case _:
-                raise TypeError(f"LA got unknown message {payload!r}")
+    @handles(MLAValue)
+    def _on_la_value(self, src: int, m: MLAValue) -> None:
+        el = m.element
+        self.V.add(src, el)  # type: ignore[arg-type]
+        self.V.add(self.node_id, el)  # type: ignore[arg-type]
+        if el not in self._seen:
+            self._seen.add(el)
+            self.broadcast(MLAValue(el))
+        if el.proposer != self.node_id:
+            self.send(el.proposer, MLAAck(el))
+        elif el in self._acks:
+            self._acks[el].add(self.node_id)
+
+    @handles(MLAAck)
+    def _on_la_ack(self, src: int, m: MLAAck) -> None:
+        if m.element in self._acks:
+            self._acks[m.element].add(src)
 
 
 __all__ = ["EarlyStoppingLA", "LAElement", "MLAValue", "MLAAck"]

@@ -18,7 +18,7 @@ from typing import Any
 from repro.core.messages import MValue, MValueAck
 from repro.core.tags import Timestamp, ValueTs, extract
 from repro.core.views import ViewVector
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
+from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil, handles
 
 
 class OneShotAso(ProtocolNode):
@@ -72,23 +72,23 @@ class OneShotAso(ProtocolNode):
     # ------------------------------------------------------------------
     # server thread
     # ------------------------------------------------------------------
-    def on_message(self, src: int, payload: Any) -> None:
-        match payload:
-            case MValue(vt):
-                self.V.add(src, vt)
-                self.V.add(self.node_id, vt)
-                if vt not in self._seen:
-                    self._seen.add(vt)
-                    self.broadcast(MValue(vt))
-                # ack the *writer* so its update can complete
-                if vt.writer != self.node_id:
-                    self.send(vt.writer, MValueAck(vt))
-                else:
-                    self.round_reply(MValue, vt, self.node_id)
-            case MValueAck(vt):
-                self.round_reply(MValue, vt, src)
-            case _:
-                raise TypeError(f"one-shot ASO got unknown message {payload!r}")
+    @handles(MValue)
+    def _on_value(self, src: int, m: MValue) -> None:
+        vt = m.vt
+        self.V.add(src, vt)
+        self.V.add(self.node_id, vt)
+        if vt not in self._seen:
+            self._seen.add(vt)
+            self.broadcast(MValue(vt))
+        # ack the *writer* so its update can complete
+        if vt.writer != self.node_id:
+            self.send(vt.writer, MValueAck(vt))
+        else:
+            self.round_reply(MValue, vt, self.node_id)
+
+    @handles(MValueAck)
+    def _on_value_ack(self, src: int, m: MValueAck) -> None:
+        self.round_reply(MValue, m.vt, src)
 
 
 __all__ = ["OneShotAso"]

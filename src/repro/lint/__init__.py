@@ -10,7 +10,7 @@ that ordinary linters cannot see.  This package enforces them:
   ``core/``, ``baselines/``, ``net/``; communication only via the
   ``send``/``broadcast`` outbox helpers;
 - **RL003 message immutability** — frozen wire-message dataclasses; no
-  mutation of received payloads in ``on_message``;
+  mutation of received payloads in a handler;
 - **RL004 quorum arithmetic** — thresholds derived from ``self.n``/
   ``self.f``, integer arithmetic on counts;
 - **RL005 phase coverage** — every public protocol op annotates its

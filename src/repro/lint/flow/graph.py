@@ -9,11 +9,14 @@ conversation-level rules:
   ``rbc_broadcast``/``scd_broadcast``) on *any* receiver, so Byzantine behaviors sending
   through their shell and ``BrachaRBC`` sending through ``self._node``
   count too;
-- **consume sites** — ``match``-case class patterns and ``isinstance``
-  tests against indexed message dataclasses.  A consume site is an *arm*
-  when the matched subject is a function parameter of a protocol (or
-  protocol-component) class method — the conservative subset RL007's
-  dead-handler check runs on;
+- **consume sites** — methods registered in a protocol class's handler
+  table (``@handles(MValue)``; the fields consumed are the attribute
+  reads on the payload parameter), ``match``-case class patterns and
+  ``isinstance`` tests against indexed message dataclasses.  A consume
+  site is an *arm* when it is a registered handler or the matched
+  subject is a function parameter of a protocol (or protocol-component)
+  class method — the conservative subset RL007's dead-handler check
+  runs on;
 - **constructions / narrowed field reads** — every construction of a
   message class anywhere, and every ``var.field`` read under an
   ``isinstance``/``match`` narrowing, for RL008's schema conformance;
@@ -94,7 +97,8 @@ class SendSite:
 
 @dataclass(frozen=True, slots=True)
 class ConsumeSite:
-    """A ``match``-class pattern or ``isinstance`` test on a message."""
+    """A registered handler, ``match``-class pattern or ``isinstance``
+    test on a message."""
 
     message: str
     path: str
@@ -102,7 +106,7 @@ class ConsumeSite:
     col: int
     cls: str | None
     method: str | None
-    kind: str  # "match" | "isinstance"
+    kind: str  # "handler" | "match" | "isinstance"
     is_arm: bool
     fields_read: tuple[str, ...] = ()
     n_positional: int = 0
@@ -238,7 +242,26 @@ def _scan_module(
             top = fn if fn is not None else node
             meth = method if method is not None else node.name
             if fn is None:
-                _narrowed_reads(node, message_class, graph, module.path)
+                kind = registered_kind(node) if node.args.args else None
+                name = message_class(kind) if kind is not None else None
+                payload = {node.args.args[-1].arg: name} if name is not None else {}
+                seen = len(graph.reads)
+                _narrowed_reads(node, message_class, graph, module.path, payload)
+                if kind is not None and name is not None:
+                    fields = {r.attr for r in graph.reads[seen:] if r.message == name}
+                    graph.consumes.append(
+                        ConsumeSite(
+                            message=name,
+                            path=module.path,
+                            lineno=kind.lineno,
+                            col=kind.col_offset + 1,
+                            cls=cls,
+                            method=node.name,
+                            kind="handler",
+                            is_arm=True,
+                            fields_read=tuple(sorted(fields)),
+                        )
+                    )
             for child in node.body:
                 scan(child, cls, meth, top, params | own)
             return
@@ -398,6 +421,19 @@ def _scan_module(
         scan(stmt, None, None, None, frozenset())
 
 
+def registered_kind(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> ast.expr | None:
+    """The message type ``fn`` is registered for in its class's handler
+    table — the argument of its ``@handles(...)`` decorator — or None."""
+    for dec in fn.decorator_list:
+        if isinstance(dec, ast.Call) and len(dec.args) == 1:
+            func = dec.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "handles":
+                return dec.args[0]
+    return None
+
+
 def _name_message_type(
     name: str,
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -496,10 +532,12 @@ def _narrowed_reads(
     message_class: ClassResolver,
     graph: FlowGraph,
     path: str,
+    params: dict[str, str],
 ) -> None:
     """Collect ``var.attr`` reads where ``var`` is narrowed to a message
     class by ``isinstance`` (if-body, ``and``-chain, early-exit ``if not
-    isinstance: return``, ``assert``) or by a ``match`` class pattern."""
+    isinstance: return``, ``assert``), by a ``match`` class pattern, or
+    from the start (``params``: a registered handler's payload)."""
 
     def narrow_of(test: ast.expr) -> tuple[str, str] | None:
         """``isinstance(x, C)`` with a Name subject and single class."""
@@ -629,7 +667,7 @@ def _narrowed_reads(
             else:
                 read_expr(stmt, env)
 
-    scan_block(fn.body, {})
+    scan_block(fn.body, params)
 
 
 # -- liveness helpers (RL010) -------------------------------------------
@@ -819,5 +857,6 @@ __all__ = [
     "local_aliases",
     "local_root",
     "method_mutations",
+    "registered_kind",
     "self_attr_root",
 ]

@@ -21,7 +21,7 @@ from repro.lint.rules.rl010_liveness import UnsatisfiableWaitRule
 
 #: bump whenever any rule's behaviour changes — part of the result-cache
 #: fingerprint, so stale cached findings can never survive a rule edit
-RULES_VERSION = "2026.08-rl010"
+RULES_VERSION = "2026.09-handler-table"
 
 #: rule id -> rule instance (rules are stateless; one instance serves
 #: every run)

@@ -15,8 +15,9 @@ never iterates an unordered collection.  Two checks:
    derivation and ordered merge keep sweeps byte-identical to serial
    runs — a pool rolled anywhere else reintroduces scheduling
    nondeterminism with none of those guarantees.
-2. **Unordered iteration** — inside ``on_message``/``on_start`` and any
-   generator method of a :class:`ProtocolNode` subclass, a ``for`` loop
+2. **Unordered iteration** — inside ``on_message``/``on_start``, any
+   registered ``@handles`` method and any generator method of a
+   :class:`ProtocolNode` subclass, a ``for`` loop
    (or comprehension) over a set-valued expression must be wrapped in
    ``sorted(...)``.  Set iteration order depends on insertion history
    and hash seeds, so an unsorted loop silently breaks replay and
@@ -30,6 +31,7 @@ from typing import Iterator
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
+from repro.lint.flow.graph import registered_kind
 from repro.lint.project import (
     ClassInfo,
     ModuleInfo,
@@ -127,7 +129,11 @@ class DeterminismRule(Rule):
     ) -> Iterator[Finding]:
         attr_sets = index.set_typed_attrs(cls.name)
         for name, fn in cls.methods.items():
-            if name not in _HANDLER_METHODS and not is_generator(fn):
+            if (
+                name not in _HANDLER_METHODS
+                and registered_kind(fn) is None
+                and not is_generator(fn)
+            ):
                 continue
             local_sets = _local_set_names(fn)
 

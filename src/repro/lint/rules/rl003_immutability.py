@@ -8,8 +8,9 @@ produce in a real network.  Two checks:
 
 1. Every ``@dataclass`` in a wire-message module (``*messages*.py``)
    must be declared ``frozen=True``.
-2. Inside ``on_message``, no attribute/element assignment (or deletion)
-   may target the received payload parameter.
+2. Inside ``on_message`` and every registered ``@handles`` method, no
+   attribute/element assignment (or deletion) may target the received
+   payload parameter.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterator
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
+from repro.lint.flow.graph import registered_kind
 from repro.lint.project import ModuleInfo, ProjectIndex
 from repro.lint.rules.base import Rule
 
@@ -44,7 +46,7 @@ def _frozen_true(node: ast.expr) -> bool:
 
 
 def _payload_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:
-    """The message parameter of ``on_message(self, src, payload)`` — the
+    """The message parameter of a handler ``(self, src, payload)`` — the
     last positional argument."""
     args = fn.args.args
     if len(args) >= 3:
@@ -76,9 +78,9 @@ class MessageImmutabilityRule(Rule):
         if config.is_messages_module(module.path):
             yield from self._check_frozen(module)
         for cls in index.protocol_classes_in(module):
-            handler = cls.methods.get("on_message")
-            if handler is not None:
-                yield from self._check_payload_mutation(module, cls.name, handler)
+            for name, fn in cls.methods.items():
+                if name == "on_message" or registered_kind(fn) is not None:
+                    yield from self._check_payload_mutation(module, cls.name, fn)
 
     def _check_frozen(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -119,7 +121,7 @@ class MessageImmutabilityRule(Rule):
                     yield self.finding(
                         module,
                         target,
-                        f"{class_name}.on_message mutates the received "
+                        f"{class_name}.{fn.name} mutates the received "
                         f"message {param!r}; other recipients share this "
                         f"object",
                     )

@@ -62,8 +62,8 @@ class DeadLetterRule(Rule):
                     col=send.col,
                     message=(
                         f"dead letter: '{send.message}' is sent by {where} "
-                        f"(via {send.via}) but no match arm or isinstance "
-                        "test anywhere consumes it"
+                        f"(via {send.via}) but no registered handler, match "
+                        "arm or isinstance test anywhere consumes it"
                     ),
                     fix_hint=self.fix_hint,
                 )

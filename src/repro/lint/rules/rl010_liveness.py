@@ -2,17 +2,19 @@
 
 A ``WaitUntil`` predicate only ever becomes true because *message
 arrival* mutates the state it reads: the enclosing operation is parked
-at the yield, so progress must come from ``on_message`` (or a component
-delivery callback such as RBC's).  This rule checks, per wait site:
+at the yield, so progress must come from a registered handler,
+``on_message`` or a component delivery callback such as RBC's.  This
+rule checks, per wait site:
 
 1. which ``self`` attributes the predicate depends on — direct reads,
    reads through self-method/property calls (depth-limited), and local
    closure variables aliasing a ``self`` attribute (in either
    assignment direction, e.g. ``self._rounds[kind][key] = replies``);
 2. whether *any* of those attributes is mutated somewhere in the
-   handler closure (``on_message`` plus component callbacks, expanded
-   through self-calls along the MRO) by code whose governing
-   match/isinstance arm is a message type that reachable code actually
+   handler closure (registered handlers, ``on_message`` and component
+   callbacks, expanded through self-calls along the MRO) by code whose
+   governing arm — the handler's registered kind, or a match/isinstance
+   arm inside it — is a message type that reachable code actually
    sends (unconditional mutations and arms on unindexed classes count
    as live).
 
@@ -42,6 +44,7 @@ from repro.lint.flow.graph import (
     build_flow_graph,
     local_aliases,
     method_mutations,
+    registered_kind,
 )
 from repro.lint.project import ModuleInfo, ProjectIndex, is_generator
 from repro.lint.rules.base import Rule
@@ -88,6 +91,12 @@ class _ClassAnalysis:
         self.index = index
         self.reachable_fn_ids = self._closure(self._public_ops())
         handler_roots = ["on_message", *index.component_callbacks(cls)]
+        for info in index.mro(cls):
+            handler_roots += [
+                name
+                for name, fn in info.methods.items()
+                if registered_kind(fn) is not None
+            ]
         self.live_attrs = self._live_attrs(
             self._closure_fns(handler_roots), graph
         )
@@ -157,12 +166,12 @@ class _ClassAnalysis:
         live: set[str] = set()
         for fn, module_path in handler_fns:
             resolver = _resolver_for(self.index, module_path)
+            # a registered handler's whole body is the arm of its kind
+            kind = registered_kind(fn)
+            whole = resolver(kind) if kind is not None else None
             for mutation in method_mutations(fn, resolver):
-                if (
-                    mutation.arm is None
-                    or mutation.arm in sent
-                    or mutation.arm not in graph.schemas
-                ):
+                arm = mutation.arm if mutation.arm is not None else whole
+                if arm is None or arm in sent or arm not in graph.schemas:
                     live.add(mutation.attr)
         return frozenset(live)
 

@@ -16,8 +16,10 @@ crashed in the meantime are dropped at delivery time.
 
 There is one send path.  Per-message scheduling is closure-free (the
 delivery event carries ``(src, dst, payload, sent_at)``), the FIFO clamp
-table is a flat ``n*n`` float list, constant-delay models are sampled
-without a virtual call, and :meth:`Network.broadcast` batches its
+table is a flat ``n*n`` float list, a constant-delay model is read
+once and every other model's ``sample`` is bound once (its draws are
+checked against ``[0, D]`` inline, on both send paths), and
+:meth:`Network.broadcast` batches its
 fan-out — one delivery event per distinct post-clamp delivery time
 carrying the destination list, so a lockstep broadcast costs ~1 kernel
 event instead of ``n − 1``.  Per-destination crash-drop checks still
@@ -60,6 +62,13 @@ class DeliveryRecord:
     sent_at: float
     delivered_at: float
     dropped: bool
+
+
+def _bad_delay(delay: float, D: float, src: int, dst: int) -> ValueError:
+    """A model broke its contract (``not 0 <= d <= D`` catches NaN too)."""
+    return ValueError(
+        f"delay model produced {delay} outside [0, {D}] for {src}->{dst}"
+    )
 
 
 class Network:
@@ -117,6 +126,8 @@ class Network:
         self._const_delay: float | None = (
             delay_model.delay if type(delay_model) is ConstantDelay else None
         )
+        self._sample = delay_model.sample
+        self._max_delay = delay_model.D
         # delivery times are provably >= now (delay >= 0 plus a monotone
         # clamp), so the kernel's schedule-time validation is redundant:
         # bind the queue's push and the crash predicate once.
@@ -198,7 +209,9 @@ class Network:
         else:
             delay = self._const_delay
             if delay is None:
-                delay = self.delay_model.delay_for(src, dst, payload, now)
+                delay = self._sample(src, dst, payload, now)
+                if not 0.0 <= delay <= self._max_delay:
+                    raise _bad_delay(delay, self._max_delay, src, dst)
         deliver_at = now + delay
         idx = src * self.n + dst
         last = self._last_delivery
@@ -231,7 +244,8 @@ class Network:
             watched = self._watched
             tracer = self._tracer
             const_delay = self._const_delay
-            delay_model = self.delay_model
+            sample = self._sample
+            D = self._max_delay
             last = self._last_delivery
             base = src * n
             groups: dict[float, list[int]] = {}
@@ -250,7 +264,9 @@ class Network:
                 elif const_delay is not None:
                     delay = const_delay
                 else:
-                    delay = delay_model.delay_for(src, dst, payload, now)
+                    delay = sample(src, dst, payload, now)
+                    if not 0.0 <= delay <= D:
+                        raise _bad_delay(delay, D, src, dst)
                 deliver_at = now + delay
                 if deliver_at < last[idx]:
                     deliver_at = last[idx]  # FIFO clamp

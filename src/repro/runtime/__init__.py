@@ -1,8 +1,9 @@
 """Runtimes that drive sans-io protocol nodes.
 
 Protocol classes (:mod:`repro.core`, :mod:`repro.baselines`) are pure state
-machines: message handlers mutate local state and queue outgoing messages;
-client operations are generators that ``yield WaitUntil(predicate)`` — and
+machines: message handlers — one method per message type, registered with
+:func:`~repro.runtime.protocol.handles` — mutate local state and queue
+outgoing messages; client operations are generators that ``yield WaitUntil(predicate)`` — and
 whose one communication idiom, "send to all, wait for ``n − f`` replies",
 is :meth:`~repro.runtime.protocol.ProtocolNode.quorum_round` (replies are
 filed by :meth:`~repro.runtime.protocol.ProtocolNode.round_reply`).
@@ -27,13 +28,14 @@ asyncio cluster re-polls on the operation's own task, after the handler;
 protocol state that must survive that gap is recorded per tag.)
 """
 
-from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
+from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil, handles
 from repro.runtime.cluster import Cluster, OpHandle, StuckError
 
 __all__ = [
     "OpGen",
     "ProtocolNode",
     "WaitUntil",
+    "handles",
     "Cluster",
     "OpHandle",
     "StuckError",

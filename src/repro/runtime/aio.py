@@ -292,7 +292,9 @@ class AioCluster:
                 if self.crash_plan.is_crashed(node_id):
                     self._driver.abort(op)
                 else:
-                    self._driver.poll(op)
+                    wait = op.wait
+                    if wait is not None and wait.predicate():
+                        self._driver.resume(op)
         if op.aborted:
             raise RuntimeError(f"node {node_id} crashed during {opname}")
         return op.result

@@ -240,8 +240,10 @@ class Cluster:
             driver.flush(dst)
         op = driver.ops[dst]
         if op is not None:
-            # resumed synchronously, before any further delivery
-            driver.poll(op)
+            wait = op.wait
+            if wait is not None and wait.predicate():
+                # resumed synchronously, before any further delivery
+                driver.resume(op)
 
     # ------------------------------------------------------------------
     # execution

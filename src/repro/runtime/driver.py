@@ -143,7 +143,8 @@ class OpDriver:
     def resume(self, op: OpHandle) -> None:
         """Step ``op``'s generator until it parks on a false predicate
         (``op.wait`` is set), returns (``op.done``) or its node is found
-        crashed after a flush (``op.aborted``)."""
+        crashed after a flush (``op.aborted``).  A runtime re-evaluates
+        ``op.wait.predicate()`` after every handler and calls this again."""
         op.wait = None
         while True:
             try:
@@ -164,13 +165,6 @@ class OpDriver:
             if not yielded.predicate():
                 op.wait = yielded
                 return
-
-    def poll(self, op: OpHandle) -> None:
-        """Re-evaluate a parked operation's predicate; resume it if it
-        now holds (runtimes call this after a handler ran at the node)."""
-        wait = op.wait
-        if wait is not None and wait.predicate():
-            self.resume(op)
 
     def _finish(self, op: OpHandle, result: Any) -> None:
         self.flush(op.node)

@@ -11,7 +11,6 @@ under both the discrete-event simulator and asyncio.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
@@ -47,13 +46,40 @@ class _Broadcast:
     dests: tuple[int, ...]
 
 
-class ProtocolNode(ABC):
+def handles(kind: type) -> Callable[[Callable[..., None]], Callable[..., None]]:
+    """``@handles(MValue)`` registers the method below it as the handler of
+    that message type in its class's table (see :class:`ProtocolNode`)."""
+
+    def mark(fn: Callable[..., None]) -> Callable[..., None]:
+        fn._handles = kind  # type: ignore[attr-defined]
+        return fn
+
+    return mark
+
+
+class ProtocolNode:
     """Base class for all algorithm nodes (core and baselines).
 
-    Subclasses implement :meth:`on_message` and expose client operations as
-    generator methods (e.g. ``update``/``scan`` for snapshot objects,
-    ``propose`` for lattice agreement).
+    Subclasses register one handler method per message type with
+    :func:`handles` and expose client operations as generator methods
+    (e.g. ``update``/``scan`` for snapshot objects, ``propose`` for
+    lattice agreement).  Each class's ``_handlers`` table (``message type
+    -> function``) is built once, from the marks along its MRO by method
+    name: registering a type again, or overriding a registered method,
+    changes that one entry in the subclass's own table.
     """
+
+    _handlers: dict[type, Callable[..., None]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        names: dict[type, str] = {}
+        for klass in reversed(cls.__mro__):
+            for name, fn in vars(klass).items():
+                kind = getattr(fn, "_handles", None)
+                if kind is not None:
+                    names[kind] = name
+        cls._handlers = {kind: getattr(cls, name) for kind, name in names.items()}
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         if not 0 <= node_id < n:
@@ -63,6 +89,9 @@ class ProtocolNode(ABC):
         self.node_id = node_id
         self.n = n
         self.f = f
+        #: broadcast destination lists, with and without this node
+        self._everyone = tuple(range(n))
+        self._others = tuple(d for d in range(n) if d != node_id)
         # a deque so runtimes drain it FIFO in O(1) per item (the drain
         # loop is on the delivery hot path)
         self.outbox: deque[_Send | _Broadcast] = deque()
@@ -126,9 +155,7 @@ class ProtocolNode(ABC):
         a node's own ``value`` message lands in ``V[i]`` via line 40, and
         how a node's own ack counts toward its ``n − f`` quorums.
         """
-        dests = tuple(
-            d for d in range(self.n) if include_self or d != self.node_id
-        )
+        dests = self._everyone if include_self else self._others
         self.outbox.append(_Broadcast(payload, dests))
 
     # -- observability ----------------------------------------------------
@@ -151,9 +178,17 @@ class ProtocolNode(ABC):
     def on_start(self) -> None:
         """Called once when the cluster starts (default: nothing)."""
 
-    @abstractmethod
     def on_message(self, src: int, payload: Any) -> None:
-        """Handle one delivered message (executed atomically)."""
+        """Handle one delivered message (executed atomically) — the entry
+        point runtimes call.  The default looks ``type(payload)`` up in
+        the class's handler table; override it to dispatch otherwise."""
+        try:
+            handler = self._handlers[type(payload)]
+        except KeyError:
+            raise TypeError(
+                f"{type(self).__name__} got unknown message {payload!r}"
+            ) from None
+        handler(self, src, payload)
 
     # -- snapshot-object client API (optional; documented here for
     #    discoverability — snapshot algorithms override these) -----------
@@ -164,4 +199,4 @@ class ProtocolNode(ABC):
         raise NotImplementedError(f"{type(self).__name__} has no scan()")
 
 
-__all__ = ["OpGen", "ProtocolNode", "WaitUntil"]
+__all__ = ["OpGen", "ProtocolNode", "WaitUntil", "handles"]

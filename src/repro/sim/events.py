@@ -120,9 +120,6 @@ class EventQueue:
     def __len__(self) -> int:
         return self._live
 
-    def __bool__(self) -> bool:
-        return self._live > 0
-
     # ------------------------------------------------------------------
     def push(
         self,

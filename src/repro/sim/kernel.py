@@ -7,11 +7,11 @@ never does.
 
 Hot-path design: events carry ``(fn, args)`` instead of a closure —
 :meth:`Simulator.schedule_call` schedules a call without allocating
-anything besides the event record itself — and :meth:`Simulator.run`
-drives a tight pop/execute loop with
-the ``until``/``stop_when``/trace-hook branches hoisted out of the
-steady state.  The executed-event total is folded into
-:data:`repro.sim.fastpath.STATS` when ``run`` returns, which is how
+anything besides the event record itself — and ``run()``,
+``run(until=)``, ``run(stop_when=)`` and ``step()`` drive one loop body
+whose only calls per event are the pop and the event itself (emptiness
+is the queue's own ``IndexError``).  The executed-event total is folded
+into :data:`repro.sim.fastpath.STATS` when the loop returns, which is how
 ``python -m repro.bench`` computes events/sec without touching the hot
 loop.
 """
@@ -161,31 +161,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _execute(self, event: Event) -> None:
-        """Advance the clock to ``event`` and run it (shared invariants)."""
-        time = event.time
-        if time < self._now:
-            raise SimulationError(
-                f"time went backwards: event at {time} < now {self._now}"
-            )
-        self._now = time
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise SimulationError(
-                f"step budget exhausted ({self._max_steps}); likely livelock"
-            )
-        hooks = self._trace_hooks
-        if hooks:
-            for hook in hooks:
-                hook(event)
-        event.fn(*event.args)
-
     def step(self) -> bool:
         """Execute the next event.  Returns False if the queue is empty."""
-        if not self._queue:
-            return False
-        self._execute(self._queue.pop())
-        return True
+        before = self._steps
+        self._loop(None, None, True)
+        return self._steps != before
 
     def run(
         self,
@@ -202,63 +182,58 @@ class Simulator:
         if self._running:
             raise SimulationError("re-entrant Simulator.run")
         self._running = True
+        try:
+            self._loop(until, stop_when, False)
+        finally:
+            self._running = False
+
+    def _loop(
+        self,
+        until: float | None,
+        stop_when: Callable[[], bool] | None,
+        once: bool,
+    ) -> None:
+        """The event loop: every way of advancing the simulation executes
+        this one body, so the invariants below hold on all of them."""
+        pop = self._queue.pop
+        peek_time = self._queue.peek_time
+        # the live list object, so hooks added or removed by an event
+        # handler take effect from the next event on
+        hooks = self._trace_hooks
+        max_steps = self._max_steps
         steps_at_entry = self._steps
         try:
-            queue = self._queue
-            if until is None:
-                # hot loop: no peek, no until comparison.  The common
-                # drain-everything case additionally inlines _execute —
-                # one Python call per event is measurable at bench scale.
-                # ``hooks`` is the live list object, so hooks added or
-                # removed by an event handler take effect immediately.
-                if stop_when is None:
-                    pop = queue.pop
-                    hooks = self._trace_hooks
-                    max_steps = self._max_steps
-                    now = self._now
-                    while queue:
-                        event = pop()
-                        time = event.time
-                        if time < now:
-                            raise SimulationError(
-                                f"time went backwards: event at {time} "
-                                f"< now {now}"
-                            )
-                        now = self._now = time
-                        steps = self._steps + 1
-                        self._steps = steps
-                        if steps > max_steps:
-                            raise SimulationError(
-                                f"step budget exhausted ({max_steps}); "
-                                "likely livelock"
-                            )
-                        if hooks:
-                            for hook in hooks:
-                                hook(event)
-                        event.fn(*event.args)
-                        now = self._now  # an event may have re-run the sim
-                else:
-                    while True:
-                        if stop_when():
-                            return
-                        if not queue:
-                            return
-                        self._execute(queue.pop())
-            else:
-                while True:
-                    if stop_when is not None and stop_when():
-                        return
-                    next_time = queue.peek_time()
-                    if next_time is None:
+            while True:
+                if stop_when is not None and stop_when():
+                    return
+                if until is not None:
+                    next_time = peek_time()
+                    if next_time is None or next_time > until:
                         if until > self._now:
                             self._now = until
                         return
-                    if next_time > until:
-                        self._now = until
-                        return
-                    self._execute(queue.pop())
+                try:
+                    event = pop()
+                except IndexError:  # drained
+                    return
+                time = event.time
+                if time < self._now:
+                    raise SimulationError(
+                        f"time went backwards: event at {time} < now {self._now}"
+                    )
+                self._now = time
+                steps = self._steps = self._steps + 1
+                if steps > max_steps:
+                    raise SimulationError(
+                        f"step budget exhausted ({max_steps}); likely livelock"
+                    )
+                if hooks:
+                    for hook in hooks:
+                        hook(event)
+                event.fn(*event.args)
+                if once:
+                    return
         finally:
-            self._running = False
             STATS.events += self._steps - steps_at_entry
 
 

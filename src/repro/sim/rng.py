@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -37,11 +37,14 @@ class SeededRng:
     call-sequence contract small and auditable.
     """
 
-    __slots__ = ("seed", "_rng")
+    __slots__ = ("seed", "_rng", "random")
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self._rng = random.Random(self.seed)
+        #: the stream's bound ``random()`` — per-message samplers hold
+        #: this directly instead of paying a wrapper frame per draw
+        self.random: Callable[[], float] = self._rng.random
 
     def child(self, *labels: str | int) -> "SeededRng":
         """Derive an independent child stream."""
@@ -52,9 +55,6 @@ class SeededRng:
 
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
-
-    def random(self) -> float:
-        return self._rng.random()
 
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)

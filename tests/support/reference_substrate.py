@@ -104,6 +104,19 @@ class ReferenceEventQueue:
         return None
 
 
+def _checked_delay(model: Any, src: int, dst: int, payload: Any, now: float) -> float:
+    """The original ``DelayModel.delay_for``: self-sends are free, every
+    sampled delay is checked against ``[0, D]``."""
+    if src == dst:
+        return 0.0
+    d = model.sample(src, dst, payload, now)
+    if not 0.0 <= d <= model.D:
+        raise ValueError(
+            f"delay model produced {d} outside [0, {model.D}] for {src}->{dst}"
+        )
+    return d
+
+
 class ReferenceNetwork:
     """The pre-optimisation network: one closure-carrying, tagged kernel
     event per message, validated ``schedule_at``, tuple-keyed clamp
@@ -176,7 +189,7 @@ class ReferenceNetwork:
 
     def _schedule_delivery(self, src: int, dst: int, payload: Any) -> None:
         now = self.sim.now
-        delay = self.delay_model.delay_for(src, dst, payload, now)
+        delay = _checked_delay(self.delay_model, src, dst, payload, now)
         deliver_at = now + delay
         pair = (src, dst)
         prev = self._last_delivery.get(pair, 0.0)
