@@ -2,9 +2,10 @@
 """The same algorithms on a real asyncio runtime.
 
 The protocol objects are sans-io: this example runs the *identical*
-EQ-ASO and Byzantine-ASO classes used by the discrete-event benchmarks
-over in-process asyncio queues with real (randomized wall-clock) delays —
-concurrent clients, a mid-run crash, and the usual correctness check.
+EQ-ASO and Byzantine-ASO classes used by the discrete-event benchmarks —
+and the identical network — on an asyncio loop, with real (randomized
+wall-clock) delays: concurrent clients, a mid-run crash, and the usual
+correctness check.
 
 Run:  python examples/asyncio_runtime.py
 """

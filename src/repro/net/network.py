@@ -84,6 +84,7 @@ class Network:
         *,
         record_trace: bool = False,
         tracer: Any = None,
+        backpressure_hwm: int | None = None,
     ) -> None:
         """
         Args:
@@ -99,6 +100,10 @@ class Network:
             tracer: optional :class:`repro.obs.Tracer`; send/deliver/drop
                 events are emitted through it.  A disabled tracer is
                 normalized to ``None``.
+            backpressure_hwm: a traced run emits ``backpressure`` each
+                time a channel's depth — sends accepted (parked ones
+                included) and not yet delivered or dropped — grows to
+                exactly this; ``None`` = never.
         """
         self.sim = sim
         self.n = n
@@ -119,6 +124,9 @@ class Network:
         self._gated: set[int] = set()
         self._parked: dict[int, list[Any]] = {}
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
+        #: per-channel depth; maintained by traced runs only
+        self._depth = [0] * (n * n)
+        self._hwm = backpressure_hwm
         #: does anything look at individual messages?  Kept current by
         #: disconnect/reconnect; the unwatched hot path tests only this.
         self._watched = self._tracer is not None or record_trace
@@ -184,6 +192,14 @@ class Network:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
+    def _trace_send(self, src: int, dst: int, payload: Any) -> None:
+        """Traced runs only: the send event, and the channel's depth."""
+        self._tracer.on_send(src, dst, payload)
+        idx = src * self.n + dst
+        depth = self._depth[idx] = self._depth[idx] + 1
+        if depth == self._hwm:
+            self._tracer.on_backpressure(src, dst, depth)
+
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Hand one message to the network (reliable from this point on)."""
         n = self.n
@@ -194,7 +210,7 @@ class Network:
         STATS.messages += 1
         if self._watched:
             if self._tracer is not None:
-                self._tracer.on_send(src, dst, payload)
+                self._trace_send(src, dst, payload)
             idx = src * n + dst
             if idx in self._gated:
                 self._parked.setdefault(idx, []).append(payload)
@@ -255,7 +271,7 @@ class Network:
                 idx = base + dst
                 if watched:
                     if tracer is not None:
-                        tracer.on_send(src, dst, payload)
+                        self._trace_send(src, dst, payload)
                     if idx in self._gated:
                         self._parked.setdefault(idx, []).append(payload)
                         continue
@@ -299,6 +315,7 @@ class Network:
                     DeliveryRecord(src, dst, payload, sent_at, self.sim.now, dropped)
                 )
             if self._tracer is not None:
+                self._depth[src * self.n + dst] -= 1
                 if dropped:
                     self._tracer.on_drop(src, dst, payload)
                 else:

@@ -11,9 +11,9 @@ bundle in the chaos counterexample layout (PR-5's
 subcommand (including ``check``) understands, a ``manifest.json``, and
 a ``repro.txt`` with the follow-up commands.
 
-The asyncio runtime dumps one bundle per crashed node automatically
-when built with ``postmortem=<dir>`` — see
-:class:`repro.runtime.aio.AioCluster`.
+A tracer whose ``postmortem_dir`` is set dumps one bundle per ``crash``
+event automatically, on either runtime;
+:class:`repro.runtime.aio.AioCluster` sets it from ``postmortem=<dir>``.
 """
 
 from __future__ import annotations

@@ -8,24 +8,23 @@ whose one communication idiom, "send to all, wait for ``n − f`` replies",
 is :meth:`~repro.runtime.protocol.ProtocolNode.quorum_round` (replies are
 filed by :meth:`~repro.runtime.protocol.ProtocolNode.round_reply`).
 
-One op driver, :class:`repro.runtime.driver.OpDriver`, opens an
-operation, resumes its generator until it parks or returns, drains the
-node's outbox and settles the operation in the history and the tracer;
-two clusters instantiate it with a clock and a transport:
+One cluster, :class:`repro.runtime.cluster.BaseCluster`, wires the nodes
+to one :class:`~repro.net.network.Network` and one op driver
+(:class:`repro.runtime.driver.OpDriver`: open an operation, resume its
+generator until it parks or returns, drain the outbox, settle it in the
+history and the tracer); two runtimes give it a kernel:
 
 - :class:`repro.runtime.cluster.Cluster` — the deterministic discrete-event
   cluster (all experiments and fault injection);
-- :class:`repro.runtime.aio.AioCluster` — an asyncio cluster over in-process
-  queues (examples; demonstrates the protocols are not simulator-bound).
+- :class:`repro.runtime.aio.AioCluster` — the same network on an asyncio
+  loop's clock (examples; the protocols are not simulator-bound).
 
-The discrete-event cluster guarantees the paper's atomicity discipline
-(Sec. III-D): a message handler runs to completion, and a client
+Both guarantee the paper's atomicity discipline (Sec. III-D) through the
+same ``_deliver``: a message handler runs to completion, and a client
 generator parked on a ``WaitUntil`` is resumed synchronously right after
 the handler that made its predicate true — before any further delivery.
 This realises the paper's NOTE that the ``goodLA`` handler (line 49)
-executes before a pending ``LatticeRenewal`` resumes at line 29.  (The
-asyncio cluster re-polls on the operation's own task, after the handler;
-protocol state that must survive that gap is recorded per tag.)
+executes before a pending ``LatticeRenewal`` resumes at line 29.
 """
 
 from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil, handles

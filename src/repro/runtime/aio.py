@@ -1,76 +1,178 @@
-"""Asyncio runtime: the same sans-io protocols over real concurrency.
+"""Asyncio runtime: the same network and the same nodes on a second clock.
 
-Demonstrates that the algorithm objects are not simulator-bound: the
-identical :class:`~repro.runtime.protocol.ProtocolNode` instances run over
-in-process asyncio queues with real (wall-clock) delays.  Used by the
-examples and a smoke-test tier; the fault-injection *benchmarks* stay on
-the discrete-event runtime (deterministic, exact-D measurement — and much
-faster, per the reproduction notes).
+Demonstrates that the algorithm objects are not simulator-bound:
+:class:`AioCluster` is the :class:`~repro.runtime.cluster.BaseCluster`
+the simulator runs — one ``Network``, one ``OpDriver``, one ``_deliver``
+— over a :class:`LoopKernel`, an event queue paced by the asyncio loop's
+clock instead of virtual time.  There are no tasks, queues or locks: a
+delivery is a queue event, and the loop is entered through one handle.
+The fault-injection *benchmarks* stay on the discrete-event runtime
+(deterministic, exact-``D`` measurement).
 
-Semantics preserved from the paper / the DES driver:
+Semantics, all of them the shared code's:
 
-- **handler atomicity**: each node owns an ``asyncio.Lock``; a message
-  handler runs under it, so no other handler or client step interleaves;
-- **synchronous borrow recording**: after a handler completes, waiting
-  client operations are re-evaluated under the same lock before the next
-  delivery is accepted (the NOTE at Algorithm 1 line 49);
-- **reliable FIFO channels**: one forwarder task per ordered pair drains
-  a per-channel queue in order, sleeping the sampled delay before
-  delivery; once a message is enqueued it will be delivered even if the
-  sender crashes afterwards;
-- **crash**: a crashed node stops sending and receiving; a crash can
-  truncate an in-flight broadcast (Definition 11) via
-  :class:`~repro.net.faults.BroadcastCrash` specs.
-
-Observability: pass a :class:`repro.obs.Tracer` and the cluster emits
-the same event vocabulary as the DES driver — send/deliver/drop/crash,
-op spans with phases, plus the live-runtime extras (``disconnect`` /
-``reconnect`` when a channel is gated, ``backpressure`` when a channel
-queue crosses its high-water mark).  ``t`` is the wall clock relative
-to :meth:`AioCluster.start` (the event loop's monotonic clock), Lamport
-clocks come from the tracer's per-channel FIFO discipline, and the
-JSONL export feeds ``python -m repro.obs check``, which replays the
-trace through the :mod:`repro.spec` polynomial checkers.  A disabled
-tracer is normalized to ``None`` — no instrumentation site runs.
+- **handler atomicity** by construction: handlers do not ``await``
+  (sans-io, lint rule RL002) and the loop is single-threaded, so nothing
+  interleaves with a handler or a client step;
+- **synchronous borrow recording**: ``_deliver`` resumes a released
+  operation inside the kernel turn, before any further delivery (the
+  NOTE at Algorithm 1 line 49); ``call()`` only awaits the settled op;
+- **reliable FIFO channels, delay ≤ D**: a send is an event at
+  ``now + delay``, clamped FIFO per channel, so delays *overlap* — a
+  burst arrives within ``D`` of its sends, not one sleep after another.
+  An event runs when its turn comes, never early; the worst lateness is
+  measured and filed as ``meta["max_lateness_D"]`` by ``shutdown()``;
+- **crashes and tracing** are the network's and the driver's, so a
+  :class:`repro.obs.Tracer` sees the simulator's event vocabulary
+  (``backpressure`` included), with ``t`` on the loop's monotonic clock
+  relative to :meth:`AioCluster.start`.
 """
 
 from __future__ import annotations
 
 import asyncio
+from math import inf
 from typing import Any, Callable
 
+from repro.net.delays import ConstantDelay, UniformDelay
 from repro.net.faults import CrashPlan
-from repro.runtime.driver import OpDriver, OpHandle
+from repro.runtime.cluster import BaseCluster
+from repro.runtime.driver import OpHandle
 from repro.runtime.protocol import ProtocolNode
+from repro.sim.events import Event, EventQueue
+from repro.sim.fastpath import STATS
 from repro.sim.rng import SeededRng
-from repro.spec.history import History
 
 
-class AioCluster:
+def _turn_end() -> None:
+    """Marks where a kernel turn stops; never executed."""
+
+
+class LoopKernel:
+    """An :class:`~repro.sim.events.EventQueue` paced by an asyncio loop.
+
+    Offers what the network and the op driver use of a kernel — ``now``
+    and ``queue.push_call`` — and keeps one loop handle armed for the
+    earliest event.  A **turn** executes the events that were due when it
+    began, in the queue's ``(time, priority, seq)`` order (``call_at``
+    keeps no order among equal times), then returns to the loop: events
+    its handlers push wait for a later turn, so other tasks always run in
+    between, and with zero delays the schedule does not depend on the
+    clock at all.  When an event raises, the kernel stops for good and
+    hands the exception to ``on_failure``.
+    """
+
+    def __init__(self, on_failure: Callable[[Exception], None]) -> None:
+        self._queue = EventQueue()
+        self._push = self._queue.push_call
+        self.queue = self  # the network binds ``queue.push_call``: ours arms
+        self._on_failure = on_failure
+        self.loop: Any = None
+        self._t0 = 0.0
+        self._handle: Any = None
+        #: the event time the handle is armed for: ``inf`` when idle, ``-inf``
+        #: while a push must not arm (not started, inside a turn, stopped)
+        self._armed_for = -inf
+        #: worst ``now − time`` of an event a turn was armed for, seconds
+        self.max_lateness = 0.0
+
+    @property
+    def now(self) -> float:
+        """Seconds on the loop's clock since :meth:`start` (0.0 before)."""
+        return 0.0 if self.loop is None else self.loop.time() - self._t0
+
+    def push_call(
+        self,
+        time: float,
+        fn: Callable[..., None],
+        args: tuple[Any, ...] = (),
+        *,
+        priority: int = 0,
+    ) -> Event:
+        """Schedule ``fn(*args)`` at ``time``, which the caller guarantees
+        is not in the past (as for the simulator's queue)."""
+        event = self._push(time, fn, args, priority=priority)
+        if time < self._armed_for:
+            self._arm(time)
+        return event
+
+    def cancel(self, event: Event) -> None:
+        """Cancel a pending event (no-op if it already fired)."""
+        self._queue.cancel(event)
+
+    def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Bind to ``loop``: its clock, from now, is this kernel's."""
+        self.loop = loop
+        self._t0 = loop.time()
+        self._arm_earliest()
+
+    def stop(self) -> None:
+        """Cancel the armed handle; nothing runs or arms afterwards."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+        self._armed_for = -inf
+
+    def _arm_earliest(self) -> None:
+        self._armed_for = inf
+        time = self._queue.peek_time()
+        if time is not None:
+            self._arm(time)
+
+    def _arm(self, time: float) -> None:
+        """Point the handle at an event at ``time``: ``call_soon`` if it
+        is due (with zero delays it always is, whatever the clock says),
+        a timer otherwise."""
+        if self._handle is not None:
+            self._handle.cancel()
+        self._armed_for = time
+        if time <= self.loop.time() - self._t0:
+            self._handle = self.loop.call_soon(self._turn)
+        else:
+            self._handle = self.loop.call_at(self._t0 + time, self._turn)
+
+    def _turn(self) -> None:
+        self._handle = None
+        now = self.loop.time() - self._t0
+        self.max_lateness = max(self.max_lateness, now - self._armed_for)
+        self._armed_for = -inf
+        # the end of the turn is itself an event: at ``now`` it sorts
+        # after everything that is due and, pushes never being in the
+        # past, before everything this turn's handlers will push
+        end = self._push(now, _turn_end)
+        pop = self._queue.pop
+        ran = 0
+        try:
+            while (event := pop()) is not end:
+                ran += 1
+                event.fn(*event.args)
+        except Exception as exc:  # a handler's bug: report it, stay stopped
+            self._on_failure(exc)
+            return
+        finally:
+            STATS.events += ran
+        self._arm_earliest()
+
+
+class AioCluster(BaseCluster):
     """Asyncio driver for a cluster of sans-io protocol nodes.
 
     Args:
-        factory: ``factory(node_id, n, f) -> ProtocolNode``.
-        n, f: system size and fault threshold.
-        mean_delay: mean per-message delay in seconds (uniform in
-            ``[0.2·mean, 1.8·mean]``; keep small — these are real sleeps).
+        factory, n, f, crash_plan, tracer: as for ``BaseCluster`` (timed
+            crashes are kernel events, on the loop's clock).
+        mean_delay: mean per-message delay in seconds: each message is
+            delayed uniformly in ``[0.2·mean, 1.8·mean]`` (``D`` is
+            ``1.8·mean``), FIFO per channel, delays overlapping; ``0``
+            delivers on the next kernel turn and draws nothing.
         seed: delay-randomness seed.
-        crash_plan: optional crash adversary (timed crashes are scheduled
-            on the loop; broadcast crashes fire on matching sends).
-        tracer: optional :class:`repro.obs.Tracer` (see module docstring);
-            a disabled tracer is normalized to ``None``.
-        backpressure_hwm: channel queue depth at which a ``backpressure``
-            trace event fires (each time the queue grows to exactly this
-            depth, so sustained congestion re-reports as it re-crosses).
-        postmortem: directory for automatic crash bundles.  When set (and
-            the tracer retains events — a ``MemorySink`` or the bounded
-            :class:`~repro.obs.flight.FlightRecorder`), every node crash
-            dumps ``<postmortem>/crash-node<k>/`` with the last events,
-            in the chaos counterexample bundle layout.
+        backpressure_hwm: channel depth at which a ``backpressure``
+            trace event fires (each time the depth grows to exactly
+            this, so sustained congestion re-reports as it re-crosses);
+            ``None`` = never.
+        postmortem: directory for automatic crash bundles: every node
+            crash dumps ``<postmortem>/crash-node<k>/`` if the tracer
+            retains events (see :mod:`repro.obs.flight`).
     """
-
-    #: default per-channel queue depth that counts as congestion
-    BACKPRESSURE_HWM = 64
 
     def __init__(
         self,
@@ -82,222 +184,106 @@ class AioCluster:
         seed: int = 0,
         crash_plan: CrashPlan | None = None,
         tracer: Any = None,
-        backpressure_hwm: int | None = None,
+        backpressure_hwm: int | None = 64,
         postmortem: Any = None,
     ) -> None:
-        self.n = n
-        self.f = f
-        self.nodes = [factory(i, n, f) for i in range(n)]
-        self.crash_plan = crash_plan if crash_plan is not None else CrashPlan.none()
-        self.history = History(n)
-        self._rng = SeededRng(seed)
-        self._mean = mean_delay
-        self._locks = [asyncio.Lock() for _ in range(n)]
-        self._wakeups = [asyncio.Event() for _ in range(n)]
-        self._channels: dict[tuple[int, int], asyncio.Queue] = {}
-        self._gates: dict[tuple[int, int], asyncio.Event] = {}
-        self._forwarders: list[asyncio.Task] = []
-        self._started = False
-        self._loop: Any = None
-        self._loop_time0 = 0.0
-        self._sent = [0] * n
-        self._hwm = (
-            backpressure_hwm if backpressure_hwm is not None else self.BACKPRESSURE_HWM
+        hi = 1.8 * mean_delay  # D, the synchrony bound of the sampled delays
+        if mean_delay == 0:  # no draw is ever made; the model's D is nominal
+            delays = ConstantDelay(1.0, 0.0)
+        else:
+            delays = UniformDelay(hi, SeededRng(seed), lo=0.2 * mean_delay, hi=hi)
+        super().__init__(
+            factory,
+            n,
+            f,
+            delay_model=delays,
+            crash_plan=crash_plan,
+            tracer=tracer,
+            backpressure_hwm=backpressure_hwm,
+            meta={"D": hi, "runtime": "aio", "seed": seed},
         )
-        self.tracer = tracer
-        self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        self._postmortem = postmortem
-        if self._tracer is not None:
-            self._tracer.bind(self)  # the tracer reads ``now`` from us
-        self._driver = OpDriver(
-            self.nodes,
-            self.crash_plan,
-            self.history,
-            self._tracer,
-            clock=self,
-            send=self._enqueue,
-            broadcast=self._broadcast,
-            sent=self._sent,
-            # D: the synchrony bound of the sampled delay distribution
-            meta={"D": 1.8 * mean_delay, "runtime": "aio", "seed": seed},
-        )
+        self._resume = self._resume_in_turn
+        self._closed = False
+        self._failure: Exception | None = None
+        if postmortem is not None and self._tracer is not None:
+            self._tracer.postmortem_dir = postmortem
 
-    @property
-    def now(self) -> float:
-        """Wall-clock seconds since :meth:`start` (0.0 before it)."""
-        if self._loop is None:
-            return 0.0
-        return self._loop.time() - self._loop_time0
+    def _new_kernel(self) -> LoopKernel:
+        return LoopKernel(self._end)
 
-    # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn channel forwarders and run ``on_start`` hooks."""
-        if self._started:
-            return
-        self._started = True
-        self._loop = asyncio.get_running_loop()
-        self._loop_time0 = self._loop.time()
-        for src in range(self.n):
-            for dst in range(self.n):
-                queue: asyncio.Queue = asyncio.Queue()
-                self._channels[(src, dst)] = queue
-                self._forwarders.append(
-                    asyncio.create_task(self._forward(src, dst, queue))
-                )
-        for node_id, when in self.crash_plan.timed_crashes():
-            asyncio.get_running_loop().call_later(
-                when, lambda nid=node_id: self.crash(nid)
-            )
-        for node in self.nodes:
-            if not self.crash_plan.is_crashed(node.node_id):
-                async with self._locks[node.node_id]:
-                    node.on_start()
-                    self._driver.flush(node.node_id)
+        """Bind the kernel to the running loop and run ``on_start`` hooks
+        (idempotent).  No task is created."""
+        if not self._started:
+            self.sim.start(asyncio.get_running_loop())
+            self._start_nodes()
 
     async def shutdown(self) -> None:
-        """Cancel all channel forwarders."""
-        for task in self._forwarders:
-            task.cancel()
-        await asyncio.gather(*self._forwarders, return_exceptions=True)
-        self._forwarders.clear()
+        """Stop the kernel and abort every pending operation — its
+        ``call()`` raises ``RuntimeError``, its record stays pending —
+        then re-raise the handler failure that ended the run, if any."""
+        self._end()
+        meta = self._tracer.meta if self._tracer is not None else {}
+        if meta.get("D"):  # instant delivery declares no bound to stretch
+            meta["max_lateness_D"] = self.sim.max_lateness / meta["D"]
+        if self._failure is not None:
+            raise self._failure
 
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _enqueue(self, src: int, dst: int, payload: Any) -> None:
-        """Put one message on its channel (reliable from this point on)."""
-        self._sent[src] += 1
-        queue = self._channels[(src, dst)]
-        queue.put_nowait(payload)
-        if self._tracer is not None:
-            self._tracer.on_send(src, dst, payload)
-            if queue.qsize() == self._hwm:
-                self._tracer.on_backpressure(src, dst, queue.qsize())
+    def _end(self, failure: Exception | None = None) -> None:
+        """The run is over, by ``shutdown()`` or because a handler raised
+        inside a kernel turn: nobody waits for deliveries that never
+        come — every parked and every later ``call()`` raises."""
+        self._closed = True
+        if failure is not None:
+            self._failure = failure
+        self.sim.stop()
+        for op in self._driver.ops:
+            if op is not None:
+                self._driver.abort(op)
 
-    def _broadcast(self, src: int, payload: Any, dests: tuple[int, ...]) -> None:
-        """Fan one broadcast out, truncated by a mid-broadcast crash."""
-        allowed, crash_now = self.crash_plan.filter_broadcast(src, payload, dests)
-        for dst in allowed:
-            self._enqueue(src, dst, payload)
-        if crash_now:
-            self.crash_plan.mark_crashed(src)
-            if self._tracer is not None:
-                self._tracer.on_crash(src, detail="mid-broadcast crash")
-            self._wakeups[src].set()  # release a parked op
-            self._dump_postmortem(src, "mid-broadcast crash")
+    def _resume_in_turn(self, op: OpHandle) -> None:
+        """``_deliver``'s resume site runs inside a kernel turn: an
+        operation whose generator raises fails its own ``call()`` (which
+        re-raises ``op.error``), not the turn."""
+        try:
+            self._driver.resume(op)
+        except Exception as exc:
+            if exc is not op.error:
+                raise
 
-    async def _forward(self, src: int, dst: int, queue: asyncio.Queue) -> None:
-        """One FIFO channel: sequential delay-then-deliver."""
-        while True:
-            payload = await queue.get()
-            if src != dst:
-                delay = self._rng.uniform(0.2 * self._mean, 1.8 * self._mean)
-                await asyncio.sleep(delay)
-            gate = self._gates.get((src, dst))
-            if gate is not None and not gate.is_set():
-                await gate.wait()  # link gated: hold delivery, keep FIFO
-            if self.crash_plan.is_crashed(dst):
-                if self._tracer is not None:
-                    self._tracer.on_drop(src, dst, payload)
-                continue
-            async with self._locks[dst]:
-                if self.crash_plan.is_crashed(dst):
-                    if self._tracer is not None:
-                        self._tracer.on_drop(src, dst, payload)
-                    continue
-                if self._tracer is not None:
-                    self._tracer.on_deliver(src, dst, payload)
-                self.nodes[dst].on_message(src, payload)
-                self._driver.flush(dst)
-            self._wakeups[dst].set()
-
-    def crash(self, node_id: int) -> None:
-        """Crash a node immediately."""
-        self.crash_plan.mark_crashed(node_id)
-        if self._tracer is not None:
-            self._tracer.on_crash(node_id)
-        self._wakeups[node_id].set()  # unblock any waiting operation
-        self._dump_postmortem(node_id, "crash")
-
-    def _dump_postmortem(self, node_id: int, what: str) -> None:
-        """Write an automatic crash bundle if configured (and possible)."""
-        if self._postmortem is None or self._tracer is None:
-            return
-        if getattr(self._tracer.sink, "events", None) is None:
-            return  # non-retaining sink: nothing to dump
-        from pathlib import Path
-
-        from repro.obs.flight import dump_postmortem
-
-        dump_postmortem(
-            self._tracer,
-            Path(self._postmortem) / f"crash-node{node_id}",
-            reason=f"node {node_id}: {what}",
-        )
-
-    # ------------------------------------------------------------------
-    # link gating (temporary partitions)
-    # ------------------------------------------------------------------
-    def _gate(self, src: int, dst: int) -> asyncio.Event:
-        # same contract as the DES Network: a node's self-addressed
-        # messages never traverse the network, so there is no i -> i link
-        n = self.n
-        if not (0 <= src < n and 0 <= dst < n) or src == dst:
-            raise ValueError(f"bad endpoints {src}->{dst} for n={n}")
-        gate = self._gates.get((src, dst))
-        if gate is None:
-            gate = self._gates[(src, dst)] = asyncio.Event()
-            gate.set()
-        return gate
-
-    def disconnect(self, src: int, dst: int, *, symmetric: bool = False) -> None:
-        """Gate the ordered channel ``src -> dst``: queued and future
-        messages wait (in FIFO order) until :meth:`reconnect`.  In-flight
-        deliveries that already passed the gate still land."""
-        self._gate(src, dst).clear()
-        if self._tracer is not None:
-            self._tracer.on_link(src, dst, up=False)
-        if symmetric:
-            self.disconnect(dst, src)
-
-    def reconnect(self, src: int, dst: int, *, symmetric: bool = False) -> None:
-        """Release a gated channel; its forwarder resumes deliveries."""
-        self._gate(src, dst).set()
-        if self._tracer is not None:
-            self._tracer.on_link(src, dst, up=True)
-        if symmetric:
-            self.reconnect(dst, src)
-
-    # ------------------------------------------------------------------
-    # client operations
-    # ------------------------------------------------------------------
     async def call(self, node_id: int, opname: str, *args: Any) -> Any:
         """Run one client operation to completion; returns its result.
+        One that never parks completes without touching the loop;
+        cancelling a parked ``call()`` aborts its operation.
 
         Raises:
-            RuntimeError: the node crashed mid-operation.
+            RuntimeError: the node crashed, or the cluster was shut down.
+            Exception: whatever the operation's generator raised, or the
+                handler failure that ended the run.
         """
-        await self.start()
+        if not self._started:
+            await self.start()
+        if self._closed:
+            raise self._failure or RuntimeError(f"cluster is shut down: no {opname}")
         if self.crash_plan.is_crashed(node_id):
             raise RuntimeError(f"node {node_id} is crashed")
         op = OpHandle(node_id, opname, args)
-        lock, wakeup = self._locks[node_id], self._wakeups[node_id]
-        async with lock:
-            wakeup.clear()
-            self._driver.begin(op)
-        while op.wait is not None:  # parked: a delivery or a crash wakes us
-            await wakeup.wait()
-            async with lock:
-                wakeup.clear()
-                if self.crash_plan.is_crashed(node_id):
-                    self._driver.abort(op)
-                else:
-                    wait = op.wait
-                    if wait is not None and wait.predicate():
-                        self._driver.resume(op)
+        self._driver.begin(op)
+        if op.wait is not None:  # parked: a delivery, a crash or the end settles it
+            settled = self.sim.loop.create_future()
+            op.on_complete(lambda _op: settled.done() or settled.set_result(None))
+            try:
+                await settled
+            except asyncio.CancelledError:
+                self._driver.abort(op)  # the next call() on this node may run
+                raise
+        if op.error is not None:
+            raise op.error
         if op.aborted:
-            raise RuntimeError(f"node {node_id} crashed during {opname}")
+            if self.crash_plan.is_crashed(node_id):
+                raise RuntimeError(f"node {node_id} crashed during {opname}")
+            raise self._failure or RuntimeError(f"cluster was shut down during {opname}")
         return op.result
 
 
-__all__ = ["AioCluster"]
+__all__ = ["AioCluster", "LoopKernel"]

@@ -1,16 +1,7 @@
-"""The discrete-event cluster driver.
-
-Wires together the kernel, the network, a crash plan and ``n`` protocol
-nodes; invokes client operations; records the execution history; and
-enforces the paper's execution discipline:
-
-- message handlers run atomically;
-- a parked client generator is resumed synchronously after the handler
-  that satisfied its predicate (before any further delivery);
-- at most one client operation is pending per node (sequential nodes);
-- a node crashed by the plan stops sending, receiving and executing; a
-  :class:`~repro.net.faults.BroadcastCrash` truncates the in-flight
-  broadcast to the adversary-chosen destinations (Definition 11).
+"""The cluster both runtimes are (:class:`BaseCluster`), and its
+discrete-event form (:class:`Cluster`), which adds what only virtual time
+can offer: invoking operations at chosen times, running until they settle,
+and detecting a drained queue with operations still parked.
 """
 
 from __future__ import annotations
@@ -33,8 +24,24 @@ class StuckError(RuntimeError):
     diagnostic output of the ablation experiments)."""
 
 
-class Cluster:
-    """A simulated deployment of one snapshot-object algorithm.
+class BaseCluster:
+    """``n`` protocol nodes on one :class:`~repro.net.network.Network`,
+    driven by one :class:`~repro.runtime.driver.OpDriver`, over a kernel.
+
+    Enforces the paper's execution discipline, once for both runtimes:
+
+    - message handlers run atomically;
+    - a parked client generator is resumed synchronously after the handler
+      that satisfied its predicate (before any further delivery);
+    - at most one client operation is pending per node (sequential nodes);
+    - a node crashed by the plan stops sending, receiving and executing; a
+      :class:`~repro.net.faults.BroadcastCrash` truncates the in-flight
+      broadcast to the adversary-chosen destinations (Definition 11).
+
+    The kernel keeps the event queue and the clock: all that is used of it
+    is ``now`` and ``queue.push_call``, so the simulator and the asyncio
+    loop-paced kernel are interchangeable.  A subclass names its kernel
+    and adds how operations are invoked.
 
     Args:
         factory: ``factory(node_id, n, f) -> ProtocolNode``; usually an
@@ -52,7 +59,13 @@ class Cluster:
             disabled tracer (no sink / :class:`repro.obs.NullSink`) is
             normalized to ``None``, so disabled tracing costs nothing and
             cannot perturb the schedule.
+        backpressure_hwm: channel depth at which a traced run emits a
+            ``backpressure`` event (see ``Network``); ``None`` = never.
+        meta: the runtime's own tracer ``meta`` entries.
     """
+
+    #: builds the kernel (set by each runtime)
+    _new_kernel: Callable[[], Any]
 
     def __init__(
         self,
@@ -65,55 +78,46 @@ class Cluster:
         crash_plan: CrashPlan | None = None,
         record_net_trace: bool = False,
         tracer: Any = None,
+        backpressure_hwm: int | None = None,
+        meta: dict[str, Any] | None = None,
     ) -> None:
         self.n = n
         self.f = f
-        self.sim = Simulator()
+        self.sim = kernel = self._new_kernel()
         self.tracer = tracer
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
         if self._tracer is not None:
-            self._tracer.bind(self.sim)
+            self._tracer.bind(kernel)
         self.crash_plan = crash_plan if crash_plan is not None else CrashPlan.none()
-        self.delay_model = delay_model or ConstantDelay(D)
+        self.delay_model = delay_model = delay_model or ConstantDelay(D)
         self.network = Network(
-            self.sim,
+            kernel,
             n,
-            self.delay_model,
+            delay_model,
             self.crash_plan,
             self._deliver,
             record_trace=record_net_trace,
             tracer=self._tracer,
+            backpressure_hwm=backpressure_hwm,
         )
         self.history = History(n)
         self.nodes: list[ProtocolNode] = [factory(i, n, f) for i in range(n)]
         self._driver = OpDriver(
             self.nodes,
-            self.crash_plan,
+            self.network,
             self.history,
             self._tracer,
-            clock=self.sim,
-            send=self.network.send,
-            broadcast=self.network.broadcast,
-            sent=self.network.sent_by_node,
-            meta={"D": self.delay_model.D},
+            {"D": delay_model.D, **(meta or {})},
         )
         self._flush = self._driver.flush  # flush(node_id): drain its outbox
+        #: ``_deliver``'s resume site; a runtime may guard it (see ``AioCluster``)
+        self._resume = self._driver.resume
         self._started = False
-        for node_id, time in self.crash_plan.timed_crashes():
-            self.sim.schedule_call_at(time, self.crash, node_id)
+        for node_id, time in self.crash_plan.timed_crashes():  # time >= 0 = now
+            kernel.queue.push_call(time, self.crash, (node_id,))
 
-    @property
-    def D(self) -> float:
-        return self.delay_model.D
-
-    def node(self, i: int) -> ProtocolNode:
-        return self.nodes[i]
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Run each node's ``on_start`` hook (idempotent)."""
+    def _start_nodes(self) -> None:
+        """Run each live node's ``on_start`` hook (idempotent)."""
         if self._started:
             return
         self._started = True
@@ -146,6 +150,38 @@ class Cluster:
         self.network.reconnect(src, dst)
         if symmetric:
             self.network.reconnect(dst, src)
+
+    def _deliver(self, dst: int, src: int, payload: Any) -> None:
+        # the network already dropped deliveries to crashed nodes (its
+        # per-destination check runs at delivery time, immediately before
+        # this callback), so no re-check is needed here
+        node = self.nodes[dst]
+        node.on_message(src, payload)
+        driver = self._driver
+        if node.outbox:
+            driver.flush(dst)
+        op = driver.ops[dst]
+        if op is not None:
+            wait = op.wait
+            if wait is not None and wait.predicate():
+                # resumed synchronously, before any further delivery
+                self._resume(op)
+
+
+class Cluster(BaseCluster):
+    """A simulated deployment of one snapshot-object algorithm: a
+    :class:`BaseCluster` (see there for the arguments) on the simulator."""
+
+    _new_kernel = Simulator
+
+    @property
+    def D(self) -> float:
+        return self.delay_model.D
+
+    def node(self, i: int) -> ProtocolNode:
+        return self.nodes[i]
+
+    start = BaseCluster._start_nodes
 
     # ------------------------------------------------------------------
     # client operations
@@ -220,30 +256,11 @@ class Cluster:
         self.sim.schedule(gap, lambda: launch(idx + 1))
 
     def _begin(self, handle: OpHandle, record: bool) -> None:
-        self.start()
+        self._start_nodes()
         if self.crash_plan.is_crashed(handle.node):
             handle.aborted = True
             return
         self._driver.begin(handle, record=record)
-
-    # ------------------------------------------------------------------
-    # transport plumbing
-    # ------------------------------------------------------------------
-    def _deliver(self, dst: int, src: int, payload: Any) -> None:
-        # the network already dropped deliveries to crashed nodes (its
-        # per-destination check runs at delivery time, immediately before
-        # this callback), so no re-check is needed here
-        node = self.nodes[dst]
-        node.on_message(src, payload)
-        driver = self._driver
-        if node.outbox:
-            driver.flush(dst)
-        op = driver.ops[dst]
-        if op is not None:
-            wait = op.wait
-            if wait is not None and wait.predicate():
-                # resumed synchronously, before any further delivery
-                driver.resume(op)
 
     # ------------------------------------------------------------------
     # execution
@@ -254,7 +271,7 @@ class Cluster:
         until: float | None = None,
         stop_when: Callable[[], bool] | None = None,
     ) -> None:
-        self.start()
+        self._start_nodes()
         self.sim.run(until=until, stop_when=stop_when)
 
     def run_until_complete(self, handles: Sequence[OpHandle]) -> None:
@@ -314,4 +331,4 @@ class Cluster:
         return handles
 
 
-__all__ = ["Cluster", "OpHandle", "StuckError"]
+__all__ = ["BaseCluster", "Cluster", "OpHandle", "StuckError"]

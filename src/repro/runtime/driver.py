@@ -1,10 +1,11 @@
 """The op driver: what every runtime does around a sans-io node, once.
 
 A runtime (:class:`~repro.runtime.cluster.Cluster` on the simulator,
-:class:`~repro.runtime.aio.AioCluster` on asyncio) owns the transport and
-the scheduling — kernel events and completion callbacks on one side;
-locks, wakeups and channel forwarders on the other.  The rest is the same
-and lives here, written against a clock, a ``send`` and a ``broadcast``:
+:class:`~repro.runtime.aio.AioCluster` on asyncio) owns the kernel that
+paces the network and the way a caller waits for a settled operation —
+``run_until_complete`` on one side, an awaited future on the other.  The
+rest is the same and lives here, written against the one
+:class:`~repro.net.network.Network` and its kernel's clock:
 **open** an operation (resolve the method, record the invocation, note
 the node's ``sent`` count, open a span); **resume** its generator until
 it parks on a false :class:`WaitUntil`, returns, or its node is found
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.net.faults import CrashPlan
+from repro.net.network import Network
 from repro.runtime.protocol import ProtocolNode, WaitUntil, _Broadcast
 from repro.spec.history import History, OpRecord
 
@@ -37,6 +38,8 @@ class OpHandle:
     result: Any = None
     done: bool = False
     aborted: bool = False
+    #: what the operation's generator raised (the op is then aborted)
+    error: BaseException | None = None
     sent_at_inv: int = 0
     sent_at_resp: int = 0
     callbacks: list[Callable[["OpHandle"], None]] = field(default_factory=list)
@@ -77,40 +80,33 @@ class OpDriver:
 
     Args:
         nodes: the protocol nodes, indexed by node id.
-        crash_plan: consulted after every outbox item and every flush.
+        network: the :class:`~repro.net.network.Network` outboxes drain
+            into; its kernel is the clock (``now``) and its crash plan is
+            consulted after every outbox item and every flush.
         history: where invocations, responses and aborts are recorded.
         tracer: an *enabled* :class:`repro.obs.Tracer` or ``None``; the
             driver installs the phase hook and the run's ``meta``
             (``algorithm``, ``n``, ``f``, then the runtime's own keys).
-        clock: anything with a ``now`` attribute (the simulator, or the
-            asyncio cluster's wall clock).
-        send, broadcast: ``send(src, dst, payload)`` and
-            ``broadcast(src, payload, dests)`` of the transport.
-        sent: per-node count of messages handed to the transport.
         meta: the runtime's own tracer ``meta`` entries.
     """
 
     def __init__(
         self,
         nodes: Sequence[ProtocolNode],
-        crash_plan: CrashPlan,
+        network: Network,
         history: History,
         tracer: Any,
-        *,
-        clock: Any,
-        send: Callable[[int, int, Any], None],
-        broadcast: Callable[[int, Any, tuple[int, ...]], None],
-        sent: Sequence[int],
         meta: dict[str, Any],
     ) -> None:
         self.nodes = nodes
-        self.is_crashed = crash_plan.is_crashed
+        self.is_crashed = network.crash_plan.is_crashed
         self.history = history
         self.tracer = tracer
-        self.clock = clock
-        self.send = send
-        self.broadcast = broadcast
-        self.sent = sent
+        self.clock = network.sim
+        self.send = network.send
+        self.broadcast = network.broadcast
+        #: per-node count of messages handed to the network
+        self.sent = network.sent_by_node
         #: the operation pending at each node (nodes are sequential)
         self.ops: list[OpHandle | None] = [None] * len(nodes)
         if tracer is not None:
@@ -156,8 +152,9 @@ class OpDriver:
             except StopIteration as stop:
                 self._finish(op, stop.value)
                 return
-            except BaseException:
-                self.abort(op)  # the op failed: free the node, then report
+            except BaseException as exc:
+                op.error = exc  # the op failed: free the node, then report
+                self.abort(op)
                 raise
             self.flush(op.node)
             if op.aborted:

@@ -16,16 +16,31 @@ Random.uniform``, ``_execute`` + ``__bool__`` per event,
 ``OpDriver.poll``).  The ceiling sits just above the current value: a
 frame creeping back into the path costs about one call per message and
 fails here.  (3.12 inlines comprehensions, so it can only count lower.)
+
+The asyncio runtime has the same budget beside it: one fixed
+``mean_delay=0`` episode (n = 5, f = 2, 5 clients × 12 ops — the shape
+of the ledger's ``aio_closed_n5``), every Python call made while the
+loop runs it — asyncio's own frames included — divided by the messages
+sent.  Recorded on CPython 3.11: **17.35** (53 011 calls / 3 055
+messages) with the loop-paced kernel under the shared ``Network``
+(PR 18); **50.66** (153 750 / 3 035) at the commit before (a
+``Queue.get`` future, a ``sleep(0)``, two ``async with lock`` round trips
+and a client wake-up per message).  At zero delay the schedule is a
+function of the seed, so this count repeats exactly too.
 """
 
+import asyncio
+import gc
 import sys
 
 from repro.core import EqAso, messages
 from repro.net.delays import UniformDelay
+from repro.runtime.aio import AioCluster
 from repro.runtime.cluster import Cluster
 from repro.sim.rng import SeededRng
 
 CEILING = 19.2  # calls per delivered message; see the module docstring
+AIO_CEILING = 17.8  # calls per sent message on the asyncio runtime
 
 
 def _episode():
@@ -49,11 +64,14 @@ def _episode():
     return cluster, handles
 
 
-def _python_calls_per_message() -> tuple[int, int]:
-    cluster, handles = _episode()
+def _count_calls(run, arg) -> int:
+    """Python-level calls made by ``run(arg)``."""
     # the one process-wide state the path reads: an intern miss runs the
     # dataclass ``__init__``, a hit does not, so start every count cold
     messages._intern.clear()
+    # ... and finalizers of an earlier test's garbage (an event loop's
+    # ``__del__``, say) must not run, and be counted, inside this one
+    gc.collect()
     calls = 0
 
     def profiler(frame, event, arg):
@@ -64,9 +82,15 @@ def _python_calls_per_message() -> tuple[int, int]:
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
-        cluster.run_until_complete(handles)
+        run(arg)
     finally:
         sys.setprofile(previous)
+    return calls
+
+
+def _python_calls_per_message() -> tuple[int, int]:
+    cluster, handles = _episode()
+    calls = _count_calls(cluster.run_until_complete, handles)
     assert all(h.done for h in handles)
     return calls, cluster.network.messages_delivered
 
@@ -83,3 +107,50 @@ def test_calls_per_delivered_message_stay_under_the_ceiling():
 
 def test_the_count_repeats_exactly():
     assert _python_calls_per_message() == _python_calls_per_message()
+
+
+# -- the asyncio runtime ---------------------------------------------------
+
+
+def _aio_python_calls_per_message() -> tuple[int, int]:
+    n, f = 5, 2
+    kinds = ["scan", "update"] * 30
+    SeededRng(18).child("mix").shuffle(kinds)
+    clusters = []
+
+    async def episode():
+        cluster = AioCluster(EqAso, n, f, mean_delay=0.0, seed=18)
+        clusters.append(cluster)
+        await cluster.start()
+
+        async def client(node):
+            for i, kind in enumerate(kinds[node * 12 : node * 12 + 12]):
+                args = () if kind == "scan" else (f"v{node}.{i}",)
+                await cluster.call(node, kind, *args)
+
+        await asyncio.gather(*(client(node) for node in range(n)))
+        await cluster.shutdown()
+
+    loop = asyncio.new_event_loop()
+    try:
+        # no ``wait_for`` around it: its timer would be counted too
+        calls = _count_calls(loop.run_until_complete, episode())
+    finally:
+        loop.close()
+    (cluster,) = clusters
+    assert sum(op.complete for op in cluster.history.ops) == 60
+    return calls, cluster.network.messages_sent
+
+
+def test_aio_calls_per_sent_message_stay_under_the_ceiling():
+    calls, sent = _aio_python_calls_per_message()
+    assert sent > 2500
+    per_message = calls / sent
+    assert per_message <= AIO_CEILING, (
+        f"{per_message:.2f} Python calls per sent message "
+        f"({calls} calls / {sent} messages) exceeds {AIO_CEILING}"
+    )
+
+
+def test_the_aio_count_repeats_exactly():
+    assert _aio_python_calls_per_message() == _aio_python_calls_per_message()

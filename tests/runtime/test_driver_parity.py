@@ -5,7 +5,10 @@
 outcome, what the history records, which span events a tracer sees — must
 not depend on which of the two ran it.  The script covers every way a
 generator can end: return without yielding, already-true predicates,
-park-and-release, a mid-outbox ``BroadcastCrash``, a bad yield, a raise.
+park-and-release, a mid-outbox ``BroadcastCrash``, a bad yield, a raise
+before any park, and a raise after one — where the simulator resumes the
+generator inside ``run_until_complete`` and asyncio inside a kernel turn,
+and both must hand the original exception to the caller.
 """
 
 import asyncio
@@ -72,6 +75,13 @@ class Scripted(ProtocolNode):
         yield WaitUntil(lambda: True, "fine")
         raise KeyError("scripted failure")
 
+    def ping_then_raise(self):
+        self.pongs.clear()
+        self.phase_enter("ping_then_raise")
+        self.broadcast(MPing(4))
+        yield WaitUntil(lambda: len(self.pongs) >= self.quorum_size, "pongs")
+        raise KeyError("scripted failure after a park")
+
     def doomed(self):
         self.phase_enter("doomed")
         self.send(1, MPing(2))
@@ -88,7 +98,18 @@ class Scripted(ProtocolNode):
                 self.pongs.add(src)
 
 
-SCRIPT = ["instant", "polls", "ping", "bad_yield", "ping", "raises", "ping", "doomed"]
+SCRIPT = [
+    "instant",
+    "polls",
+    "ping",
+    "bad_yield",
+    "ping",
+    "raises",
+    "ping",
+    "ping_then_raise",
+    "ping",
+    "doomed",
+]
 SPAN_KINDS = {
     "op-invoke",
     "op-respond",
@@ -154,7 +175,9 @@ def run_aio():
         await cluster.shutdown()
         return _observe(cluster, tracer, outcomes)
 
-    return asyncio.run(main())
+    # the timeout is the hang detector: an exception lost inside a kernel
+    # turn would leave ``ping_then_raise``'s caller waiting forever
+    return asyncio.run(asyncio.wait_for(main(), timeout=20))
 
 
 def test_same_script_same_outcomes_history_and_spans():
@@ -167,6 +190,8 @@ def test_same_script_same_outcomes_history_and_spans():
         ("result", "ponged"),  # the failed op freed the node
         ("raised", "KeyError"),
         ("result", "ponged"),
+        ("raised", "KeyError"),  # raised by a resume inside a delivery
+        ("result", "ponged"),
         ("aborted",),
     ]
     # history shape: kinds in order, and which records stay pending
@@ -174,12 +199,13 @@ def test_same_script_same_outcomes_history_and_spans():
     assert [kind for kind, complete in des[1] if not complete] == [
         "bad_yield",
         "raises",
+        "ping_then_raise",
         "doomed",
     ]
     # span events at node 0, in order; every op settles exactly once
     assert des[2] == aio[2]
     assert des[2].count("op-invoke") == len(SCRIPT)
-    assert des[2].count("op-respond") == 5 and des[2].count("op-abort") == 3
+    assert des[2].count("op-respond") == 6 and des[2].count("op-abort") == 4
     assert des[2][-2:] == ["crash", "op-abort"]
     # the mid-outbox cut: node 1 got the ping and the doomed broadcast,
     # node 2 neither the broadcast nor the send queued behind it

@@ -133,6 +133,7 @@ class ReferenceNetwork:
         *,
         record_trace: bool = False,
         tracer: Any = None,
+        backpressure_hwm: int | None = None,  # accepted; never reported
     ) -> None:
         self.sim = sim
         self.n = n
