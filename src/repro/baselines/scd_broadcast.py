@@ -196,7 +196,6 @@ class ScdAso(ScdBroadcastNode):
         self.phase_enter("sync")
         # sync barrier: the *delivery* of ScdSync is the signal; no
         # handler dispatches on its content
-        # lint: ignore-next-line[RL007]
         smid = self.scd_broadcast(ScdSync(self.node_id, next(self._nonce)))
         yield WaitUntil(
             lambda: self.is_delivered(smid), f"scd delivery of update sync {smid}"
@@ -207,7 +206,7 @@ class ScdAso(ScdBroadcastNode):
     def scan(self) -> OpGen:
         """SCAN(): scd(sync); return the local array at its delivery."""
         self.phase_enter("sync")
-        # lint: ignore-next-line[RL007] — sync barrier, as in update()
+        # sync barrier, as in update()
         smid = self.scd_broadcast(ScdSync(self.node_id, next(self._nonce)))
         yield WaitUntil(
             lambda: self.is_delivered(smid), f"scd delivery of scan sync {smid}"

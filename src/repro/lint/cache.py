@@ -1,8 +1,9 @@
 """Per-run lint result cache.
 
-Whole-program rules (RL007–RL010) make per-file incremental linting
+A whole-program rule (RL009) makes per-file incremental linting
 unsound: editing module A can create or fix a finding in module B (a
-new send site revives B's dead handler).  So the cache key is a
+weaker fault-model guard in a subclass flags the wait it inherits from
+B).  So the cache key is a
 *whole-project* fingerprint — the rules version, the config, and the
 content hash of every linted **and** context file — and a hit replays
 the entire stored result without parsing a single file.  Any edit,

@@ -6,9 +6,8 @@ Exit codes: 0 = clean, 1 = findings (or stale suppressions under
 ``--select``/``--ignore`` take comma- or space-separated rule ids and
 override ``[tool.repro-lint]`` in pyproject.toml.
 
-Beyond linting, the same entry point exposes the message-flow graph
-(``--graph dot | json``) and validates previously produced JSON
-documents against their schemas (``--validate FILE``, used in CI).
+The same entry point validates a previously produced JSON report
+against its schema (``--validate FILE``, used in CI).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import sys
 from typing import Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.engine import collect_files, parse_modules, run_lint
+from repro.lint.engine import run_lint
 from repro.lint.report import format_json, format_text
 from repro.lint.rules import ALL_RULES
 
@@ -47,10 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based protocol-safety linter: determinism (RL001), "
             "sans-io purity (RL002), message immutability (RL003), "
-            "quorum arithmetic (RL004), phase coverage (RL005), view "
-            "encapsulation (RL006), dead letters/handlers (RL007), "
-            "message field conformance (RL008), symbolic quorum safety "
-            "(RL009), unsatisfiable waits (RL010)"
+            "quorum arithmetic (RL004), phase coverage (RL005), symbolic "
+            "quorum safety (RL009)"
         ),
     )
     parser.add_argument(
@@ -90,22 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--graph",
-        choices=("dot", "json"),
-        default=None,
-        metavar="FMT",
-        help=(
-            "print the message-flow graph of the given paths (plus "
-            "--context) as Graphviz DOT or JSON instead of linting"
-        ),
-    )
-    parser.add_argument(
         "--validate",
         default=None,
         metavar="FILE",
         help=(
-            "validate a previously produced '--format json' report or "
-            "'--graph json' export against its schema and exit"
+            "validate a previously produced '--format json' report "
+            "against its schema and exit"
         ),
     )
     parser.add_argument(
@@ -139,36 +126,8 @@ def list_rules() -> str:
     return "\n".join(lines)
 
 
-def _print_graph(
-    paths: Sequence[str],
-    context: Sequence[str],
-    config: LintConfig,
-    fmt: str,
-) -> int:
-    from repro.lint.flow import (
-        build_flow_graph,
-        format_graph_dot,
-        format_graph_json,
-    )
-    from repro.lint.project import ProjectIndex
-
-    files = collect_files(paths, config)
-    seen = {str(p) for p in files}
-    files += [p for p in collect_files(context, config) if str(p) not in seen]
-    modules, errors = parse_modules(files)
-    for error in errors:
-        print(error.render(), file=sys.stderr)
-    index = ProjectIndex(modules)
-    graph = build_flow_graph(index)
-    if fmt == "dot":
-        print(format_graph_dot(graph, index))
-    else:
-        print(format_graph_json(graph, index))
-    return 0
-
-
 def _validate_file(target: str) -> int:
-    from repro.lint.schema import validate_graph, validate_lint_report
+    from repro.lint.schema import validate_lint_report
 
     try:
         document = json.loads(
@@ -177,16 +136,13 @@ def _validate_file(target: str) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {target}: {exc}", file=sys.stderr)
         return 2
-    if isinstance(document, dict) and "edges" in document:
-        kind, problems = "graph", validate_graph(document)
-    else:
-        kind, problems = "lint report", validate_lint_report(document)
+    problems = validate_lint_report(document)
     if problems:
         for problem in problems:
             print(f"{target}: {problem}")
-        print(f"{target}: invalid {kind} ({len(problems)} problem(s))")
+        print(f"{target}: invalid lint report ({len(problems)} problem(s))")
         return 1
-    print(f"{target}: valid {kind}")
+    print(f"{target}: valid lint report")
     return 0
 
 
@@ -215,12 +171,6 @@ def _main(argv: Sequence[str] | None) -> int:
         select=select, ignore=ignore
     )
     context = args.context if args.context is not None else []
-    if args.graph is not None:
-        try:
-            return _print_graph(args.paths, context, config, args.graph)
-        except (FileNotFoundError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     cache_dir = None if args.no_cache else DEFAULT_CACHE_DIR
     try:
         result = run_lint(

@@ -1,14 +1,16 @@
-"""Lint configuration: which rules run, where, and with what exemptions.
+"""Lint configuration: which rules run and which files are walked.
 
-The defaults encode this repository's architecture (DESIGN.md):
+The scopes the rules are written for encode this repository's
+architecture (DESIGN.md) and are constants — one value was ever in use:
 
 - randomness lives only in ``repro/sim/rng.py`` (RL001's allowlist);
-- ``repro/core``, ``repro/baselines`` and ``repro/net`` are sans-io
-  (RL002's scope);
+  process fan-out only under ``repro/parallel/``;
+- ``repro/core``, ``repro/baselines``, ``repro/net`` and ``repro/shard``
+  are sans-io (RL002's scope);
 - wire-message modules are the ``*messages*.py`` files (RL003's scope).
 
-Everything is overridable from ``[tool.repro-lint]`` in ``pyproject.toml``
-and from the CLI, so the linter stays useful as the tree grows.
+Rule selection and extra walk excludes come from ``[tool.repro-lint]``
+in ``pyproject.toml`` and from the CLI.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Any, Iterable
 #: Modules whose import makes code nondeterministic or wall-clock
 #: dependent (RL001).  ``os`` itself is allowed — only ``os.urandom``
 #: calls are flagged, by the rule.
-DEFAULT_NONDETERMINISTIC_MODULES: frozenset[str] = frozenset(
+NONDETERMINISTIC_MODULES: frozenset[str] = frozenset(
     {"random", "time", "datetime", "uuid", "secrets"}
 )
 
@@ -29,11 +31,11 @@ DEFAULT_NONDETERMINISTIC_MODULES: frozenset[str] = frozenset(
 #: through :mod:`repro.parallel`, the one package whose determinism
 #: contract (per-task seed derivation, ordered merge) is tested — a
 #: stray pool anywhere else reintroduces scheduling nondeterminism.
-DEFAULT_PROCESS_MODULES: frozenset[str] = frozenset({"multiprocessing"})
+PROCESS_MODULES: frozenset[str] = frozenset({"multiprocessing"})
 
 #: Modules that perform I/O, scheduling or threading — banned in sans-io
 #: protocol code (RL002).
-DEFAULT_IO_MODULES: frozenset[str] = frozenset(
+IO_MODULES: frozenset[str] = frozenset(
     {
         "asyncio",
         "concurrent",
@@ -52,29 +54,18 @@ DEFAULT_IO_MODULES: frozenset[str] = frozenset(
     }
 )
 
-#: Representation-private attributes of the view vector, the value
-#: interner and the view handle (RL006).  Accessing one of these on a non-``self``
-#: receiver outside the view-plane module couples the caller to one
-#: concrete representation.
-DEFAULT_VIEW_PLANE_ATTRS: frozenset[str] = frozenset(
-    {
-        "_rows",
-        "_interner",
-        "_dirty",
-        "_eq_states",
-        "_union_mask",
-        "_union_values",
-        "_max_seen_tag",
-        "_ids",
-        "_values",
-        "_tag_masks",
-        "_cum_masks",
-        "_by_writer",
-        "_untagged_mask",
-        "_mask",
-        "_frozen",
-    }
-)
+#: package-relative module paths allowed to import randomness
+RNG_MODULES: tuple[str, ...] = ("sim/rng.py",)
+#: package-relative prefixes allowed to import process-spawning modules
+#: (the deterministic executor lives here)
+PARALLEL_PREFIXES: tuple[str, ...] = ("parallel/",)
+#: package-relative prefixes that must stay sans-io.  The sharded
+#: service is held to the same discipline: its CLI does I/O through
+#: argparse and file writes, which RL002 does not ban — what is banned
+#: is sockets/threads/asyncio sneaking into the deterministic service.
+SANSIO_PREFIXES: tuple[str, ...] = ("core/", "baselines/", "net/", "shard/")
+#: module basename substring marking a wire-message module
+MESSAGES_PATTERN = "messages"
 
 DEFAULT_EXCLUDE_PARTS: tuple[str, ...] = (
     "__pycache__",
@@ -96,6 +87,39 @@ def _posix(path: str | pathlib.Path) -> str:
     return pathlib.PurePath(path).as_posix()
 
 
+# -- path classification ------------------------------------------------
+def package_relpath(path: str) -> str | None:
+    """Path relative to the ``repro`` package root, or None if the file
+    is not inside it (tests, examples, fixtures...)."""
+    posix = _posix(path)
+    marker = "repro/"
+    idx = posix.rfind("/" + marker)
+    if idx >= 0:
+        return posix[idx + 1 + len(marker):]
+    if posix.startswith(marker):
+        return posix[len(marker):]
+    return None
+
+
+def is_rng_module(path: str) -> bool:
+    return package_relpath(path) in RNG_MODULES
+
+
+def is_parallel_module(path: str) -> bool:
+    rel = package_relpath(path)
+    return rel is not None and rel.startswith(PARALLEL_PREFIXES)
+
+
+def is_sansio_path(path: str) -> bool:
+    rel = package_relpath(path)
+    return rel is not None and rel.startswith(SANSIO_PREFIXES)
+
+
+def is_messages_module(path: str) -> bool:
+    name = pathlib.PurePath(path).name
+    return name.endswith(".py") and MESSAGES_PATTERN in name
+
+
 @dataclass(frozen=True, slots=True)
 class LintConfig:
     """Immutable configuration for one lint run."""
@@ -106,70 +130,6 @@ class LintConfig:
     ignore: frozenset[str] = frozenset()
     #: path fragments that exclude a file during directory walking
     exclude_parts: tuple[str, ...] = DEFAULT_EXCLUDE_PARTS
-    #: package-relative module paths allowed to import randomness
-    rng_modules: tuple[str, ...] = ("sim/rng.py",)
-    #: package-relative prefixes that must stay sans-io
-    sansio_prefixes: tuple[str, ...] = ("core/", "baselines/", "net/")
-    #: package-relative prefixes of the sharded-service layer; held to
-    #: the same sans-io discipline (its CLI does I/O through argparse
-    #: and file writes, which RL002 does not ban — what is banned is
-    #: sockets/threads/asyncio sneaking into the deterministic service)
-    shard_modules: tuple[str, ...] = ("shard/",)
-    #: module basename substring marking a wire-message module
-    messages_pattern: str = "messages"
-    #: package-relative module paths allowed to touch view internals
-    view_plane_modules: tuple[str, ...] = ("core/views.py",)
-    #: package-relative prefixes allowed to import process-spawning
-    #: modules (the deterministic executor lives here)
-    parallel_modules: tuple[str, ...] = ("parallel/",)
-    nondeterministic_modules: frozenset[str] = DEFAULT_NONDETERMINISTIC_MODULES
-    process_modules: frozenset[str] = DEFAULT_PROCESS_MODULES
-    io_modules: frozenset[str] = DEFAULT_IO_MODULES
-    view_plane_private_attrs: frozenset[str] = DEFAULT_VIEW_PLANE_ATTRS
-
-    # -- path classification --------------------------------------------
-    def package_relpath(self, path: str) -> str | None:
-        """Path relative to the ``repro`` package root, or None if the
-        file is not inside it (tests, examples, fixtures...)."""
-        posix = _posix(path)
-        marker = "repro/"
-        idx = posix.rfind("/" + marker)
-        if idx >= 0:
-            return posix[idx + 1 + len(marker):]
-        if posix.startswith(marker):
-            return posix[len(marker):]
-        return None
-
-    def is_test_path(self, path: str) -> bool:
-        posix = _posix(path)
-        return posix.startswith("tests/") or "/tests/" in posix
-
-    def is_rng_module(self, path: str) -> bool:
-        rel = self.package_relpath(path)
-        return rel is not None and rel in self.rng_modules
-
-    def is_sansio_path(self, path: str) -> bool:
-        rel = self.package_relpath(path)
-        if rel is None:
-            return False
-        return any(
-            rel.startswith(p)
-            for p in self.sansio_prefixes + self.shard_modules
-        )
-
-    def is_messages_module(self, path: str) -> bool:
-        name = pathlib.PurePath(path).name
-        return name.endswith(".py") and self.messages_pattern in name
-
-    def is_view_plane_module(self, path: str) -> bool:
-        rel = self.package_relpath(path)
-        return rel is not None and rel in self.view_plane_modules
-
-    def is_parallel_module(self, path: str) -> bool:
-        rel = self.package_relpath(path)
-        if rel is None:
-            return False
-        return any(rel.startswith(p) for p in self.parallel_modules)
 
     def is_excluded(self, path: str) -> bool:
         posix = _posix(path)
@@ -220,28 +180,18 @@ class LintConfig:
             kwargs["exclude_parts"] = DEFAULT_EXCLUDE_PARTS + tuple(
                 map(str, table["exclude"])
             )
-        if "rng-modules" in table:
-            kwargs["rng_modules"] = tuple(map(str, table["rng-modules"]))
-        if "sansio-paths" in table:
-            kwargs["sansio_prefixes"] = tuple(map(str, table["sansio-paths"]))
-        if "shard-modules" in table:
-            kwargs["shard_modules"] = tuple(map(str, table["shard-modules"]))
-        if "view-plane-modules" in table:
-            kwargs["view_plane_modules"] = tuple(
-                map(str, table["view-plane-modules"])
-            )
-        if "parallel-modules" in table:
-            kwargs["parallel_modules"] = tuple(
-                map(str, table["parallel-modules"])
-            )
         return cls(**kwargs)
 
 
 __all__ = [
     "DEFAULT_EXCLUDE_PARTS",
-    "DEFAULT_IO_MODULES",
-    "DEFAULT_NONDETERMINISTIC_MODULES",
-    "DEFAULT_PROCESS_MODULES",
-    "DEFAULT_VIEW_PLANE_ATTRS",
+    "IO_MODULES",
     "LintConfig",
+    "NONDETERMINISTIC_MODULES",
+    "PROCESS_MODULES",
+    "is_messages_module",
+    "is_parallel_module",
+    "is_rng_module",
+    "is_sansio_path",
+    "package_relpath",
 ]

@@ -3,9 +3,9 @@
 The engine makes two passes.  Pass one parses *every* target file (plus
 any ``context`` files, which inform the :class:`ProjectIndex` without
 being linted themselves) — cross-module facts (the ``ProtocolNode``
-subclass closure, the message-flow graph) must see the whole tree before
-any rule runs.  Pass two runs each enabled rule over each module and
-filters the findings through the per-file suppressions.
+subclass closure, the wait sites a class inherits) must see the whole
+tree before any rule runs.  Pass two runs each enabled rule over each
+module and filters the findings through the per-file suppressions.
 
 Two extras ride on the raw-findings stream:
 
@@ -17,8 +17,9 @@ Two extras ride on the raw-findings stream:
 - **result cache** — when ``cache_dir`` is given, a whole-project
   fingerprint (rules version + config + every file's content hash) is
   looked up first; a hit replays the stored result without parsing
-  anything, which is what makes warm runs fast.  Whole-program rules
-  make any finer-grained invalidation unsound, so it is all or nothing.
+  anything, which is what makes warm runs fast.  A whole-program rule
+  (RL009) makes any finer-grained invalidation unsound, so it is all or
+  nothing.
 """
 
 from __future__ import annotations
@@ -127,16 +128,21 @@ def _stale_suppressions(
 ) -> list[Finding]:
     """``STALE`` warnings for id-carrying suppression comments in
     ``module`` whose rule (among those that actually ran) produced no
-    finding on the target line."""
+    finding on the target line, or whose id names no registered rule —
+    that one can never match, whatever the selection."""
     out: list[Finding] = []
     ran = set(rules_run)
     for entry in suppressions.entries:
         hits = raw_by_line.get(entry.target_line, set())
         for rule_id in sorted(entry.ids):
-            if rule_id not in ran:
+            if rule_id not in ALL_RULES:
+                why = f"names unknown rule id {rule_id}"
+            elif rule_id not in ran:
                 continue  # not decidable this run (rule deselected)
-            if rule_id in hits:
+            elif rule_id in hits:
                 continue
+            else:
+                why = f"matches no {rule_id} finding on line {entry.target_line}"
             out.append(
                 Finding(
                     rule_id=STALE_SUPPRESSION_ID,
@@ -144,11 +150,7 @@ def _stale_suppressions(
                     path=module.path,
                     line=entry.line,
                     col=1,
-                    message=(
-                        f"stale suppression: '# lint: ignore[{rule_id}]' "
-                        f"matches no {rule_id} finding on line "
-                        f"{entry.target_line}"
-                    ),
+                    message=f"stale suppression: '# lint: ignore[{rule_id}]' {why}",
                     fix_hint=(
                         "remove the stale id (or the whole comment) — "
                         "dead suppressions hide future regressions"
@@ -209,7 +211,7 @@ def run_lint(
             continue
         raw_by_line: dict[int, set[str]] = {}
         for rule in rules:
-            for finding in rule.check(module, index, cfg):
+            for finding in rule.check(module, index):
                 raw_by_line.setdefault(finding.line, set()).add(
                     finding.rule_id
                 )

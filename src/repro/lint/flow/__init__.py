@@ -1,28 +1,13 @@
-"""repro.lint.flow — whole-program message-flow analysis.
+"""repro.lint.flow — the analysis under RL009.
 
-The dataflow layer under rules RL007–RL010: :mod:`graph` extracts the
-message-flow graph (send/consume/construction/wait sites) from every
-``ProtocolNode`` subclass, :mod:`symbolic` decides quorum intersection
-over linear forms in ``n`` and ``f``, and :mod:`export` renders the
-graph as JSON or Graphviz DOT for ``python -m repro.lint --graph``.
+:mod:`graph` walks every ``WaitUntil`` wait site (and reads ``@handles``
+registrations for RL001/RL003); :mod:`symbolic` decides quorum
+intersection over linear forms in ``n`` and ``f``.
 """
 
 from __future__ import annotations
 
-from repro.lint.flow.export import (
-    GRAPH_SCHEMA_VERSION,
-    format_graph_dot,
-    format_graph_json,
-    graph_to_dict,
-)
-from repro.lint.flow.graph import (
-    ConsumeSite,
-    FlowGraph,
-    MessageSchema,
-    SendSite,
-    WaitSite,
-    build_flow_graph,
-)
+from repro.lint.flow.graph import WaitSite, registered_kind, wait_sites
 from repro.lint.flow.symbolic import (
     FaultModel,
     Lin,
@@ -32,19 +17,12 @@ from repro.lint.flow.symbolic import (
 )
 
 __all__ = [
-    "ConsumeSite",
     "FaultModel",
-    "FlowGraph",
-    "GRAPH_SCHEMA_VERSION",
     "Lin",
-    "MessageSchema",
-    "SendSite",
     "WaitSite",
-    "build_flow_graph",
     "check_intersection",
     "fault_model_for",
-    "format_graph_dot",
-    "format_graph_json",
-    "graph_to_dict",
     "parse_linear",
+    "registered_kind",
+    "wait_sites",
 ]

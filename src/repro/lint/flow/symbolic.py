@@ -240,17 +240,6 @@ def check_intersection(threshold: Lin, model: FaultModel) -> QuorumViolation | N
     return None
 
 
-def protocol_fault_models(
-    index: ProjectIndex,
-) -> dict[str, FaultModel]:
-    """Fault model per protocol class (for graph export / docs)."""
-    out: dict[str, FaultModel] = {}
-    for info in index.classes.values():
-        if index.is_protocol_class(info.name):
-            out[info.name] = fault_model_for(index, info.name)
-    return out
-
-
 def threshold_comparisons(
     nodes: list[ast.AST],
 ) -> list[tuple[ast.Compare, ast.expr]]:
@@ -312,7 +301,6 @@ __all__ = [
     "check_intersection",
     "fault_model_for",
     "parse_linear",
-    "protocol_fault_models",
     "threshold_comparisons",
     "threshold_form",
 ]

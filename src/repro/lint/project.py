@@ -68,14 +68,6 @@ def is_self_call(node: ast.Call, method: str | None = None) -> bool:
     )
 
 
-def function_defs(tree: ast.AST) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
-    return [
-        n
-        for n in ast.walk(tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
 def is_generator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     """Does ``fn`` itself contain a yield (ignoring nested functions)?"""
     stack: list[ast.AST] = list(fn.body)
@@ -89,48 +81,16 @@ def is_generator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
-def _is_dataclass_decorator(node: ast.expr) -> bool:
-    if isinstance(node, ast.Call):
-        return _is_dataclass_decorator(node.func)
-    if isinstance(node, ast.Name):
-        return node.id == "dataclass"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "dataclass"
-    return False
-
-
-def _is_classvar_annotation(node: ast.expr) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id == "ClassVar"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "ClassVar"
-    if isinstance(node, ast.Subscript):
-        return _is_classvar_annotation(node.value)
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return "ClassVar" in node.value
-    return False
-
-
-@dataclass(frozen=True, slots=True)
-class DataclassField:
-    """One constructor parameter of a ``@dataclass``."""
-
-    name: str
-    has_default: bool
-
-
 @dataclass(slots=True)
 class ClassInfo:
     """One class definition somewhere in the project."""
 
     name: str
-    module_path: str
     node: ast.ClassDef
     base_names: tuple[str, ...]
     methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(
         default_factory=dict
     )
-    is_dataclass: bool = False
 
 
 @dataclass(slots=True)
@@ -141,8 +101,6 @@ class ModuleInfo:
     tree: ast.Module
     source: str
     classes: list[ClassInfo] = field(default_factory=list)
-    #: local name -> imported name, from ``from m import X as Y``
-    import_aliases: dict[str, str] = field(default_factory=dict)
 
 
 _SET_TYPE_NAMES = {"set", "frozenset", "Set", "FrozenSet", "MutableSet"}
@@ -182,27 +140,17 @@ class ProjectIndex:
     def __init__(self, modules: list[ModuleInfo]) -> None:
         self.modules = modules
         self.classes: dict[str, ClassInfo] = {}
-        self.module_by_path: dict[str, ModuleInfo] = {}
         for mod in modules:
-            self.module_by_path[mod.path] = mod
-            mod.import_aliases = _import_aliases(mod.tree)
+            aliases = _import_aliases(mod.tree)
             for stmt in ast.walk(mod.tree):
                 if not isinstance(stmt, ast.ClassDef):
                     continue
                 bases = tuple(
-                    mod.import_aliases.get(b, b)
+                    aliases.get(b, b)
                     for b in map(_base_name, stmt.bases)
                     if b is not None
                 )
-                info = ClassInfo(
-                    stmt.name,
-                    mod.path,
-                    stmt,
-                    bases,
-                    is_dataclass=any(
-                        _is_dataclass_decorator(d) for d in stmt.decorator_list
-                    ),
-                )
+                info = ClassInfo(stmt.name, stmt, bases)
                 for item in stmt.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         info.methods[item.name] = item
@@ -213,12 +161,8 @@ class ProjectIndex:
         self._protocol_names = self._close_over_bases({PROTOCOL_BASE})
         self._phase_memo: dict[tuple[str, str], bool] = {}
         self._set_attr_memo: dict[str, frozenset[str]] = {}
-        self._field_memo: dict[str, tuple[DataclassField, ...] | None] = {}
-        self._attr_name_memo: dict[str, frozenset[str]] = {}
-        self._component_memo: dict[str, dict[str, str]] = {}
-        self._callback_memo: dict[str, frozenset[str]] = {}
-        #: scratch space for whole-project analyses (e.g. the message-flow
-        #: graph) that want to compute once per index, not once per module
+        #: scratch space for whole-project analyses (RL009's findings and
+        #: fault models) computed once per index, not once per module
         self.analysis_cache: dict[str, object] = {}
 
     # -- subclass closure -----------------------------------------------
@@ -303,131 +247,6 @@ class ProjectIndex:
         self._set_attr_memo[class_name] = result
         return result
 
-    # -- dataclass schemas ----------------------------------------------
-    def is_dataclass_name(self, name: str) -> bool:
-        info = self.classes.get(name)
-        return info is not None and info.is_dataclass
-
-    def dataclass_fields(
-        self, class_name: str
-    ) -> tuple[DataclassField, ...] | None:
-        """Constructor parameters of ``class_name`` in declaration order
-        (base-class fields first, as the ``dataclass`` machinery does),
-        or None when the class is not an indexed dataclass.
-
-        ``ClassVar`` annotations are excluded; a re-annotation in a
-        subclass keeps the base's position but may change the default.
-        """
-        if class_name in self._field_memo:
-            return self._field_memo[class_name]
-        info = self.classes.get(class_name)
-        if info is None or not info.is_dataclass:
-            self._field_memo[class_name] = None
-            return None
-        fields: dict[str, bool] = {}
-        for ancestor in reversed(self.mro(class_name)):
-            if not ancestor.is_dataclass:
-                continue
-            for stmt in ancestor.node.body:
-                if not isinstance(stmt, ast.AnnAssign):
-                    continue
-                if not isinstance(stmt.target, ast.Name):
-                    continue
-                if _is_classvar_annotation(stmt.annotation):
-                    continue
-                fields[stmt.target.id] = stmt.value is not None
-        result = tuple(DataclassField(n, d) for n, d in fields.items())
-        self._field_memo[class_name] = result
-        return result
-
-    def class_attr_names(self, class_name: str) -> frozenset[str]:
-        """Every attribute name statically visible on ``class_name``:
-        dataclass fields, methods (incl. properties) and class-level
-        assignments, along the project-local MRO."""
-        cached = self._attr_name_memo.get(class_name)
-        if cached is not None:
-            return cached
-        names: set[str] = set()
-        for info in self.mro(class_name):
-            names.update(info.methods)
-            for stmt in info.node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    names.add(stmt.target.id)
-                elif isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-        result = frozenset(names)
-        self._attr_name_memo[class_name] = result
-        return result
-
-    # -- component objects ----------------------------------------------
-    def _init_component_calls(
-        self, class_name: str
-    ) -> list[tuple[str, str, ast.Call]]:
-        """``(attr, component_class, call)`` for every
-        ``self.<attr> = <ProjectClass>(...)`` in any ``__init__`` along
-        the MRO (e.g. ``self.rbc = BrachaRBC(self, self._on_deliver)``)."""
-        out: list[tuple[str, str, ast.Call]] = []
-        for info in self.mro(class_name):
-            init = info.methods.get("__init__")
-            if init is None:
-                continue
-            module = self.module_by_path.get(info.module_path)
-            aliases = module.import_aliases if module is not None else {}
-            for node in ast.walk(init):
-                if not (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Attribute)
-                    and isinstance(node.targets[0].value, ast.Name)
-                    and node.targets[0].value.id == "self"
-                    and isinstance(node.value, ast.Call)
-                ):
-                    continue
-                callee = _base_name(node.value.func)
-                if callee is None:
-                    continue
-                resolved = aliases.get(callee, callee)
-                if resolved in self.classes:
-                    out.append((node.targets[0].attr, resolved, node.value))
-        return out
-
-    def component_types(self, class_name: str) -> dict[str, str]:
-        """``self.<attr>`` -> component class, for project classes
-        instantiated and stored in ``__init__`` along the MRO."""
-        cached = self._component_memo.get(class_name)
-        if cached is not None:
-            return cached
-        out: dict[str, str] = {}
-        for attr, component, _call in self._init_component_calls(class_name):
-            out.setdefault(attr, component)
-        self._component_memo[class_name] = out
-        return out
-
-    def component_callbacks(self, class_name: str) -> frozenset[str]:
-        """Methods handed to a component constructor as ``self.<method>``
-        arguments — entry points a component may invoke on message
-        delivery, so liveness analysis treats them as handler roots."""
-        cached = self._callback_memo.get(class_name)
-        if cached is not None:
-            return cached
-        names: set[str] = set()
-        for _attr, _component, call in self._init_component_calls(class_name):
-            for arg in list(call.args) + [k.value for k in call.keywords]:
-                if (
-                    isinstance(arg, ast.Attribute)
-                    and isinstance(arg.value, ast.Name)
-                    and arg.value.id == "self"
-                    and self.resolve_method(class_name, arg.attr) is not None
-                ):
-                    names.add(arg.attr)
-        result = frozenset(names)
-        self._callback_memo[class_name] = result
-        return result
-
     # -- phase-annotation reachability ----------------------------------
     def method_has_phases(self, class_name: str, method: str) -> bool:
         """Does ``class_name.method`` (or any ``self.<helper>()`` it
@@ -461,11 +280,9 @@ class ProjectIndex:
 
 __all__ = [
     "ClassInfo",
-    "DataclassField",
     "ModuleInfo",
     "PROTOCOL_BASE",
     "ProjectIndex",
-    "function_defs",
     "is_generator",
     "is_self_call",
     "is_set_expression",

@@ -13,18 +13,15 @@ from repro.lint.rules.rl002_sansio import SansIoRule
 from repro.lint.rules.rl003_immutability import MessageImmutabilityRule
 from repro.lint.rules.rl004_quorum import QuorumArithmeticRule
 from repro.lint.rules.rl005_phases import PhaseCoverageRule
-from repro.lint.rules.rl006_views import ViewPlaneEncapsulationRule
-from repro.lint.rules.rl007_dead_letters import DeadLetterRule
-from repro.lint.rules.rl008_fields import FieldConformanceRule
 from repro.lint.rules.rl009_quorum_safety import QuorumSafetyRule
-from repro.lint.rules.rl010_liveness import UnsatisfiableWaitRule
 
 #: bump whenever any rule's behaviour changes — part of the result-cache
 #: fingerprint, so stale cached findings can never survive a rule edit
-RULES_VERSION = "2026.09-handler-table"
+RULES_VERSION = "2026.10-six-rules"
 
 #: rule id -> rule instance (rules are stateless; one instance serves
-#: every run)
+#: every run).  Ids are stable: a retired rule's id is never reused
+#: (DESIGN.md lists them and the run-time check that replaced each).
 ALL_RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
@@ -33,11 +30,7 @@ ALL_RULES: dict[str, Rule] = {
         MessageImmutabilityRule(),
         QuorumArithmeticRule(),
         PhaseCoverageRule(),
-        ViewPlaneEncapsulationRule(),
-        DeadLetterRule(),
-        FieldConformanceRule(),
         QuorumSafetyRule(),
-        UnsatisfiableWaitRule(),
     )
 }
 

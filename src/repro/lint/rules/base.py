@@ -13,7 +13,6 @@ import ast
 from abc import ABC, abstractmethod
 from typing import Iterator
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
 from repro.lint.project import ModuleInfo, ProjectIndex
 
@@ -30,9 +29,7 @@ class Rule(ABC):
     fix_hint: str = ""
 
     @abstractmethod
-    def check(
-        self, module: ModuleInfo, index: ProjectIndex, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
         """Yield every violation of this rule in ``module``."""
 
     def finding(

@@ -29,7 +29,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.config import LintConfig
+from repro.lint.config import (
+    NONDETERMINISTIC_MODULES,
+    PROCESS_MODULES,
+    is_parallel_module,
+    is_rng_module,
+)
 from repro.lint.findings import Finding
 from repro.lint.flow.graph import registered_kind
 from repro.lint.project import (
@@ -75,29 +80,24 @@ class DeterminismRule(Rule):
         "stream with .child(label)); wrap set iteration in sorted(...)"
     )
 
-    def check(
-        self, module: ModuleInfo, index: ProjectIndex, config: LintConfig
-    ) -> Iterator[Finding]:
-        if not config.is_rng_module(module.path):
-            yield from self._check_imports(module, config)
+    def check(self, module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
+        if not is_rng_module(module.path):
+            yield from self._check_imports(module)
         for cls in index.protocol_classes_in(module):
             yield from self._check_unordered_iteration(module, index, cls)
 
     # -- check 1: banned imports ----------------------------------------
-    def _check_imports(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
-        banned = config.nondeterministic_modules
-        in_parallel = config.is_parallel_module(module.path)
+    def _check_imports(self, module: ModuleInfo) -> Iterator[Finding]:
+        in_parallel = is_parallel_module(module.path)
         for name, node in imported_module_names(module.tree):
-            if name in banned:
+            if name in NONDETERMINISTIC_MODULES:
                 yield self.finding(
                     module,
                     node,
                     f"import of nondeterministic module {name!r} outside "
                     f"sim/rng breaks replayability",
                 )
-            elif name in config.process_modules and not in_parallel:
+            elif name in PROCESS_MODULES and not in_parallel:
                 yield self.finding(
                     module,
                     node,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.config import LintConfig
+from repro.lint.config import IO_MODULES, is_sansio_path
 from repro.lint.findings import Finding
 from repro.lint.project import ModuleInfo, ProjectIndex
 from repro.lint.rules.base import Rule, imported_module_names
@@ -35,12 +35,10 @@ class SansIoRule(Rule):
         "self.send()/self.broadcast() and let a runtime drive transport"
     )
 
-    def check(
-        self, module: ModuleInfo, index: ProjectIndex, config: LintConfig
-    ) -> Iterator[Finding]:
-        if config.is_sansio_path(module.path):
+    def check(self, module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
+        if is_sansio_path(module.path):
             for name, node in imported_module_names(module.tree):
-                if name in config.io_modules:
+                if name in IO_MODULES:
                     yield self.finding(
                         module,
                         node,

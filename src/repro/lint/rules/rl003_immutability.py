@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.config import LintConfig
+from repro.lint.config import is_messages_module
 from repro.lint.findings import Finding
 from repro.lint.flow.graph import registered_kind
 from repro.lint.project import ModuleInfo, ProjectIndex
@@ -72,10 +72,8 @@ class MessageImmutabilityRule(Rule):
         "build a new message instead of mutating a received one"
     )
 
-    def check(
-        self, module: ModuleInfo, index: ProjectIndex, config: LintConfig
-    ) -> Iterator[Finding]:
-        if config.is_messages_module(module.path):
+    def check(self, module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
+        if is_messages_module(module.path):
             yield from self._check_frozen(module)
         for cls in index.protocol_classes_in(module):
             for name, fn in cls.methods.items():

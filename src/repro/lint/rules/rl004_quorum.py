@@ -21,7 +21,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import ModuleInfo, ProjectIndex
 from repro.lint.rules.base import Rule
@@ -74,9 +73,7 @@ class QuorumArithmeticRule(Rule):
         "n - f) and use integer // arithmetic on counts"
     )
 
-    def check(
-        self, module: ModuleInfo, index: ProjectIndex, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
         for cls in index.protocol_classes_in(module):
             for fn in cls.methods.values():
                 yield from self._check_function(module, cls.name, fn)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import ModuleInfo, ProjectIndex, is_generator
 from repro.lint.rules.base import Rule
@@ -38,9 +37,7 @@ class PhaseCoverageRule(Rule):
         "zero-communication ops may suppress with a justification"
     )
 
-    def check(
-        self, module: ModuleInfo, index: ProjectIndex, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
         for cls in index.protocol_classes_in(module):
             for name, fn in cls.methods.items():
                 if name.startswith("_") or not is_generator(fn):

@@ -13,8 +13,8 @@ When the proof fails, the finding carries the smallest concrete
 ``(n, f)`` counterexample: e.g. the quorum-weakened chaos mutants wait
 on a single ack, and at ``n = 3, f = 1`` two size-1 "quorums" are
 disjoint — exactly the linearizability violations the chaos campaign
-then exhibits dynamically.  This generalizes RL004 (which pattern-matches
-a handful of known-bad threshold idioms) into a decision procedure.
+then exhibits dynamically.  RL004 stays beside it for what is not a
+``WaitUntil`` threshold: handler-side count tests and float division.
 
 A wait inherited from a base protocol class is analyzed under *that*
 class's model; methods of ``ProtocolNode`` itself — ``quorum_round``, the
@@ -29,9 +29,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
-from repro.lint.flow.graph import build_flow_graph
+from repro.lint.flow.graph import WaitSite, wait_sites
 from repro.lint.flow.symbolic import (
     check_intersection,
     fault_model_for,
@@ -50,9 +49,7 @@ class QuorumSafetyRule(Rule):
         "strengthen the constructor's fault-model guard"
     )
 
-    def check(
-        self, module: ModuleInfo, index: ProjectIndex, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
         findings = self._project_findings(index)
         for finding in findings:
             if finding.path == module.path:
@@ -62,9 +59,8 @@ class QuorumSafetyRule(Rule):
         cached = index.analysis_cache.get("rl009_findings")
         if isinstance(cached, list):
             return cached
-        graph = build_flow_graph(index)
-        waits_by_cls: dict[str | None, list] = {}
-        for site in graph.waits:
+        waits_by_cls: dict[str | None, list[WaitSite]] = {}
+        for site in wait_sites(index.modules):
             waits_by_cls.setdefault(site.cls, []).append(site)
         findings: list[Finding] = []
         seen: set[tuple[str, int, int, str]] = set()

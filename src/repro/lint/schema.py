@@ -1,11 +1,11 @@
-"""Structural validators for the linter's machine-readable outputs.
+"""Structural validator for the linter's machine-readable output.
 
 Built on the same :func:`repro.bench.schema.check_fields` idiom as the
 bench and chaos report validators: one shared helper, one list of
 human-readable problems per document, empty list = valid.  CI runs
-``python -m repro.lint --validate`` over both the ``--format json``
-report and the ``--graph json`` export so a schema drift fails the build
-instead of silently breaking downstream tooling.
+``python -m repro.lint --validate`` over the ``--format json`` report so
+a schema drift fails the build instead of silently breaking downstream
+tooling.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.bench.schema import check_fields
-from repro.lint.flow.export import GRAPH_SCHEMA_VERSION
 from repro.lint.report import JSON_SCHEMA_VERSION
 
 _SEVERITIES = {"error", "warning"}
@@ -74,64 +73,4 @@ def validate_lint_report(report: Any) -> list[str]:
     return problems
 
 
-def validate_graph(graph: Any) -> list[str]:
-    """Structurally validate a ``--graph json`` export."""
-    problems = check_fields(
-        graph,
-        {"version": int, "classes": list, "messages": list, "edges": list},
-        "graph",
-    )
-    if problems:
-        return problems
-    if graph["version"] != GRAPH_SCHEMA_VERSION:
-        problems.append(
-            f"graph.version: expected {GRAPH_SCHEMA_VERSION}, "
-            f"got {graph['version']}"
-        )
-    for i, cls in enumerate(graph["classes"]):
-        problems.extend(
-            check_fields(
-                cls,
-                {"name": str, "module": str, "fault_model": str},
-                f"graph.classes[{i}]",
-            )
-        )
-    for i, message in enumerate(graph["messages"]):
-        problems.extend(
-            check_fields(
-                message,
-                {
-                    "name": str,
-                    "module": str,
-                    "fields": list,
-                    "sent_by": list,
-                    "consumed_by": list,
-                },
-                f"graph.messages[{i}]",
-            )
-        )
-    for i, edge in enumerate(graph["edges"]):
-        sub = check_fields(
-            edge,
-            {
-                "kind": str,
-                "class": str,
-                "method": str,
-                "message": str,
-                "via": str,
-                "path": str,
-                "line": int,
-                "fields": list,
-            },
-            f"graph.edges[{i}]",
-        )
-        problems.extend(sub)
-        if not sub and edge["kind"] not in ("send", "consume"):
-            problems.append(
-                f"graph.edges[{i}].kind: expected 'send' or 'consume', "
-                f"got {edge['kind']!r}"
-            )
-    return problems
-
-
-__all__ = ["validate_graph", "validate_lint_report"]
+__all__ = ["validate_lint_report"]

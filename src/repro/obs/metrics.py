@@ -170,9 +170,7 @@ class Histogram:
         histogram fed both observation streams — what the parallel
         executor relies on when folding worker registries together.
         """
-        # Histogram's own _values, not a view plane's — RL006's attr set
-        # is name-based and collides here.
-        theirs = other._values  # lint: ignore[RL006]
+        theirs = other._values
         if not theirs:
             return
         if self._values and theirs[0] < self._values[-1]:

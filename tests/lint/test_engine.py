@@ -8,7 +8,13 @@ import pathlib
 import textwrap
 
 from repro.lint import LintConfig, run_lint
-from repro.lint.config import DEFAULT_EXCLUDE_PARTS
+from repro.lint.config import (
+    DEFAULT_EXCLUDE_PARTS,
+    is_messages_module,
+    is_rng_module,
+    is_sansio_path,
+    package_relpath,
+)
 from repro.lint.engine import collect_files
 from repro.lint.findings import PARSE_ERROR_ID
 from repro.lint.project import ModuleInfo, ProjectIndex
@@ -61,16 +67,17 @@ def test_duplicate_paths_lint_once():
 
 
 def test_package_relpath_and_roles():
-    cfg = LintConfig()
-    assert cfg.package_relpath("src/repro/core/eq_aso.py") == "core/eq_aso.py"
-    assert cfg.package_relpath("/abs/src/repro/sim/rng.py") == "sim/rng.py"
-    assert cfg.package_relpath("tests/core/test_eq_aso.py") is None
-    assert cfg.is_rng_module("src/repro/sim/rng.py")
-    assert not cfg.is_rng_module("src/repro/sim/kernel.py")
-    assert cfg.is_sansio_path("src/repro/baselines/delporte.py")
-    assert not cfg.is_sansio_path("src/repro/runtime/aio.py")
-    assert cfg.is_messages_module("src/repro/core/byz_messages.py")
-    assert not cfg.is_messages_module("src/repro/core/tags.py")
+    assert package_relpath("src/repro/core/eq_aso.py") == "core/eq_aso.py"
+    assert package_relpath("/abs/src/repro/sim/rng.py") == "sim/rng.py"
+    assert package_relpath("tests/core/test_eq_aso.py") is None
+    assert is_rng_module("src/repro/sim/rng.py")
+    assert not is_rng_module("src/repro/sim/kernel.py")
+    assert not is_rng_module("tests/sim/test_rng.py")
+    assert is_sansio_path("src/repro/baselines/delporte.py")
+    assert is_sansio_path("src/repro/shard/service.py")
+    assert not is_sansio_path("src/repro/runtime/aio.py")
+    assert is_messages_module("src/repro/core/byz_messages.py")
+    assert not is_messages_module("src/repro/core/tags.py")
 
 
 def test_selection_logic():
@@ -92,14 +99,14 @@ def test_pyproject_config_roundtrip(tmp_path):
             [tool.repro-lint]
             ignore = ["RL004"]
             exclude = ["generated/"]
-            rng-modules = ["sim/rng.py", "sim/entropy.py"]
             """
         )
     )
     cfg = LintConfig.from_pyproject(tmp_path)
     assert not cfg.rule_enabled("RL004") and cfg.rule_enabled("RL001")
     assert cfg.is_excluded("pkg/generated/x.py")
-    assert cfg.is_rng_module("src/repro/sim/entropy.py")
+    assert cfg.is_excluded("tests/lint/fixtures/x.py")  # defaults kept
+    assert not cfg.is_excluded("pkg/handwritten/x.py")
 
 
 def test_pyproject_missing_or_broken_falls_back(tmp_path):

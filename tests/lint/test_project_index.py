@@ -1,13 +1,13 @@
 """ProjectIndex edge cases the simple happy-path tests skip: diamond
-MRO, aliased base imports, attribute inheritance through ``__init__``-less
-middle classes, component wiring, and dataclass schema assembly."""
+MRO, aliased base imports, and attribute inheritance through
+``__init__``-less middle classes."""
 
 from __future__ import annotations
 
 import ast
 import textwrap
 
-from repro.lint.project import DataclassField, ModuleInfo, ProjectIndex
+from repro.lint.project import ModuleInfo, ProjectIndex
 
 
 def _index(*sources: str) -> ProjectIndex:
@@ -110,91 +110,3 @@ def test_set_attrs_skip_initless_middle_class():
     # must still be visible from the leaf (and from Middle itself)
     assert index.set_typed_attrs("Leaf") == {"acks", "tags", "extra"}
     assert index.set_typed_attrs("Middle") == {"acks", "tags"}
-
-
-def test_class_attr_names_cross_the_whole_mro():
-    index = _index(
-        """
-        class Base:
-            LIMIT = 3
-            def walk(self): pass
-
-        class Child(Base):
-            label: str = "x"
-            def run(self): pass
-        """
-    )
-    names = index.class_attr_names("Child")
-    assert {"LIMIT", "walk", "label", "run"} <= names
-
-
-# -- component objects ----------------------------------------------------
-
-
-def test_component_types_and_callbacks_resolve_through_aliases():
-    index = _index(
-        "class BrachaRBC:\n    def rbc_broadcast(self, m): pass\n",
-        """
-        from mod0 import BrachaRBC as RBC
-
-        class Node(ProtocolNode):
-            def __init__(self):
-                self.rbc = RBC(self, self._on_deliver)
-
-            def _on_deliver(self, origin, payload):
-                pass
-        """,
-    )
-    assert index.component_types("Node") == {"rbc": "BrachaRBC"}
-    assert index.component_callbacks("Node") == {"_on_deliver"}
-
-
-def test_component_callbacks_require_a_resolvable_method():
-    index = _index(
-        """
-        class Helper:
-            pass
-
-        class Node(ProtocolNode):
-            def __init__(self):
-                # self.missing is not a method of Node -> not a callback
-                self.h = Helper(self.missing)
-        """
-    )
-    assert index.component_types("Node") == {"h": "Helper"}
-    assert index.component_callbacks("Node") == frozenset()
-
-
-# -- dataclass schemas ----------------------------------------------------
-
-
-def test_dataclass_fields_base_first_with_defaults_and_classvar():
-    index = _index(
-        """
-        from dataclasses import dataclass
-        from typing import ClassVar
-
-        @dataclass(frozen=True, slots=True)
-        class MBase:
-            origin: int
-            KIND: ClassVar[str] = "base"
-
-        @dataclass(frozen=True, slots=True)
-        class MChild(MBase):
-            reqid: int
-            note: str = ""
-        """
-    )
-    fields = index.dataclass_fields("MChild")
-    assert fields == (
-        DataclassField("origin", False),  # base field first, no default
-        DataclassField("reqid", False),
-        DataclassField("note", True),
-    )
-    assert index.is_dataclass_name("MChild")
-    assert not index.is_dataclass_name("NoSuchClass")
-
-
-def test_dataclass_fields_none_for_plain_classes():
-    index = _index("class Plain:\n    x: int = 0\n")
-    assert index.dataclass_fields("Plain") is None

@@ -1,8 +1,6 @@
-"""``ProtocolNode.quorum_round`` is the one count-wait, and the
-whole-program rules follow it there: RL009 proves its threshold under
-each inheriting class's fault model, RL010 connects its wait to
-``round_reply`` through the handler closure, RL007 sees its payload as a
-send site."""
+"""``ProtocolNode.quorum_round`` is the one count-wait, and RL009
+follows it there: it proves the round's threshold under each inheriting
+class's fault model."""
 
 from __future__ import annotations
 
@@ -11,7 +9,7 @@ import textwrap
 
 from repro.lint import LintConfig, run_lint
 from repro.lint.engine import collect_files, parse_modules
-from repro.lint.flow import build_flow_graph
+from repro.lint.flow import wait_sites
 from repro.lint.flow.symbolic import (
     Lin,
     check_intersection,
@@ -32,7 +30,7 @@ def _real_tree():
     modules, errors = parse_modules(files)
     assert not errors
     index = ProjectIndex(modules)
-    return index, build_flow_graph(index)
+    return index, wait_sites(modules)
 
 
 def test_the_primitive_is_the_only_count_wait():
@@ -40,10 +38,10 @@ def test_the_primitive_is_the_only_count_wait():
     except two deliberate non-rounds: the LA proposer waits on *every*
     element's ack set at once (several broadcasts, one conjunction), and
     the chaos mutants spell their weakened count out on purpose."""
-    _, graph = _real_tree()
+    _, waits = _real_tree()
     sites = {
-        (pathlib.Path(w.path).relative_to(SRC).as_posix(), w.cls, w.method)
-        for w in graph.waits
+        (pathlib.Path(w.path).relative_to(SRC).as_posix(), w.cls, w.enclosing_fn.name)
+        for w in waits
         if threshold_comparisons(w.predicate)
     }
     assert {s for s in sites if s[0] != "chaos/mutants.py"} == {
@@ -54,9 +52,11 @@ def test_the_primitive_is_the_only_count_wait():
 
 
 def test_rl009_proves_the_helper_under_every_inheriting_fault_model():
-    index, graph = _real_tree()
+    index, waits = _real_tree()
     (site,) = [
-        w for w in graph.waits if (w.cls, w.method) == ("ProtocolNode", "quorum_round")
+        w
+        for w in waits
+        if (w.cls, w.enclosing_fn.name) == ("ProtocolNode", "quorum_round")
     ]
     ((compare, expr),) = threshold_comparisons(site.predicate)
     # the threshold is a local read once per round; RL009 reads through it
@@ -122,27 +122,3 @@ def test_rl009_reads_a_hoisted_threshold_and_flags_a_weak_one(tmp_path):
     )
     (finding,) = _lint(tmp_path, "WeakNode", body, FILES_REPLY, "RL009")
     assert "'need'" in finding.message and "Byzantine (n > 3f)" in finding.message
-
-
-def test_rl010_connects_the_round_to_round_reply(tmp_path):
-    body = "yield from self.quorum_round(1, MAsk(1), 'ask quorum')"
-    assert _lint(tmp_path, "GoodNode", body, FILES_REPLY, "RL010") == []
-    # a handler that never files the reply leaves the round unsatisfiable;
-    # the finding lands on the helper's wait, which a context file does
-    # not report — so lint the helper itself alongside
-    path = tmp_path / "deafnode.py"
-    path.write_text(
-        textwrap.dedent(WEAK_HELPER.format(name="DeafNode", body=body, reply="pass"))
-    )
-    config = LintConfig().with_selection(select=["RL010"])
-    findings = run_lint([path, SRC / "runtime" / "protocol.py"], config).findings
-    assert len(findings) == 1
-    assert "self._rounds" in findings[0].message and "DeafNode" in findings[0].message
-
-
-def test_rl007_sees_the_round_payload_as_a_send_site(tmp_path):
-    body = "yield from self.quorum_round(1, MAsk(1), 'ask quorum')"
-    assert _lint(tmp_path, "SendNode", body, FILES_REPLY, "RL007") == []
-    _, graph = _real_tree()
-    via_round = {s.message for s in graph.sends if s.via == "quorum_round"}
-    assert {"MReadTag", "MWriteTag", "MValue", "MCollect", "MCommit"} <= via_round

@@ -70,6 +70,18 @@ def test_deselected_rule_is_not_decidable(tmp_path):
     assert result.stale_suppressions == []
 
 
+def test_unknown_rule_id_is_always_stale(tmp_path):
+    # "deselected this run" is undecidable; "does not exist" is not: no
+    # run can ever produce an RL999 finding for the comment to match
+    source = "x = 1  # lint: ignore[RL999]\n"
+    for config in (None, LintConfig().with_selection(select=["RL004"])):
+        (stale,) = _lint(tmp_path, source, config).stale_suppressions
+        assert stale.rule_id == STALE_SUPPRESSION_ID and stale.line == 1
+        assert "unknown rule id RL999" in stale.message
+    target = tmp_path / "probe.py"
+    assert main([str(target), "--no-cache", "--strict-suppressions"]) == 1
+
+
 def test_skip_file_disables_stale_checking(tmp_path):
     result = _lint(
         tmp_path, "# lint: skip-file\nx = 1  # lint: ignore[RL001]\n"

@@ -37,7 +37,6 @@ class PingPong(ProtocolNode):
     def never(self):
         # stuck on purpose: the test asserts the cluster raises
         # StuckError on exactly this wait
-        # lint: ignore-next-line[RL010]
         yield WaitUntil(lambda: False, "never satisfied")
         return None
 
