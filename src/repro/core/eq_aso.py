@@ -88,7 +88,6 @@ class EqAso(ProtocolNode):
         self.max_tag = 0
         self.D_view: list[View | None] = [None] * n
         # --- bookkeeping the pseudocode leaves implicit ---
-        self._seen: set[ValueTs] = set()  # forward-once filter (line 41)
         self._useq = 0  # per-writer update sequence number (footnote 2)
         self._reqids = itertools.count(1)
         # goodLA views recorded per (tag, sender) at receipt time; the
@@ -113,7 +112,6 @@ class EqAso(ProtocolNode):
         ts = Timestamp(r + 1, self.node_id)  # line 5
         self._useq += 1
         vt = ValueTs(value, ts, self._useq)
-        self._seen.add(vt)
         self.broadcast(MValue(vt))  # line 6
         if self.enable_phase0:
             self.phase_enter("phase0")
@@ -232,12 +230,10 @@ class EqAso(ProtocolNode):
     # ==================================================================
     @handles(MValue)
     def _on_value(self, src: int, m: MValue) -> None:  # lines 40-42
-        vt = m.vt
-        self.V.add(src, vt)
-        self.V.add(self.node_id, vt)
-        if vt not in self._seen:
-            self._seen.add(vt)
-            self.broadcast(MValue(vt))  # forward exactly once
+        # forward exactly once: on first receipt (new to ``V[i]``), unless
+        # it is our own line-6 broadcast coming back — everyone has that
+        if self.V.learn(src, self.node_id, m.vt) and src != self.node_id:
+            self.broadcast(m)
 
     @handles(MGoodLA)
     def _on_good_la(self, src: int, m: MGoodLA) -> None:  # line 49

@@ -63,7 +63,6 @@ class EarlyStoppingLA(ProtocolNode):
         if n <= 2 * f:
             raise ValueError(f"lattice agreement requires n > 2f (n={n}, f={f})")
         self.V = ViewVector(n)
-        self._seen: set[LAElement] = set()
         self._acks: dict[LAElement, set[int]] = {}
         self._proposed = False
 
@@ -74,7 +73,6 @@ class EarlyStoppingLA(ProtocolNode):
         self._proposed = True
         elements = [LAElement(self.node_id, v) for v in values]
         for el in elements:
-            self._seen.add(el)
             self._acks[el] = set()
             self.broadcast(MLAValue(el))
 
@@ -103,11 +101,9 @@ class EarlyStoppingLA(ProtocolNode):
     @handles(MLAValue)
     def _on_la_value(self, src: int, m: MLAValue) -> None:
         el = m.element
-        self.V.add(src, el)  # type: ignore[arg-type]
-        self.V.add(self.node_id, el)  # type: ignore[arg-type]
-        if el not in self._seen:
-            self._seen.add(el)
-            self.broadcast(MLAValue(el))
+        # forward once: on first receipt, unless it is our own broadcast
+        if self.V.learn(src, self.node_id, el) and src != self.node_id:
+            self.broadcast(m)
         if el.proposer != self.node_id:
             self.send(el.proposer, MLAAck(el))
         elif el in self._acks:

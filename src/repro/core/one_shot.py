@@ -33,7 +33,6 @@ class OneShotAso(ProtocolNode):
         if n <= 2 * f:
             raise ValueError(f"one-shot ASO requires n > 2f (n={n}, f={f})")
         self.V = ViewVector(n)
-        self._seen: set[ValueTs] = set()
         self._updated = False
 
     # ------------------------------------------------------------------
@@ -45,7 +44,6 @@ class OneShotAso(ProtocolNode):
             raise RuntimeError("one-shot ASO: node already updated")
         self._updated = True
         vt = ValueTs(value, Timestamp(1, self.node_id), useq=1)
-        self._seen.add(vt)
         self.phase_enter("value-ack")
         yield from self.quorum_round(
             vt, MValue(vt), f"one-shot update ack quorum for {vt!r}"
@@ -75,11 +73,9 @@ class OneShotAso(ProtocolNode):
     @handles(MValue)
     def _on_value(self, src: int, m: MValue) -> None:
         vt = m.vt
-        self.V.add(src, vt)
-        self.V.add(self.node_id, vt)
-        if vt not in self._seen:
-            self._seen.add(vt)
-            self.broadcast(MValue(vt))
+        # forward once: on first receipt, unless it is our own broadcast
+        if self.V.learn(src, self.node_id, vt) and src != self.node_id:
+            self.broadcast(m)
         # ack the *writer* so its update can complete
         if vt.writer != self.node_id:
             self.send(vt.writer, MValueAck(vt))

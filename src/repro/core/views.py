@@ -355,6 +355,33 @@ class ViewVector:
                 self._max_seen_tag = tag
         return True
 
+    def learn(self, src: int, me: int, value: Hashable) -> bool:
+        """Node ``me`` received ``value`` from ``src`` (Algorithm 1 lines
+        40-41): intern it once, add it to rows ``src`` and ``me``, and
+        return whether it was new to row ``me``.
+
+        Row ``me`` holds every value the node has received, so "new to
+        my row" is "first receipt" — the forward-once test of line 41,
+        with no set kept beside the vector.
+        """
+        bit = 1 << self._interner.intern(value)
+        rows = self._rows
+        mine = rows[me]
+        new = not mine & bit
+        if new:
+            rows[me] = mine | bit
+            self._dirty |= 1 << me
+            if not self._union_mask & bit:
+                self._union_mask |= bit
+                tag = tag_of(value)
+                if tag > self._max_seen_tag:
+                    self._max_seen_tag = tag
+        theirs = rows[src]
+        if not theirs & bit:  # the union has it: row ``me`` does by now
+            rows[src] = theirs | bit
+            self._dirty |= 1 << src
+        return new
+
     def row(self, j: int) -> ViewHandle:
         """A read-only snapshot of row ``j`` (the full, unrestricted view)."""
         return ViewHandle(self._interner, self._rows[j])

@@ -65,11 +65,17 @@ class CrashPlan:
     Tracks which nodes are crashed and answers the network's
     mid-broadcast queries.  ``k`` (the paper's actual-failure count) is
     ``len(plan)``; experiments assert ``k <= f``.
+
+    Attributes:
+        crashed: the nodes crashed so far — one live set for the whole
+            execution, grown by :meth:`mark_crashed` alone.  The
+            per-message path (network delivery, outbox flush) binds it
+            once and tests ``node in crashed``.
     """
 
     def __init__(self, specs: dict[int, CrashSpec] | None = None) -> None:
         self._specs: dict[int, CrashSpec] = dict(specs or {})
-        self._crashed: set[int] = set()
+        self.crashed: set[int] = set()
         self._fired: set[int] = set()
 
     # -- construction helpers -----------------------------------------
@@ -94,7 +100,7 @@ class CrashPlan:
     def copy(self) -> "CrashPlan":
         """A fresh plan with the same specs and pristine runtime state.
 
-        The ``_crashed`` / ``_fired`` sets of the copy start empty, so a
+        The ``crashed`` / ``_fired`` sets of the copy start empty, so a
         plan template can be reused across executions without one run's
         crashes leaking into the next.  Specs themselves are shared (they
         are frozen); note that a ``match`` predicate closing over mutable
@@ -127,14 +133,15 @@ class CrashPlan:
 
     # -- runtime state -------------------------------------------------
     def mark_crashed(self, node: int) -> None:
-        self._crashed.add(node)
+        self.crashed.add(node)
 
     def is_crashed(self, node: int) -> bool:
-        return node in self._crashed
+        return node in self.crashed
 
     @property
     def crashed_nodes(self) -> frozenset[int]:
-        return frozenset(self._crashed)
+        """A frozen copy of :attr:`crashed`."""
+        return frozenset(self.crashed)
 
     def filter_broadcast(
         self, node: int, payload: Any, dests: Sequence[int]
@@ -151,7 +158,7 @@ class CrashPlan:
         survivors of a fired crash are ``deliver_to ∩ dests`` (see
         :class:`BroadcastCrash`).
         """
-        if node in self._crashed:
+        if node in self.crashed:
             return [], False
         spec = self._specs.get(node)
         if (

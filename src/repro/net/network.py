@@ -138,9 +138,10 @@ class Network:
         self._max_delay = delay_model.D
         # delivery times are provably >= now (delay >= 0 plus a monotone
         # clamp), so the kernel's schedule-time validation is redundant:
-        # bind the queue's push and the crash predicate once.
+        # bind the queue's push once — and the plan's live crashed-set,
+        # so that a delivery-time crash check is ``dst in crashed``.
         self._push_call = sim.queue.push_call
-        self._is_crashed = crash_plan.is_crashed
+        self._crashed = crash_plan.crashed
 
     @property
     def D(self) -> float:
@@ -308,7 +309,7 @@ class Network:
     # delivery
     # ------------------------------------------------------------------
     def _arrive(self, src: int, dst: int, payload: Any, sent_at: float) -> None:
-        dropped = self._is_crashed(dst)
+        dropped = dst in self._crashed
         if self._watched:
             if self._record_trace:
                 self.trace.append(
@@ -336,10 +337,10 @@ class Network:
             for dst in dsts:
                 self._arrive(src, dst, payload, sent_at)
             return
-        crashed = self._is_crashed
+        crashed = self._crashed
         deliver = self._deliver
         for dst in dsts:
-            if crashed(dst):
+            if dst in crashed:
                 self.messages_dropped += 1
             else:
                 self.messages_delivered += 1

@@ -39,7 +39,7 @@ from repro.net.faults import CrashPlan
 from repro.runtime.cluster import BaseCluster
 from repro.runtime.driver import OpHandle
 from repro.runtime.protocol import ProtocolNode
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue, Record
 from repro.sim.fastpath import STATS
 from repro.sim.rng import SeededRng
 
@@ -88,7 +88,7 @@ class LoopKernel:
         args: tuple[Any, ...] = (),
         *,
         priority: int = 0,
-    ) -> Event:
+    ) -> Record:
         """Schedule ``fn(*args)`` at ``time``, which the caller guarantees
         is not in the past (as for the simulator's queue)."""
         event = self._push(time, fn, args, priority=priority)
@@ -96,7 +96,7 @@ class LoopKernel:
             self._arm(time)
         return event
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, event: Record) -> None:
         """Cancel a pending event (no-op if it already fired)."""
         self._queue.cancel(event)
 
@@ -145,7 +145,7 @@ class LoopKernel:
         try:
             while (event := pop()) is not end:
                 ran += 1
-                event.fn(*event.args)
+                event[3](*event[4])
         except Exception as exc:  # a handler's bug: report it, stay stopped
             self._on_failure(exc)
             return

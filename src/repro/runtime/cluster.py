@@ -225,7 +225,8 @@ class Cluster(BaseCluster):
         Each operation is invoked ``gap`` after the previous one completes
         (nodes are sequential, Sec. II-A, so this is the only way to issue
         several operations from one client).  If the node crashes
-        mid-chain, the remaining handles are marked aborted.
+        mid-chain, the remaining handles are aborted (never begun: they
+        leave no history record, and their callbacks fire).
         """
         handles = [
             OpHandle(node=node, kind=kind, args=tuple(args))
@@ -238,9 +239,6 @@ class Cluster(BaseCluster):
             handle = handles[idx]
             handle.on_complete(lambda _h: self._after_link(handles, idx, gap, launch))
             self._begin(handle, record)
-            if handle.aborted:
-                for rest in handles[idx + 1 :]:
-                    rest.aborted = True
 
         if handles:
             self.sim.schedule_at(
@@ -251,28 +249,23 @@ class Cluster(BaseCluster):
     def _after_link(self, handles, idx, gap, launch) -> None:
         if handles[idx].aborted:
             for rest in handles[idx + 1 :]:
-                rest.aborted = True
+                self._driver.abort(rest)
             return
         self.sim.schedule(gap, lambda: launch(idx + 1))
 
     def _begin(self, handle: OpHandle, record: bool) -> None:
         self._start_nodes()
-        if self.crash_plan.is_crashed(handle.node):
-            handle.aborted = True
+        if handle.node in self.crash_plan.crashed:
+            self._driver.abort(handle)  # never begun: settles, unrecorded
             return
         self._driver.begin(handle, record=record)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        until: float | None = None,
-        stop_when: Callable[[], bool] | None = None,
-    ) -> None:
+    def run(self, *, until: float | None = None) -> None:
         self._start_nodes()
-        self.sim.run(until=until, stop_when=stop_when)
+        self.sim.run(until=until)
 
     def run_until_complete(self, handles: Sequence[OpHandle]) -> None:
         """Run until every handle completes or its node crashes.
@@ -282,25 +275,30 @@ class Cluster(BaseCluster):
                 parked — a liveness violation (used by ablation tests to
                 detect the deadlocks that removing T1/T2/phase-0 causes).
         """
+        # Every handle settles through ``OpDriver._settle`` exactly once
+        # — done or aborted, begun or not — and fires its callbacks
+        # there, so the run is told to stop by the last one to settle:
+        # the kernel executes nothing per event on this method's behalf.
+        pending = [h for h in handles if not (h.done or h.aborted)]
+        remaining = len(pending)
 
-        # ``stop_when`` runs after every kernel event, so the check must
-        # be cheap: handles settle monotonically (done/aborted never
-        # revert), so a cursor over the first unsettled handle makes the
-        # scan amortized O(1) per event instead of O(len(handles)).
-        total = len(handles)
-        cursor = 0
+        def count_down(_handle: OpHandle) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if not remaining:
+                self.sim.stop()
 
-        def settled() -> bool:
-            nonlocal cursor
-            while cursor < total:
-                h = handles[cursor]
+        for h in pending:
+            h.on_complete(count_down)
+        self._start_nodes()
+        try:
+            if remaining:
+                self.sim.run()
+        finally:  # an aborted run (or a stuck one) leaves no stale stop
+            for h in pending:
                 if not (h.done or h.aborted):
-                    return False
-                cursor += 1
-            return True
-
-        self.run(stop_when=settled)
-        if not settled():
+                    h.callbacks.remove(count_down)
+        if remaining:
             lines = []
             for h in handles:
                 if h.done or h.aborted:

@@ -99,7 +99,8 @@ class OpDriver:
         meta: dict[str, Any],
     ) -> None:
         self.nodes = nodes
-        self.is_crashed = network.crash_plan.is_crashed
+        #: the crash plan's live crashed-set
+        self.crashed = network.crash_plan.crashed
         self.history = history
         self.tracer = tracer
         self.clock = network.sim
@@ -203,9 +204,9 @@ class OpDriver:
         outbox = self.nodes[node_id].outbox
         if not outbox:
             return
-        is_crashed = self.is_crashed
+        crashed = self.crashed
         while outbox:
-            if is_crashed(node_id):
+            if node_id in crashed:
                 # the node died mid-loop (BroadcastCrash): remaining
                 # queued sends never happened
                 outbox.clear()
@@ -215,7 +216,7 @@ class OpDriver:
                 self.broadcast(node_id, item.payload, item.dests)
             else:
                 self.send(node_id, item.dst, item.payload)
-        if is_crashed(node_id):
+        if node_id in crashed:
             op = self.ops[node_id]
             if op is not None:
                 self.abort(op)

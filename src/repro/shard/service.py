@@ -226,10 +226,12 @@ def _run_shard_task(task: _ShardTask) -> _ShardOutcome:
         rec[2] = aborted
         rec[3] = snap
         settled += 1
+        if settled == total:
+            sim.stop()  # the last op settled: nothing left to run for
 
     def dispatch(i: int) -> None:
         op = ops[i]
-        if cluster.crash_plan.is_crashed(op.node):
+        if op.node in cluster.crash_plan.crashed:
             settle(i, resp=None, aborted=True)
             return
         recs[i][0] = sim.now
@@ -265,15 +267,11 @@ def _run_shard_task(task: _ShardTask) -> _ShardOutcome:
 
     for i, op in enumerate(ops):
         sim.schedule_call_at(op.t, arrive, i, tag=f"shard-arrive:{i}")
-    cluster.run(stop_when=lambda: settled >= total)
-
-    # Sweep the silent-abort race: ``invoke`` schedules ``_begin``
-    # asynchronously, and ``_begin`` on a node that crashed in between
-    # marks the handle aborted *without* firing callbacks — those ops
-    # (and anything queued behind them) are still unsettled here.
-    for i, rec in enumerate(recs):
-        if rec[1] is None and not rec[2]:
-            rec[2] = True
+    # every op settles exactly once, through ``settle``: synchronously
+    # when dispatched onto a dead node, else from its handle's callback —
+    # which fires on abort too, also for an op whose ``_begin`` found the
+    # node crashed since the ``invoke`` that scheduled it
+    cluster.run()
 
     outcomes = [
         OpOutcome(

@@ -16,14 +16,21 @@ push *and* pop.  Popping merges the two internally-sorted lanes by
 heap-only order (differential tests drive it against the heap-only
 reference queue in ``tests/support/reference_substrate.py``).
 
-Events are lean ``__slots__`` records holding ``(fn, args)`` instead of a
-closure; the kernel fires them with ``event.fn(*event.args)``.
+An event is one record, the plain list ``[time, priority, seq, fn, args,
+tag, state]``.  Lists compare natively — by ``time``, then ``priority``,
+then the unique ``seq``, never reaching ``fn`` — so both lanes hold the
+records themselves, with no object or key tuple beside them, and a push
+is one list display.  A record carries ``(fn, args)`` instead of a
+closure; the kernel fires it with ``event[3](*event[4])``.  The record is
+also the handle :meth:`EventQueue.cancel` takes.  :class:`Event` reads a
+record by name, for everything off the hot path: the kernel hands one to
+each trace hook, and tests and debuggers wrap a record themselves.
 
-Cancellation is a state flag on the event itself: an event is *pending*
-until it is popped (fired) or cancelled.  Cancelling an event that
-already fired is a true no-op — it neither corrupts the live count nor
-leaks bookkeeping (regression-tested; the old set-of-seqs design
-decremented ``_live`` for fired events).
+Cancellation is the record's state slot: an event is *pending* until it
+is popped (fired) or cancelled.  Cancelling an event that already fired
+is a true no-op — it neither corrupts the live count nor leaks
+bookkeeping (regression-tested; the old set-of-seqs design decremented
+``_live`` for fired events).
 """
 
 from __future__ import annotations
@@ -37,8 +44,15 @@ _FIRED = 1
 _CANCELLED = 2
 
 
+#: an event record: ``[time, priority, seq, fn, args, tag, state]``
+Record = list[Any]
+
+_STATE_NAMES = {_PENDING: "pending", _FIRED: "fired", _CANCELLED: "cancelled"}
+
+
 class Event:
-    """A scheduled callback.
+    """A record read by name: ``Event(record).tag``.  A live view — it
+    shows the record's state as it is now, not as it was when wrapped.
 
     Attributes:
         time: absolute simulation time at which the event fires.
@@ -46,52 +60,40 @@ class Event:
             network uses priority 0 for deliveries and the harness uses
             higher priorities for bookkeeping so measurements see a fully
             settled state.
-        seq: kernel-assigned sequence number (total order tie-break).
+        seq: queue-assigned sequence number (total order tie-break).
         fn: callable executed when the event fires, as ``fn(*args)``.
         args: positional arguments for ``fn`` (empty for plain actions).
-        tag: free-form label used by traces and by cancellation sweeps.
+        tag: free-form label used by traces.
+        record: the record itself.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "tag", "_state")
+    __slots__ = ("record",)
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        tag: str = "",
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.tag = tag
-        self._state = _PENDING
+    def __init__(self, record: Record) -> None:
+        self.record = record
 
-    @property
-    def cancelled(self) -> bool:
-        return self._state == _CANCELLED
-
-    @property
-    def fired(self) -> bool:
-        return self._state == _FIRED
+    time = property(lambda self: self.record[0])
+    priority = property(lambda self: self.record[1])
+    seq = property(lambda self: self.record[2])
+    fn = property(lambda self: self.record[3])
+    args = property(lambda self: self.record[4])
+    tag = property(lambda self: self.record[5])
+    cancelled = property(lambda self: self.record[6] == _CANCELLED)
+    fired = property(lambda self: self.record[6] == _FIRED)
 
     def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
+        return tuple(self.record[:3])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = {_PENDING: "pending", _FIRED: "fired", _CANCELLED: "cancelled"}
+        r = self.record
         return (
-            f"Event(t={self.time}, prio={self.priority}, seq={self.seq}, "
-            f"tag={self.tag!r}, {state[self._state]})"
+            f"Event(t={r[0]}, prio={r[1]}, seq={r[2]}, tag={r[5]!r}, "
+            f"{_STATE_NAMES[r[6]]})"
         )
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
+    """A deterministic priority queue of event records.
 
     A heap plus the burst lane described in the module docstring.  The
     burst lane (``_fifo``) is a plain list consumed from the left via an
@@ -104,15 +106,15 @@ class EventQueue:
 
     Cancellation is lazy: cancelled events stay in their lane but are
     skipped on pop.  This keeps push/pop cheap and is the standard
-    approach for DES kernels (cancellations are rare: only crash sweeps
-    use them).
+    approach for DES kernels (cancellations are rare: nothing in the
+    package cancels an event; the API is for tests and experiments).
     """
 
     __slots__ = ("_heap", "_fifo", "_head", "_seq", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._fifo: list[Event] = []
+        self._heap: list[Record] = []
+        self._fifo: list[Record] = []
         self._head = 0  # index of the burst lane's first unconsumed entry
         self._seq = 0
         self._live = 0
@@ -128,7 +130,7 @@ class EventQueue:
         *,
         priority: int = 0,
         tag: str = "",
-    ) -> Event:
+    ) -> Record:
         """Schedule ``action`` at absolute ``time``; returns the event."""
         return self.push_call(time, action, (), priority=priority, tag=tag)
 
@@ -140,22 +142,21 @@ class EventQueue:
         *,
         priority: int = 0,
         tag: str = "",
-    ) -> Event:
-        """Schedule ``fn(*args)`` at absolute ``time`` (closure-free)."""
+    ) -> Record:
+        """Schedule ``fn(*args)`` at absolute ``time`` (closure-free);
+        returns the event's record."""
         if time != time:  # NaN guard
             raise ValueError("event time must not be NaN")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, fn, args, tag)
+        event = [time, priority, seq, fn, args, tag, _PENDING]
         fifo = self._fifo
         if self._head < len(fifo):
             last = fifo[-1]
-            if time > last.time or (
-                time == last.time and priority >= last.priority
-            ):
+            if time > last[0] or (time == last[0] and priority >= last[1]):
                 fifo.append(event)
             else:
-                heappush(self._heap, (time, priority, seq, event))
+                heappush(self._heap, event)
         else:
             # lane empty: restart the sorted run at this event
             if fifo:
@@ -165,23 +166,13 @@ class EventQueue:
         self._live += 1
         return event
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, event: Record) -> None:
         """Cancel a pending event (idempotent; no-op once it has fired)."""
-        if event._state == _PENDING:
-            event._state = _CANCELLED
+        if event[6] == _PENDING:
+            event[6] = _CANCELLED
             self._live -= 1
 
-    def _advance(self, head: int) -> int:
-        """Consume one burst-lane entry, compacting the fired prefix so a
-        long sorted run (the lockstep steady state is one run for the
-        whole execution) keeps O(pending) memory, not O(total events)."""
-        head += 1
-        if head >= 4096:
-            del self._fifo[:head]
-            return 0
-        return head
-
-    def pop(self) -> Event:
+    def pop(self) -> Record:
         """Remove and return the earliest live event."""
         heap = self._heap
         fifo = self._fifo
@@ -189,25 +180,25 @@ class EventQueue:
             head = self._head
             if head < len(fifo):
                 event = fifo[head]
-                if heap:
-                    entry = heap[0]
-                    if (entry[0], entry[1], entry[2]) < (
-                        event.time,
-                        event.priority,
-                        event.seq,
-                    ):
-                        event = heappop(heap)[3]
-                    else:
-                        self._head = self._advance(head)
+                if heap and heap[0] < event:
+                    event = heappop(heap)
                 else:
-                    self._head = self._advance(head)
+                    # consume the lane entry, compacting the fired prefix
+                    # so a long sorted run (the lockstep steady state is
+                    # one run for the whole execution) keeps O(pending)
+                    # memory, not O(total events)
+                    head += 1
+                    if head >= 4096:
+                        del fifo[:head]
+                        head = 0
+                    self._head = head
             elif heap:
-                event = heappop(heap)[3]
+                event = heappop(heap)
             else:
                 raise IndexError("pop from empty EventQueue")
-            if event._state == _CANCELLED:
+            if event[6] == _CANCELLED:
                 continue
-            event._state = _FIRED
+            event[6] = _FIRED
             self._live -= 1
             return event
 
@@ -218,23 +209,19 @@ class EventQueue:
         while True:
             head = self._head
             fifo_event = fifo[head] if head < len(fifo) else None
-            if fifo_event is not None and fifo_event._state == _CANCELLED:
+            if fifo_event is not None and fifo_event[6] == _CANCELLED:
                 self._head = head + 1
                 continue
             if heap:
                 entry = heap[0]
-                if entry[3]._state == _CANCELLED:
+                if entry[6] == _CANCELLED:
                     heappop(heap)
                     continue
-                if fifo_event is None or (entry[0], entry[1], entry[2]) < (
-                    fifo_event.time,
-                    fifo_event.priority,
-                    fifo_event.seq,
-                ):
+                if fifo_event is None or entry < fifo_event:
                     return entry[0]
             if fifo_event is not None:
-                return fifo_event.time
+                return fifo_event[0]
             return None
 
 
-__all__ = ["Event", "EventQueue"]
+__all__ = ["Event", "EventQueue", "Record"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 
 
 def test_orders_by_time():
@@ -12,7 +12,7 @@ def test_orders_by_time():
     q.push(1.0, lambda: fired.append("a"))
     q.push(2.0, lambda: fired.append("b"))
     while q:
-        q.pop().fn()
+        Event(q.pop()).fn()
     assert fired == ["a", "b", "c"]
 
 
@@ -23,7 +23,7 @@ def test_ties_break_by_priority_then_sequence():
     q.push(1.0, lambda: fired.append("first"), priority=0)
     q.push(1.0, lambda: fired.append("second"), priority=0)
     while q:
-        q.pop().fn()
+        Event(q.pop()).fn()
     assert fired == ["first", "second", "late"]
 
 
@@ -44,7 +44,7 @@ def test_cancel_skips_event():
     q.cancel(ev)
     assert len(q) == 1
     while q:
-        q.pop().fn()
+        Event(q.pop()).fn()
     assert fired == ["kept"]
 
 
@@ -90,7 +90,7 @@ def test_many_events_deterministic_order():
         q1.push(t, lambda i=i: out1.append(i))
         q2.push(t, lambda i=i: out2.append(i))
     while q1:
-        q1.pop().fn()
+        Event(q1.pop()).fn()
     while q2:
-        q2.pop().fn()
+        Event(q2.pop()).fn()
     assert out1 == out2

@@ -11,7 +11,7 @@ indistinguishable from the per-message reference network.
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, Record
 from repro.sim.fastpath import STATS
 from repro.sim.rng import SeededRng
 from tests.support.reference_substrate import ReferenceEventQueue, reference_substrate
@@ -23,8 +23,7 @@ from tests.support.reference_substrate import ReferenceEventQueue, reference_sub
 def _drain(q) -> list[tuple[float, int, int]]:
     keys = []
     while q:
-        e = q.pop()
-        keys.append((e.time, e.priority, e.seq))
+        keys.append(Event(q.pop()).sort_key())
     return keys
 
 
@@ -34,8 +33,8 @@ def test_random_interleavings_match_reference(seed):
     in the identical order from both queue implementations."""
     rng = SeededRng(seed)
     fast, ref = EventQueue(), ReferenceEventQueue()
-    live_fast: list[Event] = []
-    live_ref: list[Event] = []
+    live_fast: list[Record] = []
+    live_ref: list[Record] = []
     popped: list[tuple[tuple, tuple]] = []
     clock = 0.0
     for _ in range(600):
@@ -52,11 +51,16 @@ def test_random_interleavings_match_reference(seed):
             fast.cancel(live_fast[i])
             ref.cancel(live_ref[i])
         elif fast:
-            ef, er = fast.pop(), ref.pop()
+            ef, er = Event(fast.pop()), Event(ref.pop())
             popped.append((ef.sort_key(), er.sort_key()))
             clock = max(clock, ef.time)
         assert len(fast) == len(ref)
-    popped.extend(zip((e.sort_key() for e in _iterpop(fast)), (e.sort_key() for e in _iterpop(ref))))
+    popped.extend(
+        zip(
+            (Event(e).sort_key() for e in _iterpop(fast)),
+            (Event(e).sort_key() for e in _iterpop(ref)),
+        )
+    )
     for fast_key, ref_key in popped:
         assert fast_key == ref_key
     assert len(fast) == len(ref) == 0
@@ -102,11 +106,11 @@ def test_cancel_after_fire_does_not_corrupt_live_count():
     for q in (EventQueue(), ReferenceEventQueue()):
         fired = q.push(1.0, lambda: None)
         keeper = q.push(2.0, lambda: None)
-        assert q.pop() is fired and fired.fired
+        assert q.pop() is fired and Event(fired).fired
         q.cancel(fired)  # no-op: already fired
         q.cancel(fired)  # idempotent
         assert len(q) == 1 and bool(q)
-        assert not fired.cancelled
+        assert not Event(fired).cancelled
         assert q.pop() is keeper
         assert len(q) == 0 and not q
 
@@ -118,7 +122,7 @@ def test_cancel_pending_is_idempotent():
         q.cancel(e)
         q.cancel(e)
         assert len(q) == 1
-        assert q.pop().time == 2.0
+        assert Event(q.pop()).time == 2.0
 
 
 def test_burst_lane_compaction_bounds_memory():

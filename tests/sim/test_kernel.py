@@ -58,13 +58,21 @@ def test_run_until_advances_clock_even_when_idle():
     assert sim.now == 10.0
 
 
-def test_stop_when_predicate():
+def test_stop_from_a_handler_ends_the_run_after_that_event():
     sim = Simulator()
     seen = []
+
+    def fire(i):
+        seen.append(i)
+        if i == 2:
+            sim.stop()
+        seen.append(f"{i} finished")  # the stopping event still runs to its end
+
     for i in range(10):
-        sim.schedule(float(i + 1), lambda i=i: seen.append(i))
-    sim.run(stop_when=lambda: len(seen) >= 3)
-    assert seen == [0, 1, 2]
+        sim.schedule_call(float(i + 1), fire, i)
+    sim.run()
+    assert seen == [0, "0 finished", 1, "1 finished", 2, "2 finished"]
+    assert sim.now == 3.0 and sim.pending == 7
 
 
 def test_events_can_schedule_events():

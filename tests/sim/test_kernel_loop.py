@@ -1,8 +1,10 @@
-"""One event-loop body: ``run()``, ``run(until=)``, ``run(stop_when=)``
-and repeated ``step()`` are four ways into the same loop, so they execute
-one schedule in one order and every invariant of the kernel — time never
-goes backwards, the step budget, the *live* trace-hook list, the
-``STATS.events`` fold — holds on all four."""
+"""One event-loop body: ``run()``, ``run(until=)``, a ``run()`` that is
+told to ``stop()`` after every event and entered again, and repeated
+``step()`` are four ways into the same loop, so they execute one schedule
+in one order and every invariant of the kernel — time never goes
+backwards, the step budget, the *live* trace-hook list, the
+``STATS.events`` fold — holds on all four.  Below them, what ``stop()``
+means outside the run it was meant for."""
 
 import math
 
@@ -21,8 +23,10 @@ def _run_until(sim):
     sim.run(until=math.inf)
 
 
-def _run_stop_when(sim):
-    sim.run(stop_when=lambda: False)
+def _run_stopping(sim):
+    sim.add_trace_hook(lambda event: sim.stop())  # every event is the last
+    while sim.pending:
+        sim.run()
 
 
 def _step(sim):
@@ -30,8 +34,8 @@ def _step(sim):
         pass
 
 
-DRIVERS = [_run, _run_until, _run_stop_when, _step]
-IDS = ["run", "until", "stop_when", "step"]
+DRIVERS = [_run, _run_until, _run_stopping, _step]
+IDS = ["run", "until", "stop", "step"]
 on_every_driver = pytest.mark.parametrize("drive", DRIVERS, ids=IDS)
 
 
@@ -133,3 +137,93 @@ def test_step_reports_whether_an_event_ran():
     sim.cancel(cancelled)
     assert sim.step() is True and sim.now == 1.0
     assert sim.step() is False and sim.steps == 1
+
+
+# -- stop(): a request belongs to the run it was made in -------------------
+
+
+def _ten_events(sim, seen, stop_at=None):
+    def fire(i):
+        seen.append(i)
+        if i == stop_at:
+            sim.stop()
+
+    for i in range(10):
+        sim.schedule_call_at(float(i + 1), fire, i)
+
+
+def test_stop_ends_the_run_at_the_event_that_asked():
+    sim = Simulator()
+    seen = []
+    _ten_events(sim, seen, stop_at=3)
+    before = STATS.events
+    sim.run()
+    assert seen == [0, 1, 2, 3] and sim.now == 4.0 and sim.steps == 4
+    assert STATS.events - before == 4
+    sim.run()  # the request is spent: the next run drains the queue
+    assert seen == list(range(10)) and sim.pending == 0
+
+
+def test_stop_under_until_does_not_advance_the_clock_to_the_horizon():
+    sim = Simulator()
+    seen = []
+    _ten_events(sim, seen, stop_at=1)
+    sim.run(until=5.5)
+    assert seen == [0, 1] and sim.now == 2.0
+    sim.run(until=5.5)
+    assert seen == [0, 1, 2, 3, 4] and sim.now == 5.5
+
+
+@pytest.mark.parametrize("horizon", [None, 20.0], ids=["run", "until"])
+def test_a_stop_requested_outside_any_run_does_not_end_the_next_one(horizon):
+    sim = Simulator()
+    seen = []
+    _ten_events(sim, seen)
+    sim.stop()
+    sim.run(until=horizon)
+    assert seen == list(range(10))
+
+
+@pytest.mark.parametrize("horizon", [None, 20.0], ids=["run", "until"])
+def test_a_stop_left_over_from_a_run_that_failed_does_not_end_the_next_one(horizon):
+    sim = Simulator()
+    seen = []
+
+    def stop_then_fail():
+        sim.stop()
+        raise ValueError("boom")
+
+    sim.schedule(0.5, stop_then_fail)
+    _ten_events(sim, seen)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    sim.run(until=horizon)
+    assert seen == list(range(10))
+
+
+def test_step_is_unaffected_by_stop():
+    sim = Simulator()
+    seen = []
+    _ten_events(sim, seen, stop_at=0)
+    sim.stop()
+    assert sim.step() is True and seen == [0]  # a pending request: still steps
+    assert sim.step() is True and seen == [0, 1]  # one asked for inside a step
+    sim.run()  # ... and neither reaches the run that follows
+    assert seen == list(range(10))
+
+
+def test_reentrant_run_still_raises_and_keeps_the_outer_stop():
+    sim = Simulator()
+    seen = []
+
+    def reenter():
+        sim.stop()
+        with pytest.raises(SimulationError, match="re-entrant"):
+            sim.run()
+
+    sim.schedule(0.5, reenter)
+    _ten_events(sim, seen)
+    sim.run()
+    assert seen == []  # the refused inner run did not clear the outer request
+    sim.run()
+    assert seen == list(range(10))

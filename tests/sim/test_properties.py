@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 
 
@@ -21,7 +21,7 @@ def test_queue_pops_in_nondecreasing_key_order(entries):
         q.push(time, lambda: None, priority=prio)
     popped = []
     while q:
-        ev = q.pop()
+        ev = Event(q.pop())
         popped.append((ev.time, ev.priority, ev.seq))
     assert popped == sorted(popped)
 
@@ -40,8 +40,10 @@ def test_cancellation_removes_exactly_the_cancelled(times, to_cancel):
         q.cancel(events[i])
     survivors = set()
     while q:
-        survivors.add(q.pop().seq)
-    assert survivors == {e.seq for i, e in enumerate(events) if i not in cancelled}
+        survivors.add(Event(q.pop()).seq)
+    assert survivors == {
+        Event(e).seq for i, e in enumerate(events) if i not in cancelled
+    }
 
 
 @given(

@@ -11,7 +11,9 @@ proving the optimisations are invisible:
   message, tuple-keyed FIFO clamp, no broadcast batching;
 - :class:`ReferenceViewVector` — frozenset-per-row views, EQ evaluated
   by rebuilding and comparing all ``n`` rows;
-- plain message construction — a fresh dataclass instance per call.
+- plain message construction — a fresh dataclass instance per call;
+- :func:`run_until_complete_by_polling` — the settled-predicate loop
+  ``Simulator.stop()`` replaced.
 
 :func:`reference_substrate` patches all four into the places the
 package constructs them.  Nothing under ``src/`` knows these exist.
@@ -27,7 +29,7 @@ from unittest import mock
 from repro.core import messages
 from repro.core.tags import ValueTs, tag_of
 from repro.net.network import DeliveryRecord
-from repro.sim.events import _CANCELLED, _FIRED, _PENDING, Event
+from repro.sim.events import _CANCELLED, _FIRED, _PENDING, Record
 from repro.sim.fastpath import STATS
 
 
@@ -39,7 +41,7 @@ class ReferenceEventQueue:
     __slots__ = ("_heap", "_seq", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[Record] = []
         self._seq = 0
         self._live = 0
 
@@ -56,7 +58,7 @@ class ReferenceEventQueue:
         *,
         priority: int = 0,
         tag: str = "",
-    ) -> Event:
+    ) -> Record:
         return self.push_call(time, action, (), priority=priority, tag=tag)
 
     def push_call(
@@ -67,28 +69,28 @@ class ReferenceEventQueue:
         *,
         priority: int = 0,
         tag: str = "",
-    ) -> Event:
+    ) -> Record:
         if time != time:  # NaN guard
             raise ValueError("event time must not be NaN")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, fn, args, tag)
-        heappush(self._heap, (time, priority, seq, event))
+        event = [time, priority, seq, fn, args, tag, _PENDING]
+        heappush(self._heap, event)
         self._live += 1
         return event
 
-    def cancel(self, event: Event) -> None:
-        if event._state == _PENDING:
-            event._state = _CANCELLED
+    def cancel(self, event: Record) -> None:
+        if event[6] == _PENDING:
+            event[6] = _CANCELLED
             self._live -= 1
 
-    def pop(self) -> Event:
+    def pop(self) -> Record:
         heap = self._heap
         while heap:
-            event = heappop(heap)[3]
-            if event._state == _CANCELLED:
+            event = heappop(heap)
+            if event[6] == _CANCELLED:
                 continue
-            event._state = _FIRED
+            event[6] = _FIRED
             self._live -= 1
             return event
         raise IndexError("pop from empty EventQueue")
@@ -97,7 +99,7 @@ class ReferenceEventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[3]._state == _CANCELLED:
+            if entry[6] == _CANCELLED:
                 heappop(heap)
                 continue
             return entry[0]
@@ -260,6 +262,12 @@ class ReferenceViewVector:
                 self._max_seen_tag = tag
         return True
 
+    def learn(self, src: int, me: int, vt: ValueTs) -> bool:
+        new = vt not in self._rows[me]
+        self.add(src, vt)
+        self.add(me, vt)
+        return new
+
     def row(self, j: int) -> frozenset[ValueTs]:
         return frozenset(self._rows[j])
 
@@ -321,6 +329,16 @@ class ReferenceViewVector:
         }
 
 
+def run_until_complete_by_polling(cluster: Any, handles: Sequence[Any]) -> None:
+    """The original ``Cluster.run_until_complete``: ask "has every handle
+    settled?" before every kernel event, and stop at the first yes (or
+    when the queue drains).  The shipped one is *told* when the last
+    handle settles; it must stop at the very same event."""
+    cluster.start()
+    while not all(h.done or h.aborted for h in handles) and cluster.sim.step():
+        pass
+
+
 #: every place the package constructs a queue, a network or a view
 #: vector, and the message metaclass's constructor (``type.__call__`` is
 #: the plain dataclass call: a fresh instance every time)
@@ -351,4 +369,5 @@ __all__ = [
     "ReferenceNetwork",
     "ReferenceViewVector",
     "reference_substrate",
+    "run_until_complete_by_polling",
 ]
