@@ -4,8 +4,9 @@
 The protocol objects are sans-io: this example runs the *identical*
 EQ-ASO and Byzantine-ASO classes used by the discrete-event benchmarks —
 and the identical network — on an asyncio loop, with real (randomized
-wall-clock) delays: concurrent clients, a mid-run crash, and the usual
-correctness check.
+wall-clock) delays: concurrent clients, a mid-run crash, an open-loop
+burst of calls on one node (queued in its op FIFO, run in submission
+order), and the usual correctness check.
 
 Run:  python examples/asyncio_runtime.py
 """
@@ -16,7 +17,7 @@ from repro import ByzantineAso, EqAso
 from repro.net.byzantine import TagFlooder, byzantine_factory
 from repro.net.faults import CrashAtTime, CrashPlan
 from repro.runtime.aio import AioCluster
-from repro.spec import is_linearizable
+from repro.spec import is_linearizable, order_check
 
 
 async def crash_tolerant_run() -> None:
@@ -32,6 +33,26 @@ async def crash_tolerant_run() -> None:
 
     await asyncio.gather(*(client(i) for i in range(4)))
     print("  linearizable:", is_linearizable(cluster.history))
+    await cluster.shutdown()
+
+
+async def open_loop_burst() -> None:
+    print("\n== EQ-ASO on asyncio (an open-loop burst on node 0) ==")
+    cluster = AioCluster(EqAso, n=5, f=2, seed=5)
+    await cluster.start()
+    finished: list[int] = []
+
+    async def arrival(k: int) -> None:
+        # nobody waits for the previous call: node 0's FIFO sequences them
+        await cluster.call(0, "update", f"burst-{k}")
+        finished.append(k)
+
+    await asyncio.gather(*(arrival(k) for k in range(6)), cluster.call(1, "scan"))
+    print("  completion order:", finished)
+    assert finished == list(range(6)), "calls on one node must finish in order"
+    ok = order_check(cluster.history, real_time=True).ok
+    print("  linearizable:", ok)
+    assert ok, "the burst's history must pass order_check"
     await cluster.shutdown()
 
 
@@ -52,4 +73,5 @@ async def byzantine_run() -> None:
 
 if __name__ == "__main__":
     asyncio.run(crash_tolerant_run())
+    asyncio.run(open_loop_burst())
     asyncio.run(byzantine_run())

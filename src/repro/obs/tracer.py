@@ -277,7 +277,7 @@ class Tracer:
     def phase(self, node: int, name: str, entering: bool) -> None:
         span = self._current_span.get(node)
         if span is None:
-            return  # unrecorded operation (record=False) — skip quietly
+            return  # no operation open at this node — skip quietly
         if entering:
             span.enter_phase(name, self.now)
         else:

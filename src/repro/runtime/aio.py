@@ -17,6 +17,9 @@ Semantics, all of them the shared code's:
 - **synchronous borrow recording**: ``_deliver`` resumes a released
   operation inside the kernel turn, before any further delivery (the
   NOTE at Algorithm 1 line 49); ``call()`` only awaits the settled op;
+- **sequential nodes**: concurrent ``call()`` invocations on one node
+  join the cluster's per-node FIFO and run in submission order, each
+  beginning in a kernel turn after its predecessor settled;
 - **reliable FIFO channels, delay ≤ D**: a send is an event at
   ``now + delay``, clamped FIFO per channel, so delays *overlap* — a
   burst arrives within ``D`` of its sends, not one sleep after another.
@@ -202,7 +205,8 @@ class AioCluster(BaseCluster):
             backpressure_hwm=backpressure_hwm,
             meta={"D": hi, "runtime": "aio", "seed": seed},
         )
-        self._resume = self._resume_in_turn
+        self._resume = self._in_turn(self._driver.resume)
+        self._begin_op = self._in_turn(self._driver.begin)
         self._closed = False
         self._failure: Exception | None = None
         if postmortem is not None and self._tracer is not None:
@@ -220,8 +224,9 @@ class AioCluster(BaseCluster):
 
     async def shutdown(self) -> None:
         """Stop the kernel and abort every pending operation — its
-        ``call()`` raises ``RuntimeError``, its record stays pending —
-        then re-raise the handler failure that ended the run, if any."""
+        ``call()`` raises ``RuntimeError``, its record stays pending (a
+        queued one never had a record) — then re-raise the handler
+        failure that ended the run, if any."""
         self._end()
         meta = self._tracer.meta if self._tracer is not None else {}
         if meta.get("D"):  # instant delivery declares no bound to stretch
@@ -237,27 +242,39 @@ class AioCluster(BaseCluster):
         if failure is not None:
             self._failure = failure
         self.sim.stop()
-        for op in self._driver.ops:
+        driver = self._driver
+        for op in driver.ops:
             if op is not None:
-                self._driver.abort(op)
+                driver.abort(op)
+        for queue in self._queued:
+            while queue:
+                driver.abort(queue.popleft()[0])
 
-    def _resume_in_turn(self, op: OpHandle) -> None:
-        """``_deliver``'s resume site runs inside a kernel turn: an
+    def _in_turn(self, step: Callable[[OpHandle], None]) -> Callable[[OpHandle], None]:
+        """Guard a begin or resume site that runs inside a kernel turn: an
         operation whose generator raises fails its own ``call()`` (which
         re-raises ``op.error``), not the turn."""
-        try:
-            self._driver.resume(op)
-        except Exception as exc:
-            if exc is not op.error:
-                raise
+
+        def guarded(op: OpHandle) -> None:
+            try:
+                step(op)
+            except Exception as exc:
+                if exc is not op.error:
+                    raise
+
+        return guarded
 
     async def call(self, node_id: int, opname: str, *args: Any) -> Any:
         """Run one client operation to completion; returns its result.
-        One that never parks completes without touching the loop;
-        cancelling a parked ``call()`` aborts its operation.
+        It joins the node's FIFO now: at an idle node it begins at once,
+        and one that never parks completes without touching the loop;
+        otherwise it begins when the node's earlier calls have settled.
+        Cancelling a parked or queued ``call()`` aborts its operation.
 
         Raises:
             RuntimeError: the node crashed, or the cluster was shut down.
+            AttributeError: the node has no operation ``opname`` (nothing
+                is queued or recorded).
             Exception: whatever the operation's generator raised, or the
                 handler failure that ended the run.
         """
@@ -267,15 +284,16 @@ class AioCluster(BaseCluster):
             raise self._failure or RuntimeError(f"cluster is shut down: no {opname}")
         if self.crash_plan.is_crashed(node_id):
             raise RuntimeError(f"node {node_id} is crashed")
+        getattr(self.nodes[node_id], opname)  # an unknown name fails here
         op = OpHandle(node_id, opname, args)
-        self._driver.begin(op)
-        if op.wait is not None:  # parked: a delivery, a crash or the end settles it
+        self._arrive((op,))
+        if not (op.done or op.aborted):  # parked or queued: a settle wakes it
             settled = self.sim.loop.create_future()
             op.on_complete(lambda _op: settled.done() or settled.set_result(None))
             try:
                 await settled
             except asyncio.CancelledError:
-                self._driver.abort(op)  # the next call() on this node may run
+                self._driver.abort(op)  # the node's next call() may run
                 raise
         if op.error is not None:
             raise op.error

@@ -6,6 +6,7 @@ and detecting a drained queue with operations still parked.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.net.delays import ConstantDelay, DelayModel
@@ -33,15 +34,21 @@ class BaseCluster:
     - message handlers run atomically;
     - a parked client generator is resumed synchronously after the handler
       that satisfied its predicate (before any further delivery);
-    - at most one client operation is pending per node (sequential nodes);
-    - a node crashed by the plan stops sending, receiving and executing; a
+    - at most one client operation is pending per node (sequential nodes):
+      each node has one FIFO of submitted operations.  An arrival at an
+      idle node with an empty FIFO begins inside the arrival; otherwise it
+      queues, and when the running operation settles — done, failed or
+      cancelled — the head begins in a new kernel event ``gap`` later
+      (0 except for :meth:`Cluster.chain_ops`);
+    - a node crashed by the plan stops sending, receiving and executing —
+      its queued operations abort unbegun, leaving no history record; a
       :class:`~repro.net.faults.BroadcastCrash` truncates the in-flight
       broadcast to the adversary-chosen destinations (Definition 11).
 
     The kernel keeps the event queue and the clock: all that is used of it
     is ``now`` and ``queue.push_call``, so the simulator and the asyncio
     loop-paced kernel are interchangeable.  A subclass names its kernel
-    and adds how operations are invoked.
+    and adds how operations are submitted.
 
     Args:
         factory: ``factory(node_id, n, f) -> ProtocolNode``; usually an
@@ -109,9 +116,17 @@ class BaseCluster:
             self._tracer,
             {"D": delay_model.D, **(meta or {})},
         )
+        self._driver.on_idle = self._idle
         self._flush = self._driver.flush  # flush(node_id): drain its outbox
-        #: ``_deliver``'s resume site; a runtime may guard it (see ``AioCluster``)
+        #: the resume and begin sites inside kernel events; a runtime may
+        #: guard them (see ``AioCluster``)
         self._resume = self._driver.resume
+        self._begin_op = self._driver.begin
+        #: each node's submitted, not yet begun operations, with the gap
+        #: each waits after its predecessor settles
+        self._queued: list[deque[tuple[OpHandle, float]]] = [
+            deque() for _ in range(n)
+        ]
         self._started = False
         for node_id, time in self.crash_plan.timed_crashes():  # time >= 0 = now
             kernel.queue.push_call(time, self.crash, (node_id,))
@@ -134,7 +149,43 @@ class BaseCluster:
         self.nodes[node_id].outbox.clear()
         op = self._driver.ops[node_id]
         if op is not None:
-            self._driver.abort(op)
+            self._driver.abort(op)  # its settle aborts the node's queue
+
+    # -- the client model: one FIFO per node ---------------------------------
+    def _arrive(self, ops: Sequence[OpHandle], gap: float = 0.0) -> None:
+        """Submit ``ops`` (one node's, in order) to their node's FIFO, each
+        to begin ``gap`` after its predecessor settles; at an idle node
+        with nothing queued the first begins now."""
+        node_id = ops[0].node
+        queue = self._queued[node_id]
+        idle = not queue and self._driver.ops[node_id] is None
+        for op in ops:
+            queue.append((op, gap))
+        if idle:
+            self._pump(node_id)
+
+    def _idle(self, node_id: int) -> None:
+        """The driver's hook: the node's running operation settled."""
+        queue = self._queued[node_id]
+        if not queue:
+            return
+        if node_id in self.crash_plan.crashed:
+            self._pump(node_id)  # aborts the backlog now, op by op
+        else:
+            kernel = self.sim
+            kernel.queue.push_call(kernel.now + queue[0][1], self._pump, (node_id,))
+
+    def _pump(self, node_id: int) -> None:
+        """Begin the node's first queued operation — or, the node having
+        crashed, abort every queued one (never begun: no history record)."""
+        queue = self._queued[node_id]
+        while queue:
+            op = queue.popleft()[0]
+            if node_id in self.crash_plan.crashed:
+                self._driver.abort(op)
+            elif not op.aborted:  # a cancelled ``call()`` settled it queued
+                self._begin_op(op)
+                return
 
     def disconnect(self, src: int, dst: int, *, symmetric: bool = False) -> None:
         """Gate the ordered channel ``src -> dst`` (both directions with
@@ -186,30 +237,18 @@ class Cluster(BaseCluster):
     # ------------------------------------------------------------------
     # client operations
     # ------------------------------------------------------------------
-    def invoke_at(
-        self,
-        time: float,
-        node: int,
-        opname: str,
-        *args: Any,
-        record: bool = True,
-    ) -> OpHandle:
-        """Schedule a client operation at absolute simulation time."""
+    def invoke_at(self, time: float, node: int, opname: str, *args: Any) -> OpHandle:
+        """Submit a client operation arriving at absolute simulation time:
+        it begins then, or once the node's earlier operations settled."""
         handle = OpHandle(node=node, kind=opname, args=tuple(args))
         self.sim.schedule_call_at(
-            time,
-            self._begin,
-            handle,
-            record,
-            tag=f"invoke:{opname}@{node}",
+            time, self._arrive, (handle,), tag=f"invoke:{opname}@{node}"
         )
         return handle
 
-    def invoke(
-        self, node: int, opname: str, *args: Any, record: bool = True
-    ) -> OpHandle:
-        """Schedule a client operation at the current simulation time."""
-        return self.invoke_at(self.sim.now, node, opname, *args, record=record)
+    def invoke(self, node: int, opname: str, *args: Any) -> OpHandle:
+        """Submit a client operation arriving at the current simulation time."""
+        return self.invoke_at(self.sim.now, node, opname, *args)
 
     def chain_ops(
         self,
@@ -218,47 +257,22 @@ class Cluster(BaseCluster):
         *,
         start: float = 0.0,
         gap: float = 0.0,
-        record: bool = True,
     ) -> list[OpHandle]:
-        """Invoke a sequence of operations back-to-back at one node.
-
-        Each operation is invoked ``gap`` after the previous one completes
-        (nodes are sequential, Sec. II-A, so this is the only way to issue
-        several operations from one client).  If the node crashes
-        mid-chain, the remaining handles are aborted (never begun: they
-        leave no history record, and their callbacks fire).
+        """Submit a sequence of operations to one node as one arrival at
+        ``start``: each begins ``gap`` after the previous one settles
+        (nodes are sequential, Sec. II-A — a closed-loop client).  If the
+        node crashes mid-chain, the remaining handles are aborted (never
+        begun: they leave no history record, and their callbacks fire).
         """
         handles = [
             OpHandle(node=node, kind=kind, args=tuple(args))
             for (kind, args) in ops
         ]
-
-        def launch(idx: int) -> None:
-            if idx >= len(handles):
-                return
-            handle = handles[idx]
-            handle.on_complete(lambda _h: self._after_link(handles, idx, gap, launch))
-            self._begin(handle, record)
-
         if handles:
-            self.sim.schedule_at(
-                start, lambda: launch(0), tag=f"chain@{node}"
+            self.sim.schedule_call_at(
+                start, self._arrive, handles, gap, tag=f"chain@{node}"
             )
         return handles
-
-    def _after_link(self, handles, idx, gap, launch) -> None:
-        if handles[idx].aborted:
-            for rest in handles[idx + 1 :]:
-                self._driver.abort(rest)
-            return
-        self.sim.schedule(gap, lambda: launch(idx + 1))
-
-    def _begin(self, handle: OpHandle, record: bool) -> None:
-        self._start_nodes()
-        if handle.node in self.crash_plan.crashed:
-            self._driver.abort(handle)  # never begun: settles, unrecorded
-            return
-        self._driver.begin(handle, record=record)
 
     # ------------------------------------------------------------------
     # execution

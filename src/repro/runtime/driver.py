@@ -13,8 +13,10 @@ crashed, flushing the outbox after every yield; **drain** an outbox item
 by item, so that a node dying mid-loop
 (:class:`~repro.net.faults.BroadcastCrash`) loses what is left; and
 **settle** the operation exactly once — respond or abort in the history
-and the span, free the node, fire the completion callbacks — also when
-the generator raises or yields something that is not a ``WaitUntil``.
+and the span, free the node, fire the completion callbacks, then tell
+the cluster the node is idle (:attr:`OpDriver.on_idle`, which begins the
+node's next queued operation) — also when the generator raises or
+yields something that is not a ``WaitUntil``.
 """
 
 from __future__ import annotations
@@ -90,6 +92,10 @@ class OpDriver:
         meta: the runtime's own tracer ``meta`` entries.
     """
 
+    #: ``on_idle(node)`` runs once the node's running operation has settled
+    #: and its callbacks fired (set by the cluster, whose queue it pumps)
+    on_idle: Callable[[int], None]
+
     def __init__(
         self,
         nodes: Sequence[ProtocolNode],
@@ -119,7 +125,7 @@ class OpDriver:
                 tracer.meta.setdefault(key, value)
 
     # -- operations -------------------------------------------------------
-    def begin(self, op: OpHandle, *, record: bool = True) -> None:
+    def begin(self, op: OpHandle) -> None:
         """Open ``op`` at its node and run it to its first park."""
         node_id = op.node
         if self.ops[node_id] is not None:
@@ -129,8 +135,7 @@ class OpDriver:
             )
         # resolve before recording: a bad name must leave no trace
         op.gen = getattr(self.nodes[node_id], op.kind)(*op.args)
-        if record:
-            op.record = self.history.invoke(node_id, op.kind, op.args, self.clock.now)
+        op.record = self.history.invoke(node_id, op.kind, op.args, self.clock.now)
         op.sent_at_inv = self.sent[node_id]
         if self.tracer is not None:
             op.span = self.tracer.op_begin(node_id, op.kind, op.args)
@@ -193,10 +198,13 @@ class OpDriver:
 
     def _settle(self, op: OpHandle) -> None:
         op.gen = op.wait = None  # a kept handle must not keep the frame alive
-        if self.ops[op.node] is op:
+        running = self.ops[op.node] is op
+        if running:
             self.ops[op.node] = None
         for fn in op.callbacks:  # settled-callbacks fire on abort too
             fn(op)
+        if running:
+            self.on_idle(op.node)
 
     # -- transport plumbing -----------------------------------------------
     def flush(self, node_id: int) -> None:

@@ -22,12 +22,13 @@ store.  :mod:`repro.shard.oracle` checks the rule differentially
 against single-object executions on small configurations.
 
 **Execution model (open loop).**  The workload generator emits arrivals
-on its own clock; the service queues each arrival in a per-node FIFO
-(clients are pinned ``client % nodes_per_shard``, nodes are sequential
-per Sec. II-A) and dispatches the next queued operation the moment the
-node's previous one settles.  Reported latency is *response − arrival*,
-queueing included — the open-loop definition that makes tail latency
-meaningful.
+on its own clock; each arrival is ``Cluster.invoke_at`` its time, at the
+client's pinned node (``client % nodes_per_shard``).  The cluster's
+per-node FIFO sequences it (nodes are sequential per Sec. II-A): it
+begins on arrival at an idle node, otherwise in the event after the
+node's previous operation settles.  Reported latency is *response −
+arrival*, queueing included — the open-loop definition that makes tail
+latency meaningful.
 
 **Determinism & parallelism.**  Shards never exchange messages, so each
 shard's execution is a pure function of its own schedule — the service
@@ -42,14 +43,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.tags import Snapshot
 from repro.net.faults import CrashAtTime, CrashPlan
 from repro.obs.registry import HdrHistogram, Registry
-from repro.runtime.cluster import Cluster, OpHandle
+from repro.runtime.cluster import Cluster
 from repro.shard.router import DEFAULT_VNODES, ShardRouter
 from repro.shard.workload import (
     GLOBAL_SCAN,
@@ -142,7 +142,7 @@ class OpOutcome:
     node: int
     lane: str
     t_arrival: float
-    t_dispatch: float | None  #: None = never dispatched (crashed node)
+    t_dispatch: float | None  #: when it began; None = never (crashed node)
     t_resp: float | None  #: None = aborted
     aborted: bool
     snapshot: Snapshot | None = None
@@ -209,69 +209,16 @@ def _run_shard_task(task: _ShardTask) -> _ShardOutcome:
         for node in range(task.n):
             plan.add(node, CrashAtTime(task.crash_time))
     cluster = Cluster(factory, task.n, task.f, D=task.D, crash_plan=plan)
-    sim = cluster.sim
-
-    ops = task.ops
-    total = len(ops)
-    # per-op mutable state: [t_dispatch, t_resp, aborted, snapshot]
-    recs: list[list[Any]] = [[None, None, False, None] for _ in range(total)]
-    queues: list[deque[int]] = [deque() for _ in range(task.n)]
-    busy = [False] * task.n
-    settled = 0
-
-    def settle(i: int, *, resp: float | None, aborted: bool, snap=None) -> None:
-        nonlocal settled
-        rec = recs[i]
-        rec[1] = resp
-        rec[2] = aborted
-        rec[3] = snap
-        settled += 1
-        if settled == total:
-            sim.stop()  # the last op settled: nothing left to run for
-
-    def dispatch(i: int) -> None:
-        op = ops[i]
-        if op.node in cluster.crash_plan.crashed:
-            settle(i, resp=None, aborted=True)
-            return
-        recs[i][0] = sim.now
-        busy[op.node] = True
-        args = (op.value,) if op.kind == UPDATE else ()
-        handle = cluster.invoke(op.node, op.kind, *args)
-        handle.on_complete(lambda h, i=i: on_settled(i, h))
-
-    def on_settled(i: int, handle: OpHandle) -> None:
-        op = ops[i]
-        busy[op.node] = False
-        if handle.aborted:
-            settle(i, resp=None, aborted=True)
-        else:
-            keep = op.keep_snapshot or task.keep_snapshots
-            snap = handle.result if (keep and op.kind == SCAN) else None
-            settle(i, resp=sim.now, aborted=False, snap=snap)
-        pump(op.node)
-
-    def pump(node: int) -> None:
-        # drain the FIFO; a dispatch onto a crashed node settles
-        # synchronously (aborted) without occupying the node, so the
-        # loop also flushes a dead node's backlog
-        while queues[node] and not busy[node]:
-            dispatch(queues[node].popleft())
-
-    def arrive(i: int) -> None:
-        node = ops[i].node
-        if busy[node] or queues[node]:
-            queues[node].append(i)
-        else:
-            dispatch(i)
-
-    for i, op in enumerate(ops):
-        sim.schedule_call_at(op.t, arrive, i, tag=f"shard-arrive:{i}")
-    # every op settles exactly once, through ``settle``: synchronously
-    # when dispatched onto a dead node, else from its handle's callback —
-    # which fires on abort too, also for an op whose ``_begin`` found the
-    # node crashed since the ``invoke`` that scheduled it
-    cluster.run()
+    # each op is an arrival at its node's FIFO: it begins on arrival at an
+    # idle node, else once the ops queued before it settled; on a crashed
+    # node it aborts unbegun
+    handles = [
+        cluster.invoke_at(
+            op.t, op.node, op.kind, *([op.value] if op.kind == UPDATE else [])
+        )
+        for op in task.ops
+    ]
+    cluster.run_until_complete(handles)
 
     outcomes = [
         OpOutcome(
@@ -281,12 +228,16 @@ def _run_shard_task(task: _ShardTask) -> _ShardOutcome:
             node=op.node,
             lane=op.lane,
             t_arrival=op.t,
-            t_dispatch=rec[0],
-            t_resp=rec[1],
-            aborted=rec[2],
-            snapshot=rec[3],
+            t_dispatch=None if h.record is None else h.record.t_inv,
+            t_resp=h.t_resp if h.done else None,
+            aborted=h.aborted,
+            snapshot=(
+                h.result
+                if h.done and op.kind == SCAN and (op.keep_snapshot or task.keep_snapshots)
+                else None
+            ),
         )
-        for op, rec in zip(ops, recs)
+        for op, h in zip(task.ops, handles)
     ]
 
     # Metrics are derived in op order from the settled outcomes — a pure

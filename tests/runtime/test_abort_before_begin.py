@@ -1,10 +1,10 @@
 """An operation aborted before it ever began settles like any other.
 
-``Cluster._begin`` on a node that has crashed since the ``invoke`` that
-scheduled it, and the rest of a ``chain_ops`` chain whose node died, used
-to be marked ``aborted`` by hand: no callback fired, so whoever counted
-settled handles (the sharded service's dispatcher, and now
-``run_until_complete`` itself) had to sweep for them afterwards.  Both go
+An arrival at a node that has crashed since the ``invoke`` that scheduled
+it, and the rest of a dead node's op FIFO (a ``chain_ops`` chain, say),
+used to be marked ``aborted`` by hand: no callback fired, so whoever
+counted settled handles (the sharded service's old dispatcher, and
+``run_until_complete``) had to sweep for them afterwards.  Both go
 through ``OpDriver.abort``: the handle settles exactly once, its
 callbacks fire exactly once, and — the operation never having been
 invoked — the history records nothing.
@@ -34,7 +34,7 @@ def test_begin_on_a_crashed_node_fires_the_callbacks_once_and_records_nothing():
     assert late.aborted and not late.done and late.record is None
     assert fired == [late]
     assert cluster.history.ops == []
-    assert cluster.sim.now == 2.0  # stopped at the begin that aborted it
+    assert cluster.sim.now == 2.0  # stopped at the arrival that aborted it
     cluster._driver.abort(late)  # idempotent
     assert fired == [late]
 

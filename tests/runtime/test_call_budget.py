@@ -10,7 +10,7 @@ episodes and the counting live in ``tests/support/call_breakdown.py``;
 ``python -m tests.support.call_breakdown [des|aio]`` prints the count
 per function, which is where a pass over this path starts.
 
-Recorded on CPython 3.11 (46 082 calls / 3 476 messages): **13.26**
+Recorded on CPython 3.11 (45 847 calls / 3 476 messages): **13.19**
 calls per delivered message.  The history of that number:
 
 - **25.16** — ``match`` ladders behind ``_handle_tag_message``,
@@ -34,6 +34,9 @@ calls per delivered message.  The history of that number:
   everything else                                        11.98  11.99
   ====================================================  ======  =====
 
+- **13.19** — the per-node op FIFO replaced ``chain_ops``' per-link
+  closures, callback and end-of-chain event (per op, not per message).
+
 The ceiling sits just above the current value: a frame creeping back
 into the path costs about one call per message and fails here.  (3.12
 inlines comprehensions, so it can only count lower.)
@@ -42,8 +45,10 @@ The asyncio runtime has the same budget beside it: one fixed
 ``mean_delay=0`` episode (n = 5, f = 2, 5 clients × 12 ops — the shape
 of the ledger's ``aio_closed_n5``), every Python call made while the
 loop runs it — asyncio's own frames included — divided by the messages
-sent.  Recorded on CPython 3.11: **13.58** (41 495 calls / 3 055
-messages) now; **17.35** (53 011) with the loop-paced kernel under the
+sent.  Recorded on CPython 3.11: **13.66** (41 738 calls / 3 055
+messages) now — 13.58 (41 495) before ``call()`` went through the
+per-node op FIFO (an arrival, a pump, a guarded begin and an idle hook
+per op); **17.35** (53 011) with the loop-paced kernel under the
 shared ``Network`` (PR 18) — the same cuts through ``BaseCluster``:
 ``is_crashed`` 1.81 → 0, ``ValueTs.__hash__`` 0.89 → 0.31,
 ``ViewVector.add`` + ``intern`` 0.98 → 0.50, ``Event.__init__`` 0.44 →
