@@ -28,7 +28,6 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.bench.schema import SCHEMA_VERSION
-from repro.obs.registry import telemetry
 from repro.sim.fastpath import STATS
 
 
@@ -221,7 +220,6 @@ def _measure(
     walls: list[float] = []
     fingerprints: list[str] = []
     deltas: dict[str, int] = {}
-    tele = telemetry()
     for _ in range(repeats):
         gc.collect()
         before = STATS.counters()
@@ -231,10 +229,7 @@ def _measure(
         after = STATS.counters()
         deltas = {name: after[name] - before[name] for name in after}
         fingerprints.append(_fingerprint(metrics))
-        tele.counter("bench.repeats").inc()
-        tele.histogram("bench.wall_s").observe(walls[-1])
     if len(set(fingerprints)) != 1:
-        tele.counter("bench.fingerprint_mismatches").inc()
         raise FingerprintMismatch(
             f"non-deterministic workload: {sorted(set(fingerprints))}"
         )
@@ -266,7 +261,6 @@ def run_case(
     """Benchmark one case and build its report entry."""
     workload = case.smoke if smoke else case.full
     measurement, fingerprint = _measure(workload, repeats=repeats, warmup=warmup)
-    telemetry().counter("bench.cases").inc()
     return {
         "name": case.name,
         "description": case.description,

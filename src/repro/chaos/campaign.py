@@ -38,7 +38,6 @@ from repro.chaos.algos import get_profile
 from repro.chaos.runner import run_plan
 from repro.chaos.schema import CHAOS_SCHEMA_VERSION, validate_report
 from repro.chaos.shrink import shrink_plan
-from repro.obs.registry import telemetry
 from repro.sim.rng import derive_seed
 
 
@@ -190,23 +189,17 @@ def _run_entry(task: _EntryTask) -> _EntryResult:
     export — happens here, so a parallel sweep ships only this plain
     record back to the parent.
     """
-    tele = telemetry()
     profile = get_profile(task.algo)
     seed = campaign_seed(task.master_seed, task.algo, task.index)
     plan = generate_plan(profile, seed, max_ops_per_node=task.max_ops_per_node)
     result = run_plan(plan)
     executions = 1
-    tele.counter("chaos.executions").inc()
     checked = result.history is not None
     validated = result.cross_validated
-    if validated:
-        tele.counter("chaos.cross_validated").inc()
     if result.failure is None:
         return _EntryResult(seed, executions, checked, validated, None)
-    tele.counter("chaos.failures").inc()
     shrunk = shrink_plan(plan, result, max_executions=task.budget)
     executions += shrunk.executions
-    tele.counter("chaos.shrink_executions").inc(shrunk.executions)
     final_failure = shrunk.result.failure
     assert final_failure is not None  # shrink preserves failure
     record = FailureRecord(

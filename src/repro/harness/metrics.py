@@ -11,11 +11,10 @@ Statistics are computed through the observability layer's
 percentiles; :func:`collect_registry` aggregates a whole handle set into
 a :class:`repro.obs.metrics.MetricsRegistry` (latency, per-D rounds and
 per-op message counts, split by operation kind) for the table and
-scaling harnesses.  ``MetricsRegistry`` is the exact-histogram end of
-the registry-v2 telemetry plane (:mod:`repro.obs.registry`): paper
-tables stay byte-reproducible here, while live runs use the bounded
-``HdrHistogram`` backend of the same :class:`~repro.obs.registry.Registry`
-interface.
+scaling harnesses.  ``MetricsRegistry`` is
+:class:`~repro.obs.registry.Registry` with the exact histogram backend,
+so paper tables stay byte-reproducible; shard reports use the bounded
+``HdrHistogram`` backend of the same interface.
 """
 
 from __future__ import annotations

@@ -9,11 +9,13 @@ when disabled:
 - **operation spans** (:mod:`repro.obs.spans`): per-operation phase
   accounting — a failure-free EQ-ASO scan decomposes into
   ``readTag ≈ 2D`` plus ``lattice ≈ 2D``;
-- **metrics registry** (:mod:`repro.obs.metrics`): counters and
-  percentile histograms the harnesses aggregate into;
-- **trace export & query** (:mod:`repro.obs.export`,
-  :mod:`repro.obs.query`, ``python -m repro.obs``): byte-stable JSONL
-  traces plus a CLI to filter, aggregate and render them.
+- **metrics registry** (:mod:`repro.obs.registry`,
+  :mod:`repro.obs.metrics`): counters and percentile histograms — exact
+  for the paper's tables, HDR-bucketed for shard reports;
+- **trace export, query & replay** (:mod:`repro.obs.export`,
+  :mod:`repro.obs.query`, :mod:`repro.obs.replay`,
+  ``python -m repro.obs``): byte-stable JSONL traces plus a CLI to
+  aggregate, render and replay-check them.
 
 Quickstart::
 
@@ -31,18 +33,10 @@ from repro.obs.coverage import Coverage
 from repro.obs.describe import describe_payload
 from repro.obs.events import EVENT_KINDS, TraceEvent
 from repro.obs.export import dumps_trace, export_jsonl, read_trace, write_trace
-from repro.obs.flight import FlightRecorder, dump_postmortem
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, percentiles
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.query import Trace, render_spacetime
 from repro.obs.replay import ReplayError, ReplayResult, history_from_trace, replay_check
-from repro.obs.registry import (
-    Gauge,
-    HdrHistogram,
-    NullRegistry,
-    Registry,
-    set_telemetry,
-    telemetry,
-)
+from repro.obs.registry import HdrHistogram, Registry
 from repro.obs.spans import OpSpan, PhaseRecord
 from repro.obs.tracer import EventSink, MemorySink, NullSink, Tracer
 
@@ -51,13 +45,10 @@ __all__ = [
     "Counter",
     "Coverage",
     "EventSink",
-    "FlightRecorder",
-    "Gauge",
     "HdrHistogram",
     "Histogram",
     "MemorySink",
     "MetricsRegistry",
-    "NullRegistry",
     "NullSink",
     "OpSpan",
     "PhaseRecord",
@@ -68,15 +59,11 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "describe_payload",
-    "dump_postmortem",
     "dumps_trace",
     "export_jsonl",
     "history_from_trace",
-    "percentiles",
     "read_trace",
     "render_spacetime",
     "replay_check",
-    "set_telemetry",
-    "telemetry",
     "write_trace",
 ]

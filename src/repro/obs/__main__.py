@@ -9,16 +9,17 @@ Subcommands::
     ops      per-operation accounting (latency in D, phases, messages)
     phases   mean per-phase decomposition for one operation kind
     coverage phase/fault/interleaving coverage vector of a trace
-    top      one-screen dashboard (--watch to repaint live)
-    filter   select events by node / kind / message / op / time window
     render   the text space-time diagram (trace_viz, but file-based)
+
+Exit status: 0 ok, 1 a finding (``check`` found a counterexample,
+``phases`` matched no operation), 2 unusable input (a trace that is
+missing, unreadable, not JSON, or not replayable).
 
 Examples::
 
     python -m repro.obs demo -o /tmp/eq.jsonl
     python -m repro.obs ops /tmp/eq.jsonl
     python -m repro.obs phases /tmp/eq.jsonl --kind scan
-    python -m repro.obs filter /tmp/eq.jsonl --node 0 --kind send --msg writeTag
     python -m repro.obs render /tmp/eq.jsonl --include value
 """
 
@@ -146,35 +147,6 @@ def _phases(args: argparse.Namespace) -> int:
     return 0
 
 
-def _filter(args: argparse.Namespace) -> int:
-    trace = Trace.load(args.trace)
-    events = trace.filter(
-        node=args.node,
-        kind=args.kind,
-        msg=args.msg,
-        op_id=args.op,
-        since=args.since,
-        until=args.until,
-    )
-    for ev in events[: args.limit]:
-        extra = []
-        if ev.get("msg") is not None:
-            extra.append(f"[{ev['src']}]->[{ev['dst']}] {ev['msg']}")
-        if ev.get("op") is not None:
-            extra.append(f"op {ev.get('op_id')} {ev['op']}")
-        if ev.get("phase") is not None:
-            extra.append(f"phase {ev['phase']}")
-        if ev.get("detail") is not None:
-            extra.append(ev["detail"])
-        print(
-            f"t={ev['t']:7.3f} L={ev['lamport']:<5d} n{ev['node']:<3d} "
-            f"{ev['kind']:12s} " + " ".join(extra)
-        )
-    if len(events) > args.limit:
-        print(f"... ({len(events) - args.limit} more; raise --limit)")
-    return 0
-
-
 def _check(args: argparse.Namespace) -> int:
     from repro.obs.export import read_trace
     from repro.obs.replay import ReplayError, replay_check
@@ -215,12 +187,6 @@ def _coverage(args: argparse.Namespace) -> int:
         return _emit_json(cov.to_dict(), COVERAGE_FIELDS, "coverage")
     print("\n".join(cov.summary_lines()))
     return 0
-
-
-def _top(args: argparse.Namespace) -> int:
-    from repro.obs.top import run_top
-
-    return run_top(args.trace, watch=args.watch, tail=args.tail)
 
 
 def _render(args: argparse.Namespace) -> int:
@@ -309,29 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     coverage.add_argument("--format", choices=("text", "json"), default="text")
     coverage.set_defaults(func=_coverage)
 
-    top = sub.add_parser("top", help="one-screen dashboard for long runs")
-    top.add_argument("trace")
-    top.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="repaint every SECS seconds until interrupted",
-    )
-    top.add_argument("--tail", type=int, default=8, help="event tail length")
-    top.set_defaults(func=_top)
-
-    filt = sub.add_parser("filter", help="select events")
-    filt.add_argument("trace")
-    filt.add_argument("--node", type=int, default=None)
-    filt.add_argument("--kind", default=None)
-    filt.add_argument("--msg", default=None, help="substring of the message label")
-    filt.add_argument("--op", type=int, default=None)
-    filt.add_argument("--since", type=float, default=None)
-    filt.add_argument("--until", type=float, default=None)
-    filt.add_argument("--limit", type=int, default=100)
-    filt.set_defaults(func=_filter)
-
     render = sub.add_parser("render", help="text space-time diagram")
     render.add_argument("trace")
     render.add_argument("--until", type=float, default=None)
@@ -342,20 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import json
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # piping into `head` is fine
         return 0
-    except OSError as exc:  # unreadable/unwritable trace path
+    except OSError as exc:  # missing/unreadable/unwritable trace path
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, ValueError) as exc:  # not a trace file
+        return 2
+    except ValueError as exc:  # not a trace file (JSONDecodeError included)
         source = getattr(args, "trace", getattr(args, "output", "trace"))
         print(f"error: {source}: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -62,15 +62,13 @@ def write_trace(
 
 
 def _retained_events(tracer: Tracer) -> Iterable[TraceEvent]:
-    """The events a tracer's sink kept; raises for non-retaining sinks.
-
-    Accepts any sink exposing an ``events`` collection — the unbounded
-    :class:`MemorySink` or the bounded
-    :class:`~repro.obs.flight.FlightRecorder` ring buffer."""
+    """The events a tracer's sink kept (any sink exposing an ``events``
+    collection, e.g. :class:`MemorySink`); raises for non-retaining
+    sinks."""
     events = getattr(tracer.sink, "events", None)
     if events is None:
         raise TypeError(
-            "export needs a retaining sink (MemorySink or FlightRecorder), "
+            "export needs a retaining sink such as MemorySink, "
             f"got {type(tracer.sink).__name__}"
         )
     return events
@@ -109,6 +107,8 @@ def read_trace(
         if not line:
             continue
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(f"line {lineno}: not a JSON object")
         rtype = record.pop("type", None)
         if rtype == "meta":
             meta = record

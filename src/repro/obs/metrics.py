@@ -1,15 +1,13 @@
-"""Paper-facing metrics: exact histograms over the v2 registry core.
+"""Paper-facing metrics: exact histograms over the registry core.
 
-The harnesses used to pass raw latency lists around; this module gives
-them one vocabulary.  Since the registry-v2 refactor the namespace
-machinery (counters, gauges, windowed snapshots, no-op mode) lives in
-:mod:`repro.obs.registry`; what stays here is the *exact* end of the
-telemetry plane: the list-backed :class:`Histogram` with nearest-rank
-percentiles, and :class:`MetricsRegistry`, which is the v2
-:class:`~repro.obs.registry.Registry` specialized to that histogram.
-Experiment tables and ``BENCH_macro.json`` fingerprints depend on these
-aggregates being byte-reproducible across platforms, so paper-facing
-code keeps the exact backend; live telemetry uses the bounded
+The namespace machinery (counters, histograms by name, ``to_dict``,
+``format_lines``) lives in :mod:`repro.obs.registry`; what stays here
+is the *exact* histogram backend: the list-backed :class:`Histogram`
+with nearest-rank percentiles, and :class:`MetricsRegistry`, which is
+:class:`~repro.obs.registry.Registry` specialized to it.  Experiment
+tables and ``BENCH_macro.json`` fingerprints depend on these aggregates
+being byte-reproducible across platforms, so paper-facing code keeps
+the exact backend; shard reports use the bounded
 :class:`~repro.obs.registry.HdrHistogram` instead.
 
 Naming convention used by :meth:`MetricsRegistry.observe_op`:
@@ -26,7 +24,7 @@ Naming convention used by :meth:`MetricsRegistry.observe_op`:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from repro.obs.registry import Counter, Registry
 
@@ -38,22 +36,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 class Histogram:
     """Exact histogram with nearest-rank percentiles."""
 
-    __slots__ = ("name", "_values", "_sorted", "_win_values")
+    __slots__ = ("name", "_values", "_sorted")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._values: list[float] = []
         self._sorted = True
-        # window state is a separate list (not a positional mark into
-        # _values): percentile() sorts _values in place, which would
-        # scramble any index-based window boundary
-        self._win_values: list[float] = []
 
     def observe(self, value: float) -> None:
         if self._values and value < self._values[-1]:
             self._sorted = False
         self._values.append(value)
-        self._win_values.append(value)
 
     def observe_many(self, values: Iterable[float]) -> None:
         for v in values:
@@ -119,41 +112,6 @@ class Histogram:
             "max": self.maximum,
         }
 
-    # -- windows --------------------------------------------------------
-    def window_summary(self, *, reset: bool = True) -> dict[str, float]:
-        """Exact aggregates of the observations since the last window
-        reset — the same shape :meth:`HdrHistogram.window_summary`
-        returns, so :meth:`Registry.window` reports true deltas on both
-        backends."""
-        values = sorted(self._win_values)
-        count = len(values)
-        if count == 0:
-            out = {
-                "count": 0,
-                "mean": math.nan,
-                "min": math.nan,
-                "p50": math.nan,
-                "p95": math.nan,
-                "p99": math.nan,
-                "max": math.nan,
-            }
-        else:
-            def rank(p: float) -> float:
-                return values[max(1, math.ceil(p / 100 * count)) - 1]
-
-            out = {
-                "count": count,
-                "mean": sum(values) / count,
-                "min": values[0],
-                "p50": rank(50),
-                "p95": rank(95),
-                "p99": rank(99),
-                "max": values[-1],
-            }
-        if reset:
-            self._win_values = []
-        return out
-
     def __repr__(self) -> str:
         if self.empty:
             return f"Histogram({self.name}: empty)"
@@ -161,26 +119,6 @@ class Histogram:
             f"Histogram({self.name}: n={self.count} mean={self.mean:.2f} "
             f"p50={self.p50:.2f} p95={self.p95:.2f} p99={self.p99:.2f})"
         )
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another exact histogram's observations into this one.
-
-        Exact histograms merge losslessly (the observations themselves
-        are kept), so percentiles after a merge equal those of a single
-        histogram fed both observation streams — what the parallel
-        executor relies on when folding worker registries together.
-        """
-        theirs = other._values
-        if not theirs:
-            return
-        if self._values and theirs[0] < self._values[-1]:
-            self._sorted = False
-        elif not other._sorted:
-            self._sorted = False
-        self._values.extend(theirs)
-        # mirror HdrHistogram.merge: merged-in observations are new to
-        # this registry's current window
-        self._win_values.extend(theirs)
 
 
 class MetricsRegistry(Registry):
@@ -230,11 +168,4 @@ class MetricsRegistry(Registry):
         return reg
 
 
-def percentiles(values: Iterable[float]) -> Mapping[str, float]:
-    """Convenience: one-shot p50/p95/p99 of a value list."""
-    hist = Histogram()
-    hist.observe_many(values)
-    return {"p50": hist.p50, "p95": hist.p95, "p99": hist.p99}
-
-
-__all__ = ["Counter", "Histogram", "MetricsRegistry", "percentiles"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]

@@ -1,4 +1,4 @@
-"""Trace querying: filter, aggregate, and render exported traces.
+"""Trace querying: aggregate and render exported traces.
 
 Operates on the plain-dict records produced by
 :func:`repro.obs.export.read_trace`, so a trace can be analysed long
@@ -38,39 +38,9 @@ class Trace:
         return float(self.meta.get("D", 1.0))
 
     # ------------------------------------------------------------------
-    def filter(
-        self,
-        *,
-        node: int | None = None,
-        kind: str | None = None,
-        msg: str | None = None,
-        op_id: int | None = None,
-        since: float | None = None,
-        until: float | None = None,
-    ) -> list[Record]:
-        """Events matching every given criterion (``msg`` is a substring
-        match on the payload label)."""
-        out = []
-        for ev in self.events:
-            if node is not None and ev.get("node") != node:
-                continue
-            if kind is not None and ev.get("kind") != kind:
-                continue
-            if msg is not None and msg not in (ev.get("msg") or ""):
-                continue
-            if op_id is not None and ev.get("op_id") != op_id:
-                continue
-            t = ev.get("t", 0.0)
-            if since is not None and t < since:
-                continue
-            if until is not None and t > until:
-                continue
-            out.append(ev)
-        return out
-
-    # ------------------------------------------------------------------
-    def summary_lines(self) -> list[str]:
-        """Aggregate counts: per event kind, per message label, per node."""
+    def summary_dict(self) -> dict[str, Any]:
+        """Aggregate counts — per event kind, per sent message label, per
+        sending node — JSON-safe (``summary --format json``)."""
         by_kind: dict[str, int] = {}
         by_msg: dict[str, int] = {}
         sent_by_node: dict[int, int] = {}
@@ -80,37 +50,6 @@ class Trace:
                 label = (ev.get("msg") or "?").split(":", 1)[0]
                 by_msg[label] = by_msg.get(label, 0) + 1
                 sent_by_node[ev["node"]] = sent_by_node.get(ev["node"], 0) + 1
-        lines = [
-            f"trace: {len(self.events)} events, {len(self.spans)} spans, "
-            f"D={self.D:g}"
-            + (f", algorithm={self.meta['algorithm']}" if "algorithm" in self.meta else "")
-        ]
-        lines.append("events by kind:")
-        for kind, count in sorted(by_kind.items()):
-            lines.append(f"  {kind:12s} {count}")
-        if by_msg:
-            lines.append("sends by message kind:")
-            for label, count in sorted(by_msg.items()):
-                lines.append(f"  {label:12s} {count}")
-        if sent_by_node:
-            lines.append("sends by node:")
-            for node, count in sorted(sent_by_node.items()):
-                lines.append(f"  node {node:<3d}    {count}")
-        return lines
-
-    def summary_dict(self) -> dict[str, Any]:
-        """Machine-readable aggregate counts (``summary --format json``):
-        same numbers as :meth:`summary_lines`, JSON-safe."""
-        by_kind: dict[str, int] = {}
-        by_msg: dict[str, int] = {}
-        sent_by_node: dict[str, int] = {}
-        for ev in self.events:
-            by_kind[ev["kind"]] = by_kind.get(ev["kind"], 0) + 1
-            if ev["kind"] == "send":
-                label = (ev.get("msg") or "?").split(":", 1)[0]
-                by_msg[label] = by_msg.get(label, 0) + 1
-                node = str(ev["node"])
-                sent_by_node[node] = sent_by_node.get(node, 0) + 1
         return {
             "events": len(self.events),
             "spans": len(self.spans),
@@ -118,8 +57,29 @@ class Trace:
             "algorithm": self.meta.get("algorithm"),
             "by_kind": dict(sorted(by_kind.items())),
             "sends_by_message": dict(sorted(by_msg.items())),
-            "sends_by_node": dict(sorted(sent_by_node.items())),
+            "sends_by_node": {str(k): v for k, v in sorted(sent_by_node.items())},
         }
+
+    def summary_lines(self) -> list[str]:
+        """The text rendering of :meth:`summary_dict`."""
+        data = self.summary_dict()
+        lines = [
+            f"trace: {data['events']} events, {data['spans']} spans, "
+            f"D={data['D']:g}"
+            + (f", algorithm={data['algorithm']}" if "algorithm" in self.meta else "")
+        ]
+        lines.append("events by kind:")
+        for kind, count in data["by_kind"].items():
+            lines.append(f"  {kind:12s} {count}")
+        if data["sends_by_message"]:
+            lines.append("sends by message kind:")
+            for label, count in data["sends_by_message"].items():
+                lines.append(f"  {label:12s} {count}")
+        if data["sends_by_node"]:
+            lines.append("sends by node:")
+            for node, count in data["sends_by_node"].items():
+                lines.append(f"  node {node:<3}    {count}")
+        return lines
 
     # ------------------------------------------------------------------
     def op_lines(self, *, op_id: int | None = None, phases: bool = True) -> list[str]:

@@ -1,44 +1,25 @@
-"""Metrics registry v2 — the telemetry plane shared by the simulator
-and the real (asyncio) runtime.
+"""The metrics registry: counters and histograms by dotted name, with a
+pluggable histogram backend.
 
-PR 1's :class:`~repro.obs.metrics.MetricsRegistry` kept every latency
-observation in a list, which is exactly right for paper-facing tables
-(exact nearest-rank percentiles, byte-reproducible) and exactly wrong
-for long live runs (unbounded memory, O(n log n) percentile queries).
-This module generalizes the registry so both uses share one vocabulary:
-
-- :class:`Registry` is the namespace object — counters, gauges and
-  histograms addressed by dotted name — with a *pluggable histogram
-  backend*.  The v1 ``MetricsRegistry`` is now ``Registry`` with the
-  exact :class:`~repro.obs.metrics.Histogram`; live telemetry uses the
-  bounded :class:`HdrHistogram`.
+- :class:`Registry` is the namespace object.  Its histogram backend is
+  chosen at construction: the exact
+  :class:`~repro.obs.metrics.Histogram` for paper-facing tables (via
+  :class:`~repro.obs.metrics.MetricsRegistry`), or the bounded
+  :class:`HdrHistogram` (the default), which the sharded service's
+  per-shard reports use.
 - :class:`HdrHistogram` is a log-bucketed (HDR-style) histogram: fixed
   memory, O(1) observe, percentiles with bounded relative error
   (≤ ~1.6% with the default 32 sub-buckets per power of two).  Bucket
   indices come from :func:`math.frexp`, which is exact IEEE-754
-  arithmetic, so bucketing is deterministic across platforms.
-- **time-windowed snapshots**: every metric tracks a current *window*
-  alongside its cumulative totals; :meth:`Registry.window` returns the
-  delta since the previous window and resets it.  This is what the
-  ``repro.obs top`` display and soak-test loops poll.
-- **near-zero-overhead no-op mode**: the :class:`NullRegistry`
-  singleton returns shared do-nothing metric objects, so instrumented
-  code paths (bench runner, chaos campaigns, the runtimes) always call
-  ``TELEMETRY.counter("x").inc()`` unconditionally — with telemetry
-  disabled that is one dict-free method call returning a cached object
-  plus a no-op ``inc``; nothing is allocated and nothing observable
-  changes (asserted by ``tests/obs/test_overhead.py``).
-
-The process-global handle is deliberately *not* the default for
-experiments: paper-facing code keeps building explicit registries.  The
-global exists for cross-cutting telemetry (bench/chaos/runtime counters)
-that must not perturb seeded schedules when nobody is watching.
+  arithmetic, so bucketing is deterministic across platforms, and
+  :meth:`HdrHistogram.merge` adds buckets, so a report merged from
+  worker shards equals the serial one byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 #: sub-buckets per power of two — 32 gives ≤ ~1.6% relative error
 HDR_SUBBUCKETS = 32
@@ -60,25 +41,6 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Gauge:
-    """A last-value-wins metric (queue depth, open connections, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
-
-
 class HdrHistogram:
     """Log-bucketed histogram with bounded memory and bounded error.
 
@@ -91,23 +53,11 @@ class HdrHistogram:
     relative error of any percentile is at most one sub-bucket width.
 
     Non-positive observations land in a dedicated zero bucket (the
-    telemetry plane records durations and depths, where 0 is common and
+    registry records durations and depths, where 0 is common and
     negatives are a caller bug worth keeping visible in ``minimum``).
     """
 
-    __slots__ = (
-        "name",
-        "_buckets",
-        "count",
-        "total",
-        "_min",
-        "_max",
-        "_win_buckets",
-        "_win_count",
-        "_win_total",
-        "_win_min",
-        "_win_max",
-    )
+    __slots__ = ("name", "_buckets", "count", "total", "_min", "_max")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -116,11 +66,6 @@ class HdrHistogram:
         self.total = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._win_buckets: dict[int, int] = {}
-        self._win_count = 0
-        self._win_total = 0.0
-        self._win_min = math.inf
-        self._win_max = -math.inf
 
     # -- bucketing ------------------------------------------------------
     @staticmethod
@@ -151,13 +96,6 @@ class HdrHistogram:
             self._min = value
         if value > self._max:
             self._max = value
-        self._win_buckets[idx] = self._win_buckets.get(idx, 0) + 1
-        self._win_count += 1
-        self._win_total += value
-        if value < self._win_min:
-            self._win_min = value
-        if value > self._win_max:
-            self._win_max = value
 
     def observe_many(self, values: Any) -> None:
         for v in values:
@@ -185,19 +123,13 @@ class HdrHistogram:
             return math.nan
         if not 0 <= p <= 100:
             raise ValueError(f"percentile {p} out of range [0, 100]")
-        return self._bucket_percentile(self._buckets, self.count, p, self._min, self._max)
-
-    @staticmethod
-    def _bucket_percentile(
-        buckets: dict[int, int], count: int, p: float, lo: float, hi: float
-    ) -> float:
-        rank = max(1, math.ceil(p / 100 * count))
+        rank = max(1, math.ceil(p / 100 * self.count))
         seen = 0
-        for idx in sorted(buckets):
-            seen += buckets[idx]
+        for idx in sorted(self._buckets):
+            seen += self._buckets[idx]
             if seen >= rank:
-                return min(max(HdrHistogram._upper_bound(idx), lo), hi)
-        return hi  # pragma: no cover - rank <= count by construction
+                return min(max(self._upper_bound(idx), self._min), self._max)
+        return self._max  # pragma: no cover - rank <= count by construction
 
     @property
     def p50(self) -> float:
@@ -222,58 +154,15 @@ class HdrHistogram:
             "max": self.maximum,
         }
 
-    # -- windows --------------------------------------------------------
-    def window_summary(self, *, reset: bool = True) -> dict[str, float]:
-        """Aggregates of the observations since the last window reset."""
-        count = self._win_count
-        if count == 0:
-            out = {
-                "count": 0,
-                "mean": math.nan,
-                "min": math.nan,
-                "p50": math.nan,
-                "p95": math.nan,
-                "p99": math.nan,
-                "max": math.nan,
-            }
-        else:
-            out = {
-                "count": count,
-                "mean": self._win_total / count,
-                "min": self._win_min,
-                "p50": self._bucket_percentile(
-                    self._win_buckets, count, 50, self._win_min, self._win_max
-                ),
-                "p95": self._bucket_percentile(
-                    self._win_buckets, count, 95, self._win_min, self._win_max
-                ),
-                "p99": self._bucket_percentile(
-                    self._win_buckets, count, 99, self._win_min, self._win_max
-                ),
-                "max": self._win_max,
-            }
-        if reset:
-            self._win_buckets = {}
-            self._win_count = 0
-            self._win_total = 0.0
-            self._win_min = math.inf
-            self._win_max = -math.inf
-        return out
-
     def merge(self, other: "HdrHistogram") -> None:
-        """Fold another histogram's cumulative state into this one."""
+        """Fold another histogram's state into this one."""
         for idx, n in other._buckets.items():
             self._buckets[idx] = self._buckets.get(idx, 0) + n
-            self._win_buckets[idx] = self._win_buckets.get(idx, 0) + n
         self.count += other.count
         self.total += other.total
-        self._win_count += other.count
-        self._win_total += other.total
         if other.count:
             self._min = min(self._min, other._min)
             self._max = max(self._max, other._max)
-            self._win_min = min(self._win_min, other._min)
-            self._win_max = max(self._win_max, other._max)
 
     def __repr__(self) -> str:
         if self.empty:
@@ -285,26 +174,21 @@ class HdrHistogram:
 
 
 class Registry:
-    """A namespace of counters, gauges and histograms.
+    """A namespace of counters and histograms.
 
     Args:
         histogram_factory: histogram constructor — :class:`HdrHistogram`
-            (default, bounded; live telemetry) or the exact
+            (default, bounded; shard reports) or the exact
             :class:`~repro.obs.metrics.Histogram` (paper-facing tables,
             via :class:`~repro.obs.metrics.MetricsRegistry`).
     """
-
-    #: no-op registries report False so hot loops can skip batches
-    enabled = True
 
     def __init__(
         self, *, histogram_factory: Callable[[str], Any] = HdrHistogram
     ) -> None:
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Any] = {}
         self._histogram_factory = histogram_factory
-        self._counter_marks: dict[str, int] = {}
 
     # -- metric accessors (create on first use) -------------------------
     def counter(self, name: str) -> Counter:
@@ -312,12 +196,6 @@ class Registry:
         if ctr is None:
             ctr = self.counters[name] = Counter(name)
         return ctr
-
-    def gauge(self, name: str) -> Gauge:
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str) -> Any:
         hist = self.histograms.get(name)
@@ -327,22 +205,17 @@ class Registry:
 
     # -- export ---------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "counters": {k: c.value for k, c in sorted(self.counters.items())},
             "histograms": {
                 k: h.summary() for k, h in sorted(self.histograms.items())
             },
         }
-        if self.gauges:
-            out["gauges"] = {k: g.value for k, g in sorted(self.gauges.items())}
-        return out
 
     def format_lines(self) -> list[str]:
         lines = []
         for name, ctr in sorted(self.counters.items()):
             lines.append(f"{name:36s} {ctr.value}")
-        for name, gauge in sorted(self.gauges.items()):
-            lines.append(f"{name:36s} {gauge.value:g}")
         for name, hist in sorted(self.histograms.items()):
             if hist.empty:
                 lines.append(f"{name:36s} (empty)")
@@ -354,142 +227,17 @@ class Registry:
             )
         return lines
 
-    # -- windows --------------------------------------------------------
-    def window(self, *, reset: bool = True) -> dict[str, Any]:
-        """The delta since the previous window: counter increments,
-        current gauge values, and per-histogram window aggregates.
-        ``reset=False`` peeks without starting a new window."""
-        counters: dict[str, int] = {}
-        for name, ctr in sorted(self.counters.items()):
-            delta = ctr.value - self._counter_marks.get(name, 0)
-            if reset:
-                self._counter_marks[name] = ctr.value
-            counters[name] = delta
-        histograms: dict[str, dict[str, float]] = {}
-        for name, hist in sorted(self.histograms.items()):
-            # duck-typed: both built-in backends (HdrHistogram and the
-            # exact Histogram) carry window state; a foreign backend
-            # without it falls back to cumulative totals
-            window_summary = getattr(hist, "window_summary", None)
-            if window_summary is not None:
-                histograms[name] = window_summary(reset=reset)
-            else:
-                histograms[name] = hist.summary()
-        return {
-            "counters": counters,
-            "gauges": {k: g.value for k, g in sorted(self.gauges.items())},
-            "histograms": histograms,
-        }
-
-    def metric_names(self) -> Iterator[str]:
-        yield from sorted(self.counters)
-        yield from sorted(self.gauges)
-        yield from sorted(self.histograms)
-
     # -- aggregation -----------------------------------------------------
     def merge(self, other: "Registry") -> None:
-        """Fold another registry's state into this one.
-
-        The parallel executor gives each worker task a fresh registry
-        and ships it back with the task's result; the parent folds them
-        in task-index order, so merged totals are independent of worker
-        count and scheduling.  Counters add; histograms delegate to the
-        backend's ``merge`` (exact histograms concatenate observations,
-        HDR histograms add buckets); gauges are last-write-wins, which
-        under in-order merging means the highest-index task's value —
-        deterministic, if rarely meaningful across processes.  Merging a
-        no-op registry is a no-op.
-        """
-        if not other.enabled:
-            return
+        """Fold another registry's state into this one: counters add,
+        histograms delegate to :meth:`HdrHistogram.merge` (the exact
+        backend is never merged, so it has none).  The sharded
+        service folds per-shard registries in shard order, so merged
+        totals are independent of worker count and scheduling."""
         for name, ctr in other.counters.items():
             self.counter(name).inc(ctr.value)
-        for name, gauge in other.gauges.items():
-            self.gauge(name).set(gauge.value)
         for name, hist in other.histograms.items():
             self.histogram(name).merge(hist)
 
 
-# ----------------------------------------------------------------------
-# no-op mode
-# ----------------------------------------------------------------------
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-
-class _NullHistogram(HdrHistogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class NullRegistry(Registry):
-    """The disabled telemetry plane: every accessor returns a shared
-    do-nothing metric, so instrumentation sites cost one call and zero
-    allocations.  State never accumulates (``to_dict`` stays empty)."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._counter = _NullCounter("null")
-        self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauge
-
-    def histogram(self, name: str) -> Any:
-        return self._histogram
-
-    def merge(self, other: Registry) -> None:
-        pass  # disabled plane: nothing accumulates
-
-
-# ----------------------------------------------------------------------
-# the process-global telemetry handle (no-op unless explicitly enabled)
-# ----------------------------------------------------------------------
-_telemetry: Registry = NullRegistry()
-
-
-def telemetry() -> Registry:
-    """The process-wide telemetry registry (a no-op unless enabled)."""
-    return _telemetry
-
-
-def set_telemetry(registry: Registry | None) -> Registry:
-    """Install a telemetry registry (``None`` restores no-op mode);
-    returns the previous one so callers can scope their installation."""
-    global _telemetry
-    previous = _telemetry
-    _telemetry = registry if registry is not None else NullRegistry()
-    return previous
-
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "HDR_SUBBUCKETS",
-    "HdrHistogram",
-    "NullRegistry",
-    "Registry",
-    "set_telemetry",
-    "telemetry",
-]
+__all__ = ["Counter", "HDR_SUBBUCKETS", "HdrHistogram", "Registry"]

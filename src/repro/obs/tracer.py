@@ -19,12 +19,10 @@ rules, enforced here and relied on by the acceptance tests:
 from __future__ import annotations
 
 from collections import deque
-from pathlib import Path
 from typing import Any, Protocol
 
 from repro.obs.describe import describe_payload
 from repro.obs.events import TraceEvent
-from repro.obs.flight import dump_postmortem
 from repro.obs.spans import OpSpan, encode_value
 
 
@@ -70,11 +68,6 @@ class Tracer:
             instrumentation site).
         meta: free-form run metadata merged into the JSONL header
             (algorithm name, n, f, D, seed, ...).
-
-    Attributes:
-        postmortem_dir: when set and the sink retains events, every
-            ``crash`` event also dumps ``<dir>/crash-node<k>/`` (see
-            :func:`repro.obs.flight.dump_postmortem`).
     """
 
     def __init__(self, sink: EventSink | None = None, *, meta: dict[str, Any] | None = None) -> None:
@@ -82,7 +75,6 @@ class Tracer:
         self.meta: dict[str, Any] = dict(meta or {})
         self.spans: list[OpSpan] = []
         self.events_emitted = 0
-        self.postmortem_dir: Any = None
         self._sim: Any = None
         self._clock: dict[int, int] = {}
         self._channel: dict[tuple[int, int], deque[int]] = {}
@@ -178,12 +170,6 @@ class Tracer:
                 detail=detail,
             )
         )
-        if self.postmortem_dir is not None and hasattr(self.sink, "events"):
-            dump_postmortem(
-                self,
-                Path(self.postmortem_dir) / f"crash-node{node}",
-                reason=f"node {node}: {detail or 'crash'}",
-            )
 
     def on_link(self, src: int, dst: int, *, up: bool) -> None:
         """An ordered channel was gated (``up=False``) or released.

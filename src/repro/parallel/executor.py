@@ -8,18 +8,9 @@ pure function of ``(master_seed, ..., i)``, never of execution order).
 Workers therefore compute the identical result for a task no matter
 which process runs it or when, and the parent assembles results in task
 order — so the merged output is byte-identical to a serial run, which
-``tests/parallel`` assert literally.  No RNG state, no telemetry object
-and no simulator object ever crosses the process boundary: only the
-task descriptions go out, and only plain result records come back.
-
-**Telemetry.**  Each task runs with a fresh
-:class:`repro.obs.registry.Registry` installed as the process-global
-telemetry handle (matching the parent's histogram backend), shipped
-back alongside the result; the parent folds them into its own registry
-in task order via :meth:`Registry.merge`.  Totals are therefore
-independent of worker count.  When the parent's telemetry is the no-op
-:class:`~repro.obs.registry.NullRegistry`, no per-task registry is
-created at all — disabled stays free.
+``tests/parallel`` assert literally.  No RNG state and no simulator
+object ever crosses the process boundary: only the task descriptions go
+out, and only plain result records come back.
 
 **Failure.**  A task that raises is captured in the child (label plus
 formatted traceback) and re-raised in the parent as :class:`WorkerCrash`
@@ -38,8 +29,6 @@ import multiprocessing
 import traceback
 from typing import Any, Callable, Sequence
 
-from repro.obs.registry import Registry, set_telemetry, telemetry
-
 
 class WorkerCrash(RuntimeError):
     """A sweep task raised in a worker; carries the child's traceback.
@@ -54,30 +43,17 @@ class WorkerCrash(RuntimeError):
         self.traceback_text = traceback_text
 
 
-def _invoke(
-    worker: Callable[[Any], Any], label: str, task: Any
-) -> tuple[str, Any, Any]:
-    """Run one task under a fresh telemetry registry.
+def _invoke(worker: Callable[[Any], Any], label: str, task: Any) -> tuple[Any, ...]:
+    """Run one task.
 
-    Returns ``("ok", result, registry_or_None)`` or ``("err", label,
-    traceback_text)`` — exceptions are data here, so a pool worker never
-    dies and the parent controls failure ordering.
+    Returns ``("ok", result)`` or ``("err", label, traceback_text)`` —
+    exceptions are data here, so a pool worker never dies and the parent
+    controls failure ordering.
     """
-    parent_tele = telemetry()
-    child_tele = (
-        Registry(histogram_factory=parent_tele._histogram_factory)
-        if parent_tele.enabled
-        else None
-    )
-    previous = set_telemetry(child_tele) if child_tele is not None else None
     try:
-        result = worker(task)
+        return ("ok", worker(task))
     except Exception:
         return ("err", label, traceback.format_exc())
-    finally:
-        if child_tele is not None:
-            set_telemetry(previous)
-    return ("ok", result, child_tele)
 
 
 class _PoolTask:
@@ -88,7 +64,7 @@ class _PoolTask:
     def __init__(self, worker: Callable[[Any], Any]) -> None:
         self.worker = worker
 
-    def __call__(self, item: tuple[str, Any]) -> tuple[str, Any, Any]:
+    def __call__(self, item: tuple[str, Any]) -> tuple[Any, ...]:
         label, task = item
         return _invoke(self.worker, label, task)
 
@@ -106,7 +82,7 @@ def run_tasks(
         worker: a module-level (picklable) function of one task.
         tasks: picklable task descriptions, each carrying its own seed.
         workers: process count; ``<= 1`` runs in-process with identical
-            semantics (same per-task registries, same failure ordering).
+            semantics (same failure ordering).
         labels: per-task names for :class:`WorkerCrash` (default: the
             task index).
 
@@ -130,15 +106,10 @@ def run_tasks(
             outcomes = pool.map(
                 _PoolTask(worker), list(zip(names, items)), chunksize=1
             )
-    results: list[Any] = []
-    tele = telemetry()
-    for status, payload, extra in outcomes:
-        if status == "err":
-            raise WorkerCrash(payload, extra)
-        results.append(payload)
-        if extra is not None:
-            tele.merge(extra)
-    return results
+    for outcome in outcomes:
+        if outcome[0] == "err":
+            raise WorkerCrash(outcome[1], outcome[2])
+    return [outcome[1] for outcome in outcomes]
 
 
 __all__ = ["WorkerCrash", "run_tasks"]

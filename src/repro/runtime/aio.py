@@ -172,9 +172,6 @@ class AioCluster(BaseCluster):
             trace event fires (each time the depth grows to exactly
             this, so sustained congestion re-reports as it re-crosses);
             ``None`` = never.
-        postmortem: directory for automatic crash bundles: every node
-            crash dumps ``<postmortem>/crash-node<k>/`` if the tracer
-            retains events (see :mod:`repro.obs.flight`).
     """
 
     def __init__(
@@ -188,7 +185,6 @@ class AioCluster(BaseCluster):
         crash_plan: CrashPlan | None = None,
         tracer: Any = None,
         backpressure_hwm: int | None = 64,
-        postmortem: Any = None,
     ) -> None:
         hi = 1.8 * mean_delay  # D, the synchrony bound of the sampled delays
         if mean_delay == 0:  # no draw is ever made; the model's D is nominal
@@ -209,8 +205,6 @@ class AioCluster(BaseCluster):
         self._begin_op = self._in_turn(self._driver.begin)
         self._closed = False
         self._failure: Exception | None = None
-        if postmortem is not None and self._tracer is not None:
-            self._tracer.postmortem_dir = postmortem
 
     def _new_kernel(self) -> LoopKernel:
         return LoopKernel(self._end)

@@ -48,27 +48,6 @@ def test_phases_sum_to_end_to_end(demo_trace, capsys):
     assert e2e == pytest.approx(4.0)
 
 
-def test_filter_by_node_kind_msg(demo_trace, capsys):
-    assert main(
-        ["filter", demo_trace, "--node", "0", "--kind", "send", "--msg", "writeTag"]
-    ) == 0
-    out = capsys.readouterr().out.strip()
-    assert out
-    for line in out.splitlines():
-        if line.startswith("..."):
-            continue
-        assert "send" in line and "writeTag" in line and "n0" in line
-
-
-def test_filter_time_window(demo_trace, capsys):
-    assert main(["filter", demo_trace, "--since", "1.0", "--until", "2.0"]) == 0
-    for line in capsys.readouterr().out.strip().splitlines():
-        if line.startswith("..."):
-            continue
-        t = float(re.search(r"t=\s*([\d.]+)", line).group(1))
-        assert 1.0 <= t <= 2.0
-
-
 def test_render_spacetime(demo_trace, capsys):
     assert main(["render", demo_trace, "--include", "value"]) == 0
     out = capsys.readouterr().out
@@ -76,7 +55,7 @@ def test_render_spacetime(demo_trace, capsys):
 
 
 def test_missing_trace_file_is_a_clean_error(capsys):
-    assert main(["summary", "/nonexistent/trace.jsonl"]) == 1
+    assert main(["summary", "/nonexistent/trace.jsonl"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "trace.jsonl" in err
 
@@ -84,8 +63,31 @@ def test_missing_trace_file_is_a_clean_error(capsys):
 def test_corrupt_trace_file_is_a_clean_error(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
-    assert main(["summary", str(bad)]) == 1
+    assert main(["summary", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+#: every subcommand that reads a trace file
+TRACE_READERS = ("summary", "check", "ops", "phases", "coverage", "render")
+
+
+@pytest.mark.parametrize("problem", ["missing", "corrupt", "directory", "not-an-object"])
+@pytest.mark.parametrize("command", TRACE_READERS)
+def test_unusable_trace_exits_two_with_one_error_line(command, problem, tmp_path, capsys):
+    """The exit contract: 2 = unusable input, one ``error:`` line on
+    stderr, nothing on stdout, no traceback."""
+    path = tmp_path / "trace.jsonl"
+    if problem == "corrupt":
+        path.write_text("not json\n")
+    elif problem == "directory":
+        path.mkdir()
+    elif problem == "not-an-object":
+        path.write_text("[1, 2]\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_phases_unknown_kind_reports_no_ops(demo_trace, capsys):

@@ -1,4 +1,4 @@
-"""Coverage accounting: key spaces, merge/novelty, CLI, top dashboard."""
+"""Coverage accounting: key spaces, merge/novelty, CLI."""
 
 import json
 
@@ -6,8 +6,6 @@ from repro.core import EqAso
 from repro.net.faults import CrashAtTime, CrashPlan
 from repro.obs import Coverage, MemorySink, Tracer, export_jsonl
 from repro.obs.__main__ import main as obs_main
-from repro.obs.query import Trace
-from repro.obs.top import render_top
 from repro.runtime.cluster import Cluster
 
 
@@ -168,19 +166,3 @@ def test_cli_coverage_baseline_novelty(tmp_path, capsys):
     novel = json.loads(capsys.readouterr().out)
     assert any(key.startswith("crash@") for key in novel["faults"])
 
-
-# ----------------------------------------------------------------------
-# top
-# ----------------------------------------------------------------------
-def test_render_top_sections(tmp_path):
-    screen = render_top(Trace.load(crashy_trace(tmp_path)))
-    assert "repro.obs top — algorithm=EqAso" in screen
-    assert "ops:" in screen and "update" in screen
-    assert "coverage: phases=" in screen
-    assert "last 8 events:" in screen
-
-
-def test_cli_top_single_shot(tmp_path, capsys):
-    assert obs_main(["top", str(crashy_trace(tmp_path)), "--tail", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "last 3 events:" in out

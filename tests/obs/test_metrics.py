@@ -9,14 +9,14 @@ from repro.core import byz_messages as bm
 from repro.core import messages as m
 from repro.core.tags import Timestamp, ValueTs
 from repro.obs.describe import describe_payload
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, percentiles
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import OpSpan
 from repro.runtime.cluster import OpHandle
 from repro.spec.history import History
 
 
 # ----------------------------------------------------------------------
-# Histogram / Counter
+# Histogram
 # ----------------------------------------------------------------------
 def test_histogram_nearest_rank_percentiles():
     hist = Histogram("lat")
@@ -54,14 +54,6 @@ def test_histogram_summary_keys():
     hist = Histogram()
     hist.observe_many([1.0, 2.0, 3.0])
     assert set(hist.summary()) == {"count", "mean", "min", "p50", "p95", "p99", "max"}
-
-
-def test_counter_and_percentiles_helper():
-    ctr = Counter("ops")
-    ctr.inc()
-    ctr.inc(4)
-    assert ctr.value == 5
-    assert percentiles([1.0, 2.0, 3.0, 4.0])["p50"] == 2.0
 
 
 # ----------------------------------------------------------------------

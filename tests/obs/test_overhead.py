@@ -1,20 +1,11 @@
-"""Telemetry must be free when off: NullSink and NullRegistry guards.
+"""Tracing must be free when off: the NullSink guard.
 
 Observation must never steer: these tests pin that down so future obs
 changes cannot perturb seeded schedules or paper-facing bench numbers.
 """
 
-from repro.bench.runner import CASES, run_case
 from repro.core import EqAso
-from repro.obs import (
-    MemorySink,
-    NullRegistry,
-    NullSink,
-    Registry,
-    Tracer,
-    set_telemetry,
-    telemetry,
-)
+from repro.obs import MemorySink, NullSink, Tracer
 from repro.runtime.cluster import Cluster
 
 SCHEDULE = [
@@ -66,33 +57,3 @@ def test_observation_does_not_change_the_schedule_shape():
             repr(rec) for rec in bare.history
         ]
 
-
-def test_default_telemetry_is_noop_and_collects_nothing():
-    registry = telemetry()
-    assert isinstance(registry, NullRegistry)
-    registry.counter("anything").inc()
-    registry.histogram("latency").observe(1.0)
-    assert list(registry.metric_names()) == []
-
-
-def test_bench_counters_cannot_perturb_seeded_schedules():
-    """The same smoke case under no-op vs live telemetry produces the
-    byte-identical fingerprint and kernel event counts — obs counters
-    observe the bench, never steer it."""
-    case = CASES["views"]
-    quiet = run_case(case, smoke=True, repeats=1, warmup=0)
-
-    live = Registry()
-    previous = set_telemetry(live)
-    try:
-        counted = run_case(case, smoke=True, repeats=1, warmup=0)
-    finally:
-        set_telemetry(previous)
-
-    assert counted["fingerprint_sha256"] == quiet["fingerprint_sha256"]
-    for key in ("events", "messages"):
-        assert counted["measurement"][key] == quiet["measurement"][key]
-    # ... while the live registry really did observe the run
-    assert live.counter("bench.cases").value == 1
-    assert live.counter("bench.repeats").value == 1
-    assert live.histogram("bench.wall_s").count == 1

@@ -1,31 +1,12 @@
-"""Registry v2: gauges, HDR histograms, windows, no-op mode, the
-global telemetry handle, and byte-identity of the exact subclass."""
+"""The registry: HDR histograms, the counter/histogram namespace, and
+the exact-histogram subclass."""
 
 import json
 import math
 
 import pytest
 
-from repro.obs.registry import (
-    HDR_SUBBUCKETS,
-    Gauge,
-    HdrHistogram,
-    NullRegistry,
-    Registry,
-    set_telemetry,
-    telemetry,
-)
-
-
-# ----------------------------------------------------------------------
-# Gauge
-# ----------------------------------------------------------------------
-def test_gauge_set_and_add():
-    g = Gauge("depth")
-    g.set(4.0)
-    g.add(-1.5)
-    assert g.value == 2.5
-    assert "depth" in repr(g)
+from repro.obs.registry import HDR_SUBBUCKETS, HdrHistogram, Registry
 
 
 # ----------------------------------------------------------------------
@@ -87,18 +68,6 @@ def test_hdr_bucketing_is_deterministic():
         assert sa[key] == sb[key]
 
 
-def test_hdr_window_resets_independently_of_totals():
-    hist = HdrHistogram()
-    hist.observe_many([1.0, 2.0, 3.0])
-    first = hist.window_summary()
-    assert first["count"] == 3 and first["max"] == 3.0
-    hist.observe(10.0)
-    second = hist.window_summary()
-    assert second["count"] == 1 and second["min"] == 10.0
-    assert hist.count == 4 and hist.maximum == 10.0  # totals untouched
-    assert hist.window_summary(reset=False)["count"] == 0
-
-
 def test_hdr_merge():
     a, b = HdrHistogram(), HdrHistogram()
     a.observe_many([1.0, 2.0])
@@ -113,94 +82,12 @@ def test_hdr_merge():
 def test_registry_namespace_and_to_dict():
     reg = Registry()
     reg.counter("ops").inc(3)
-    reg.gauge("queue.depth").set(7.0)
     reg.histogram("lat").observe(2.0)
     d = reg.to_dict()
+    assert set(d) == {"counters", "histograms"}
     assert d["counters"] == {"ops": 3}
-    assert d["gauges"] == {"queue.depth": 7.0}
     assert d["histograms"]["lat"]["count"] == 1
     assert reg.counter("ops") is reg.counter("ops")
-    assert list(reg.metric_names()) == ["ops", "queue.depth", "lat"]
-
-
-def test_registry_without_gauges_keeps_v1_dict_shape():
-    reg = Registry()
-    reg.counter("ops").inc()
-    assert set(reg.to_dict()) == {"counters", "histograms"}
-
-
-def test_registry_window_deltas():
-    reg = Registry()
-    reg.counter("sent").inc(5)
-    reg.histogram("lat").observe(1.0)
-    win = reg.window()
-    assert win["counters"] == {"sent": 5}
-    assert win["histograms"]["lat"]["count"] == 1
-    reg.counter("sent").inc(2)
-    assert reg.window()["counters"] == {"sent": 2}
-    assert reg.window()["counters"] == {"sent": 0}
-
-
-def test_registry_window_deltas_on_both_backends():
-    """Regression: ``Registry.window`` used to report cumulative totals
-    for exact histograms while claiming window deltas; both built-in
-    backends must report true deltas."""
-    from repro.obs.metrics import Histogram, MetricsRegistry
-
-    for reg in (Registry(), MetricsRegistry(), Registry(histogram_factory=Histogram)):
-        reg.histogram("lat").observe(1.0)
-        reg.histogram("lat").observe(3.0)
-        first = reg.window()
-        assert first["histograms"]["lat"]["count"] == 2
-        assert first["histograms"]["lat"]["max"] == 3.0
-        reg.histogram("lat").observe(10.0)
-        second = reg.window()
-        assert second["histograms"]["lat"]["count"] == 1  # delta, not total
-        assert second["histograms"]["lat"]["p50"] == 10.0
-        assert reg.window()["histograms"]["lat"]["count"] == 0
-        # the cumulative view is untouched by windowing
-        assert reg.histogram("lat").count == 3
-
-
-def test_exact_window_survives_inplace_percentile_sort():
-    """percentile() sorts _values in place — the window must not be a
-    positional mark into that list."""
-    from repro.obs.metrics import Histogram
-
-    hist = Histogram("lat")
-    for v in (5.0, 1.0, 3.0):
-        hist.observe(v)
-    assert hist.percentile(50) == 3.0  # triggers the in-place sort
-    hist.observe(2.0)
-    win = hist.window_summary()
-    assert win["count"] == 4
-    assert win["min"] == 1.0 and win["max"] == 5.0
-    assert hist.window_summary()["count"] == 0
-
-
-def test_exact_merge_folds_into_open_window():
-    """Exact merge mirrors HdrHistogram.merge: merged-in observations
-    land in the destination's current window."""
-    from repro.obs.metrics import Histogram
-
-    a, b = Histogram("a"), Histogram("b")
-    a.observe(1.0)
-    a.window_summary()  # close a's window
-    b.observe(2.0)
-    b.window_summary()  # b's own window is closed too...
-    a.merge(b)
-    win = a.window_summary()
-    # ...but merge folds b's CUMULATIVE observations into a's window
-    assert win["count"] == 1 and win["max"] == 2.0
-    assert a.count == 2
-
-
-def test_registry_format_lines_covers_gauges():
-    reg = Registry()
-    reg.gauge("conns").set(3)
-    reg.histogram("never")
-    text = "\n".join(reg.format_lines())
-    assert "conns" in text and "(empty)" in text
 
 
 def test_registry_json_serializable():
@@ -211,88 +98,14 @@ def test_registry_json_serializable():
 
 
 # ----------------------------------------------------------------------
-# no-op mode + global handle
-# ----------------------------------------------------------------------
-def test_null_registry_accumulates_nothing():
-    reg = NullRegistry()
-    assert reg.enabled is False
-    reg.counter("x").inc(100)
-    reg.gauge("y").set(5.0)
-    reg.histogram("z").observe(1.0)
-    assert reg.counter("x").value == 0
-    assert reg.gauge("y").value == 0.0
-    assert reg.histogram("z").count == 0
-    assert reg.to_dict() == {"counters": {}, "histograms": {}}
-    # shared singletons: no per-call allocation
-    assert reg.counter("a") is reg.counter("b")
-    assert reg.histogram("a") is reg.histogram("b")
-
-
-def test_global_telemetry_defaults_to_noop_and_scopes():
-    assert telemetry().enabled is False
-    live = Registry()
-    previous = set_telemetry(live)
-    try:
-        assert telemetry() is live
-        telemetry().counter("hits").inc()
-        assert live.counter("hits").value == 1
-    finally:
-        set_telemetry(previous)
-    assert telemetry().enabled is False
-    assert set_telemetry(None).enabled is False  # None restores no-op
-
-
-# ----------------------------------------------------------------------
-# exact subclass inherits the v2 surface
+# exact subclass
 # ----------------------------------------------------------------------
 def test_metrics_registry_is_a_registry_with_exact_histograms():
     from repro.obs.metrics import Histogram, MetricsRegistry
 
     reg = MetricsRegistry()
-    assert isinstance(reg, Registry) and reg.enabled
+    assert isinstance(reg, Registry)
     assert isinstance(reg.histogram("lat"), Histogram)
     reg.histogram("lat").observe_many([3.0, 1.0, 2.0])
     assert reg.histogram("lat").p50 == 2.0  # exact, not bucketed
-    reg.gauge("g").set(1.0)  # gauges available on the exact registry too
-    assert reg.to_dict()["gauges"] == {"g": 1.0}
 
-
-def test_hdr_merge_folds_into_open_window():
-    a, b = HdrHistogram(), HdrHistogram()
-    a.observe_many([1.0, 2.0])
-    a.window_summary()  # close a's window
-    b.observe_many([10.0, 20.0])
-    b.window_summary()  # b's own window is closed too...
-    a.merge(b)
-    assert a.count == 4 and a.total == 33.0 and a.maximum == 20.0
-    assert a.percentile(100) == 20.0
-    win = a.window_summary()
-    # ...but merge folds b's CUMULATIVE state into a's window: a window
-    # opened before the merge observes everything b ever recorded
-    assert win["count"] == 2
-    assert win["min"] == 10.0 and win["max"] == 20.0
-    assert a.window_summary()["count"] == 0
-
-
-def test_registry_merge_over_windowed_snapshots():
-    dst, src = Registry(), Registry()
-    dst.counter("ops").inc(2)
-    dst.histogram("lat").observe_many([1.0, 2.0])
-    assert dst.window()["counters"] == {"ops": 2}  # marks ops at 2
-    src.counter("ops").inc(3)
-    src.histogram("lat").observe_many([10.0, 20.0])
-    dst.merge(src)
-    # cumulative totals combine both registries exactly
-    assert dst.counter("ops").value == 5
-    hist = dst.histogram("lat")
-    assert hist.count == 4 and hist.percentile(100) == 20.0
-    # the post-merge window delta is exactly the merged-in increment:
-    # the counter moved 2 -> 5, the histogram gained src's two samples
-    win = dst.window()
-    assert win["counters"] == {"ops": 3}
-    assert win["histograms"]["lat"]["count"] == 2
-    assert win["histograms"]["lat"]["min"] == 10.0
-    # and the window is empty again once drained
-    empty = dst.window()
-    assert empty["counters"] == {"ops": 0}
-    assert empty["histograms"]["lat"]["count"] == 0

@@ -1,18 +1,12 @@
-"""Unit tests for the deterministic executor and the registry merge
-path it relies on (:mod:`repro.parallel.executor`)."""
+"""Unit tests for the deterministic executor
+(:mod:`repro.parallel.executor`) and the HDR registry merge that makes a
+``--workers`` shard report equal the serial one."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.registry import (
-    HdrHistogram,
-    NullRegistry,
-    Registry,
-    set_telemetry,
-    telemetry,
-)
+from repro.obs.registry import HdrHistogram, Registry
 from repro.parallel import WorkerCrash, run_tasks
 
 
@@ -21,30 +15,10 @@ def square(task: int) -> int:
     return task * task
 
 
-def observe(task: int) -> int:
-    tele = telemetry()
-    tele.counter("tasks").inc()
-    tele.counter("weighted").inc(task)
-    tele.histogram("value").observe(float(task))
-    tele.gauge("last").set(float(task))
-    return task
-
-
 def boom_on_odd(task: int) -> int:
     if task % 2:
         raise ValueError(f"task {task} exploded")
     return task
-
-
-@pytest.fixture
-def scoped_telemetry():
-    """Install an exact-histogram registry for the test, then restore."""
-    registry = MetricsRegistry()
-    previous = set_telemetry(registry)
-    try:
-        yield registry
-    finally:
-        set_telemetry(previous)
 
 
 # -- result ordering ----------------------------------------------------
@@ -81,40 +55,10 @@ def test_crash_labels_default_to_task_indices():
     assert excinfo.value.label == "1"
 
 
-# -- telemetry merge ----------------------------------------------------
-def test_worker_telemetry_totals_independent_of_worker_count():
-    reports = []
-    for workers in (1, 3):
-        registry = MetricsRegistry()
-        previous = set_telemetry(registry)
-        try:
-            run_tasks(observe, range(1, 9), workers=workers)
-        finally:
-            set_telemetry(previous)
-        reports.append(registry.to_dict())
-    assert reports[0] == reports[1]
-    counters = reports[0]["counters"]
-    assert counters["tasks"] == 8
-    assert counters["weighted"] == sum(range(1, 9))
-    assert reports[0]["histograms"]["value"]["count"] == 8
-
-
-def test_gauges_merge_last_write_wins_in_task_order(scoped_telemetry):
-    run_tasks(observe, [5, 2, 9], workers=2)
-    assert scoped_telemetry.gauges["last"].value == 9.0
-
-
-def test_disabled_telemetry_stays_disabled(scoped_telemetry):
-    # precondition for this test is the *default* no-op plane
-    set_telemetry(None)
-    run_tasks(observe, range(4), workers=2)
-    assert telemetry().to_dict()["counters"] == {}
-
-
-# -- Registry.merge / histogram merge unit behaviour --------------------
+# -- Registry.merge on the HDR backend (shard reports) ------------------
 def test_registry_merge_adds_counters_and_concatenates_histograms():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
+    a = Registry(histogram_factory=HdrHistogram)
+    b = Registry(histogram_factory=HdrHistogram)
     a.counter("n").inc(2)
     b.counter("n").inc(3)
     b.counter("only_b").inc()
@@ -125,41 +69,11 @@ def test_registry_merge_adds_counters_and_concatenates_histograms():
     a.merge(b)
     assert a.counters["n"].value == 5
     assert a.counters["only_b"].value == 1
-    reference = Histogram("lat")
+    reference = HdrHistogram("lat")
     for v in (1.0, 5.0, 3.0, 2.0):
         reference.observe(v)
     assert a.histograms["lat"].summary() == reference.summary()
-
-
-def test_registry_merge_of_null_registry_is_a_noop():
-    a = Registry()
-    a.counter("n").inc()
-    a.merge(NullRegistry())
-    assert a.counters["n"].value == 1
-
-
-def test_exact_histogram_merge_matches_single_stream_percentiles():
-    merged = Histogram("m")
-    single = Histogram("s")
-    left = [0.5, 9.0, 3.0]
-    right = [1.0, 2.0, 7.5, 0.25]
-    for v in left:
-        merged.observe(v)
-    h2 = Histogram("other")
-    for v in right:
-        h2.observe(v)
-    _ = merged.p50  # force a sort so the sorted-flag path is exercised
-    merged.merge(h2)
-    for v in left + right:
-        single.observe(v)
-    assert merged.summary() == single.summary()
-
-
-def test_exact_histogram_merge_of_empty_is_a_noop():
-    h = Histogram("h")
-    h.observe(1.0)
-    h.merge(Histogram("empty"))
-    assert h.count == 1
+    assert a.histograms["lat"]._buckets == reference._buckets
 
 
 def test_hdr_histogram_merge_adds_buckets():
