@@ -1,83 +1,70 @@
-"""Determinism gate: diff a fresh bench report against a baseline.
+"""The baseline gate: a fresh bench report against a checked-in one.
 
-The CI bench-smoke job runs ``python -m repro.bench --smoke --baseline
-BENCH_macro.smoke.json``: the fresh report is diffed against the
-checked-in one of the *same mode* and the build fails on any drift.  The
-two reports ran the identical seeded workloads, so the metric
-fingerprint and the deterministic counters must match **exactly** — a
-counter drift means a substrate or observability change perturbed a
-seeded schedule; a fingerprint drift means paper-facing numbers moved.
+Every value in a report is a pure function of (case, size), so the gate
+is exact equality, entry by entry: each drifted ``case.key`` is one
+finding.  A counter drift means a substrate or observability change
+perturbed a seeded schedule; a fingerprint drift means paper-facing
+numbers moved.  A case the baseline lacks has nothing to regress against
+and is skipped.
 
-Wall-clock is never compared (it is machine- and contention-dependent;
-``benchmarks/ledger`` owns timing and its regression bounds), which is
-also why a ``--workers`` report gates exactly like a serial one.
-Reports of different modes ran different workloads and share nothing
-comparable: :func:`compare_reports` raises :class:`ValueError`.
+:func:`load_baseline` reads and validates the baseline *before* any case
+runs; a baseline that is missing, corrupt, not a v3 report or of the
+other mode (which ran other workloads) is unusable input, not a verdict.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Any
 
-#: per-run counters that are pure functions of (case, mode).
-#: ``messages_packed`` is not one: its intern table outlives a case, so
-#: it depends on what ran earlier in the same process.
-GATED_COUNTERS = (
-    "events",
-    "messages",
-    "eq_evals",
-    "eq_rows_scanned",
-    "eq_rows_saved",
-    "eq_batched_scans",
-    "values_interned",
-)
+from repro.bench.schema import validate_report
 
 Report = dict[str, Any]
 
 
-def compare_reports(fresh: Report, baseline: Report) -> list[str]:
-    """Human-readable drift findings (empty = gate passes).
+def load_baseline(path: str | Path, *, mode: str) -> Report:
+    """The validated baseline report at ``path``, which must be of ``mode``.
 
     Raises:
-        ValueError: the reports are of different modes.
+        ValueError: one line saying why the baseline is unusable.
     """
-    if fresh.get("mode") != baseline.get("mode"):
+    try:
+        report = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read baseline {path}: {exc}") from None
+    problems = validate_report(report)
+    if problems:
+        raise ValueError(f"baseline {path} invalid: {'; '.join(problems)}")
+    if report["mode"] != mode:
         raise ValueError(
-            f"fresh report is {fresh.get('mode')!r}, baseline is "
-            f"{baseline.get('mode')!r}: different workloads"
+            f"nothing comparable — baseline {path} is {report['mode']!r}, "
+            f"this run is {mode!r}: different workloads"
         )
+    return report
+
+
+def compare_reports(fresh: Report, baseline: Report) -> list[str]:
+    """One finding per drifted ``case.key`` (empty = the gate passes)."""
     problems: list[str] = []
-    base_cases = {case["name"]: case for case in baseline.get("cases", ())}
-    for case in fresh.get("cases", ()):
-        name = case["name"]
-        base = base_cases.get(name)
+    for name, entry in fresh["cases"].items():
+        base = baseline["cases"].get(name)
         if base is None:
             continue  # new case: nothing to regress against yet
-        for key in GATED_COUNTERS:
-            was, now = base["measurement"][key], case["measurement"][key]
-            if was != now:
-                problems.append(
-                    f"{name}.{key}: {was} -> {now} — a seeded schedule was "
-                    "perturbed"
-                )
-        if case["fingerprint_sha256"] != base["fingerprint_sha256"]:
-            problems.append(
-                f"{name}: metric fingerprint changed "
-                f"({base['fingerprint_sha256'][:12]}… -> "
-                f"{case['fingerprint_sha256'][:12]}…) — paper-facing "
-                "numbers drifted from the baseline"
-            )
+        problems.extend(
+            f"{name}.{key}: {base.get(key)} -> {value}"
+            for key, value in entry.items()
+            if base.get(key) != value
+        )
     return problems
 
 
 def format_comparison(fresh: Report, problems: list[str]) -> str:
     """One-line verdict plus findings, for the CLI/CI log."""
-    mode = fresh.get("mode")
+    mode = fresh["mode"]
     if not problems:
-        return f"bench gate: OK ({mode}, {len(fresh.get('cases', ()))} cases)"
-    lines = [f"bench gate: FAIL ({mode})"]
-    lines.extend(f"  {problem}" for problem in problems)
-    return "\n".join(lines)
+        return f"bench gate: OK ({mode}, {len(fresh['cases'])} cases)"
+    return "\n".join([f"bench gate: FAIL ({mode})", *(f"  {p}" for p in problems)])
 
 
-__all__ = ["GATED_COUNTERS", "compare_reports", "format_comparison"]
+__all__ = ["compare_reports", "format_comparison", "load_baseline"]

@@ -1,57 +1,46 @@
-"""Schema for the ``repro.bench`` report (``BENCH_macro.json``).
+"""Schema of the ``repro.bench`` report (``BENCH_macro*.json``).
+
+A report holds only values that are pure functions of (case, size)::
+
+    {"schema_version": 3, "mode": "full" | "smoke",
+     "cases": {name: {"fingerprint_sha256": <hex>, <GATED_COUNTERS>: int}}}
 
 Hand-rolled structural validation — the container deliberately carries
 no ``jsonschema`` dependency.  :func:`validate_report` returns a list of
-human-readable problems (empty = valid); the CLI's ``--validate`` and
-the CI bench-smoke job both go through it, so a schema drift fails fast
-instead of producing an unreadable trajectory file.
+human-readable problems (empty = valid); the CLI's baseline loader goes
+through it, so a malformed baseline fails before any case runs.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-#: v2: one ``measurement`` object per case (v1 carried a ``fast``/``slow``
-#: pair, a ``speedup`` ratio and ``metrics_identical``)
-SCHEMA_VERSION = 2
+#: v3: one flat entry per case keyed by name (v2 carried a 13-field
+#: ``measurement`` with wall-clock, RSS and ``messages_packed``)
+SCHEMA_VERSION = 3
 
-#: required keys of one case measurement, with their types
-_MEASUREMENT_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "wall_s_min": (int, float),
-    "wall_s_all": list,
-    "events": int,
-    "messages": int,
-    "events_per_s": (int, float),
-    "messages_per_s": (int, float),
-    "peak_rss_kb": int,
-    "eq_evals": int,
-    "eq_rows_scanned": int,
-    "eq_rows_saved": int,
-    "eq_batched_scans": int,
-    "values_interned": int,
-    "messages_packed": int,
-}
-
-_CASE_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "name": str,
-    "description": str,
-    "lockstep": bool,
-    "measurement": dict,
-    "fingerprint_sha256": str,
-}
+#: per-run counters of :data:`repro.sim.fastpath.STATS` that are pure
+#: functions of (case, size).  ``messages_packed`` is not one: its intern
+#: table outlives a case, so it depends on what ran earlier in the process.
+GATED_COUNTERS = (
+    "events",
+    "messages",
+    "eq_evals",
+    "eq_rows_scanned",
+    "eq_rows_saved",
+    "eq_batched_scans",
+    "values_interned",
+)
 
 _TOP_FIELDS: dict[str, type | tuple[type, ...]] = {
     "schema_version": int,
-    "generated_by": str,
     "mode": str,
-    "repeats": int,
-    "warmup": int,
-    "cases": list,
+    "cases": dict,
 }
 
-#: optional top-level keys (type-checked only when present)
-_OPTIONAL_TOP_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "workers": int,
+_CASE_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "fingerprint_sha256": str,
+    **dict.fromkeys(GATED_COUNTERS, int),
 }
 
 
@@ -87,41 +76,28 @@ def check_fields(
 def validate_report(report: Any) -> list[str]:
     """Structurally validate a bench report; returns problems (empty = ok)."""
     problems = check_fields(report, _TOP_FIELDS, "report")
-    if problems:
-        return problems
-    problems.extend(
-        check_fields(
-            report,
-            {k: t for k, t in _OPTIONAL_TOP_FIELDS.items() if k in report},
-            "report",
-        )
-    )
-    if report["schema_version"] != SCHEMA_VERSION:
+    if isinstance(report, dict) and report.get("schema_version") != SCHEMA_VERSION:
         # another version is another shape: one line, not a field-by-
         # field list of everything that moved
         return [
             f"report.schema_version: expected {SCHEMA_VERSION}, got "
-            f"{report['schema_version']} — regenerate it with "
+            f"{report.get('schema_version')!r} — regenerate it with "
             "`python -m repro.bench`"
         ]
+    if problems:
+        return problems
     if report["mode"] not in ("full", "smoke"):
         problems.append(f"report.mode: expected 'full'|'smoke', got {report['mode']!r}")
     if not report["cases"]:
         problems.append("report.cases: empty")
-    for i, case in enumerate(report["cases"]):
-        where = f"report.cases[{i}]"
-        case_problems = check_fields(case, _CASE_FIELDS, where)
+    for name, case in report["cases"].items():
+        case_problems = check_fields(case, _CASE_FIELDS, f"report.cases.{name}")
         problems.extend(case_problems)
-        if case_problems:
-            continue
-        problems.extend(
-            check_fields(
-                case["measurement"], _MEASUREMENT_FIELDS, f"{where}.measurement"
+        if not case_problems and len(case["fingerprint_sha256"]) != 64:
+            problems.append(
+                f"report.cases.{name}.fingerprint_sha256: not a sha256 hex digest"
             )
-        )
-        if len(case["fingerprint_sha256"]) != 64:
-            problems.append(f"{where}.fingerprint_sha256: not a sha256 hex digest")
     return problems
 
 
-__all__ = ["SCHEMA_VERSION", "check_fields", "validate_report"]
+__all__ = ["GATED_COUNTERS", "SCHEMA_VERSION", "check_fields", "validate_report"]

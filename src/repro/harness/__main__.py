@@ -13,8 +13,9 @@ randomness.
 
 ``--profile`` wraps the selected experiments in :mod:`cProfile` and
 prints the top 25 functions by cumulative time (``--profile-out FILE``
-additionally saves the raw stats for ``snakeviz``/``pstats``).  This is
-the micro view; ``python -m repro.bench`` is the macro view.
+additionally saves the raw stats for ``snakeviz``/``pstats``): where the
+time of one experiment goes.  The measured, bounded timing is
+``benchmarks/ledger``'s; ``python -m repro.bench`` gates the numbers.
 """
 
 from __future__ import annotations

@@ -143,10 +143,9 @@ def run_table1(
 
     ``interference=False`` restricts the worst-case columns to the
     failure-chain staircase (the lockstep, constant-delay adversary).
-    ``python -m repro.bench`` uses this mode for its ``table1`` case so
-    the lockstep substrate benchmark is not diluted by the random-delay
-    interference column, which the dedicated ``interference`` bench case
-    measures on its own.
+    ``python -m repro.bench`` uses this mode for its ``table1`` case; the
+    random-delay interference column is fingerprinted by the dedicated
+    ``interference`` bench case instead.
     """
     rows: list[Table1Row] = []
     for name, factory in ALGORITHMS.items():

@@ -5,7 +5,7 @@ The namespace machinery (counters, histograms by name, ``to_dict``,
 is the *exact* histogram backend: the list-backed :class:`Histogram`
 with nearest-rank percentiles, and :class:`MetricsRegistry`, which is
 :class:`~repro.obs.registry.Registry` specialized to it.  Experiment
-tables and ``BENCH_macro.json`` fingerprints depend on these aggregates
+tables and ``BENCH_macro*.json`` fingerprints depend on these aggregates
 being byte-reproducible across platforms, so paper-facing code keeps
 the exact backend; shard reports use the bounded
 :class:`~repro.obs.registry.HdrHistogram` instead.

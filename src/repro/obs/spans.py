@@ -71,7 +71,8 @@ class PhaseRecord:
 
     @property
     def duration(self) -> float:
-        assert self.t_end is not None, f"phase {self.name!r} still open"
+        if self.t_end is None:
+            raise RuntimeError(f"phase {self.name!r} still open")
         return self.t_end - self.t_start
 
     def to_dict(self) -> dict[str, Any]:
@@ -109,7 +110,10 @@ class OpSpan:
 
     @property
     def latency(self) -> float:
-        assert self.t_resp is not None, "operation still running"
+        if self.t_resp is None:
+            raise RuntimeError(
+                f"op {self.op_id} ({self.kind} at node {self.node}) still running"
+            )
         return self.t_resp - self.t_inv
 
     def enter_phase(self, name: str, t: float) -> PhaseRecord:

@@ -54,12 +54,14 @@ class OpHandle:
 
     @property
     def t_inv(self) -> float:
-        assert self.record is not None, "operation not yet invoked"
+        if self.record is None:
+            raise RuntimeError(f"{self.kind} at node {self.node} not yet invoked")
         return self.record.t_inv
 
     @property
     def t_resp(self) -> float:
-        assert self.record is not None and self.record.t_resp is not None
+        if self.record is None or self.record.t_resp is None:
+            raise RuntimeError(f"{self.kind} at node {self.node} has not responded")
         return self.record.t_resp
 
     @property

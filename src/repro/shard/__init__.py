@@ -28,7 +28,7 @@ matter how fast the substrate gets.  This package scales *out*:
   checks the service degrades instead of failing (surviving shards stay
   linearizable, only the dead shard's traffic aborts).
 
-Benchmarks: ``python -m repro.bench shard_throughput shard_scan_tail``;
+Fingerprint gate: ``python -m repro.bench shard_throughput shard_scan_tail``;
 ad-hoc runs: ``python -m repro.shard --help``.
 """
 

@@ -7,9 +7,8 @@ Two cases, registered in :mod:`repro.bench.runner`:
   forced through one shard, and through one table1-sized object
   (``n=5, f=2``).  The paper-facing number is *simulated* throughput —
   completed operations per ``D`` of makespan — which is deterministic
-  and therefore fingerprint-safe (wall-clock ops/sec is whatever the
-  host machine produces; the runner reports it separately as
-  ``events_per_s``/``messages_per_s``, outside the fingerprint).  The
+  and therefore fingerprint-safe (wall-clock ops/sec is the ledger's
+  ``shard_open_zipf`` workload, not the bench's business).  The
   arrival rate is chosen to saturate a single quorum group, so the
   scale-out ratio measures real queueing relief, not idle capacity.
 - ``shard_scan_tail`` — Zipf-skewed, bursty (MMPP on/off) mixed traffic
@@ -34,8 +33,8 @@ from repro.shard.workload import WorkloadSpec
 
 def _run(config: ShardConfig, spec: WorkloadSpec, seed: int) -> ShardRunReport:
     # consistency is covered by tests/shard and the differential oracle;
-    # the bench skips the polynomial checker so the stopwatch measures
-    # the service, not the verifier
+    # the bench skips the polynomial checker, whose work is not a shard
+    # number
     return ShardedSnapshotService(config).run(spec, seed, check=False)
 
 

@@ -4,7 +4,7 @@
 totals across all kernels and networks in the process, plus the
 view-vector data plane's EQ-evaluation counters; ``repro.bench`` and
 ``benchmarks/ledger`` read :meth:`SubstrateStats.counters` around each
-timed run to report events, messages and row work per run.  The counters
+run to report events, messages and row work per run.  The counters
 are observability-only — nothing in the simulation reads them back.
 
 The module name is historical and load-bearing: ``benchmarks/ledger``

@@ -16,8 +16,8 @@ counting operations down, say — calls :meth:`Simulator.stop` from
 inside an event, and the loop returns when that event does.  Nothing is
 polled.  The executed-event total is folded into
 :data:`repro.sim.fastpath.STATS` when the loop returns, which is how
-``repro.bench`` and ``benchmarks/ledger`` count events per run without
-touching the hot loop.
+``repro.bench`` (a gated counter) and ``benchmarks/ledger`` count events
+per run without touching the hot loop.
 """
 
 from __future__ import annotations

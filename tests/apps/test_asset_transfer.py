@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import AssetTransfer, InsufficientFunds, Transfer
+from repro.baselines import DelporteAso, ScdAso
 from repro.core import EqAso
 from repro.runtime.cluster import Cluster
 
@@ -84,14 +85,16 @@ def test_crashed_sender_cannot_double_spend():
 )
 def test_supply_conserved_and_no_overdraft(transfers):
     initial = [50, 30, 20]
-    _, wallets = make_bank(initial)
-    for src, dst, amount in transfers:
-        if src == dst:
-            continue
-        try:
-            wallets[src].transfer(dst, amount)
-        except InsufficientFunds:
-            pass
-    balances = wallets[0].balances()
-    assert sum(balances) == sum(initial)
-    assert all(b >= 0 for b in balances)
+    # the object is substrate-agnostic: any atomic snapshot will do
+    for algo in (EqAso, DelporteAso, ScdAso):
+        _, wallets = make_bank(initial, algo=algo)
+        for src, dst, amount in transfers:
+            if src == dst:
+                continue
+            try:
+                wallets[src].transfer(dst, amount)
+            except InsufficientFunds:
+                pass
+        balances = wallets[0].balances()
+        assert sum(balances) == sum(initial), algo.__name__
+        assert all(b >= 0 for b in balances), algo.__name__

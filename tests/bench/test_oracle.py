@@ -1,17 +1,23 @@
-"""The whole-run oracle: every bench case, shipped vs reference substrate.
+"""The whole-run oracle and the smoke gate: every bench case, once as
+shipped and once on the reference substrate.
 
 Each ``repro.bench`` smoke case runs once as shipped and once with the
 reference event queue, one-event-per-message network, frozenset view
 vectors and plain message construction patched in
-(:mod:`tests.support.reference_substrate`).  The paper-facing metrics
-must be byte-identical (canonical-JSON fingerprint) and the protocol
-traffic equal: the burst lane, broadcast batching, interned bitset views
-and interned messages may change how long a run takes, never what it
-computes.
+(:mod:`tests.support.reference_substrate`).  The shipped run is the
+tier-1 smoke gate: its fingerprint and gated counters must equal the
+checked-in ``BENCH_macro.smoke.json`` entry.  The reference run must
+produce the byte-identical paper-facing metrics (canonical-JSON
+fingerprint) and equal protocol traffic: the burst lane, broadcast
+batching, interned bitset views and interned messages may change how
+long a run takes, never what it computes.
 """
+
+from pathlib import Path
 
 import pytest
 
+from repro.bench.compare import compare_reports, load_baseline
 from repro.bench.runner import CASES, run_case
 from repro.core import EqAso
 from repro.core.messages import MEchoTag
@@ -19,11 +25,16 @@ from repro.core.views import ViewVector
 from repro.net.network import Network
 from repro.runtime.cluster import Cluster
 from repro.sim.events import EventQueue
+from repro.sim.fastpath import STATS
 from tests.support.reference_substrate import (
     ReferenceEventQueue,
     ReferenceNetwork,
     ReferenceViewVector,
     reference_substrate,
+)
+
+SMOKE = load_baseline(
+    Path(__file__).resolve().parents[2] / "BENCH_macro.smoke.json", mode="smoke"
 )
 
 
@@ -54,15 +65,17 @@ def test_reference_patch_reaches_every_construction_site():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_case_matches_reference_substrate(name):
-    shipped = run_case(CASES[name], smoke=True, repeats=1, warmup=0)
+    ours = run_case(CASES[name], smoke=True)
+    assert name in SMOKE["cases"]
+    assert compare_reports({"cases": {name: ours}}, SMOKE) == []
+    packed = STATS.messages_packed
     with reference_substrate():
-        reference = run_case(CASES[name], smoke=True, repeats=1, warmup=0)
-    assert shipped["fingerprint_sha256"] == reference["fingerprint_sha256"]
-    ours, theirs = shipped["measurement"], reference["measurement"]
+        theirs = run_case(CASES[name], smoke=True)
+    assert ours["fingerprint_sha256"] == theirs["fingerprint_sha256"]
     assert ours["messages"] == theirs["messages"] > 0
     assert ours["eq_evals"] == theirs["eq_evals"]
     # batching only ever merges kernel events; the references neither
     # skip EQ rows nor intern anything
     assert ours["events"] <= theirs["events"]
     assert theirs["eq_rows_saved"] == theirs["values_interned"] == 0
-    assert theirs["messages_packed"] == 0
+    assert STATS.messages_packed == packed

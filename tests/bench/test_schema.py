@@ -2,43 +2,19 @@
 
 import copy
 
-from repro.bench.schema import SCHEMA_VERSION, validate_report
-
-
-def _measurement():
-    return {
-        "wall_s_min": 0.1,
-        "wall_s_all": [0.1, 0.11],
-        "events": 1000,
-        "messages": 2000,
-        "events_per_s": 10000,
-        "messages_per_s": 20000,
-        "peak_rss_kb": 50000,
-        "eq_evals": 10,
-        "eq_rows_scanned": 20,
-        "eq_rows_saved": 30,
-        "eq_batched_scans": 1,
-        "values_interned": 5,
-        "messages_packed": 7,
-    }
+from repro.bench.schema import GATED_COUNTERS, SCHEMA_VERSION, validate_report
 
 
 def _valid_report():
     return {
         "schema_version": SCHEMA_VERSION,
-        "generated_by": "repro.bench",
         "mode": "full",
-        "repeats": 3,
-        "warmup": 1,
-        "cases": [
-            {
-                "name": "table1",
-                "description": "lockstep columns",
-                "lockstep": True,
-                "measurement": _measurement(),
+        "cases": {
+            "table1": {
                 "fingerprint_sha256": "0" * 64,
+                **{key: i + 1 for i, key in enumerate(GATED_COUNTERS)},
             }
-        ],
+        },
     }
 
 
@@ -48,8 +24,8 @@ def test_valid_report_passes():
 
 def test_missing_top_level_key():
     report = _valid_report()
-    del report["repeats"]
-    assert any("repeats" in p for p in validate_report(report))
+    del report["cases"]
+    assert any("cases" in p for p in validate_report(report))
 
 
 def test_wrong_schema_version():
@@ -66,24 +42,29 @@ def test_bad_mode():
 
 def test_empty_cases_rejected():
     report = _valid_report()
-    report["cases"] = []
+    report["cases"] = {}
     assert any("empty" in p for p in validate_report(report))
 
 
 def test_missing_measurement_field():
+    """Every gated counter is a required key of a case entry."""
     report = _valid_report()
-    del report["cases"][0]["measurement"]["events_per_s"]
-    assert any("events_per_s" in p for p in validate_report(report))
+    del report["cases"]["table1"]["eq_rows_saved"]
+    assert any("eq_rows_saved" in p for p in validate_report(report))
 
 
 def test_old_report_shape_rejected_with_one_line():
-    """A v1 report (fast/slow pair per case) is another shape entirely:
-    one line saying so, not a field-by-field list."""
-    report = _valid_report()
-    report["schema_version"] = 1
-    case = report["cases"][0]
-    case["fast"] = case["slow"] = case.pop("measurement")
-    case["speedup"], case["metrics_identical"] = 2.1, True
+    """A v2 report (a list of cases, each with a 13-field ``measurement``)
+    is another shape entirely: one line saying so, not a field-by-field
+    list."""
+    report = {
+        "schema_version": 2,
+        "generated_by": "repro.bench",
+        "mode": "smoke",
+        "repeats": 1,
+        "warmup": 0,
+        "cases": [{"name": "table1", "lockstep": True, "measurement": {}}],
+    }
     problems = validate_report(report)
     assert len(problems) == 1
     assert "schema_version" in problems[0] and "regenerate" in problems[0]
@@ -91,13 +72,13 @@ def test_old_report_shape_rejected_with_one_line():
 
 def test_bool_is_not_an_int():
     report = _valid_report()
-    report["cases"][0]["measurement"]["events"] = True
+    report["cases"]["table1"]["events"] = True
     assert any("events" in p for p in validate_report(report))
 
 
 def test_bad_fingerprint_length():
     report = _valid_report()
-    report["cases"][0]["fingerprint_sha256"] = "abc"
+    report["cases"]["table1"]["fingerprint_sha256"] = "abc"
     assert any("fingerprint" in p for p in validate_report(report))
 
 

@@ -64,7 +64,8 @@ def test_ablation_report_structure():
     report = run_ablation("no-borrowing", seeds=2)
     assert report.name == "no-borrowing"
     assert report.seeds == 2
-    assert report.baseline_latency_D > 0
+    # the intact algorithm's latency is finite and modest under the probe
+    assert 0 < report.baseline_latency_D < 20.0
 
 
 def test_unknown_ablation_rejected():

@@ -46,12 +46,13 @@ def test_staircase_needs_positive_budget():
 
 def test_staircase_victim_latency_grows_like_sqrt_k():
     ks = [1, 6, 21]
-    lats = [staircase_victim_latency(EqAso, "scan", k) for k in ks]
-    assert lats[0] < lats[1] < lats[2]
-    # the measured latency tracks (#chains + const)·D
-    for k, lat in zip(ks, lats):
-        m = max_chains_for_budget(k)
-        assert m - 1 <= lat <= m + 3
+    for kind in ("scan", "update"):
+        lats = [staircase_victim_latency(EqAso, kind, k) for k in ks]
+        assert lats[0] < lats[1] < lats[2], kind
+        # the measured latency tracks (#chains + const)·D
+        for k, lat in zip(ks, lats):
+            m = max_chains_for_budget(k)
+            assert m - 1 <= lat <= m + 3, (kind, k)
 
 
 def test_staircase_cluster_is_reusable_for_sequences():

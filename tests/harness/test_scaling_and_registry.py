@@ -17,12 +17,13 @@ def test_scale_k_eq_aso_sublinear():
     curves = scale_k(ks=(1, 6, 21), algorithms={"EQ-ASO": EqAso})
     [curve] = curves
     assert curve.ys[0] < curve.ys[-1]  # grows with k...
-    assert curve.exponent is not None and curve.exponent < 0.75  # ...sublinearly
+    # ...sublinearly, but not flat: near the staircase's 0.5
+    assert curve.exponent is not None and 0.2 <= curve.exponent < 0.75
 
 
 def test_amortized_curve_decreases():
     curve = amortized_curve(k=6, op_counts=(1, 8, 24))
-    assert curve.ys[0] > curve.ys[-1]
+    assert curve.ys[-1] < curve.ys[0] / 3  # the one staircase is averaged out
     assert curve.ys[-1] < 1.0  # approaches O(D) with fast links
 
 
@@ -60,8 +61,9 @@ def test_la_comparison_shapes():
     curves = la_comparison(ks=(0, 3, 10))
     es = next(c for c in curves if "early-stopping" in c.label)
     cl = next(c for c in curves if "classifier" in c.label)
-    # early-stopping: constant at k=0, grows with k
-    assert es.ys[0] < 1.0
+    # early-stopping: constant at k=0 (cheaper than the classifier's
+    # log n rounds), grows with k
+    assert es.ys[0] < 1.0 and es.ys[0] < cl.ys[0]
     assert es.ys[1] < es.ys[2]
     # classifier: roughly flat in k
     assert abs(cl.ys[2] - cl.ys[1]) < 1.0

@@ -4,6 +4,8 @@ Observation must never steer: these tests pin that down so future obs
 changes cannot perturb seeded schedules or paper-facing bench numbers.
 """
 
+from collections import Counter
+
 from repro.core import EqAso
 from repro.obs import MemorySink, NullSink, Tracer
 from repro.runtime.cluster import Cluster
@@ -45,8 +47,14 @@ def test_observation_does_not_change_the_schedule_shape():
     yet execute the same number of kernel events as a bare run (traced
     broadcasts still batch) and produce the same history."""
     bare = run_cluster(None)
-    traced = run_cluster(Tracer(MemorySink()))
+    traced = run_cluster(tracer := Tracer(MemorySink()))
     recorded = run_cluster(None, record_net_trace=True)
+    # the full trace records every send and every delivery
+    kinds = Counter(ev.kind for ev in tracer.sink.events)
+    assert (kinds["send"], kinds["deliver"]) == (
+        bare.network.messages_sent,
+        bare.network.messages_delivered,
+    )
     assert traced.network._watched and recorded.network._watched
     assert traced.sim.steps == recorded.sim.steps == bare.sim.steps
     assert len(recorded.network.trace) == (

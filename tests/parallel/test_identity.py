@@ -1,19 +1,16 @@
 """Parallel sweeps must be byte-identical to serial runs.
 
 The executor's whole contract (see :mod:`repro.parallel.executor`) is
-that ``--workers N`` changes wall-clock only: chaos reports, exported
-counterexample bundles and bench fingerprints come out bit-for-bit the
-same for any worker count.  These tests assert that literally, and that
-a crashing worker surfaces the failing sweep unit instead of a partial
-report.
+that ``--workers N`` changes wall-clock only: chaos reports and exported
+counterexample bundles come out bit-for-bit the same for any worker
+count.  These tests assert that literally, and that a crashing worker
+surfaces the failing sweep unit instead of a partial report.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.compare import GATED_COUNTERS
-from repro.bench.runner import run_bench
 from repro.chaos.campaign import run_campaign
 
 
@@ -30,24 +27,6 @@ def test_chaos_report_byte_identical_serial_vs_parallel(tmp_path):
     assert sorted(p.name for p in serial_out.iterdir()) == sorted(
         p.name for p in parallel_out.iterdir()
     )
-
-
-def test_bench_fingerprints_identical_for_any_worker_count():
-    serial = run_bench(["views"], smoke=True, repeats=1, warmup=0, workers=1)
-    parallel = run_bench(["views"], smoke=True, repeats=1, warmup=0, workers=4)
-    # the workers key is the only allowed difference, and only on the
-    # parallel report (serial reports stay byte-compatible with old ones)
-    assert "workers" not in serial
-    assert parallel["workers"] == 4
-    for s_case, p_case in zip(serial["cases"], parallel["cases"]):
-        assert s_case["fingerprint_sha256"] == p_case["fingerprint_sha256"]
-        # messages_packed is left out on purpose: the message intern table
-        # outlives a case, so that count depends on what this process (or
-        # the parent a worker forked from) constructed earlier
-        for key in GATED_COUNTERS:
-            assert s_case["measurement"][key] == p_case["measurement"][key], (
-                f"{s_case['name']}.{key} drifted under --workers"
-            )
 
 
 def test_crashing_worker_surfaces_failing_seed_and_exits_2(
@@ -90,7 +69,7 @@ def test_crashing_worker_surfaces_failing_seed_and_exits_2(
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("module", ["repro.chaos.__main__", "repro.bench.__main__"])
+@pytest.mark.parametrize("module", ["repro.chaos.__main__"])
 def test_cli_rejects_nonpositive_workers(module):
     import importlib
 

@@ -120,3 +120,27 @@ def test_a_crashed_node_refuses_a_call_before_any_handle_exists():
         await cluster.shutdown()
 
     asyncio.run(scenario())
+
+
+def test_timing_of_an_unsettled_op_is_a_typed_error():
+    """An op's ``t_inv``/``t_resp``/``latency`` before it began or
+    responded, and an open phase's ``duration`` or a running span's
+    ``latency``, raise ``RuntimeError`` naming it — under ``python -O``
+    too, where an ``assert`` would have let ``None`` through."""
+    from repro.obs import MemorySink, Tracer
+
+    cluster = Cluster(EqAso, n=3, f=1, tracer=Tracer(MemorySink()))
+    scan = cluster.invoke_at(1.0, 0, "scan")
+    with pytest.raises(RuntimeError, match="scan at node 0 not yet invoked"):
+        scan.t_inv
+    cluster.run(until=1.5)  # begun, still in its first phase
+    assert scan.t_inv == 1.0
+    with pytest.raises(RuntimeError, match="scan at node 0 has not responded"):
+        scan.latency
+    with pytest.raises(RuntimeError, match=r"op \d+ \(scan at node 0\) still running"):
+        scan.span.latency
+    phase = scan.span.phases[-1]
+    with pytest.raises(RuntimeError, match=f"phase {phase.name!r} still open"):
+        phase.duration
+    cluster.run_until_complete([scan])
+    assert scan.latency == scan.span.latency > phase.duration > 0

@@ -13,8 +13,7 @@ def test_cases_registered_with_smoke_variants():
     assert "shard_scan_tail" in CASES
     for name in ("shard_throughput", "shard_scan_tail"):
         case = CASES[name]
-        assert case.name == name and case.lockstep
-        assert callable(case.full) and callable(case.smoke)
+        assert callable(case.workload) and case.smoke_kw
 
 
 def test_shard_throughput_scales_out():
