@@ -49,7 +49,7 @@ def staircase_demo() -> None:
     print("\n== 2. the sqrt(k) staircase ==")
     print(f"  {'k':>4s} {'scan latency':>14s} {'sqrt(2k)':>9s}")
     for k in (1, 3, 6, 10, 15, 21):
-        latency = staircase_victim_latency(EqAso, "scan", k)
+        latency = staircase_victim_latency("eq_aso", "scan", k)
         print(f"  {k:4d} {latency:13.2f}D {math.sqrt(2 * k):8.2f}")
 
 

@@ -171,14 +171,6 @@ def get_profile(name: str) -> AlgoProfile:
         ) from None
 
 
-def value_match_for(profile: AlgoProfile) -> Callable[[int], Callable[[Any], bool]]:
-    """The algorithm's payload predicate factory for failure chains
-    (hop crashes keyed on the chain head's value)."""
-    from repro.harness.adversary import value_match_factory
-
-    return value_match_factory(profile.factory)
-
-
 __all__ = [
     "AlgoProfile",
     "BYZANTINE_ALGOS",
@@ -192,5 +184,4 @@ __all__ = [
     "make_behaviour",
     "register_profile",
     "unregister_profile",
-    "value_match_for",
 ]

@@ -18,9 +18,10 @@ the campaign depends on:
 
 Predicates are reconstructed from data at build time:
 :class:`BcastCrashSpec` counts the node's broadcasts (``nth``), and
-:class:`ChainCrashSpec` keys every hop on the chain head's value via the
-per-algorithm ``value_match_factory`` — using the per-hop ``matches``
-form of :func:`~repro.net.faults.chain_crash_plan`.
+:class:`ChainCrashSpec` keys every hop on the chain head's value through
+:func:`writers_of`, the one table of which writer's value a message
+carries.  The same table drives the ``doomed`` delay kind, so the √k
+staircase of Sec. III-F is a plan like any other.
 """
 
 from __future__ import annotations
@@ -28,14 +29,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+from repro.baselines.bfk import MStoreB
+from repro.baselines.delporte import MWrite
+from repro.baselines.impr import MRegWrite
+from repro.baselines.la_based import MGossip
+from repro.baselines.scd_broadcast import MForward, ScdWrite
+from repro.baselines.store_collect import MStore
+from repro.core.messages import MValue
 from repro.net.delays import (
     AdversarialDelay,
     ConstantDelay,
     DelayModel,
     UniformDelay,
 )
-from repro.net.faults import BroadcastCrash, CrashAtTime, CrashPlan
+from repro.net.faults import BroadcastCrash, CrashAtTime, CrashPlan, chain_crash_plan
 from repro.sim.rng import SeededRng, derive_seed
+
+#: message type -> the writers whose values a message of that type carries
+#: (exact type: the payload classes are final, and a dict lookup is what
+#: the per-message delay schedule can afford)
+_WRITERS: dict[type, Callable[[Any], tuple[int, ...]]] = {
+    MValue: lambda p: (p.vt.writer,),
+    MWrite: lambda p: (p.writer,),
+    MStoreB: lambda p: (p.writer,),
+    MRegWrite: lambda p: (p.writer,),
+    MStore: lambda p: tuple(w for (w, _, _) in p.view),
+    MForward: lambda p: (
+        (p.payload.writer,) if type(p.payload) is ScdWrite else ()
+    ),
+    MGossip: lambda p: (p.atom[0],),
+}
+
+
+def writers_of(payload: Any) -> tuple[int, ...]:
+    """The writers whose values ``payload`` carries (``()`` for a message
+    that carries none) — what a failure chain's hops crash on and what
+    the ``doomed`` delay kind slows."""
+    get = _WRITERS.get(type(payload))
+    return () if get is None else get(payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +114,9 @@ class ChainCrashSpec:
 
 CrashLike = TimedCrashSpec | BcastCrashSpec | ChainCrashSpec
 
+_DELAY_KINDS = frozenset({"constant", "uniform", "targeted", "doomed"})
+_OP_KINDS = frozenset({"update", "scan"})
+
 
 @dataclass(frozen=True, slots=True)
 class ByzSpec:
@@ -106,7 +140,11 @@ class DelaySpec:
                         plan seed (stream label ``chaos/delays``);
         ``targeted``  — messages *from* ``slow_sources`` take the full D,
                         everything else takes ``lo`` (the adversary slows
-                        exactly the traffic it wants exposed late).
+                        exactly the traffic it wants exposed late);
+        ``doomed``    — messages carrying a value written by the head of
+                        any of the plan's :class:`ChainCrashSpec` take the
+                        full D, everything else takes ``lo`` (the √k
+                        staircase's adversary, DESIGN §7 finding 7).
     """
 
     kind: str = "constant"
@@ -191,7 +229,11 @@ class ChaosPlan:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ChaosPlan":
+    def from_dict(cls, data: Any) -> "ChaosPlan":
+        """Load a plan from its :meth:`to_dict` form.  Input that cannot
+        describe a runnable plan raises ``ValueError`` naming the fault."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a plan must be a JSON object, not {type(data).__name__}")
         crashes: list[CrashLike] = []
         for spec in data.get("crashes", ()):
             kind = spec["type"]
@@ -208,9 +250,35 @@ class ChaosPlan:
             else:
                 raise ValueError(f"unknown crash spec type {kind!r}")
         delay = data.get("delay", {})
+        if not isinstance(delay, dict):
+            raise ValueError(f"plan delay must be a JSON object, got {delay!r}")
+        if delay.get("kind", "constant") not in _DELAY_KINDS:
+            raise ValueError(
+                f"unknown delay kind {delay['kind']!r}; "
+                f"choose from {sorted(_DELAY_KINDS)}"
+            )
+        n = int(data["n"])
+        workload = tuple(
+            OpChainSpec(
+                node=chain["node"],
+                ops=tuple((k, v) for k, v in chain["ops"]),
+                start=chain.get("start", 0.0),
+                gap=chain.get("gap", 0.0),
+            )
+            for chain in data.get("workload", ())
+        )
+        for chain in workload:
+            if not 0 <= chain.node < n:
+                raise ValueError(f"workload node {chain.node} outside 0..{n - 1}")
+            for op_kind, _ in chain.ops:
+                if op_kind not in _OP_KINDS:
+                    raise ValueError(
+                        f"unknown op kind {op_kind!r} at node {chain.node}; "
+                        f"choose from {sorted(_OP_KINDS)}"
+                    )
         return cls(
             algo=data["algo"],
-            n=int(data["n"]),
+            n=n,
             f=int(data["f"]),
             seed=int(data["seed"]),
             delay=DelaySpec(
@@ -219,15 +287,7 @@ class ChaosPlan:
                 slow_sources=tuple(delay.get("slow_sources", ())),
             ),
             crashes=tuple(crashes),
-            workload=tuple(
-                OpChainSpec(
-                    node=chain["node"],
-                    ops=tuple((k, v) for k, v in chain["ops"]),
-                    start=chain.get("start", 0.0),
-                    gap=chain.get("gap", 0.0),
-                )
-                for chain in data.get("workload", ())
-            ),
+            workload=workload,
             byzantine=tuple(
                 ByzSpec(spec["node"], spec["behaviour"])
                 for spec in data.get("byzantine", ())
@@ -235,16 +295,13 @@ class ChaosPlan:
         )
 
 
-def build_crash_plan(
-    plan: ChaosPlan,
-    value_match_for_writer: Callable[[int], Callable[[Any], bool]],
-) -> CrashPlan:
+def build_crash_plan(plan: ChaosPlan) -> CrashPlan:
     """Materialize a *fresh* live :class:`CrashPlan` from plan data.
 
     Called once per execution: the returned plan (and every predicate
-    closure inside it) carries no state from previous runs.
-    ``value_match_for_writer`` is the algorithm's payload predicate
-    factory (chain hops crash on the chain head's value).
+    closure inside it) carries no state from previous runs.  Chain hops
+    crash on the first broadcast carrying the chain head's value
+    (:func:`writers_of`).
     """
     live = CrashPlan()
     for spec in plan.crashes:
@@ -262,12 +319,11 @@ def build_crash_plan(
                 BroadcastCrash(deliver_to=spec.deliver_to, match=nth_match),
             )
         elif isinstance(spec, ChainCrashSpec):
-            head = spec.chain[0]
-            hop_match = value_match_for_writer(head)
-            hops = len(spec.chain) - 1
-            from repro.net.faults import chain_crash_plan
 
-            sub = chain_crash_plan(spec.chain, matches=[hop_match] * hops)
+            def carries_head(payload: Any, head: int = spec.chain[0]) -> bool:
+                return head in writers_of(payload)
+
+            sub = chain_crash_plan(spec.chain, match=carries_head)
             for node in spec.chain[:-1]:
                 live.add(node, sub.spec_for(node))
         else:  # pragma: no cover - defensive
@@ -291,6 +347,16 @@ def build_delay_model(plan: ChaosPlan) -> DelayModel:
             return 1.0 if src in slow else fast
 
         return AdversarialDelay(1.0, schedule)
+    if spec.kind == "doomed":
+        heads = frozenset(
+            c.chain[0] for c in plan.crashes if isinstance(c, ChainCrashSpec)
+        )
+        fast = spec.lo
+
+        def doomed(src: int, dst: int, payload: Any, now: float) -> float:
+            return fast if heads.isdisjoint(writers_of(payload)) else 1.0
+
+        return AdversarialDelay(1.0, doomed)
     raise ValueError(f"unknown delay kind {spec.kind!r}")
 
 
@@ -311,4 +377,5 @@ __all__ = [
     "build_crash_plan",
     "build_delay_model",
     "flatten_delay",
+    "writers_of",
 ]

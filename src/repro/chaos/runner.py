@@ -26,10 +26,8 @@ from typing import Any
 
 from repro.chaos.algos import (
     LINEARIZABLE,
-    AlgoProfile,
     get_profile,
     make_behaviour,
-    value_match_for,
 )
 from repro.chaos.plan import ChaosPlan, build_crash_plan, build_delay_model
 from repro.net.byzantine import byzantine_factory
@@ -86,7 +84,7 @@ def build_cluster(plan: ChaosPlan, *, tracer: Any = None) -> Cluster:
             spec.node: make_behaviour(spec.behaviour) for spec in plan.byzantine
         }
         factory = byzantine_factory(factory, behaviours)
-    crash_plan = build_crash_plan(plan, value_match_for(profile))
+    crash_plan = build_crash_plan(plan)
     return Cluster(
         factory,
         n=plan.n,
@@ -101,7 +99,6 @@ def run_plan(
     plan: ChaosPlan, *, tracer: Any = None, cross_validate: bool = True
 ) -> ExecutionResult:
     """Run one plan to completion and check the resulting history."""
-    profile = get_profile(plan.algo)
     cluster = build_cluster(plan, tracer=tracer)
     handles: list[OpHandle] = []
     for chain in plan.workload:
@@ -194,10 +191,6 @@ def check_history(
         cross_validated=validated,
         handles=handles or [],
     )
-
-
-def profile_for(plan: ChaosPlan) -> AlgoProfile:
-    return get_profile(plan.algo)
 
 
 __all__ = [

@@ -21,9 +21,8 @@ Run ``python -m repro.harness [experiment ...]`` to print the results.
 
 from repro.harness.metrics import LatencyStats, summarize
 from repro.harness.adversary import (
-    chain_staircase,
     interference_schedule,
-    staircase_cluster,
+    staircase_plan,
     staircase_victim_latency,
 )
 from repro.harness.registry import EXPERIMENTS, run_experiment
@@ -31,9 +30,8 @@ from repro.harness.registry import EXPERIMENTS, run_experiment
 __all__ = [
     "LatencyStats",
     "summarize",
-    "chain_staircase",
     "interference_schedule",
-    "staircase_cluster",
+    "staircase_plan",
     "staircase_victim_latency",
     "EXPERIMENTS",
     "run_experiment",

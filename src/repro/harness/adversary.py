@@ -2,16 +2,18 @@
 
 Two adversaries drive the Table I measurements:
 
-- :func:`chain_staircase` — the failure-chain construction behind the
-  :math:`O(\\sqrt{k}\\,D)` bound (Definitions 10–11).  With a budget of
-  ``k`` crashes it builds ``m ≈ √(2k)`` chains of lengths ``1, 2, …, m``
-  (chain ``j`` burns ``j`` faulty nodes), all terminating at the victim
-  node.  Chain ``j``'s value stays *exposed* until hop ``j`` completes, so
-  a fresh exposed value lands on the victim every ``D`` for ``m·D`` time —
-  each arrival re-breaks the victim's equivalence quorum.  An EQ-ASO
-  operation at the victim therefore takes ``Θ(√k · D)``; the paper proves
-  no adversary can do better than this staircase against EQ-ASO (Lemmas
-  6–8: chains of distinct exposure spans use disjoint faulty nodes).
+- :func:`staircase_plan` — the failure-chain construction behind the
+  :math:`O(\\sqrt{k}\\,D)` bound (Definitions 10–11), as a
+  :class:`~repro.chaos.plan.ChaosPlan`.  With a budget of ``k`` crashes
+  it builds ``m ≈ √(2k)`` chains of lengths ``1, 2, …, m`` (chain ``j``
+  burns ``j`` faulty nodes), all terminating at the victim node.  Chain
+  ``j``'s value stays *exposed* until hop ``j`` completes, so a fresh
+  exposed value lands on the victim every ``D`` for ``m·D`` time — each
+  arrival re-breaks the victim's equivalence quorum.  An EQ-ASO
+  operation at the victim therefore takes ``Θ(√k · D)``; the paper
+  proves no adversary can do better than this staircase against EQ-ASO
+  (Lemmas 6–8: chains of distinct exposure spans use disjoint faulty
+  nodes).
 
 - :func:`interference_schedule` — the concurrency adversary for the
   pull-based baselines: every node except the victim issues back-to-back
@@ -25,34 +27,15 @@ Two adversaries drive the Table I measurements:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import replace
+from typing import Any, Sequence
 
-from repro.core.messages import MValue
-from repro.net.faults import BroadcastCrash, CrashPlan
+from repro.chaos.plan import ChainCrashSpec, ChaosPlan, DelaySpec, OpChainSpec
+from repro.chaos.runner import run_plan
+from repro.runtime.cluster import OpHandle
 
-
-@dataclass(frozen=True, slots=True)
-class ChainScenario:
-    """A constructed staircase of failure chains.
-
-    Attributes:
-        n: required cluster size.
-        f: fault threshold to configure (≥ k).
-        k: total crashes consumed.
-        chains: the chains, outermost writer first; each ends at ``victim``.
-        writers: the chain-head nodes (they issue the doomed updates).
-        victim: the node whose operations the staircase delays.
-        crash_plan: ready-to-use crash plan.
-    """
-
-    n: int
-    f: int
-    k: int
-    chains: tuple[tuple[int, ...], ...]
-    writers: tuple[int, ...]
-    victim: int
-    crash_plan: CrashPlan
+#: the node whose operations the staircase delays
+VICTIM = 0
 
 
 def max_chains_for_budget(k: int) -> int:
@@ -61,241 +44,91 @@ def max_chains_for_budget(k: int) -> int:
     return m
 
 
-def default_match_for_writer(writer: int) -> Callable[[Any], bool]:
-    """Predicate matching a ``value`` broadcast that carries ``writer``'s
-    value — the EQ-ASO-family default.  Matching on the *writer* (not just
-    the message type) matters: chain members also forward unrelated
-    values, and crashing on those would decapitate the chain early."""
-    return lambda p: isinstance(p, MValue) and p.vt.writer == writer
+def staircase_plan(algo: str, k: int) -> ChaosPlan:
+    """The √k staircase for a crash budget of ``k`` against ``algo`` (a
+    :data:`~repro.chaos.algos.CAMPAIGN_ALGOS` key), as replayable data.
 
-
-def chain_staircase(
-    k: int,
-    *,
-    victim: int = 0,
-    extra_correct: int = 2,
-    match_for_writer: Callable[[int], Callable[[Any], bool]] | None = None,
-) -> ChainScenario:
-    """Build the √k staircase for a crash budget of ``k``.
-
-    Chain ``j`` (``j = 1..m``) consists of ``j`` faulty nodes ending at the
-    victim; its head updates a value that crawls one hop per ``D`` and
-    reaches the victim at time ``≈ j·D`` after the head broadcast it.
-    Every chain member crashes while (re)broadcasting *that chain's*
-    value — Definition 11's crash mode — delivering it only to the next
-    member.  ``match_for_writer(head_id)`` builds the payload predicate
-    identifying the chain's value; the default handles the EQ-ASO family.
-
-    ``n`` is sized so that ``k ≤ f < n/2`` with ``extra_correct`` spare
-    correct nodes beyond the victim and quorum needs.
-    """
-    if k < 1:
-        raise ValueError("need a crash budget of at least 1")
-    m = max_chains_for_budget(k)
-    used = m * (m + 1) // 2
-    f = k
-    n = 2 * f + 1 + extra_correct
-    if victim >= n:
-        raise ValueError("victim id out of range")
-    make_match = match_for_writer or default_match_for_writer
-
-    plan = CrashPlan()
-    chains: list[tuple[int, ...]] = []
-    next_node = 0
-
-    def alloc() -> int:
-        nonlocal next_node
-        while next_node == victim:
-            next_node += 1
-        node = next_node
-        next_node += 1
-        return node
-
-    for j in range(1, m + 1):
-        members = [alloc() for _ in range(j)]
-        chain = tuple(members) + (victim,)
-        chains.append(chain)
-        match = make_match(members[0])
-        for idx, node in enumerate(members):
-            nxt = chain[idx + 1]
-            plan.add(node, BroadcastCrash(deliver_to=(nxt,), match=match))
-    if next_node > n:
-        raise AssertionError("allocated more nodes than the cluster has")
-    return ChainScenario(
-        n=n,
-        f=f,
-        k=used,
-        chains=tuple(chains),
-        writers=tuple(chain[0] for chain in chains),
-        victim=victim,
-        crash_plan=plan,
-    )
-
-
-def value_match_factory(factory) -> Callable[[int], Callable[[Any], bool]]:
-    """Per-algorithm factory: given a chain writer's id, build the payload
-    predicate identifying a broadcast that carries *that writer's* value —
-    the message Definition 11 crashes truncate."""
-    from repro.baselines.bfk import MStoreB
-    from repro.baselines.delporte import MWrite
-    from repro.baselines.impr import MRegWrite
-    from repro.baselines.la_based import MGossip
-    from repro.baselines.scd_broadcast import MForward, ScdWrite
-    from repro.baselines.store_collect import MStore
-
-    name = getattr(factory, "__name__", "")
-    if "Delporte" in name:
-        return lambda w: lambda p: isinstance(p, MWrite) and p.writer == w
-    if "Bfk" in name:
-        return lambda w: lambda p: isinstance(p, MStoreB) and p.writer == w
-    if "Impr" in name:
-        return lambda w: lambda p: isinstance(p, MRegWrite) and p.writer == w
-    if "StoreCollect" in name:
-        return lambda w: lambda p: isinstance(p, MStore) and any(
-            t[0] == w for t in p.view
-        )
-    if "Scd" in name:
-        return lambda w: lambda p: (
-            isinstance(p, MForward)
-            and isinstance(p.payload, ScdWrite)
-            and p.payload.writer == w
-        )
-    if "Lattice" in name:
-        return lambda w: lambda p: isinstance(p, MGossip) and p.atom[0] == w
-    return default_match_for_writer  # EQ-ASO family
-
-
-def _doomed_payload_predicate(
-    factory, writers: frozenset[int]
-) -> Callable[[Any], bool]:
-    """True for messages that carry a doomed (chain) writer's value —
-    the traffic the delay adversary slows to the full D."""
-    from repro.baselines.bfk import MStoreB
-    from repro.baselines.delporte import MWrite
-    from repro.baselines.impr import MRegWrite
-    from repro.baselines.la_based import MGossip
-    from repro.baselines.scd_broadcast import MForward, ScdWrite
-    from repro.baselines.store_collect import MStore
-
-    # exact-type dispatch: the payload classes are final, and a dict
-    # lookup beats a five-way isinstance chain on the per-message path
-    # (this predicate runs once per (message, destination)).  MValue has
-    # a packed fast-path layout with its own concrete type; register it
-    # under the same check so the delay schedule is layout-independent.
-    checks: dict[type, Callable[[Any], bool]] = {
-        MValue: lambda p: p.vt.writer in writers,
-        MWrite: lambda p: p.writer in writers,
-        MStoreB: lambda p: p.writer in writers,
-        MRegWrite: lambda p: p.writer in writers,
-        MStore: lambda p: any(w in writers for (w, _, _) in p.view),
-        MForward: lambda p: type(p.payload) is ScdWrite
-        and p.payload.writer in writers,
-        MGossip: lambda p: p.atom[0] in writers,
-    }
-    def doomed(payload: Any) -> bool:
-        check = checks.get(type(payload))
-        return check(payload) if check is not None else False
-
-    return doomed
-
-
-def staircase_victim_latency(
-    factory,
-    kind: str,
-    k: int,
-    *,
-    match_for_writer: Callable[[int], Callable[[Any], bool]] | None = None,
-    fast: float = 0.05,
-) -> float:
-    """Latency (in D) of one victim operation under the full √k worst-case
-    scenario of Sec. III-F.
+    Chain ``j`` (``j = 1..m``) is ``j`` faulty nodes ending at
+    :data:`VICTIM`; every member crashes while (re)broadcasting *that
+    chain's* value — Definition 11's crash mode — delivering it only to
+    the next member.  The cluster is ``n = 2k + 3``, ``f = k``: the
+    chains, the victim and two spare correct nodes for the tag pumps.
 
     Orchestration (D = 1; the adversary may pick any delay ≤ D per
     message, so "fast" background traffic is legal):
 
-    1. an auxiliary correct node completes an UPDATE at t = 0 over fast
+    1. node ``n − 1`` completes an UPDATE (``pump-1``) at t = 0 over fast
        links, raising the system tag to 1;
     2. the chain heads invoke their doomed UPDATEs at t = 1: they read
-       tag 1 and broadcast values tagged 2, crashing mid-broadcast
-       (Definition 11).  Every message carrying a doomed value takes the
-       full D — both the chain hops and the post-exposure stabilization
-       traffic — so chain ``j``'s value reaches the victim at
-       ≈ (1 + j)·D and needs 2·D more to re-stabilize the victim's
-       equivalence rows;
-    3. a second auxiliary node updates at t = 1.2 (after the heads have
-       read their tag), pushing the readable tag to 2 so the victim's
+       tag 1 and broadcast values tagged 2, crashing mid-broadcast.  The
+       ``doomed`` delay kind gives every message carrying a chain head's
+       value the full D — the chain hops and the post-exposure
+       stabilization traffic alike — so chain ``j``'s value reaches the
+       victim at ≈ (1 + j)·D and needs 2·D more to re-stabilize the
+       victim's equivalence rows; everything else takes 0.05·D;
+    3. node ``n − 2`` updates (``pump-2``) at t = 1.2, after the heads
+       have read their tag, pushing the readable tag to 2 so the victim's
        lattice operation is bound to the tag window containing the
-       exposed values;
-    4. the victim's operation starts at t = 2.0, just after the first
-       exposure lands: consecutive exposures arrive D apart while each
-       needs 2·D to settle, so the equivalence quorum stays broken until
-       the last chain settles — ≈ ``(√(2k) + 2)``·D for EQ-ASO.
-       Baselines under the same adversary measure whatever they measure
-       (several are insensitive to chains; EXPERIMENTS.md discusses it).
+       exposed values (DESIGN §7 finding 7).
+
+    The victim's operations start at t = 2.0 (:func:`run_staircase`),
+    just after the first exposure lands: consecutive exposures arrive D
+    apart while each needs 2·D to settle, so the equivalence quorum stays
+    broken until the last chain settles — ``(m + 1.1)``·D for EQ-ASO
+    (EXPERIMENTS SCALE-K).  Baselines under the same adversary measure
+    whatever they measure (several are insensitive to chains;
+    EXPERIMENTS.md discusses it).
     """
-    cluster, scenario = staircase_cluster(
-        factory, k, match_for_writer=match_for_writer, fast=fast
+    if k < 1:
+        raise ValueError("need a crash budget of at least 1")
+    chains: list[tuple[int, ...]] = []
+    next_node = VICTIM + 1
+    for j in range(1, max_chains_for_budget(k) + 1):
+        chains.append(tuple(range(next_node, next_node + j)) + (VICTIM,))
+        next_node += j
+    n = 2 * k + 3
+    return ChaosPlan(
+        algo=algo,
+        n=n,
+        f=k,
+        seed=0,
+        delay=DelaySpec("doomed", lo=0.05),
+        crashes=tuple(ChainCrashSpec(chain) for chain in chains),
+        workload=(
+            OpChainSpec(n - 1, (("update", "pump-1"),), start=0.0),
+            *(
+                OpChainSpec(chain[0], (("update", f"doomed{chain[0]}"),), start=1.0)
+                for chain in chains
+            ),
+            OpChainSpec(n - 2, (("update", "pump-2"),), start=1.2),
+        ),
     )
-    args = ("victim-value",) if kind == "update" else ()
-    victim_op = cluster.invoke_at(2.0, scenario.victim, kind, *args)
-    cluster.run_until_complete([victim_op])
-    return victim_op.latency / cluster.D
 
 
-def staircase_cluster(
-    factory,
-    k: int,
-    *,
-    match_for_writer: Callable[[int], Callable[[Any], bool]] | None = None,
-    fast: float = 0.05,
-):
-    """Build the full staircase scenario (chains + delay adversary + tag
-    pumps + doomed updates scheduled) and return ``(cluster, scenario)``.
-    The caller invokes the victim's operation(s) from t ≈ 2.0 onward."""
-    from repro.net.delays import AdversarialDelay
-    from repro.runtime.cluster import Cluster
+def run_staircase(
+    algo: str, k: int, ops: Sequence[tuple[str, Any]]
+) -> list[OpHandle]:
+    """Run ``ops`` (``("update", value)`` / ``("scan", None)``) back to
+    back at the victim from t = 2.0 under :func:`staircase_plan` and
+    return their handles (latencies in D).  The whole history is
+    order-checked; a run that fails the check raises ``RuntimeError``."""
+    plan = staircase_plan(algo, k)
+    victim = OpChainSpec(VICTIM, tuple(ops), start=2.0)
+    result = run_plan(replace(plan, workload=plan.workload + (victim,)))
+    if result.failure is not None:
+        raise RuntimeError(
+            f"staircase {algo} k={k}: [{result.failure.kind}] "
+            f"{result.failure.detail}"
+        )
+    return result.handles[-len(ops):]
 
-    make_match = match_for_writer or value_match_factory(factory)
-    scenario = chain_staircase(k, match_for_writer=make_match)
-    faulty = set(scenario.crash_plan.planned_nodes())
-    writers = frozenset(scenario.writers)
-    correct_spares = [
-        node
-        for node in range(scenario.n - 1, -1, -1)
-        if node not in faulty and node != scenario.victim
-    ]
-    if len(correct_spares) < 2:
-        raise ValueError("scenario needs two spare correct nodes")
-    aux1, aux2 = correct_spares[0], correct_spares[1]
-    doomed = _doomed_payload_predicate(factory, writers)
 
-    # doomedness depends only on the payload, and a broadcast asks once
-    # per destination with the identical payload object — memoize the
-    # last payload (held by strong reference, so the identity test is
-    # safe against id reuse)
-    memo_payload: Any = None
-    memo_delay = float(fast)
-
-    def delays(src: int, dst: int, payload: Any, now: float) -> float | None:
-        nonlocal memo_payload, memo_delay
-        if payload is memo_payload:
-            return memo_delay
-        memo_payload = payload
-        memo_delay = 1.0 if doomed(payload) else fast
-        return memo_delay
-
-    cluster = Cluster(
-        factory,
-        n=scenario.n,
-        f=scenario.f,
-        delay_model=AdversarialDelay(1.0, delays),
-        crash_plan=scenario.crash_plan,
-    )
-    cluster.invoke_at(0.0, aux1, "update", "pump-1")
-    for writer in scenario.writers:
-        cluster.invoke_at(1.0, writer, "update", f"doomed{writer}")
-    cluster.invoke_at(1.2, aux2, "update", "pump-2")
-    return cluster, scenario
+def staircase_victim_latency(algo: str, kind: str, k: int) -> float:
+    """Latency (in D) of one victim ``kind`` operation under the full √k
+    worst-case scenario of Sec. III-F (:func:`staircase_plan`)."""
+    op = ("update", "victim-value") if kind == "update" else ("scan", None)
+    (handle,) = run_staircase(algo, k, [op])
+    return handle.latency
 
 
 def interference_schedule(
@@ -330,8 +163,10 @@ def interference_schedule(
 
 
 __all__ = [
-    "ChainScenario",
-    "chain_staircase",
+    "VICTIM",
     "interference_schedule",
     "max_chains_for_budget",
+    "run_staircase",
+    "staircase_plan",
+    "staircase_victim_latency",
 ]

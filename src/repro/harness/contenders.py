@@ -29,20 +29,20 @@ byte-stable fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.baselines import BfkAso, DelporteAso, ImprRegisterAso
-from repro.core import EqAso
+from repro.chaos.algos import CAMPAIGN_ALGOS
 from repro.harness.adversary import staircase_victim_latency
 from repro.runtime.cluster import Cluster
 
 #: the racers: the two new literature contenders bracketed by the
-#: incumbent pull-based baseline and the paper's algorithm
-CONTENDERS: dict[str, Callable] = {
-    "Delporte et al. [19]": DelporteAso,
-    "BFK fast snapshot [2408.02562]": BfkAso,
-    "IMPR registers [1702.08176]": ImprRegisterAso,
-    "EQ-ASO [this paper]": EqAso,
+#: incumbent pull-based baseline and the paper's algorithm (row label ->
+#: :data:`~repro.chaos.algos.CAMPAIGN_ALGOS` key)
+CONTENDERS: dict[str, str] = {
+    "Delporte et al. [19]": "delporte",
+    "BFK fast snapshot [2408.02562]": "bfk",
+    "IMPR registers [1702.08176]": "impr",
+    "EQ-ASO [this paper]": "eq_aso",
 }
 
 
@@ -134,7 +134,8 @@ def contender_latency(
     """Race every contender across all four axes (lockstep, seedless)."""
     f = (n - 1) // 2
     rows: list[ContenderRow] = []
-    for name, factory in CONTENDERS.items():
+    for name, algo in CONTENDERS.items():
+        factory = CAMPAIGN_ALGOS[algo].factory
         rows.append(
             ContenderRow(
                 algorithm=name,
@@ -144,8 +145,8 @@ def contender_latency(
                     c: _scan_under_updaters(factory, c, n=n, f=f)
                     for c in c_values
                 },
-                update_staircase=staircase_victim_latency(factory, "update", k),
-                scan_staircase=staircase_victim_latency(factory, "scan", k),
+                update_staircase=staircase_victim_latency(algo, "update", k),
+                scan_staircase=staircase_victim_latency(algo, "scan", k),
                 max_f={m: _max_f(factory, m) for m in envelope_ns},
             )
         )

@@ -29,12 +29,14 @@ from repro.core import EqAso, SsoFastScan
 from repro.core.lattice_agreement import EarlyStoppingLA, MLAValue
 from repro.baselines.la_based import ClassifierLA
 from repro.harness.adversary import (
-    chain_staircase,
+    VICTIM,
     interference_schedule,
-    staircase_cluster,
+    run_staircase,
+    staircase_plan,
     staircase_victim_latency,
 )
 from repro.harness.metrics import growth_exponent, summarize
+from repro.net.faults import BroadcastCrash, CrashPlan
 from repro.runtime.cluster import Cluster
 
 
@@ -57,18 +59,19 @@ class Curve:
 
 def scale_k(
     ks: Sequence[int] = (1, 3, 6, 10, 15, 21),
-    algorithms: dict[str, Callable] | None = None,
+    algorithms: dict[str, str] | None = None,
     kind: str = "scan",
 ) -> list[Curve]:
-    """Victim-op latency vs k under the staircase adversary."""
-    algos = algorithms or {"EQ-ASO": EqAso, "SCD-broadcast": ScdAso}
+    """Victim-op latency vs k under the staircase adversary
+    (``algorithms``: curve label -> ``CAMPAIGN_ALGOS`` key)."""
+    algos = algorithms or {"EQ-ASO": "eq_aso", "SCD-broadcast": "scd"}
     curves = []
-    for label, factory in algos.items():
+    for label, algo in algos.items():
         xs: list[float] = []
         ys: list[float] = []
         for k in ks:
             xs.append(k)
-            ys.append(staircase_victim_latency(factory, kind, k))
+            ys.append(staircase_victim_latency(algo, kind, k))
         curves.append(Curve(label, xs, ys).fit())
     return curves
 
@@ -82,13 +85,9 @@ def amortized_curve(
     xs: list[float] = []
     ys: list[float] = []
     for count in op_counts:
-        cluster, scenario = staircase_cluster(EqAso, k)
-        handles = cluster.chain_ops(
-            scenario.victim, [("scan", ())] * count, start=2.0
-        )
-        cluster.run_until_complete(handles)
+        handles = run_staircase("eq_aso", k, [("scan", None)] * count)
         xs.append(count)
-        ys.append(summarize(handles, cluster.D).mean)
+        ys.append(summarize(handles, 1.0).mean)  # plans run at D = 1
     return Curve(f"EQ-ASO amortized (k={k})", xs, ys).fit()
 
 
@@ -182,15 +181,15 @@ def interference_scan(
     return curves
 
 
-def _la_match_factory(factory):
-    """Per-writer doomed-proposal matchers for the two LA protocols."""
+def _la_match(factory, writer: int):
+    """The doomed-proposal matcher of ``writer`` for the two LA protocols."""
     from repro.baselines.la_based import MClsWrite
 
     if factory is ClassifierLA:
-        return lambda w: lambda p: isinstance(p, MClsWrite) and any(
-            a[0] == w for a in p.atoms
+        return lambda p: isinstance(p, MClsWrite) and any(
+            a[0] == writer for a in p.atoms
         )
-    return lambda w: lambda p: isinstance(p, MLAValue) and p.element.proposer == w
+    return lambda p: isinstance(p, MLAValue) and p.element.proposer == writer
 
 
 def la_comparison(
@@ -228,11 +227,19 @@ def la_comparison(
                 victim = 0
                 writers: tuple[int, ...] = ()
             else:
-                scenario = chain_staircase(
-                    k, match_for_writer=_la_match_factory(factory)
-                )
-                victim = scenario.victim
-                writers = scenario.writers
+                # the snapshot staircase's chains and sizes; the LA
+                # messages are not in writers_of, so the crashes and
+                # delays are built here
+                plan = staircase_plan("la_based", k)
+                crash_plan = CrashPlan()
+                for spec in plan.crashes:
+                    match = _la_match(factory, spec.chain[0])
+                    for node, nxt in zip(spec.chain, spec.chain[1:]):
+                        crash_plan.add(
+                            node, BroadcastCrash(deliver_to=(nxt,), match=match)
+                        )
+                victim = VICTIM
+                writers = tuple(spec.chain[0] for spec in plan.crashes)
                 wset = frozenset(writers)
 
                 def delays(src, dst, payload, now, _w=wset, _fac=factory):
@@ -242,10 +249,10 @@ def la_comparison(
 
                 cluster = Cluster(
                     factory,
-                    n=scenario.n,
-                    f=scenario.f,
+                    n=plan.n,
+                    f=plan.f,
                     delay_model=AdversarialDelay(1.0, delays),
-                    crash_plan=scenario.crash_plan,
+                    crash_plan=crash_plan,
                 )
             for writer in writers:
                 cluster.invoke_at(0.0, writer, "propose", (f"doomed{writer}",))

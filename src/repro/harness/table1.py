@@ -4,7 +4,7 @@ For each of the eight algorithms we measure, in units of ``D``:
 
 - **worst-case UPDATE / SCAN**: the larger of the latency of a victim
   operation under (i) the failure-chain staircase adversary
-  (:func:`repro.harness.adversary.chain_staircase`) and (ii) the
+  (:func:`repro.harness.adversary.staircase_plan`) and (ii) the
   concurrency/interference adversary (all other nodes streaming updates);
 - **amortized UPDATE / SCAN**: mean per-op latency of a long back-to-back
   sequence at the victim under the chain adversary (the chains fire once,
@@ -18,34 +18,27 @@ reproducible content; absolute constants depend on the substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.baselines import (
-    BfkAso,
-    DelporteAso,
-    ImprRegisterAso,
-    LatticeAso,
-    ScdAso,
-    StoreCollectAso,
-)
-from repro.core import EqAso, SsoFastScan
+from repro.chaos.algos import CAMPAIGN_ALGOS
 from repro.harness.adversary import (
     interference_schedule,
-    staircase_cluster,
+    run_staircase,
     staircase_victim_latency,
 )
 from repro.harness.metrics import collect_registry
 from repro.runtime.cluster import Cluster
 
-ALGORITHMS: dict[str, Callable] = {
-    "Delporte et al. [19]": DelporteAso,
-    "Store-collect [12]": StoreCollectAso,
-    "SCD-broadcast [29]": ScdAso,
-    "LA-based [41,42]+[11]": LatticeAso,
-    "BFK fast snapshot [2408.02562]": BfkAso,
-    "IMPR registers [1702.08176]": ImprRegisterAso,
-    "EQ-ASO [this paper]": EqAso,
-    "SSO-Fast-Scan [this paper]": SsoFastScan,
+#: row label -> :data:`~repro.chaos.algos.CAMPAIGN_ALGOS` key
+ALGORITHMS: dict[str, str] = {
+    "Delporte et al. [19]": "delporte",
+    "Store-collect [12]": "store_collect",
+    "SCD-broadcast [29]": "scd",
+    "LA-based [41,42]+[11]": "la_based",
+    "BFK fast snapshot [2408.02562]": "bfk",
+    "IMPR registers [1702.08176]": "impr",
+    "EQ-ASO [this paper]": "eq_aso",
+    "SSO-Fast-Scan [this paper]": "sso_fast_scan",
 }
 
 #: the paper's analytical entries, for the EXPERIMENTS.md comparison
@@ -79,13 +72,8 @@ class Table1Row:
         }
 
 
-def _victim_latency_under_chains(factory, kind: str, k: int) -> float:
-    """Latency of one victim operation while the staircase fires."""
-    return staircase_victim_latency(factory, kind, k)
-
-
 def _victim_latency_under_interference(
-    factory, kind: str, *, n: int = 9, updates_per_writer: int = 3, seed: int = 42
+    algo: str, kind: str, *, n: int = 9, updates_per_writer: int = 3, seed: int = 42
 ) -> float:
     """Worst latency of an op of ``kind`` while a staggered wave of
     updates is in flight (seeded random delays — lockstep constant delays
@@ -97,7 +85,10 @@ def _victim_latency_under_interference(
     f = (n - 1) // 2
     rng = SeededRng(seed)
     cluster = Cluster(
-        factory, n=n, f=f, delay_model=UniformDelay(1.0, rng.child("d"), lo=0.25)
+        CAMPAIGN_ALGOS[algo].factory,
+        n=n,
+        f=f,
+        delay_model=UniformDelay(1.0, rng.child("d"), lo=0.25),
     )
     victim = 0
     wave = []
@@ -114,16 +105,14 @@ def _victim_latency_under_interference(
     return worst
 
 
-def _amortized(factory, kind: str, k: int, ops: int) -> float:
+def _amortized(algo: str, kind: str, k: int, ops: int) -> float:
     """Mean per-op latency of a long victim sequence under the chains."""
-    cluster, scenario = staircase_cluster(factory, k)
     if kind == "update":
-        chain = [("update", (f"vic{i}",)) for i in range(ops)]
+        chain = [("update", f"vic{i}") for i in range(ops)]
     else:
-        chain = [("scan", ())] * ops
-    handles = cluster.chain_ops(scenario.victim, chain, start=2.0)
-    cluster.run_until_complete(handles)
-    registry = collect_registry(handles, cluster.D)
+        chain = [("scan", None)] * ops
+    handles = run_staircase(algo, k, chain)
+    registry = collect_registry(handles, 1.0)  # plans run at D = 1
     return registry.histogram(f"latency_D.{kind}").mean
 
 
@@ -148,29 +137,29 @@ def run_table1(
     ``interference`` bench case instead.
     """
     rows: list[Table1Row] = []
-    for name, factory in ALGORITHMS.items():
-        upd_worst = _victim_latency_under_chains(factory, "update", k)
-        scan_worst = _victim_latency_under_chains(factory, "scan", k)
+    for name, algo in ALGORITHMS.items():
+        upd_worst = staircase_victim_latency(algo, "update", k)
+        scan_worst = staircase_victim_latency(algo, "scan", k)
         if interference:
             upd_worst = max(
                 upd_worst,
                 _victim_latency_under_interference(
-                    factory, "update", n=interference_n, seed=seed
+                    algo, "update", n=interference_n, seed=seed
                 ),
             )
             scan_worst = max(
                 scan_worst,
                 _victim_latency_under_interference(
-                    factory, "scan", n=interference_n, seed=seed
+                    algo, "scan", n=interference_n, seed=seed
                 ),
             )
         rows.append(
             Table1Row(
                 algorithm=name,
                 update_worst=upd_worst,
-                update_amortized=_amortized(factory, "update", k, amortized_ops),
+                update_amortized=_amortized(algo, "update", k, amortized_ops),
                 scan_worst=scan_worst,
-                scan_amortized=_amortized(factory, "scan", k, amortized_ops),
+                scan_amortized=_amortized(algo, "scan", k, amortized_ops),
             )
         )
     return rows

@@ -84,9 +84,10 @@ class AdversarialDelay(DelayModel):
 
     The function receives ``(src, dst, payload, now)`` and returns a delay
     in ``[0, D]`` or ``None`` to fall back to the default delay.  The
-    failure-chain schedules of the worst-case benchmarks are expressed this
-    way: the adversary keeps exactly the chain messages fast and everything
-    else at the maximum delay.
+    failure-chain staircase of the worst-case benchmarks is expressed this
+    way (the chaos plans' ``doomed`` delay kind): every message carrying a
+    doomed chain head's value takes the full ``D`` and everything else is
+    fast.
     """
 
     def __init__(

@@ -186,8 +186,9 @@ def chain_crash_plan(
     ``k = m - 1`` crashes.
 
     ``match`` applies one shared predicate to every hop — fine when the
-    predicate identifies the chain's value (the usual
-    ``value_match_factory`` case), but wrong when hops must key on
+    predicate identifies the chain's value (how a chaos plan's chain
+    keys on its head, through :func:`repro.chaos.plan.writers_of`), but
+    wrong when hops must key on
     different payloads: with ``match=None`` (first-broadcast-ever) a hop
     that re-forwards an unrelated message first crashes on the *wrong*
     broadcast and decapitates the chain.  ``matches`` supplies one

@@ -118,3 +118,41 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+_PLAN = {
+    "algo": "eq_aso",
+    "n": 5,
+    "f": 2,
+    "seed": 0,
+    "workload": [{"node": 1, "ops": [["scan", None]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({**_PLAN, "delay": 3}, id="delay-not-an-object"),
+        pytest.param([_PLAN], id="top-level-list"),
+        pytest.param(
+            {**_PLAN, "workload": [{"node": 5, "ops": [["scan", None]]}]},
+            id="workload-node-out-of-range",
+        ),
+        pytest.param(
+            {**_PLAN, "workload": [{"node": 1, "ops": [["write", "v"]]}]},
+            id="unknown-op-kind",
+        ),
+        pytest.param({**_PLAN, "delay": {"kind": "bursty"}}, id="unknown-delay-kind"),
+    ],
+)
+def test_unusable_plan_exits_two_with_one_error_line(tmp_path, capsys, doc):
+    """Exit 1 is reserved for a finding: a plan that cannot run is
+    unusable input, rejected at load time."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["--plan", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1

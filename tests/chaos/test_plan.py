@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-from repro.chaos.algos import get_profile, value_match_for
 from repro.chaos.plan import (
     BcastCrashSpec,
     ByzSpec,
@@ -16,7 +15,13 @@ from repro.chaos.plan import (
     build_crash_plan,
     build_delay_model,
     flatten_delay,
+    writers_of,
 )
+from repro.baselines.delporte import MWrite
+from repro.baselines.scd_broadcast import MForward, ScdSync, ScdWrite
+from repro.baselines.store_collect import MStore
+from repro.core.messages import MValue
+from repro.core.tags import Timestamp, ValueTs
 from repro.net.delays import AdversarialDelay, ConstantDelay, UniformDelay
 
 
@@ -69,9 +74,7 @@ def test_build_crash_plan_is_fresh_per_call():
         seed=0,
         crashes=(BcastCrashSpec(node=1, deliver_to=(2,), nth=2),),
     )
-    match = value_match_for(get_profile("eq_aso"))
-
-    first = build_crash_plan(plan, match)
+    first = build_crash_plan(plan)
     # burn the countdown: first broadcast survives, second one crashes
     dests, crashed = first.filter_broadcast(1, "p1", [0, 2, 3, 4])
     assert not crashed and dests == [0, 2, 3, 4]
@@ -79,7 +82,7 @@ def test_build_crash_plan_is_fresh_per_call():
     assert crashed and dests == [2]
     first.mark_crashed(1)
 
-    second = build_crash_plan(plan, match)
+    second = build_crash_plan(plan)
     assert second.crashed_nodes == frozenset()
     dests, crashed = second.filter_broadcast(1, "p1", [0, 2, 3, 4])
     assert not crashed, "countdown state leaked between materializations"
@@ -100,6 +103,31 @@ def test_build_delay_model_kinds():
     assert isinstance(model, AdversarialDelay)
     assert model.sample(1, 3, "p", 0.0) == 1.0
     assert model.sample(2, 3, "p", 0.0) == 0.2
+    # doomed: only values written by a chain head take the full D
+    doomed = ChaosPlan(
+        algo="delporte",
+        n=5,
+        f=2,
+        seed=0,
+        delay=DelaySpec(kind="doomed", lo=0.1),
+        crashes=(ChainCrashSpec(chain=(1, 2, 0)), TimedCrashSpec(3, 1.0)),
+    )
+    model = build_delay_model(doomed)
+    assert isinstance(model, AdversarialDelay)
+    assert model.sample(2, 0, MWrite(1, 1, "doomed"), 0.0) == 1.0
+    assert model.sample(1, 0, MWrite(2, 1, "other"), 0.0) == 0.1
+    assert model.sample(1, 0, MWrite(3, 1, "timed"), 0.0) == 0.1
+    assert model.sample(1, 0, "no value", 0.0) == 0.1
+
+
+def test_writers_of_reads_the_writer_off_each_value_message():
+    assert writers_of(MValue(ValueTs("v", Timestamp(2, 3), 1))) == (3,)
+    assert writers_of(MWrite(3, 1, "v")) == (3,)
+    assert writers_of(MForward((0, 1), ScdWrite(4, 1, "v"))) == (4,)
+    assert writers_of(MForward((0, 2), ScdSync(0, 1))) == ()
+    view = frozenset({(1, 1, "a"), (2, 1, "b")})
+    assert sorted(writers_of(MStore(1, view))) == [1, 2]
+    assert writers_of("not a value message") == ()
 
 
 def test_uniform_delays_are_plan_seed_deterministic():

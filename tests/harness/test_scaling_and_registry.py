@@ -14,7 +14,7 @@ from repro.harness.scaling import (
 
 
 def test_scale_k_eq_aso_sublinear():
-    curves = scale_k(ks=(1, 6, 21), algorithms={"EQ-ASO": EqAso})
+    curves = scale_k(ks=(1, 6, 21), algorithms={"EQ-ASO": "eq_aso"})
     [curve] = curves
     assert curve.ys[0] < curve.ys[-1]  # grows with k...
     # ...sublinearly, but not flat: near the staircase's 0.5
