@@ -3,11 +3,12 @@
 ``python -m repro.bench --smoke --out s.json`` reproduces
 ``BENCH_macro.smoke.json`` byte for byte; ``python -m repro.bench
 --baseline BENCH_macro.json`` is the full-size gate.  Every case runs
-twice.  Exit status: 0 ok; 1 if the two runs of a case disagree or
-``--baseline`` finds a drifted ``case.key``; 2 on unusable input — an
-unknown case, an ``--out`` outside an existing directory, or a baseline
-that is missing, unreadable, not a v3 report or of the other mode — all
-checked before any case runs.
+twice; a report is written only where ``--out`` names it.  Exit status:
+0 ok; 1 if the two runs of a case disagree or ``--baseline`` finds a
+drifted ``case.key``; 2 on unusable input — an unknown case, an
+``--out`` outside an existing directory or naming the baseline itself,
+or a baseline that is missing, unreadable, not a v3 report or of the
+other mode — all checked before any case runs.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ def _check_inputs(args: argparse.Namespace) -> dict | None:
     unknown = sorted(set(args.cases) - set(CASES))
     if unknown:
         raise ValueError(f"unknown case(s) {unknown}; choose from {sorted(CASES)}")
-    out = Path(args.out)
-    if not out.parent.is_dir() or out.is_dir():
-        raise ValueError(f"--out {args.out}: not a file in an existing directory")
+    if args.out is not None:
+        out = Path(args.out)
+        if not out.parent.is_dir() or out.is_dir():
+            raise ValueError(f"--out {args.out}: not a file in an existing directory")
+        if args.baseline is not None and out.resolve() == Path(args.baseline).resolve():
+            raise ValueError(f"--out {args.out} would overwrite the baseline it is gated on")
     if args.baseline is None:
         return None
     return load_baseline(args.baseline, mode="smoke" if args.smoke else "full")
@@ -52,10 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--smoke", action="store_true", help="the CI-sized workloads")
     parser.add_argument(
-        "--out",
-        default="BENCH_macro.json",
-        metavar="FILE",
-        help="report path (default: %(default)s)",
+        "--out", metavar="FILE", help="write the report here (default: no file)"
     )
     parser.add_argument(
         "--baseline",
@@ -77,10 +78,11 @@ def main(argv: list[str] | None = None) -> int:
         # a choices message; args[0] because str(KeyError) quotes it
         print(f"bench failed: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, entry in report["cases"].items():
         print(f"{name:18s} {entry['fingerprint_sha256'][:12]}  events={entry['events']}")
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {args.out}")
     if baseline is None:
         return 0
     problems = compare_reports(report, baseline)

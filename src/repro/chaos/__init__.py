@@ -28,9 +28,6 @@ from repro.chaos.algos import (
     AlgoProfile,
     all_profiles,
     get_profile,
-    healthy_profiles,
-    register_profile,
-    unregister_profile,
 )
 from repro.chaos.campaign import (
     CampaignReport,
@@ -94,11 +91,8 @@ __all__ = [
     "export_counterexample",
     "generate_plan",
     "get_profile",
-    "healthy_profiles",
-    "register_profile",
     "run_campaign",
     "run_plan",
     "shard_crash_campaign",
     "shrink_plan",
-    "unregister_profile",
 ]

@@ -31,7 +31,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.chaos.algos import all_profiles, healthy_profiles
+from repro.chaos.algos import CAMPAIGN_ALGOS, all_profiles
 from repro.chaos.campaign import run_campaign
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.runner import run_plan
@@ -55,9 +55,7 @@ def _parse_seed_range(text: str) -> tuple[int, int]:
 def _parse_algos(text: str) -> list[str]:
     known = all_profiles()
     if text == "all":
-        # computed at call time, so contenders added via
-        # register_profile() are swept too
-        return sorted(healthy_profiles())
+        return sorted(CAMPAIGN_ALGOS)
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise ValueError("no algorithm names given")
@@ -101,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         default="all",
         help=(
             "algorithm profile name, comma-separated list, or 'all' "
-            f"(healthy set: {', '.join(sorted(healthy_profiles()))})"
+            f"(healthy set: {', '.join(sorted(CAMPAIGN_ALGOS))})"
         ),
     )
     parser.add_argument(
@@ -171,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.smoke:
-        algos = sorted(healthy_profiles())
+        algos = sorted(CAMPAIGN_ALGOS)
         seed_range = (0, SMOKE_SEEDS)
 
     try:

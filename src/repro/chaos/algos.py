@@ -1,11 +1,12 @@
 """Algorithm profiles for the chaos campaign.
 
 One :class:`AlgoProfile` per snapshot implementation, keyed by a short
-CLI-friendly name.  The six crash-model algorithms of Table I form
+CLI-friendly name.  The eight crash-model algorithms of Table I form
 :data:`CAMPAIGN_ALGOS` (the ``--algo all`` / ``--smoke`` sweep); the two
 Byzantine variants are additional profiles that also draw random
 Byzantine behaviours — including equivocation — from the attack
-repertoire in :mod:`repro.net.byzantine`.
+repertoire in :mod:`repro.net.byzantine`.  The mutants and ablations of
+:mod:`repro.chaos.mutants` are reachable by name only.
 
 The profile records the algorithm's *specification level*: atomic
 algorithms are checked for linearizability (real-time order included),
@@ -51,7 +52,8 @@ class AlgoProfile:
     n: int
     f: int
     supports_byzantine: bool = False
-    #: for mutants: the healthy profile this one weakens (None = healthy)
+    #: for mutants and ablations: the healthy profile this one weakens
+    #: (None = healthy)
     mutant_of: str | None = None
 
 
@@ -72,37 +74,6 @@ CAMPAIGN_ALGOS: dict[str, AlgoProfile] = {
     "impr": AlgoProfile("impr", ImprRegisterAso, LINEARIZABLE, n=5, f=2),
 }
 
-
-def healthy_profiles() -> dict[str, AlgoProfile]:
-    """The current healthy crash-model sweep — what ``--algo all`` and
-    ``--smoke`` expand to.  Computed at call time so contenders added
-    via :func:`register_profile` are picked up, not the import-time
-    sort of :data:`CAMPAIGN_ALGOS`."""
-    return dict(CAMPAIGN_ALGOS)
-
-
-def register_profile(profile: AlgoProfile, *, campaign: bool = True) -> None:
-    """Register a new algorithm profile at runtime.
-
-    ``campaign=True`` adds it to the healthy ``--algo all`` sweep
-    (crash-model algorithms only); ``campaign=False`` registers it as an
-    extra profile reachable by explicit name (like the Byzantine
-    variants).  Registering an existing name is an error — profiles are
-    identities, not configuration.
-    """
-    if profile.name in all_profiles():
-        raise ValueError(f"profile {profile.name!r} is already registered")
-    if campaign:
-        CAMPAIGN_ALGOS[profile.name] = profile
-    else:
-        BYZANTINE_ALGOS[profile.name] = profile
-
-
-def unregister_profile(name: str) -> None:
-    """Remove a profile added via :func:`register_profile` (tests and
-    plugin teardown); unknown names are a no-op."""
-    CAMPAIGN_ALGOS.pop(name, None)
-    BYZANTINE_ALGOS.pop(name, None)
 
 #: Byzantine-tolerant variants (n > 3f); the generator may also replace
 #: up to f nodes with adversarial behaviours
@@ -152,13 +123,11 @@ def make_behaviour(name: str) -> ByzantineBehavior:
 
 
 def all_profiles() -> dict[str, AlgoProfile]:
-    """Every runnable profile: campaign set + Byzantine + mutants."""
-    from repro.chaos.mutants import MUTANTS
+    """Every runnable profile: campaign set + Byzantine + mutants +
+    ablations."""
+    from repro.chaos.mutants import ABLATIONS, MUTANTS
 
-    out = dict(CAMPAIGN_ALGOS)
-    out.update(BYZANTINE_ALGOS)
-    out.update(MUTANTS)
-    return out
+    return {**CAMPAIGN_ALGOS, **BYZANTINE_ALGOS, **MUTANTS, **ABLATIONS}
 
 
 def get_profile(name: str) -> AlgoProfile:
@@ -180,8 +149,5 @@ __all__ = [
     "SEQUENTIAL",
     "all_profiles",
     "get_profile",
-    "healthy_profiles",
     "make_behaviour",
-    "register_profile",
-    "unregister_profile",
 ]

@@ -46,6 +46,7 @@ from repro.baselines.bfk import BfkAso, MStoreB
 from repro.baselines.delporte import DelporteAso, MCollect, MWrite, _to_snapshot
 from repro.baselines.impr import ImprRegisterAso, MRegRead
 from repro.chaos.algos import LINEARIZABLE, AlgoProfile
+from repro.core.eq_aso import EqAso
 from repro.runtime.protocol import OpGen, WaitUntil
 
 
@@ -115,6 +116,24 @@ class ImprWeakCollectQuorum(ImprRegisterAso):
         return replies
 
 
+class EqAsoNoTagRecheck(EqAso):
+    """[ablation] technique T1 disabled (line 17 always passes)."""
+
+    enable_tag_recheck = False
+
+
+class EqAsoNoBorrowing(EqAso):
+    """[ablation] technique T2 disabled (renew forever, never borrow)."""
+
+    enable_borrowing = False
+
+
+class EqAsoNoPhase0(EqAso):
+    """[ablation] phase-0 lattice operation (line 7) disabled."""
+
+    enable_phase0 = False
+
+
 #: mutant registry — separate namespace from the healthy profiles
 MUTANTS: dict[str, AlgoProfile] = {
     "mut-delporte-weak-write": AlgoProfile(
@@ -151,11 +170,25 @@ MUTANTS: dict[str, AlgoProfile] = {
     ),
 }
 
+#: ablation name -> profile (reachable by name, never swept)
+ABLATIONS: dict[str, AlgoProfile] = {
+    name: AlgoProfile(name, cls, LINEARIZABLE, n=5, f=2, mutant_of="eq_aso")
+    for name, cls in (
+        ("no-tag-recheck", EqAsoNoTagRecheck),
+        ("no-borrowing", EqAsoNoBorrowing),
+        ("no-phase0", EqAsoNoPhase0),
+    )
+}
+
 
 __all__ = [
+    "ABLATIONS",
     "MUTANTS",
     "BfkWeakStoreQuorum",
     "DelporteWeakScanQuorum",
     "DelporteWeakWriteQuorum",
+    "EqAsoNoBorrowing",
+    "EqAsoNoPhase0",
+    "EqAsoNoTagRecheck",
     "ImprWeakCollectQuorum",
 ]

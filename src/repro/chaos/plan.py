@@ -231,22 +231,43 @@ class ChaosPlan:
     @classmethod
     def from_dict(cls, data: Any) -> "ChaosPlan":
         """Load a plan from its :meth:`to_dict` form.  Input that cannot
-        describe a runnable plan raises ``ValueError`` naming the fault."""
+        describe a runnable plan — a spec that is not an object, a node
+        outside ``0..n-1`` — raises ``ValueError`` naming the fault."""
         if not isinstance(data, dict):
             raise ValueError(f"a plan must be a JSON object, not {type(data).__name__}")
+        n = int(data["n"])
+
+        def node(value: Any, what: str) -> int:
+            if type(value) is not int or not 0 <= value < n:
+                raise ValueError(f"{what} {value!r} outside 0..{n - 1}")
+            return value
+
+        def objects(key: str) -> list[dict[str, Any]]:
+            specs = list(data.get(key, ()))
+            for spec in specs:
+                if not isinstance(spec, dict):
+                    raise ValueError(f"a {key} entry must be a JSON object, got {spec!r}")
+            return specs
+
         crashes: list[CrashLike] = []
-        for spec in data.get("crashes", ()):
+        for spec in objects("crashes"):
             kind = spec["type"]
             if kind == "timed":
-                crashes.append(TimedCrashSpec(spec["node"], spec["time"]))
+                crashes.append(
+                    TimedCrashSpec(node(spec["node"], "crash node"), spec["time"])
+                )
             elif kind == "bcast":
                 crashes.append(
                     BcastCrashSpec(
-                        spec["node"], tuple(spec["deliver_to"]), spec["nth"]
+                        node(spec["node"], "crash node"),
+                        tuple(node(d, "deliver_to node") for d in spec["deliver_to"]),
+                        spec["nth"],
                     )
                 )
             elif kind == "chain":
-                crashes.append(ChainCrashSpec(tuple(spec["chain"])))
+                crashes.append(
+                    ChainCrashSpec(tuple(node(h, "chain hop") for h in spec["chain"]))
+                )
             else:
                 raise ValueError(f"unknown crash spec type {kind!r}")
         delay = data.get("delay", {})
@@ -257,19 +278,16 @@ class ChaosPlan:
                 f"unknown delay kind {delay['kind']!r}; "
                 f"choose from {sorted(_DELAY_KINDS)}"
             )
-        n = int(data["n"])
         workload = tuple(
             OpChainSpec(
-                node=chain["node"],
+                node=node(chain["node"], "workload node"),
                 ops=tuple((k, v) for k, v in chain["ops"]),
                 start=chain.get("start", 0.0),
                 gap=chain.get("gap", 0.0),
             )
-            for chain in data.get("workload", ())
+            for chain in objects("workload")
         )
         for chain in workload:
-            if not 0 <= chain.node < n:
-                raise ValueError(f"workload node {chain.node} outside 0..{n - 1}")
             for op_kind, _ in chain.ops:
                 if op_kind not in _OP_KINDS:
                     raise ValueError(
@@ -289,8 +307,8 @@ class ChaosPlan:
             crashes=tuple(crashes),
             workload=workload,
             byzantine=tuple(
-                ByzSpec(spec["node"], spec["behaviour"])
-                for spec in data.get("byzantine", ())
+                ByzSpec(node(spec["node"], "Byzantine node"), spec["behaviour"])
+                for spec in objects("byzantine")
             ),
         )
 

@@ -24,31 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.eq_aso import EqAso
-from repro.harness.adversary import interference_schedule
+from repro.chaos.mutants import ABLATIONS
+from repro.chaos.plan import ChaosPlan, OpChainSpec
+from repro.harness.adversary import interference_schedule, run_checked
 from repro.harness.workloads import random_workload
 from repro.net.delays import UniformDelay
 from repro.runtime.cluster import Cluster, StuckError
 from repro.sim.rng import SeededRng
 from repro.spec import is_linearizable
-
-
-class EqAsoNoTagRecheck(EqAso):
-    """Technique T1 disabled (line 17 always passes)."""
-
-    enable_tag_recheck = False
-
-
-class EqAsoNoBorrowing(EqAso):
-    """Technique T2 disabled (renew forever, never borrow)."""
-
-    enable_borrowing = False
-
-
-class EqAsoNoPhase0(EqAso):
-    """Phase-0 lattice operation (line 7) disabled."""
-
-    enable_phase0 = False
 
 
 @dataclass(slots=True)
@@ -101,14 +84,15 @@ def _run_randomized(factory, seed: int, *, n: int = 4, f: int = 1):
     return (ok, False, worst)
 
 
-def _interference_latency(factory, *, n: int = 7) -> float:
-    """Victim scan latency under n−1 streaming updaters (T2 probe)."""
-    cluster = Cluster(factory, n=n, f=(n - 1) // 2)
-    for node, ops, start in interference_schedule(n, 0, updates_per_writer=4):
-        cluster.chain_ops(node, ops, start=start)
-    op = cluster.invoke_at(2.5, 0, "scan")
-    cluster.run_until_complete([op])
-    return op.latency / cluster.D
+def interference_plan(algo: str, n: int = 7) -> ChaosPlan:
+    """The T2 probe: a victim scan at node 0 from t = 2.5 (the plan's
+    last op) under ``n − 1`` staggered writers of four updates each."""
+    wave = tuple(
+        OpChainSpec(node, tuple((kind, value) for kind, (value,) in ops), start=start)
+        for node, ops, start in interference_schedule(n, 0, updates_per_writer=4)
+    )
+    scan = OpChainSpec(0, (("scan", None),), start=2.5)
+    return ChaosPlan(algo, n, (n - 1) // 2, seed=0, workload=wave + (scan,))
 
 
 def crafted_t1_race(factory=None):
@@ -178,12 +162,9 @@ def crafted_t1_race(factory=None):
 
 
 def run_ablation(name: str, seeds: int = 100) -> AblationReport:
-    """Run one ablation across ``seeds`` randomized executions."""
-    ablated = {
-        "no-tag-recheck": EqAsoNoTagRecheck,
-        "no-borrowing": EqAsoNoBorrowing,
-        "no-phase0": EqAsoNoPhase0,
-    }[name]
+    """Run one ablation (an :data:`~repro.chaos.mutants.ABLATIONS` key)
+    across ``seeds`` randomized executions, plus the T2 probe."""
+    ablated = ABLATIONS[name].factory
     violations = 0
     deadlocks = 0
     for seed in range(seeds):
@@ -192,12 +173,8 @@ def run_ablation(name: str, seeds: int = 100) -> AblationReport:
             deadlocks += 1
         elif not ok:
             violations += 1
-    baseline_lat = _interference_latency(EqAso)
-    try:
-        ablated_lat = _interference_latency(ablated)
-    except StuckError:
-        deadlocks += 1
-        ablated_lat = float("inf")
+    baseline_lat = run_checked(interference_plan("eq_aso")).handles[-1].latency
+    ablated_lat = run_checked(interference_plan(name)).handles[-1].latency
     return AblationReport(
         name=name,
         seeds=seeds,
@@ -209,18 +186,13 @@ def run_ablation(name: str, seeds: int = 100) -> AblationReport:
 
 
 def run_all_ablations(seeds: int = 100) -> list[AblationReport]:
-    return [
-        run_ablation(name, seeds)
-        for name in ("no-tag-recheck", "no-borrowing", "no-phase0")
-    ]
+    return [run_ablation(name, seeds) for name in ABLATIONS]
 
 
 __all__ = [
-    "EqAsoNoTagRecheck",
-    "EqAsoNoBorrowing",
-    "EqAsoNoPhase0",
     "AblationReport",
     "crafted_t1_race",
+    "interference_plan",
     "run_ablation",
     "run_all_ablations",
 ]

@@ -31,11 +31,15 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from repro.chaos.plan import ChainCrashSpec, ChaosPlan, DelaySpec, OpChainSpec
-from repro.chaos.runner import run_plan
+from repro.chaos.runner import ExecutionResult, run_plan
 from repro.runtime.cluster import OpHandle
 
 #: the node whose operations the staircase delays
 VICTIM = 0
+
+#: when :func:`quiet_plan`'s ops arrive: 40·D apart, long after the
+#: previous op has settled and its echoes have drained
+QUIET = 40.0
 
 
 def max_chains_for_budget(k: int) -> int:
@@ -105,21 +109,45 @@ def staircase_plan(algo: str, k: int) -> ChaosPlan:
     )
 
 
+def quiet_plan(algo: str, n: int, *ops: tuple[int, str, Any]) -> ChaosPlan:
+    """A failure-free lockstep plan on ``n`` nodes (``f = ⌊(n−1)/2⌋``):
+    op ``i`` — ``(node, kind, value)`` — arrives at ``t = i·QUIET``, on a
+    quiet network, so each op's latency and message bill are its own."""
+    return ChaosPlan(
+        algo,
+        n,
+        (n - 1) // 2,
+        seed=0,
+        workload=tuple(
+            OpChainSpec(node, ((kind, value),), start=i * QUIET)
+            for i, (node, kind, value) in enumerate(ops)
+        ),
+    )
+
+
+def run_checked(plan: ChaosPlan, *, tracer: Any = None) -> ExecutionResult:
+    """Run ``plan`` with :func:`~repro.chaos.runner.run_plan`, the one
+    executor behind every lockstep experiment.  A run whose history fails
+    the order check, or whose live ops do not all finish, raises
+    ``RuntimeError`` (the plan replays with ``python -m repro.chaos --plan``)."""
+    result = run_plan(plan, tracer=tracer)
+    if result.failure is not None:
+        raise RuntimeError(
+            f"{plan.algo} n={plan.n} plan: [{result.failure.kind}] "
+            f"{result.failure.detail}"
+        )
+    return result
+
+
 def run_staircase(
     algo: str, k: int, ops: Sequence[tuple[str, Any]]
 ) -> list[OpHandle]:
     """Run ``ops`` (``("update", value)`` / ``("scan", None)``) back to
     back at the victim from t = 2.0 under :func:`staircase_plan` and
-    return their handles (latencies in D).  The whole history is
-    order-checked; a run that fails the check raises ``RuntimeError``."""
+    return their handles (latencies in D), through :func:`run_checked`."""
     plan = staircase_plan(algo, k)
     victim = OpChainSpec(VICTIM, tuple(ops), start=2.0)
-    result = run_plan(replace(plan, workload=plan.workload + (victim,)))
-    if result.failure is not None:
-        raise RuntimeError(
-            f"staircase {algo} k={k}: [{result.failure.kind}] "
-            f"{result.failure.detail}"
-        )
+    result = run_checked(replace(plan, workload=plan.workload + (victim,)))
     return result.handles[-len(ops):]
 
 
@@ -163,9 +191,12 @@ def interference_schedule(
 
 
 __all__ = [
+    "QUIET",
     "VICTIM",
     "interference_schedule",
     "max_chains_for_budget",
+    "quiet_plan",
+    "run_checked",
     "run_staircase",
     "staircase_plan",
     "staircase_victim_latency",

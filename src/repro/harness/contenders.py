@@ -32,8 +32,12 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.chaos.algos import CAMPAIGN_ALGOS
-from repro.harness.adversary import staircase_victim_latency
-from repro.runtime.cluster import Cluster
+from repro.chaos.plan import ChaosPlan, OpChainSpec
+from repro.harness.adversary import (
+    quiet_plan,
+    run_checked,
+    staircase_victim_latency,
+)
 
 #: the racers: the two new literature contenders bracketed by the
 #: incumbent pull-based baseline and the paper's algorithm (row label ->
@@ -72,44 +76,23 @@ class ContenderRow:
         }
 
 
-def _failure_free(factory, kind: str, *, n: int, f: int) -> float:
-    cluster = Cluster(factory, n=n, f=f)
-    args = ("v",) if kind == "update" else ()
-    h = cluster.invoke_at(0.0, 0, kind, *args)
-    cluster.run_until_complete([h])
-    return h.latency / cluster.D
-
-
-def _scan_under_updaters(
-    factory,
-    c: int,
-    *,
-    n: int,
-    f: int,
-    updates_per_writer: int = 2,
-    stagger: float = 1.7,
-) -> float:
-    """SCAN latency at node 0 while nodes ``1..c`` stream staggered
-    updates.  The stagger places each store *inside* a different
-    confirmation / double-collect round even on the lockstep substrate,
-    so every landing write costs the pull-based scanners one more
-    round (1.7 ≠ the 2·D round length, so landings never sync up with
-    round boundaries)."""
+def scan_under_updaters_plan(algo: str, c: int, n: int) -> ChaosPlan:
+    """A SCAN at node 0 from t = 0.5 while nodes ``1..c`` stream two
+    updates each, node ``i`` from ``1.7·(i − 1)`` (the SCAN is the
+    plan's last op; ``f = ⌊(n−1)/2⌋``).  The stagger
+    places each store *inside* a different confirmation /
+    double-collect round even on the lockstep substrate, so every
+    landing write costs the pull-based scanners one more round (1.7 ≠
+    the 2·D round length, so landings never sync up with round
+    boundaries)."""
     if c >= n:
         raise ValueError(f"need c < n updaters (c={c}, n={n})")
-    cluster = Cluster(factory, n=n, f=f)
-    wave = []
-    for i in range(1, c + 1):
-        wave.extend(
-            cluster.chain_ops(
-                i,
-                [("update", (f"w{i}.{j}",)) for j in range(updates_per_writer)],
-                start=stagger * (i - 1),
-            )
-        )
-    sc = cluster.invoke_at(0.5, 0, "scan")
-    cluster.run_until_complete(wave + [sc])
-    return sc.latency / cluster.D
+    wave = tuple(
+        OpChainSpec(i, (("update", f"w{i}.0"), ("update", f"w{i}.1")), start=1.7 * (i - 1))
+        for i in range(1, c + 1)
+    )
+    scan = OpChainSpec(0, (("scan", None),), start=0.5)
+    return ChaosPlan(algo, n, (n - 1) // 2, seed=0, workload=wave + (scan,))
 
 
 def _max_f(factory, n: int) -> int:
@@ -132,22 +115,27 @@ def contender_latency(
     envelope_ns: Sequence[int] = (3, 5, 7, 9),
 ) -> list[ContenderRow]:
     """Race every contender across all four axes (lockstep, seedless)."""
-    f = (n - 1) // 2
+
+    def lone(algo: str, op: tuple[str, Any]) -> float:
+        (handle,) = run_checked(quiet_plan(algo, n, (0, *op))).handles
+        return handle.latency  # plans run at D = 1
+
     rows: list[ContenderRow] = []
     for name, algo in CONTENDERS.items():
-        factory = CAMPAIGN_ALGOS[algo].factory
         rows.append(
             ContenderRow(
                 algorithm=name,
-                update_free=_failure_free(factory, "update", n=n, f=f),
-                scan_free=_failure_free(factory, "scan", n=n, f=f),
+                update_free=lone(algo, ("update", "v")),
+                scan_free=lone(algo, ("scan", None)),
                 scan_vs_c={
-                    c: _scan_under_updaters(factory, c, n=n, f=f)
+                    c: run_checked(scan_under_updaters_plan(algo, c, n)).handles[-1].latency
                     for c in c_values
                 },
                 update_staircase=staircase_victim_latency(algo, "update", k),
                 scan_staircase=staircase_victim_latency(algo, "scan", k),
-                max_f={m: _max_f(factory, m) for m in envelope_ns},
+                max_f={
+                    m: _max_f(CAMPAIGN_ALGOS[algo].factory, m) for m in envelope_ns
+                },
             )
         )
     return rows
@@ -179,4 +167,10 @@ def format_contenders(rows: Sequence[ContenderRow]) -> list[str]:
     return lines
 
 
-__all__ = ["CONTENDERS", "ContenderRow", "contender_latency", "format_contenders"]
+__all__ = [
+    "CONTENDERS",
+    "ContenderRow",
+    "contender_latency",
+    "format_contenders",
+    "scan_under_updaters_plan",
+]

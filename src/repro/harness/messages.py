@@ -14,11 +14,12 @@ latency/bandwidth trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.baselines import DelporteAso, LatticeAso, ScdAso, StoreCollectAso
-from repro.core import EqAso, SsoFastScan
-from repro.runtime.cluster import Cluster
+from repro.chaos.plan import ChaosPlan
+from repro.harness.adversary import QUIET, quiet_plan, run_checked
+from repro.harness.scaling import FF_ALGORITHMS
+from repro.obs import MemorySink, Tracer
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,43 +30,27 @@ class MessageCosts:
     scan_messages: int
 
 
+def message_costs_plan(algo: str, n: int) -> ChaosPlan:
+    """An update at node 0, then a scan at node 1 once it has settled."""
+    return quiet_plan(algo, n, (0, "update", "x"), (1, "scan", None))
+
+
 def message_costs(
     ns: Sequence[int] = (4, 7, 10, 16),
-    algorithms: dict[str, Callable] | None = None,
+    algorithms: dict[str, str] | None = None,
 ) -> list[MessageCosts]:
     """Network-wide message counts for one quiet update and one quiet
     scan (including forwarding and acknowledgement traffic the operation
-    triggers anywhere in the cluster)."""
-    algos = algorithms or {
-        "Delporte [19]": DelporteAso,
-        "Store-collect [12]": StoreCollectAso,
-        "SCD [29]": ScdAso,
-        "LA-based [41,42]": LatticeAso,
-        "EQ-ASO": EqAso,
-        "SSO-Fast-Scan": SsoFastScan,
-    }
+    triggers anywhere in the cluster): the traced sends before and after
+    the scan arrives (``algorithms``: label -> ``CAMPAIGN_ALGOS`` key)."""
     out: list[MessageCosts] = []
-    for label, factory in algos.items():
+    for label, algo in (algorithms or FF_ALGORITHMS).items():
         for n in ns:
-            f = (n - 1) // 2
-            cluster = Cluster(factory, n=n, f=f)
-            before = cluster.network.messages_sent
-            up = cluster.invoke_at(0.0, 0, "update", "x")
-            cluster.run_until_complete([up])
-            cluster.run(until=cluster.sim.now + 3 * cluster.D)  # drain echoes
-            after_update = cluster.network.messages_sent
-            sc = cluster.invoke(1, "scan")
-            cluster.run_until_complete([sc])
-            cluster.run(until=cluster.sim.now + 3 * cluster.D)
-            after_scan = cluster.network.messages_sent
-            out.append(
-                MessageCosts(
-                    algorithm=label,
-                    n=n,
-                    update_messages=after_update - before,
-                    scan_messages=after_scan - after_update,
-                )
-            )
+            sink = MemorySink()
+            run_checked(message_costs_plan(algo, n), tracer=Tracer(sink))
+            sends = [e.t for e in sink.events if e.kind == "send"]
+            update = sum(t < QUIET for t in sends)
+            out.append(MessageCosts(label, n, update, len(sends) - update))
     return out
 
 
@@ -79,4 +64,4 @@ def format_message_costs(rows: Sequence[MessageCosts]) -> list[str]:
     return lines
 
 
-__all__ = ["MessageCosts", "message_costs", "format_message_costs"]
+__all__ = ["MessageCosts", "format_message_costs", "message_costs", "message_costs_plan"]

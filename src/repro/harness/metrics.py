@@ -89,15 +89,6 @@ def summarize(handles: Iterable[OpHandle], D: float) -> LatencyStats:
     )
 
 
-def by_kind(handles: Sequence[OpHandle], D: float) -> dict[str, LatencyStats]:
-    """Split statistics by operation kind (update / scan / ...)."""
-    kinds = sorted({h.kind for h in handles})
-    return {
-        kind: summarize([h for h in handles if h.kind == kind], D)
-        for kind in kinds
-    }
-
-
 def collect_registry(
     handles: Iterable[OpHandle], D: float, *, spans: Iterable = ()
 ) -> MetricsRegistry:
@@ -129,7 +120,6 @@ def growth_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
 __all__ = [
     "EMPTY_STATS",
     "LatencyStats",
-    "by_kind",
     "collect_registry",
     "growth_exponent",
     "summarize",

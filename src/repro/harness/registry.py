@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.chaos.plan import ChaosPlan, OpChainSpec
+
 
 @dataclass(slots=True)
 class ExperimentResult:
@@ -161,34 +163,36 @@ def _exp_la(**kw) -> ExperimentResult:
     )
 
 
+def trace_plan(n: int = 5) -> ChaosPlan:
+    """The traced run: updates at nodes ``0..n-3`` every 0.5·D from
+    t = 0, a scan at node ``n-2`` at t = 1 and one at node ``n-1`` at
+    t = 6 on the settled object."""
+    ops = [OpChainSpec(i, (("update", f"v{i}"),), start=0.5 * i) for i in range(n - 2)]
+    ops.append(OpChainSpec(n - 2, (("scan", None),), start=1.0))
+    ops.append(OpChainSpec(n - 1, (("scan", None),), start=6.0))
+    return ChaosPlan("eq_aso", n, (n - 1) // 2, seed=0, workload=tuple(ops))
+
+
 def _exp_trace(**kw) -> ExperimentResult:
     """A fully traced failure-free EQ-ASO run: per-phase decomposition and
     the metrics registry — the worked example of EXPERIMENTS.md's
     Observability section (export the same trace to JSONL with
     ``python -m repro.obs demo``)."""
-    from repro.core import EqAso
+    from repro.harness.adversary import run_checked
     from repro.harness.metrics import collect_registry
     from repro.obs import MemorySink, Tracer
-    from repro.runtime.cluster import Cluster
 
-    n = kw.get("n", 5)
-    f = (n - 1) // 2
     tracer = Tracer(MemorySink())
-    cluster = Cluster(EqAso, n=n, f=f, tracer=tracer)
-    schedule = [(0.5 * i, i, "update", (f"v{i}",)) for i in range(n - 2)]
-    schedule.append((1.0, n - 2, "scan", ()))
-    schedule.append((6.0, n - 1, "scan", ()))
-    handles = cluster.run_ops(schedule)
-    registry = collect_registry(handles, cluster.D, spans=tracer.spans)
+    handles = run_checked(trace_plan(kw.get("n", 5)), tracer=tracer).handles
+    registry = collect_registry(handles, 1.0, spans=tracer.spans)  # D = 1
     lines = [f"{tracer.events_emitted} events, {len(tracer.spans)} spans"]
     for span in tracer.spans:
         parts = ", ".join(
-            f"{name}={dur:.2f}D"
-            for name, dur in span.phase_durations(cluster.D).items()
+            f"{name}={dur:.2f}D" for name, dur in span.phase_durations(1.0).items()
         )
         lines.append(
             f"op {span.op_id} node {span.node} {span.kind}: "
-            f"{span.latency / cluster.D:.2f}D [{parts}] msgs={span.messages}"
+            f"{span.latency:.2f}D [{parts}] msgs={span.messages}"
         )
     lines.extend(registry.format_lines())
     return ExperimentResult(
@@ -307,4 +311,5 @@ __all__ = [
     "ExperimentResult",
     "SEEDED_EXPERIMENTS",
     "run_experiment",
+    "trace_plan",
 ]

@@ -24,20 +24,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.baselines import DelporteAso, LatticeAso, ScdAso, StoreCollectAso
-from repro.core import EqAso, SsoFastScan
+from repro.baselines import DelporteAso, StoreCollectAso
+from repro.core import EqAso
 from repro.core.lattice_agreement import EarlyStoppingLA, MLAValue
 from repro.baselines.la_based import ClassifierLA
+from repro.chaos.plan import ChaosPlan
 from repro.harness.adversary import (
     VICTIM,
     interference_schedule,
+    quiet_plan,
+    run_checked,
     run_staircase,
     staircase_plan,
     staircase_victim_latency,
 )
 from repro.harness.metrics import growth_exponent, summarize
-from repro.net.faults import BroadcastCrash, CrashPlan
+from repro.net.delays import AdversarialDelay, UniformDelay
+from repro.net.faults import CrashPlan, chain_crash_plan
 from repro.runtime.cluster import Cluster
+from repro.sim.rng import SeededRng
 
 
 @dataclass(slots=True)
@@ -91,36 +96,38 @@ def amortized_curve(
     return Curve(f"EQ-ASO amortized (k={k})", xs, ys).fit()
 
 
+#: the failure-free rows (FF, MESSAGES): label -> ``CAMPAIGN_ALGOS`` key
+FF_ALGORITHMS: dict[str, str] = {
+    "Delporte [19]": "delporte",
+    "Store-collect [12]": "store_collect",
+    "SCD [29]": "scd",
+    "LA-based [41,42]": "la_based",
+    "EQ-ASO": "eq_aso",
+    "SSO-Fast-Scan": "sso_fast_scan",
+}
+
+
+def failure_free_plan(algo: str, kind: str, n: int) -> ChaosPlan:
+    """FF's run: one completed update at node ``1 mod n`` so scans have
+    content, then the measured ``kind`` op at node 0 (the last op)."""
+    op = (0, kind, "x" if kind == "update" else None)
+    return quiet_plan(algo, n, (1 % n, "update", "warm"), op)
+
+
 def failure_free(
     ns: Sequence[int] = (4, 7, 10, 16, 25),
-    algorithms: dict[str, Callable] | None = None,
+    algorithms: dict[str, str] | None = None,
 ) -> dict[str, list[Curve]]:
-    """Quiet-cluster single-op latency vs n, per op kind."""
-    algos = algorithms or {
-        "Delporte [19]": DelporteAso,
-        "Store-collect [12]": StoreCollectAso,
-        "SCD [29]": ScdAso,
-        "LA-based [41,42]": LatticeAso,
-        "EQ-ASO": EqAso,
-        "SSO-Fast-Scan": SsoFastScan,
-    }
+    """Quiet-cluster single-op latency vs n, per op kind
+    (``algorithms``: curve label -> ``CAMPAIGN_ALGOS`` key)."""
     out: dict[str, list[Curve]] = {"update": [], "scan": []}
-    for label, factory in algos.items():
+    for label, algo in (algorithms or FF_ALGORITHMS).items():
         for kind in ("update", "scan"):
-            xs: list[float] = []
-            ys: list[float] = []
-            for n in ns:
-                f = (n - 1) // 2
-                cluster = Cluster(factory, n=n, f=f)
-                # one completed update first so scans have content
-                warm = cluster.invoke_at(0.0, 1 % n, "update", "warm")
-                cluster.run_until_complete([warm])
-                args = ("x",) if kind == "update" else ()
-                op = cluster.invoke(0, kind, *args)
-                cluster.run_until_complete([op])
-                xs.append(n)
-                ys.append(op.latency / cluster.D)
-            out[kind].append(Curve(label, xs, ys).fit())
+            ys = [
+                run_checked(failure_free_plan(algo, kind, n)).handles[-1].latency
+                for n in ns
+            ]
+            out[kind].append(Curve(label, list(ns), ys).fit())
     return out
 
 
@@ -140,10 +147,6 @@ def interference_scan(
     constant delays the confirmation rounds align and the interference
     vanishes, which understates the pull-based cost.
     """
-    from repro.harness.workloads import random_workload  # noqa: F401 (doc link)
-    from repro.net.delays import UniformDelay
-    from repro.sim.rng import SeededRng
-
     algos = algorithms or {
         "Delporte [19]": DelporteAso,
         "Store-collect [12]": StoreCollectAso,
@@ -155,14 +158,8 @@ def interference_scan(
         upd_ys: list[float] = []
         xs: list[float] = []
         for n in ns:
-            f = (n - 1) // 2
-            rng = SeededRng(seed)
-            cluster = Cluster(
-                factory,
-                n=n,
-                f=f,
-                delay_model=UniformDelay(1.0, rng.child("delays"), lo=0.25),
-            )
+            delay_model = UniformDelay(1.0, SeededRng(seed).child("delays"), lo=0.25)
+            cluster = Cluster(factory, n=n, f=(n - 1) // 2, delay_model=delay_model)
             wave: list = []
             for node, ops, start in interference_schedule(
                 n, 0, updates_per_writer=updates_per_writer
@@ -203,8 +200,6 @@ def la_comparison(
     classifier pays its ``Θ(log n)`` quorum rounds regardless of ``k``
     (chains merely remove nodes from its quorums).
     """
-    from repro.net.delays import AdversarialDelay
-
     curves = []
     for label, factory in (
         ("early-stopping LA [this paper]", EarlyStoppingLA),
@@ -213,52 +208,32 @@ def la_comparison(
         xs: list[float] = []
         ys: list[float] = []
         for k in ks:
-            if k == 0:
-                n = n_fixed or 23
-                f = (n - 1) // 2
-                cluster = Cluster(
-                    factory,
-                    n=n,
-                    f=f,
-                    delay_model=AdversarialDelay(
-                        1.0, lambda src, dst, p, now: 0.05
-                    ),
-                )
-                victim = 0
-                writers: tuple[int, ...] = ()
-            else:
-                # the snapshot staircase's chains and sizes; the LA
-                # messages are not in writers_of, so the crashes and
-                # delays are built here
+            # the snapshot staircase's chains and sizes; the LA messages
+            # are not in writers_of, so the crashes and delays are built here
+            n = n_fixed or 23
+            f = (n - 1) // 2
+            crash_plan = CrashPlan()
+            writers: tuple[int, ...] = ()
+            if k:
                 plan = staircase_plan("la_based", k)
-                crash_plan = CrashPlan()
+                n, f = plan.n, plan.f
                 for spec in plan.crashes:
-                    match = _la_match(factory, spec.chain[0])
-                    for node, nxt in zip(spec.chain, spec.chain[1:]):
-                        crash_plan.add(
-                            node, BroadcastCrash(deliver_to=(nxt,), match=match)
-                        )
-                victim = VICTIM
+                    chain = chain_crash_plan(spec.chain, match=_la_match(factory, spec.chain[0]))
+                    for node in spec.chain[:-1]:
+                        crash_plan.add(node, chain.spec_for(node))
                 writers = tuple(spec.chain[0] for spec in plan.crashes)
-                wset = frozenset(writers)
 
-                def delays(src, dst, payload, now, _w=wset, _fac=factory):
-                    if isinstance(payload, MLAValue) and payload.element.proposer in _w:
-                        return 1.0
-                    return 0.05
+            def delays(src, dst, payload, now, _w=frozenset(writers)):
+                slow = isinstance(payload, MLAValue) and payload.element.proposer in _w
+                return 1.0 if slow else 0.05
 
-                cluster = Cluster(
-                    factory,
-                    n=plan.n,
-                    f=plan.f,
-                    delay_model=AdversarialDelay(1.0, delays),
-                    crash_plan=crash_plan,
-                )
+            delay_model = AdversarialDelay(1.0, delays)
+            cluster = Cluster(factory, n=n, f=f, delay_model=delay_model, crash_plan=crash_plan)
             for writer in writers:
                 cluster.invoke_at(0.0, writer, "propose", (f"doomed{writer}",))
             # invoke the victim just after the first exposure lands (the
             # one-hop chain's proposal arrives at t = D)
-            op = cluster.invoke_at(1.05, victim, "propose", (f"p{victim}",))
+            op = cluster.invoke_at(1.05, VICTIM, "propose", (f"p{VICTIM}",))
             cluster.run_until_complete([op])
             xs.append(max(k, 1))
             ys.append(op.latency / cluster.D)
@@ -268,9 +243,11 @@ def la_comparison(
 
 __all__ = [
     "Curve",
+    "FF_ALGORITHMS",
     "scale_k",
     "amortized_curve",
     "failure_free",
+    "failure_free_plan",
     "interference_scan",
     "la_comparison",
 ]

@@ -27,7 +27,9 @@ from repro.harness.adversary import (
     staircase_victim_latency,
 )
 from repro.harness.metrics import collect_registry
+from repro.net.delays import UniformDelay
 from repro.runtime.cluster import Cluster
+from repro.sim.rng import SeededRng
 
 #: row label -> :data:`~repro.chaos.algos.CAMPAIGN_ALGOS` key
 ALGORITHMS: dict[str, str] = {
@@ -79,9 +81,6 @@ def _victim_latency_under_interference(
     updates is in flight (seeded random delays — lockstep constant delays
     hide the pull-based retry cost, see
     :func:`repro.harness.scaling.interference_scan`)."""
-    from repro.net.delays import UniformDelay
-    from repro.sim.rng import SeededRng
-
     f = (n - 1) // 2
     rng = SeededRng(seed)
     cluster = Cluster(

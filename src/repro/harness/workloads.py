@@ -50,28 +50,4 @@ def random_workload(
     return handles
 
 
-def sequential_ops(
-    cluster: Cluster,
-    node: int,
-    *,
-    updates: int = 0,
-    scans: int = 0,
-    alternate: bool = True,
-    start: float = 0.0,
-    gap: float = 0.0,
-) -> list[OpHandle]:
-    """A chain of updates/scans at one node (alternating or grouped)."""
-    ops: list[tuple[str, tuple[Any, ...]]] = []
-    if alternate:
-        for i in range(max(updates, scans)):
-            if i < updates:
-                ops.append(("update", (f"s{node}.{i}",)))
-            if i < scans:
-                ops.append(("scan", ()))
-    else:
-        ops.extend(("update", (f"s{node}.{i}",)) for i in range(updates))
-        ops.extend(("scan", ()) for _ in range(scans))
-    return cluster.chain_ops(node, ops, start=start, gap=gap)
-
-
-__all__ = ["random_workload", "sequential_ops"]
+__all__ = ["random_workload"]

@@ -173,10 +173,7 @@ class CrashPlan:
 
 
 def chain_crash_plan(
-    chain: Sequence[int],
-    *,
-    match: Callable[[Any], bool] | None = None,
-    matches: Sequence[Callable[[Any], bool] | None] | None = None,
+    chain: Sequence[int], *, match: Callable[[Any], bool] | None = None
 ) -> CrashPlan:
     """Build a failure chain (Definition 11) over ``chain`` nodes.
 
@@ -185,35 +182,19 @@ def chain_crash_plan(
     ``pm`` (the last element) stays correct.  Returns a plan with
     ``k = m - 1`` crashes.
 
-    ``match`` applies one shared predicate to every hop — fine when the
-    predicate identifies the chain's value (how a chaos plan's chain
-    keys on its head, through :func:`repro.chaos.plan.writers_of`), but
-    wrong when hops must key on
-    different payloads: with ``match=None`` (first-broadcast-ever) a hop
-    that re-forwards an unrelated message first crashes on the *wrong*
-    broadcast and decapitates the chain.  ``matches`` supplies one
-    predicate per crashing hop (``len(matches) == len(chain) - 1``; an
-    entry of ``None`` means "first broadcast ever" for that hop) and is
-    mutually exclusive with ``match``.
+    ``match`` is one predicate shared by every hop, and it should
+    identify the chain's value (a chaos plan's chain keys on its head
+    through :func:`repro.chaos.plan.writers_of`): with ``match=None``
+    (first broadcast ever) a hop that re-forwards an unrelated message
+    first crashes on the *wrong* broadcast and decapitates the chain.
     """
     if len(chain) < 2:
         raise ValueError("a failure chain needs at least 2 nodes")
     if len(set(chain)) != len(chain):
         raise ValueError("chain nodes must be distinct")
-    if matches is not None:
-        if match is not None:
-            raise ValueError("pass either match or matches, not both")
-        if len(matches) != len(chain) - 1:
-            raise ValueError(
-                f"matches must have one predicate per crashing hop "
-                f"({len(chain) - 1}), got {len(matches)}"
-            )
     plan = CrashPlan()
-    for i in range(len(chain) - 1):
-        hop_match = matches[i] if matches is not None else match
-        plan.add(
-            chain[i], BroadcastCrash(deliver_to=(chain[i + 1],), match=hop_match)
-        )
+    for node, nxt in zip(chain, chain[1:]):
+        plan.add(node, BroadcastCrash(deliver_to=(nxt,), match=match))
     return plan
 
 

@@ -9,7 +9,7 @@ Subcommands::
     ops      per-operation accounting (latency in D, phases, messages)
     phases   mean per-phase decomposition for one operation kind
     coverage phase/fault/interleaving coverage vector of a trace
-    render   the text space-time diagram (trace_viz, but file-based)
+    render   the text space-time diagram of the deliveries
 
 Exit status: 0 ok, 1 a finding (``check`` found a counterexample,
 ``phases`` matched no operation), 2 unusable input (a trace that is

@@ -1,7 +1,7 @@
 """Short, deterministic human labels for wire messages.
 
 Shared by the event log, the JSONL exporter and the space-time renderer
-(:mod:`repro.harness.trace_viz` delegates here).  Labels double as query
+(``python -m repro.obs render``).  Labels double as query
 keys — ``repro.obs render --include writeTag`` and the ``summary``
 per-message counts match on the text produced here — so they must be
 stable and derived only from message contents.

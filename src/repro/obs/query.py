@@ -3,7 +3,7 @@
 Operates on the plain-dict records produced by
 :func:`repro.obs.export.read_trace`, so a trace can be analysed long
 after (and far away from) the run that produced it.  The space-time
-renderer here is the engine behind :mod:`repro.harness.trace_viz`.
+renderer here is what ``python -m repro.obs render`` draws.
 """
 
 from __future__ import annotations

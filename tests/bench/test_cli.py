@@ -22,7 +22,15 @@ V2_SHAPED = {
 
 @pytest.mark.parametrize(
     "kind",
-    ["missing", "corrupt", "not-an-object", "v2-shaped", "unknown-case", "unwritable-out"],
+    [
+        "missing",
+        "corrupt",
+        "not-an-object",
+        "v2-shaped",
+        "unknown-case",
+        "unwritable-out",
+        "out-is-baseline",
+    ],
 )
 def test_unusable_input_exits_two_before_any_case_runs(kind, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_bench", lambda *a, **kw: pytest.fail("a case ran"))
@@ -36,13 +44,33 @@ def test_unusable_input_exits_two_before_any_case_runs(kind, tmp_path, monkeypat
         baseline.write_text(contents[kind])
     case = "warp-drive" if kind == "unknown-case" else "byzantine"
     out = tmp_path / ("missing-dir" if kind == "unwritable-out" else "") / "r.json"
+    if kind == "out-is-baseline":
+        out = baseline
     argv = [case, "--smoke", "--out", str(out)]
     if kind not in ("unknown-case", "unwritable-out"):
         argv += ["--baseline", str(baseline)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert kind != "out-is-baseline" or "would overwrite the baseline" in err
     assert not out.exists()
+
+
+def test_failing_gate_leaves_its_baseline_alone(tmp_path, monkeypatch, capsys):
+    """Regression: ``--out`` defaulted to ``BENCH_macro.json`` and the
+    report was written before the comparison, so a drifted gate run
+    rewrote the baseline it had just failed against (and passed when run
+    again).  No ``--out``, no file."""
+    report = runner.run_bench(["scale_k"], smoke=True)
+    report["cases"]["scale_k"]["events"] += 1
+    monkeypatch.chdir(tmp_path)
+    baseline = tmp_path / "BENCH_macro.json"
+    baseline.write_text(json.dumps(report, indent=2) + "\n")
+    before = baseline.read_bytes()
+    assert cli.main(["scale_k", "--smoke", "--baseline", "BENCH_macro.json"]) == 1
+    assert "scale_k.events" in capsys.readouterr().out
+    assert baseline.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_macro.json"]
 
 
 def test_unknown_case_fails_cleanly(capsys):

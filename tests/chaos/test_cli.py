@@ -38,30 +38,26 @@ def test_smoke_covers_all_healthy_algorithms(tmp_path, capsys):
     assert all(len(a["seeds"]) == SMOKE_SEEDS for a in report["algos"])
 
 
-def test_parse_algos_all_tracks_the_live_registry():
-    """``--algo all`` resolves at call time: the new contenders are in,
-    mutants stay out, and profiles registered later are picked up."""
-    from repro.baselines import BfkAso
+def test_campaign_algos_are_the_eight_healthy_keys():
+    """``--algo all`` and ``--smoke`` sweep exactly these; mutants and
+    ablations stay out (without phase 0 a run can deadlock)."""
     from repro.chaos.__main__ import _parse_algos
-    from repro.chaos.algos import (
-        LINEARIZABLE,
-        AlgoProfile,
-        register_profile,
-        unregister_profile,
-    )
 
-    names = _parse_algos("all")
-    assert "bfk" in names and "impr" in names
-    assert not any(n.startswith("mut-") for n in names)
-    profile = AlgoProfile("dummy-contender", BfkAso, LINEARIZABLE, n=5, f=2)
-    register_profile(profile)
-    try:
-        assert "dummy-contender" in _parse_algos("all")
-        with pytest.raises(ValueError):
-            register_profile(profile)  # duplicate names are refused
-    finally:
-        unregister_profile("dummy-contender")
-    assert "dummy-contender" not in _parse_algos("all")
+    healthy = [
+        "bfk", "delporte", "eq_aso", "impr", "la_based", "scd", "sso_fast_scan", "store_collect"
+    ]
+    assert sorted(CAMPAIGN_ALGOS) == healthy
+    assert _parse_algos("all") == healthy
+
+
+def test_ablations_resolve_by_name_only():
+    from repro.chaos.algos import get_profile
+    from repro.chaos.mutants import ABLATIONS, EqAsoNoPhase0
+
+    assert get_profile("no-phase0").factory is EqAsoNoPhase0
+    assert get_profile("no-phase0").mutant_of == "eq_aso"
+    assert set(ABLATIONS) == {"no-tag-recheck", "no-borrowing", "no-phase0"}
+    assert set(ABLATIONS).isdisjoint(CAMPAIGN_ALGOS)
 
 
 def test_mutant_sweep_exits_one_and_exports(tmp_path, capsys):
@@ -143,6 +139,31 @@ _PLAN = {
             id="unknown-op-kind",
         ),
         pytest.param({**_PLAN, "delay": {"kind": "bursty"}}, id="unknown-delay-kind"),
+        pytest.param(
+            {**_PLAN, "n": 3, "f": 1, "crashes": [{"type": "timed", "node": 9, "time": 1.0}]},
+            id="timed-crash-node-out-of-range",
+        ),
+        pytest.param({**_PLAN, "n": 3, "f": 1, "crashes": [5]}, id="crash-spec-not-an-object"),
+        pytest.param(
+            {**_PLAN, "n": 3, "f": 1, "crashes": [{"type": "chain", "chain": [1, 5]}]},
+            id="chain-hop-out-of-range",
+        ),
+        pytest.param(
+            {
+                **_PLAN,
+                "algo": "byz_aso",
+                "n": 4,
+                "f": 1,
+                "byzantine": [{"node": 7, "behaviour": "silent"}],
+            },
+            id="byzantine-node-out-of-range",
+        ),
+        pytest.param(
+            {**_PLAN, "crashes": [{"type": "bcast", "node": 1, "deliver_to": [2, 5], "nth": 1}]},
+            id="deliver-to-node-out-of-range",
+        ),
+        pytest.param({**_PLAN, "byzantine": ["silent"]}, id="byzantine-spec-not-an-object"),
+        pytest.param({**_PLAN, "workload": [3]}, id="workload-entry-not-an-object"),
     ],
 )
 def test_unusable_plan_exits_two_with_one_error_line(tmp_path, capsys, doc):

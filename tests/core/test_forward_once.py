@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from repro.chaos.algos import all_profiles, healthy_profiles
+from repro.chaos.algos import BYZANTINE_ALGOS, CAMPAIGN_ALGOS, all_profiles
 from repro.chaos.campaign import campaign_seed
 from repro.chaos.gen import generate_plan
 from repro.chaos import runner
@@ -100,8 +100,7 @@ def _smoke_and_byzantine_plans():
     """The ``repro.chaos --smoke`` sweep (master seed 0, four plans per
     healthy algorithm) and the same indices of the two Byzantine
     profiles, whose plans put ``ByzantineShell`` nodes in the cluster."""
-    byzantine = sorted(set(all_profiles()) - set(healthy_profiles()))
-    for algo in sorted(healthy_profiles()) + [a for a in byzantine if a.startswith("byz")]:
+    for algo in sorted(CAMPAIGN_ALGOS) + sorted(BYZANTINE_ALGOS):
         for index in range(4):
             yield pytest.param(algo, index, id=f"{algo}-{index}")
 

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.harness.ablations import (
-    EqAsoNoBorrowing,
-    EqAsoNoPhase0,
-    EqAsoNoTagRecheck,
-    _run_randomized,
-    run_ablation,
-)
+from repro.chaos.mutants import EqAsoNoBorrowing, EqAsoNoPhase0, EqAsoNoTagRecheck
+from repro.harness.ablations import _run_randomized, run_ablation
 from repro.runtime.cluster import StuckError
 
 

@@ -1,11 +1,12 @@
 """Byzantine experiment harness tests."""
 
-from repro.harness.byzantine import BEHAVIOURS, byz_safety_matrix, byz_scaling
+from repro.chaos.algos import BYZ_BEHAVIOURS
+from repro.harness.byzantine import byz_safety_matrix, byz_scaling
 
 
 def test_safety_matrix_all_behaviours_safe():
     results = byz_safety_matrix(num_byzantine=1, n=4)
-    assert set(results) == set(BEHAVIOURS)
+    assert set(results) == set(BYZ_BEHAVIOURS)
     assert all(results.values())
 
 

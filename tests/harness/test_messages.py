@@ -1,13 +1,11 @@
 """Message-complexity experiment tests."""
 
-from repro.baselines import DelporteAso
-from repro.core import EqAso, SsoFastScan
 from repro.harness.messages import format_message_costs, message_costs
 
 
 def test_eq_aso_update_quadratic_delporte_linear():
     rows = message_costs(
-        ns=(4, 10), algorithms={"EQ-ASO": EqAso, "Delporte": DelporteAso}
+        ns=(4, 10), algorithms={"EQ-ASO": "eq_aso", "Delporte": "delporte"}
     )
     by = {(r.algorithm, r.n): r for r in rows}
     # Delporte update: Θ(n) — scales ~2.5x when n does
@@ -21,11 +19,11 @@ def test_eq_aso_update_quadratic_delporte_linear():
 
 
 def test_sso_scan_costs_zero_messages():
-    rows = message_costs(ns=(4, 7), algorithms={"SSO": SsoFastScan})
+    rows = message_costs(ns=(4, 7), algorithms={"SSO": "sso_fast_scan"})
     assert all(r.scan_messages == 0 for r in rows)
 
 
 def test_format():
-    rows = message_costs(ns=(4,), algorithms={"EQ-ASO": EqAso})
+    rows = message_costs(ns=(4,), algorithms={"EQ-ASO": "eq_aso"})
     lines = format_message_costs(rows)
     assert len(lines) == 2 and "EQ-ASO" in lines[1]

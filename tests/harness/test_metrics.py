@@ -6,13 +6,12 @@ import pytest
 
 from repro.harness.metrics import (
     EMPTY_STATS,
-    by_kind,
     collect_registry,
     growth_exponent,
     summarize,
 )
 from repro.runtime.cluster import OpHandle
-from repro.spec.history import History, UPDATE
+from repro.spec.history import History
 
 
 def handle(node, kind, t0, t1):
@@ -64,13 +63,6 @@ def test_collect_registry_from_handles():
     reg = collect_registry(hs, D=2.0)
     assert reg.counter("ops.scan").value == 1
     assert reg.histogram("latency_D.update").mean == 3.0
-
-
-def test_by_kind_partitions():
-    hs = [handle(0, "scan", 0, 2), handle(1, UPDATE, 0, 6)]
-    stats = by_kind(hs, D=1.0)
-    assert stats["scan"].mean == 2.0
-    assert stats["update"].mean == 6.0
 
 
 def test_growth_exponent_linear():

@@ -1,7 +1,7 @@
 """Tests for workload generators."""
 
 from repro.core import EqAso
-from repro.harness.workloads import random_workload, sequential_ops
+from repro.harness.workloads import random_workload
 from repro.runtime.cluster import Cluster
 from repro.sim.rng import SeededRng
 
@@ -40,21 +40,6 @@ def test_random_workload_scan_probability_extremes():
     )
     assert all(h.kind == "update" for h in all_updates)
     cluster2.run_until_complete(all_updates)
-
-
-def test_sequential_ops_alternating():
-    cluster = Cluster(EqAso, n=3, f=1)
-    handles = sequential_ops(cluster, 0, updates=2, scans=2, alternate=True)
-    assert [h.kind for h in handles] == ["update", "scan", "update", "scan"]
-    cluster.run_until_complete(handles)
-    assert handles[-1].result.values[0] == "s0.1"
-
-
-def test_sequential_ops_grouped():
-    cluster = Cluster(EqAso, n=3, f=1)
-    handles = sequential_ops(cluster, 0, updates=2, scans=1, alternate=False)
-    assert [h.kind for h in handles] == ["update", "update", "scan"]
-    cluster.run_until_complete(handles)
 
 
 def test_unique_values_across_workload():

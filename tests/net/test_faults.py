@@ -125,32 +125,11 @@ def test_crash_plan_copy_preserves_specs():
         clone.add(4, CrashAtTime(2.0))
 
 
-def test_chain_per_hop_matches():
-    doom = lambda p: p == "doom"  # noqa: E731
-    plan = chain_crash_plan([0, 1, 2], matches=[None, doom])
-    # hop 0: first broadcast ever
-    dests, crash = plan.filter_broadcast(0, "anything", [1, 2])
-    assert dests == [1] and crash
-    # hop 1: only the doomed payload fires
-    dests, crash = plan.filter_broadcast(1, "benign", [0, 2])
-    assert dests == [0, 2] and not crash
-    dests, crash = plan.filter_broadcast(1, "doom", [0, 2])
-    assert dests == [2] and crash
-
-
-def test_chain_matches_validation():
-    with pytest.raises(ValueError):
-        chain_crash_plan([0, 1, 2], match=lambda p: True, matches=[None, None])
-    with pytest.raises(ValueError):
-        chain_crash_plan([0, 1, 2], matches=[None])  # one per crashing hop
-
-
 def test_chain_shared_match_misfires_on_reforwarded_traffic():
-    """The satellite-2 regression, end-to-end: with one shared ``match``
-    (here ``None`` = first-broadcast-ever) a chain hop that broadcasts
-    unrelated traffic first crashes on the *wrong* broadcast and the chain
-    value never crawls; per-hop value predicates crash each hop exactly
-    while forwarding the chain value."""
+    """End-to-end: with ``match=None`` (first broadcast ever) a chain hop
+    that broadcasts unrelated traffic first crashes on the *wrong*
+    broadcast and the chain value never crawls; a predicate on the chain
+    value crashes each hop exactly while forwarding it."""
     from repro.core import EqAso
     from repro.core.messages import MValue
     from repro.runtime.cluster import Cluster
@@ -171,11 +150,11 @@ def test_chain_shared_match_misfires_on_reforwarded_traffic():
     assert cluster.crash_plan.is_crashed(2)
     assert own.aborted and not own.done
 
-    # per-hop predicates keyed on writer 1's value: node 2's own update
+    # a predicate keyed on writer 1's value: node 2's own update
     # completes untouched; both hops crash only on the chain value
     def carries_w1(p):
         return isinstance(p, MValue) and p.vt.writer == 1
 
-    cluster, own = run(chain_crash_plan([1, 2, 0], matches=[carries_w1, carries_w1]))
+    cluster, own = run(chain_crash_plan([1, 2, 0], match=carries_w1))
     assert own.done and not own.aborted
     assert cluster.crash_plan.crashed_nodes == frozenset({1, 2})

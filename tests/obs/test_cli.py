@@ -54,6 +54,43 @@ def test_render_spacetime(demo_trace, capsys):
     assert re.search(r"t=\s*[\d.]+\s+\[\d\]--value:.*-->\[\d\]", out)
 
 
+def test_render_include_keeps_only_matching_labels(demo_trace, capsys):
+    assert main(["render", demo_trace, "--include", "value", "--max-lines", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert "value:v0/1" in out
+    assert "readTag" not in out and "goodLA" not in out
+
+
+def test_render_labels_every_delivery(demo_trace, capsys):
+    assert main(["render", demo_trace, "--max-lines", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert "value:v0/1" in out
+    assert "readTag" in out and "goodLA" in out and "-->" in out
+
+
+def test_render_until_cuts_the_diagram(demo_trace, capsys):
+    assert main(["render", demo_trace, "--until", "1.0", "--max-lines", "10000"]) == 0
+    early = capsys.readouterr().out.splitlines()
+    assert main(["render", demo_trace, "--max-lines", "10000"]) == 0
+    assert 0 < len(early) < len(capsys.readouterr().out.splitlines())
+
+
+def test_render_marks_drops_at_crashed_nodes(tmp_path, capsys):
+    from repro.core import EqAso
+    from repro.net.faults import CrashAtTime, CrashPlan
+    from repro.obs import MemorySink, Tracer, export_jsonl
+    from repro.runtime.cluster import Cluster
+
+    tracer = Tracer(MemorySink())
+    crash_plan = CrashPlan({2: CrashAtTime(0.5)})
+    cluster = Cluster(EqAso, n=3, f=1, tracer=tracer, crash_plan=crash_plan)
+    cluster.run_ops([(0.0, 0, "update", ("v",))])
+    path = tmp_path / "crash.jsonl"
+    export_jsonl(tracer, path)
+    assert main(["render", str(path), "--max-lines", "10000"]) == 0
+    assert "--X" in capsys.readouterr().out  # deliveries to the crashed node
+
+
 def test_missing_trace_file_is_a_clean_error(capsys):
     assert main(["summary", "/nonexistent/trace.jsonl"]) == 2
     err = capsys.readouterr().err
@@ -102,6 +139,14 @@ def test_render_max_lines_truncates(demo_trace, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 4  # 3 shown + the "... (N more)" marker
     assert out[-1].startswith("... (")
+
+
+def test_render_truncation_counts_the_hidden_lines(demo_trace, capsys):
+    assert main(["render", demo_trace, "--max-lines", "10000"]) == 0
+    total = len(capsys.readouterr().out.strip().splitlines())
+    assert main(["render", demo_trace, "--max-lines", "3"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert total > 3 and out[-1] == f"... ({total - 3} more)"
 
 
 def test_demo_seed_reproducible_with_jitter(tmp_path):
