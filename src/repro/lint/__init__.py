@@ -33,22 +33,15 @@ for the full catalog.
 
 from __future__ import annotations
 
-from repro.lint.config import LintConfig
 from repro.lint.engine import LintResult, run_lint
 from repro.lint.findings import Finding, Severity
-from repro.lint.report import format_json, format_text
 from repro.lint.rules import ALL_RULES, RULES_VERSION
-from repro.lint.schema import validate_lint_report
 
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "LintConfig",
     "LintResult",
     "RULES_VERSION",
     "Severity",
-    "format_json",
-    "format_text",
     "run_lint",
-    "validate_lint_report",
 ]

@@ -3,12 +3,12 @@
 A whole-program rule (RL009) makes per-file incremental linting
 unsound: editing module A can create or fix a finding in module B (a
 weaker fault-model guard in a subclass flags the wait it inherits from
-B).  So the cache key is a
-*whole-project* fingerprint — the rules version, the config, and the
-content hash of every linted **and** context file — and a hit replays
-the entire stored result without parsing a single file.  Any edit,
-config change or rule bump misses and re-lints everything; there is no
-state in between, hence nothing to get stale.
+B).  So the cache key is a *whole-project* fingerprint — the rules
+version, the selected rule ids, and the content hash of every linted
+**and** context file — and a hit replays the entire stored result
+without parsing a single file.  Any edit, selection change or rule bump
+misses and re-lints everything; there is no state in between, hence
+nothing to get stale.
 
 Cache files live under ``.repro-lint-cache/`` (one small JSON per
 fingerprint), are written atomically (tmp + rename) and are treated as
@@ -23,9 +23,6 @@ import os
 import pathlib
 from typing import Any, Sequence
 
-from dataclasses import fields as dataclass_fields
-
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import RULES_VERSION
 
@@ -33,25 +30,8 @@ from repro.lint.rules import RULES_VERSION
 _MAX_ENTRIES = 32
 
 
-def _config_key(config: LintConfig) -> str:
-    """Deterministic serialization of the config: plain ``repr`` would
-    leak each process's set iteration order into the fingerprint and no
-    two runs would ever share a cache entry."""
-    parts = []
-    for field in sorted(dataclass_fields(config), key=lambda f: f.name):
-        value = getattr(config, field.name)
-        if isinstance(value, (set, frozenset)):
-            shown = "{" + ",".join(sorted(map(repr, value))) + "}"
-        elif value is None:
-            shown = "None"
-        else:
-            shown = repr(value)
-        parts.append(f"{field.name}={shown}")
-    return ";".join(parts)
-
-
 def project_fingerprint(
-    config: LintConfig,
+    rule_ids: Sequence[str],
     lint_files: Sequence[pathlib.Path],
     context_files: Sequence[pathlib.Path] = (),
 ) -> str | None:
@@ -59,7 +39,7 @@ def project_fingerprint(
     when any input file is unreadable (no caching then)."""
     hasher = hashlib.sha256()
     hasher.update(RULES_VERSION.encode())
-    hasher.update(_config_key(config).encode())
+    hasher.update(",".join(sorted(rule_ids)).encode())
     entries: list[tuple[str, str]] = []
     for path in [*lint_files, *context_files]:
         try:
@@ -133,7 +113,6 @@ def load_cached_result(
         "findings": decoded_findings,
         "stale_suppressions": decoded_stale,
         "files_checked": int(payload.get("files_checked", 0)),
-        "rules_run": tuple(str(r) for r in payload.get("rules_run", ())),
     }
 
 
@@ -144,7 +123,6 @@ def store_result(
     findings: Sequence[Finding],
     stale_suppressions: Sequence[Finding],
     files_checked: int,
-    rules_run: Sequence[str],
 ) -> None:
     """Persist one run's result; failures are silently ignored (the
     cache is an optimization, never a correctness dependency)."""
@@ -152,7 +130,6 @@ def store_result(
         "fingerprint": fingerprint,
         "rules_version": RULES_VERSION,
         "files_checked": files_checked,
-        "rules_run": list(rules_run),
         "findings": [_finding_to_json(f) for f in findings],
         "stale_suppressions": [_finding_to_json(f) for f in stale_suppressions],
     }

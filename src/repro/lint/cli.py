@@ -1,26 +1,19 @@
 """CLI: ``python -m repro.lint [paths] [options]``.
 
 Exit codes: 0 = clean, 1 = findings (or stale suppressions under
-``--strict-suppressions``, or an invalid document under ``--validate``),
-2 = usage/IO error (unknown rule id, missing path).
-``--select``/``--ignore`` take comma- or space-separated rule ids and
-override ``[tool.repro-lint]`` in pyproject.toml.
-
-The same entry point validates a previously produced JSON report
-against its schema (``--validate FILE``, used in CI).
+``--strict-suppressions``), 2 = usage/IO error (unknown rule id, a path
+that is missing or names no Python file) — one ``error:`` line on
+stderr.  ``--select`` takes comma- or space-separated rule ids.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
 import sys
+from collections import Counter
 from typing import Sequence
 
-from repro.lint.config import LintConfig
-from repro.lint.engine import run_lint
-from repro.lint.report import format_json, format_text
+from repro.lint.engine import LintResult, run_lint
 from repro.lint.rules import ALL_RULES
 
 #: default on-disk location of the whole-project result cache
@@ -57,24 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
         "--select",
         action="append",
         default=None,
         metavar="RULES",
         help="only run these rule ids (comma-separated, repeatable)",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        default=None,
-        metavar="RULES",
-        help="skip these rule ids (comma-separated, repeatable)",
     )
     parser.add_argument(
         "--context",
@@ -87,15 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--validate",
-        default=None,
-        metavar="FILE",
-        help=(
-            "validate a previously produced '--format json' report "
-            "against its schema and exit"
-        ),
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help=f"disable the result cache ({DEFAULT_CACHE_DIR}/)",
@@ -105,45 +76,35 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 when stale '# lint: ignore[...]' comments remain",
     )
-    parser.add_argument(
-        "--no-hints",
-        action="store_true",
-        help="omit fix hints from text output",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
     return parser
 
 
-def list_rules() -> str:
-    lines = []
-    for rid, rule in sorted(ALL_RULES.items()):
-        lines.append(f"{rid} [{rule.severity}] {rule.summary}")
-        lines.append(f"    fix: {rule.fix_hint}")
-    return "\n".join(lines)
-
-
-def _validate_file(target: str) -> int:
-    from repro.lint.schema import validate_lint_report
-
-    try:
-        document = json.loads(
-            pathlib.Path(target).read_text(encoding="utf-8")
+def format_text(result: LintResult) -> str:
+    """Human-readable report, one line per finding plus a summary."""
+    lines: list[str] = []
+    last_hint = None
+    for finding in result.findings:
+        lines.append(finding.render())
+        if finding.fix_hint and finding.fix_hint != last_hint:
+            lines.append(f"    hint: {finding.fix_hint}")
+            last_hint = finding.fix_hint
+    counts = Counter(f.rule_id for f in result.findings)
+    if counts:
+        per_rule = ", ".join(f"{rid}={n}" for rid, n in sorted(counts.items()))
+        lines.append(
+            f"{sum(counts.values())} finding(s) in "
+            f"{result.files_checked} file(s) [{per_rule}]"
         )
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {target}: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_lint_report(document)
-    if problems:
-        for problem in problems:
-            print(f"{target}: {problem}")
-        print(f"{target}: invalid lint report ({len(problems)} problem(s))")
-        return 1
-    print(f"{target}: valid lint report")
-    return 0
+    else:
+        lines.append(f"ok: {result.files_checked} file(s) clean")
+    if result.stale_suppressions:
+        for finding in result.stale_suppressions:
+            lines.append(finding.render())
+        lines.append(
+            f"{len(result.stale_suppressions)} stale suppression(s) — "
+            "remove them, or fail on them with --strict-suppressions"
+        )
+    return "\n".join(lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -154,35 +115,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _main(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        print(list_rules())
-        return 0
-    if args.validate is not None:
-        return _validate_file(args.validate)
+    args = build_parser().parse_args(argv)
     try:
         select = None if args.select is None else _rule_ids(args.select)
-        ignore = None if args.ignore is None else _rule_ids(args.ignore)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = LintConfig.from_pyproject(pathlib.Path.cwd()).with_selection(
-        select=select, ignore=ignore
-    )
-    context = args.context if args.context is not None else []
-    cache_dir = None if args.no_cache else DEFAULT_CACHE_DIR
-    try:
         result = run_lint(
-            args.paths, config, context=context, cache_dir=cache_dir
+            args.paths,
+            select=select,
+            context=args.context or (),
+            cache_dir=None if args.no_cache else DEFAULT_CACHE_DIR,
         )
-    except (FileNotFoundError, OSError) as exc:
+    except (argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(format_json(result))
-    else:
-        print(format_text(result, verbose_hints=not args.no_hints))
+    print(format_text(result))
     if not result.ok:
         return 1
     if args.strict_suppressions and result.stale_suppressions:
@@ -190,4 +135,4 @@ def _main(argv: Sequence[str] | None) -> int:
     return 0
 
 
-__all__ = ["DEFAULT_CACHE_DIR", "build_parser", "list_rules", "main"]
+__all__ = ["DEFAULT_CACHE_DIR", "build_parser", "format_text", "main"]

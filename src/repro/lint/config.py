@@ -1,4 +1,5 @@
-"""Lint configuration: which rules run and which files are walked.
+"""Lint scopes: which modules each rule holds to what, and which files a
+directory walk skips.
 
 The scopes the rules are written for encode this repository's
 architecture (DESIGN.md) and are constants — one value was ever in use:
@@ -8,17 +9,11 @@ architecture (DESIGN.md) and are constants — one value was ever in use:
 - ``repro/core``, ``repro/baselines``, ``repro/net`` and ``repro/shard``
   are sans-io (RL002's scope);
 - wire-message modules are the ``*messages*.py`` files (RL003's scope).
-
-Rule selection and extra walk excludes come from ``[tool.repro-lint]``
-in ``pyproject.toml`` and from the CLI.
 """
 
 from __future__ import annotations
 
 import pathlib
-import tomllib
-from dataclasses import dataclass, replace
-from typing import Any, Iterable
 
 #: Modules whose import makes code nondeterministic or wall-clock
 #: dependent (RL001).  ``os`` itself is allowed — only ``os.urandom``
@@ -67,12 +62,15 @@ SANSIO_PREFIXES: tuple[str, ...] = ("core/", "baselines/", "net/", "shard/")
 #: module basename substring marking a wire-message module
 MESSAGES_PATTERN = "messages"
 
+#: path fragments that exclude a file during directory walking
 DEFAULT_EXCLUDE_PARTS: tuple[str, ...] = (
     "__pycache__",
     ".git",
     ".venv",
     "build/",
     "dist/",
+    # the timing ledger: host stopwatches by design, never linted
+    "benchmarks/",
     # deliberately-bad rule fixtures; linted explicitly by the tests
     "tests/lint/fixtures",
     # quorum-weakened chaos mutants: deliberately unsafe protocol
@@ -120,75 +118,17 @@ def is_messages_module(path: str) -> bool:
     return name.endswith(".py") and MESSAGES_PATTERN in name
 
 
-@dataclass(frozen=True, slots=True)
-class LintConfig:
-    """Immutable configuration for one lint run."""
-
-    #: only these rule ids run (None = all registered)
-    select: frozenset[str] | None = None
-    #: these rule ids never run
-    ignore: frozenset[str] = frozenset()
-    #: path fragments that exclude a file during directory walking
-    exclude_parts: tuple[str, ...] = DEFAULT_EXCLUDE_PARTS
-
-    def is_excluded(self, path: str) -> bool:
-        posix = _posix(path)
-        return any(part in posix for part in self.exclude_parts)
-
-    # -- rule selection --------------------------------------------------
-    def rule_enabled(self, rule_id: str) -> bool:
-        if rule_id in self.ignore:
-            return False
-        return self.select is None or rule_id in self.select
-
-    # -- construction ----------------------------------------------------
-    def with_selection(
-        self,
-        select: Iterable[str] | None = None,
-        ignore: Iterable[str] | None = None,
-    ) -> "LintConfig":
-        """CLI overrides: ``--select``/``--ignore`` replace the config's."""
-        out = self
-        if select is not None:
-            out = replace(out, select=frozenset(select))
-        if ignore is not None:
-            out = replace(out, ignore=frozenset(ignore))
-        return out
-
-    @classmethod
-    def from_pyproject(cls, root: str | pathlib.Path) -> "LintConfig":
-        """Load ``[tool.repro-lint]`` from ``root/pyproject.toml``.
-
-        Missing file or missing table yields the defaults; a malformed
-        file also falls back to defaults (the linter must not crash on a
-        broken pyproject — that is some other tool's finding).
-        """
-        path = pathlib.Path(root) / "pyproject.toml"
-        try:
-            data: dict[str, Any] = tomllib.loads(path.read_text())
-        except (OSError, tomllib.TOMLDecodeError):
-            return cls()
-        table = data.get("tool", {}).get("repro-lint", {})
-        if not isinstance(table, dict):
-            return cls()
-        kwargs: dict[str, Any] = {}
-        if "select" in table:
-            kwargs["select"] = frozenset(map(str, table["select"]))
-        if "ignore" in table:
-            kwargs["ignore"] = frozenset(map(str, table["ignore"]))
-        if "exclude" in table:
-            kwargs["exclude_parts"] = DEFAULT_EXCLUDE_PARTS + tuple(
-                map(str, table["exclude"])
-            )
-        return cls(**kwargs)
+def is_excluded(path: str | pathlib.Path) -> bool:
+    posix = _posix(path)
+    return any(part in posix for part in DEFAULT_EXCLUDE_PARTS)
 
 
 __all__ = [
     "DEFAULT_EXCLUDE_PARTS",
     "IO_MODULES",
-    "LintConfig",
     "NONDETERMINISTIC_MODULES",
     "PROCESS_MODULES",
+    "is_excluded",
     "is_messages_module",
     "is_parallel_module",
     "is_rng_module",

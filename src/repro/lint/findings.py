@@ -1,8 +1,8 @@
 """Finding and severity types shared by every lint rule.
 
 A finding is an immutable value: rules yield them, the engine filters
-them through suppressions and the rule selection, and the reporters
-render them.  Keeping the type frozen means a reporter can never mutate
+them through suppressions and the rule selection, and the CLI renders
+them.  Keeping the type frozen means the renderer can never mutate
 what a rule observed — the same discipline RL003 enforces for protocol
 messages.
 """
@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
 
 
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    Both levels fail the build (the CLI exits nonzero on any finding);
-    the distinction exists so reports can rank output and so future
-    rules can ship as warnings first.
+    Rule and parse findings are errors and fail the run; a stale
+    suppression is a warning, fatal only under ``--strict-suppressions``.
     """
 
     ERROR = "error"
@@ -43,19 +41,6 @@ class Finding:
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule_id)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (the ``findings[]`` element of the
-        ``--format json`` schema; see :mod:`repro.lint.report`)."""
-        return {
-            "rule": self.rule_id,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fix_hint": self.fix_hint,
-        }
 
     def render(self) -> str:
         """The one-line text form: ``path:line:col: RL001 message``."""

@@ -12,7 +12,8 @@ built once per run from every parsed module and answers:
 - which ``self.<attr>`` names hold sets (assigned/annotated in any
   ``__init__`` along the MRO);
 - whether a method transitively performs phase annotation
-  (``self.phase_enter(...)`` reachable through ``self.<helper>()`` calls).
+  (``self.phase_enter(...)`` reachable through ``self.<helper>()`` calls);
+- which message kind a method is registered for with ``@handles(...)``.
 
 Resolution is by *name*, not by import graph: base-class names are
 matched against all project class names.  That is deliberately
@@ -27,6 +28,8 @@ from dataclasses import dataclass, field
 
 #: The root of the protocol-node hierarchy (``repro/runtime/protocol.py``).
 PROTOCOL_BASE = "ProtocolNode"
+
+FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
 
 def _import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -68,7 +71,7 @@ def is_self_call(node: ast.Call, method: str | None = None) -> bool:
     )
 
 
-def is_generator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+def is_generator(fn: FunctionNode) -> bool:
     """Does ``fn`` itself contain a yield (ignoring nested functions)?"""
     stack: list[ast.AST] = list(fn.body)
     while stack:
@@ -81,6 +84,18 @@ def is_generator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
+def registered_kind(fn: FunctionNode) -> ast.expr | None:
+    """The message type ``fn`` is registered for in its class's handler
+    table — the argument of its ``@handles(...)`` decorator — or None.
+    RL001 and RL003 treat such a method as a handler."""
+    for dec in fn.decorator_list:
+        if isinstance(dec, ast.Call) and len(dec.args) == 1:
+            func = dec.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "handles":
+                return dec.args[0]
+    return None
+
+
 @dataclass(slots=True)
 class ClassInfo:
     """One class definition somewhere in the project."""
@@ -88,9 +103,7 @@ class ClassInfo:
     name: str
     node: ast.ClassDef
     base_names: tuple[str, ...]
-    methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(
-        default_factory=dict
-    )
+    methods: dict[str, FunctionNode] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -206,9 +219,7 @@ class ProjectIndex:
         visit(class_name)
         return out
 
-    def resolve_method(
-        self, class_name: str, method: str
-    ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
+    def resolve_method(self, class_name: str, method: str) -> FunctionNode | None:
         for info in self.mro(class_name):
             if method in info.methods:
                 return info.methods[method]
@@ -280,10 +291,12 @@ class ProjectIndex:
 
 __all__ = [
     "ClassInfo",
+    "FunctionNode",
     "ModuleInfo",
     "PROTOCOL_BASE",
     "ProjectIndex",
     "is_generator",
     "is_self_call",
     "is_set_expression",
+    "registered_kind",
 ]

@@ -1,8 +1,8 @@
 """Rule registry.
 
 Each rule family lives in its own module; registering here is all it
-takes to make a rule runnable, selectable and documented (``--list-rules``
-and the EXPERIMENTS.md catalog are generated from this table).
+takes to make a rule runnable and selectable with ``--select``.  The
+catalog is the table in README.md's "Static analysis" section.
 """
 
 from __future__ import annotations

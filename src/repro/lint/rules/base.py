@@ -22,8 +22,6 @@ class Rule(ABC):
 
     #: stable identifier, e.g. ``"RL001"``
     rule_id: str = ""
-    #: one-line summary shown by ``--list-rules``
-    summary: str = ""
     severity: Severity = Severity.ERROR
     #: default remediation advice attached to findings
     fix_hint: str = ""

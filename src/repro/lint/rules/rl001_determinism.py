@@ -36,13 +36,13 @@ from repro.lint.config import (
     is_rng_module,
 )
 from repro.lint.findings import Finding
-from repro.lint.flow.graph import registered_kind
 from repro.lint.project import (
     ClassInfo,
     ModuleInfo,
     ProjectIndex,
     is_generator,
     is_set_expression,
+    registered_kind,
 )
 from repro.lint.rules.base import Rule, imported_module_names
 
@@ -71,10 +71,6 @@ def _local_set_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
 
 class DeterminismRule(Rule):
     rule_id = "RL001"
-    summary = (
-        "randomness/clock imports outside sim/rng; unordered set "
-        "iteration in protocol handlers and ops"
-    )
     fix_hint = (
         "route randomness through repro.sim.rng.SeededRng (derive a child "
         "stream with .child(label)); wrap set iteration in sorted(...)"

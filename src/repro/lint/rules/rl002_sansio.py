@@ -26,10 +26,6 @@ from repro.lint.rules.base import Rule, imported_module_names
 
 class SansIoRule(Rule):
     rule_id = "RL002"
-    summary = (
-        "I/O, event-loop or threading imports in sans-io protocol paths; "
-        "direct outbox manipulation in ProtocolNode subclasses"
-    )
     fix_hint = (
         "protocol code must stay sans-io: queue messages with "
         "self.send()/self.broadcast() and let a runtime drive transport"

@@ -20,8 +20,7 @@ from typing import Iterator
 
 from repro.lint.config import is_messages_module
 from repro.lint.findings import Finding
-from repro.lint.flow.graph import registered_kind
-from repro.lint.project import ModuleInfo, ProjectIndex
+from repro.lint.project import ModuleInfo, ProjectIndex, registered_kind
 from repro.lint.rules.base import Rule
 
 
@@ -63,10 +62,6 @@ def _root_name(node: ast.expr) -> str | None:
 
 class MessageImmutabilityRule(Rule):
     rule_id = "RL003"
-    summary = (
-        "wire-message dataclasses must be frozen; on_message must not "
-        "mutate the received payload"
-    )
     fix_hint = (
         "declare message dataclasses @dataclass(frozen=True, slots=True); "
         "build a new message instead of mutating a received one"

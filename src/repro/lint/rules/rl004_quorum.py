@@ -64,10 +64,6 @@ def _mentions_count(node: ast.expr) -> bool:
 
 class QuorumArithmeticRule(Rule):
     rule_id = "RL004"
-    summary = (
-        "magic-number quorum thresholds and float arithmetic on "
-        "n/f/len counts in protocol classes"
-    )
     fix_hint = (
         "express thresholds via self.n/self.f (e.g. self.quorum_size == "
         "n - f) and use integer // arithmetic on counts"

@@ -27,10 +27,6 @@ from repro.lint.rules.base import Rule
 
 class PhaseCoverageRule(Rule):
     rule_id = "RL005"
-    summary = (
-        "public generator ops on ProtocolNode subclasses must carry "
-        "phase_enter annotations (directly or via helpers)"
-    )
     fix_hint = (
         "bracket the op's protocol phases with self.phase_enter(name)/"
         "self.phase_exit(name), or delegate to an annotated helper; "

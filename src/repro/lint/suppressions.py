@@ -1,19 +1,19 @@
 """Inline suppression comments.
 
-Forms, modelled on ``noqa``/``type: ignore`` but namespaced so they
-cannot collide with other tools:
+Two forms, modelled on ``noqa``/``type: ignore`` but namespaced so they
+cannot collide with other tools, and both naming the rule(s) they
+suppress — so every suppression can be checked for staleness:
 
 - ``# lint: ignore[RL001]`` — suppress the named rule(s) on this
   physical line (comma-separated ids allowed);
-- ``# lint: ignore`` — suppress every rule on this line;
 - ``# lint: ignore-next-line[RL001]`` — same, but for the following
   physical line (for findings on a ``def``/``class`` line where a
-  trailing comment would not fit the justification);
-- ``# lint: skip-file`` — anywhere in the file, skip the whole file.
+  trailing comment would not fit the justification).
 
-Suppressions are extracted with :mod:`tokenize` rather than a regex over
-raw lines so that a string literal containing the magic text never
-counts as a suppression.
+A comment without ``[ids]`` suppresses nothing.  Suppressions are
+extracted with :mod:`tokenize` rather than a regex over raw lines so
+that a string literal containing the magic text never counts as a
+suppression.
 """
 
 from __future__ import annotations
@@ -26,23 +26,13 @@ from dataclasses import dataclass, field
 from repro.lint.findings import Finding
 
 _IGNORE_RE = re.compile(
-    r"#\s*lint:\s*ignore(?P<next>-next-line)?"
-    r"(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
-    r"(?![\w-])"
+    r"#\s*lint:\s*ignore(?P<next>-next-line)?\[(?P<rules>[A-Za-z0-9_,\s]+)\]"
 )
-_SKIP_FILE_RE = re.compile(r"#\s*lint:\s*skip-file\b")
-
-#: Sentinel meaning "every rule" in a per-line suppression set.
-ALL_RULES = "*"
 
 
 @dataclass(frozen=True, slots=True)
 class SuppressionEntry:
-    """One ``# lint: ignore[...]`` comment with explicit rule ids.
-
-    Blanket ``# lint: ignore`` and ``skip-file`` forms are *not*
-    recorded — staleness is only decidable for a named rule id.
-    """
+    """One ``# lint: ignore[...]`` comment."""
 
     #: physical line of the comment itself (where staleness is reported)
     line: int
@@ -55,19 +45,13 @@ class SuppressionEntry:
 class FileSuppressions:
     """Suppression state for one source file."""
 
-    skip_file: bool = False
-    #: line number -> set of rule ids (or :data:`ALL_RULES`)
+    #: line number -> set of suppressed rule ids
     by_line: dict[int, set[str]] = field(default_factory=dict)
-    #: id-carrying comments, for stale-suppression detection
+    #: every comment, for stale-suppression detection
     entries: list[SuppressionEntry] = field(default_factory=list)
 
     def is_suppressed(self, finding: Finding) -> bool:
-        if self.skip_file:
-            return True
-        rules = self.by_line.get(finding.line)
-        if not rules:
-            return False
-        return ALL_RULES in rules or finding.rule_id in rules
+        return finding.rule_id in self.by_line.get(finding.line, ())
 
 
 def extract_suppressions(source: str) -> FileSuppressions:
@@ -83,36 +67,19 @@ def extract_suppressions(source: str) -> FileSuppressions:
         for tok in tokens:
             if tok.type != tokenize.COMMENT:
                 continue
-            if _SKIP_FILE_RE.search(tok.string):
-                out.skip_file = True
             match = _IGNORE_RE.search(tok.string)
             if match is None:
                 continue
+            ids = {r.strip() for r in match.group("rules").split(",") if r.strip()}
+            if not ids:
+                continue
             line = tok.start[0]
-            if match.group("next") is not None:
-                line += 1
-            rules = match.group("rules")
-            if rules is None:
-                out.by_line.setdefault(line, set()).add(ALL_RULES)
-            else:
-                ids = {r.strip() for r in rules.split(",") if r.strip()}
-                out.by_line.setdefault(line, set()).update(ids)
-                if ids:
-                    out.entries.append(
-                        SuppressionEntry(
-                            line=tok.start[0],
-                            target_line=line,
-                            ids=frozenset(ids),
-                        )
-                    )
+            target = line + 1 if match.group("next") is not None else line
+            out.by_line.setdefault(target, set()).update(ids)
+            out.entries.append(SuppressionEntry(line, target, frozenset(ids)))
     except tokenize.TokenError:
         pass
     return out
 
 
-__all__ = [
-    "ALL_RULES",
-    "FileSuppressions",
-    "SuppressionEntry",
-    "extract_suppressions",
-]
+__all__ = ["FileSuppressions", "SuppressionEntry", "extract_suppressions"]

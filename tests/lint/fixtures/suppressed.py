@@ -13,7 +13,7 @@ class SuppressedNode(ProtocolNode):
     def on_message(self, src, payload):
         self.acks[src] = payload
         if len(self.acks) >= 3:  # lint: ignore[RL004]
-            self.broadcast(random.random())  # lint: ignore
+            self.broadcast(random.random())
 
     # lint: ignore-next-line[RL005]
     def op(self):

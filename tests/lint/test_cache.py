@@ -1,13 +1,13 @@
 """Whole-project result cache: hit/miss mechanics, invalidation on any
-content or config change, corruption tolerance, and the CLI wiring."""
+content or rule-selection change, corruption tolerance, and the CLI
+wiring."""
 
 from __future__ import annotations
 
 import json
 
-from repro.lint import LintConfig, run_lint
+from repro.lint import ALL_RULES, run_lint
 from repro.lint.cache import (
-    _config_key,
     load_cached_result,
     project_fingerprint,
     store_result,
@@ -27,26 +27,25 @@ def _project(tmp_path):
 def test_cold_run_stores_warm_run_replays(tmp_path):
     files = _project(tmp_path)
     cache = tmp_path / "cache"
-    cold = run_lint(files, LintConfig(), cache_dir=cache)
+    cold = run_lint(files, cache_dir=cache)
     assert not cold.cache_hit
     assert [f.rule_id for f in cold.findings] == ["RL001"]
     assert list(cache.glob("cache-*.json"))
 
-    warm = run_lint(files, LintConfig(), cache_dir=cache)
+    warm = run_lint(files, cache_dir=cache)
     assert warm.cache_hit
     assert warm.findings == cold.findings
     assert warm.stale_suppressions == cold.stale_suppressions
     assert warm.files_checked == cold.files_checked
-    assert warm.rules_run == cold.rules_run
 
 
 def test_editing_any_file_invalidates(tmp_path):
     files = _project(tmp_path)
     cache = tmp_path / "cache"
-    run_lint(files, LintConfig(), cache_dir=cache)
+    run_lint(files, cache_dir=cache)
     # fixing the finding must not replay the stale result
     files[1].write_text("import hashlib\n")
-    fixed = run_lint(files, LintConfig(), cache_dir=cache)
+    fixed = run_lint(files, cache_dir=cache)
     assert not fixed.cache_hit
     assert fixed.findings == []
 
@@ -54,12 +53,8 @@ def test_editing_any_file_invalidates(tmp_path):
 def test_config_change_invalidates(tmp_path):
     files = _project(tmp_path)
     cache = tmp_path / "cache"
-    run_lint(files, LintConfig(), cache_dir=cache)
-    narrowed = run_lint(
-        files,
-        LintConfig().with_selection(select=["RL004"]),
-        cache_dir=cache,
-    )
+    run_lint(files, cache_dir=cache)
+    narrowed = run_lint(files, select=["RL004"], cache_dir=cache)
     assert not narrowed.cache_hit
     assert narrowed.findings == []
 
@@ -68,28 +63,29 @@ def test_context_files_are_part_of_the_fingerprint(tmp_path):
     files = _project(tmp_path)
     ctx = tmp_path / "context.py"
     ctx.write_text("class Helper:\n    pass\n")
-    cfg = LintConfig()
-    before = project_fingerprint(cfg, files, [ctx])
+    before = project_fingerprint(ALL_RULES, files, [ctx])
     ctx.write_text("class Helper:\n    renamed = True\n")
-    assert project_fingerprint(cfg, files, [ctx]) != before
+    assert project_fingerprint(ALL_RULES, files, [ctx]) != before
     # unreadable input -> no fingerprint -> caching disabled for the run
-    assert project_fingerprint(cfg, [tmp_path / "gone.py"]) is None
+    assert project_fingerprint(ALL_RULES, [tmp_path / "gone.py"]) is None
 
 
-def test_config_key_is_order_independent():
-    a = LintConfig().with_selection(select=["RL001", "RL004", "RL009"])
-    b = LintConfig().with_selection(select=["RL009", "RL001", "RL004"])
-    assert _config_key(a) == _config_key(b)
-    assert _config_key(a) != _config_key(LintConfig())
+def test_config_key_is_order_independent(tmp_path):
+    files = _project(tmp_path)
+    cache = tmp_path / "cache"
+    run_lint(files, select=["RL001", "RL004", "RL009"], cache_dir=cache)
+    same = run_lint(files, select=["RL009", "RL001", "RL004"], cache_dir=cache)
+    assert same.cache_hit
+    assert not run_lint(files, cache_dir=cache).cache_hit
 
 
 def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
     files = _project(tmp_path)
     cache = tmp_path / "cache"
-    run_lint(files, LintConfig(), cache_dir=cache)
+    run_lint(files, cache_dir=cache)
     for entry in cache.glob("cache-*.json"):
         entry.write_text("{not json")
-    rerun = run_lint(files, LintConfig(), cache_dir=cache)
+    rerun = run_lint(files, cache_dir=cache)
     assert not rerun.cache_hit
     assert [f.rule_id for f in rerun.findings] == ["RL001"]
 
@@ -97,12 +93,12 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
 def test_tampered_payload_is_rejected(tmp_path):
     files = _project(tmp_path)
     cache = tmp_path / "cache"
-    run_lint(files, LintConfig(), cache_dir=cache)
+    run_lint(files, cache_dir=cache)
     (entry,) = cache.glob("cache-*.json")
     payload = json.loads(entry.read_text())
     payload["findings"] = [{"rule_id": "RL001"}]  # missing required keys
     entry.write_text(json.dumps(payload))
-    fingerprint = project_fingerprint(LintConfig(), files)
+    fingerprint = project_fingerprint(ALL_RULES, files)
     assert load_cached_result(cache, fingerprint) is None
 
 
@@ -115,13 +111,12 @@ def test_store_result_failure_is_silent(tmp_path):
         findings=[],
         stale_suppressions=[],
         files_checked=0,
-        rules_run=(),
     )  # must not raise
 
 
 def test_no_cache_dir_means_no_writes(tmp_path):
     files = _project(tmp_path)
-    run_lint(files, LintConfig())
+    run_lint(files)
     assert not list(tmp_path.rglob("cache-*.json"))
 
 

@@ -1,13 +1,13 @@
-"""Engine and index mechanics: file collection, config roles,
-cross-module subclass closure, parse-error reporting — plus the dogfood
-guarantee that the shipped tree lints clean."""
+"""Engine and index mechanics: file collection, path roles, rule
+selection, cross-module subclass closure, parse-error reporting — plus
+the dogfood guarantee that the shipped tree lints clean."""
 
 from __future__ import annotations
 
 import pathlib
 import textwrap
 
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 from repro.lint.config import (
     DEFAULT_EXCLUDE_PARTS,
     is_messages_module,
@@ -27,19 +27,17 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 # -- the dogfood acceptance criterion ----------------------------------
 
 
-def test_src_tree_lints_clean():
-    result = run_lint([REPO / "src"], LintConfig())
+def test_tree_lints_clean_with_no_stale_suppressions():
+    """What CI's ``--strict-suppressions`` step checks: no finding and no
+    stale suppression in ``src``, ``tests`` or ``examples``."""
+    result = run_lint([REPO / "src", REPO / "tests", REPO / "examples"])
     assert result.findings == [], "\n".join(
         f.render() for f in result.findings
     )
-    assert result.files_checked > 50
-
-
-def test_tests_tree_lints_clean():
-    result = run_lint([REPO / "tests"], LintConfig())
-    assert result.findings == [], "\n".join(
-        f.render() for f in result.findings
+    assert result.stale_suppressions == [], "\n".join(
+        f.render() for f in result.stale_suppressions
     )
+    assert result.files_checked > 200
 
 
 # -- file collection ----------------------------------------------------
@@ -47,23 +45,23 @@ def test_tests_tree_lints_clean():
 
 def test_directory_walk_excludes_fixtures_dir():
     assert "tests/lint/fixtures" in DEFAULT_EXCLUDE_PARTS
-    files = collect_files([REPO / "tests"], LintConfig())
+    files = collect_files([REPO / "tests"])
     assert not any("fixtures" in str(p) for p in files)
 
 
 def test_explicit_file_bypasses_excludes():
     target = FIXTURES / "rl001_bad.py"
-    files = collect_files([target], LintConfig())
+    files = collect_files([target])
     assert files == [target]
 
 
 def test_duplicate_paths_lint_once():
     target = FIXTURES / "rl001_bad.py"
-    files = collect_files([target, target], LintConfig())
+    files = collect_files([target, target])
     assert files == [target]
 
 
-# -- config roles --------------------------------------------------------
+# -- path roles and rule selection -------------------------------------
 
 
 def test_package_relpath_and_roles():
@@ -81,38 +79,11 @@ def test_package_relpath_and_roles():
 
 
 def test_selection_logic():
-    cfg = LintConfig()
-    assert cfg.rule_enabled("RL001")
-    only = cfg.with_selection(select=["RL002"])
-    assert only.rule_enabled("RL002") and not only.rule_enabled("RL001")
-    dropped = cfg.with_selection(ignore=["RL003"])
-    assert not dropped.rule_enabled("RL003") and dropped.rule_enabled("RL001")
-    # ignore wins over select
-    both = cfg.with_selection(select=["RL003"], ignore=["RL003"])
-    assert not both.rule_enabled("RL003")
-
-
-def test_pyproject_config_roundtrip(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        textwrap.dedent(
-            """
-            [tool.repro-lint]
-            ignore = ["RL004"]
-            exclude = ["generated/"]
-            """
-        )
-    )
-    cfg = LintConfig.from_pyproject(tmp_path)
-    assert not cfg.rule_enabled("RL004") and cfg.rule_enabled("RL001")
-    assert cfg.is_excluded("pkg/generated/x.py")
-    assert cfg.is_excluded("tests/lint/fixtures/x.py")  # defaults kept
-    assert not cfg.is_excluded("pkg/handwritten/x.py")
-
-
-def test_pyproject_missing_or_broken_falls_back(tmp_path):
-    assert LintConfig.from_pyproject(tmp_path) == LintConfig()
-    (tmp_path / "pyproject.toml").write_text("not [valid toml")
-    assert LintConfig.from_pyproject(tmp_path) == LintConfig()
+    target = FIXTURES / "rl001_bad.py"  # trips RL001 and RL005
+    assert {f.rule_id for f in run_lint([target]).findings} == {"RL001", "RL005"}
+    only = run_lint([target], select=["RL001"]).findings
+    assert {f.rule_id for f in only} == {"RL001"}
+    assert run_lint([target], select=["RL004"]).findings == []
 
 
 # -- project index -------------------------------------------------------
@@ -160,6 +131,6 @@ def test_set_typed_attrs_inherit_from_base_init():
 def test_parse_error_reported_not_raised(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def f(:\n")
-    result = run_lint([bad], LintConfig())
+    result = run_lint([bad])
     assert [f.rule_id for f in result.findings] == [PARSE_ERROR_ID]
     assert "syntax error" in result.findings[0].message

@@ -6,8 +6,11 @@ anything.  CI runs the same inversion via the CLI."""
 from __future__ import annotations
 
 import pathlib
+import re
 
-from repro.lint import LintConfig, run_lint
+import pytest
+
+from repro.lint import run_lint
 from repro.lint.config import DEFAULT_EXCLUDE_PARTS
 from repro.lint.engine import collect_files
 
@@ -15,17 +18,17 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 MUTANTS = REPO / "src" / "repro" / "chaos" / "mutants.py"
 
 
-def _lint_mutants():
+@pytest.fixture(scope="module")
+def mutant_findings():
+    """One RL009 run over the mutants, with all of ``src/repro`` parsed
+    as context, shared by the tests below."""
     return run_lint(
-        [MUTANTS],
-        LintConfig().with_selection(select=["RL009"]),
-        context=[REPO / "src" / "repro"],
-    )
+        [MUTANTS], select=["RL009"], context=[REPO / "src" / "repro"]
+    ).findings
 
 
-def test_quorum_weakened_mutants_fail_rl009():
-    result = _lint_mutants()
-    rl009 = [f for f in result.findings if f.rule_id == "RL009"]
+def test_quorum_weakened_mutants_fail_rl009(mutant_findings):
+    rl009 = [f for f in mutant_findings if f.rule_id == "RL009"]
     # one finding per weakened wait: Delporte write + scan, BFK store,
     # IMPR collect
     assert len(rl009) >= 4, "mutants must not satisfy quorum intersection"
@@ -35,10 +38,8 @@ def test_quorum_weakened_mutants_fail_rl009():
     assert "crash (n > 2f)" in messages
 
 
-def test_mutant_counterexamples_are_concrete():
-    import re
-
-    for finding in _lint_mutants().findings:
+def test_mutant_counterexamples_are_concrete(mutant_findings):
+    for finding in mutant_findings:
         m = re.search(r"at n=(\d+), f=(\d+)", finding.message)
         assert m is not None
         n, f = int(m.group(1)), int(m.group(2))
@@ -49,5 +50,5 @@ def test_mutants_are_excluded_from_the_dogfood_walk():
     # the default walk must skip mutants.py (it fails RL009 by design);
     # only the explicit CI inversion lints it
     assert "chaos/mutants.py" in DEFAULT_EXCLUDE_PARTS
-    files = collect_files([REPO / "src"], LintConfig())
+    files = collect_files([REPO / "src"])
     assert MUTANTS not in files

@@ -7,38 +7,42 @@ from __future__ import annotations
 import pathlib
 import textwrap
 
-from repro.lint import LintConfig, run_lint
+import pytest
+
+from repro.lint import run_lint
 from repro.lint.engine import collect_files, parse_modules
-from repro.lint.flow import wait_sites
-from repro.lint.flow.symbolic import (
+from repro.lint.project import ProjectIndex
+from repro.lint.rules.rl009_quorum_safety import (
     Lin,
     check_intersection,
     fault_model_for,
     threshold_comparisons,
     threshold_form,
+    wait_sites,
 )
-from repro.lint.project import ProjectIndex
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
 MUTANTS = SRC / "chaos" / "mutants.py"
 
 
-def _real_tree():
+@pytest.fixture(scope="module")
+def real_tree():
+    """One parse of ``src/repro``, shared by the tests below."""
     # the default walk skips mutants.py (it fails RL009 by design)
-    files = collect_files([SRC], LintConfig()) + [MUTANTS]
+    files = collect_files([SRC]) + [MUTANTS]
     modules, errors = parse_modules(files)
     assert not errors
     index = ProjectIndex(modules)
     return index, wait_sites(modules)
 
 
-def test_the_primitive_is_the_only_count_wait():
+def test_the_primitive_is_the_only_count_wait(real_tree):
     """Every ``WaitUntil`` with a threshold comparison is the primitive,
     except two deliberate non-rounds: the LA proposer waits on *every*
     element's ack set at once (several broadcasts, one conjunction), and
     the chaos mutants spell their weakened count out on purpose."""
-    _, waits = _real_tree()
+    _, waits = real_tree
     sites = {
         (pathlib.Path(w.path).relative_to(SRC).as_posix(), w.cls, w.enclosing_fn.name)
         for w in waits
@@ -51,8 +55,8 @@ def test_the_primitive_is_the_only_count_wait():
     assert len(sites) == 2 + 4  # one explicit weakened wait per mutant
 
 
-def test_rl009_proves_the_helper_under_every_inheriting_fault_model():
-    index, waits = _real_tree()
+def test_rl009_proves_the_helper_under_every_inheriting_fault_model(real_tree):
+    index, waits = real_tree
     (site,) = [
         w
         for w in waits
@@ -108,8 +112,7 @@ def _lint(tmp_path, name, body, reply, rule):
     path = tmp_path / f"{name.lower()}.py"
     source = WEAK_HELPER.format(name=name, body=body, reply=reply)
     path.write_text(textwrap.dedent(source))
-    config = LintConfig().with_selection(select=[rule])
-    return run_lint([path], config, context=[SRC / "runtime"]).findings
+    return run_lint([path], select=[rule], context=[SRC / "runtime"]).findings
 
 
 FILES_REPLY = "self.round_reply(MAsk, reqid, src)"

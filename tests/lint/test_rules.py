@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -27,9 +27,8 @@ PAIRS = {
 }
 
 
-def lint_fixture(name: str, **kwargs) -> list:
-    config = LintConfig().with_selection(**kwargs) if kwargs else LintConfig()
-    return run_lint([FIXTURES / name], config).findings
+def lint_fixture(name: str, select: list[str] | None = None) -> list:
+    return run_lint([FIXTURES / name], select=select).findings
 
 
 @pytest.mark.parametrize("rule_id", sorted(PAIRS))
@@ -138,9 +137,9 @@ def test_rl003_and_rl001_look_inside_registered_handlers(tmp_path):
             """
         )
     )
-    (mutation,) = run_lint([path], LintConfig(select=frozenset({"RL003"}))).findings
+    (mutation,) = run_lint([path], select=["RL003"]).findings
     assert "N._on_ping mutates the received message 'm'" in mutation.message
-    (iteration,) = run_lint([path], LintConfig(select=frozenset({"RL001"}))).findings
+    (iteration,) = run_lint([path], select=["RL001"]).findings
     assert "iteration over a set in N._on_ping" in iteration.message
 
 

@@ -1,19 +1,18 @@
-"""Stale-suppression detection: an id-carrying ``# lint: ignore[...]``
-whose rule produces no finding on the target line is reported as a
+"""Stale-suppression detection: a ``# lint: ignore[...]`` whose rule produces no finding on the target line is reported as a
 ``STALE`` warning — separate from findings, opt-in fatal via
 ``--strict-suppressions``."""
 
 from __future__ import annotations
 
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 from repro.lint.cli import main
 from repro.lint.findings import STALE_SUPPRESSION_ID
 
 
-def _lint(tmp_path, source, config=None):
+def _lint(tmp_path, source, select=None):
     target = tmp_path / "probe.py"
     target.write_text(source)
-    return run_lint([target], config if config is not None else LintConfig())
+    return run_lint([target], select=select)
 
 
 def test_live_suppression_is_not_stale(tmp_path):
@@ -54,19 +53,16 @@ def test_next_line_form_targets_the_right_line(tmp_path):
 
 
 def test_blanket_ignore_is_never_stale(tmp_path):
-    # a bare `# lint: ignore` names no rule, so there is nothing to
-    # check staleness against
-    result = _lint(tmp_path, "x = 1  # lint: ignore\n")
+    # a bare `# lint: ignore` names no rule: it is not a suppression at
+    # all, so the finding on its line stands and nothing is stale
+    result = _lint(tmp_path, "import random  # lint: ignore\n")
+    assert [f.rule_id for f in result.findings] == ["RL001"]
     assert result.stale_suppressions == []
 
 
 def test_deselected_rule_is_not_decidable(tmp_path):
     # with RL001 not running, its suppression cannot be proven stale
-    result = _lint(
-        tmp_path,
-        "x = 1  # lint: ignore[RL001]\n",
-        LintConfig().with_selection(select=["RL004"]),
-    )
+    result = _lint(tmp_path, "x = 1  # lint: ignore[RL001]\n", select=["RL004"])
     assert result.stale_suppressions == []
 
 
@@ -74,19 +70,12 @@ def test_unknown_rule_id_is_always_stale(tmp_path):
     # "deselected this run" is undecidable; "does not exist" is not: no
     # run can ever produce an RL999 finding for the comment to match
     source = "x = 1  # lint: ignore[RL999]\n"
-    for config in (None, LintConfig().with_selection(select=["RL004"])):
-        (stale,) = _lint(tmp_path, source, config).stale_suppressions
+    for select in (None, ["RL004"]):
+        (stale,) = _lint(tmp_path, source, select).stale_suppressions
         assert stale.rule_id == STALE_SUPPRESSION_ID and stale.line == 1
         assert "unknown rule id RL999" in stale.message
     target = tmp_path / "probe.py"
     assert main([str(target), "--no-cache", "--strict-suppressions"]) == 1
-
-
-def test_skip_file_disables_stale_checking(tmp_path):
-    result = _lint(
-        tmp_path, "# lint: skip-file\nx = 1  # lint: ignore[RL001]\n"
-    )
-    assert result.stale_suppressions == []
 
 
 def test_strict_suppressions_exit_code(tmp_path, capsys):

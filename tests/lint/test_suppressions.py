@@ -1,12 +1,13 @@
-"""Inline-suppression semantics: same-line, next-line, all-rules,
-skip-file — and the sharp edges (strings are not comments, unknown-rule
-suppressions do not leak to other lines)."""
+"""Inline-suppression semantics: same-line and next-line, each naming
+its rules — and the sharp edges (a comment naming no rule suppresses
+nothing, strings are not comments, suppressions do not leak to other
+lines)."""
 
 from __future__ import annotations
 
 import pathlib
 
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 from repro.lint.findings import Finding, Severity
 from repro.lint.suppressions import extract_suppressions
 
@@ -18,11 +19,8 @@ def _finding(line: int, rule: str = "RL001") -> Finding:
 
 
 def test_suppressed_fixture_is_clean():
-    assert run_lint([FIXTURES / "suppressed.py"], LintConfig()).findings == []
-
-
-def test_skip_file_fixture_is_clean():
-    assert run_lint([FIXTURES / "skipped_file.py"], LintConfig()).findings == []
+    result = run_lint([FIXTURES / "suppressed.py"])
+    assert result.findings == [] and result.stale_suppressions == []
 
 
 def test_same_line_named_rule():
@@ -39,10 +37,12 @@ def test_same_line_multiple_rules():
     assert not sup.is_suppressed(_finding(1, "RL003"))
 
 
-def test_bare_ignore_suppresses_every_rule():
-    sup = extract_suppressions("x = 1  # lint: ignore\n")
-    assert sup.is_suppressed(_finding(1, "RL001"))
-    assert sup.is_suppressed(_finding(1, "RL005"))
+def test_bare_ignore_suppresses_nothing():
+    for form in ("ignore", "ignore-next-line", "ignore []"):
+        sup = extract_suppressions(f"x = 1  # lint: {form}\ny = 2\n")
+        assert not sup.is_suppressed(_finding(1, "RL001"))
+        assert not sup.is_suppressed(_finding(2, "RL001"))
+        assert sup.entries == []
 
 
 def test_ignore_next_line_targets_following_line():
@@ -52,8 +52,8 @@ def test_ignore_next_line_targets_following_line():
 
 
 def test_ignore_next_line_is_not_a_bare_ignore():
-    # the "ignore" prefix of "ignore-next-line" must not register an
-    # all-rules suppression on the comment's own line
+    # the "ignore" prefix of "ignore-next-line" must not register a
+    # suppression on the comment's own line
     sup = extract_suppressions("x = 1  # lint: ignore-next-line[RL005]\n")
     assert not sup.is_suppressed(_finding(1, "RL001"))
     assert sup.is_suppressed(_finding(2, "RL005"))
@@ -62,14 +62,6 @@ def test_ignore_next_line_is_not_a_bare_ignore():
 def test_magic_text_inside_string_is_not_a_suppression():
     sup = extract_suppressions('s = "# lint: ignore[RL001]"\n')
     assert not sup.is_suppressed(_finding(1))
-    sup = extract_suppressions('s = "# lint: skip-file"\n')
-    assert not sup.skip_file
-
-
-def test_skip_file_anywhere_in_file():
-    sup = extract_suppressions("x = 1\n# lint: skip-file\ny = 2\n")
-    assert sup.skip_file
-    assert sup.is_suppressed(_finding(1, "RL004"))
 
 
 def test_trailing_justification_text_is_allowed():

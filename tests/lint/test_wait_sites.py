@@ -6,8 +6,8 @@ from __future__ import annotations
 import ast
 import textwrap
 
-from repro.lint.flow import wait_sites
 from repro.lint.project import ModuleInfo
+from repro.lint.rules.rl009_quorum_safety import wait_sites
 
 SOURCE = textwrap.dedent(
     """
