@@ -21,8 +21,6 @@ The library provides:
 - a deterministic discrete-event message-passing simulator with crash and
   Byzantine fault injection (:mod:`repro.sim`, :mod:`repro.net`,
   :mod:`repro.runtime`);
-- applications (:mod:`repro.apps`): update-query state machines,
-  linearizable CRDTs, asset transfer, stable-property detection;
 - the experiment harness regenerating the paper's table and figures
   (:mod:`repro.harness`).
 

@@ -15,7 +15,8 @@ Examples::
     python -m repro.chaos --plan /tmp/chaos/delporte-seed123/plan.json
 
 Exit status: 0 = all executions clean, 1 = at least one failure found
-(or the replayed plan still fails), 2 = usage error or a crashed
+(or the replayed plan still fails), 2 = usage error, an ``--out`` that
+cannot be a directory (checked before the sweep runs) or a crashed
 worker (``--workers``; the failing algo/index/seed is printed).
 
 ``--workers N`` fans the sweep out over N processes.  Reports and
@@ -65,6 +66,13 @@ def _parse_algos(text: str) -> list[str]:
                 f"unknown algorithm {name!r}; known: {', '.join(sorted(known))}"
             )
     return names
+
+
+def _check_out_dir(out: Path) -> None:
+    """Raise ``ValueError`` unless ``out`` is, or can be made, a directory."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
 
 
 def _replay_plan(path: Path) -> int:
@@ -156,6 +164,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.plan is not None and args.workers != 1:
         parser.error("--workers does not apply to --plan (a single replay)")
+    if args.out is not None:
+        try:
+            _check_out_dir(args.out)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.plan is not None:
         try:

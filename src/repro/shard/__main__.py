@@ -12,7 +12,8 @@ Subcommands::
     python -m repro.shard chaos --shards 4 --ops 200 --cells 4 --out /tmp/c
 
 Exit status: 0 = clean, 1 = a check failed (oracle failure, chaos cell
-failure, or a run with unexpected aborts), 2 = usage error.
+failure, or a run with unexpected aborts), 2 = usage error, including an
+``--out`` that cannot be a directory (checked before anything runs).
 
 Reports contain only simulated quantities, so any ``--workers N`` (and
 any host) produces byte-identical files — the CI ``shard-smoke`` job
@@ -70,6 +71,13 @@ def _spec(args: argparse.Namespace) -> WorkloadSpec:
         mean_on=args.mean_on,
         mean_off=args.mean_off,
     )
+
+
+def _check_out_dir(out: Path) -> None:
+    """Raise ``ValueError`` unless ``out`` is, or can be made, a directory."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
 
 
 def _emit(payload: dict, out: Path | None, name: str) -> None:
@@ -151,9 +159,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out_dir(args.out)
         return args.fn(args)
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # args[0] because str(KeyError) quotes the message
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
 

@@ -38,7 +38,6 @@ def test_subpackages_importable():
         "repro.spec",
         "repro.core",
         "repro.baselines",
-        "repro.apps",
         "repro.harness",
         "repro.harness.table1",
         "repro.harness.figures",
@@ -62,7 +61,6 @@ def test_module_docstrings_present():
         "repro.core.byz_aso",
         "repro.baselines.delporte",
         "repro.baselines.scd_broadcast",
-        "repro.apps.asset_transfer",
     ):
         m = importlib.import_module(mod)
         assert m.__doc__ and len(m.__doc__) > 60, mod
