@@ -6,14 +6,15 @@ pluggable histogram backend.
   :class:`~repro.obs.metrics.Histogram` for paper-facing tables (via
   :class:`~repro.obs.metrics.MetricsRegistry`), or the bounded
   :class:`HdrHistogram` (the default), which the sharded service's
-  per-shard reports use.
+  reports use.
 - :class:`HdrHistogram` is a log-bucketed (HDR-style) histogram: fixed
   memory, O(1) observe, percentiles with bounded relative error
   (≤ ~1.6% with the default 32 sub-buckets per power of two).  Bucket
   indices come from :func:`math.frexp`, which is exact IEEE-754
-  arithmetic, so bucketing is deterministic across platforms, and
-  :meth:`HdrHistogram.merge` adds buckets, so a report merged from
-  worker shards equals the serial one byte for byte.
+  arithmetic, so bucketing is deterministic across platforms.  Nothing
+  merges histograms: the sharded service fills its report's registry
+  in one pass over the settled outcomes, in shard order, whatever the
+  worker count.
 """
 
 from __future__ import annotations
@@ -154,16 +155,6 @@ class HdrHistogram:
             "max": self.maximum,
         }
 
-    def merge(self, other: "HdrHistogram") -> None:
-        """Fold another histogram's state into this one."""
-        for idx, n in other._buckets.items():
-            self._buckets[idx] = self._buckets.get(idx, 0) + n
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            self._min = min(self._min, other._min)
-            self._max = max(self._max, other._max)
-
     def __repr__(self) -> str:
         if self.empty:
             return f"HdrHistogram({self.name}: empty)"
@@ -226,18 +217,6 @@ class Registry:
                 f"p99={hist.p99:8.2f} max={hist.maximum:8.2f}"
             )
         return lines
-
-    # -- aggregation -----------------------------------------------------
-    def merge(self, other: "Registry") -> None:
-        """Fold another registry's state into this one: counters add,
-        histograms delegate to :meth:`HdrHistogram.merge` (the exact
-        backend is never merged, so it has none).  The sharded
-        service folds per-shard registries in shard order, so merged
-        totals are independent of worker count and scheduling."""
-        for name, ctr in other.counters.items():
-            self.counter(name).inc(ctr.value)
-        for name, hist in other.histograms.items():
-            self.histogram(name).merge(hist)
 
 
 __all__ = ["Counter", "HDR_SUBBUCKETS", "HdrHistogram", "Registry"]

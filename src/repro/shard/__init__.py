@@ -13,13 +13,14 @@ matter how fast the substrate gets.  This package scales *out*:
   to their shard, and composes cross-shard SCANs under the *monotone
   cut* rule (per-shard linearizable snapshots taken in ascending shard
   order, each invoked only after the previous shard's snapshot
-  responded — see :mod:`repro.shard.service`);
+  responded — see :mod:`repro.shard.service`).  One partition decides
+  which shard runs which op when, and the report's metrics (per-shard
+  load, latency lanes) are derived once from the settled outcomes, so a
+  ``--workers`` run equals the serial one byte for byte;
 - :mod:`~repro.shard.workload` is an open-loop traffic generator —
   Zipf-skewed keys, bursty MMPP-style on/off arrivals, configurable
   read/write mix — fully driven by :func:`repro.sim.rng.derive_seed`,
-  so a million-op run is replayable from one integer and shard
-  sub-workloads fan out bit-identically over the PR-8 parallel
-  executor;
+  so a million-op run is replayable from one integer;
 - :mod:`~repro.shard.oracle` differentially validates the service
   against single-object runs (the composition rule must be the identity
   on one shard, and each shard of a sharded run must be byte-identical

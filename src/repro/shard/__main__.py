@@ -52,6 +52,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="report directory")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _config(args: argparse.Namespace) -> ShardConfig:
     return ShardConfig(
         shards=args.shards, nodes_per_shard=args.nodes, f=args.f, algo=args.algo
@@ -141,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute one open-loop workload")
     _add_common(p_run)
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=positive_int, default=1)
     p_run.add_argument("--no-check", action="store_true")
     p_run.add_argument("--crash-shard", type=int, default=None)
     p_run.add_argument("--crash-time", type=float, default=None)
@@ -154,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos = sub.add_parser("chaos", help="whole-shard crash campaign")
     _add_common(p_chaos)
     p_chaos.add_argument("--cells", type=int, default=8)
-    p_chaos.add_argument("--workers", type=int, default=1)
+    p_chaos.add_argument("--workers", type=positive_int, default=1)
     p_chaos.set_defaults(fn=_cmd_chaos)
 
     args = parser.parse_args(argv)

@@ -14,7 +14,7 @@ Two cases, registered in :mod:`repro.bench.runner`:
 - ``shard_scan_tail`` — Zipf-skewed, bursty (MMPP on/off) mixed traffic
   *with* cross-shard composite scans; the paper-facing numbers are the
   p50/p95/p99 open-loop latencies per lane (update / local scan /
-  composite scan) plus the per-shard load-imbalance counters.
+  composite scan) plus the per-shard load imbalance (`routed_imbalance`).
 
 Both workloads route every float through ``round(..., 6)`` before the
 report so canonical-JSON fingerprints are stable, and neither consults

@@ -25,7 +25,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.shard.service import _LOCAL, ShardConfig, ShardedSnapshotService
 from repro.shard.workload import WorkloadSpec
@@ -176,27 +176,9 @@ def shard_crash_campaign(
     return {
         "campaign": "shard-crash",
         "master_seed": master_seed,
-        "shards": config.shards,
-        "nodes_per_shard": config.nodes_per_shard,
-        "f": config.f,
-        "algo": config.algo,
+        **asdict(config),
         "ops_per_cell": spec.ops,
-        "cells": [
-            {
-                "cell": r.cell,
-                "seed": r.seed,
-                "crash_shard": r.crash_shard,
-                "crash_time": r.crash_time,
-                "completed": r.completed,
-                "aborted": r.aborted,
-                "survivors_clean": r.survivors_clean,
-                "dead_shard_quiesced": r.dead_shard_quiesced,
-                "composites_live": r.composites_live,
-                "order_ok": r.order_ok,
-                "failures": list(r.failures),
-            }
-            for r in results
-        ],
+        "cells": [asdict(r) for r in results],
         "ok_cells": sum(1 for r in results if r.ok),
         "all_ok": all(r.ok for r in results),
     }

@@ -32,13 +32,11 @@ the workload several times, which is exactly the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.tags import Snapshot
-from repro.shard.router import ShardRouter
 from repro.shard.service import (
     _COMPOSITE,
-    _ShardOp,
     CompositeSnapshot,
     ShardConfig,
     ShardRunReport,
@@ -48,7 +46,6 @@ from repro.shard.service import (
 from repro.shard.workload import (
     GLOBAL_SCAN,
     SCAN,
-    UPDATE,
     Arrival,
     WorkloadSpec,
     generate_arrivals,
@@ -89,16 +86,7 @@ def check_identity(
     config: ShardConfig, spec: WorkloadSpec, seed: int
 ) -> list[str]:
     """On one shard, the composite must equal the plain scan it wraps."""
-    if config.shards != 1:
-        config = ShardConfig(
-            shards=1,
-            nodes_per_shard=config.nodes_per_shard,
-            f=config.f,
-            algo=config.algo,
-            D=config.D,
-            vnodes=config.vnodes,
-            ring_seed=config.ring_seed,
-        )
+    config = replace(config, shards=1)
     arrivals = generate_arrivals(spec, seed)
     composed = ShardedSnapshotService(config).run_arrivals(
         arrivals, spec=spec, seed=seed, keep_snapshots=True
@@ -173,48 +161,22 @@ def check_projection(
     service = ShardedSnapshotService(config)
     if report is None:
         report = service.run(spec, seed, keep_snapshots=keep_snapshots)
-    arrivals = generate_arrivals(spec, seed)
-    router = ShardRouter(
-        config.shards, vnodes=config.vnodes, ring_seed=config.ring_seed
-    )
-    n = config.nodes_per_shard
-    per_shard: list[list[_ShardOp]] = [[] for _ in range(config.shards)]
-    for a in arrivals:
-        if a.kind == GLOBAL_SCAN:
-            continue
-        shard = router.peek_shard(a.key)
-        node = a.client % n
-        if a.kind == UPDATE:
-            per_shard[shard].append(
-                _ShardOp(a.index, a.t, node, UPDATE, value=(a.key, a.index))
-            )
-        else:
-            per_shard[shard].append(_ShardOp(a.index, a.t, node, SCAN))
-    for comp in report.composites:
-        for shard, t in enumerate(_composite_arrival_times(comp)):
-            per_shard[shard].append(
-                _ShardOp(
-                    comp.index,
-                    t,
-                    comp.client % n,
-                    SCAN,
-                    lane=_COMPOSITE,
-                    keep_snapshot=True,
-                )
-            )
     if report.crashed_shard is not None:
         raise ValueError(
             "projection replays crash-free runs only (a crashed shard's "
             "schedule is not reconstructible from the report)"
         )
+    per_shard, global_scans = service._partition(
+        generate_arrivals(spec, seed), keep_snapshots=keep_snapshots
+    )
+    arrival_times = {
+        comp.index: _composite_arrival_times(comp) for comp in report.composites
+    }
     failures: list[str] = []
-    for shard in range(config.shards):
+    for shard, ops in enumerate(per_shard):
+        cut_times = {index: times[shard] for index, times in arrival_times.items()}
         task = service._task(
-            shard,
-            per_shard[shard],
-            crash_time=None,
-            check=False,
-            keep_snapshots=keep_snapshots,
+            shard, ops, global_scans, cut_times, crash_time=None, check=False
         )
         replay = _run_shard_task(task)
         if replay.fingerprint != report.per_shard_fingerprints[shard]:

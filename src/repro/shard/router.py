@@ -16,9 +16,10 @@ properties matter here:
   service itself is fixed-topology per run; stability is what makes the
   ring the right *kind* of map for a growing deployment.
 
-Routing is two ``O(log vnodes·shards)`` bisections and one SHA-256 per
-key — cheap enough for million-op workloads (the workload generator
-hashes each distinct key once and caches).
+Routing is one ``O(log vnodes·shards)`` bisection and one SHA-256 per
+key.  The router is a pure map with no counters: per-shard load is the
+length of each shard's schedule, which the service reads off its
+partition (``ShardRunReport.routed_imbalance``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def key_point(key: str) -> int:
 class ShardRouter:
     """Maps keys to ``shards`` shards via a consistent-hash ring."""
 
-    __slots__ = ("shards", "vnodes", "ring_seed", "_points", "_owners", "routed")
+    __slots__ = ("shards", "vnodes", "ring_seed", "_points", "_owners")
 
     def __init__(
         self, shards: int, *, vnodes: int = DEFAULT_VNODES, ring_seed: int = 0
@@ -61,44 +62,16 @@ class ShardRouter:
         ring.sort()
         self._points = [p for p, _ in ring]
         self._owners = [s for _, s in ring]
-        #: per-shard routed-key counter (load accounting, read by the
-        #: bench's load-imbalance metrics)
-        self.routed = [0] * shards
 
     def shard_of(self, key: str) -> int:
-        """The shard owning ``key`` (counts toward :attr:`routed`)."""
+        """The shard owning ``key``."""
         idx = bisect_right(self._points, key_point(key))
         if idx == len(self._points):
             idx = 0  # wrap around the circle
-        shard = self._owners[idx]
-        self.routed[shard] += 1
-        return shard
-
-    def peek_shard(self, key: str) -> int:
-        """:meth:`shard_of` without touching the load counters."""
-        idx = bisect_right(self._points, key_point(key))
-        if idx == len(self._points):
-            idx = 0
         return self._owners[idx]
 
-    # -- load accounting -------------------------------------------------
-    def reset_counters(self) -> None:
-        self.routed = [0] * self.shards
-
-    def imbalance(self) -> float:
-        """``max/mean`` of the per-shard routed counts (1.0 = perfectly
-        balanced; 0.0 if nothing was routed yet)."""
-        total = sum(self.routed)
-        if total == 0:
-            return 0.0
-        mean = total / self.shards
-        return max(self.routed) / mean
-
     def __repr__(self) -> str:
-        return (
-            f"ShardRouter(shards={self.shards}, vnodes={self.vnodes}, "
-            f"routed={self.routed})"
-        )
+        return f"ShardRouter(shards={self.shards}, vnodes={self.vnodes})"
 
 
 __all__ = ["DEFAULT_VNODES", "ShardRouter", "key_point"]

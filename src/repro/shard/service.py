@@ -31,12 +31,16 @@ arrival*, queueing included — the open-loop definition that makes tail
 latency meaningful.
 
 **Determinism & parallelism.**  Shards never exchange messages, so each
-shard's execution is a pure function of its own schedule — the service
-fans shards out over :func:`repro.parallel.run_tasks` and the merged
-report is byte-identical to a serial run.  Global scans introduce a
-forward dependency (shard ``s+1``'s sub-scan time depends on shard
-``s``'s response), so workloads containing them run shards in ascending
-order in-process; pure per-key traffic parallelizes freely.
+shard's execution is a pure function of its own schedule, and
+:meth:`ShardedSnapshotService._partition` plus
+:meth:`ShardedSnapshotService._task` are the one place that schedule is
+built (the projection oracle replays through them too).  Global scans
+introduce a forward dependency (shard ``s+1``'s sub-scan time depends on
+shard ``s``'s response), so shards run in ascending order in-process,
+each reading the cut the previous one advanced; pure per-key traffic
+may instead fan the same tasks out over :func:`repro.parallel.run_tasks`.
+Either way the parent derives every metric once, from the settled
+outcomes in shard order, so the report is byte-identical.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ from typing import Any
 
 from repro.core.tags import Snapshot
 from repro.net.faults import CrashAtTime, CrashPlan
-from repro.obs.registry import HdrHistogram, Registry
+from repro.obs.registry import Registry
 from repro.runtime.cluster import Cluster
-from repro.shard.router import DEFAULT_VNODES, ShardRouter
+from repro.shard.router import ShardRouter
 from repro.shard.workload import (
     GLOBAL_SCAN,
     SCAN,
@@ -66,19 +70,6 @@ _LOCAL = "local"
 _COMPOSITE = "composite"
 
 
-def resolve_algorithm(name: str):
-    """Factory + consistency level of a registered algorithm profile."""
-    from repro.chaos.algos import LINEARIZABLE, all_profiles
-
-    try:
-        profile = all_profiles()[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {name!r}; see repro.chaos.algos"
-        ) from None
-    return profile.factory, profile.consistency == LINEARIZABLE
-
-
 @dataclass(frozen=True, slots=True)
 class ShardConfig:
     """Topology of the sharded service (one quorum group per shard)."""
@@ -87,9 +78,6 @@ class ShardConfig:
     nodes_per_shard: int = 3
     f: int = 1
     algo: str = "eq_aso"
-    D: float = 1.0
-    vnodes: int = DEFAULT_VNODES
-    ring_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -114,7 +102,7 @@ class _ShardOp:
     kind: str  #: "update" | "scan"
     value: Any = None  #: UPDATE payload
     lane: str = _LOCAL  #: _LOCAL or _COMPOSITE
-    keep_snapshot: bool = False
+    keep_snapshot: bool = False  #: SCAN only: report the snapshot it returned
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,14 +110,10 @@ class _ShardTask:
     """Everything one shard run needs — the parallel sweep unit."""
 
     shard: int
-    n: int
-    f: int
-    algo: str
-    D: float
+    config: ShardConfig
     ops: tuple[_ShardOp, ...]
     crash_time: float | None = None
     check: bool = True
-    keep_snapshots: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +134,8 @@ class OpOutcome:
     @property
     def latency(self) -> float:
         """Open-loop latency: response − *arrival* (queueing included)."""
-        assert self.t_resp is not None, "aborted op has no latency"
+        if self.t_resp is None:
+            raise RuntimeError(f"{self.kind} {self.index} aborted: it has no latency")
         return self.t_resp - self.t_arrival
 
 
@@ -158,14 +143,9 @@ class OpOutcome:
 class _ShardOutcome:
     """One shard's run, as shipped back from a worker process."""
 
-    shard: int
     outcomes: list[OpOutcome]
-    completed: int
-    aborted: int
     messages: int
-    sim_end: float  #: last response time (this shard's makespan)
     order_ok: bool | None  #: per-shard consistency verdict (None = unchecked)
-    registry: Registry
     fingerprint: str
 
 
@@ -200,15 +180,19 @@ def shard_fingerprint(outcomes: list[OpOutcome]) -> str:
 def _run_shard_task(task: _ShardTask) -> _ShardOutcome:
     """Run one shard's sub-workload to completion (module-level so the
     PR-8 fork pool can pickle it)."""
-    factory, linearizable = resolve_algorithm(task.algo)
+    # imported here: repro.chaos re-exports this package's crash campaign
+    from repro.chaos.algos import LINEARIZABLE, get_profile
+
+    cfg = task.config
+    profile = get_profile(cfg.algo)
     plan = CrashPlan()
     if task.crash_time is not None:
         # whole-shard crash: every node of this quorum group halts (the
         # chaos harness deliberately exceeds f — the shard must *die
         # cleanly*, not stay live)
-        for node in range(task.n):
+        for node in range(cfg.nodes_per_shard):
             plan.add(node, CrashAtTime(task.crash_time))
-    cluster = Cluster(factory, task.n, task.f, D=task.D, crash_plan=plan)
+    cluster = Cluster(profile.factory, cfg.nodes_per_shard, cfg.f, crash_plan=plan)
     # each op is an arrival at its node's FIFO: it begins on arrival at an
     # idle node, else once the ops queued before it settled; on a crashed
     # node it aborts unbegun
@@ -231,58 +215,22 @@ def _run_shard_task(task: _ShardTask) -> _ShardOutcome:
             t_dispatch=None if h.record is None else h.record.t_inv,
             t_resp=h.t_resp if h.done else None,
             aborted=h.aborted,
-            snapshot=(
-                h.result
-                if h.done and op.kind == SCAN and (op.keep_snapshot or task.keep_snapshots)
-                else None
-            ),
+            snapshot=h.result if h.done and op.keep_snapshot else None,
         )
         for op, h in zip(task.ops, handles)
     ]
-
-    # Metrics are derived in op order from the settled outcomes — a pure
-    # post-pass, so histogram contents are independent of callback
-    # interleavings by construction.
-    reg = Registry(histogram_factory=HdrHistogram)
-    lat_all = reg.histogram("shard.latency.all_D")
-    lat_kind = {
-        UPDATE: reg.histogram("shard.latency.update_D"),
-        SCAN: reg.histogram("shard.latency.scan_D"),
-    }
-    lat_sub = reg.histogram("shard.latency.subscan_D")
-    completed = aborted = 0
-    sim_end = 0.0
-    for o in outcomes:
-        if o.aborted:
-            aborted += 1
-            reg.counter("shard.ops.aborted").inc()
-            continue
-        completed += 1
-        reg.counter("shard.ops.completed").inc()
-        reg.counter(f"shard.ops.{o.kind}").inc()
-        if o.t_resp > sim_end:
-            sim_end = o.t_resp
-        if o.lane == _COMPOSITE:
-            lat_sub.observe(o.latency)
-            continue  # composite latency is stitched by the service
-        lat_all.observe(o.latency)
-        lat_kind[o.kind].observe(o.latency)
 
     order_ok: bool | None = None
     if task.check:
         from repro.spec.order import order_check
 
+        linearizable = profile.consistency == LINEARIZABLE
         order_ok = order_check(cluster.history, real_time=linearizable).ok
 
     return _ShardOutcome(
-        shard=task.shard,
         outcomes=outcomes,
-        completed=completed,
-        aborted=aborted,
         messages=sum(cluster.network.sent_by_node),
-        sim_end=sim_end,
         order_ok=order_ok,
-        registry=reg,
         fingerprint=shard_fingerprint(outcomes),
     )
 
@@ -337,6 +285,7 @@ class ShardRunReport:
     seed: int
     outcomes: list[OpOutcome] = field(default_factory=list)
     composites: list[CompositeSnapshot] = field(default_factory=list)
+    #: latency lanes ``shard.latency.{all,update,scan,gscan}_D`` (HDR)
     registry: Registry = field(default_factory=Registry)
     per_shard_ops: list[int] = field(default_factory=list)
     per_shard_completed: list[int] = field(default_factory=list)
@@ -344,6 +293,7 @@ class ShardRunReport:
     per_shard_messages: list[int] = field(default_factory=list)
     per_shard_fingerprints: list[str] = field(default_factory=list)
     order_ok: bool | None = None
+    #: max/mean of the per-shard routed-op counts (0.0 if none routed)
     routed_imbalance: float = 0.0
     makespan_D: float = 0.0
     crashed_shard: int | None = None
@@ -427,16 +377,14 @@ class ShardedSnapshotService:
 
     def __init__(self, config: ShardConfig) -> None:
         self.config = config
-        self.router = ShardRouter(
-            config.shards, vnodes=config.vnodes, ring_seed=config.ring_seed
-        )
+        self.router = ShardRouter(config.shards)
 
     # -- schedule construction -------------------------------------------
     def _partition(
-        self, arrivals: list[Arrival]
+        self, arrivals: list[Arrival], *, keep_snapshots: bool
     ) -> tuple[list[list[_ShardOp]], list[Arrival]]:
         """Route per-key traffic; return per-shard schedules plus the
-        global scans (composed separately)."""
+        global scans (their sub-scans are added by :meth:`_task`)."""
         per_shard: list[list[_ShardOp]] = [[] for _ in range(self.config.shards)]
         global_scans: list[Arrival] = []
         n = self.config.nodes_per_shard
@@ -453,29 +401,41 @@ class ShardedSnapshotService:
                     _ShardOp(a.index, a.t, node, UPDATE, value=(a.key, a.index))
                 )
             else:
-                per_shard[shard].append(_ShardOp(a.index, a.t, node, SCAN))
+                per_shard[shard].append(
+                    _ShardOp(a.index, a.t, node, SCAN, keep_snapshot=keep_snapshots)
+                )
         return per_shard, global_scans
 
     def _task(
         self,
         shard: int,
-        ops: list[_ShardOp],
+        local_ops: list[_ShardOp],
+        global_scans: list[Arrival],
+        cut_times: dict[int, float],
         *,
         crash_time: float | None,
         check: bool,
-        keep_snapshots: bool,
     ) -> _ShardTask:
-        cfg = self.config
+        """Shard ``shard``'s schedule: its routed ops plus one sub-scan per
+        global scan, arriving at that scan's cut time for this shard."""
+        n = self.config.nodes_per_shard
+        subscans = [
+            _ShardOp(
+                g.index,
+                cut_times[g.index],
+                g.client % n,
+                SCAN,
+                lane=_COMPOSITE,
+                keep_snapshot=True,
+            )
+            for g in global_scans
+        ]
         return _ShardTask(
             shard=shard,
-            n=cfg.nodes_per_shard,
-            f=cfg.f,
-            algo=cfg.algo,
-            D=cfg.D,
-            ops=tuple(sorted(ops, key=lambda o: (o.t, o.index))),
+            config=self.config,
+            ops=tuple(sorted(local_ops + subscans, key=lambda o: (o.t, o.index))),
             crash_time=crash_time,
             check=check,
-            keep_snapshots=keep_snapshots,
         )
 
     # -- execution --------------------------------------------------------
@@ -529,97 +489,107 @@ class ShardedSnapshotService:
     ) -> ShardRunReport:
         """:meth:`run` on a prepared arrival list (the oracle replays
         surgically modified workloads through this entry point)."""
+        shards = self.config.shards
         if crash_shard is not None:
-            if not 0 <= crash_shard < self.config.shards:
+            if not 0 <= crash_shard < shards:
                 raise ValueError(
-                    f"crash_shard {crash_shard} out of range "
-                    f"[0, {self.config.shards})"
+                    f"crash_shard {crash_shard} out of range [0, {shards})"
                 )
             if crash_time is None:
                 raise ValueError("crash_shard requires crash_time")
-        self.router.reset_counters()
-        per_shard, global_scans = self._partition(arrivals)
-
-        def shard_crash(shard: int) -> float | None:
-            return crash_time if shard == crash_shard else None
-
+        per_shard, global_scans = self._partition(
+            arrivals, keep_snapshots=keep_snapshots
+        )
+        routed = sum(len(ops) for ops in per_shard)
         report = ShardRunReport(
-            config=self.config, spec=spec, seed=seed, crashed_shard=crash_shard
+            config=self.config,
+            spec=spec,
+            seed=seed,
+            crashed_shard=crash_shard,
+            routed_imbalance=(
+                max(len(ops) for ops in per_shard) / (routed / shards)
+                if routed
+                else 0.0
+            ),
         )
 
-        if not global_scans:
-            tasks = [
-                self._task(
-                    s,
-                    ops,
-                    crash_time=shard_crash(s),
-                    check=check,
-                    keep_snapshots=keep_snapshots,
-                )
-                for s, ops in enumerate(per_shard)
-            ]
-            if workers > 1:
-                from repro.parallel import run_tasks
-
-                shard_outcomes = run_tasks(
-                    _run_shard_task,
-                    tasks,
-                    workers=workers,
-                    labels=[f"shard {t.shard}" for t in tasks],
-                )
-            else:
-                shard_outcomes = [_run_shard_task(t) for t in tasks]
-            self._collect(report, shard_outcomes)
-            return report
-
-        # Global scans: sub-scan on shard s+1 arrives at shard s's
-        # response (the monotone cut), so shards execute in ascending
-        # order, each consuming the cut times the previous one produced.
-        n = self.config.nodes_per_shard
-        cut_times: dict[int, float] = {g.index: g.t for g in global_scans}
-        alive: dict[int, bool] = {g.index: False for g in global_scans}
-        parts: dict[int, list[Snapshot | None]] = {
-            g.index: [] for g in global_scans
-        }
-        cuts: dict[int, list[float | None]] = {g.index: [] for g in global_scans}
-        shard_outcomes = []
-        for s in range(self.config.shards):
-            ops = list(per_shard[s])
-            for g in global_scans:
-                ops.append(
-                    _ShardOp(
-                        g.index,
-                        cut_times[g.index],
-                        g.client % n,
-                        SCAN,
-                        lane=_COMPOSITE,
-                        keep_snapshot=True,
-                    )
-                )
-            task = self._task(
+        # The monotone cut: a composite's sub-scan on shard s+1 arrives
+        # when its sub-scan on shard s responded (a dead shard does not
+        # advance it), so shard s's task is built only after shard s-1 ran.
+        cut_times = {g.index: g.t for g in global_scans}
+        tasks = (
+            self._task(
                 s,
-                ops,
-                crash_time=shard_crash(s),
+                per_shard[s],
+                global_scans,
+                cut_times,
+                crash_time=crash_time if s == crash_shard else None,
                 check=check,
-                keep_snapshots=keep_snapshots,
             )
-            outcome = _run_shard_task(task)
-            shard_outcomes.append(outcome)
+            for s in range(shards)
+        )
+        if workers > 1 and not global_scans:
+            from repro.parallel import run_tasks
+
+            shard_outcomes = run_tasks(
+                _run_shard_task,
+                list(tasks),
+                workers=workers,
+                labels=[f"shard {s}" for s in range(shards)],
+            )
+        else:
+            shard_outcomes = []
+            for task in tasks:
+                outcome = _run_shard_task(task)
+                shard_outcomes.append(outcome)
+                for o in outcome.outcomes:
+                    if o.lane == _COMPOSITE and o.t_resp is not None:
+                        cut_times[o.index] = o.t_resp
+        self._collect(report, shard_outcomes, global_scans)
+        return report
+
+    @staticmethod
+    def _collect(
+        report: ShardRunReport,
+        shard_outcomes: list[_ShardOutcome],
+        global_scans: list[Arrival],
+    ) -> None:
+        """Fold per-shard outcomes into the report in shard order and
+        derive every metric from them in one pass, so the report does not
+        depend on the worker count."""
+        reg = report.registry
+        lat_all = reg.histogram("shard.latency.all_D")
+        lat_kind = {
+            UPDATE: reg.histogram("shard.latency.update_D"),
+            SCAN: reg.histogram("shard.latency.scan_D"),
+        }
+        parts: dict[int, list[Snapshot | None]] = {g.index: [] for g in global_scans}
+        cuts: dict[int, list[float | None]] = {g.index: [] for g in global_scans}
+        verdicts: list[bool] = []
+        for outcome in shard_outcomes:
+            completed = 0
             for o in outcome.outcomes:
-                if o.lane != _COMPOSITE:
-                    continue
-                if o.aborted:
-                    parts[o.index].append(None)
-                    cuts[o.index].append(None)
-                    # the cut does not advance past a dead shard: the
-                    # next sub-scan still waits out the *intended* time
-                else:
+                if o.lane == _COMPOSITE:
                     parts[o.index].append(o.snapshot)
                     cuts[o.index].append(o.t_resp)
-                    cut_times[o.index] = o.t_resp
-                    alive[o.index] = True
-        self._collect(report, shard_outcomes)
-        gscan_hist = report.registry.histogram("shard.latency.gscan_D")
+                if o.t_resp is None:  # aborted
+                    continue
+                completed += 1
+                report.makespan_D = max(report.makespan_D, o.t_resp)
+                if o.lane == _LOCAL:
+                    lat_all.observe(o.latency)
+                    lat_kind[o.kind].observe(o.latency)
+            report.outcomes.extend(outcome.outcomes)
+            report.per_shard_ops.append(len(outcome.outcomes))
+            report.per_shard_completed.append(completed)
+            report.per_shard_aborted.append(len(outcome.outcomes) - completed)
+            report.per_shard_messages.append(outcome.messages)
+            report.per_shard_fingerprints.append(outcome.fingerprint)
+            if outcome.order_ok is not None:
+                verdicts.append(outcome.order_ok)
+        report.order_ok = all(verdicts) if verdicts else None
+
+        lat_gscan = reg.histogram("shard.latency.gscan_D")
         for g in global_scans:
             comp = CompositeSnapshot(
                 index=g.index,
@@ -629,40 +599,8 @@ class ShardedSnapshotService:
                 cut=tuple(cuts[g.index]),
             )
             report.composites.append(comp)
-            if alive[g.index]:
-                gscan_hist.observe(comp.latency)
-                report.registry.counter("shard.ops.gscan").inc()
-            else:
-                # every sub-scan aborted: a degraded (counted) outcome,
-                # not an AssertionError in the accounting
-                report.registry.counter("shard.ops.aborted_composite").inc()
-        return report
-
-    def _collect(
-        self, report: ShardRunReport, shard_outcomes: list[_ShardOutcome]
-    ) -> None:
-        """Fold per-shard outcomes into the report, in shard order (the
-        merge order makes aggregate metrics worker-count independent)."""
-        makespan = 0.0
-        order_ok: bool | None = None
-        for outcome in shard_outcomes:
-            report.outcomes.extend(outcome.outcomes)
-            report.per_shard_ops.append(len(outcome.outcomes))
-            report.per_shard_completed.append(outcome.completed)
-            report.per_shard_aborted.append(outcome.aborted)
-            report.per_shard_messages.append(outcome.messages)
-            report.per_shard_fingerprints.append(outcome.fingerprint)
-            report.registry.merge(outcome.registry)
-            makespan = max(makespan, outcome.sim_end)
-            if outcome.order_ok is not None:
-                order_ok = (
-                    outcome.order_ok
-                    if order_ok is None
-                    else (order_ok and outcome.order_ok)
-                )
-        report.makespan_D = makespan
-        report.order_ok = order_ok
-        report.routed_imbalance = self.router.imbalance()
+            if comp.latency is not None:  # None: every sub-scan aborted
+                lat_gscan.observe(comp.latency)
 
 
 __all__ = [
@@ -671,6 +609,5 @@ __all__ = [
     "ShardConfig",
     "ShardRunReport",
     "ShardedSnapshotService",
-    "resolve_algorithm",
     "shard_fingerprint",
 ]

@@ -30,6 +30,7 @@ the PR-8 executor and still produce byte-identical reports.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
@@ -76,6 +77,11 @@ class WorkloadSpec:
     mean_off: float = 0.0  #: mean OFF duration; 0 = never leaves ON
 
     def __post_init__(self) -> None:
+        for name in ("rate", "off_rate", "mean_on", "mean_off", "zipf_theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.zipf_theta < 0:
+            raise ValueError(f"zipf_theta must be >= 0, got {self.zipf_theta}")
         if self.ops < 1:
             raise ValueError(f"ops must be >= 1, got {self.ops}")
         if self.keys < 1:

@@ -68,14 +68,6 @@ def test_hdr_bucketing_is_deterministic():
         assert sa[key] == sb[key]
 
 
-def test_hdr_merge():
-    a, b = HdrHistogram(), HdrHistogram()
-    a.observe_many([1.0, 2.0])
-    b.observe_many([3.0, 4.0])
-    a.merge(b)
-    assert a.count == 4 and a.maximum == 4.0 and a.total == 10.0
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------

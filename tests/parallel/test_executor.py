@@ -1,12 +1,12 @@
 """Unit tests for the deterministic executor
-(:mod:`repro.parallel.executor`) and the HDR registry merge that makes a
-``--workers`` shard report equal the serial one."""
+(:mod:`repro.parallel.executor`), and the HDR bucketing property that lets
+a ``--workers`` shard report equal the serial one."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.registry import HdrHistogram, Registry
+from repro.obs.registry import HdrHistogram
 from repro.parallel import WorkerCrash, run_tasks
 
 
@@ -55,34 +55,13 @@ def test_crash_labels_default_to_task_indices():
     assert excinfo.value.label == "1"
 
 
-# -- Registry.merge on the HDR backend (shard reports) ------------------
-def test_registry_merge_adds_counters_and_concatenates_histograms():
-    a = Registry(histogram_factory=HdrHistogram)
-    b = Registry(histogram_factory=HdrHistogram)
-    a.counter("n").inc(2)
-    b.counter("n").inc(3)
-    b.counter("only_b").inc()
-    for v in (1.0, 5.0):
-        a.histogram("lat").observe(v)
-    for v in (3.0, 2.0):
-        b.histogram("lat").observe(v)
-    a.merge(b)
-    assert a.counters["n"].value == 5
-    assert a.counters["only_b"].value == 1
-    reference = HdrHistogram("lat")
-    for v in (1.0, 5.0, 3.0, 2.0):
-        reference.observe(v)
-    assert a.histograms["lat"].summary() == reference.summary()
-    assert a.histograms["lat"]._buckets == reference._buckets
-
-
-def test_hdr_histogram_merge_adds_buckets():
+# -- HDR buckets do not depend on which shard came first ----------------
+def test_hdr_histogram_buckets_ignore_observation_order():
     a, b = HdrHistogram("a"), HdrHistogram("b")
-    for v in (1.0, 2.0, 4.0):
-        a.observe(v)
-    for v in (8.0, 0.5):
-        b.observe(v)
-    a.merge(b)
-    assert a.count == 5
-    assert a.minimum == 0.5
-    assert a.maximum == 8.0
+    a.observe_many((1.0, 2.0, 4.0, 8.0, 0.5))
+    b.observe_many((8.0, 0.5, 1.0, 2.0, 4.0))
+    assert a._buckets == b._buckets
+    for hist in (a, b):
+        assert hist.count == 5
+        assert hist.minimum == 0.5
+        assert hist.maximum == 8.0

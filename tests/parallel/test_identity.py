@@ -69,11 +69,19 @@ def test_crashing_worker_surfaces_failing_seed_and_exits_2(
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("module", ["repro.chaos.__main__"])
-def test_cli_rejects_nonpositive_workers(module):
+@pytest.mark.parametrize(
+    ("module", "argv"),
+    [
+        pytest.param("repro.chaos.__main__", [], id="repro.chaos.__main__"),
+        pytest.param("repro.shard.__main__", ["run"], id="repro.shard.__main__-run"),
+        pytest.param("repro.shard.__main__", ["chaos"], id="repro.shard.__main__-chaos"),
+    ],
+)
+def test_cli_rejects_nonpositive_workers(module, argv):
     import importlib
 
     main = importlib.import_module(module).main
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--workers", "0"])
-    assert excinfo.value.code == 2
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--workers", workers])
+        assert excinfo.value.code == 2

@@ -1,4 +1,5 @@
-"""Consistent-hash router: determinism, stability, balance."""
+"""Consistent-hash router: determinism, stability, ring shape (balance
+is measured on the service's partition, ``test_service``)."""
 
 from repro.shard.router import DEFAULT_VNODES, ShardRouter, key_point
 
@@ -35,27 +36,8 @@ def test_adding_a_shard_moves_only_a_fraction_of_keys():
     keys = [f"k{i:05d}" for i in range(2000)]
     before = ShardRouter(4, ring_seed=7)
     after = ShardRouter(5, ring_seed=7)
-    moved = sum(1 for k in keys if before.peek_shard(k) != after.peek_shard(k))
+    moved = sum(1 for k in keys if before.shard_of(k) != after.shard_of(k))
     assert 0 < moved < len(keys) * 0.4
-
-
-def test_load_counters_and_imbalance():
-    r = ShardRouter(4, ring_seed=7)
-    for i in range(1000):
-        r.shard_of(f"k{i:04d}")
-    assert sum(r.routed) == 1000
-    assert all(c > 0 for c in r.routed)
-    # uniform keys over 64 vnodes/shard: mild imbalance only
-    assert 1.0 <= r.imbalance() < 2.0
-    r.reset_counters()
-    assert r.routed == [0] * 4 and r.imbalance() == 0.0
-
-
-def test_peek_does_not_count():
-    r = ShardRouter(2, ring_seed=7)
-    r.peek_shard("k0")
-    assert sum(r.routed) == 0
-    assert r.peek_shard("k0") == r.shard_of("k0")
 
 
 def test_vnode_count_configurable():

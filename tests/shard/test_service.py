@@ -9,6 +9,7 @@ from repro.shard import (
     ShardedSnapshotService,
     WorkloadSpec,
 )
+from repro.shard.service import OpOutcome
 
 SPEC = WorkloadSpec(
     ops=160, keys=32, read_ratio=0.3, global_scan_ratio=0.2, clients=50,
@@ -63,13 +64,42 @@ def test_workers_invariance_without_global_scans():
 
 def test_latency_lanes_populated():
     report = _run()
-    for lane in ("all", "update", "scan", "gscan", "subscan"):
+    for lane in ("all", "update", "scan", "gscan"):
         hist = report.registry.histogram(f"shard.latency.{lane}_D")
         assert hist.count > 0, lane
     # open-loop latency includes queueing: resp after arrival, always
     assert all(
         o.latency > 0 for o in report.outcomes if not o.aborted
     )
+
+
+def test_aborted_outcome_latency_raises_a_typed_error():
+    # a RuntimeError, as OpHandle.t_resp raises, not an assert that -O strips
+    outcome = OpOutcome(
+        index=3, shard=0, kind="scan", node=1, lane="local", t_arrival=2.0,
+        t_dispatch=None, t_resp=None, aborted=True,
+    )
+    with pytest.raises(RuntimeError, match="aborted"):
+        outcome.latency
+
+
+def test_routed_imbalance():
+    # uniform keys over 64 vnodes per shard: mild imbalance only; the
+    # ratio is max/mean of the per-shard counts of routed (per-key) ops
+    spec = WorkloadSpec(ops=400, keys=256, zipf_theta=0.0, read_ratio=0.3, clients=50)
+    report = _run(ShardConfig(shards=4), spec, check=False)
+    counts = [
+        sum(1 for o in report.outcomes if o.shard == s and o.lane == "local")
+        for s in range(4)
+    ]
+    assert sum(counts) == 400 and all(c > 0 for c in counts)
+    assert report.routed_imbalance == max(counts) / (sum(counts) / 4)
+    assert 1.0 <= report.routed_imbalance < 2.0
+    # nothing routed (every op a global scan): 0.0, not a division by zero
+    only_gscans = WorkloadSpec(
+        ops=20, read_ratio=1.0, global_scan_ratio=1.0, clients=10
+    )
+    assert _run(ShardConfig(shards=4), only_gscans).routed_imbalance == 0.0
 
 
 def test_composites_observe_monotone_cut():
@@ -103,8 +133,8 @@ def test_whole_shard_crash_degrades_cleanly():
 def test_crash_all_composite_degrades_to_counted_abort():
     """Regression: a composite whose *every* sub-scan aborted used to
     trip ``assert t is not None`` in ``CompositeSnapshot.latency``; a
-    crash-all campaign must instead degrade to a counted
-    ``shard.ops.aborted_composite`` with ``latency is None``."""
+    crash-all campaign must instead degrade to a counted abort with
+    ``latency is None``."""
     config = ShardConfig(shards=1, nodes_per_shard=3, f=1)
     spec = WorkloadSpec(
         ops=40, keys=8, read_ratio=0.2, global_scan_ratio=0.5, clients=10,
@@ -115,12 +145,14 @@ def test_crash_all_composite_degrades_to_counted_abort():
     )
     dead = [c for c in report.composites if c.t_resp is None]
     assert dead, "crash-at-0 must fully abort at least one composite"
+    assert len(dead) == len(report.composites)  # no composite responded
     for comp in dead:
         assert comp.latency is None
         assert not comp.complete
-    aborted = report.registry.counter("shard.ops.aborted_composite")
-    assert aborted.value == len(dead)
-    assert report.registry.counter("shard.ops.gscan").value == 0
+    # every op aborts, each composite counted once (not per sub-scan)
+    assert report.completed == 0
+    assert report.aborted == spec.ops
+    assert report.registry.histogram("shard.latency.gscan_D").empty
 
 
 def test_crash_requires_time():

@@ -1,6 +1,7 @@
 """The chaos and shard CLIs reject an unusable ``--out`` (and the shard
-CLI an unknown algorithm) before any work runs: exit 2, one unquoted
-``error:`` line, nothing on stdout."""
+CLI an unknown algorithm or a workload value that is not finite or not
+in range) before any work runs: exit 2, one unquoted ``error:`` line,
+nothing on stdout."""
 
 import pytest
 
@@ -23,6 +24,17 @@ COMMANDS = {
             for out in ("FILE", "FILE/x")
         ),
         pytest.param(shard_main, ["run", *SHARD, "--algo", "nope"], id="shard-unknown-algo"),
+        *(
+            pytest.param(shard_main, ["run", *SHARD, *workload], id=f"shard-{name}")
+            for name, workload in {
+                "zipf-nan": ["--zipf", "nan"],
+                "zipf-negative": ["--zipf", "-1"],
+                "rate-inf": ["--rate", "inf"],
+                "off-rate-inf": ["--off-rate", "inf", "--mean-off", "1"],
+                "mean-on-inf": ["--mean-on", "inf", "--mean-off", "1"],
+                "mean-off-inf": ["--mean-off", "inf"],
+            }.items()
+        ),
     ],
 )
 def test_unusable_input_exits_two_before_running(cli, argv, tmp_path, capsys):
