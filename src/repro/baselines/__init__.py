@@ -24,12 +24,14 @@ docstring):
 :class:`ImprRegisterAso` [16]   ``O(D)``        ``O(c·D)``
 ==============================  ==============  ==============
 
-† amortized ``O(D)`` under scan storms via confirmation borrowing.
+† the borrow targets scan storms, which no experiment here reaches
+(EXPERIMENTS.md, Table I †).  Delporte, BFK and IMPR share one segment
+array (:mod:`repro.baselines.register_array`).
 """
 
 from repro.baselines.bfk import BfkAso
 from repro.baselines.delporte import DelporteAso
-from repro.baselines.impr import ImprRegisterAso, ImprRegisters
+from repro.baselines.impr import ImprRegisterAso
 from repro.baselines.store_collect import StoreCollectAso, StoreCollectObject
 from repro.baselines.scd_broadcast import ScdAso, ScdBroadcastNode
 from repro.baselines.la_based import ClassifierLA, LatticeAso
@@ -38,7 +40,6 @@ __all__ = [
     "BfkAso",
     "DelporteAso",
     "ImprRegisterAso",
-    "ImprRegisters",
     "StoreCollectAso",
     "StoreCollectObject",
     "ScdAso",

@@ -44,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from repro.baselines.delporte import _to_snapshot
+from repro.baselines.register_array import to_snapshot
 from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil, handles
 
 Mid = tuple[int, int]  # (origin, origin-local sequence number)
@@ -212,7 +212,7 @@ class ScdAso(ScdBroadcastNode):
             lambda: self.is_delivered(smid), f"scd delivery of scan sync {smid}"
         )
         self.phase_exit("sync")
-        return _to_snapshot(self.reg)
+        return to_snapshot(self.reg)
 
 
 __all__ = ["ScdBroadcastNode", "ScdAso", "ScdWrite", "ScdSync", "MForward"]

@@ -35,16 +35,19 @@ a minimal failing seed.
   quorum weakened to 1: the reader's own zero-delay reply makes every
   collect a unanimous local read, the double collect trivially agrees,
   and the scan degenerates to a local view — concurrent scans at
-  different nodes return incomparable views.
+  different nodes return incomparable views.  (The weakened round is
+  every collect; a unanimous read never writes back, so the read is the
+  only collect this mutant runs.)
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.baselines.bfk import BfkAso, MStoreB
-from repro.baselines.delporte import DelporteAso, MCollect, MWrite, _to_snapshot
-from repro.baselines.impr import ImprRegisterAso, MRegRead
+from repro.baselines.bfk import BfkAso
+from repro.baselines.delporte import DelporteAso
+from repro.baselines.impr import ImprRegisterAso
+from repro.baselines.register_array import MCollect, MWrite, to_snapshot
 from repro.chaos.algos import LINEARIZABLE, AlgoProfile
 from repro.core.eq_aso import EqAso
 from repro.runtime.protocol import OpGen, WaitUntil
@@ -82,21 +85,21 @@ class DelporteWeakScanQuorum(DelporteAso):
         )
         del self._rounds[MCollect][reqid]
         self.phase_exit("stable-collect")
-        return _to_snapshot(query_view)
+        return to_snapshot(query_view)
 
 
 class BfkWeakStoreQuorum(BfkAso):
     """[mutant] BFK UPDATE store quorum n−f → 1 (see module docstring)."""
 
     def quorum_round(self, key: Any, payload: Any, what: str) -> OpGen:
-        if type(payload) is not MStoreB:
+        if type(payload) is not MWrite:
             return (yield from super().quorum_round(key, payload, what))
-        replies = self._rounds[MStoreB].setdefault(key, {})
+        replies = self._rounds[MWrite].setdefault(key, {})
         self.broadcast(payload)
         # mutation: any single ack — in practice the writer's own
         # zero-delay self-ack — releases the update
         yield WaitUntil(lambda: len(replies) >= 1, f"weakened {what}")
-        del self._rounds[MStoreB][key]
+        del self._rounds[MWrite][key]
         return replies
 
 
@@ -104,15 +107,15 @@ class ImprWeakCollectQuorum(ImprRegisterAso):
     """[mutant] IMPR register-read quorum n−f → 1."""
 
     def quorum_round(self, key: Any, payload: Any, what: str) -> OpGen:
-        if type(payload) is not MRegRead:
+        if type(payload) is not MCollect:
             return (yield from super().quorum_round(key, payload, what))
-        replies = self._rounds[MRegRead].setdefault(key, {})
+        replies = self._rounds[MCollect].setdefault(key, {})
         self.broadcast(payload)
         # mutation: one reply (the reader's own) settles the read, so
         # every collect is a unanimous local read and the double collect
         # degenerates to a local view
         yield WaitUntil(lambda: len(replies) >= 1, f"weakened {what}")
-        del self._rounds[MRegRead][key]
+        del self._rounds[MCollect][key]
         return replies
 
 

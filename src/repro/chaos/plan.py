@@ -29,10 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from repro.baselines.bfk import MStoreB
-from repro.baselines.delporte import MWrite
-from repro.baselines.impr import MRegWrite
 from repro.baselines.la_based import MGossip
+from repro.baselines.register_array import MWrite
 from repro.baselines.scd_broadcast import MForward, ScdWrite
 from repro.baselines.store_collect import MStore
 from repro.core.messages import MValue
@@ -51,8 +49,6 @@ from repro.sim.rng import SeededRng, derive_seed
 _WRITERS: dict[type, Callable[[Any], tuple[int, ...]]] = {
     MValue: lambda p: (p.vt.writer,),
     MWrite: lambda p: (p.writer,),
-    MStoreB: lambda p: (p.writer,),
-    MRegWrite: lambda p: (p.writer,),
     MStore: lambda p: tuple(w for (w, _, _) in p.view),
     MForward: lambda p: (
         (p.payload.writer,) if type(p.payload) is ScdWrite else ()

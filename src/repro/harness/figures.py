@@ -17,8 +17,13 @@ node 1) returns base {op2, op3} once ``V₁[1] = V₁[3] = {u, v}``; op6
 ``V₃[1] = {u,v}, V₃[2] = {w}, V₃[3] = {u,v,w}``, and returns
 {u, v, w}.  :func:`run_figure2` replays the exact delivery schedule in the
 simulator (an adversarial delay model makes node 2 slow), probes the
-``V`` vectors at the moments the caption describes, and asserts each
+``V`` vectors at the moments the caption describes, and checks each
 stated fact.
+
+Every caption fact is a :func:`_check`: it lands in the result's
+``checks`` list when it holds and raises :class:`FigureCheckError`
+naming it when it does not (a plain ``assert`` would vanish under
+``python -O`` and leave the ``[check]`` lines unchecked).
 """
 
 from __future__ import annotations
@@ -34,6 +39,18 @@ from repro.spec.base import scan_base
 from repro.spec.history import SCAN, UPDATE, History
 from repro.spec.linearize import linearize
 from repro.spec.order import order_check, validate_serialization
+
+
+class FigureCheckError(RuntimeError):
+    """A fact a figure's caption states did not hold in the replay."""
+
+
+def _check(checks: list[str], ok: bool, claim: str, *got: Any) -> None:
+    """Record ``claim`` in ``checks`` if ``ok``, else raise naming it."""
+    if not ok:
+        detail = f" (got {', '.join(map(repr, got))})" if got else ""
+        raise FigureCheckError(f"check failed: {claim}{detail}")
+    checks.append(claim)
 
 
 @dataclass(slots=True)
@@ -100,14 +117,22 @@ def run_figure1() -> Figure1Result:
     # caption facts: bases and the real-time edge
     b4 = scan_base(ops["op4"])
     b5 = scan_base(ops["op5"])
-    assert b4 == {(0, 1), (1, 1), (2, 1)}, b4
-    checks.append("base(op4) = {UPDATE(1), UPDATE(2), UPDATE(3)}")
-    assert b5 == {(0, 1), (0, 2), (1, 1), (2, 1)}, b5
-    checks.append("base(op5) = {UPDATE(1), UPDATE(2), UPDATE(3), UPDATE(4)}")
-    assert b4 <= b5
-    checks.append("bases are comparable (Definition 5)")
-    assert History.precedes(ops["op1"], ops["op2"])
-    checks.append("op1 → op2 in real time")
+    _check(
+        checks,
+        b4 == {(0, 1), (1, 1), (2, 1)},
+        "base(op4) = {UPDATE(1), UPDATE(2), UPDATE(3)}",
+        b4,
+    )
+    _check(
+        checks,
+        b5 == {(0, 1), (0, 2), (1, 1), (2, 1)},
+        "base(op5) = {UPDATE(1), UPDATE(2), UPDATE(3), UPDATE(4)}",
+        b5,
+    )
+    _check(checks, b4 <= b5, "bases are comparable (Definition 5)", b4, b5)
+    _check(
+        checks, History.precedes(ops["op1"], ops["op2"]), "op1 → op2 in real time"
+    )
 
     lin = linearize(history)
     seq = order_check(history, real_time=False).order
@@ -119,14 +144,21 @@ def run_figure1() -> Figure1Result:
     swapped[i1], swapped[i2] = swapped[i2], swapped[i1]
     swap_seq_ok = not validate_serialization(history, swapped, real_time=False)
     swap_lin_ok = not validate_serialization(history, swapped, real_time=True)
-    assert swap_seq_ok and not swap_lin_ok
-    checks.append(
+    _check(
+        checks,
+        swap_seq_ok and not swap_lin_ok,
         "swapping op1/op2 yields a valid sequentialization but not a "
-        "valid linearization (the figure's point)"
+        "valid linearization (the figure's point)",
+        swap_seq_ok,
+        swap_lin_ok,
     )
     lin_names = [labels[o.op_id] for o in lin]
-    assert lin_names.index("op1") < lin_names.index("op2")
-    checks.append("the constructed linearization keeps op1 before op2")
+    _check(
+        checks,
+        lin_names.index("op1") < lin_names.index("op2"),
+        "the constructed linearization keeps op1 before op2",
+        lin_names,
+    )
 
     return Figure1Result(
         history_ops=[labels[o.op_id] for o in history.ops],
@@ -182,35 +214,48 @@ def run_figure2() -> Figure2Result:
 
     op1 = cluster.invoke_at(0.0, N3, "scan")
     cluster.run_until_complete([op1])
-    assert op1.result.values == (None, None, None)
-    assert scan_base(op1.record) == frozenset()
-    assert op1.latency == 0.0
-    checks.append("op1 returns immediately with the empty base")
+    _check(
+        checks,
+        op1.result.values == (None, None, None)
+        and scan_base(op1.record) == frozenset()
+        and op1.latency == 0.0,
+        "op1 returns immediately with the empty base",
+        op1.result.values,
+        op1.latency,
+    )
 
     op2 = cluster.invoke_at(0.05, N1, "update", "u")
     op3 = cluster.invoke_at(0.05, N3, "update", "v")
     cluster.run(until=0.4)  # u, v exchanged between nodes 1 and 3
-    assert op2.done and op3.done
 
     # probe V at node 1 before op4 (the caption's V₁ states)
     node1 = cluster.node(N1)
     v11 = {vt.value for vt in node1.V.row(N1)}
     v13 = {vt.value for vt in node1.V.row(N3)}
     v12 = {vt.value for vt in node1.V.row(N2)}
-    assert v11 == {"u", "v"} and v13 == {"u", "v"} and v12 == set(), (
+    _check(
+        checks,
+        op2.done
+        and op3.done
+        and v11 == {"u", "v"}
+        and v13 == {"u", "v"}
+        and v12 == set(),
+        "V1[1] = V1[3] = {u, v}, V1[2] = {} when op4 is invoked",
         v11,
         v12,
         v13,
     )
-    checks.append("V1[1] = V1[3] = {u, v}, V1[2] = {} when op4 is invoked")
 
     op4 = cluster.invoke_at(0.4, N1, "scan")
     cluster.run(until=0.45)
-    assert op4.done
-    assert set(op4.result.values) - {None} == {"u", "v"}
-    assert scan_base(op4.record) == {(N1, 1), (N3, 1)}
-    assert op4.latency == 0.0
-    checks.append("op4 returns {u, v} immediately; base = {op2, op3}")
+    _check(
+        checks,
+        op4.done
+        and set(op4.result.values) - {None} == {"u", "v"}
+        and scan_base(op4.record) == {(N1, 1), (N3, 1)}
+        and op4.latency == 0.0,
+        "op4 returns {u, v} immediately; base = {op2, op3}",
+    )
 
     # node 2 updates w before u, v reach it (they arrive ≈ 1.03)
     op5 = cluster.invoke_at(0.5, N2, "update", "w")
@@ -220,21 +265,26 @@ def run_figure2() -> Figure2Result:
     v31 = {vt.value for vt in node3.V.row(N1)}
     v32 = {vt.value for vt in node3.V.row(N2)}
     v33 = {vt.value for vt in node3.V.row(N3)}
-    assert v33 == {"u", "v", "w"} and v32 == {"w"} and v31 == {"u", "v"}, (
+    _check(
+        checks,
+        v33 == {"u", "v", "w"} and v32 == {"w"} and v31 == {"u", "v"},
+        "V3[1]={u,v}, V3[2]={w}, V3[3]={u,v,w} before op6",
         v31,
         v32,
         v33,
     )
-    checks.append("V3[1]={u,v}, V3[2]={w}, V3[3]={u,v,w} before op6")
 
     op6 = cluster.invoke_at(0.95, N3, "scan")
     cluster.run_until_complete([op6, op5])
-    assert set(op6.result.values) == {"u", "v", "w"}
-    assert scan_base(op6.record) == {(N1, 1), (N2, 1), (N3, 1)}
-    assert op6.latency > 0.0
-    checks.append(
+    _check(
+        checks,
+        set(op6.result.values) == {"u", "v", "w"}
+        and scan_base(op6.record) == {(N1, 1), (N2, 1), (N3, 1)}
+        and op6.latency > 0.0,
         "op6 must wait for forwarded values, then returns {u, v, w}; "
-        "base = {op2, op3, op5}"
+        "base = {op2, op3, op5}",
+        op6.result.values,
+        op6.latency,
     )
 
     return Figure2Result(
@@ -249,6 +299,7 @@ def run_figure2() -> Figure2Result:
 __all__ = [
     "Figure1Result",
     "Figure2Result",
+    "FigureCheckError",
     "build_figure1_history",
     "run_figure1",
     "run_figure2",

@@ -66,20 +66,23 @@ class ProtocolNode:
     lattice agreement).  Each class's ``_handlers`` table (``message type
     -> function``) is built once, from the marks along its MRO by method
     name: registering a type again, or overriding a registered method,
-    changes that one entry in the subclass's own table.
+    changes that one entry in the subclass's own table.  A method name
+    handles one type, the one its last mark along the MRO names, so
+    re-marking an inherited handler with another type moves its entry.
     """
 
     _handlers: dict[type, Callable[..., None]] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        names: dict[type, str] = {}
+        marks: dict[str, type] = {}
         for klass in reversed(cls.__mro__):
             for name, fn in vars(klass).items():
                 kind = getattr(fn, "_handles", None)
                 if kind is not None:
-                    names[kind] = name
-        cls._handlers = {kind: getattr(cls, name) for kind, name in names.items()}
+                    marks.pop(name, None)  # a later mark ranks later
+                    marks[name] = kind
+        cls._handlers = {kind: getattr(cls, name) for name, kind in marks.items()}
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         if not 0 <= node_id < n:

@@ -86,6 +86,13 @@ class WorkloadSpec:
             raise ValueError(f"ops must be >= 1, got {self.ops}")
         if self.keys < 1:
             raise ValueError(f"keys must be >= 1, got {self.keys}")
+        try:  # the Zipf CDF's largest term; every smaller rank fits if it does
+            float(self.keys) ** self.zipf_theta
+        except OverflowError:
+            raise ValueError(
+                f"zipf_theta {self.zipf_theta} overflows: {self.keys} ** zipf_theta "
+                "exceeds a float"
+            ) from None
         if self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if not 0.0 <= self.read_ratio <= 1.0:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.baselines.bfk import BfkAso, _covers, _merge, _weight
+from repro.baselines.bfk import BfkAso, _weight
+from repro.baselines.register_array import covers
 from repro.runtime.cluster import Cluster
 from repro.spec import is_linearizable
 
@@ -14,17 +15,11 @@ def test_resilience_bound():
         BfkAso(0, 4, 2)
 
 
-def test_merge_is_pointwise_max_by_seq():
-    a = ((1, "x"), (0, None))
-    b = ((0, None), (2, "y"))
-    assert _merge(a, b) == ((1, "x"), (2, "y"))
-
-
 def test_covers_and_weight_helpers():
     small = ((1, "x"), (0, None))
     big = ((1, "x"), (2, "y"))
-    assert _covers(big, small)
-    assert not _covers(small, big)
+    assert covers(big, small)
+    assert not covers(small, big)
     assert _weight(big) == 3
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.impr import ImprRegisterAso, ImprRegisters, _merge
+from repro.baselines.impr import ImprRegisterAso
 from repro.runtime.cluster import Cluster
 from repro.spec import is_linearizable
 
@@ -11,29 +11,14 @@ from tests.conftest import run_random_execution
 
 def test_resilience_bound():
     with pytest.raises(ValueError):
-        ImprRegisters(0, 4, 2)
-    with pytest.raises(ValueError):
         ImprRegisterAso(0, 4, 2)
-
-
-def test_merge_is_pointwise_max_by_seq():
-    a = ((1, "x"), (0, None))
-    b = ((0, None), (2, "y"))
-    assert _merge(a, b) == ((1, "x"), (2, "y"))
-
-
-def test_register_write_is_one_round_trip():
-    cluster = Cluster(ImprRegisters, n=5, f=2)
-    h = cluster.invoke_at(0.0, 0, "write", "v")
-    cluster.run_until_complete([h])
-    assert h.latency / cluster.D == 2.0
 
 
 def test_quiet_collect_is_unanimous_fast_read():
     """Absent write concurrency an ABD read needs no write-back round."""
-    cluster = Cluster(ImprRegisters, n=5, f=2)
+    cluster = Cluster(ImprRegisterAso, n=5, f=2)
     w = cluster.invoke_at(0.0, 0, "write", "v")
-    c = cluster.invoke_at(5.0, 1, "collect")
+    c = cluster.invoke_at(5.0, 1, "read")
     cluster.run_until_complete([w, c])
     node = cluster.node(1)
     assert node.fast_reads == 1

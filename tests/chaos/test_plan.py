@@ -17,7 +17,7 @@ from repro.chaos.plan import (
     flatten_delay,
     writers_of,
 )
-from repro.baselines.delporte import MWrite
+from repro.baselines.register_array import MWrite
 from repro.baselines.scd_broadcast import MForward, ScdSync, ScdWrite
 from repro.baselines.store_collect import MStore
 from repro.core.messages import MValue

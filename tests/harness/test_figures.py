@@ -1,6 +1,10 @@
 """The figure regenerators must reproduce every caption fact."""
 
+import pytest
+
+from repro.harness import figures
 from repro.harness.figures import (
+    FigureCheckError,
     build_figure1_history,
     run_figure1,
     run_figure2,
@@ -36,3 +40,19 @@ def test_figure2_caption_facts():
     assert set(result.op6_snapshot) == {"u", "v", "w"}
     assert result.op6_had_to_wait
     assert len(result.checks) == 5
+
+
+@pytest.mark.parametrize(
+    ("run", "claim"),
+    [
+        (run_figure1, "base(op4) = {UPDATE(1), UPDATE(2), UPDATE(3)}"),
+        (run_figure2, "op1 returns immediately with the empty base"),
+    ],
+)
+def test_a_failed_caption_fact_raises_naming_it(monkeypatch, run, claim):
+    """The checks are raises, not ``assert``s, so they survive
+    ``python -O``; the error names the first fact that failed."""
+    monkeypatch.setattr(figures, "scan_base", lambda record: frozenset({(9, 9)}))
+    with pytest.raises(FigureCheckError) as err:
+        run()
+    assert str(err.value).startswith(f"check failed: {claim}")

@@ -7,6 +7,8 @@
   message;
 - tables are per class: re-registering a kind in a subclass replaces
   that kind there and nowhere else;
+- a method handles one kind: re-marking an inherited handler with
+  another kind moves its entry (BFK's collect reply does this);
 - ``on_message`` stays the entry point, so a node that overrides it
   never touches the table.
 """
@@ -125,6 +127,12 @@ class OverridesByName(Base):
         self.log.append(("named-pong", m.nonce))
 
 
+class Remarks(Base):
+    @handles(MStray)
+    def _on_pong(self, src, m):  # the inherited name, another kind
+        self.log.append(("remarked-stray", m.nonce))
+
+
 class Mixin:
     @handles(MStray)
     def _on_stray(self, src, m):
@@ -168,6 +176,16 @@ def test_tables_are_per_class_and_the_parent_is_not_mutated():
 
 def test_overriding_a_registered_method_overrides_the_handler():
     assert _log_of(OverridesByName) == [("base-ping", 1), ("named-pong", 2)]
+
+
+def test_remarking_a_handler_with_another_kind_moves_its_entry():
+    assert set(Remarks._handlers) == {MPing, MStray}
+    node = Remarks(0, 3, 1)
+    node.on_message(1, MStray(4))
+    assert node.log == [("remarked-stray", 4)]
+    with pytest.raises(TypeError, match="Remarks got unknown message MPong"):
+        node.on_message(1, MPong(5))
+    assert set(Base._handlers) == {MPing, MPong}
 
 
 def test_mixin_marks_are_collected_along_the_mro():

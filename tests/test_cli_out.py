@@ -29,6 +29,7 @@ COMMANDS = {
             for name, workload in {
                 "zipf-nan": ["--zipf", "nan"],
                 "zipf-negative": ["--zipf", "-1"],
+                "zipf-overflow": ["--zipf", "1e6"],
                 "rate-inf": ["--rate", "inf"],
                 "off-rate-inf": ["--off-rate", "inf", "--mean-off", "1"],
                 "mean-on-inf": ["--mean-on", "inf", "--mean-off", "1"],
