@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import bfk, register_array
 from repro.baselines.bfk import BfkAso, _weight
 from repro.baselines.register_array import covers
 from repro.runtime.cluster import Cluster
@@ -13,6 +14,14 @@ from tests.conftest import run_random_execution
 def test_resilience_bound():
     with pytest.raises(ValueError):
         BfkAso(0, 4, 2)
+
+
+def test_merge_is_pointwise_max_by_seq():
+    """The row merges views with the shared segment-array merge."""
+    assert bfk.merge is register_array.merge
+    a = ((1, "x"), (0, None))
+    b = ((0, None), (2, "y"))
+    assert bfk.merge(a, b) == ((1, "x"), (2, "y"))
 
 
 def test_covers_and_weight_helpers():

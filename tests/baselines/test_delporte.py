@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import delporte, register_array
 from repro.baselines.delporte import DelporteAso
 from repro.runtime.cluster import Cluster
 from repro.spec import is_linearizable
@@ -12,6 +13,14 @@ from tests.conftest import run_random_execution
 def test_resilience_bound():
     with pytest.raises(ValueError):
         DelporteAso(0, 4, 2)
+
+
+def test_merge_is_pointwise_max_by_seq():
+    """The row merges views with the shared segment-array merge."""
+    assert delporte.merge is register_array.merge
+    a = ((1, "x"), (0, None))
+    b = ((0, None), (2, "y"))
+    assert delporte.merge(a, b) == ((1, "x"), (2, "y"))
 
 
 def test_update_is_one_round_trip():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import impr, register_array
 from repro.baselines.impr import ImprRegisterAso
 from repro.runtime.cluster import Cluster
 from repro.spec import is_linearizable
@@ -12,6 +13,14 @@ from tests.conftest import run_random_execution
 def test_resilience_bound():
     with pytest.raises(ValueError):
         ImprRegisterAso(0, 4, 2)
+
+
+def test_merge_is_pointwise_max_by_seq():
+    """The row merges views with the shared segment-array merge."""
+    assert impr.merge is register_array.merge
+    a = ((1, "x"), (0, None))
+    b = ((0, None), (2, "y"))
+    assert impr.merge(a, b) == ((1, "x"), (2, "y"))
 
 
 def test_quiet_collect_is_unanimous_fast_read():
