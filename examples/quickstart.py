@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Cluster, EqAso
-from repro.spec import check_linearizable, is_linearizable, linearize
+from repro.spec import check_atomicity_conditions, is_linearizable, linearize
 
 
 def main() -> None:
@@ -42,7 +42,7 @@ def main() -> None:
         )
 
     print("\n== correctness ==")
-    violations = check_linearizable(cluster.history)
+    violations = check_atomicity_conditions(cluster.history)
     print(f"Theorem 1 conditions (A0)-(A4): {len(violations)} violations")
     print(f"linearizable: {is_linearizable(cluster.history)}")
 

@@ -60,11 +60,10 @@ from repro.net.faults import chain_crash_plan
 from repro.runtime import Cluster, OpHandle, ProtocolNode, StuckError, WaitUntil
 from repro.spec import (
     History,
-    check_linearizable,
+    check_atomicity_conditions,
     check_sequentially_consistent,
     is_linearizable,
     linearize,
-    sequentialize,
 )
 
 __version__ = "1.0.0"
@@ -93,10 +92,9 @@ __all__ = [
     "StuckError",
     "WaitUntil",
     "History",
-    "check_linearizable",
+    "check_atomicity_conditions",
     "check_sequentially_consistent",
     "is_linearizable",
     "linearize",
-    "sequentialize",
     "__version__",
 ]

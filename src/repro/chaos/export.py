@@ -10,7 +10,8 @@ One directory per counterexample (``<out>/<algo>-seed<seed>/``):
 - ``trace.jsonl``   — a full observability trace of the failing
   execution (the plan re-run under a :class:`~repro.obs.Tracer`),
   replayable with ``python -m repro.obs summary/ops/render trace.jsonl``;
-- ``repro.txt``     — the one-line CLI repro.
+- ``repro.txt``     — the CLI repro lines, after a ``#`` comment naming
+  the violated condition of a safety failure.
 
 The re-run under tracing is guaranteed not to perturb the schedule (the
 PR-3 invariant: tracing keeps the seed-faithful instrumented path), so
@@ -28,7 +29,7 @@ from repro.chaos.plan import ChaosPlan
 from repro.chaos.runner import Failure, run_plan
 from repro.obs.export import export_jsonl
 from repro.obs.tracer import MemorySink, Tracer
-from repro.spec.serialize import history_to_dict
+from repro.spec.serialize import dump_history
 
 
 def counterexample_dir(out: Path, plan: ChaosPlan) -> Path:
@@ -73,16 +74,14 @@ def export_counterexample(
 
     history_path = target / "history.json"
     assert result.history is not None
-    with history_path.open("w") as fh:
-        json.dump(history_to_dict(result.history), fh, indent=1)
+    dump_history(result.history, history_path)
 
     trace_path = target / "trace.jsonl"
     export_jsonl(tracer, trace_path)
 
     repro_path = target / "repro.txt"
-    lines = [
-        f"python -m repro.chaos --algo {plan.algo} --plan {plan_path}",
-    ]
+    lines = [] if result.condition is None else [f"# {result.condition}"]
+    lines.append(f"python -m repro.chaos --algo {plan.algo} --plan {plan_path}")
     if campaign_index is not None and master_seed is not None:
         lines.append(
             f"python -m repro.chaos --algo {plan.algo} "

@@ -8,7 +8,8 @@ applies the specification machinery:
 - **safety** — the exact polynomial checker of :mod:`repro.spec.order`,
   at the algorithm's specification level (linearizability for atomic
   algorithms, sequential consistency for the sequential-snapshot
-  family);
+  family); a failing history also carries the first violated condition
+  of :mod:`repro.spec.conditions` at that level (:attr:`ExecutionResult.condition`);
 - **cross-validation** — on small histories (≤ :data:`BRUTE_LIMIT`
   effective ops) the Wing&Gong-style exponential checker of
   :mod:`repro.spec.brute` must agree with the polynomial verdict; a
@@ -36,6 +37,7 @@ from repro.spec.brute import (
     brute_force_linearizable,
     brute_force_sequentially_consistent,
 )
+from repro.spec.conditions import Violation
 from repro.spec.history import History
 from repro.spec.order import effective_ops, order_check
 
@@ -69,6 +71,7 @@ class ExecutionResult:
     effective_op_count: int
     cross_validated: bool
     handles: list[OpHandle]
+    condition: Violation | None = None  #: the named condition of a safety failure
 
     @property
     def ok(self) -> bool:
@@ -190,6 +193,7 @@ def check_history(
         effective_op_count=eff,
         cross_validated=validated,
         handles=handles or [],
+        condition=result.condition,
     )
 
 

@@ -11,6 +11,11 @@ EXPERIMENTS.md).  It reaches the seeded experiments through
 changing the seed only perturbs the experiments that actually consume
 randomness.
 
+Exit status: 0 ok, 1 a checked fact of an experiment did not hold (a
+figure's caption fact, or a lockstep plan whose history fails the order
+check), 2 an unknown experiment or a failed registry lookup — each
+failure one ``error:`` line on stderr.
+
 Where the time of one experiment goes is
 ``python -m cProfile -s cumtime -m repro.harness <experiment>``; the
 measured, bounded timing is ``benchmarks/ledger``'s, and
@@ -22,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.harness.registry import EXPERIMENTS, run_experiment
+from repro.harness.registry import EXPERIMENTS, ExperimentCheckError, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +57,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         if name not in EXPERIMENTS:
             print(
-                f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}",
+                f"error: unknown experiment {name!r}; "
+                f"available: {sorted(EXPERIMENTS)}",
                 file=sys.stderr,
             )
             return 2
@@ -64,8 +70,11 @@ def main(argv: list[str] | None = None) -> int:
             # a choices message; surface it as one line, not a traceback.
             # args[0] because str(KeyError) quotes the message.
             detail = exc.args[0] if exc.args else exc
-            print(f"experiment {name!r} failed: {detail}", file=sys.stderr)
+            print(f"error: experiment {name!r} failed: {detail}", file=sys.stderr)
             return 2
+        except ExperimentCheckError as exc:
+            print(f"error: experiment {name!r} failed: {exc}", file=sys.stderr)
+            return 1
         try:
             print(result)
             print()

@@ -32,6 +32,7 @@ from typing import Any, Sequence
 
 from repro.chaos.plan import ChainCrashSpec, ChaosPlan, DelaySpec, OpChainSpec
 from repro.chaos.runner import ExecutionResult, run_plan
+from repro.harness.registry import ExperimentCheckError
 from repro.runtime.cluster import OpHandle
 
 #: the node whose operations the staircase delays
@@ -128,13 +129,15 @@ def quiet_plan(algo: str, n: int, *ops: tuple[int, str, Any]) -> ChaosPlan:
 def run_checked(plan: ChaosPlan, *, tracer: Any = None) -> ExecutionResult:
     """Run ``plan`` with :func:`~repro.chaos.runner.run_plan`, the one
     executor behind every lockstep experiment.  A run whose history fails
-    the order check, or whose live ops do not all finish, raises
-    ``RuntimeError`` (the plan replays with ``python -m repro.chaos --plan``)."""
+    the order check (the error names the violated condition), or whose
+    live ops do not all finish, raises :class:`ExperimentCheckError` (the
+    plan replays with ``python -m repro.chaos --plan``)."""
     result = run_plan(plan, tracer=tracer)
     if result.failure is not None:
-        raise RuntimeError(
+        named = "" if result.condition is None else f"; {result.condition}"
+        raise ExperimentCheckError(
             f"{plan.algo} n={plan.n} plan: [{result.failure.kind}] "
-            f"{result.failure.detail}"
+            f"{result.failure.detail}{named}"
         )
     return result
 

@@ -21,7 +21,8 @@ simulator (an adversarial delay model makes node 2 slow), probes the
 stated fact.
 
 Every caption fact is a :func:`_check`: it lands in the result's
-``checks`` list when it holds and raises :class:`FigureCheckError`
+``checks`` list when it holds and raises
+:class:`~repro.harness.registry.ExperimentCheckError`
 naming it when it does not (a plain ``assert`` would vanish under
 ``python -O`` and leave the ``[check]`` lines unchecked).
 """
@@ -33,6 +34,7 @@ from typing import Any
 
 from repro.core.one_shot import OneShotAso
 from repro.core.tags import Snapshot, Timestamp, ValueTs
+from repro.harness.registry import ExperimentCheckError
 from repro.net.delays import AdversarialDelay
 from repro.runtime.cluster import Cluster
 from repro.spec.base import scan_base
@@ -41,15 +43,11 @@ from repro.spec.linearize import linearize
 from repro.spec.order import order_check, validate_serialization
 
 
-class FigureCheckError(RuntimeError):
-    """A fact a figure's caption states did not hold in the replay."""
-
-
 def _check(checks: list[str], ok: bool, claim: str, *got: Any) -> None:
     """Record ``claim`` in ``checks`` if ``ok``, else raise naming it."""
     if not ok:
         detail = f" (got {', '.join(map(repr, got))})" if got else ""
-        raise FigureCheckError(f"check failed: {claim}{detail}")
+        raise ExperimentCheckError(f"check failed: {claim}{detail}")
     checks.append(claim)
 
 
@@ -299,7 +297,6 @@ def run_figure2() -> Figure2Result:
 __all__ = [
     "Figure1Result",
     "Figure2Result",
-    "FigureCheckError",
     "build_figure1_history",
     "run_figure1",
     "run_figure2",

@@ -8,6 +8,12 @@ from typing import Any, Callable
 from repro.chaos.plan import ChaosPlan, OpChainSpec
 
 
+class ExperimentCheckError(RuntimeError):
+    """A fact an experiment checks did not hold: a caption fact of a
+    figure, or the safety or liveness of a lockstep plan's run
+    (:func:`repro.harness.adversary.run_checked`)."""
+
+
 @dataclass(slots=True)
 class ExperimentResult:
     """Uniform result wrapper for the CLI and EXPERIMENTS.md generation."""
@@ -308,6 +314,7 @@ def run_experiment(
 
 __all__ = [
     "EXPERIMENTS",
+    "ExperimentCheckError",
     "ExperimentResult",
     "SEEDED_EXPERIMENTS",
     "run_experiment",

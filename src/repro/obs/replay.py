@@ -10,7 +10,8 @@ simulator's correctness harness: record a live run, then
 
     python -m repro.obs check trace.jsonl
 
-either certifies the execution or produces a counterexample cycle.
+either certifies the execution or produces a counterexample cycle and
+names the condition of :mod:`repro.spec.conditions` it violates.
 
 The required consistency level is inferred from the trace's
 ``algorithm`` metadata via the chaos campaign's algorithm profiles
@@ -47,6 +48,7 @@ class ReplayResult:
     ops: int  #: operations replayed into the history
     violations: list[str] = field(default_factory=list)
     cycle: list[int] = field(default_factory=list)
+    condition: str | None = None  #: the first violated condition, when not ok
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -57,6 +59,7 @@ class ReplayResult:
             "ops": self.ops,
             "violations": self.violations,
             "cycle": self.cycle,
+            "condition": self.condition,
         }
 
     def summary_lines(self) -> list[str]:
@@ -67,7 +70,11 @@ class ReplayResult:
         )
         if self.ok:
             return [head, "PASS: a legal serialization exists"]
-        lines = [head, "FAIL: no legal serialization"]
+        lines = [
+            head,
+            "FAIL: no legal serialization",
+            f"  condition: {self.condition}",
+        ]
         if self.cycle:
             lines.append(
                 "  forced-order cycle through op ids: "
@@ -79,13 +86,15 @@ class ReplayResult:
 
 def _profile_consistency() -> dict[str, str]:
     """Map algorithm *class* names to their specification level, built
-    from the chaos campaign's profiles (single source of truth)."""
+    from the chaos campaign's profiles (single source of truth; a
+    mutant's or ablation's profile names the level of the algorithm it
+    weakens)."""
     from repro.chaos.algos import all_profiles
 
     out: dict[str, str] = {}
     for profile in all_profiles().values():
         name = getattr(profile.factory, "__name__", None)
-        if name is not None and profile.mutant_of is None:
+        if name is not None:
             out[name] = profile.consistency
     return out
 
@@ -206,6 +215,7 @@ def replay_check(
         ops=len(history),
         violations=violations,
         cycle=list(result.cycle),
+        condition=None if result.condition is None else str(result.condition),
     )
 
 

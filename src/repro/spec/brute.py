@@ -1,11 +1,12 @@
 """Brute-force linearizability / sequential-consistency checkers.
 
-Exponential-time reference implementations used **only in tests** to
-cross-validate the polynomial checkers (:mod:`repro.spec.order`) and the
-Theorem 1 constructions on small histories (≲ 9 operations).  The search is
-a memoized DFS over prefixes of candidate serializations, in the style of
-Wing & Gong; legality is evaluated incrementally against the sequential
-specification of Definition 1.
+Exponential-time references that cross-validate the polynomial checker
+(:mod:`repro.spec.order`) on small histories: the chaos runner re-decides
+every campaign history of ≤ :data:`~repro.chaos.runner.BRUTE_LIMIT`
+effective ops, the property tests the Theorem 1 constructions.  The
+search is a memoized DFS over prefixes of candidate serializations, in
+the style of Wing & Gong; legality is evaluated incrementally against
+the sequential specification of Definition 1.
 """
 
 from __future__ import annotations

@@ -142,26 +142,8 @@ class History:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def completed(self) -> list[OpRecord]:
-        return [op for op in self.ops if op.complete]
-
-    def updates(self, *, include_pending: bool = False) -> list[OpRecord]:
-        return [
-            op
-            for op in self.ops
-            if op.is_update and (include_pending or op.complete)
-        ]
-
     def scans(self) -> list[OpRecord]:
         return [op for op in self.ops if op.is_scan and op.complete]
-
-    def by_node(self, node: int) -> list[OpRecord]:
-        return [op for op in self.ops if op.node == node]
-
-    def update_registry(self) -> dict[tuple[int, int], OpRecord]:
-        """Map (writer, useq) → UPDATE op (pending updates included: a
-        crashed writer's value may still surface in scans)."""
-        return {op.uid(): op for op in self.ops if op.is_update}
 
     @staticmethod
     def precedes(op1: OpRecord, op2: OpRecord) -> bool:
@@ -170,15 +152,16 @@ class History:
         return op1.t_resp is not None and op1.t_resp < op2.t_inv
 
     @staticmethod
-    def occurs_before(op1: OpRecord, op2: OpRecord) -> bool:
+    def occurs_before(op1: OpRecord, op2: OpRecord, *, real_time: bool = True) -> bool:
         """``op1 → op2`` as the conditions of Theorem 1 read it:
         :meth:`precedes`, or program order on one node.  A node may invoke
         its next operation at the very observer-clock instant its previous
         one responded (``chain_ops(gap=0)`` does so on every op); the two
         are ordered all the same, and recording order says so when the
-        timestamps cannot."""
+        timestamps cannot.  ``real_time=False`` keeps program order only
+        (Definition 2)."""
         return op1.t_resp is not None and (
-            op1.t_resp < op2.t_inv
+            (real_time and op1.t_resp < op2.t_inv)
             or (op1.node == op2.node and op1.op_id < op2.op_id)
         )
 

@@ -35,7 +35,6 @@ from repro.spec.history import History, OpRecord
 from repro.spec.order import (
     CheckerInternalError,
     effective_ops,
-    order_check,
     validate_serialization,
 )
 
@@ -100,22 +99,4 @@ def linearize(history: History) -> list[OpRecord]:
     return linearization
 
 
-def sequentialize(history: History) -> list[OpRecord]:
-    """Construct a sequentialization (Definition 2) — per-node order
-    preserved, no real-time constraint.  Raises if the history is not
-    sequentially consistent."""
-    result = order_check(history, real_time=False)
-    if not result.ok:
-        raise LinearizationError(
-            [
-                Violation(
-                    "SC",
-                    f"forced-order cycle among ops {result.cycle}",
-                    tuple(result.cycle),
-                )
-            ]
-        )
-    return result.order
-
-
-__all__ = ["LinearizationError", "linearize", "sequentialize"]
+__all__ = ["LinearizationError", "linearize"]

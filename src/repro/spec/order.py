@@ -1,8 +1,8 @@
 """Exact order-theoretic checker for snapshot histories.
 
-Complementing the (A1)–(A4) condition checker, this module decides
-linearizability / sequential consistency of a single-writer snapshot
-history *exactly* by testing the graph of forced orderings for a cycle.
+This module decides linearizability / sequential consistency of a
+single-writer snapshot history *exactly* by testing the graph of forced
+orderings for a cycle.
 The forced orderings are:
 
 - ``u → sc``   if UPDATE ``u`` is in the base of SCAN ``sc``
@@ -18,7 +18,10 @@ Every edge is *forced* (no legal order can invert it), so a cycle proves
 non-linearizability / non-SC, and any topological order is — by
 construction — a legal serialization.  This gives both a decision
 procedure and a witness constructor; the witness is independently
-re-validated by :func:`validate_serialization`.
+re-validated by :func:`validate_serialization`.  A cycle is explained by
+the first violated condition of :mod:`repro.spec.conditions` at the same
+level — Theorem 1 (and its sequential-consistency analogue) says there
+is one, and :func:`order_check` raises if there is not.
 
 **The graph that is built is a transitive reduction.**  There are ~N²
 forced orderings, but bases are per-writer prefixes and nodes are
@@ -56,6 +59,7 @@ from heapq import heapify, heappop, heappush
 from math import inf
 
 from repro.spec.base import base_vector
+from repro.spec.conditions import Violation, iter_violations
 from repro.spec.history import History, OpRecord
 
 
@@ -74,11 +78,15 @@ class OrderResult:
         cycle: op_ids forming a violating cycle when not ok — each step
             (and last → first) is one forced ordering.  A single id is a
             scan that returned an UPDATE the history does not contain.
+        condition: when not ok, the first condition of
+            :func:`~repro.spec.conditions.check_atomicity_conditions` the
+            history violates at the same level.
     """
 
     ok: bool
     order: list[OpRecord] = field(default_factory=list)
     cycle: list[int] = field(default_factory=list)
+    condition: Violation | None = None
 
 
 def effective_ops(history: History) -> list[OpRecord]:
@@ -190,7 +198,8 @@ def _find_cycle(stuck: set[int], adj: list[list[int]]) -> list[int]:
 
 def order_check(history: History, *, real_time: bool) -> OrderResult:
     """Decide (and witness) linearizability (``real_time=True``) or
-    sequential consistency (``real_time=False``)."""
+    sequential consistency (``real_time=False``); a failing verdict names
+    the violated condition."""
     history.validate_well_formed()
     ops, adj = _build_graph(history, real_time=real_time)
     result = _topo_order(ops, adj)
@@ -199,6 +208,13 @@ def order_check(history: History, *, real_time: bool) -> OrderResult:
         if errs:
             raise CheckerInternalError(
                 "constraint-graph witness failed validation: " + "; ".join(errs)
+            )
+    else:
+        result.condition = next(iter_violations(history, real_time=real_time), None)
+        if result.condition is None:
+            raise CheckerInternalError(
+                f"forced-order cycle {result.cycle} but no condition of "
+                "Theorem 1 is violated"
             )
     return result
 

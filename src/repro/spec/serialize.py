@@ -10,6 +10,7 @@ on export and flagged).
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any
 
 from repro.core.tags import Snapshot, Timestamp, ValueTs
@@ -121,13 +122,13 @@ def history_from_dict(data: dict) -> History:
     return history
 
 
-def dump_history(history: History, path: str) -> None:
+def dump_history(history: History, path: str | Path) -> None:
     """Write a history to a JSON file."""
     with open(path, "w") as fh:
         json.dump(history_to_dict(history), fh, indent=1)
 
 
-def load_history(path: str) -> History:
+def load_history(path: str | Path) -> History:
     """Load a history from a JSON file."""
     with open(path) as fh:
         return history_from_dict(json.load(fh))

@@ -92,3 +92,42 @@ def test_report_json_written_and_valid(campaign):
         data = json.load(fh)
     assert validate_report(data) == []
     assert data["total_failures"] == report.total_failures
+
+
+#: per quorum mutant, one campaign index (master seed 0) that fails, and
+#: the condition its shrunk counterexample violates
+NAMED_CONDITIONS = {
+    "mut-delporte-weak-write": (
+        26,
+        "[A2] update 0 (1, 1) precedes scan 1 but is missing from its base (ops (0, 1))",
+    ),
+    "mut-delporte-weak-scan": (
+        33,
+        "[A3] scan 4 precedes scan 5 but B(sc1) ⊄ B(sc2) (ops (4, 5))",
+    ),
+    "mut-bfk-weak-store": (
+        6,
+        "[A4] update 2 precedes update 3 which is in the base of scan 1, "
+        "but 2 is not (ops (2, 3, 1))",
+    ),
+    "mut-impr-weak-collect": (
+        5,
+        "[A3] scan 1 precedes scan 2 but B(sc1) ⊄ B(sc2) (ops (1, 2))",
+    ),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(NAMED_CONDITIONS))
+def test_bundle_names_the_violated_condition(algo, tmp_path):
+    """repro.txt opens with one ``#`` line naming the paper's condition
+    (so it still runs as a shell script); the failure record keeps only
+    the cycle."""
+    index, named = NAMED_CONDITIONS[algo]
+    report = run_campaign(
+        [algo], seed_range=(index, index + 1), master_seed=0, budget=60, out=tmp_path
+    )
+    (record,) = report.algos[0].failures
+    assert "violating cycle op_ids=" in record.detail and "[A" not in record.detail
+    lines = open(record.export_paths["repro"]).read().splitlines()
+    assert lines[0] == f"# {named}"
+    assert [line.startswith("python -m ") for line in lines[1:]] == [True] * 3

@@ -14,7 +14,7 @@ from repro.net.delays import UniformDelay
 from repro.net.faults import CrashAtTime, CrashPlan, chain_crash_plan
 from repro.runtime.cluster import Cluster
 from repro.sim.rng import SeededRng
-from repro.spec import check_linearizable, is_linearizable
+from repro.spec import check_atomicity_conditions, is_linearizable
 
 from tests.conftest import run_random_execution
 
@@ -168,7 +168,7 @@ def test_concurrent_mixed_workload_linearizable():
     for seed in (0, 1, 2, 3, 4, 5):
         cluster, handles = run_random_execution(EqAso, seed=seed)
         assert all(h.done for h in handles)
-        assert check_linearizable(cluster.history) == []
+        assert check_atomicity_conditions(cluster.history) == []
 
 
 def test_linearizable_under_random_crashes():

@@ -4,11 +4,7 @@ import pytest
 
 from repro.core.sso import SsoFastScan
 from repro.runtime.cluster import Cluster
-from repro.spec import (
-    check_sequentially_consistent,
-    is_linearizable,
-    sequentialize,
-)
+from repro.spec import check_sequentially_consistent, is_linearizable, order_check
 
 from tests.conftest import run_random_execution
 
@@ -78,7 +74,7 @@ def test_sso_history_with_stale_read_is_sc_not_linearizable():
     if sc.result.values[0] is None:  # the stale case we are after
         assert not is_linearizable(cluster.history)
         assert check_sequentially_consistent(cluster.history)
-        order = sequentialize(cluster.history)
+        order = order_check(cluster.history, real_time=False).order
         assert [op.kind for op in order] == ["scan", "update"]
     else:  # pragma: no cover - timing-dependent alternative
         pytest.skip("view propagated too fast to exhibit staleness")

@@ -35,3 +35,57 @@ def test_registry_keyerror_maps_to_one_line_message(monkeypatch, capsys):
     assert "experiment 'boom' failed: unknown algorithm 'no-such-algo'" in err
     assert "choose from" in err
     assert "Traceback" not in err
+
+
+def test_every_failure_is_one_error_line(monkeypatch, capsys):
+    """Unknown experiments and failed registry lookups carry the same
+    ``error:`` prefix as the other CLIs."""
+
+    def boom(**kw):
+        from repro.chaos.algos import get_profile
+
+        get_profile("no-such-algo")
+
+    monkeypatch.setitem(registry.EXPERIMENTS, "boom", boom)
+    for argv in (["nope"], ["boom"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+def test_a_failed_caption_fact_exits_one(monkeypatch, capsys):
+    def boom(**kw):
+        from repro.harness.figures import _check
+
+        _check([], False, "op1 returns immediately", "late")
+
+    monkeypatch.setitem(registry.EXPERIMENTS, "boom", boom)
+    assert main(["boom"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: experiment 'boom' failed: check failed: "
+        "op1 returns immediately (got 'late')\n"
+    )
+
+
+def test_a_failing_plan_exits_one_naming_the_condition(monkeypatch, capsys):
+    """A lockstep plan whose history fails the order check is a checked
+    fact too: one ``error:`` line that names the violated condition."""
+
+    def boom(**kw):
+        from repro.chaos.algos import get_profile
+        from repro.chaos.campaign import campaign_seed
+        from repro.chaos.gen import generate_plan
+        from repro.harness.adversary import run_checked
+
+        algo = "mut-delporte-weak-write"
+        run_checked(generate_plan(get_profile(algo), campaign_seed(0, algo, 26)))
+
+    monkeypatch.setitem(registry.EXPERIMENTS, "boom", boom)
+    assert main(["boom"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiment 'boom' failed: mut-delporte-weak-write")
+    assert "[atomicity] history is not linearizable" in err
+    assert "; [A2] update " in err
+    assert err.count("\n") == 1

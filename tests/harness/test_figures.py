@@ -3,12 +3,8 @@
 import pytest
 
 from repro.harness import figures
-from repro.harness.figures import (
-    FigureCheckError,
-    build_figure1_history,
-    run_figure1,
-    run_figure2,
-)
+from repro.harness.figures import build_figure1_history, run_figure1, run_figure2
+from repro.harness.registry import ExperimentCheckError
 from repro.spec import is_linearizable
 
 
@@ -53,6 +49,6 @@ def test_a_failed_caption_fact_raises_naming_it(monkeypatch, run, claim):
     """The checks are raises, not ``assert``s, so they survive
     ``python -O``; the error names the first fact that failed."""
     monkeypatch.setattr(figures, "scan_base", lambda record: frozenset({(9, 9)}))
-    with pytest.raises(FigureCheckError) as err:
+    with pytest.raises(ExperimentCheckError) as err:
         run()
     assert str(err.value).startswith(f"check failed: {claim}")

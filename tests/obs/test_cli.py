@@ -4,7 +4,10 @@ import re
 
 import pytest
 
+from repro.chaos.algos import get_profile
+from repro.chaos.mutants import ABLATIONS, MUTANTS
 from repro.obs.__main__ import main
+from repro.obs.replay import infer_level
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +218,30 @@ def test_check_passes_on_demo_trace(demo_trace, capsys):
     assert main(["check", demo_trace, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True and data["algorithm"] == "EqAso"
+    assert data["condition"] is None
+
+
+@pytest.mark.parametrize("name", sorted({**MUTANTS, **ABLATIONS}))
+def test_infer_level_knows_every_mutant_and_ablation(name):
+    """A mutant's or ablation's profile names its level, so a trace of
+    one replay-checks without ``--level``."""
+    profile = get_profile(name)
+    assert infer_level({"algorithm": profile.factory.__name__}) == profile.consistency
+
+
+def test_check_names_the_condition_on_a_mutant_bundle(tmp_path, capsys):
+    import json
+
+    from repro.chaos.__main__ import main as chaos_main
+
+    argv = ["--algo", "mut-delporte-weak-write", "--seeds", "26:27", "--budget", "60"]
+    assert chaos_main([*argv, "--out", str(tmp_path)]) == 1
+    (bundle,) = (p for p in tmp_path.iterdir() if p.is_dir())
+    capsys.readouterr()
+    assert main(["check", str(bundle / "trace.jsonl")]) == 1
+    out = capsys.readouterr().out
+    named = "[A2] update 0 (1, 1) precedes scan 1 but is missing from its base (ops (0, 1))"
+    assert f"\n  condition: {named}\n" in out
+    assert main(["check", str(bundle / "trace.jsonl"), "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False and data["condition"] == named

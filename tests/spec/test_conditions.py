@@ -1,12 +1,14 @@
 """Tests for the (A0)-(A4) condition checker: one crafted violation per
-condition, plus clean histories that must pass."""
+condition at each level (``real_time=True`` and ``False``), plus clean
+histories that must pass."""
 
 import pytest
 
+from repro.spec import order as spec_order
 from repro.spec.brute import brute_force_linearizable
 from repro.spec.conditions import check_atomicity_conditions
 from repro.spec.linearize import LinearizationError, linearize
-from repro.spec.order import order_check
+from repro.spec.order import CheckerInternalError, order_check
 from tests.support import reference_checkers as ref
 
 from .builders import HistoryBuilder
@@ -190,3 +192,90 @@ def test_brute_reads_program_order_off_recording_order():
     history = b.done()
     assert not brute_force_linearizable(history)
     assert not order_check(history, real_time=True).ok
+
+
+# ----------------------------------------------------------------------
+# real_time=False: "→" is program order only (Definition 2), and the same
+# checker states the sequential-consistency conditions
+# ----------------------------------------------------------------------
+
+
+def sc_conditions(history):
+    return {v.condition for v in check_atomicity_conditions(history, real_time=False)}
+
+
+def assert_sc_verdict_names(history, condition):
+    """``condition`` is violated at the SC level, and the failing SC
+    verdict of ``order_check`` names the first violation found."""
+    got = check_atomicity_conditions(history, real_time=False)
+    assert condition in {v.condition for v in got}
+    result = order_check(history, real_time=False)
+    assert not result.ok
+    assert result.condition == got[0]
+
+
+def test_sc_clean_history_passes(small_history):
+    assert check_atomicity_conditions(small_history, real_time=False) == []
+
+
+def test_sc_stale_cross_node_read_passes():
+    """The defining difference between the levels: a remote stale read
+    violates (A2) in real time and nothing under program order."""
+    b = HistoryBuilder(2)
+    b.update(0, "v", 0.0, 1.0)
+    b.scan(1, 2.0, 3.0, {})
+    history = b.done()
+    assert conditions(history) == {"A2"}
+    assert check_atomicity_conditions(history, real_time=False) == []
+
+
+def test_sc_a1_incomparable_bases():
+    b = HistoryBuilder(4)
+    b.update(0, "a", 0.0, 10.0)
+    b.update(1, "b", 0.0, 10.0)
+    b.scan(2, 0.0, 10.0, {0: ("a", 1)})
+    b.scan(3, 0.0, 10.0, {1: ("b", 1)})
+    assert_sc_verdict_names(b.done(), "A1")
+
+
+def test_sc_a2_own_update_missed():
+    b = HistoryBuilder(2)
+    b.update(0, "mine", 0.0, 1.0)
+    b.scan(0, 2.0, 3.0, {})  # forgets its own write
+    assert_sc_verdict_names(b.done(), "A2")
+
+
+def test_sc_a3_own_scans_not_monotone():
+    b = HistoryBuilder(3)
+    b.update(1, "x", 0.0, 10.0)  # concurrent updater
+    b.scan(0, 1.0, 2.0, {1: ("x", 1)})
+    b.scan(0, 3.0, 4.0, {})  # shrinks
+    assert_sc_verdict_names(b.done(), "A3")
+
+
+def test_sc_a0_own_future_read():
+    b = HistoryBuilder(2)
+    b.scan(0, 0.0, 1.0, {0: ("later", 1)})  # reads its own future update
+    b.update(0, "later", 2.0, 3.0)
+    assert_sc_verdict_names(b.done(), "A0")
+
+
+def test_sc_legal_wrong_value():
+    b = HistoryBuilder(2)
+    b.update(0, "real", 0.0, 1.0)
+    b.scan(1, 2.0, 3.0, {0: ("fake", 1)})
+    assert sc_conditions(b.done()) == {"legal"}
+
+
+def test_a_cycle_with_no_violated_condition_is_a_checker_bug(monkeypatch):
+    """``order_check`` explains every failing verdict by a condition;
+    an explainer that finds none contradicts Theorem 1 at run time."""
+    b = HistoryBuilder(2)
+    b.update(0, "a", 0.0, 1.0)
+    b.scan(1, 2.0, 3.0, {})
+    history = b.done()
+    assert order_check(history, real_time=True).condition.condition == "A2"
+    monkeypatch.setattr(spec_order, "iter_violations", lambda h, real_time: iter(()))
+    with pytest.raises(CheckerInternalError, match="no condition of Theorem 1"):
+        order_check(history, real_time=True)
+    assert order_check(history, real_time=False).ok  # a pass never explains

@@ -3,8 +3,10 @@ the dense originals in ``tests/support/reference_checkers.py``.
 
 On every generated history the shipped checkers must return the same
 verdict, the same witness order, the same effective ops and the same
-violations as the originals, and every reported cycle must consist of
-edges the dense graph contains.  A counting test (no wall clock) pins
+violations as the originals, at both levels, and every reported cycle
+must consist of edges the dense graph contains and be named by the first
+violated condition.  Theorem 1 and its sequential-consistency analogue
+are checked both ways on the same histories.  A counting test (no wall clock) pins
 the graph at ≤ (3n+1)·N edges with no frozenset base built.
 """
 
@@ -25,7 +27,6 @@ from repro.spec.conditions import check_atomicity_conditions
 from repro.spec.history import SCAN, UPDATE, History
 from repro.spec.linearize import LinearizationError, linearize
 from repro.spec.order import effective_ops, order_check, validate_serialization
-from repro.spec.sso_conditions import check_sso_conditions
 from tests.support import reference_checkers as ref
 from tests.support.checker_scale import synthetic_history
 
@@ -115,19 +116,23 @@ def assert_agrees_with_reference(history):
         want = ref.order_check(history, real_time=real_time)
         assert got.ok == want.ok
         assert [op.op_id for op in got.order] == [op.op_id for op in want.order]
-        if not got.ok:
+        violations = check_atomicity_conditions(history, real_time=real_time)
+        assert sorted(map(_key, violations)) == sorted(
+            map(_key, ref.check_atomicity_conditions(history, real_time=real_time))
+        )
+        # Theorem 1 (real_time=False: its SC analogue) both ways, ties
+        # across nodes included: the conditions hold iff the forced-order
+        # graph is acyclic (which ignores value contents)
+        assert all(v.condition == "legal" for v in violations) == got.ok
+        if got.ok:
+            assert got.condition is None
+        else:
             _assert_cycle_is_forced(history, got.cycle, real_time=real_time)
+            assert got.condition == violations[0]
+        if not real_time:  # the dense (S1)-(S4) decide the same verdict
+            assert (violations == []) == (ref.check_sso_conditions(history) == [])
 
     got_a = check_atomicity_conditions(history)
-    assert sorted(map(_key, got_a)) == sorted(
-        map(_key, ref.check_atomicity_conditions(history))
-    )
-    # Theorem 1 both ways, ties across nodes included: (A0)-(A4) hold
-    # iff the forced-order graph is acyclic (which ignores value contents)
-    ordered = all(v.condition == "legal" for v in got_a)
-    assert ordered == order_check(history, real_time=True).ok
-    assert check_sso_conditions(history) == ref.check_sso_conditions(history)
-
     if got_a:
         with pytest.raises(LinearizationError):
             linearize(history)

@@ -5,9 +5,11 @@ per-writer prefix lengths and builds only a transitive reduction of the
 forced-order graph.  The originals live here, unchanged: a base as the
 frozenset of ``(writer, useq)`` identities, the dense graph with every
 one of the ~N² forced edges, the pairwise real-time validation loop, the
-(A0)–(A4) / (S1)–(S4) checkers as loops over pairs and triples, and the
-O(S·U) Step II slotting ("precedes" in (A0)–(A4) is
-``History.occurs_before``, as in the shipped conditions).
+(A0)–(A4) checker as loops over pairs and triples, and the O(S·U) Step II
+slotting ("precedes" in (A0)–(A4) is ``History.occurs_before`` at the
+checked level, as in the shipped conditions).  The (S1)–(S4)
+sequential-consistency conditions as once shipped, over sets, are kept
+as a verdict oracle for ``check_atomicity_conditions(…, real_time=False)``.
 ``tests/spec/test_reference_checkers.py``
 proves the shipped checkers give the same verdicts, witnesses and
 violations.  Nothing under ``src/`` knows these exist.
@@ -23,6 +25,12 @@ from repro.spec.linearize import LinearizationError
 from repro.spec.order import OrderResult
 
 Base = frozenset[tuple[int, int]]
+
+
+def update_registry(history: History) -> dict[tuple[int, int], OpRecord]:
+    """Map (writer, useq) → UPDATE op (pending updates included: a
+    crashed writer's value may still surface in scans)."""
+    return {op.uid(): op for op in history.ops if op.is_update}
 
 
 # -- bases as sets (spec/base.py at PR 12) ---------------------------------
@@ -70,7 +78,7 @@ def legal_against_history(scan: OpRecord, history: History) -> str | None:
     every (writer, useq) it references is a real UPDATE and the returned
     value equals that UPDATE's argument.  Returns an error string or None.
     """
-    registry = history.update_registry()
+    registry = update_registry(history)
     snap = scan.snapshot()
     for j in range(snap.n):
         uid = snap.segment_uid(j)
@@ -291,12 +299,18 @@ def validate_serialization(
 
 # -- (A0)-(A4) over sets (spec/conditions.py at PR 12) -------------------
 
-def check_atomicity_conditions(history: History) -> list[Violation]:
-    """Run (A1)–(A4) plus well-formedness; returns all violations found."""
+def check_atomicity_conditions(
+    history: History, *, real_time: bool = True
+) -> list[Violation]:
+    """Run (A1)–(A4) plus well-formedness; returns all violations found.
+    ``real_time=False`` reads "precedes" as program order only."""
     history.validate_well_formed()
     violations: list[Violation] = []
     scans = history.scans()
-    updates = history.updates(include_pending=True)
+    updates = [op for op in history.ops if op.is_update]
+
+    def before(a: OpRecord, b: OpRecord) -> bool:
+        return History.occurs_before(a, b, real_time=real_time)
     bases = {sc.op_id: scan_base(sc) for sc in scans}
 
     # well-formedness: legality of returned values + prefix closure
@@ -318,11 +332,11 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     # the scan's own program order).  Implicit in the paper (a value must
     # physically reach the scanner); made explicit here so that (A0)-(A4)
     # are jointly sufficient (see repro.spec.linearize).
-    registry0 = history.update_registry()
+    registry0 = update_registry(history)
     for sc in scans:
         for uid in bases[sc.op_id]:
             up = registry0.get(uid)
-            if up is not None and History.occurs_before(sc, up):
+            if up is not None and before(sc, up):
                 violations.append(
                     Violation(
                         "A0",
@@ -349,7 +363,7 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     for sc in scans:
         base = bases[sc.op_id]
         for up in updates:
-            if History.occurs_before(up, sc) and up.uid() not in base:
+            if before(up, sc) and up.uid() not in base:
                 violations.append(
                     Violation(
                         "A2",
@@ -362,7 +376,7 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     # (A3) scan order implies base containment
     for sc1 in scans:
         for sc2 in scans:
-            if sc1 is sc2 or not History.occurs_before(sc1, sc2):
+            if sc1 is sc2 or not before(sc1, sc2):
                 continue
             if not bases[sc1.op_id] <= bases[sc2.op_id]:
                 violations.append(
@@ -375,13 +389,13 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
                 )
 
     # (A4) bases are closed under the precedes relation on updates
-    registry = history.update_registry()
+    registry = update_registry(history)
     for sc in scans:
         base = bases[sc.op_id]
         in_base = [registry[uid] for uid in base if uid in registry]
         for v in in_base:
             for u in updates:
-                if History.occurs_before(u, v) and u.uid() not in base:
+                if before(u, v) and u.uid() not in base:
                     violations.append(
                         Violation(
                             "A4",
@@ -393,7 +407,7 @@ def check_atomicity_conditions(history: History) -> list[Violation]:
     return violations
 
 
-# -- (S1)-(S4) over sets (spec/sso_conditions.py at PR 12) ---------------
+# -- (S1)-(S4) over sets (the verdict oracle for real_time=False) ----------
 
 def check_sso_conditions(history: History) -> list[Violation]:
     """Check (S1)–(S4); empty result ⟺ the history is sequentially
@@ -434,7 +448,7 @@ def check_sso_conditions(history: History) -> list[Violation]:
     # per-node program-order conditions
     for node in range(history.n):
         ops = sorted(
-            (op for op in history.by_node(node) if op.complete),
+            (op for op in history.ops if op.node == node and op.complete),
             key=lambda o: o.t_inv,
         )
         updates_so_far = 0
