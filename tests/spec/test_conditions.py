@@ -3,6 +3,7 @@ condition at each level (``real_time=True`` and ``False``), plus clean
 histories that must pass."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.spec import order as spec_order
 from repro.spec.brute import brute_force_linearizable
@@ -12,6 +13,7 @@ from repro.spec.order import CheckerInternalError, order_check
 from tests.support import reference_checkers as ref
 
 from .builders import HistoryBuilder
+from .test_brute import histories
 
 
 def conditions(history):
@@ -265,6 +267,17 @@ def test_sc_legal_wrong_value():
     b.update(0, "real", 0.0, 1.0)
     b.scan(1, 2.0, 3.0, {0: ("fake", 1)})
     assert sc_conditions(b.done()) == {"legal"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(histories())
+def test_sc_conditions_are_tight(h):
+    """The conditions at real_time=False hold iff the exact
+    sequential-consistency decision procedure accepts (the
+    machine-checked analogue of the tech report's tight-conditions
+    theorem)."""
+    cond_ok = check_atomicity_conditions(h, real_time=False) == []
+    assert cond_ok == order_check(h, real_time=False).ok
 
 
 def test_a_cycle_with_no_violated_condition_is_a_checker_bug(monkeypatch):

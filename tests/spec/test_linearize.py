@@ -66,6 +66,18 @@ def test_sequentialize_allows_stale_reads():
         linearize(h)
 
 
+def test_sequentialize_raises_on_sc_violation():
+    b = HistoryBuilder(2)
+    b.update(0, "v", 0.0, 1.0)
+    b.scan(0, 2.0, 3.0, {})  # own write missed
+    h = b.done()
+    result = order_check(h, real_time=False)  # no SC witness exists
+    assert not result.ok
+    assert result.condition.condition == "A2"
+    with pytest.raises(LinearizationError):
+        linearize(h)
+
+
 def test_linearize_with_visible_pending_update():
     b = HistoryBuilder(2)
     u = b.update(0, "ghost", 0.0, None)  # writer crashed
