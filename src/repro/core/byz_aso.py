@@ -239,7 +239,9 @@ class ByzantineAso(EqAso):
                 return
             kind = type(payload)
             if kind in _TAG_KINDS:
-                self._handlers[kind](self, src, payload)
+                # the inherited handler: this class's own table sends
+                # every kind back here
+                EqAso._handlers[kind](self, src, payload)
                 return
             match payload:
                 case MHave(vt) if isinstance(vt, ValueTs):

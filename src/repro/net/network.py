@@ -14,23 +14,28 @@ Crashed nodes neither send nor receive: sends by a crashed node are
 rejected upstream (the cluster silences it) and deliveries to a node that
 crashed in the meantime are dropped at delivery time.
 
-There is one send path.  Per-message scheduling is closure-free (the
-delivery event carries ``(src, dst, payload, sent_at)``), the FIFO clamp
-table is a flat ``n*n`` float list, a constant-delay model is read
-once and every other model's ``sample`` is bound once (its draws are
-checked against ``[0, D]`` inline, on both send paths), and
-:meth:`Network.broadcast` batches its
-fan-out — one delivery event per distinct post-clamp delivery time
-carrying the destination list, so a lockstep broadcast costs ~1 kernel
-event instead of ``n − 1``.  Per-destination crash-drop checks still
-happen at delivery time.
+The network is the send side: the delay, its ``[0, D]`` check, the FIFO
+clamp, gating and the push.  The delivery event is the call
+``deliver(src, dsts, payload, sent_at)`` itself — in a cluster,
+``BaseCluster._deliver``, which drops each destination that crashed since
+the send, keeps ``messages_delivered``/``messages_dropped`` and runs the
+handler, with no network frame in between.
+
+Scheduling is closure-free and the FIFO clamp table a flat ``n*n`` list;
+a constant delay is read once, a :class:`~repro.net.delays.UniformDelay`
+drawn inline, any other model's ``sample`` bound once, and every draw
+checked against ``[0, D]``.  Under sampled delays a broadcast pushes
+each destination as it draws it; otherwise it batches its fan-out — one
+delivery event per distinct post-clamp time carrying the destination
+list, so a lockstep broadcast costs ~1 kernel event instead of ``n − 1``.
 
 Everything that looks at individual messages — tracer callbacks, the
-:class:`DeliveryRecord` trace, link gating — sits inline behind one
-flag, ``_watched``, which is true iff a tracer is enabled, the delivery
-trace is recorded, or some channel is currently gated.  Observation
-never changes the schedule: a watched run executes the same kernel
-events in the same ``(time, priority, seq)`` order as a bare one.
+:class:`DeliveryRecord` trace, link gating — sits behind one flag,
+``_watched``: a tracer is enabled, the trace is recorded, or a channel is
+gated.  A watched send pushes :meth:`Network._arrive`, which observes
+each destination's delivery or drop and hands it to ``deliver``.
+Observation never changes the schedule: a watched run executes the same
+kernel events in the same ``(time, priority, seq)`` order as a bare one.
 
 Batching never changes observable order: a broadcast's sends would hold
 consecutive sequence numbers (nothing can interleave), within one batch
@@ -46,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.net.delays import ConstantDelay, DelayModel
+from repro.net.delays import ConstantDelay, DelayModel, UniformDelay
 from repro.net.faults import CrashPlan
 from repro.sim.fastpath import STATS
 from repro.sim.kernel import Simulator
@@ -66,9 +71,7 @@ class DeliveryRecord:
 
 def _bad_delay(delay: float, D: float, src: int, dst: int) -> ValueError:
     """A model broke its contract (``not 0 <= d <= D`` catches NaN too)."""
-    return ValueError(
-        f"delay model produced {delay} outside [0, {D}] for {src}->{dst}"
-    )
+    return ValueError(f"delay model produced {delay} outside [0, {D}] for {src}->{dst}")
 
 
 class Network:
@@ -80,7 +83,7 @@ class Network:
         n: int,
         delay_model: DelayModel,
         crash_plan: CrashPlan,
-        deliver: Callable[[int, int, Any], None],
+        deliver: Callable[[int, Sequence[int], Any, float], None],
         *,
         record_trace: bool = False,
         tracer: Any = None,
@@ -92,9 +95,10 @@ class Network:
             n: number of nodes (ids ``0..n-1``).
             delay_model: assigns per-message delays in ``[0, D]``.
             crash_plan: the crash adversary; consulted for mid-broadcast
-                truncation and for dropping deliveries to dead nodes.
-            deliver: callback ``(dst, src, payload)`` invoked at delivery
-                time (the cluster routes it into the node's handler).
+                truncation (and, on watched runs, for what is dropped).
+            deliver: the delivery events' function, ``deliver(src, dsts,
+                payload, sent_at)`` (``dsts``: one destination or a batch);
+                it drops deliveries to crashed nodes and keeps the counts.
             record_trace: keep a full :class:`DeliveryRecord` list
                 (memory-heavy; off by default, on in figure regenerators).
             tracer: optional :class:`repro.obs.Tracer`; send/deliver/drop
@@ -113,6 +117,7 @@ class Network:
         #: flat FIFO-clamp table, indexed ``src * n + dst``
         self._last_delivery = [0.0] * (n * n)
         self.messages_sent = 0
+        #: kept by ``deliver``, which decides what is delivered
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.sent_by_node: list[int] = [0] * n
@@ -134,6 +139,11 @@ class Network:
         self._const_delay: float | None = (
             delay_model.delay if type(delay_model) is ConstantDelay else None
         )
+        #: a uniform model's ``(lo, span, random)``: its ``sample`` is
+        #: ``lo + span * random()``, drawn inline without the frame
+        self._uniform: tuple[float, float, Callable[[], float]] | None = None
+        if type(delay_model) is UniformDelay:
+            self._uniform = (delay_model.lo, delay_model._span, delay_model._random)
         self._sample = delay_model.sample
         self._max_delay = delay_model.D
         # delivery times are provably >= now (delay >= 0 plus a monotone
@@ -182,9 +192,7 @@ class Network:
         if idx not in self._gated:
             return
         self._gated.discard(idx)
-        self._watched = (
-            bool(self._gated) or self._tracer is not None or self._record_trace
-        )
+        self._watched = bool(self._gated) or self._tracer is not None or self._record_trace
         if self._tracer is not None:
             self._tracer.on_link(src, dst, up=True)
         for payload in self._parked.pop(idx, ()):
@@ -226,7 +234,11 @@ class Network:
         else:
             delay = self._const_delay
             if delay is None:
-                delay = self._sample(src, dst, payload, now)
+                uniform = self._uniform
+                if uniform is not None:
+                    delay = uniform[0] + uniform[1] * uniform[2]()
+                else:
+                    delay = self._sample(src, dst, payload, now)
                 if not 0.0 <= delay <= self._max_delay:
                     raise _bad_delay(delay, self._max_delay, src, dst)
         deliver_at = now + delay
@@ -236,23 +248,27 @@ class Network:
             deliver_at = last[idx]  # FIFO clamp; see module docstring
         else:
             last[idx] = deliver_at
-        self._push_call(deliver_at, self._arrive, (src, dst, payload, now))
+        deliver = self._arrive if self._watched else self._deliver
+        self._push_call(deliver_at, deliver, (src, (dst,), payload, now))
 
     def broadcast(self, src: int, payload: Any, dests: Sequence[int]) -> None:
-        """Send ``payload`` to each destination as one batched fan-out
-        (one delivery event per distinct delivery time), applying
-        mid-broadcast crash truncation (Definition 11) if the crash plan
-        says so.
+        """Send ``payload`` to each destination, applying mid-broadcast
+        crash truncation (Definition 11) if the crash plan says so.  Under
+        sampled delays each destination's delivery is pushed as it is
+        drawn; otherwise the fan-out is batched, one delivery event per
+        distinct delivery time.
 
-        A :class:`~repro.net.faults.BroadcastCrash` leaves only the
-        adversary-chosen destinations in the send loop; the caller (the
-        cluster) is then told to crash the node via the plan state.
+        Every endpoint is checked before anything is counted, clamped or
+        fired.  A :class:`~repro.net.faults.BroadcastCrash` leaves only
+        the adversary-chosen destinations in the send loop; the caller
+        (the cluster) is then told to crash the node via the plan state.
         """
+        n = self.n
+        if dests and not (0 <= src < n and 0 <= min(dests) and max(dests) < n):
+            bad = next((d for d in dests if not 0 <= d < n), "?")
+            raise ValueError(f"bad endpoints {src}->{bad} for n={n}")
         allowed, crash_now = self.crash_plan.filter_broadcast(src, payload, dests)
         if allowed:
-            n = self.n
-            if not 0 <= src < n:
-                raise ValueError(f"bad endpoints {src}->? for n={n}")
             now = self.sim.now
             count = len(allowed)
             self.messages_sent += count
@@ -261,14 +277,18 @@ class Network:
             watched = self._watched
             tracer = self._tracer
             const_delay = self._const_delay
+            uniform = self._uniform
+            if uniform is not None:
+                lo, span, random = uniform
             sample = self._sample
             D = self._max_delay
             last = self._last_delivery
             base = src * n
-            groups: dict[float, list[int]] = {}
+            push_call = self._push_call
+            deliver = self._arrive if watched else self._deliver
+            # delivery time -> destinations; None: push each as drawn
+            groups: dict[float, list[int]] | None = None if uniform is not None else {}
             for dst in allowed:
-                if not 0 <= dst < n:
-                    raise ValueError(f"bad endpoints {src}->{dst} for n={n}")
                 idx = base + dst
                 if watched:
                     if tracer is not None:
@@ -281,7 +301,10 @@ class Network:
                 elif const_delay is not None:
                     delay = const_delay
                 else:
-                    delay = sample(src, dst, payload, now)
+                    if uniform is not None:
+                        delay = lo + span * random()
+                    else:
+                        delay = sample(src, dst, payload, now)
                     if not 0.0 <= delay <= D:
                         raise _bad_delay(delay, D, src, dst)
                 deliver_at = now + delay
@@ -289,28 +312,29 @@ class Network:
                     deliver_at = last[idx]  # FIFO clamp
                 else:
                     last[idx] = deliver_at
-                group = groups.get(deliver_at)
-                if group is None:
-                    groups[deliver_at] = [dst]
+                if groups is None:
+                    push_call(deliver_at, deliver, (src, (dst,), payload, now))
                 else:
-                    group.append(dst)
-            push_call = self._push_call
-            for deliver_at, dsts in groups.items():
-                if len(dsts) == 1:
-                    push_call(deliver_at, self._arrive, (src, dsts[0], payload, now))
-                else:
-                    push_call(deliver_at, self._arrive_batch, (src, dsts, payload, now))
+                    group = groups.get(deliver_at)
+                    if group is None:
+                        groups[deliver_at] = [dst]
+                    else:
+                        group.append(dst)
+            if groups:
+                for deliver_at, dsts in groups.items():
+                    push_call(deliver_at, deliver, (src, dsts, payload, now))
         if crash_now:
             self.crash_plan.mark_crashed(src)
             if self._tracer is not None:
                 self._tracer.on_crash(src, detail="mid-broadcast crash")
 
-    # ------------------------------------------------------------------
-    # delivery
-    # ------------------------------------------------------------------
-    def _arrive(self, src: int, dst: int, payload: Any, sent_at: float) -> None:
-        dropped = dst in self._crashed
-        if self._watched:
+    # -- delivery, watched -------------------------------------------------
+    def _arrive(self, src: int, dsts: Sequence[int], payload: Any, sent_at: float) -> None:
+        """A watched send's delivery event: observe each destination's
+        delivery — or drop, if it crashed since the send or by an earlier
+        delivery of this batch — then hand it to ``deliver``."""
+        for dst in dsts:
+            dropped = dst in self._crashed
             if self._record_trace:
                 self.trace.append(
                     DeliveryRecord(src, dst, payload, sent_at, self.sim.now, dropped)
@@ -321,30 +345,7 @@ class Network:
                     self._tracer.on_drop(src, dst, payload)
                 else:
                     self._tracer.on_deliver(src, dst, payload)
-        if dropped:
-            self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        self._deliver(dst, src, payload)
-
-    def _arrive_batch(
-        self, src: int, dsts: list[int], payload: Any, sent_at: float
-    ) -> None:
-        """Deliver one batched fan-out group, re-checking crash state per
-        destination (a destination may have died since the send — or be
-        killed by an earlier delivery in this very batch)."""
-        if self._watched:
-            for dst in dsts:
-                self._arrive(src, dst, payload, sent_at)
-            return
-        crashed = self._crashed
-        deliver = self._deliver
-        for dst in dsts:
-            if dst in crashed:
-                self.messages_dropped += 1
-            else:
-                self.messages_delivered += 1
-                deliver(dst, src, payload)
+            self._deliver(src, (dst,), payload, sent_at)
 
 
 __all__ = ["Network", "DeliveryRecord"]

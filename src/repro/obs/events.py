@@ -37,7 +37,6 @@ EVENT_KINDS: tuple[str, ...] = (
     "op-abort",
     "phase-enter",
     "phase-exit",
-    "sched",
 )
 
 #: serialization field order (fixed → byte-stable JSONL)

@@ -280,28 +280,5 @@ class Tracer:
             )
         )
 
-    # ------------------------------------------------------------------
-    # kernel hook (opt-in; feeds Simulator._trace_hooks into the log)
-    # ------------------------------------------------------------------
-    def attach_kernel(self, sim: Any, *, tag_prefixes: tuple[str, ...] = ()) -> None:
-        """Log kernel events ("sched") whose tag starts with one of the
-        prefixes (all tagged events when no prefix is given).  Debug aid;
-        off unless explicitly attached."""
-        self.bind(sim)
-
-        def hook(event: Any) -> None:
-            if not self.enabled:
-                return
-            tag = getattr(event, "tag", "")
-            if tag_prefixes and not any(tag.startswith(p) for p in tag_prefixes):
-                return
-            self._emit(
-                TraceEvent(
-                    kind="sched", t=event.time, lamport=0, node=-1, detail=tag or None
-                )
-            )
-
-        sim.add_trace_hook(hook)
-
 
 __all__ = ["EventSink", "MemorySink", "NullSink", "Tracer"]

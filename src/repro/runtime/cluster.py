@@ -96,6 +96,7 @@ class BaseCluster:
         if self._tracer is not None:
             self._tracer.bind(kernel)
         self.crash_plan = crash_plan if crash_plan is not None else CrashPlan.none()
+        self._crashed = self.crash_plan.crashed  # the plan's live set
         self.delay_model = delay_model = delay_model or ConstantDelay(D)
         self.network = Network(
             kernel,
@@ -202,21 +203,34 @@ class BaseCluster:
         if symmetric:
             self.network.reconnect(dst, src)
 
-    def _deliver(self, dst: int, src: int, payload: Any) -> None:
-        # the network already dropped deliveries to crashed nodes (its
-        # per-destination check runs at delivery time, immediately before
-        # this callback), so no re-check is needed here
-        node = self.nodes[dst]
-        node.on_message(src, payload)
+    def _deliver(self, src: int, dsts: Sequence[int], payload: Any, sent_at: float) -> None:
+        """The delivery event itself (see :mod:`repro.net.network`).  Per
+        destination, in order: drop the message if the node crashed —
+        since the send, or by an earlier delivery of this batch — else
+        call its class's handler-table entry, flush, and resume the
+        node's operation if the handler released its wait."""
+        network = self.network
+        crashed = self._crashed
         driver = self._driver
-        if node.outbox:
-            driver.flush(dst)
-        op = driver.ops[dst]
-        if op is not None:
-            wait = op.wait
-            if wait is not None and wait.predicate():
-                # resumed synchronously, before any further delivery
-                self._resume(op)
+        for dst in dsts:
+            if dst in crashed:
+                network.messages_dropped += 1
+                continue
+            network.messages_delivered += 1
+            node = self.nodes[dst]
+            try:
+                handler = node._handlers[type(payload)]
+            except KeyError:
+                raise TypeError(f"{type(node).__name__} got unknown message {payload!r}") from None
+            handler(node, src, payload)
+            if node.outbox:
+                driver.flush(dst)
+            op = driver.ops[dst]
+            if op is None or (wait := op.wait) is None:
+                continue
+            replies = wait.replies
+            if len(replies) >= wait.need if replies is not None else wait.predicate():
+                self._resume(op)  # synchronously, before any further delivery
 
 
 class Cluster(BaseCluster):

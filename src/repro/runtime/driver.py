@@ -148,7 +148,7 @@ class OpDriver:
         """Step ``op``'s generator until it parks on a false predicate
         (``op.wait`` is set), returns (``op.done``) or its node is found
         crashed after a flush (``op.aborted``).  A runtime re-evaluates
-        ``op.wait.predicate()`` after every handler and calls this again."""
+        the wait after every handler and calls this again."""
         op.wait = None
         while True:
             try:
@@ -167,7 +167,8 @@ class OpDriver:
             self.flush(op.node)
             if op.aborted:
                 return
-            if not yielded.predicate():
+            replies = yielded.replies  # a quorum round's, tested inline
+            if not (len(replies) >= yielded.need if replies is not None else yielded.predicate()):
                 op.wait = yielded
                 return
 

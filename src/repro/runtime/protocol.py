@@ -1,8 +1,8 @@
 """Sans-io protocol node base class.
 
 A :class:`ProtocolNode` models one node of Sec. II-A: a *server thread*
-(the :meth:`ProtocolNode.on_message` handler, executed atomically per
-message) and a *client thread* (operation generators that block on
+(the handler its class's table names for each message type, executed
+atomically per message) and a *client thread* (operation generators that block on
 :class:`WaitUntil` conditions).  The node never touches a clock or a
 socket — it only appends to its outbox; a runtime drains the outbox into
 an actual transport.  This is what lets the identical algorithm code run
@@ -27,11 +27,16 @@ class WaitUntil:
     this node and resumes the generator synchronously when it holds.  The
     ``description`` surfaces in liveness diagnostics (``StuckError``),
     which is how the ablation experiments report *where* a crippled
-    algorithm deadlocks.
+    algorithm deadlocks.  A :meth:`ProtocolNode.quorum_round` wait also
+    carries its ``replies`` dict and the count ``need`` of them it waits
+    for, so that the runtime tests ``len(replies) >= need`` after a
+    handler instead of calling the predicate, which says the same.
     """
 
     predicate: Callable[[], bool]
     description: str = ""
+    replies: dict[int, Any] | None = None
+    need: int = 0
 
 
 @dataclass(slots=True)
@@ -57,6 +62,16 @@ def handles(kind: type) -> Callable[[Callable[..., None]], Callable[..., None]]:
     return mark
 
 
+class _OnMessage(dict):
+    """The handler table of a class that overrides ``on_message``: every
+    message type, marked or not, maps to the override."""
+
+    on_message: Callable[..., None]
+
+    def __missing__(self, kind: type) -> Callable[..., None]:
+        return self.on_message
+
+
 class ProtocolNode:
     """Base class for all algorithm nodes (core and baselines).
 
@@ -69,6 +84,12 @@ class ProtocolNode:
     changes that one entry in the subclass's own table.  A method name
     handles one type, the one its last mark along the MRO names, so
     re-marking an inherited handler with another type moves its entry.
+
+    The table is what a runtime calls, ``table[type(payload)](node, src,
+    payload)``, one lookup from the delivery event to the handler.  A
+    class that overrides :meth:`on_message` gets a table that sends every
+    type there: its marked types map to the override, and any other type
+    finds it through :class:`_OnMessage`'s ``__missing__``.
     """
 
     _handlers: dict[type, Callable[..., None]] = {}
@@ -82,7 +103,11 @@ class ProtocolNode:
                 if kind is not None:
                     marks.pop(name, None)  # a later mark ranks later
                     marks[name] = kind
-        cls._handlers = {kind: getattr(cls, name) for name, kind in marks.items()}
+        if cls.on_message is ProtocolNode.on_message:
+            cls._handlers = {kind: getattr(cls, name) for name, kind in marks.items()}
+        else:
+            cls._handlers = table = _OnMessage.fromkeys(marks.values(), cls.on_message)
+            table.on_message = cls.on_message
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         if not 0 <= node_id < n:
@@ -132,7 +157,7 @@ class ProtocolNode:
         self._rounds[kind][key] = replies
         self.broadcast(payload)
         need = self.n - self.f
-        yield WaitUntil(lambda: len(replies) >= need, what)
+        yield WaitUntil(lambda: len(replies) >= need, what, replies, need)
         del self._rounds[kind][key]
         return replies
 
@@ -182,9 +207,11 @@ class ProtocolNode:
         """Called once when the cluster starts (default: nothing)."""
 
     def on_message(self, src: int, payload: Any) -> None:
-        """Handle one delivered message (executed atomically) — the entry
-        point runtimes call.  The default looks ``type(payload)`` up in
-        the class's handler table; override it to dispatch otherwise."""
+        """Handle one delivered message (executed atomically).  The
+        default looks ``type(payload)`` up in the handler table, as a
+        runtime's delivery does without calling this.  An override point:
+        a class that overrides it receives every message here, through
+        its table (see :class:`ProtocolNode`)."""
         try:
             handler = self._handlers[type(payload)]
         except KeyError:

@@ -14,13 +14,12 @@ The kernel is deliberately small and fully deterministic:
   experiment is replayable from its seed.
 """
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.fastpath import STATS, SubstrateStats
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import SeededRng, derive_seed
 
 __all__ = [
-    "Event",
     "EventQueue",
     "STATS",
     "SubstrateStats",

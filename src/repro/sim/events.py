@@ -22,9 +22,7 @@ then the unique ``seq``, never reaching ``fn`` — so both lanes hold the
 records themselves, with no object or key tuple beside them, and a push
 is one list display.  A record carries ``(fn, args)`` instead of a
 closure; the kernel fires it with ``event[3](*event[4])``.  The record is
-also the handle :meth:`EventQueue.cancel` takes.  :class:`Event` reads a
-record by name, for everything off the hot path: the kernel hands one to
-each trace hook, and tests and debuggers wrap a record themselves.
+also the handle :meth:`EventQueue.cancel` takes.
 
 Cancellation is the record's state slot: an event is *pending* until it
 is popped (fired) or cancelled.  Cancelling an event that already fired
@@ -46,50 +44,6 @@ _CANCELLED = 2
 
 #: an event record: ``[time, priority, seq, fn, args, tag, state]``
 Record = list[Any]
-
-_STATE_NAMES = {_PENDING: "pending", _FIRED: "fired", _CANCELLED: "cancelled"}
-
-
-class Event:
-    """A record read by name: ``Event(record).tag``.  A live view — it
-    shows the record's state as it is now, not as it was when wrapped.
-
-    Attributes:
-        time: absolute simulation time at which the event fires.
-        priority: tie-break rank; lower fires first at equal time.  The
-            network uses priority 0 for deliveries and the harness uses
-            higher priorities for bookkeeping so measurements see a fully
-            settled state.
-        seq: queue-assigned sequence number (total order tie-break).
-        fn: callable executed when the event fires, as ``fn(*args)``.
-        args: positional arguments for ``fn`` (empty for plain actions).
-        tag: free-form label used by traces.
-        record: the record itself.
-    """
-
-    __slots__ = ("record",)
-
-    def __init__(self, record: Record) -> None:
-        self.record = record
-
-    time = property(lambda self: self.record[0])
-    priority = property(lambda self: self.record[1])
-    seq = property(lambda self: self.record[2])
-    fn = property(lambda self: self.record[3])
-    args = property(lambda self: self.record[4])
-    tag = property(lambda self: self.record[5])
-    cancelled = property(lambda self: self.record[6] == _CANCELLED)
-    fired = property(lambda self: self.record[6] == _FIRED)
-
-    def sort_key(self) -> tuple[float, int, int]:
-        return tuple(self.record[:3])
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        r = self.record
-        return (
-            f"Event(t={r[0]}, prio={r[1]}, seq={r[2]}, tag={r[5]!r}, "
-            f"{_STATE_NAMES[r[6]]})"
-        )
 
 
 class EventQueue:
@@ -173,7 +127,10 @@ class EventQueue:
             self._live -= 1
 
     def pop(self) -> Record:
-        """Remove and return the earliest live event."""
+        """Remove and return the earliest live event.
+
+        ``Simulator._loop`` runs this body inline, to save a frame per
+        event; a change here is a change there."""
         heap = self._heap
         fifo = self._fifo
         while True:
@@ -224,4 +181,4 @@ class EventQueue:
             return None
 
 
-__all__ = ["Event", "EventQueue", "Record"]
+__all__ = ["EventQueue", "Record"]

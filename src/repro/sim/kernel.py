@@ -8,13 +8,13 @@ never does.
 Hot-path design: events carry ``(fn, args)`` instead of a closure —
 :meth:`Simulator.schedule_call` schedules a call without allocating
 anything besides the event record itself — and ``run()``,
-``run(until=)`` and ``step()`` drive one loop body whose only calls per
-event are the pop and the event itself (emptiness is the queue's own
-``IndexError``).  A run that should end before the queue drains is
-*told* to: whoever knows the moment has come — a settle callback
-counting operations down, say — calls :meth:`Simulator.stop` from
-inside an event, and the loop returns when that event does.  Nothing is
-polled.  The executed-event total is folded into
+``run(until=)`` and ``step()`` drive one loop body whose only call per
+event is the event itself: the loop pops the queue's two lanes inline
+(the body of :meth:`EventQueue.pop`).  A run that should end before the
+queue drains is *told* to: whoever knows the moment has come — a settle
+callback counting operations down, say — calls :meth:`Simulator.stop`
+from inside an event, and the loop returns when that event does.
+Nothing is polled.  The executed-event total is folded into
 :data:`repro.sim.fastpath.STATS` when the loop returns, which is how
 ``repro.bench`` (a gated counter) and ``benchmarks/ledger`` count events
 per run without touching the hot loop.
@@ -22,9 +22,10 @@ per run without touching the hot loop.
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Callable
 
-from repro.sim.events import Event, EventQueue, Record
+from repro.sim.events import _CANCELLED, _FIRED, EventQueue, Record
 from repro.sim.fastpath import STATS
 
 
@@ -60,7 +61,6 @@ class Simulator:
         "_max_steps",
         "_running",
         "_stopping",
-        "_trace_hooks",
     )
 
     def __init__(self, *, max_steps: int = 50_000_000) -> None:
@@ -70,7 +70,6 @@ class Simulator:
         self._max_steps = max_steps
         self._running = False
         self._stopping = False
-        self._trace_hooks: list[Callable[[Event], None]] = []
 
     # ------------------------------------------------------------------
     # time & scheduling
@@ -158,20 +157,6 @@ class Simulator:
         """Cancel a pending event (no-op if it already fired)."""
         self._queue.cancel(event)
 
-    def add_trace_hook(self, hook: Callable[[Event], None]) -> None:
-        """Register a hook called before each event executes, with the
-        :class:`~repro.sim.events.Event` view of its record (debug/trace).
-
-        This is the kernel's feed into the observability layer: a
-        :class:`repro.obs.Tracer` attached via ``attach_kernel`` logs
-        scheduler events through here."""
-        self._trace_hooks.append(hook)
-
-    def remove_trace_hook(self, hook: Callable[[Event], None]) -> None:
-        """Detach a previously registered trace hook (idempotent)."""
-        if hook in self._trace_hooks:
-            self._trace_hooks.remove(hook)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -210,11 +195,12 @@ class Simulator:
     def _loop(self, until: float | None, once: bool) -> None:
         """The event loop: every way of advancing the simulation executes
         this one body, so the invariants below hold on all of them."""
-        pop = self._queue.pop
-        peek_time = self._queue.peek_time
-        # the live list object, so hooks added or removed by an event
-        # handler take effect from the next event on
-        hooks = self._trace_hooks
+        queue = self._queue
+        # the lanes are mutated, never replaced; the lane cursor is read
+        # and written back per pop, since a push reads it
+        heap = queue._heap
+        fifo = queue._fifo
+        peek_time = queue.peek_time
         max_steps = self._max_steps
         steps_at_entry = self._steps
         try:
@@ -225,10 +211,26 @@ class Simulator:
                         if until > self.now:
                             self.now = until
                         return
-                try:
-                    event = pop()
-                except IndexError:  # drained
+                # EventQueue.pop, inline
+                head = queue._head
+                if head < len(fifo):
+                    event = fifo[head]
+                    if heap and heap[0] < event:
+                        event = heappop(heap)
+                    else:
+                        head += 1
+                        if head >= 4096:
+                            del fifo[:head]
+                            head = 0
+                        queue._head = head
+                elif heap:
+                    event = heappop(heap)
+                else:  # drained
                     return
+                if event[6] == _CANCELLED:
+                    continue
+                event[6] = _FIRED
+                queue._live -= 1
                 time = event[0]
                 if time < self.now:
                     raise SimulationError(
@@ -240,10 +242,6 @@ class Simulator:
                     raise SimulationError(
                         f"step budget exhausted ({max_steps}); likely livelock"
                     )
-                if hooks:
-                    named = Event(event)
-                    for hook in hooks:
-                        hook(named)
                 event[3](*event[4])
                 if once or self._stopping:
                     return

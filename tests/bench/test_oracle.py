@@ -26,10 +26,12 @@ from repro.net.network import Network
 from repro.runtime.cluster import Cluster
 from repro.sim.events import EventQueue
 from repro.sim.fastpath import STATS
+from repro.sim.kernel import Simulator
 from tests.support.reference_substrate import (
     ReferenceEventQueue,
     ReferenceNetwork,
     ReferenceViewVector,
+    reference_loop,
     reference_substrate,
 )
 
@@ -42,6 +44,7 @@ def _built_types():
     cluster = Cluster(EqAso, n=3, f=1)
     return (
         type(cluster.sim.queue),
+        type(cluster.sim)._loop,
         type(cluster.network),
         type(cluster.nodes[0].V),
         MEchoTag(41) is MEchoTag(41),
@@ -51,11 +54,12 @@ def _built_types():
 def test_reference_patch_reaches_every_construction_site():
     """Guard against a vacuous oracle: inside the block a cluster really
     is built from the references, and the patch undoes itself."""
-    shipped = (EventQueue, Network, ViewVector, True)
+    shipped = (EventQueue, Simulator._loop, Network, ViewVector, True)
     assert _built_types() == shipped
     with reference_substrate():
         assert _built_types() == (
             ReferenceEventQueue,
+            reference_loop,
             ReferenceNetwork,
             ReferenceViewVector,
             False,

@@ -18,7 +18,11 @@ def _delivery_delay(model, src, dst, payload, *, via="send"):
     sim = Simulator()
     arrivals = []
     net = Network(
-        sim, 4, model, CrashPlan.none(), lambda d, s, p: arrivals.append(sim.now)
+        sim,
+        4,
+        model,
+        CrashPlan.none(),
+        lambda src, dsts, p, sent_at: arrivals.append(sim.now),
     )
     if via == "send":
         net.send(src, dst, payload)

@@ -1,26 +1,37 @@
-"""Unit tests for the network: FIFO, reliability, crash semantics."""
+"""Unit tests for the network: FIFO, reliability, crash semantics.
+
+The network pushes each delivery as a call of the cluster's ``_deliver``,
+which drops deliveries to crashed nodes and counts, so the network is
+tested under a cluster of nodes that record what they receive."""
 
 import pytest
 
 from repro.net.delays import AdversarialDelay, ConstantDelay, UniformDelay
 from repro.net.faults import BroadcastCrash, CrashPlan
 from repro.net.network import Network
+from repro.runtime.cluster import Cluster
+from repro.runtime.protocol import ProtocolNode
+from repro.sim.fastpath import STATS
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
 
 
 def make_net(n=3, delay_model=None, plan=None, record=False):
-    sim = Simulator()
     received = []
-    net = Network(
-        sim,
+
+    class Recorder(ProtocolNode):
+        def on_message(self, src, payload):
+            received.append((self.node_id, src, payload, cluster.sim.now))
+
+    cluster = Cluster(
+        Recorder,
         n,
-        delay_model or ConstantDelay(1.0),
-        plan if plan is not None else CrashPlan.none(),
-        lambda dst, src, payload: received.append((dst, src, payload, sim.now)),
-        record_trace=record,
+        0,
+        delay_model=delay_model or ConstantDelay(1.0),
+        crash_plan=plan if plan is not None else CrashPlan.none(),
+        record_net_trace=record,
     )
-    return sim, net, received
+    return cluster.sim, cluster.network, received
 
 
 def test_basic_delivery():
@@ -91,6 +102,22 @@ def test_bad_endpoints_rejected():
     sim, net, _ = make_net()
     with pytest.raises(ValueError):
         net.send(0, 9, "m")
+
+
+def test_broadcast_to_a_bad_destination_changes_nothing():
+    """Regression: every destination is checked before anything is
+    counted or clamped — the bad one used to be found mid-loop, after
+    the counters took the whole fan-out and earlier channels clamped."""
+    sim, net, received = make_net()
+    stats_before = STATS.messages
+    with pytest.raises(ValueError, match="bad endpoints 0->7 for n=3"):
+        net.broadcast(0, "x", (1, 2, 7))
+    assert net.messages_sent == 0 and net.sent_by_node == [0, 0, 0]
+    assert STATS.messages == stats_before
+    assert net._last_delivery == [0.0] * 9
+    assert sim.pending == 0
+    sim.run()
+    assert received == []
 
 
 def test_per_node_send_counters():

@@ -15,7 +15,6 @@ import pytest
 from repro.core import EqAso
 from repro.obs import MemorySink, NullSink, Tracer
 from repro.runtime.cluster import Cluster
-from repro.sim.kernel import Simulator
 
 QUIET = [(0.0, 0, "update", ("x",)), (8.0, 1, "scan", ())]
 
@@ -170,18 +169,3 @@ def test_phase_without_open_span_is_ignored():
     tracer.phase(3, "ghost", True)  # no op running at node 3
     tracer.phase(3, "ghost", False)
     assert tracer.events_emitted == 0
-
-
-# ----------------------------------------------------------------------
-# kernel hook
-# ----------------------------------------------------------------------
-def test_attach_kernel_logs_tagged_events():
-    sim = Simulator()
-    tracer = Tracer(MemorySink())
-    tracer.attach_kernel(sim, tag_prefixes=("net.",))
-    sim.schedule(1.0, lambda: None, tag="net.deliver")
-    sim.schedule(2.0, lambda: None, tag="client.invoke")
-    sim.run()
-    sched = [ev for ev in tracer.sink.events if ev.kind == "sched"]
-    assert [ev.detail for ev in sched] == ["net.deliver"]
-    assert sched[0].t == pytest.approx(1.0)

@@ -7,10 +7,10 @@ shape of the ledger's ``des_jitter_n21`` at a size tier-1 can afford) is
 run under ``sys.setprofile`` and the Python function calls made while
 the simulation runs are divided by the messages it delivered.  The
 episodes and the counting live in ``tests/support/call_breakdown.py``;
-``python -m tests.support.call_breakdown [des|aio]`` prints the count
-per function, which is where a pass over this path starts.
+``python -m tests.support.call_breakdown [des|aio|lockstep]`` prints the
+count per function, which is where a pass over this path starts.
 
-Recorded on CPython 3.11 (45 847 calls / 3 476 messages): **13.19**
+Recorded on CPython 3.11 (29 042 calls / 3 476 messages): **8.36**
 calls per delivered message.  The history of that number:
 
 - **25.16** — ``match`` ladders behind ``_handle_tag_message``,
@@ -35,7 +35,24 @@ calls per delivered message.  The history of that number:
   ====================================================  ======  =====
 
 - **13.19** — the per-node op FIFO replaced ``chain_ops``' per-link
-  closures, callback and end-of-chain event (per op, not per message).
+  closures, callback and end-of-chain event (per op, not per message);
+- **8.36** — one frame from the kernel to the handler: the delivery
+  event is the call ``BaseCluster._deliver(src, dsts, payload,
+  sent_at)``, which drops, counts and calls the handler-table entry
+  itself; a quorum round's wait is tested as ``len(replies) >= need``.
+  Per function, calls per message before → after, on the three pinned
+  episodes (DES jitter / asyncio, per sent message / DES lockstep):
+
+  ===================================================  =====================  ===================
+  ``EventQueue.pop`` (inlined in ``Simulator._loop``)     1.01 / 0.44 / 0.62         0 / 0.44 / 0
+  ``Network._arrive`` + ``_arrive_batch``                 1.00 / 0.42 / 0.59            0 / 0 / 0
+  ``ProtocolNode.on_message`` (the table, directly)       1.00 / 1.00 / 1.00            0 / 0 / 0
+  ``quorum_round``'s predicate lambda                     0.96 / 0.94 / 0.93            0 / 0 / 0
+  ``UniformDelay.sample`` (drawn inline)                        0.86 / 0 / 0            0 / 0 / 0
+  ``BaseCluster._deliver`` (one call per event)           1.00 / 1.00 / 1.00   1.00 / 0.41 / 0.59
+  everything else                                         7.36 / 9.88 / 8.26   7.36 / 9.88 / 8.26
+  total                                                13.19 / 13.66 / 12.39  8.36 / 10.73 / 8.85
+  ===================================================  =====================  ===================
 
 The ceiling sits just above the current value: a frame creeping back
 into the path costs about one call per message and fails here.  (3.12
@@ -45,11 +62,12 @@ The asyncio runtime has the same budget beside it: one fixed
 ``mean_delay=0`` episode (n = 5, f = 2, 5 clients × 12 ops — the shape
 of the ledger's ``aio_closed_n5``), every Python call made while the
 loop runs it — asyncio's own frames included — divided by the messages
-sent.  Recorded on CPython 3.11: **13.66** (41 738 calls / 3 055
-messages) now — 13.58 (41 495) before ``call()`` went through the
+sent.  Recorded on CPython 3.11: **10.73** (32 768 calls / 3 055
+messages) now (the row above); 13.66 (41 738) before that, 13.58
+(41 495) before ``call()`` went through the
 per-node op FIFO (an arrival, a pump, a guarded begin and an idle hook
 per op); **17.35** (53 011) with the loop-paced kernel under the
-shared ``Network`` (PR 18) — the same cuts through ``BaseCluster``:
+shared ``Network`` — the same cuts through ``BaseCluster``:
 ``is_crashed`` 1.81 → 0, ``ValueTs.__hash__`` 0.89 → 0.31,
 ``ViewVector.add`` + ``intern`` 0.98 → 0.50, ``Event.__init__`` 0.44 →
 0, ``EventQueue._advance`` 0.44 → 0; **50.66** (153 750 / 3 035) at
@@ -57,12 +75,29 @@ the commit before that (a ``Queue.get`` future, a ``sleep(0)``, two
 ``async with lock`` round trips and a client wake-up per message).  At
 zero delay the schedule is a function of the seed, so this count
 repeats exactly too.
+
+The lockstep episode (``ConstantDelay(D)``, n = 5, f = 2, 80 % scans —
+the shape of the ledger's ``des_scan_heavy``) pins the other delivery
+shape: every broadcast is one batched delivery event, so its count is
+per delivered message of a batch.  Recorded on CPython 3.11: **8.85**
+(19 675 calls / 2 223 messages); 12.39 (27 554) before the row above.
+
+Each ceiling is its recorded value + 0.4.
 """
 
-from tests.support.call_breakdown import aio_episode, des_episode
+from tests.support.call_breakdown import aio_episode, des_episode, lockstep_episode
 
-CEILING = 13.7  # calls per delivered message; see the module docstring
-AIO_CEILING = 14.0  # calls per sent message on the asyncio runtime
+CEILING = 8.76  # calls per delivered message; see the module docstring
+AIO_CEILING = 11.13  # calls per sent message on the asyncio runtime
+LOCKSTEP_CEILING = 9.25  # calls per delivered message, batched deliveries
+
+#: the plumbing the delivery path no longer calls
+GONE = (
+    "EventQueue.pop",
+    "Network._arrive",
+    "ProtocolNode.on_message",
+    "ProtocolNode.quorum_round.<locals>.<lambda>",
+)
 
 
 def _python_calls_per_message() -> tuple[int, int]:
@@ -82,6 +117,37 @@ def test_calls_per_delivered_message_stay_under_the_ceiling():
 
 def test_the_count_repeats_exactly():
     assert des_episode() == des_episode()
+
+
+def test_the_kernel_calls_the_handler_through_one_frame():
+    """The delivery event is ``BaseCluster._deliver`` itself, which calls
+    the handler-table entry: no pop, network or dispatch frame between
+    them, and no predicate call to test a quorum round's wait."""
+    calls, delivered = des_episode()
+    assert [name for name in GONE if name in calls] == []
+    assert calls["BaseCluster._deliver"] == delivered  # one event each
+    assert "UniformDelay.sample" not in calls  # drawn inline
+
+
+# -- lockstep: the batched fan-out -----------------------------------------
+
+
+def test_lockstep_calls_per_delivered_message_stay_under_the_ceiling():
+    calls, delivered = lockstep_episode()
+    assert delivered > 2000
+    assert [name for name in GONE if name in calls] == []
+    # a broadcast is one delivery event for all its remote destinations
+    assert calls["BaseCluster._deliver"] < 0.7 * delivered
+    per_message = sum(calls.values()) / delivered
+    assert per_message <= LOCKSTEP_CEILING, (
+        f"{per_message:.2f} Python calls per delivered message "
+        f"({sum(calls.values())} calls / {delivered} messages) exceeds "
+        f"{LOCKSTEP_CEILING}"
+    )
+
+
+def test_the_lockstep_count_repeats_exactly():
+    assert lockstep_episode() == lockstep_episode()
 
 
 # -- the asyncio runtime ---------------------------------------------------

@@ -2,7 +2,7 @@
 
 This is the exact, executed form of what the retired static rule RL007
 approximated from source: a kind that is sent but has no table entry is
-the ``TypeError`` of ``ProtocolNode.on_message`` at its first delivery
+the ``TypeError`` of the handler-table lookup at its first delivery
 (the episode below would not complete), and a table entry no run ever
 reaches — a dead handler — shows up as ``table − delivered``.
 

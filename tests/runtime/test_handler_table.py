@@ -9,10 +9,15 @@
   that kind there and nowhere else;
 - a method handles one kind: re-marking an inherited handler with
   another kind moves its entry (BFK's collect reply does this);
-- ``on_message`` stays the entry point, so a node that overrides it
-  never touches the table.
+- a runtime delivers through the table, one lookup from the delivery
+  event to the handler; a class that overrides ``on_message`` gets a
+  table that sends every kind — marked or not — to the override, in
+  delivery order, on both runtimes;
+- an unregistered payload fails its delivery with the same
+  ``TypeError`` text as a direct ``on_message`` call.
 """
 
+import asyncio
 from dataclasses import dataclass
 
 import pytest
@@ -29,6 +34,7 @@ from repro.core.messages import (
     MWriteTag,
 )
 from repro.net.delays import UniformDelay
+from repro.runtime.aio import AioCluster
 from repro.runtime.cluster import Cluster
 from repro.runtime.protocol import ProtocolNode, WaitUntil, handles
 from repro.sim.rng import SeededRng
@@ -223,3 +229,102 @@ def test_a_node_that_overrides_on_message_needs_no_table():
     handle = cluster.invoke(0, "ping")
     cluster.run_until_complete([handle])
     assert handle.done and len(handle.result) >= 2
+
+
+# -- delivery goes through the table -----------------------------------------
+
+
+class Overrides(Base):
+    """Marked kinds (inherited ``MPing``/``MPong``) *and* an override:
+    the override receives everything."""
+
+    def on_message(self, src, payload):
+        self.log.append((src, payload))
+
+
+#: per sender, the payloads it sends to every other node, in order
+SCRIPT = [MPing(1), MStray(2), MPong(3), MPing(4), 5, MStray(6)]
+
+
+def _send_script(cluster):
+    for src in range(cluster.n):
+        for payload in SCRIPT:
+            for dst in range(cluster.n):
+                if dst != src:
+                    cluster.network.send(src, dst, payload)
+
+
+def _logs_on_des(factory):
+    cluster = Cluster(factory, n=3, f=1)
+    _send_script(cluster)
+    cluster.run()
+    return cluster, [node.log for node in cluster.nodes]
+
+
+def _logs_on_aio(factory):
+    async def main():
+        cluster = AioCluster(factory, 3, 1, mean_delay=0.0)
+        await cluster.start()
+        _send_script(cluster)
+        while len(cluster.sim._queue):
+            await asyncio.sleep(0)
+        await cluster.shutdown()
+        return cluster, [node.log for node in cluster.nodes]
+
+    return asyncio.run(asyncio.wait_for(main(), timeout=20))
+
+
+@pytest.mark.parametrize("logs_on", [_logs_on_des, _logs_on_aio], ids=["des", "aio"])
+@pytest.mark.parametrize("factory", [Overrides, OnMessageOnly], ids=lambda c: c.__name__)
+def test_an_override_gets_every_message_in_order_on_both_runtimes(logs_on, factory):
+    if factory is OnMessageOnly:  # it logs nothing itself: watch its input
+
+        class Logged(OnMessageOnly):
+            def __init__(self, node_id, n, f):
+                super().__init__(node_id, n, f)
+                self.log = []
+
+            def on_message(self, src, payload):
+                self.log.append((src, payload))
+
+        factory = Logged
+    assert factory._handlers[MPing] is factory.on_message
+    cluster, logs = logs_on(factory)
+    for dst, log in enumerate(logs):
+        for src in range(3):
+            if src != dst:  # FIFO per channel: the script, in order
+                assert [p for s, p in log if s == src] == SCRIPT
+        assert len(log) == 2 * len(SCRIPT)
+    assert cluster.network.messages_delivered == 6 * len(SCRIPT)
+
+
+def test_an_unknown_kind_fails_its_delivery_with_the_same_text():
+    expected = "Base got unknown message MStray(nonce=9)"
+    cluster = Cluster(Base, n=3, f=1)
+    cluster.network.send(0, 1, MStray(9))
+    with pytest.raises(TypeError) as err:
+        cluster.run()
+    assert str(err.value) == expected
+
+    async def main():
+        cluster = AioCluster(Base, 3, 1, mean_delay=0.0)
+        await cluster.start()
+        cluster.network.send(0, 1, MStray(9))
+        while cluster._failure is None:  # the failing turn ends the run
+            await asyncio.sleep(0)
+        await cluster.shutdown()  # re-raises what ended it
+
+    with pytest.raises(TypeError) as err:
+        asyncio.run(asyncio.wait_for(main(), timeout=20))
+    assert str(err.value) == expected
+
+
+def test_the_table_of_an_override_answers_every_kind():
+    assert set(Overrides._handlers) == {MPing, MPong}
+    assert all(fn is Overrides.on_message for fn in Overrides._handlers.values())
+    assert Overrides._handlers[MStray] is Overrides.on_message
+    assert Overrides._handlers[int] is Overrides.on_message
+    # ... while a plain table still misses
+    with pytest.raises(KeyError):
+        Base._handlers[MStray]
+

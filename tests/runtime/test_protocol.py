@@ -56,3 +56,17 @@ def test_default_ops_not_implemented():
 def test_wait_until_holds_predicate_and_description():
     w = WaitUntil(lambda: True, "demo")
     assert w.predicate() and w.description == "demo"
+    assert w.replies is None  # a plain wait: the runtime calls the predicate
+
+
+def test_a_quorum_wait_carries_its_live_replies_and_need():
+    """The runtime tests a round's wait as ``len(replies) >= need``; that
+    must say what the predicate says, reply by reply."""
+    node = Echo(0, 5, 2)
+    round_ = node.quorum_round("k", "ping", "ping quorum")
+    wait = next(round_)
+    assert wait.need == 3 and wait.replies == {} and wait.description == "ping quorum"
+    for src in range(5):
+        assert (len(wait.replies) >= wait.need) == wait.predicate()
+        node.round_reply(str, "k", src)
+    assert wait.replies == dict.fromkeys(range(5)) and wait.predicate()

@@ -4,7 +4,7 @@ typed error, the first time they run.
 The node classes are the bad fixtures of the retired static rules RL007
 (dead letters), RL008 (message field conformance) and RL010
 (unsatisfiable waits).  None needs a rule: an unregistered kind is the
-``TypeError`` of ``ProtocolNode.on_message``, frozen slotted dataclasses
+``TypeError`` of the handler-table lookup at delivery, frozen slotted dataclasses
 raise on arity and field drift, and the simulator raises ``StuckError``
 naming the parked wait.  (A handler nothing sends to is dead code, not a
 failure; ``test_handler_coverage.py`` compares table and delivered kinds

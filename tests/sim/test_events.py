@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
+from tests.support.event_view import Event
 
 
 def test_orders_by_time():

@@ -11,9 +11,10 @@ indistinguishable from the per-message reference network.
 
 import pytest
 
-from repro.sim.events import Event, EventQueue, Record
+from repro.sim.events import EventQueue, Record
 from repro.sim.fastpath import STATS
 from repro.sim.rng import SeededRng
+from tests.support.event_view import Event
 from tests.support.reference_substrate import ReferenceEventQueue, reference_substrate
 
 

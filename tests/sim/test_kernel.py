@@ -117,16 +117,6 @@ def test_steps_counter():
     assert sim.steps == 5
 
 
-def test_trace_hook_sees_events():
-    sim = Simulator()
-    tags = []
-    sim.add_trace_hook(lambda ev: tags.append(ev.tag))
-    sim.schedule(1.0, lambda: None, tag="x")
-    sim.schedule(2.0, lambda: None, tag="y")
-    sim.run()
-    assert tags == ["x", "y"]
-
-
 def test_reentrant_run_rejected():
     sim = Simulator()
 

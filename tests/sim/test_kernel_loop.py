@@ -2,9 +2,9 @@
 told to ``stop()`` after every event and entered again, and repeated
 ``step()`` are four ways into the same loop, so they execute one schedule
 in one order and every invariant of the kernel — time never goes
-backwards, the step budget, the *live* trace-hook list, the
-``STATS.events`` fold — holds on all four.  Below them, what ``stop()``
-means outside the run it was meant for."""
+backwards, the step budget, the ``STATS.events`` fold — holds on all
+four.  Below them, what ``stop()`` means outside the run it was meant
+for."""
 
 import math
 
@@ -24,8 +24,18 @@ def _run_until(sim):
 
 
 def _run_stopping(sim):
-    sim.add_trace_hook(lambda event: sim.stop())  # every event is the last
+    """Every event is the last of its run: before each ``run()``, each
+    pending record's call is wrapped to call ``stop()`` once it returns."""
+
+    def then_stop(fn, args):
+        fn(*args)
+        sim.stop()
+
+    queue = sim.queue
     while sim.pending:
+        for record in queue._heap + queue._fifo[queue._head :]:
+            if record[3] is not then_stop:
+                record[3], record[4] = then_stop, (record[3], record[4])
         sim.run()
 
 
@@ -101,22 +111,6 @@ def test_step_budget_exhaustion_raises(drive):
         drive(sim)
     assert sim.steps == 51
     assert STATS.events - before == 51  # folded on the way out, too
-
-
-@on_every_driver
-def test_a_hook_added_by_a_handler_fires_for_the_next_event(drive):
-    sim = Simulator()
-    seen = []
-
-    def hook(event):
-        seen.append(event.tag)
-
-    sim.schedule(1.0, lambda: sim.add_trace_hook(hook), tag="adds")
-    sim.schedule(2.0, lambda: None, tag="next")
-    sim.schedule(3.0, lambda: sim.remove_trace_hook(hook), tag="removes")
-    sim.schedule(4.0, lambda: None, tag="after")
-    drive(sim)
-    assert seen == ["next", "removes"]
 
 
 def test_until_never_moves_the_clock_backwards():

@@ -2,8 +2,9 @@
 
 from hypothesis import given, strategies as st
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
+from tests.support.event_view import Event
 
 
 @given(

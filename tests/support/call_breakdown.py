@@ -1,9 +1,10 @@
 """The pinned call-budget episodes, and who makes the calls.
 
-    python -m tests.support.call_breakdown [des|aio]
+    python -m tests.support.call_breakdown [des|aio|lockstep]
 
-prints, for the episode ``tests/runtime/test_call_budget.py`` pins on
-that runtime, the Python-level calls per message of every function that
+prints, for an episode ``tests/runtime/test_call_budget.py`` pins — the
+jittered DES one, the asyncio one, or the lockstep DES one whose
+broadcasts take the batched fan-out — the Python-level calls per message of every function that
 makes at least ``FLOOR`` of one — the table a pass over the per-message
 path starts from.  The total of the table is the number the test holds
 under its ceiling; this module owns the episodes so that the two cannot
@@ -23,7 +24,7 @@ from collections import Counter
 from typing import Any, Callable
 
 from repro.core import EqAso, messages
-from repro.net.delays import UniformDelay
+from repro.net.delays import ConstantDelay, UniformDelay
 from repro.runtime.aio import AioCluster
 from repro.runtime.cluster import Cluster
 from repro.sim.rng import SeededRng
@@ -80,6 +81,27 @@ def des_episode() -> tuple[Counter[str], int]:
     return calls, cluster.network.messages_delivered
 
 
+def lockstep_episode() -> tuple[Counter[str], int]:
+    """One lockstep EQ-ASO episode (n = 5, f = 2, ``ConstantDelay(D)``,
+    80 % scans, 5 chains × 12 ops — the shape of the ledger's
+    ``des_scan_heavy``, where every broadcast is one batched delivery
+    event): calls per function, messages delivered."""
+    n, f = 5, 2
+    kinds = ["scan"] * 48 + ["update"] * 12
+    SeededRng(19).child("mix").shuffle(kinds)
+    cluster = Cluster(EqAso, n=n, f=f, delay_model=ConstantDelay(1.0))
+    handles = []
+    for node in range(n):
+        ops = [
+            ("scan", ()) if kind == "scan" else ("update", (f"v{node}.{i}",))
+            for i, kind in enumerate(kinds[node * 12 : node * 12 + 12])
+        ]
+        handles += cluster.chain_ops(node, ops)
+    calls = count_calls(cluster.run_until_complete, handles)
+    assert all(h.done for h in handles)
+    return calls, cluster.network.messages_delivered
+
+
 def aio_episode() -> tuple[Counter[str], int]:
     """One ``mean_delay=0`` asyncio episode (n = 5, f = 2, 5 clients × 12
     ops), asyncio's own frames included: calls per function, messages
@@ -113,13 +135,16 @@ def aio_episode() -> tuple[Counter[str], int]:
     return calls, cluster.network.messages_sent
 
 
-EPISODES = {"des": des_episode, "aio": aio_episode}
+EPISODES = {"des": des_episode, "aio": aio_episode, "lockstep": lockstep_episode}
 
 
 def main(argv: list[str]) -> int:
     runtime = argv[0] if argv else "des"
     if runtime not in EPISODES or len(argv) > 1:
-        print("usage: python -m tests.support.call_breakdown [des|aio]", file=sys.stderr)
+        print(
+            "usage: python -m tests.support.call_breakdown [des|aio|lockstep]",
+            file=sys.stderr,
+        )
         return 2
     calls, messages_counted = EPISODES[runtime]()
     total = sum(calls.values())

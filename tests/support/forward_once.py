@@ -27,9 +27,13 @@ Entry = tuple[Any, ...]
 
 
 def watch(cluster: Any) -> list[list[Entry]]:
-    """Wrap ``on_message`` and ``broadcast`` of every node of ``cluster``
-    (instance attributes: the classes are untouched); returns the
-    per-node logs, filled in as the cluster runs."""
+    """Wrap the value handlers and ``broadcast`` of every node of
+    ``cluster`` (instance attributes: the classes are untouched); returns
+    the per-node logs, filled in as the cluster runs.
+
+    A runtime delivers through ``node._handlers[type(payload)]``, so the
+    hook is an instance-level copy of the class's table whose value
+    entries log the receipt and mark the handler's extent."""
     logs: list[list[Entry]] = [[] for _ in cluster.nodes]
     for node, log in zip(cluster.nodes, logs):
         _watch_node(node, log)
@@ -37,21 +41,20 @@ def watch(cluster: Any) -> list[list[Entry]]:
 
 
 def _watch_node(node: Any, log: list[Entry]) -> None:
-    on_message, broadcast = node.on_message, node.broadcast
+    broadcast = node.broadcast
     in_value_handler = False
 
-    def watched_on_message(src: int, payload: Any) -> None:
-        nonlocal in_value_handler
-        field = VALUE_FIELD.get(type(payload))
-        if field is None:
-            on_message(src, payload)
-            return
-        log.append(("recv", src, getattr(payload, field)))
-        in_value_handler = True
-        try:
-            on_message(src, payload)
-        finally:
-            in_value_handler = False
+    def watched(handler: Any, field: str) -> Any:
+        def watched_handler(self: Any, src: int, payload: Any) -> None:
+            nonlocal in_value_handler
+            log.append(("recv", src, getattr(payload, field)))
+            in_value_handler = True
+            try:
+                handler(self, src, payload)
+            finally:
+                in_value_handler = False
+
+        return watched_handler
 
     def watched_broadcast(payload: Any, **kwargs: Any) -> None:
         field = VALUE_FIELD.get(type(payload))
@@ -60,8 +63,28 @@ def _watch_node(node: Any, log: list[Entry]) -> None:
             log.append((kind, getattr(payload, field)))
         broadcast(payload, **kwargs)
 
-    node.on_message = watched_on_message
+    table = type(node)._handlers
+    handlers = _Overlay(table)
+    for kind, field in VALUE_FIELD.items():
+        try:  # a class that overrides on_message takes every kind
+            handler = table[kind]
+        except KeyError:
+            continue
+        handlers[kind] = watched(handler, field)
+    node._handlers = handlers
     node.broadcast = watched_broadcast
+
+
+class _Overlay(dict):
+    """Wrapped entries over a class's handler table, which answers the
+    rest (its ``KeyError`` included)."""
+
+    def __init__(self, table: dict) -> None:
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, kind: type) -> Any:
+        return self.table[kind]
 
 
 def seen_set_oracle(log: list[Entry]) -> list[Entry]:

@@ -6,17 +6,21 @@ introduced as an optimisation over a simpler original; the originals
 live here, unchanged in behaviour, so differential tests can keep
 proving the optimisations are invisible:
 
-- :class:`ReferenceEventQueue` — the heap-only queue (no burst lane);
+- :class:`ReferenceEventQueue` — the heap-only queue (no burst lane),
+  run by :func:`reference_loop`, the kernel loop that pops through
+  ``queue.pop()`` (the shipped loop pops the burst-lane queue inline);
 - :class:`ReferenceNetwork` — one closure-carrying kernel event per
-  message, tuple-keyed FIFO clamp, no broadcast batching;
+  message, tuple-keyed FIFO clamp, no broadcast batching, every sampled
+  delay drawn through ``DelayModel.sample``;
 - :class:`ReferenceViewVector` — frozenset-per-row views, EQ evaluated
   by rebuilding and comparing all ``n`` rows;
 - plain message construction — a fresh dataclass instance per call;
 - :func:`run_until_complete_by_polling` — the settled-predicate loop
   ``Simulator.stop()`` replaced.
 
-:func:`reference_substrate` patches all four into the places the
-package constructs them.  Nothing under ``src/`` knows these exist.
+:func:`reference_substrate` patches the queue, its loop, the network,
+the view vector and message construction into the places the package
+constructs or runs them.  Nothing under ``src/`` knows these exist.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.core.tags import ValueTs, tag_of
 from repro.net.network import DeliveryRecord
 from repro.sim.events import _CANCELLED, _FIRED, _PENDING, Record
 from repro.sim.fastpath import STATS
+from repro.sim.kernel import SimulationError
 
 
 class ReferenceEventQueue:
@@ -106,6 +111,42 @@ class ReferenceEventQueue:
         return None
 
 
+def reference_loop(sim: Any, until: float | None, once: bool) -> None:
+    """``Simulator._loop`` with the pop a call to ``queue.pop()``, so that
+    it runs any queue — the :class:`ReferenceEventQueue` here."""
+    pop = sim._queue.pop
+    peek_time = sim._queue.peek_time
+    steps_at_entry = sim._steps
+    try:
+        while True:
+            if until is not None:
+                next_time = peek_time()
+                if next_time is None or next_time > until:
+                    if until > sim.now:
+                        sim.now = until
+                    return
+            try:
+                event = pop()
+            except IndexError:  # drained
+                return
+            time = event[0]
+            if time < sim.now:
+                raise SimulationError(
+                    f"time went backwards: event at {time} < now {sim.now}"
+                )
+            sim.now = time
+            sim._steps += 1
+            if sim._steps > sim._max_steps:
+                raise SimulationError(
+                    f"step budget exhausted ({sim._max_steps}); likely livelock"
+                )
+            event[3](*event[4])
+            if once or sim._stopping:
+                return
+    finally:
+        STATS.events += sim._steps - steps_at_entry
+
+
 def _checked_delay(model: Any, src: int, dst: int, payload: Any, now: float) -> float:
     """The original ``DelayModel.delay_for``: self-sends are free, every
     sampled delay is checked against ``[0, D]``."""
@@ -123,7 +164,8 @@ class ReferenceNetwork:
     """The pre-optimisation network: one closure-carrying, tagged kernel
     event per message, validated ``schedule_at``, tuple-keyed clamp
     table.  Same constructor and public surface as
-    ``repro.net.network.Network``."""
+    ``repro.net.network.Network``; like it, it leaves dropping and the
+    delivered/dropped counts to ``deliver``."""
 
     def __init__(
         self,
@@ -131,7 +173,7 @@ class ReferenceNetwork:
         n: int,
         delay_model: Any,
         crash_plan: Any,
-        deliver: Callable[[int, int, Any], None],
+        deliver: Callable[[int, Sequence[int], Any, float], None],
         *,
         record_trace: bool = False,
         tracer: Any = None,
@@ -220,15 +262,12 @@ class ReferenceNetwork:
             self.trace.append(
                 DeliveryRecord(src, dst, payload, sent_at, self.sim.now, dropped)
             )
-        if dropped:
-            self.messages_dropped += 1
-            if self._tracer is not None:
-                self._tracer.on_drop(src, dst, payload)
-            return
-        self.messages_delivered += 1
         if self._tracer is not None:
-            self._tracer.on_deliver(src, dst, payload)
-        self._deliver(dst, src, payload)
+            if dropped:
+                self._tracer.on_drop(src, dst, payload)
+            else:
+                self._tracer.on_deliver(src, dst, payload)
+        self._deliver(src, (dst,), payload, sent_at)
 
 
 class ReferenceViewVector:
@@ -344,6 +383,7 @@ def run_until_complete_by_polling(cluster: Any, handles: Sequence[Any]) -> None:
 #: the plain dataclass call: a fresh instance every time)
 _PATCHES: tuple[tuple[str, Any], ...] = (
     ("repro.sim.kernel.EventQueue", ReferenceEventQueue),
+    ("repro.sim.kernel.Simulator._loop", reference_loop),
     ("repro.runtime.cluster.Network", ReferenceNetwork),
     ("repro.core.eq_aso.ViewVector", ReferenceViewVector),
     ("repro.core.lattice_agreement.ViewVector", ReferenceViewVector),
@@ -368,6 +408,7 @@ __all__ = [
     "ReferenceEventQueue",
     "ReferenceNetwork",
     "ReferenceViewVector",
+    "reference_loop",
     "reference_substrate",
     "run_until_complete_by_polling",
 ]

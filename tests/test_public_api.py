@@ -77,7 +77,6 @@ def test_one_substrate_no_selection_surface():
     from repro.sim.kernel import Simulator
 
     assert set(repro.sim.__all__) == {
-        "Event",
         "EventQueue",
         "STATS",
         "SubstrateStats",
@@ -93,5 +92,7 @@ def test_one_substrate_no_selection_surface():
     ]
     assert "fast" not in inspect.signature(Network.__init__).parameters
     net = Network.__dict__
-    assert {"send", "broadcast", "_arrive", "_arrive_batch"} <= set(net)
+    # one delivery function for single and batched deliveries
+    assert {"send", "broadcast", "_arrive"} <= set(net)
+    assert "_arrive_batch" not in net
     assert not [name for name in net if name.endswith(("_fast", "_slow"))]
