@@ -13,8 +13,7 @@ the campaign depends on:
 3. **No cross-run aliasing** — the live :class:`~repro.net.faults.CrashPlan`
    (whose ``_fired`` / ``_crashed`` sets are per-execution state) is
    rebuilt *fresh* by :func:`build_crash_plan` for every run, so a fired
-   crash can never leak between executions of a sweep (the bug class the
-   ``CrashPlan.copy()`` satellite addresses).
+   crash can never leak between executions of a sweep.
 
 Predicates are reconstructed from data at build time:
 :class:`BcastCrashSpec` counts the node's broadcasts (``nth``), and

@@ -206,7 +206,6 @@ def run_figure2() -> Figure2Result:
         n=3,
         f=1,
         delay_model=AdversarialDelay(1.0, schedule),
-        record_net_trace=True,
     )
     checks: list[str] = []
 

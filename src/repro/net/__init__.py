@@ -21,7 +21,7 @@ from repro.net.delays import (
     UniformDelay,
 )
 from repro.net.faults import BroadcastCrash, CrashAtTime, CrashPlan, CrashSpec
-from repro.net.network import DeliveryRecord, Network
+from repro.net.network import Network
 
 __all__ = [
     "AdversarialDelay",
@@ -32,6 +32,5 @@ __all__ = [
     "CrashAtTime",
     "CrashPlan",
     "CrashSpec",
-    "DeliveryRecord",
     "Network",
 ]

@@ -98,13 +98,13 @@ class AdversarialDelay(DelayModel):
         default: float | None = None,
     ) -> None:
         super().__init__(D)
-        self._schedule = schedule
+        self._choose = schedule
         self.default = D if default is None else float(default)
         if not 0.0 <= self.default <= self.D:
             raise ValueError(f"default delay {self.default} outside [0, {D}]")
 
     def sample(self, src: int, dst: int, payload: Any, now: float) -> float:
-        d = self._schedule(src, dst, payload, now)
+        d = self._choose(src, dst, payload, now)
         return self.default if d is None else float(d)
 
 

@@ -63,8 +63,9 @@ class CrashPlan:
     """The crash adversary for one execution.
 
     Tracks which nodes are crashed and answers the network's
-    mid-broadcast queries.  ``k`` (the paper's actual-failure count) is
-    ``len(plan)``; experiments assert ``k <= f``.
+    mid-broadcast queries.  A plan holds per-execution state (what has
+    crashed, which :class:`BroadcastCrash` has fired), so each execution
+    gets a plan of its own, built from its specs.
 
     Attributes:
         crashed: the nodes crashed so far — one live set for the whole
@@ -90,35 +91,13 @@ class CrashPlan:
         The builder style mutates in place — a plan literal shared across
         executions would leak its fired/crashed runtime state between
         runs.  Sweep and campaign code must hand each execution its own
-        plan: either rebuild from specs or take a :meth:`copy`.
+        plan, rebuilt from specs (as :func:`repro.chaos.plan.build_crash_plan`
+        does).
         """
         if node in self._specs:
             raise ValueError(f"node {node} already has a crash spec")
         self._specs[node] = spec
         return self
-
-    def copy(self) -> "CrashPlan":
-        """A fresh plan with the same specs and pristine runtime state.
-
-        The ``crashed`` / ``_fired`` sets of the copy start empty, so a
-        plan template can be reused across executions without one run's
-        crashes leaking into the next.  Specs themselves are shared (they
-        are frozen); note that a ``match`` predicate closing over mutable
-        state is *not* reset by ``copy()`` — build such predicates fresh
-        per run (as the chaos generator does).
-        """
-        return CrashPlan(self._specs)
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    @property
-    def k(self) -> int:
-        """Planned number of failures (paper's ``k``)."""
-        return len(self._specs)
-
-    def planned_nodes(self) -> frozenset[int]:
-        return frozenset(self._specs)
 
     def spec_for(self, node: int) -> CrashSpec | None:
         return self._specs.get(node)

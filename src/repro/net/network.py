@@ -21,21 +21,26 @@ clamp, gating and the push.  The delivery event is the call
 the send, keeps ``messages_delivered``/``messages_dropped`` and runs the
 handler, with no network frame in between.
 
-Scheduling is closure-free and the FIFO clamp table a flat ``n*n`` list;
-a constant delay is read once, a :class:`~repro.net.delays.UniformDelay`
-drawn inline, any other model's ``sample`` bound once, and every draw
-checked against ``[0, D]``.  Under sampled delays a broadcast pushes
-each destination as it draws it; otherwise it batches its fan-out — one
-delivery event per distinct post-clamp time carrying the destination
-list, so a lockstep broadcast costs ~1 kernel event instead of ``n − 1``.
+A message's path is: :meth:`Network.send` or :meth:`Network.broadcast`
+count it, trace it and park it if its channel is gated — all at send
+time — and hand the rest to one routine, :meth:`Network._post`, which
+draws each destination's delay, checks it against ``[0, D]``, clamps it
+FIFO and pushes the delivery.  :meth:`Network.reconnect` hands a parked
+message to the same routine, so a release is neither counted nor traced
+again.  Scheduling is closure-free and the FIFO clamp table a flat
+``n*n`` list; a constant delay is read once, a
+:class:`~repro.net.delays.UniformDelay` drawn inline, any other model's
+``sample`` bound once.  Under sampled delays each destination is pushed
+as it is drawn; otherwise a fan-out is batched — one delivery event per
+distinct post-clamp time carrying the destination list, so a lockstep
+broadcast costs ~1 kernel event instead of ``n − 1``.
 
-Everything that looks at individual messages — tracer callbacks, the
-:class:`DeliveryRecord` trace, link gating — sits behind one flag,
-``_watched``: a tracer is enabled, the trace is recorded, or a channel is
-gated.  A watched send pushes :meth:`Network._arrive`, which observes
-each destination's delivery or drop and hands it to ``deliver``.
+Everything that looks at individual messages — tracer callbacks and link
+gating — sits behind one flag, ``_watched``: a tracer is enabled or a
+channel is gated.  A traced post pushes :meth:`Network._arrive`, which
+emits each destination's delivery or drop and hands it to ``deliver``.
 Observation never changes the schedule: a watched run executes the same
-kernel events in the same ``(time, priority, seq)`` order as a bare one.
+kernel events in the same ``(time, seq)`` order as a bare one.
 
 Batching never changes observable order: a broadcast's sends would hold
 consecutive sequence numbers (nothing can interleave), within one batch
@@ -48,25 +53,12 @@ one-event-per-message network as the oracle for that claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.net.delays import ConstantDelay, DelayModel, UniformDelay
 from repro.net.faults import CrashPlan
 from repro.sim.fastpath import STATS
 from repro.sim.kernel import Simulator
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
-    """One delivered (or dropped) message, for traces and message counts."""
-
-    src: int
-    dst: int
-    payload: Any
-    sent_at: float
-    delivered_at: float
-    dropped: bool
 
 
 def _bad_delay(delay: float, D: float, src: int, dst: int) -> ValueError:
@@ -85,7 +77,6 @@ class Network:
         crash_plan: CrashPlan,
         deliver: Callable[[int, Sequence[int], Any, float], None],
         *,
-        record_trace: bool = False,
         tracer: Any = None,
         backpressure_hwm: int | None = None,
     ) -> None:
@@ -95,12 +86,10 @@ class Network:
             n: number of nodes (ids ``0..n-1``).
             delay_model: assigns per-message delays in ``[0, D]``.
             crash_plan: the crash adversary; consulted for mid-broadcast
-                truncation (and, on watched runs, for what is dropped).
+                truncation (and, on traced runs, for what is dropped).
             deliver: the delivery events' function, ``deliver(src, dsts,
                 payload, sent_at)`` (``dsts``: one destination or a batch);
                 it drops deliveries to crashed nodes and keeps the counts.
-            record_trace: keep a full :class:`DeliveryRecord` list
-                (memory-heavy; off by default, on in figure regenerators).
             tracer: optional :class:`repro.obs.Tracer`; send/deliver/drop
                 events are emitted through it.  A disabled tracer is
                 normalized to ``None``.
@@ -121,8 +110,6 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.sent_by_node: list[int] = [0] * n
-        self.trace: list[DeliveryRecord] = []
-        self._record_trace = record_trace
         #: channels (``src * n + dst``) currently gated by
         #: :meth:`disconnect`, and the sends parked on them awaiting
         #: :meth:`reconnect` (FIFO)
@@ -134,7 +121,7 @@ class Network:
         self._hwm = backpressure_hwm
         #: does anything look at individual messages?  Kept current by
         #: disconnect/reconnect; the unwatched hot path tests only this.
-        self._watched = self._tracer is not None or record_trace
+        self._watched = self._tracer is not None
         #: constant per-message delay, or None for model-driven sampling
         self._const_delay: float | None = (
             delay_model.delay if type(delay_model) is ConstantDelay else None
@@ -192,23 +179,15 @@ class Network:
         if idx not in self._gated:
             return
         self._gated.discard(idx)
-        self._watched = bool(self._gated) or self._tracer is not None or self._record_trace
+        self._watched = bool(self._gated) or self._tracer is not None
         if self._tracer is not None:
             self._tracer.on_link(src, dst, up=True)
         for payload in self._parked.pop(idx, ()):
-            self._schedule(src, dst, payload)
+            self._post(src, (dst,), payload)
 
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def _trace_send(self, src: int, dst: int, payload: Any) -> None:
-        """Traced runs only: the send event, and the channel's depth."""
-        self._tracer.on_send(src, dst, payload)
-        idx = src * self.n + dst
-        depth = self._depth[idx] = self._depth[idx] + 1
-        if depth == self._hwm:
-            self._tracer.on_backpressure(src, dst, depth)
-
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Hand one message to the network (reliable from this point on)."""
         n = self.n
@@ -217,51 +196,19 @@ class Network:
         self.messages_sent += 1
         self.sent_by_node[src] += 1
         STATS.messages += 1
+        dsts: Sequence[int] = (dst,)
         if self._watched:
-            if self._tracer is not None:
-                self._trace_send(src, dst, payload)
-            idx = src * n + dst
-            if idx in self._gated:
-                self._parked.setdefault(idx, []).append(payload)
-                return
-        self._schedule(src, dst, payload)
-
-    def _schedule(self, src: int, dst: int, payload: Any) -> None:
-        """Sample a delay, apply the FIFO clamp, push the delivery."""
-        now = self.sim.now
-        if src == dst:
-            delay = 0.0
-        else:
-            delay = self._const_delay
-            if delay is None:
-                uniform = self._uniform
-                if uniform is not None:
-                    delay = uniform[0] + uniform[1] * uniform[2]()
-                else:
-                    delay = self._sample(src, dst, payload, now)
-                if not 0.0 <= delay <= self._max_delay:
-                    raise _bad_delay(delay, self._max_delay, src, dst)
-        deliver_at = now + delay
-        idx = src * self.n + dst
-        last = self._last_delivery
-        if deliver_at < last[idx]:
-            deliver_at = last[idx]  # FIFO clamp; see module docstring
-        else:
-            last[idx] = deliver_at
-        deliver = self._arrive if self._watched else self._deliver
-        self._push_call(deliver_at, deliver, (src, (dst,), payload, now))
+            dsts = self._observe(src, dsts, payload)
+        self._post(src, dsts, payload)
 
     def broadcast(self, src: int, payload: Any, dests: Sequence[int]) -> None:
         """Send ``payload`` to each destination, applying mid-broadcast
-        crash truncation (Definition 11) if the crash plan says so.  Under
-        sampled delays each destination's delivery is pushed as it is
-        drawn; otherwise the fan-out is batched, one delivery event per
-        distinct delivery time.
+        crash truncation (Definition 11) if the crash plan says so.
 
         Every endpoint is checked before anything is counted, clamped or
         fired.  A :class:`~repro.net.faults.BroadcastCrash` leaves only
-        the adversary-chosen destinations in the send loop; the caller
-        (the cluster) is then told to crash the node via the plan state.
+        the adversary-chosen destinations; the caller (the cluster) is
+        then told to crash the node via the plan state.
         """
         n = self.n
         if dests and not (0 <= src < n and 0 <= min(dests) and max(dests) < n):
@@ -269,83 +216,96 @@ class Network:
             raise ValueError(f"bad endpoints {src}->{bad} for n={n}")
         allowed, crash_now = self.crash_plan.filter_broadcast(src, payload, dests)
         if allowed:
-            now = self.sim.now
             count = len(allowed)
             self.messages_sent += count
             self.sent_by_node[src] += count
             STATS.messages += count
-            watched = self._watched
-            tracer = self._tracer
-            const_delay = self._const_delay
-            uniform = self._uniform
-            if uniform is not None:
-                lo, span, random = uniform
-            sample = self._sample
-            D = self._max_delay
-            last = self._last_delivery
-            base = src * n
-            push_call = self._push_call
-            deliver = self._arrive if watched else self._deliver
-            # delivery time -> destinations; None: push each as drawn
-            groups: dict[float, list[int]] | None = None if uniform is not None else {}
-            for dst in allowed:
-                idx = base + dst
-                if watched:
-                    if tracer is not None:
-                        self._trace_send(src, dst, payload)
-                    if idx in self._gated:
-                        self._parked.setdefault(idx, []).append(payload)
-                        continue
-                if src == dst:
-                    delay = 0.0
-                elif const_delay is not None:
-                    delay = const_delay
-                else:
-                    if uniform is not None:
-                        delay = lo + span * random()
-                    else:
-                        delay = sample(src, dst, payload, now)
-                    if not 0.0 <= delay <= D:
-                        raise _bad_delay(delay, D, src, dst)
-                deliver_at = now + delay
-                if deliver_at < last[idx]:
-                    deliver_at = last[idx]  # FIFO clamp
-                else:
-                    last[idx] = deliver_at
-                if groups is None:
-                    push_call(deliver_at, deliver, (src, (dst,), payload, now))
-                else:
-                    group = groups.get(deliver_at)
-                    if group is None:
-                        groups[deliver_at] = [dst]
-                    else:
-                        group.append(dst)
-            if groups:
-                for deliver_at, dsts in groups.items():
-                    push_call(deliver_at, deliver, (src, dsts, payload, now))
+            if self._watched:
+                allowed = self._observe(src, allowed, payload)
+            self._post(src, allowed, payload)
         if crash_now:
             self.crash_plan.mark_crashed(src)
             if self._tracer is not None:
                 self._tracer.on_crash(src, detail="mid-broadcast crash")
 
-    # -- delivery, watched -------------------------------------------------
+    def _observe(self, src: int, dsts: Sequence[int], payload: Any) -> list[int]:
+        """Watched sends only, at send time: trace each one (and its
+        channel's depth), park each one whose channel is gated, and
+        return the destinations left to post."""
+        tracer = self._tracer
+        open_dsts = []
+        for dst in dsts:
+            idx = src * self.n + dst
+            if tracer is not None:
+                tracer.on_send(src, dst, payload)
+                depth = self._depth[idx] = self._depth[idx] + 1
+                if depth == self._hwm:
+                    tracer.on_backpressure(src, dst, depth)
+            if idx in self._gated:
+                self._parked.setdefault(idx, []).append(payload)
+            else:
+                open_dsts.append(dst)
+        return open_dsts
+
+    def _post(self, src: int, dsts: Sequence[int], payload: Any) -> None:
+        """The channel contract, once: per destination, draw the delay,
+        check it against ``[0, D]``, clamp it FIFO and push the delivery
+        — each as drawn under sampled delays, else one event per distinct
+        delivery time (a single destination needs no grouping)."""
+        now = self.sim.now
+        const_delay = self._const_delay
+        uniform = self._uniform
+        last = self._last_delivery
+        base = src * self.n
+        push_call = self._push_call
+        deliver = self._deliver if self._tracer is None else self._arrive
+        # delivery time -> destinations; None: push each as drawn
+        groups: dict[float, list[int]] | None = (
+            None if uniform is not None or len(dsts) == 1 else {}
+        )
+        for dst in dsts:
+            if src == dst:
+                delay = 0.0
+            elif const_delay is not None:
+                delay = const_delay
+            else:
+                if uniform is not None:
+                    delay = uniform[0] + uniform[1] * uniform[2]()
+                else:
+                    delay = self._sample(src, dst, payload, now)
+                if not 0.0 <= delay <= self._max_delay:
+                    raise _bad_delay(delay, self._max_delay, src, dst)
+            deliver_at = now + delay
+            idx = base + dst
+            if deliver_at < last[idx]:
+                deliver_at = last[idx]  # FIFO clamp; see module docstring
+            else:
+                last[idx] = deliver_at
+            if groups is None:
+                push_call(deliver_at, deliver, (src, (dst,), payload, now))
+            else:
+                group = groups.get(deliver_at)
+                if group is None:
+                    groups[deliver_at] = [dst]
+                else:
+                    group.append(dst)
+        if groups:
+            for deliver_at, group in groups.items():
+                push_call(deliver_at, deliver, (src, group, payload, now))
+
+    # -- delivery, traced -------------------------------------------------
     def _arrive(self, src: int, dsts: Sequence[int], payload: Any, sent_at: float) -> None:
-        """A watched send's delivery event: observe each destination's
+        """A traced post's delivery event: emit each destination's
         delivery — or drop, if it crashed since the send or by an earlier
         delivery of this batch — then hand it to ``deliver``."""
+        tracer = self._tracer
         for dst in dsts:
-            dropped = dst in self._crashed
-            if self._record_trace:
-                self.trace.append(
-                    DeliveryRecord(src, dst, payload, sent_at, self.sim.now, dropped)
-                )
-            if self._tracer is not None:
-                self._depth[src * self.n + dst] -= 1
-                if dropped:
-                    self._tracer.on_drop(src, dst, payload)
-                else:
-                    self._tracer.on_deliver(src, dst, payload)
+            self._depth[src * self.n + dst] -= 1
+            if dst in self._crashed:
+                tracer.on_drop(src, dst, payload)
+            else:
+                tracer.on_deliver(src, dst, payload)
             self._deliver(src, (dst,), payload, sent_at)
 
 
-__all__ = ["Network", "DeliveryRecord"]
+__all__ = ["Network"]

@@ -57,7 +57,7 @@ class LoopKernel:
     Offers what the network and the op driver use of a kernel — ``now``
     and ``queue.push_call`` — and keeps one loop handle armed for the
     earliest event.  A **turn** executes the events that were due when it
-    began, in the queue's ``(time, priority, seq)`` order (``call_at``
+    began, in the queue's ``(time, seq)`` order (``call_at``
     keeps no order among equal times), then returns to the loop: events
     its handlers push wait for a later turn, so other tasks always run in
     between, and with zero delays the schedule does not depend on the
@@ -85,23 +85,14 @@ class LoopKernel:
         return 0.0 if self.loop is None else self.loop.time() - self._t0
 
     def push_call(
-        self,
-        time: float,
-        fn: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        *,
-        priority: int = 0,
+        self, time: float, fn: Callable[..., None], args: tuple[Any, ...] = ()
     ) -> Record:
         """Schedule ``fn(*args)`` at ``time``, which the caller guarantees
         is not in the past (as for the simulator's queue)."""
-        event = self._push(time, fn, args, priority=priority)
+        event = self._push(time, fn, args)
         if time < self._armed_for:
             self._arm(time)
         return event
-
-    def cancel(self, event: Record) -> None:
-        """Cancel a pending event (no-op if it already fired)."""
-        self._queue.cancel(event)
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         """Bind to ``loop``: its clock, from now, is this kernel's."""
@@ -148,7 +139,7 @@ class LoopKernel:
         try:
             while (event := pop()) is not end:
                 ran += 1
-                event[3](*event[4])
+                event[2](*event[3])
         except Exception as exc:  # a handler's bug: report it, stay stopped
             self._on_failure(exc)
             return

@@ -59,7 +59,6 @@ class BaseCluster:
             the default model delivers every message in exactly ``D``).
         delay_model: adversary-controlled delay assignment.
         crash_plan: crash adversary (``CrashPlan.none()`` by default).
-        record_net_trace: keep per-delivery records (figure regenerators).
         tracer: optional :class:`repro.obs.Tracer`.  When enabled, the
             cluster emits operation/crash events, opens a span per
             operation and installs the phase hook on every node; a
@@ -83,7 +82,6 @@ class BaseCluster:
         D: float = 1.0,
         delay_model: DelayModel | None = None,
         crash_plan: CrashPlan | None = None,
-        record_net_trace: bool = False,
         tracer: Any = None,
         backpressure_hwm: int | None = None,
         meta: dict[str, Any] | None = None,
@@ -104,7 +102,6 @@ class BaseCluster:
             delay_model,
             self.crash_plan,
             self._deliver,
-            record_trace=record_net_trace,
             tracer=self._tracer,
             backpressure_hwm=backpressure_hwm,
         )
@@ -255,9 +252,7 @@ class Cluster(BaseCluster):
         """Submit a client operation arriving at absolute simulation time:
         it begins then, or once the node's earlier operations settled."""
         handle = OpHandle(node=node, kind=opname, args=tuple(args))
-        self.sim.schedule_call_at(
-            time, self._arrive, (handle,), tag=f"invoke:{opname}@{node}"
-        )
+        self.sim.schedule_call_at(time, self._arrive, (handle,))
         return handle
 
     def invoke(self, node: int, opname: str, *args: Any) -> OpHandle:
@@ -283,9 +278,7 @@ class Cluster(BaseCluster):
             for (kind, args) in ops
         ]
         if handles:
-            self.sim.schedule_call_at(
-                start, self._arrive, handles, gap, tag=f"chain@{node}"
-            )
+            self.sim.schedule_call_at(start, self._arrive, handles, gap)
         return handles
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.net.network import Network
-from repro.runtime.protocol import ProtocolNode, WaitUntil, _Broadcast
+from repro.runtime.protocol import ProtocolNode, WaitUntil
 from repro.spec.history import History, OpRecord
 
 
@@ -222,11 +222,11 @@ class OpDriver:
                 # queued sends never happened
                 outbox.clear()
                 break
-            item = outbox.popleft()
-            if type(item) is _Broadcast:
-                self.broadcast(node_id, item.payload, item.dests)
+            payload, to = outbox.popleft()
+            if type(to) is tuple:
+                self.broadcast(node_id, payload, to)
             else:
-                self.send(node_id, item.dst, item.payload)
+                self.send(node_id, to, payload)
         if node_id in crashed:
             op = self.ops[node_id]
             if op is not None:

@@ -39,16 +39,9 @@ class WaitUntil:
     need: int = 0
 
 
-@dataclass(slots=True)
-class _Send:
-    dst: int
-    payload: Any
-
-
-@dataclass(slots=True)
-class _Broadcast:
-    payload: Any
-    dests: tuple[int, ...]
+#: an outbox entry: ``(payload, dst)`` for a send, ``(payload, dests)``
+#: — a tuple of destinations — for a broadcast
+Outgoing = tuple[Any, int | tuple[int, ...]]
 
 
 def handles(kind: type) -> Callable[[Callable[..., None]], Callable[..., None]]:
@@ -122,7 +115,7 @@ class ProtocolNode:
         self._others = tuple(d for d in range(n) if d != node_id)
         # a deque so runtimes drain it FIFO in O(1) per item (the drain
         # loop is on the delivery hot path)
-        self.outbox: deque[_Send | _Broadcast] = deque()
+        self.outbox: deque[Outgoing] = deque()
         #: observability hook ``(node_id, phase_name, entering) -> None``,
         #: installed by a runtime when tracing is enabled; ``None`` keeps
         #: the phase annotations below free (one attribute read per call).
@@ -173,7 +166,7 @@ class ProtocolNode:
     # -- transport-facing API -------------------------------------------
     def send(self, dst: int, payload: Any) -> None:
         """Queue a point-to-point message (reliable once flushed)."""
-        self.outbox.append(_Send(dst, payload))
+        self.outbox.append((payload, dst))
 
     def broadcast(self, payload: Any, *, include_self: bool = True) -> None:
         """Queue a "send to all" (paper's broadcast idiom).
@@ -184,7 +177,7 @@ class ProtocolNode:
         how a node's own ack counts toward its ``n − f`` quorums.
         """
         dests = self._everyone if include_self else self._others
-        self.outbox.append(_Broadcast(payload, dests))
+        self.outbox.append((payload, dests))
 
     # -- observability ----------------------------------------------------
     def phase_enter(self, name: str) -> None:

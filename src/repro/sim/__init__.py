@@ -7,8 +7,10 @@ operation latency in units of the maximum message delay ``D``.
 
 The kernel is deliberately small and fully deterministic:
 
-- events fire in (time, priority, sequence-number) order, so two runs with
-  the same seed produce byte-identical traces;
+- events fire in (time, sequence-number) order — at one time, in push
+  order — so two runs with the same seed produce byte-identical traces;
+- a kernel is two members, ``now`` and ``queue.push_call``; the
+  simulator adds one validated entry, ``schedule_call_at``;
 - there is no wall-clock anywhere — "time" is a float owned by the kernel;
 - randomness is funnelled through :class:`repro.sim.rng.SeededRng` so every
   experiment is replayable from its seed.

@@ -1,28 +1,28 @@
 """Event queue for the discrete-event kernel.
 
-Events are ordered by ``(time, priority, seq)``.  The monotonically
-increasing sequence number makes ordering total and deterministic even when
-many events share a timestamp (common under the constant-delay model used
-by the worst-case adversaries).
+Events are ordered by ``(time, seq)``.  The monotonically increasing
+sequence number makes ordering total and deterministic even when many
+events share a timestamp (common under the constant-delay model used by
+the worst-case adversaries): events at one time fire in push order.
 
 :class:`EventQueue` is a binary heap plus a *burst lane*: an append-only
 FIFO holding the longest sorted run of recent pushes.  Under the lockstep
 adversaries (constant delay ``D``) every delivery scheduled while
-processing time ``t`` lands at ``t + D`` with the same priority, i.e.
-pushes arrive in non-decreasing key order — the burst lane absorbs the
-entire steady state in O(1) per event where the heap pays O(log m) per
-push *and* pop.  Popping merges the two internally-sorted lanes by
-``(time, priority, seq)``, so the execution order is exactly the
-heap-only order (differential tests drive it against the heap-only
-reference queue in ``tests/support/reference_substrate.py``).
+processing time ``t`` lands at ``t + D``, i.e. pushes arrive in
+non-decreasing time order — the burst lane absorbs the entire steady
+state in O(1) per event where the heap pays O(log m) per push *and* pop.
+Popping merges the two internally-sorted lanes by ``(time, seq)``, so the
+execution order is exactly the heap-only order (differential tests drive
+it against the heap-only reference queue in
+``tests/support/reference_substrate.py``).
 
-An event is one record, the plain list ``[time, priority, seq, fn, args,
-tag, state]``.  Lists compare natively — by ``time``, then ``priority``,
-then the unique ``seq``, never reaching ``fn`` — so both lanes hold the
-records themselves, with no object or key tuple beside them, and a push
-is one list display.  A record carries ``(fn, args)`` instead of a
-closure; the kernel fires it with ``event[3](*event[4])``.  The record is
-also the handle :meth:`EventQueue.cancel` takes.
+An event is one record, the plain list ``[time, seq, fn, args, state]``.
+Lists compare natively — by ``time``, then the unique ``seq``, never
+reaching ``fn`` — so both lanes hold the records themselves, with no
+object or key tuple beside them, and a push is one list display.  A
+record carries ``(fn, args)`` instead of a closure; the kernel fires it
+with ``event[2](*event[3])``.  The record is also the handle
+:meth:`EventQueue.cancel` takes.
 
 Cancellation is the record's state slot: an event is *pending* until it
 is popped (fired) or cancelled.  Cancelling an event that already fired
@@ -42,20 +42,20 @@ _FIRED = 1
 _CANCELLED = 2
 
 
-#: an event record: ``[time, priority, seq, fn, args, tag, state]``
+#: an event record: ``[time, seq, fn, args, state]``
 Record = list[Any]
 
 
 class EventQueue:
-    """A deterministic priority queue of event records.
+    """A deterministic queue of event records, in ``(time, seq)`` order.
 
     A heap plus the burst lane described in the module docstring.  The
     burst lane (``_fifo``) is a plain list consumed from the left via an
     index cursor (amortized O(1), no deque needed since entries are only
     appended at the right); it always holds a sorted run
-    — an event may be appended iff its ``(time, priority)`` is >= the
-    last entry's (sequence numbers are assigned monotonically, so equal
-    keys stay sorted).  Any push that would break the run goes to the
+    — an event may be appended iff its ``time`` is >= the last entry's
+    (sequence numbers are assigned monotonically, so equal times stay
+    sorted).  Any push that would break the run goes to the
     heap.  ``pop``/``peek_time`` merge the two sorted lanes.
 
     Cancellation is lazy: cancelled events stay in their lane but are
@@ -77,25 +77,11 @@ class EventQueue:
         return self._live
 
     # ------------------------------------------------------------------
-    def push(
-        self,
-        time: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        tag: str = "",
-    ) -> Record:
-        """Schedule ``action`` at absolute ``time``; returns the event."""
-        return self.push_call(time, action, (), priority=priority, tag=tag)
-
     def push_call(
         self,
         time: float,
         fn: Callable[..., None],
         args: tuple[Any, ...] = (),
-        *,
-        priority: int = 0,
-        tag: str = "",
     ) -> Record:
         """Schedule ``fn(*args)`` at absolute ``time`` (closure-free);
         returns the event's record."""
@@ -103,11 +89,10 @@ class EventQueue:
             raise ValueError("event time must not be NaN")
         seq = self._seq
         self._seq = seq + 1
-        event = [time, priority, seq, fn, args, tag, _PENDING]
+        event = [time, seq, fn, args, _PENDING]
         fifo = self._fifo
         if self._head < len(fifo):
-            last = fifo[-1]
-            if time > last[0] or (time == last[0] and priority >= last[1]):
+            if time >= fifo[-1][0]:
                 fifo.append(event)
             else:
                 heappush(self._heap, event)
@@ -122,8 +107,8 @@ class EventQueue:
 
     def cancel(self, event: Record) -> None:
         """Cancel a pending event (idempotent; no-op once it has fired)."""
-        if event[6] == _PENDING:
-            event[6] = _CANCELLED
+        if event[4] == _PENDING:
+            event[4] = _CANCELLED
             self._live -= 1
 
     def pop(self) -> Record:
@@ -153,9 +138,9 @@ class EventQueue:
                 event = heappop(heap)
             else:
                 raise IndexError("pop from empty EventQueue")
-            if event[6] == _CANCELLED:
+            if event[4] == _CANCELLED:
                 continue
-            event[6] = _FIRED
+            event[4] = _FIRED
             self._live -= 1
             return event
 
@@ -166,12 +151,12 @@ class EventQueue:
         while True:
             head = self._head
             fifo_event = fifo[head] if head < len(fifo) else None
-            if fifo_event is not None and fifo_event[6] == _CANCELLED:
+            if fifo_event is not None and fifo_event[4] == _CANCELLED:
                 self._head = head + 1
                 continue
             if heap:
                 entry = heap[0]
-                if entry[6] == _CANCELLED:
+                if entry[4] == _CANCELLED:
                     heappop(heap)
                     continue
                 if fifo_event is None or entry < fifo_event:

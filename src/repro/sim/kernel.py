@@ -5,9 +5,14 @@ deterministic order.  It is the global clock of the paper's analysis
 (Sec. II-A): only the harness reads :attr:`Simulator.now`; protocol code
 never does.
 
-Hot-path design: events carry ``(fn, args)`` instead of a closure —
-:meth:`Simulator.schedule_call` schedules a call without allocating
-anything besides the event record itself — and ``run()``,
+The kernel interface is two members, :attr:`Simulator.now` and
+``queue.push_call``: that is all the network, the op driver and
+``BaseCluster`` call, so another kernel — the asyncio runtime's
+``LoopKernel`` — needs nothing more.  :meth:`Simulator.schedule_call_at`
+is the one validated entry, for callers outside that path.
+
+Hot-path design: events carry ``(fn, args)`` instead of a closure — a
+push allocates nothing besides the event record itself — and ``run()``,
 ``run(until=)`` and ``step()`` drive one loop body whose only call per
 event is the event itself: the loop pops the queue's two lanes inline
 (the body of :meth:`EventQueue.pop`).  A run that should end before the
@@ -48,7 +53,7 @@ class Simulator:
     Example:
         >>> sim = Simulator()
         >>> fired = []
-        >>> _ = sim.schedule(1.5, lambda: fired.append(sim.now))
+        >>> _ = sim.schedule_call_at(1.5, lambda: fired.append(sim.now))
         >>> sim.run()
         >>> fired
         [1.5]
@@ -86,76 +91,21 @@ class Simulator:
 
     @property
     def queue(self) -> EventQueue:
-        """The underlying event queue (advanced, hot-path API).
+        """The underlying event queue: the kernel interface's
+        ``queue.push_call``.
 
-        Exposed so hot paths (the network's send path) can bind
-        ``queue.push_call`` once and schedule without the per-call
-        ``time >= now`` validation — callers own the proof that
-        their times are never in the past (deliveries use
-        ``now + delay`` with ``delay >= 0`` and a monotone FIFO clamp).
-        Everything else should use the ``schedule*`` methods."""
+        Hot paths (the network's send path, the op queue) bind it once
+        and schedule without the per-call ``time >= now`` validation —
+        callers own the proof that their times are never in the past
+        (deliveries use ``now + delay`` with ``delay >= 0`` and a monotone
+        FIFO clamp).  Everything else uses :meth:`schedule_call_at`."""
         return self._queue
 
-    def schedule(
-        self,
-        delay: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        tag: str = "",
-    ) -> Record:
-        """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push_call(
-            self.now + delay, action, (), priority=priority, tag=tag
-        )
-
-    def schedule_at(
-        self,
-        time: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        tag: str = "",
-    ) -> Record:
-        """Schedule ``action`` at absolute ``time`` (must not be in the past)."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule at {time} < now {self.now}")
-        return self._queue.push_call(time, action, (), priority=priority, tag=tag)
-
-    def schedule_call(
-        self,
-        delay: float,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
-        tag: str = "",
-    ) -> Record:
-        """Schedule ``fn(*args)`` after ``delay`` — the closure-free hot
-        path (the network's per-message scheduling goes through here)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push_call(
-            self.now + delay, fn, args, priority=priority, tag=tag
-        )
-
-    def schedule_call_at(
-        self,
-        time: float,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
-        tag: str = "",
-    ) -> Record:
+    def schedule_call_at(self, time: float, fn: Callable[..., None], *args: Any) -> Record:
         """Schedule ``fn(*args)`` at absolute ``time`` (closure-free)."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} < now {self.now}")
-        return self._queue.push_call(time, fn, args, priority=priority, tag=tag)
-
-    def cancel(self, event: Record) -> None:
-        """Cancel a pending event (no-op if it already fired)."""
-        self._queue.cancel(event)
+        return self._queue.push_call(time, fn, args)
 
     # ------------------------------------------------------------------
     # execution
@@ -227,9 +177,9 @@ class Simulator:
                     event = heappop(heap)
                 else:  # drained
                     return
-                if event[6] == _CANCELLED:
+                if event[4] == _CANCELLED:
                     continue
-                event[6] = _FIRED
+                event[4] = _FIRED
                 queue._live -= 1
                 time = event[0]
                 if time < self.now:
@@ -242,7 +192,7 @@ class Simulator:
                     raise SimulationError(
                         f"step budget exhausted ({max_steps}); likely livelock"
                     )
-                event[3](*event[4])
+                event[2](*event[3])
                 if once or self._stopping:
                     return
         finally:

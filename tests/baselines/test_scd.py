@@ -79,7 +79,7 @@ def test_ms_ordering_random_traffic():
         cluster.start()
         for i in range(12):
             src = rng.randint(0, 4)
-            cluster.sim.schedule_at(
+            cluster.sim.schedule_call_at(
                 rng.uniform(0.0, 6.0),
                 lambda s=src, i=i: (
                     cluster.node(s).scd_broadcast(f"m{i}"),
@@ -113,7 +113,7 @@ def test_ms_ordering_with_truncated_broadcasts():
         cluster.start()
         for i in range(8):
             src = rng.randint(0, 4)
-            cluster.sim.schedule_at(
+            cluster.sim.schedule_call_at(
                 rng.uniform(0.0, 4.0),
                 lambda s=src, i=i: (
                     cluster.node(s).scd_broadcast(f"m{i}"),

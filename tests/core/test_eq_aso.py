@@ -43,19 +43,11 @@ def test_maxtag_ignores_value_messages():
 def test_write_tag_echoes_only_new_tags():
     node = EqAso(0, 3, 1)
     node.on_message(1, MWriteTag(5, reqid=1))
-    echoes = [
-        item
-        for item in node.outbox
-        if hasattr(item, "payload") and isinstance(item.payload, MEchoTag)
-    ]
+    echoes = [item for item in node.outbox if isinstance(item[0], MEchoTag)]
     assert len(echoes) == 1
     node.outbox.clear()
     node.on_message(2, MWriteTag(5, reqid=2))  # already known
-    echoes = [
-        item
-        for item in node.outbox
-        if hasattr(item, "payload") and isinstance(item.payload, MEchoTag)
-    ]
+    echoes = [item for item in node.outbox if isinstance(item[0], MEchoTag)]
     assert echoes == []
 
 
@@ -70,26 +62,20 @@ def test_write_ack_is_unconditional():
     node.outbox.clear()
     node.on_message(2, MWriteTag(5, reqid=9))
     acks = [
-        item
-        for item in node.outbox
-        if hasattr(item, "dst") and isinstance(item.payload, MWriteAck)
+        (payload, to) for payload, to in node.outbox if isinstance(payload, MWriteAck)
     ]
-    assert len(acks) == 1 and acks[0].dst == 2 and acks[0].payload.reqid == 9
+    assert len(acks) == 1 and acks[0][1] == 2 and acks[0][0].reqid == 9
 
 
 def test_values_forwarded_exactly_once():
     node = EqAso(0, 3, 1)
     vt = ValueTs("v", Timestamp(1, 1), 1)
     node.on_message(1, MValue(vt))
-    forwards = [
-        item for item in node.outbox if isinstance(getattr(item, "payload", None), MValue)
-    ]
+    forwards = [item for item in node.outbox if isinstance(item[0], MValue)]
     assert len(forwards) == 1
     node.outbox.clear()
     node.on_message(2, MValue(vt))  # second copy: no re-forward
-    forwards = [
-        item for item in node.outbox if isinstance(getattr(item, "payload", None), MValue)
-    ]
+    forwards = [item for item in node.outbox if isinstance(item[0], MValue)]
     assert forwards == []
 
 

@@ -23,7 +23,6 @@ from repro.core.one_shot import OneShotAso
 from repro.core.tags import Timestamp, ValueTs
 from repro.net.delays import UniformDelay
 from repro.runtime.cluster import Cluster
-from repro.runtime.protocol import _Broadcast
 from repro.sim.rng import SeededRng
 from tests.support.forward_once import seen_set_oracle, watch
 
@@ -145,9 +144,9 @@ CASES = [
 
 
 def _broadcasts(node, kind):
-    sent = [item for item in node.outbox if type(item) is _Broadcast]
+    sent = [payload for payload, to in node.outbox if type(to) is tuple]
     node.outbox.clear()
-    return [item.payload for item in sent if type(item.payload) is kind]
+    return [payload for payload in sent if type(payload) is kind]
 
 
 @pytest.mark.parametrize("factory, kind, make", CASES)

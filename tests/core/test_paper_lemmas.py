@@ -44,7 +44,7 @@ def run_instrumented(seed: int, *, n=4, f=1, ops_per_node=3, probe_every=0.8):
                 row_samples.append((i, s, cluster.node(i).V.row(s)))
 
     for tick in range(1, 40):
-        cluster.sim.schedule_at(tick * probe_every, probe)
+        cluster.sim.schedule_call_at(tick * probe_every, probe)
     handles = random_workload(
         cluster, rng.child("w"), ops_per_node=ops_per_node, scan_prob=0.4
     )

@@ -37,7 +37,7 @@ def test_tag_flooder_fires_with_budget():
     shell = ByzantineShell(0, 4, 1, flooder)
     shell.on_message(1, MWriteTag(2, 1))
     assert len(shell.outbox) == 1  # fired once
-    payload = shell.outbox[0].payload
+    payload = shell.outbox[0][0]
     assert isinstance(payload, MEchoTag) and payload.tag == 7
     shell.outbox.clear()
     shell.on_message(1, MWriteTag(3, 2))
@@ -53,10 +53,10 @@ def test_tag_flooder_ignores_other_messages():
 def test_ack_forger_inflates_read_acks():
     shell = ByzantineShell(0, 4, 1, AckForger(inflation=9))
     shell.on_message(2, MReadTag(5))
-    [send] = shell.outbox
-    assert send.dst == 2
-    assert isinstance(send.payload, MReadAck)
-    assert send.payload.tag == 9 and send.payload.reqid == 5
+    [(payload, dst)] = shell.outbox
+    assert dst == 2
+    assert isinstance(payload, MReadAck)
+    assert payload.tag == 9 and payload.reqid == 5
     # a right-kind forgery does land in the victim's open readTag round
     # (one voice among n - f; the tag sub-protocol tolerates inflation)
     victim = ByzantineAso(2, 4, 1)
@@ -127,4 +127,4 @@ def test_kind_swapping_node_neither_completes_nor_crashes_honest_rounds():
 def test_send_to_each_equivocation_helper():
     shell = ByzantineShell(0, 4, 1, Silent())
     shell.send_to_each({1: "x", 2: "y"})
-    assert [(s.dst, s.payload) for s in shell.outbox] == [(1, "x"), (2, "y")]
+    assert list(shell.outbox) == [("x", 1), ("y", 2)]

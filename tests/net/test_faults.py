@@ -12,7 +12,7 @@ from repro.net.faults import (
 
 def test_empty_plan():
     plan = CrashPlan.none()
-    assert plan.k == 0
+    assert plan._specs == {}
     assert not plan.is_crashed(0)
     dests, crash = plan.filter_broadcast(0, "m", [1, 2])
     assert dests == [1, 2] and not crash
@@ -21,8 +21,7 @@ def test_empty_plan():
 def test_timed_crash_listing():
     plan = CrashPlan({1: CrashAtTime(5.0), 2: BroadcastCrash(deliver_to=(3,))})
     assert plan.timed_crashes() == [(1, 5.0)]
-    assert plan.k == 2
-    assert plan.planned_nodes() == {1, 2}
+    assert set(plan._specs) == {1, 2}
 
 
 def test_negative_crash_time_rejected():
@@ -63,8 +62,7 @@ def test_mark_and_query_crashed():
 def test_chain_crash_plan_shape():
     plan = chain_crash_plan([0, 1, 2, 3])
     # first three crash, last is correct
-    assert plan.planned_nodes() == {0, 1, 2}
-    assert plan.k == 3
+    assert set(plan._specs) == {0, 1, 2}
     # node 1 delivers only to node 2
     dests, crash = plan.filter_broadcast(1, "v", [0, 2, 3])
     assert dests == [2] and crash
@@ -98,31 +96,35 @@ def test_deliver_to_outside_dests_is_intersected():
     assert dests == [2] and crash
 
 
-def test_crash_plan_copy_has_fresh_runtime_state():
-    template = CrashPlan({0: BroadcastCrash(deliver_to=(2,)), 1: CrashAtTime(3.0)})
-    run1 = template.copy()
-    dests, crash = run1.filter_broadcast(0, "m", [1, 2])
-    assert dests == [2] and crash
+def test_rebuilt_crash_plan_has_fresh_runtime_state():
+    """Each execution builds its own live plan from plan data, so neither
+    a fired shot, a broadcast countdown nor the crashed set leaks from one
+    run into the next."""
+    from repro.chaos.plan import (
+        BcastCrashSpec,
+        ChaosPlan,
+        TimedCrashSpec,
+        build_crash_plan,
+    )
+
+    data = ChaosPlan(
+        "eq_aso",
+        5,
+        2,
+        seed=0,
+        crashes=(BcastCrashSpec(0, (2,), nth=2), TimedCrashSpec(1, 3.0)),
+    )
+    run1 = build_crash_plan(data)
+    assert run1.filter_broadcast(0, "m", [1, 2]) == ([1, 2], False)
+    assert run1.filter_broadcast(0, "m", [1, 2]) == ([2], True)
     run1.mark_crashed(0)
     run1.mark_crashed(1)
-    # neither the fired shot nor the crashed set leaks into a second run
-    run2 = template.copy()
+    run2 = build_crash_plan(data)
     assert run2.crashed_nodes == frozenset()
-    dests, crash = run2.filter_broadcast(0, "m", [1, 2])
-    assert dests == [2] and crash
-    # the template itself is also untouched
-    assert template.crashed_nodes == frozenset()
-    dests, crash = template.filter_broadcast(0, "m", [1, 2])
-    assert dests == [2] and crash
-
-
-def test_crash_plan_copy_preserves_specs():
-    template = CrashPlan({4: CrashAtTime(1.5)})
-    clone = template.copy()
-    assert clone.k == 1
-    assert clone.timed_crashes() == [(4, 1.5)]
-    with pytest.raises(ValueError):
-        clone.add(4, CrashAtTime(2.0))
+    assert run2.timed_crashes() == [(1, 3.0)]
+    # the countdown starts over: the first broadcast passes again
+    assert run2.filter_broadcast(0, "m", [1, 2]) == ([1, 2], False)
+    assert run2.filter_broadcast(0, "m", [1, 2]) == ([2], True)
 
 
 def test_chain_shared_match_misfires_on_reforwarded_traffic():

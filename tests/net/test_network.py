@@ -4,11 +4,14 @@ The network pushes each delivery as a call of the cluster's ``_deliver``,
 which drops deliveries to crashed nodes and counts, so the network is
 tested under a cluster of nodes that record what they receive."""
 
+from collections import Counter
+
 import pytest
 
 from repro.net.delays import AdversarialDelay, ConstantDelay, UniformDelay
 from repro.net.faults import BroadcastCrash, CrashPlan
 from repro.net.network import Network
+from repro.obs import MemorySink, Tracer
 from repro.runtime.cluster import Cluster
 from repro.runtime.protocol import ProtocolNode
 from repro.sim.fastpath import STATS
@@ -16,7 +19,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
 
 
-def make_net(n=3, delay_model=None, plan=None, record=False):
+def make_net(n=3, delay_model=None, plan=None, tracer=None):
     received = []
 
     class Recorder(ProtocolNode):
@@ -29,7 +32,7 @@ def make_net(n=3, delay_model=None, plan=None, record=False):
         0,
         delay_model=delay_model or ConstantDelay(1.0),
         crash_plan=plan if plan is not None else CrashPlan.none(),
-        record_net_trace=record,
+        tracer=tracer,
     )
     return cluster.sim, cluster.network, received
 
@@ -129,16 +132,23 @@ def test_per_node_send_counters():
 
 
 def test_trace_records_drops():
+    """A traced delivery to a node that crashed since the send is a
+    ``drop`` event, and ``deliver`` is still handed it to count."""
     plan = CrashPlan.none()
     sim = Simulator()
+    tracer = Tracer(MemorySink())
+    handed = []
     net = Network(
-        sim, 2, ConstantDelay(1.0), plan, lambda *a: None, record_trace=True
+        sim, 2, ConstantDelay(1.0), plan, lambda *a: handed.append(a), tracer=tracer
     )
     net.send(0, 1, "x")
     plan.mark_crashed(1)
     sim.run()
-    assert len(net.trace) == 1
-    assert net.trace[0].dropped and net.trace[0].payload == "x"
+    assert [(ev.kind, ev.src, ev.dst) for ev in tracer.sink.events] == [
+        ("send", 0, 1),
+        ("drop", 0, 1),
+    ]
+    assert handed == [(0, (1,), "x", 0.0)]
 
 
 def test_self_send_is_instant():
@@ -179,7 +189,7 @@ def test_gating_parks_fifo_keeps_batching_and_unwatches():
     assert net.messages_sent == 5
     sim.run()
     assert sorted(received) == [(0, 0, "a", 0.0), (2, 0, "a", 1.0), (3, 0, "a", 1.0)]
-    sim.schedule_at(2.5, lambda: net.reconnect(0, 1))
+    sim.schedule_call_at(2.5, lambda: net.reconnect(0, 1))
     sim.run()
     # released in send order, delays sampled at release time
     assert received[3:] == [(1, 0, "a", 3.5), (1, 0, "b", 3.5)]
@@ -196,10 +206,10 @@ def test_watched_stays_true_while_any_gate_or_observer_remains():
     assert net._watched  # 1->2 still gated
     net.reconnect(1, 2)
     assert not net._watched
-    sim, traced, _ = make_net(n=3, record=True)
+    sim, traced, _ = make_net(n=3, tracer=Tracer(MemorySink()))
     traced.disconnect(0, 1)
     traced.reconnect(0, 1)
-    assert traced._watched  # the delivery trace still observes
+    assert traced._watched  # the tracer still observes
 
 
 def test_parked_release_samples_fresh_delays_under_fifo_clamp():
@@ -211,10 +221,46 @@ def test_parked_release_samples_fresh_delays_under_fifo_clamp():
         net.send(0, 1, i)
     sim.run()
     assert [p for (_, _, p, _) in received] == ["in-flight"]
-    sim.schedule_at(4.0, lambda: net.reconnect(0, 1))
+    sim.schedule_call_at(4.0, lambda: net.reconnect(0, 1))
     sim.run()
     released = received[1:]
     assert [p for (_, _, p, _) in released] == list(range(6))
     times = [t for (_, _, _, t) in released]
     assert times == sorted(times)
     assert all(4.0 < t <= 5.0 for t in times)  # within D of the release
+
+
+def test_a_released_message_is_counted_and_traced_once():
+    """Counting, tracing and gating happen at send time; ``reconnect``
+    only posts what was parked, so a released message is neither counted
+    nor traced again, and its channel's depth drains back to 0."""
+    tracer = Tracer(MemorySink())
+    sim, net, received = make_net(n=3, tracer=tracer)
+    net.disconnect(0, 1)
+    net.send(0, 1, "p2p")  # parked
+    net.broadcast(0, "bcast", (0, 1, 2))  # 0 -> 1 parked, 0 and 2 posted
+    assert net._parked[1] == ["p2p", "bcast"]
+    sent, by_node = net.messages_sent, list(net.sent_by_node)
+    assert (sent, by_node) == (4, [4, 0, 0])
+    assert net._depth[1] == 2
+    sim.run()
+    net.reconnect(0, 1)
+    assert (net.messages_sent, net.sent_by_node) == (sent, by_node)
+    sim.run()
+    assert sorted((dst, payload) for dst, _, payload, _ in received) == [
+        (0, "bcast"),
+        (1, "bcast"),
+        (1, "p2p"),
+        (2, "bcast"),
+    ]
+    # one send and one deliver event per message: two of the four go to 1
+    per_channel = Counter(
+        (ev.kind, ev.dst) for ev in tracer.sink.events if ev.kind in ("send", "deliver")
+    )
+    assert per_channel == {
+        (kind, dst): 2 if dst == 1 else 1
+        for kind in ("send", "deliver")
+        for dst in range(3)
+    }
+    assert net._depth == [0] * 9
+    assert not net._parked

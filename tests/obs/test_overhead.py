@@ -9,6 +9,7 @@ from collections import Counter
 from repro.core import EqAso
 from repro.obs import MemorySink, NullSink, Tracer
 from repro.runtime.cluster import Cluster
+from tests.support.delivery_log import log_deliveries
 
 SCHEDULE = [
     (0.0, 0, "update", ("a",)),
@@ -18,8 +19,8 @@ SCHEDULE = [
 ]
 
 
-def run_cluster(tracer, **kwargs):
-    cluster = Cluster(EqAso, n=5, f=2, tracer=tracer, **kwargs)
+def run_cluster(tracer):
+    cluster = Cluster(EqAso, n=5, f=2, tracer=tracer)
     cluster.run_ops(SCHEDULE)
     return cluster
 
@@ -43,21 +44,24 @@ def test_null_sink_adds_zero_kernel_events():
 
 
 def test_observation_does_not_change_the_schedule_shape():
-    """A retaining tracer and the per-delivery trace watch every message
-    yet execute the same number of kernel events as a bare run (traced
+    """A retaining tracer and a delivery log see every message yet
+    execute the same number of kernel events as a bare run (traced
     broadcasts still batch) and produce the same history."""
     bare = run_cluster(None)
     traced = run_cluster(tracer := Tracer(MemorySink()))
-    recorded = run_cluster(None, record_net_trace=True)
+    recorded = Cluster(EqAso, n=5, f=2)
+    log = log_deliveries(recorded)
+    recorded.run_ops(SCHEDULE)
     # the full trace records every send and every delivery
     kinds = Counter(ev.kind for ev in tracer.sink.events)
     assert (kinds["send"], kinds["deliver"]) == (
         bare.network.messages_sent,
         bare.network.messages_delivered,
     )
-    assert traced.network._watched and recorded.network._watched
+    # the log wraps ``deliver``: the network does not watch for it
+    assert traced.network._watched and not recorded.network._watched
     assert traced.sim.steps == recorded.sim.steps == bare.sim.steps
-    assert len(recorded.network.trace) == (
+    assert len(log) == (
         bare.network.messages_delivered + bare.network.messages_dropped
     )
     for observed in (traced, recorded):

@@ -149,7 +149,7 @@ def test_crash_emits_crash_drop_and_abort_events():
     cluster, tracer = traced_cluster()
     upd = cluster.invoke_at(0.0, 0, "update", "doomed")
     scan = cluster.invoke_at(0.0, 1, "scan")
-    cluster.sim.schedule_at(1.5, lambda: cluster.crash(0))
+    cluster.sim.schedule_call_at(1.5, lambda: cluster.crash(0))
     cluster.run_until_complete([upd, scan])
 
     kinds = {ev.kind for ev in tracer.sink.events}

@@ -10,7 +10,7 @@ episodes and the counting live in ``tests/support/call_breakdown.py``;
 ``python -m tests.support.call_breakdown [des|aio|lockstep]`` prints the
 count per function, which is where a pass over this path starts.
 
-Recorded on CPython 3.11 (29 042 calls / 3 476 messages): **8.36**
+Recorded on CPython 3.11 (28 181 calls / 3 476 messages): **8.11**
 calls per delivered message.  The history of that number:
 
 - **25.16** — ``match`` ladders behind ``_handle_tag_message``,
@@ -54,6 +54,22 @@ calls per delivered message.  The history of that number:
   total                                                13.19 / 13.66 / 12.39  8.36 / 10.73 / 8.85
   ===================================================  =====================  ===================
 
+- **8.11** — an outbox entry is the plain tuple ``(payload, dst)`` or
+  ``(payload, dests)`` that ``OpDriver.flush`` unpacks, not a
+  ``_Send``/``_Broadcast`` dataclass whose generated ``__init__`` was a
+  frame per send or broadcast; and one ``Network._post`` holds the
+  delay, bound check, FIFO clamp and push for ``send``, ``broadcast``
+  and ``reconnect`` (``Network._schedule`` is gone — a frame per send
+  either way, and one more per broadcast).  Per function, same columns:
+
+  ===================================================  =====================  ===================
+  dataclass ``__init__`` (all classes)                    0.48 / 0.63 / 0.68   0.13 / 0.22 / 0.22
+  ``Network._schedule``                                   0.25 / 0.27 / 0.32            0 / 0 / 0
+  ``Network._post``                                             0 / 0 / 0    0.36 / 0.41 / 0.46
+  everything else                                         7.63 / 9.83 / 7.85   7.62 / 9.83 / 7.85
+  total                                                  8.36 / 10.73 / 8.85  8.11 / 10.46 / 8.53
+  ===================================================  =====================  ===================
+
 The ceiling sits just above the current value: a frame creeping back
 into the path costs about one call per message and fails here.  (3.12
 inlines comprehensions, so it can only count lower.)
@@ -62,8 +78,9 @@ The asyncio runtime has the same budget beside it: one fixed
 ``mean_delay=0`` episode (n = 5, f = 2, 5 clients × 12 ops — the shape
 of the ledger's ``aio_closed_n5``), every Python call made while the
 loop runs it — asyncio's own frames included — divided by the messages
-sent.  Recorded on CPython 3.11: **10.73** (32 768 calls / 3 055
-messages) now (the row above); 13.66 (41 738) before that, 13.58
+sent.  Recorded on CPython 3.11: **10.46** (31 958 calls / 3 055
+messages) now (the rows above); 10.73 (32 768) before the outbox
+tuples; 13.66 (41 738) before that, 13.58
 (41 495) before ``call()`` went through the
 per-node op FIFO (an arrival, a pump, a guarded begin and an idle hook
 per op); **17.35** (53 011) with the loop-paced kernel under the
@@ -79,17 +96,18 @@ repeats exactly too.
 The lockstep episode (``ConstantDelay(D)``, n = 5, f = 2, 80 % scans —
 the shape of the ledger's ``des_scan_heavy``) pins the other delivery
 shape: every broadcast is one batched delivery event, so its count is
-per delivered message of a batch.  Recorded on CPython 3.11: **8.85**
-(19 675 calls / 2 223 messages); 12.39 (27 554) before the row above.
+per delivered message of a batch.  Recorded on CPython 3.11: **8.53**
+(18 965 calls / 2 223 messages); 8.85 (19 675) before the outbox tuples;
+12.39 (27 554) before the one-frame delivery.
 
 Each ceiling is its recorded value + 0.4.
 """
 
 from tests.support.call_breakdown import aio_episode, des_episode, lockstep_episode
 
-CEILING = 8.76  # calls per delivered message; see the module docstring
-AIO_CEILING = 11.13  # calls per sent message on the asyncio runtime
-LOCKSTEP_CEILING = 9.25  # calls per delivered message, batched deliveries
+CEILING = 8.51  # calls per delivered message; see the module docstring
+AIO_CEILING = 10.86  # calls per sent message on the asyncio runtime
+LOCKSTEP_CEILING = 8.93  # calls per delivered message, batched deliveries
 
 #: the plumbing the delivery path no longer calls
 GONE = (

@@ -38,8 +38,8 @@ def faulty_run(seed=0):
         tracer=tracer,
         crash_plan=CrashPlan({4: CrashAtTime(1.5)}),
     )
-    cluster.sim.schedule_at(0.25, lambda: cluster.disconnect(0, 1))
-    cluster.sim.schedule_at(3.0, lambda: cluster.reconnect(0, 1))
+    cluster.sim.schedule_call_at(0.25, lambda: cluster.disconnect(0, 1))
+    cluster.sim.schedule_call_at(3.0, lambda: cluster.reconnect(0, 1))
     cluster.run_ops(SCHEDULE)
     return cluster, tracer
 

@@ -21,6 +21,7 @@ from repro.net.delays import UniformDelay
 from repro.net.rbc import REcho, RInit, RReady
 from repro.runtime.cluster import Cluster
 from repro.sim.rng import SeededRng
+from tests.support.delivery_log import delivered_kinds, log_deliveries
 
 
 def _delivered_kinds(profile: AlgoProfile) -> set[type]:
@@ -31,12 +32,12 @@ def _delivered_kinds(profile: AlgoProfile) -> set[type]:
         n=profile.n,
         f=profile.f,
         delay_model=UniformDelay(1.0, rng.child("delay"), lo=0.1, hi=1.0),
-        record_net_trace=True,
     )
+    log = log_deliveries(cluster)
     ops = random_workload(cluster, rng.child("workload"), ops_per_node=4)
     cluster.run_until_complete(ops)
     assert all(op.done for op in ops)
-    return {type(rec.payload) for rec in cluster.network.trace}
+    return delivered_kinds(log)
 
 
 @pytest.mark.parametrize("name", list(CAMPAIGN_ALGOS))

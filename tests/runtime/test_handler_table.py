@@ -38,6 +38,7 @@ from repro.runtime.aio import AioCluster
 from repro.runtime.cluster import Cluster
 from repro.runtime.protocol import ProtocolNode, WaitUntil, handles
 from repro.sim.rng import SeededRng
+from tests.support.delivery_log import delivered_kinds, log_deliveries
 
 SNAPSHOT_OPS = [("update", ("a",)), ("scan", ()), ("update", ("b",)), ("scan", ())]
 ALGORITHMS = [profile.factory for profile in CAMPAIGN_ALGOS.values()] + [
@@ -62,12 +63,12 @@ def _delivered_kinds(factory) -> tuple[Cluster, set[type]]:
         n=n,
         f=f,
         delay_model=UniformDelay(1.0, SeededRng(7), lo=0.1, hi=1.0),
-        record_net_trace=True,
     )
+    log = log_deliveries(cluster)
     handles_ = [h for node in range(n) for h in cluster.chain_ops(node, per_node[node])]
     cluster.run_until_complete(handles_)
     assert all(h.done for h in handles_)
-    return cluster, {type(rec.payload) for rec in cluster.network.trace}
+    return cluster, delivered_kinds(log)
 
 
 @pytest.mark.parametrize("factory", ALGORITHMS, ids=lambda a: a.__name__)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.protocol import ProtocolNode, WaitUntil, _Broadcast, _Send
+from repro.runtime.protocol import ProtocolNode, WaitUntil
 
 
 class Echo(ProtocolNode):
@@ -26,23 +26,19 @@ def test_quorum_size():
 def test_send_queues_to_outbox():
     node = Echo(0, 3, 1)
     node.send(2, "m")
-    [item] = node.outbox
-    assert isinstance(item, _Send) and item.dst == 2 and item.payload == "m"
+    assert list(node.outbox) == [("m", 2)]  # (payload, destination)
 
 
 def test_broadcast_includes_self_by_default():
     node = Echo(1, 3, 1)
     node.broadcast("m")
-    [item] = node.outbox
-    assert isinstance(item, _Broadcast)
-    assert item.dests == (0, 1, 2)
+    assert list(node.outbox) == [("m", (0, 1, 2))]  # (payload, destinations)
 
 
 def test_broadcast_exclude_self():
     node = Echo(1, 3, 1)
     node.broadcast("m", include_self=False)
-    [item] = node.outbox
-    assert item.dests == (0, 2)
+    assert list(node.outbox) == [("m", (0, 2))]
 
 
 def test_default_ops_not_implemented():

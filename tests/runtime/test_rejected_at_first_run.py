@@ -19,6 +19,7 @@ import pytest
 from repro.runtime.aio import AioCluster
 from repro.runtime.cluster import Cluster, StuckError
 from repro.runtime.protocol import ProtocolNode, WaitUntil, handles
+from tests.support.delivery_log import delivered_kinds, log_deliveries
 
 
 def _run(factory, opname: str) -> None:
@@ -85,10 +86,11 @@ def test_dead_letter_surfaces_at_the_caller_on_the_asyncio_runtime():
 
 
 def test_dead_handler_is_a_table_entry_no_run_delivers():
-    cluster = Cluster(LeakyTableNode, n=3, f=1, record_net_trace=True)
+    cluster = Cluster(LeakyTableNode, n=3, f=1)
+    log = log_deliveries(cluster)
     with pytest.raises(TypeError, match=DEAD_LETTER):
         cluster.run_until_complete([cluster.invoke(0, "ping")])
-    delivered = {type(rec.payload) for rec in cluster.network.trace}
+    delivered = delivered_kinds(log)
     assert set(LeakyTableNode._handlers) - delivered == {MGhost}
 
 

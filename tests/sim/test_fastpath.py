@@ -21,7 +21,7 @@ from tests.support.reference_substrate import ReferenceEventQueue, reference_sub
 # ----------------------------------------------------------------------
 # queue differential tests
 # ----------------------------------------------------------------------
-def _drain(q) -> list[tuple[float, int, int]]:
+def _drain(q) -> list[tuple[float, int]]:
     keys = []
     while q:
         keys.append(Event(q.pop()).sort_key())
@@ -44,9 +44,8 @@ def test_random_interleavings_match_reference(seed):
             # shared timestamps on purpose: a few buckets, some backdated
             t = clock + rng.choice((0.0, 0.0, 1.0, 1.0, 2.0, -0.5))
             t = max(t, 0.0)
-            prio = rng.choice((0, 0, 0, 1, 5))
-            live_fast.append(fast.push(t, lambda: None, priority=prio))
-            live_ref.append(ref.push(t, lambda: None, priority=prio))
+            live_fast.append(fast.push_call(t, lambda: None))
+            live_ref.append(ref.push_call(t, lambda: None))
         elif action < 0.7 and live_fast:
             i = rng.randint(0, len(live_fast) - 1)
             fast.cancel(live_fast[i])
@@ -74,13 +73,13 @@ def _iterpop(q):
 
 def test_out_of_order_pushes_still_pop_sorted():
     """Pushes that break the burst lane's sorted run (and so fall back to
-    the heap) still pop in global (time, priority, seq) order."""
+    the heap) still pop in global (time, seq) order."""
     q = EventQueue()
     times = [5.0, 5.0, 1.0, 3.0, 3.0, 2.0, 8.0, 0.5, 3.0]
     for t in times:
-        q.push(t, lambda: None)
+        q.push_call(t, lambda: None)
     popped = _drain(q)
-    assert [t for t, _, _ in popped] == sorted(times)
+    assert [t for t, _ in popped] == sorted(times)
     # equal times pop in push (seq) order
     assert popped == sorted(popped)
 
@@ -89,12 +88,12 @@ def test_burst_lane_restart_after_drain():
     """The sorted run restarts once the lane drains; interleaving drains
     and pushes never loses or reorders events."""
     q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    assert _drain(q) == [(1.0, 0, 0), (2.0, 0, 1)]
-    q.push(1.5, lambda: None)  # earlier than the consumed run's tail
-    q.push(1.5, lambda: None, priority=-1)  # breaks the run -> heap
-    assert _drain(q) == [(1.5, -1, 3), (1.5, 0, 2)]
+    q.push_call(1.0, lambda: None)
+    q.push_call(2.0, lambda: None)
+    assert _drain(q) == [(1.0, 0), (2.0, 1)]
+    q.push_call(1.5, lambda: None)  # earlier than the consumed run's tail
+    q.push_call(1.0, lambda: None)  # breaks the run -> heap
+    assert _drain(q) == [(1.0, 3), (1.5, 2)]
 
 
 def test_cancel_after_fire_does_not_corrupt_live_count():
@@ -105,8 +104,8 @@ def test_cancel_after_fire_does_not_corrupt_live_count():
     cancel sequence drove ``len(queue)`` negative and made ``bool(queue)``
     lie to the kernel's run loop."""
     for q in (EventQueue(), ReferenceEventQueue()):
-        fired = q.push(1.0, lambda: None)
-        keeper = q.push(2.0, lambda: None)
+        fired = q.push_call(1.0, lambda: None)
+        keeper = q.push_call(2.0, lambda: None)
         assert q.pop() is fired and Event(fired).fired
         q.cancel(fired)  # no-op: already fired
         q.cancel(fired)  # idempotent
@@ -118,8 +117,8 @@ def test_cancel_after_fire_does_not_corrupt_live_count():
 
 def test_cancel_pending_is_idempotent():
     for q in (EventQueue(), ReferenceEventQueue()):
-        e = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        e = q.push_call(1.0, lambda: None)
+        q.push_call(2.0, lambda: None)
         q.cancel(e)
         q.cancel(e)
         assert len(q) == 1
@@ -131,7 +130,7 @@ def test_burst_lane_compaction_bounds_memory():
     every fired event in the lane."""
     q = EventQueue()
     for i in range(20_000):
-        q.push(float(i), lambda: None)
+        q.push_call(float(i), lambda: None)
         q.pop()
     assert len(q._fifo) < 8192
 

@@ -12,8 +12,8 @@ def test_time_starts_at_zero():
 def test_schedule_and_run():
     sim = Simulator()
     seen = []
-    sim.schedule(1.5, lambda: seen.append(sim.now))
-    sim.schedule(0.5, lambda: seen.append(sim.now))
+    sim.schedule_call_at(1.5, lambda: seen.append(sim.now))
+    sim.schedule_call_at(0.5, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [0.5, 1.5]
     assert sim.now == 1.5
@@ -22,29 +22,32 @@ def test_schedule_and_run():
 def test_schedule_at_absolute():
     sim = Simulator()
     seen = []
-    sim.schedule_at(2.0, lambda: seen.append(sim.now))
+    sim.run(until=1.5)  # an absolute time, not one relative to now
+    sim.schedule_call_at(2.0, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [2.0]
 
 
 def test_schedule_at_past_rejected():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.schedule_call_at(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.schedule_at(0.5, lambda: None)
+        sim.schedule_call_at(0.5, lambda: None)
 
 
 def test_negative_delay_rejected():
+    """A time before ``now`` — a negative delay from it — is refused."""
+    sim = Simulator()
     with pytest.raises(SimulationError):
-        Simulator().schedule(-0.1, lambda: None)
+        sim.schedule_call_at(sim.now - 0.1, lambda: None)
 
 
 def test_run_until_stops_clock_exactly():
     sim = Simulator()
     seen = []
-    sim.schedule(1.0, lambda: seen.append("a"))
-    sim.schedule(5.0, lambda: seen.append("b"))
+    sim.schedule_call_at(1.0, lambda: seen.append("a"))
+    sim.schedule_call_at(5.0, lambda: seen.append("b"))
     sim.run(until=3.0)
     assert seen == ["a"]
     assert sim.now == 3.0
@@ -69,7 +72,7 @@ def test_stop_from_a_handler_ends_the_run_after_that_event():
         seen.append(f"{i} finished")  # the stopping event still runs to its end
 
     for i in range(10):
-        sim.schedule_call(float(i + 1), fire, i)
+        sim.schedule_call_at(float(i + 1), fire, i)
     sim.run()
     assert seen == [0, "0 finished", 1, "1 finished", 2, "2 finished"]
     assert sim.now == 3.0 and sim.pending == 7
@@ -81,9 +84,9 @@ def test_events_can_schedule_events():
 
     def first():
         seen.append("first")
-        sim.schedule(1.0, lambda: seen.append("nested"))
+        sim.schedule_call_at(sim.now + 1.0, lambda: seen.append("nested"))
 
-    sim.schedule(1.0, first)
+    sim.schedule_call_at(1.0, first)
     sim.run()
     assert seen == ["first", "nested"]
     assert sim.now == 2.0
@@ -93,9 +96,9 @@ def test_step_budget_guards_livelock():
     sim = Simulator(max_steps=100)
 
     def respawn():
-        sim.schedule(0.0, respawn)
+        sim.schedule_call_at(sim.now, respawn)
 
-    sim.schedule(0.0, respawn)
+    sim.schedule_call_at(0.0, respawn)
     with pytest.raises(SimulationError, match="budget"):
         sim.run()
 
@@ -103,8 +106,8 @@ def test_step_budget_guards_livelock():
 def test_cancel_via_kernel():
     sim = Simulator()
     seen = []
-    ev = sim.schedule(1.0, lambda: seen.append("no"))
-    sim.cancel(ev)
+    ev = sim.schedule_call_at(1.0, lambda: seen.append("no"))
+    sim.queue.cancel(ev)
     sim.run()
     assert seen == []
 
@@ -112,7 +115,7 @@ def test_cancel_via_kernel():
 def test_steps_counter():
     sim = Simulator()
     for _ in range(5):
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_call_at(1.0, lambda: None)
     sim.run()
     assert sim.steps == 5
 
@@ -123,7 +126,7 @@ def test_reentrant_run_rejected():
     def nested():
         sim.run()
 
-    sim.schedule(1.0, nested)
+    sim.schedule_call_at(1.0, nested)
     with pytest.raises(SimulationError, match="re-entrant"):
         sim.run()
 
@@ -133,7 +136,7 @@ def test_determinism_across_instances():
         sim = Simulator()
         order = []
         for i in range(50):
-            sim.schedule((i * 7) % 5 * 1.0, lambda i=i: order.append(i))
+            sim.schedule_call_at((i * 7) % 5 * 1.0, lambda i=i: order.append(i))
         sim.run()
         return order
 

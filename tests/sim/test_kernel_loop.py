@@ -34,8 +34,8 @@ def _run_stopping(sim):
     queue = sim.queue
     while sim.pending:
         for record in queue._heap + queue._fifo[queue._head :]:
-            if record[3] is not then_stop:
-                record[3], record[4] = then_stop, (record[3], record[4])
+            if record[2] is not then_stop:
+                record[2], record[3] = then_stop, (record[2], record[3])
         sim.run()
 
 
@@ -50,25 +50,21 @@ on_every_driver = pytest.mark.parametrize("drive", DRIVERS, ids=IDS)
 
 
 def _seeded_schedule(sim, order, seed=2408, events=300):
-    """A random schedule with ties, priorities, cancellations and
-    handlers that schedule more work."""
+    """A random schedule with ties, cancellations and handlers that
+    schedule more work."""
     rng = SeededRng(seed)
 
     def fire(label, spawn):
         order.append((label, sim.now))
         if spawn:
-            sim.schedule_call(rng.uniform(0.0, 2.0), fire, f"{label}+", False)
+            sim.schedule_call_at(sim.now + rng.uniform(0.0, 2.0), fire, f"{label}+", False)
 
     pending = []
     for i in range(events):
         time = float(rng.randint(0, 40)) / 4  # many exact ties
-        pending.append(
-            sim.schedule_call_at(
-                time, fire, str(i), rng.random() < 0.3, priority=rng.randint(0, 2)
-            )
-        )
+        pending.append(sim.schedule_call_at(time, fire, str(i), rng.random() < 0.3))
     for event in rng.sample(pending, events // 10):
-        sim.cancel(event)
+        sim.queue.cancel(event)
 
 
 def _trace(drive):
@@ -92,7 +88,7 @@ def test_all_four_execute_the_schedule_in_the_identical_order():
 @on_every_driver
 def test_time_going_backwards_raises(drive):
     sim = Simulator()
-    sim.schedule(2.0, lambda: sim.queue.push_call(1.0, lambda: None))
+    sim.schedule_call_at(2.0, lambda: sim.queue.push_call(1.0, lambda: None))
     with pytest.raises(SimulationError, match="time went backwards"):
         drive(sim)
     assert sim.now == 2.0  # the clock did not follow the bad event
@@ -103,9 +99,9 @@ def test_step_budget_exhaustion_raises(drive):
     sim = Simulator(max_steps=50)
 
     def respawn():
-        sim.schedule(0.0, respawn)
+        sim.schedule_call_at(sim.now, respawn)
 
-    sim.schedule(0.0, respawn)
+    sim.schedule_call_at(0.0, respawn)
     before = STATS.events
     with pytest.raises(SimulationError, match="step budget exhausted"):
         drive(sim)
@@ -115,8 +111,8 @@ def test_step_budget_exhaustion_raises(drive):
 
 def test_until_never_moves_the_clock_backwards():
     sim = Simulator()
-    sim.schedule(5.0, lambda: None)
-    sim.schedule(9.0, lambda: None)
+    sim.schedule_call_at(5.0, lambda: None)
+    sim.schedule_call_at(9.0, lambda: None)
     sim.run(until=6.0)
     assert sim.now == 6.0
     sim.run(until=3.0)  # an earlier horizon: nothing to do, clock stays
@@ -126,9 +122,9 @@ def test_until_never_moves_the_clock_backwards():
 def test_step_reports_whether_an_event_ran():
     sim = Simulator()
     assert sim.step() is False
-    sim.schedule(1.0, lambda: None)
-    cancelled = sim.schedule(2.0, lambda: None)
-    sim.cancel(cancelled)
+    sim.schedule_call_at(1.0, lambda: None)
+    cancelled = sim.schedule_call_at(2.0, lambda: None)
+    sim.queue.cancel(cancelled)
     assert sim.step() is True and sim.now == 1.0
     assert sim.step() is False and sim.steps == 1
 
@@ -187,7 +183,7 @@ def test_a_stop_left_over_from_a_run_that_failed_does_not_end_the_next_one(horiz
         sim.stop()
         raise ValueError("boom")
 
-    sim.schedule(0.5, stop_then_fail)
+    sim.schedule_call_at(0.5, stop_then_fail)
     _ten_events(sim, seen)
     with pytest.raises(ValueError, match="boom"):
         sim.run()
@@ -215,7 +211,7 @@ def test_reentrant_run_still_raises_and_keeps_the_outer_stop():
         with pytest.raises(SimulationError, match="re-entrant"):
             sim.run()
 
-    sim.schedule(0.5, reenter)
+    sim.schedule_call_at(0.5, reenter)
     _ten_events(sim, seen)
     sim.run()
     assert seen == []  # the refused inner run did not clear the outer request

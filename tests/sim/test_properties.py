@@ -9,21 +9,18 @@ from tests.support.event_view import Event
 
 @given(
     st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            st.integers(min_value=0, max_value=3),
-        ),
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(round),
         max_size=60,
     )
 )
-def test_queue_pops_in_nondecreasing_key_order(entries):
+def test_queue_pops_in_nondecreasing_key_order(times):
     q = EventQueue()
-    for time, prio in entries:
-        q.push(time, lambda: None, priority=prio)
+    for time in times:
+        q.push_call(time, lambda: None)
     popped = []
     while q:
         ev = Event(q.pop())
-        popped.append((ev.time, ev.priority, ev.seq))
+        popped.append((ev.time, ev.seq))
     assert popped == sorted(popped)
 
 
@@ -35,7 +32,7 @@ def test_queue_pops_in_nondecreasing_key_order(entries):
 )
 def test_cancellation_removes_exactly_the_cancelled(times, to_cancel):
     q = EventQueue()
-    events = [q.push(t, lambda: None) for t in times]
+    events = [q.push_call(t, lambda: None) for t in times]
     cancelled = {i for i in to_cancel if i < len(events)}
     for i in cancelled:
         q.cancel(events[i])
@@ -58,7 +55,7 @@ def test_simulator_clock_is_monotone(delays):
     sim = Simulator()
     stamps = []
     for d in delays:
-        sim.schedule(d, lambda: stamps.append(sim.now))
+        sim.schedule_call_at(d, lambda: stamps.append(sim.now))
     sim.run()
     assert stamps == sorted(stamps)
     assert sim.now == max(stamps)

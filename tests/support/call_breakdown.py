@@ -12,7 +12,11 @@ drift apart.
 
 ``sys.setprofile`` reports a ``call`` event per Python frame entered (C
 functions are ``c_call`` and not counted), so the count is exact and
-repeats: it depends on the seed, never on the clock.
+repeats: it depends on the seed, never on the clock.  A method that
+``dataclasses`` generated has the one qualified name
+``__create_fn__.<locals>.__init__`` (or ``__eq__``, ...) for every
+class; such a row is named after the class of its instance instead,
+e.g. ``ValueTs.__init__ (dataclass)``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from repro.sim.rng import SeededRng
 #: functions below this many calls per message are summed as "(others)"
 FLOOR = 0.05
 
+#: the qualified-name prefix of every method ``dataclasses`` generates
+_GENERATED = "__create_fn__.<locals>."
+
 
 def count_calls(run: Callable[[Any], Any], arg: Any) -> Counter[str]:
     """Python-level calls made by ``run(arg)``, per function."""
@@ -45,7 +52,12 @@ def count_calls(run: Callable[[Any], Any], arg: Any) -> Counter[str]:
 
     def profiler(frame: Any, event: str, arg: Any) -> None:
         if event == "call":
-            calls[frame.f_code.co_qualname] += 1
+            code = frame.f_code
+            name = code.co_qualname
+            if name.startswith(_GENERATED) and code.co_argcount:
+                owner = frame.f_locals[code.co_varnames[0]]
+                name = f"{type(owner).__qualname__}.{code.co_name} (dataclass)"
+            calls[name] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profiler)

@@ -11,7 +11,7 @@ proving the optimisations are invisible:
   ``queue.pop()`` (the shipped loop pops the burst-lane queue inline);
 - :class:`ReferenceNetwork` — one closure-carrying kernel event per
   message, tuple-keyed FIFO clamp, no broadcast batching, every sampled
-  delay drawn through ``DelayModel.sample``;
+  delay drawn through ``DelayModel.sample`` and checked on its own;
 - :class:`ReferenceViewVector` — frozenset-per-row views, EQ evaluated
   by rebuilding and comparing all ``n`` rows;
 - plain message construction — a fresh dataclass instance per call;
@@ -32,14 +32,13 @@ from unittest import mock
 
 from repro.core import messages
 from repro.core.tags import ValueTs, tag_of
-from repro.net.network import DeliveryRecord
 from repro.sim.events import _CANCELLED, _FIRED, _PENDING, Record
 from repro.sim.fastpath import STATS
 from repro.sim.kernel import SimulationError
 
 
 class ReferenceEventQueue:
-    """Heap-only queue: same API, same ``(time, priority, seq)`` pop
+    """Heap-only queue: same API, same ``(time, seq)`` pop
     order and fired/cancelled semantics as ``repro.sim.events.EventQueue``;
     every push and pop goes through the binary heap."""
 
@@ -56,46 +55,30 @@ class ReferenceEventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def push(
-        self,
-        time: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        tag: str = "",
-    ) -> Record:
-        return self.push_call(time, action, (), priority=priority, tag=tag)
-
     def push_call(
-        self,
-        time: float,
-        fn: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        *,
-        priority: int = 0,
-        tag: str = "",
+        self, time: float, fn: Callable[..., None], args: tuple[Any, ...] = ()
     ) -> Record:
         if time != time:  # NaN guard
             raise ValueError("event time must not be NaN")
         seq = self._seq
         self._seq = seq + 1
-        event = [time, priority, seq, fn, args, tag, _PENDING]
+        event = [time, seq, fn, args, _PENDING]
         heappush(self._heap, event)
         self._live += 1
         return event
 
     def cancel(self, event: Record) -> None:
-        if event[6] == _PENDING:
-            event[6] = _CANCELLED
+        if event[4] == _PENDING:
+            event[4] = _CANCELLED
             self._live -= 1
 
     def pop(self) -> Record:
         heap = self._heap
         while heap:
             event = heappop(heap)
-            if event[6] == _CANCELLED:
+            if event[4] == _CANCELLED:
                 continue
-            event[6] = _FIRED
+            event[4] = _FIRED
             self._live -= 1
             return event
         raise IndexError("pop from empty EventQueue")
@@ -104,7 +87,7 @@ class ReferenceEventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[6] == _CANCELLED:
+            if entry[4] == _CANCELLED:
                 heappop(heap)
                 continue
             return entry[0]
@@ -140,7 +123,7 @@ def reference_loop(sim: Any, until: float | None, once: bool) -> None:
                 raise SimulationError(
                     f"step budget exhausted ({sim._max_steps}); likely livelock"
                 )
-            event[3](*event[4])
+            event[2](*event[3])
             if once or sim._stopping:
                 return
     finally:
@@ -161,8 +144,8 @@ def _checked_delay(model: Any, src: int, dst: int, payload: Any, now: float) -> 
 
 
 class ReferenceNetwork:
-    """The pre-optimisation network: one closure-carrying, tagged kernel
-    event per message, validated ``schedule_at``, tuple-keyed clamp
+    """The pre-optimisation network: one closure-carrying kernel event
+    per message, validated ``schedule_call_at``, tuple-keyed clamp
     table.  Same constructor and public surface as
     ``repro.net.network.Network``; like it, it leaves dropping and the
     delivered/dropped counts to ``deliver``."""
@@ -175,7 +158,6 @@ class ReferenceNetwork:
         crash_plan: Any,
         deliver: Callable[[int, Sequence[int], Any, float], None],
         *,
-        record_trace: bool = False,
         tracer: Any = None,
         backpressure_hwm: int | None = None,  # accepted; never reported
     ) -> None:
@@ -189,8 +171,6 @@ class ReferenceNetwork:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.sent_by_node: list[int] = [0] * n
-        self.trace: list[DeliveryRecord] = []
-        self._record_trace = record_trace
         self._gated: set[tuple[int, int]] = set()
         self._parked: dict[tuple[int, int], list[Any]] = {}
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
@@ -241,10 +221,8 @@ class ReferenceNetwork:
         if deliver_at < prev:
             deliver_at = prev  # FIFO clamp
         self._last_delivery[pair] = deliver_at
-        self.sim.schedule_at(
-            deliver_at,
-            lambda: self._arrive(src, dst, payload, now),
-            tag=f"deliver:{src}->{dst}",
+        self.sim.schedule_call_at(
+            deliver_at, lambda: self._arrive(src, dst, payload, now)
         )
 
     def broadcast(self, src: int, payload: Any, dests: Sequence[int]) -> None:
@@ -257,13 +235,8 @@ class ReferenceNetwork:
                 self._tracer.on_crash(src, detail="mid-broadcast crash")
 
     def _arrive(self, src: int, dst: int, payload: Any, sent_at: float) -> None:
-        dropped = self.crash_plan.is_crashed(dst)
-        if self._record_trace:
-            self.trace.append(
-                DeliveryRecord(src, dst, payload, sent_at, self.sim.now, dropped)
-            )
         if self._tracer is not None:
-            if dropped:
+            if self.crash_plan.is_crashed(dst):
                 self._tracer.on_drop(src, dst, payload)
             else:
                 self._tracer.on_deliver(src, dst, payload)
