@@ -49,9 +49,9 @@ def check_fields(
 ) -> list[str]:
     """Type-check required keys of one JSON object; returns problems.
 
-    Shared by the bench report validator and the chaos campaign report
-    validator (:mod:`repro.chaos.schema`) — one structural-validation
-    idiom for every checked-in machine-readable report.
+    Shared by the bench report validator and ``repro.obs``'s JSON
+    output check — one structural-validation idiom for every input read
+    from disk and every report printed for a machine.
     """
     problems: list[str] = []
     if not isinstance(obj, dict):

@@ -15,9 +15,11 @@ Examples::
     python -m repro.chaos --plan /tmp/chaos/delporte-seed123/plan.json
 
 Exit status: 0 = all executions clean, 1 = at least one failure found
-(or the replayed plan still fails), 2 = usage error, an ``--out`` that
-cannot be a directory (checked before the sweep runs) or a crashed
-worker (``--workers``; the failing algo/index/seed is printed).
+(or the replayed plan still fails), 2 = usage error, a ``--plan`` file
+that cannot be read or that :meth:`~repro.chaos.plan.ChaosPlan.from_dict`
+rejects, an ``--out`` that cannot be a directory (checked before the
+sweep runs) or a crashed worker (``--workers``; the failing
+algo/index/seed is printed).
 
 ``--workers N`` fans the sweep out over N processes.  Reports and
 counterexample bundles are byte-identical to a serial run for any N —
@@ -128,12 +130,6 @@ def main(argv: list[str] | None = None) -> int:
         help="shrink-execution budget per failure (default 150)",
     )
     parser.add_argument(
-        "--max-ops",
-        type=int,
-        default=3,
-        help="max ops per node in generated workloads (default 3)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help=f"CI preset: all healthy algorithms, {SMOKE_SEEDS} seeds each",
@@ -174,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.plan is not None:
         try:
             return _replay_plan(args.plan)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot replay {args.plan}: {exc}")
 
     try:
@@ -194,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
             budget=args.budget,
             out=args.out,
             smoke=args.smoke,
-            max_ops_per_node=args.max_ops,
             workers=args.workers,
         )
     except WorkerCrash as crash:

@@ -52,9 +52,6 @@ class AlgoProfile:
     n: int
     f: int
     supports_byzantine: bool = False
-    #: for mutants and ablations: the healthy profile this one weakens
-    #: (None = healthy)
-    mutant_of: str | None = None
 
 
 #: the healthy crash-model sweep: the six algorithms of Table I plus the
@@ -112,16 +109,6 @@ BYZ_BEHAVIOURS: dict[str, Callable[[], ByzantineBehavior]] = {
 }
 
 
-def make_behaviour(name: str) -> ByzantineBehavior:
-    try:
-        return BYZ_BEHAVIOURS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown Byzantine behaviour {name!r}; "
-            f"choose from {sorted(BYZ_BEHAVIOURS)}"
-        ) from None
-
-
 def all_profiles() -> dict[str, AlgoProfile]:
     """Every runnable profile: campaign set + Byzantine + mutants +
     ablations."""
@@ -149,5 +136,4 @@ __all__ = [
     "SEQUENTIAL",
     "all_profiles",
     "get_profile",
-    "make_behaviour",
 ]

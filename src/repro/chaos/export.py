@@ -32,20 +32,17 @@ from repro.obs.tracer import MemorySink, Tracer
 from repro.spec.serialize import dump_history
 
 
-def counterexample_dir(out: Path, plan: ChaosPlan) -> Path:
-    return out / f"{plan.algo}-seed{plan.seed}"
-
-
 def export_counterexample(
     plan: ChaosPlan,
     failure: Failure,
     out: Path,
     *,
-    campaign_index: int | None = None,
-    master_seed: int | None = None,
+    campaign_index: int,
+    master_seed: int,
 ) -> dict[str, Any]:
-    """Write the full counterexample bundle; returns a manifest dict."""
-    target = counterexample_dir(out, plan)
+    """Write the full counterexample bundle of campaign entry
+    ``campaign_index``; returns a manifest dict."""
+    target = out / f"{plan.algo}-seed{plan.seed}"
     target.mkdir(parents=True, exist_ok=True)
 
     tracer = Tracer(
@@ -82,12 +79,11 @@ def export_counterexample(
     repro_path = target / "repro.txt"
     lines = [] if result.condition is None else [f"# {result.condition}"]
     lines.append(f"python -m repro.chaos --algo {plan.algo} --plan {plan_path}")
-    if campaign_index is not None and master_seed is not None:
-        lines.append(
-            f"python -m repro.chaos --algo {plan.algo} "
-            f"--master-seed {master_seed} "
-            f"--seeds {campaign_index}:{campaign_index + 1}"
-        )
+    lines.append(
+        f"python -m repro.chaos --algo {plan.algo} "
+        f"--master-seed {master_seed} "
+        f"--seeds {campaign_index}:{campaign_index + 1}"
+    )
     lines.append(f"python -m repro.obs summary {trace_path}")
     repro_path.write_text("\n".join(lines) + "\n")
 
@@ -100,4 +96,4 @@ def export_counterexample(
     }
 
 
-__all__ = ["counterexample_dir", "export_counterexample"]
+__all__ = ["export_counterexample"]

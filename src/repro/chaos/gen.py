@@ -38,6 +38,8 @@ from repro.sim.rng import SeededRng
 
 #: latest instant at which generated workload chains start / crashes fire
 _TIME_HORIZON = 8.0
+#: the chance that a generated op is a scan
+_SCAN_PROB = 0.5
 
 
 def generate_plan(
@@ -45,7 +47,6 @@ def generate_plan(
     seed: int,
     *,
     max_ops_per_node: int = 3,
-    scan_prob: float = 0.5,
 ) -> ChaosPlan:
     """Draw one random adversarial execution for ``profile`` from ``seed``."""
     rng = SeededRng(seed)
@@ -123,7 +124,7 @@ def generate_plan(
         ops: list[tuple[str, str | None]] = []
         count = work_rng.randint(1, max_ops_per_node)
         for i in range(count):
-            if work_rng.random() < scan_prob:
+            if work_rng.random() < _SCAN_PROB:
                 ops.append(("scan", None))
             else:
                 ops.append(("update", f"c{node}.{i}"))

@@ -139,43 +139,18 @@ class EqAsoNoPhase0(EqAso):
 
 #: mutant registry — separate namespace from the healthy profiles
 MUTANTS: dict[str, AlgoProfile] = {
-    "mut-delporte-weak-write": AlgoProfile(
-        "mut-delporte-weak-write",
-        DelporteWeakWriteQuorum,
-        LINEARIZABLE,
-        n=5,
-        f=2,
-        mutant_of="delporte",
-    ),
-    "mut-delporte-weak-scan": AlgoProfile(
-        "mut-delporte-weak-scan",
-        DelporteWeakScanQuorum,
-        LINEARIZABLE,
-        n=5,
-        f=2,
-        mutant_of="delporte",
-    ),
-    "mut-bfk-weak-store": AlgoProfile(
-        "mut-bfk-weak-store",
-        BfkWeakStoreQuorum,
-        LINEARIZABLE,
-        n=5,
-        f=2,
-        mutant_of="bfk",
-    ),
-    "mut-impr-weak-collect": AlgoProfile(
-        "mut-impr-weak-collect",
-        ImprWeakCollectQuorum,
-        LINEARIZABLE,
-        n=5,
-        f=2,
-        mutant_of="impr",
-    ),
+    name: AlgoProfile(name, cls, LINEARIZABLE, n=5, f=2)
+    for name, cls in (
+        ("mut-delporte-weak-write", DelporteWeakWriteQuorum),
+        ("mut-delporte-weak-scan", DelporteWeakScanQuorum),
+        ("mut-bfk-weak-store", BfkWeakStoreQuorum),
+        ("mut-impr-weak-collect", ImprWeakCollectQuorum),
+    )
 }
 
 #: ablation name -> profile (reachable by name, never swept)
 ABLATIONS: dict[str, AlgoProfile] = {
-    name: AlgoProfile(name, cls, LINEARIZABLE, n=5, f=2, mutant_of="eq_aso")
+    name: AlgoProfile(name, cls, LINEARIZABLE, n=5, f=2)
     for name, cls in (
         ("no-tag-recheck", EqAsoNoTagRecheck),
         ("no-borrowing", EqAsoNoBorrowing),

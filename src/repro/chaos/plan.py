@@ -25,13 +25,15 @@ staircase of Sec. III-F is a plan like any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+import math
+from dataclasses import dataclass, field
+from typing import Any, Callable, Collection
 
 from repro.baselines.la_based import MGossip
 from repro.baselines.register_array import MWrite
 from repro.baselines.scd_broadcast import MForward, ScdWrite
 from repro.baselines.store_collect import MStore
+from repro.chaos.algos import BYZ_BEHAVIOURS, all_profiles
 from repro.core.messages import MValue
 from repro.net.delays import (
     AdversarialDelay,
@@ -109,6 +111,7 @@ class ChainCrashSpec:
 
 CrashLike = TimedCrashSpec | BcastCrashSpec | ChainCrashSpec
 
+_CRASH_TYPES = frozenset({"timed", "bcast", "chain"})
 _DELAY_KINDS = frozenset({"constant", "uniform", "targeted", "doomed"})
 _OP_KINDS = frozenset({"update", "scan"})
 
@@ -190,13 +193,7 @@ class ChaosPlan:
     @property
     def crash_count(self) -> int:
         """Planned crash-fault count (the paper's ``k``, crash part)."""
-        total = 0
-        for spec in self.crashes:
-            if isinstance(spec, ChainCrashSpec):
-                total += len(spec.chain) - 1
-            else:
-                total += 1
-        return total
+        return sum(len(c.chain) - 1 if isinstance(c, ChainCrashSpec) else 1 for c in self.crashes)
 
     @property
     def op_count(self) -> int:
@@ -226,86 +223,144 @@ class ChaosPlan:
     @classmethod
     def from_dict(cls, data: Any) -> "ChaosPlan":
         """Load a plan from its :meth:`to_dict` form.  Input that cannot
-        describe a runnable plan — a spec that is not an object, a node
-        outside ``0..n-1`` — raises ``ValueError`` naming the fault."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a plan must be a JSON object, not {type(data).__name__}")
-        n = int(data["n"])
+        describe a runnable plan raises ``ValueError`` naming the field:
+        a missing key or a value of the wrong JSON type; an unknown
+        algorithm, crash type, delay kind, op kind or Byzantine
+        behaviour; a negative or non-finite time, a delay bound ``lo``
+        outside ``[0, D]``; ``nth < 1``; a node outside ``0..n-1``; a
+        chain of fewer than two distinct hops; a node with two crash
+        specs; ops at a Byzantine node; Byzantine nodes for a
+        crash-model algorithm; ``n`` not above ``2f`` (``3f`` for a
+        Byzantine-tolerant algorithm)."""
+        try:
+            return _load(_object(data, "a plan"))
+        except KeyError as exc:
+            raise ValueError(f"plan field {exc.args[0]!r} missing") from None
 
-        def node(value: Any, what: str) -> int:
-            if type(value) is not int or not 0 <= value < n:
-                raise ValueError(f"{what} {value!r} outside 0..{n - 1}")
-            return value
 
-        def objects(key: str) -> list[dict[str, Any]]:
-            specs = list(data.get(key, ()))
-            for spec in specs:
-                if not isinstance(spec, dict):
-                    raise ValueError(f"a {key} entry must be a JSON object, got {spec!r}")
-            return specs
+def _load(plan: dict[str, Any]) -> ChaosPlan:
+    profiles = all_profiles()
+    algo = _choice(plan["algo"], profiles, "algo")
+    n, f = _count(plan["n"], "n", 1), _count(plan["f"], "f", 0)
+    tolerant = profiles[algo].supports_byzantine
+    bound = 3 if tolerant else 2  # what every algorithm checks at construction
+    if n <= bound * f:
+        raise ValueError(f"{algo} needs n > {bound}f, got n={n}, f={f}")
+    if type(plan["seed"]) is not int:
+        raise ValueError(f"seed must be an integer, not {plan['seed']!r}")
 
-        crashes: list[CrashLike] = []
-        for spec in objects("crashes"):
-            kind = spec["type"]
-            if kind == "timed":
-                crashes.append(
-                    TimedCrashSpec(node(spec["node"], "crash node"), spec["time"])
+    def node(value: Any, what: str) -> int:
+        if type(value) is not int or not 0 <= value < n:
+            raise ValueError(f"{what} {value!r} outside 0..{n - 1}")
+        return value
+
+    def nodes(value: Any, what: str) -> tuple[int, ...]:
+        return tuple(node(x, what) for x in _array(value, f"{what}s"))
+
+    def objects(key: str) -> list[dict[str, Any]]:
+        return [_object(x, f"a {key} entry") for x in _array(plan.get(key, []), key)]
+
+    crashes: list[CrashLike] = []
+    for spec in objects("crashes"):
+        kind = _choice(spec["type"], _CRASH_TYPES, "crash spec type")
+        if kind == "chain":
+            chain = nodes(spec["chain"], "chain hop")
+            if len(chain) < 2 or len(set(chain)) < len(chain):
+                raise ValueError(f"chain {list(chain)} needs two or more distinct hops")
+            crashes.append(ChainCrashSpec(chain))
+        elif kind == "timed":
+            crashes.append(TimedCrashSpec(node(spec["node"], "crash node"), _time(spec["time"], "time")))
+        else:
+            crashes.append(
+                BcastCrashSpec(
+                    node(spec["node"], "crash node"),
+                    nodes(spec["deliver_to"], "deliver_to node"),
+                    _count(spec["nth"], "nth", 1),
                 )
-            elif kind == "bcast":
-                crashes.append(
-                    BcastCrashSpec(
-                        node(spec["node"], "crash node"),
-                        tuple(node(d, "deliver_to node") for d in spec["deliver_to"]),
-                        spec["nth"],
-                    )
-                )
-            elif kind == "chain":
-                crashes.append(
-                    ChainCrashSpec(tuple(node(h, "chain hop") for h in spec["chain"]))
-                )
-            else:
-                raise ValueError(f"unknown crash spec type {kind!r}")
-        delay = data.get("delay", {})
-        if not isinstance(delay, dict):
-            raise ValueError(f"plan delay must be a JSON object, got {delay!r}")
-        if delay.get("kind", "constant") not in _DELAY_KINDS:
-            raise ValueError(
-                f"unknown delay kind {delay['kind']!r}; "
-                f"choose from {sorted(_DELAY_KINDS)}"
             )
-        workload = tuple(
-            OpChainSpec(
-                node=node(chain["node"], "workload node"),
-                ops=tuple((k, v) for k, v in chain["ops"]),
-                start=chain.get("start", 0.0),
-                gap=chain.get("gap", 0.0),
-            )
-            for chain in objects("workload")
+    crashing = [x for c in crashes for x in (c.chain[:-1] if isinstance(c, ChainCrashSpec) else (c.node,))]
+    for x in crashing:
+        if crashing.count(x) > 1:
+            raise ValueError(f"node {x} has two crash specs")
+    byzantine = tuple(
+        ByzSpec(node(spec["node"], "Byzantine node"), _choice(spec["behaviour"], BYZ_BEHAVIOURS, "behaviour"))
+        for spec in objects("byzantine")
+    )
+    if byzantine and not tolerant:
+        raise ValueError(f"{algo} is a crash-model algorithm: it takes no Byzantine nodes")
+    workload = tuple(
+        OpChainSpec(
+            node(chain["node"], "workload node"),
+            tuple(_op(op) for op in _array(chain["ops"], "ops")),
+            _time(chain.get("start", 0.0), "start"),
+            _time(chain.get("gap", 0.0), "gap"),
         )
-        for chain in workload:
-            for op_kind, _ in chain.ops:
-                if op_kind not in _OP_KINDS:
-                    raise ValueError(
-                        f"unknown op kind {op_kind!r} at node {chain.node}; "
-                        f"choose from {sorted(_OP_KINDS)}"
-                    )
-        return cls(
-            algo=data["algo"],
-            n=n,
-            f=int(data["f"]),
-            seed=int(data["seed"]),
-            delay=DelaySpec(
-                kind=delay.get("kind", "constant"),
-                lo=delay.get("lo", 0.05),
-                slow_sources=tuple(delay.get("slow_sources", ())),
-            ),
-            crashes=tuple(crashes),
-            workload=workload,
-            byzantine=tuple(
-                ByzSpec(node(spec["node"], "Byzantine node"), spec["behaviour"])
-                for spec in objects("byzantine")
-            ),
-        )
+        for chain in objects("workload")
+    )
+    for spec in byzantine:
+        if any(chain.node == spec.node for chain in workload):
+            raise ValueError(f"workload node {spec.node} is Byzantine")
+    delay = _object(plan.get("delay", {}), "plan delay")
+    return ChaosPlan(
+        algo,
+        n,
+        f,
+        plan["seed"],
+        DelaySpec(
+            _choice(delay.get("kind", "constant"), _DELAY_KINDS, "delay kind"),
+            _time(delay.get("lo", 0.05), "delay lo", 1.0),
+            nodes(delay.get("slow_sources", []), "slow source"),
+        ),
+        tuple(crashes),
+        workload,
+        byzantine,
+    )
+
+
+def _object(value: Any, what: str) -> dict[str, Any]:
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def _array(value: Any, what: str) -> list[Any]:
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
+def _choice(value: Any, choices: Collection[str], what: str) -> str:
+    if type(value) is not str or value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; choose from {sorted(choices)}")
+    return value
+
+
+def _count(value: Any, what: str, least: int) -> int:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, not {value!r}")
+    return value
+
+
+def _time(value: Any, what: str, most: float = math.inf) -> float:
+    """A finite number in ``[0, most]``, in units of ``D``."""
+    if type(value) not in (int, float) or not (0 <= value <= most and math.isfinite(value)):
+        raise ValueError(f"{what} must be a finite number in [0, {most}], not {value!r}")
+    return value
+
+
+def _op(op: Any) -> tuple[str, Any]:
+    """One ``[kind, value]`` op: a scan carries ``null``; an update a
+    string, a boolean or a finite number (a value the views can hash)."""
+    if type(op) is not list or len(op) != 2:
+        raise ValueError(f"an op must be a [kind, value] pair, not {op!r}")
+    kind, value = _choice(op[0], _OP_KINDS, "op kind"), op[1]
+    if kind == "scan":
+        ok = value is None
+    else:
+        ok = type(value) in (str, bool) or type(value) in (int, float) and math.isfinite(value)
+    if not ok:
+        raise ValueError(f"op {kind!r} cannot carry {value!r}")
+    return kind, value
 
 
 def build_crash_plan(plan: ChaosPlan) -> CrashPlan:
@@ -373,11 +428,6 @@ def build_delay_model(plan: ChaosPlan) -> DelayModel:
     raise ValueError(f"unknown delay kind {spec.kind!r}")
 
 
-def flatten_delay(plan: ChaosPlan) -> ChaosPlan:
-    """The shrink move for delays: the lockstep constant-D schedule."""
-    return replace(plan, delay=DelaySpec(kind="constant"))
-
-
 __all__ = [
     "BcastCrashSpec",
     "ByzSpec",
@@ -389,6 +439,5 @@ __all__ = [
     "TimedCrashSpec",
     "build_crash_plan",
     "build_delay_model",
-    "flatten_delay",
     "writers_of",
 ]

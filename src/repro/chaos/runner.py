@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chaos.algos import (
-    LINEARIZABLE,
-    get_profile,
-    make_behaviour,
-)
+from repro.chaos.algos import BYZ_BEHAVIOURS, LINEARIZABLE, get_profile
 from repro.chaos.plan import ChaosPlan, build_crash_plan, build_delay_model
 from repro.net.byzantine import byzantine_factory
 from repro.runtime.cluster import Cluster, OpHandle, StuckError
@@ -65,10 +61,8 @@ class Failure:
 class ExecutionResult:
     """Outcome of one executed plan."""
 
-    plan: ChaosPlan
     history: History | None
     failure: Failure | None
-    effective_op_count: int
     cross_validated: bool
     handles: list[OpHandle]
     condition: Violation | None = None  #: the named condition of a safety failure
@@ -84,7 +78,7 @@ def build_cluster(plan: ChaosPlan, *, tracer: Any = None) -> Cluster:
     factory = profile.factory
     if plan.byzantine:
         behaviours = {
-            spec.node: make_behaviour(spec.behaviour) for spec in plan.byzantine
+            spec.node: BYZ_BEHAVIOURS[spec.behaviour]() for spec in plan.byzantine
         }
         factory = byzantine_factory(factory, behaviours)
     crash_plan = build_crash_plan(plan)
@@ -119,36 +113,23 @@ def run_plan(
     try:
         cluster.run_until_complete(handles)
     except StuckError as exc:
-        return ExecutionResult(
-            plan=plan,
-            history=cluster.history,
-            failure=Failure("liveness", str(exc)),
-            effective_op_count=0,
-            cross_validated=False,
-            handles=handles,
-        )
-
-    # ops at never-crashed nodes must have completed (aborts are only
-    # legitimate for nodes the crash adversary actually killed)
-    crashed = cluster.crash_plan.crashed_nodes
-    for handle in handles:
-        if handle.node not in crashed and not handle.done:
-            return ExecutionResult(
-                plan=plan,
-                history=cluster.history,
-                failure=Failure(
-                    "liveness",
-                    f"node {handle.node} {handle.kind}{handle.args!r} did "
-                    "not complete although the node never crashed",
-                ),
-                effective_op_count=0,
-                cross_validated=False,
-                handles=handles,
+        failure = Failure("liveness", str(exc))
+    else:
+        # ops at never-crashed nodes must have completed (aborts are only
+        # legitimate for nodes the crash adversary actually killed)
+        crashed = cluster.crash_plan.crashed_nodes
+        stalled = [h for h in handles if h.node not in crashed and not h.done]
+        if not stalled:
+            return check_history(
+                plan, cluster.history, handles=handles, cross_validate=cross_validate
             )
-
-    return check_history(
-        plan, cluster.history, handles=handles, cross_validate=cross_validate
-    )
+        handle = stalled[0]
+        failure = Failure(
+            "liveness",
+            f"node {handle.node} {handle.kind}{handle.args!r} did "
+            "not complete although the node never crashed",
+        )
+    return ExecutionResult(cluster.history, failure, cross_validated=False, handles=handles)
 
 
 def check_history(
@@ -187,10 +168,8 @@ def check_history(
             f"history is not {level}; violating cycle op_ids={result.cycle}",
         )
     return ExecutionResult(
-        plan=plan,
         history=history,
         failure=failure,
-        effective_op_count=eff,
         cross_validated=validated,
         handles=handles or [],
         condition=result.condition,

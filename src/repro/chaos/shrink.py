@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from repro.chaos.plan import ChainCrashSpec, ChaosPlan, flatten_delay
+from repro.chaos.plan import ChainCrashSpec, ChaosPlan, DelaySpec
 from repro.chaos.runner import ExecutionResult, run_plan
 
 
@@ -42,7 +42,7 @@ class ShrinkResult:
 def _candidates(plan: ChaosPlan) -> Iterator[tuple[str, ChaosPlan]]:
     """All single-step reductions of ``plan``, most structural first."""
     if plan.delay.kind != "constant":
-        yield "flatten-delay", flatten_delay(plan)
+        yield "flatten-delay", replace(plan, delay=DelaySpec())
     for i, spec in enumerate(plan.byzantine):
         rest = plan.byzantine[:i] + plan.byzantine[i + 1 :]
         yield f"drop-byz:{spec.node}", replace(plan, byzantine=rest)
@@ -84,7 +84,7 @@ def shrink_plan(
     plan: ChaosPlan,
     failing: ExecutionResult,
     *,
-    max_executions: int = 200,
+    max_executions: int,
 ) -> ShrinkResult:
     """Greedily minimize ``plan`` while it keeps failing.
 

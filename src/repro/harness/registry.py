@@ -233,38 +233,10 @@ def _exp_contenders(**kw) -> ExperimentResult:
     )
 
 
-def _exp_chaos(**kw) -> ExperimentResult:
-    """A small chaos campaign over every healthy algorithm (the full
-    sweep lives in ``python -m repro.chaos``; this entry is the
-    registry-level smoke hook)."""
-    from repro.chaos import CAMPAIGN_ALGOS, run_campaign
-
-    seed = kw.pop("seed", 0)
-    seeds = kw.pop("seeds", 2)
-    report = run_campaign(
-        sorted(CAMPAIGN_ALGOS),
-        seed_range=(0, seeds),
-        master_seed=seed,
-        smoke=True,
-        **kw,
-    )
-    lines = report.summary_lines()
-    lines.append(
-        f"total: {report.total_executions} executions, "
-        f"{report.total_failures} failure(s)"
-    )
-    return ExperimentResult(
-        "chaos",
-        "seed-swept adversarial executions with online atomicity checking",
-        report,
-        lines,
-    )
-
-
 #: experiments whose workload/delay randomness is seed-driven; the CLI's
 #: shared ``--seed`` is threaded to exactly these (the rest are
 #: deterministic adversarial schedules and take no randomness)
-SEEDED_EXPERIMENTS: frozenset[str] = frozenset({"table1", "interference", "chaos"})
+SEEDED_EXPERIMENTS: frozenset[str] = frozenset({"table1", "interference"})
 
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "table1": _exp_table1,
@@ -279,7 +251,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "la": _exp_la,
     "messages": _exp_messages,
     "trace": _exp_trace,
-    "chaos": _exp_chaos,
     "contenders": _exp_contenders,
 }
 

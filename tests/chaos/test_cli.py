@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import shlex
 
 import pytest
 
@@ -25,9 +29,30 @@ def test_clean_sweep_exits_zero(capsys):
     assert "0 failure(s)" in out
 
 
-def test_smoke_covers_all_healthy_algorithms(tmp_path, capsys):
-    assert main(["--smoke", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
+MUTANT_ARGV = ["--algo", "mut-delporte-weak-write", "--seeds", "26:27", "--budget", "60"]
+
+
+def _main_in(tmp_path_factory, name: str, argv: list[str]):
+    """Run the CLI once per module: (exit code, stdout, --out directory)."""
+    out = tmp_path_factory.mktemp(name)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main([*argv, "--out", str(out)])
+    return code, stdout.getvalue(), out
+
+
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    return _main_in(tmp_path_factory, "smoke", ["--smoke"])
+
+
+@pytest.fixture(scope="module")
+def mutant(tmp_path_factory):
+    return _main_in(tmp_path_factory, "mutant", MUTANT_ARGV)
+
+
+def test_smoke_covers_all_healthy_algorithms(smoke):
+    code, out, tmp_path = smoke
+    assert code == 0
     for name in CAMPAIGN_ALGOS:
         assert name in out
     with (tmp_path / "report.json").open() as fh:
@@ -55,26 +80,13 @@ def test_ablations_resolve_by_name_only():
     from repro.chaos.mutants import ABLATIONS, EqAsoNoPhase0
 
     assert get_profile("no-phase0").factory is EqAsoNoPhase0
-    assert get_profile("no-phase0").mutant_of == "eq_aso"
     assert set(ABLATIONS) == {"no-tag-recheck", "no-borrowing", "no-phase0"}
     assert set(ABLATIONS).isdisjoint(CAMPAIGN_ALGOS)
 
 
-def test_mutant_sweep_exits_one_and_exports(tmp_path, capsys):
-    code = main(
-        [
-            "--algo",
-            "mut-delporte-weak-write",
-            "--seeds",
-            "26:27",
-            "--budget",
-            "60",
-            "--out",
-            str(tmp_path),
-        ]
-    )
+def test_mutant_sweep_exits_one_and_exports(mutant):
+    code, out, tmp_path = mutant
     assert code == 1
-    out = capsys.readouterr().out
     assert "FAILURE" in out
     bundles = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert len(bundles) == 1
@@ -82,27 +94,49 @@ def test_mutant_sweep_exits_one_and_exports(tmp_path, capsys):
         assert (bundles[0] / artifact).exists()
 
 
-def test_plan_replay_round_trip(tmp_path, capsys):
-    assert (
-        main(
-            [
-                "--algo",
-                "mut-delporte-weak-write",
-                "--seeds",
-                "26:27",
-                "--budget",
-                "60",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        == 1
-    )
-    capsys.readouterr()
-    (bundle,) = (p for p in tmp_path.iterdir() if p.is_dir())
+def test_plan_replay_round_trip(mutant, capsys):
+    (bundle,) = (p for p in mutant[2].iterdir() if p.is_dir())
     assert main(["--plan", str(bundle / "plan.json")]) == 1
     out = capsys.readouterr().out
     assert "FAIL [atomicity]" in out
+
+
+#: sha256 of the ``--smoke`` report and of the path-free files of the
+#: ``MUTANT_ARGV`` bundle.  Every campaign output, CI's serial/parallel
+#: diff and the ledger's ``chaos_sweep_all`` fingerprint rest on these
+#: bytes: a change that moves one must say why and re-pin it.
+PINNED = {
+    "report.json": "4854963dc80af372f4f5f75bf07c6ae7591a8519cddeaed25bcecdb231608925",
+    "plan.json": "3155a6705c7bb0c7af78d79059bcdfbc22b4f13aa1301fcec4db3ea32197a0e7",
+    "history.json": "2f0397c2cac3b36bdc8ad10dc06446ca6e2bd48d111c261badb5ea9ce97e2f5f",
+    "trace.jsonl": "bd433c58f581ab21928e490ba4c5374f8bbc36bcda81ed8f976e37410ca53165",
+}
+
+
+def test_outputs_match_the_pinned_digests(smoke, mutant):
+    (bundle,) = (p for p in mutant[2].iterdir() if p.is_dir())
+    files = {"report.json": smoke[2] / "report.json"}
+    files |= {name: bundle / name for name in ("plan.json", "history.json", "trace.jsonl")}
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    assert digests == PINNED
+    # the mutant's report.json records the one failure and its bundle
+    report = json.loads((mutant[2] / "report.json").read_text())
+    assert report["total_failures"] == 1
+    (entry,) = report["algos"]
+    assert entry["failures"][0]["export"]["dir"] == str(bundle)
+
+
+def test_printed_repro_line_reproduces(capsys):
+    """Without ``--out`` the summary's repro line is the way back to a
+    failure, so it must carry the master seed: index 21 fails at master
+    seed 7 and passes at master seed 0."""
+    argv = ["--algo", "mut-delporte-weak-scan", "--master-seed", "7", "--seeds", "21:22"]
+    assert main([*argv, "--budget", "30"]) == 1
+    prefix = "repro: python -m repro.chaos "
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if prefix in x]
+    repro = shlex.split(line.split(prefix, 1)[1])
+    assert repro == argv
+    assert main(repro) == 1
 
 
 def test_usage_errors_exit_two():
@@ -164,6 +198,37 @@ _PLAN = {
         ),
         pytest.param({**_PLAN, "byzantine": ["silent"]}, id="byzantine-spec-not-an-object"),
         pytest.param({**_PLAN, "workload": [3]}, id="workload-entry-not-an-object"),
+        pytest.param({**_PLAN, "workload": [{"node": 1, "ops": 5}]}, id="ops-not-an-array"),
+        pytest.param({**_PLAN, "n": None}, id="n-null"),
+        pytest.param(
+            {**_PLAN, "crashes": [{"type": "timed", "node": 1, "time": "x"}]},
+            id="timed-crash-time-not-a-number",
+        ),
+        pytest.param(
+            {**_PLAN, "crashes": [{"type": "bcast", "node": 1, "deliver_to": [2], "nth": "a"}]},
+            id="bcast-nth-not-an-integer",
+        ),
+        pytest.param({**_PLAN, "crashes": [{"type": "chain", "chain": []}]}, id="empty-chain"),
+        pytest.param(
+            {**_PLAN, "workload": [{"node": 1, "ops": [["scan", None]], "start": -3}]},
+            id="negative-start",
+        ),
+        pytest.param({**_PLAN, "seed": None}, id="seed-null"),
+        pytest.param(
+            {**_PLAN, "crashes": [{"type": "bcast", "node": 1, "deliver_to": 2, "nth": 1}]},
+            id="deliver-to-not-an-array",
+        ),
+        pytest.param({**_PLAN, "workload": [{"node": 1, "ops": [["update", None]]}]}, id="update-null"),
+        pytest.param({**_PLAN, "workload": [{"node": 1, "ops": [["update", [1]]]}]}, id="update-list"),
+        pytest.param({**_PLAN, "workload": [{"node": 1, "ops": [["scan", "v"]]}]}, id="scan-with-value"),
+        pytest.param(
+            {**_PLAN, "byzantine": [{"node": 0, "behaviour": "equivocator"}]},
+            id="byzantine-node-on-crash-model-algo",
+        ),
+        pytest.param(
+            {**_PLAN, "algo": "byz_aso", "n": 4, "f": 1, "byzantine": [{"node": 1, "behaviour": "silent"}]},
+            id="ops-at-byzantine-node",
+        ),
     ],
 )
 def test_unusable_plan_exits_two_with_one_error_line(tmp_path, capsys, doc):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from repro.chaos.plan import (
     BcastCrashSpec,
@@ -14,9 +15,9 @@ from repro.chaos.plan import (
     TimedCrashSpec,
     build_crash_plan,
     build_delay_model,
-    flatten_delay,
     writers_of,
 )
+from repro.chaos.shrink import _candidates
 from repro.baselines.register_array import MWrite
 from repro.baselines.scd_broadcast import MForward, ScdSync, ScdWrite
 from repro.baselines.store_collect import MStore
@@ -27,8 +28,8 @@ from repro.net.delays import AdversarialDelay, ConstantDelay, UniformDelay
 
 def sample_plan() -> ChaosPlan:
     return ChaosPlan(
-        algo="eq_aso",
-        n=5,
+        algo="byz_aso",
+        n=7,
         f=2,
         seed=42,
         delay=DelaySpec(kind="uniform", lo=0.1),
@@ -59,8 +60,10 @@ def test_sizes():
 
 
 def test_flatten_delay():
-    flat = flatten_delay(sample_plan())
-    assert flat.delay.kind == "constant"
+    """The first shrink move swaps the delay adversary for lockstep D."""
+    move, flat = next(_candidates(sample_plan()))
+    assert move == "flatten-delay"
+    assert flat.delay == DelaySpec() and flat.delay.kind == "constant"
     assert flat.size()[2] == 0
 
 
@@ -90,7 +93,7 @@ def test_build_crash_plan_is_fresh_per_call():
 
 def test_build_delay_model_kinds():
     base = sample_plan()
-    assert isinstance(build_delay_model(flatten_delay(base)), ConstantDelay)
+    assert isinstance(build_delay_model(replace(base, delay=DelaySpec())), ConstantDelay)
     assert isinstance(build_delay_model(base), UniformDelay)
     targeted = ChaosPlan(
         algo="eq_aso",

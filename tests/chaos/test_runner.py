@@ -8,6 +8,7 @@ from repro.chaos.algos import CAMPAIGN_ALGOS, get_profile
 from repro.chaos.gen import generate_plan
 from repro.chaos.plan import ChaosPlan, OpChainSpec, TimedCrashSpec
 from repro.chaos.runner import BRUTE_LIMIT, run_plan
+from repro.spec.order import effective_ops
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGN_ALGOS))
@@ -17,7 +18,7 @@ def test_healthy_algorithms_survive_chaos(name, seed):
     result = run_plan(plan)
     assert result.ok, f"{name} seed {seed}: {result.failure}"
     assert result.history is not None
-    if result.effective_op_count <= BRUTE_LIMIT:
+    if len(effective_ops(result.history)) <= BRUTE_LIMIT:
         assert result.cross_validated
 
 
@@ -64,7 +65,7 @@ def test_empty_workload_is_trivially_ok():
     plan = ChaosPlan(algo="eq_aso", n=5, f=2, seed=0)
     result = run_plan(plan)
     assert result.ok
-    assert result.effective_op_count == 0
+    assert len(result.history) == 0
 
 
 def test_phantom_update_is_an_atomicity_failure_not_a_crash():

@@ -83,7 +83,6 @@ def test_registry_contains_all_experiments():
         "la",
         "messages",
         "trace",
-        "chaos",
         "contenders",
     }
 

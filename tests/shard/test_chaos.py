@@ -31,10 +31,3 @@ def test_campaign_workers_do_not_change_the_report():
     assert json.dumps(serial, sort_keys=True) == json.dumps(
         forked, sort_keys=True
     )
-
-
-def test_campaign_reexported_from_chaos_package():
-    import repro.chaos
-
-    assert repro.chaos.shard_crash_campaign is shard_crash_campaign
-    assert "shard_crash_campaign" in repro.chaos.__all__
