@@ -49,9 +49,9 @@ def check_fields(
 ) -> list[str]:
     """Type-check required keys of one JSON object; returns problems.
 
-    Shared by the bench report validator and ``repro.obs``'s JSON
-    output check — one structural-validation idiom for every input read
-    from disk and every report printed for a machine.
+    Used by the bench baseline validator (an input read from disk) and
+    by the ``repro.obs`` CLI tests, which hold its ``--format json``
+    output to the field contracts they define.
     """
     problems: list[str] = []
     if not isinstance(obj, dict):

@@ -15,7 +15,9 @@ Examples::
     python -m repro.chaos --plan /tmp/chaos/delporte-seed123/plan.json
 
 Exit status: 0 = all executions clean, 1 = at least one failure found
-(or the replayed plan still fails), 2 = usage error, a ``--plan`` file
+(or the replayed plan still fails), 2 = usage error (a sweep option —
+``--algo``, ``--seeds``, ``--master-seed``, ``--budget``, ``--smoke``,
+``--workers`` — given with ``--plan`` included), a ``--plan`` file
 that cannot be read or that :meth:`~repro.chaos.plan.ChaosPlan.from_dict`
 rejects, an ``--out`` that cannot be a directory (checked before the
 sweep runs) or a crashed worker (``--workers``; the failing
@@ -41,6 +43,17 @@ from repro.chaos.runner import run_plan
 from repro.parallel import WorkerCrash
 
 SMOKE_SEEDS = 4
+
+#: the sweep's options and their defaults; each is left ``None`` by the
+#: parser so that one given with ``--plan`` (a single replay) is refused
+SWEEP_DEFAULTS = {
+    "algo": "all",
+    "seeds": "25",
+    "master_seed": 0,
+    "budget": 150,
+    "smoke": False,
+    "workers": 1,
+}
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
@@ -106,32 +119,29 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--algo",
-        default="all",
         help=(
             "algorithm profile name, comma-separated list, or 'all' "
-            f"(healthy set: {', '.join(sorted(CAMPAIGN_ALGOS))})"
+            f"(default; healthy set: {', '.join(sorted(CAMPAIGN_ALGOS))})"
         ),
     )
     parser.add_argument(
         "--seeds",
-        default="25",
-        help="campaign indices per algorithm: a count N, or a range lo:hi",
+        help="campaign indices per algorithm: a count N, or a range lo:hi (default 25)",
     )
     parser.add_argument(
         "--master-seed",
         type=int,
-        default=0,
-        help="root seed; campaign seed i = derive_seed(master, 'chaos', algo, i)",
+        help="root seed; campaign seed i = derive_seed(master, 'chaos', algo, i) (default 0)",
     )
     parser.add_argument(
         "--budget",
         type=int,
-        default=150,
         help="shrink-execution budget per failure (default 150)",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
+        default=None,
         help=f"CI preset: all healthy algorithms, {SMOKE_SEEDS} seeds each",
     )
     parser.add_argument(
@@ -149,17 +159,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
         help=(
             "worker processes for the sweep (default 1 = serial; any "
             "value yields the byte-identical report and bundles)"
         ),
     )
     args = parser.parse_args(argv)
+    for option, default in SWEEP_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif args.plan is not None:
+            flag = "--" + option.replace("_", "-")
+            parser.error(f"{flag} does not apply to --plan (a single replay)")
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.plan is not None and args.workers != 1:
-        parser.error("--workers does not apply to --plan (a single replay)")
     if args.out is not None:
         try:
             _check_out_dir(args.out)

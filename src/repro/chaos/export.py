@@ -78,7 +78,7 @@ def export_counterexample(
 
     repro_path = target / "repro.txt"
     lines = [] if result.condition is None else [f"# {result.condition}"]
-    lines.append(f"python -m repro.chaos --algo {plan.algo} --plan {plan_path}")
+    lines.append(f"python -m repro.chaos --plan {plan_path}")
     lines.append(
         f"python -m repro.chaos --algo {plan.algo} "
         f"--master-seed {master_seed} "

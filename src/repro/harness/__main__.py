@@ -27,7 +27,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.harness.registry import EXPERIMENTS, ExperimentCheckError, run_experiment
+from repro.harness.adversary import ExperimentCheckError
+from repro.harness.registry import EXPERIMENTS, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.chaos.mutants import ABLATIONS
 from repro.chaos.plan import ChaosPlan, OpChainSpec
-from repro.harness.adversary import interference_schedule, run_checked
+from repro.harness.adversary import interference_wave, run_checked
 from repro.harness.workloads import random_workload
 from repro.net.delays import UniformDelay
 from repro.runtime.cluster import Cluster, StuckError
@@ -42,16 +42,6 @@ class AblationReport:
     liveness_deadlocks: int
     baseline_latency_D: float
     ablated_latency_D: float
-
-    @property
-    def failed(self) -> bool:
-        return self.safety_violations > 0 or self.liveness_deadlocks > 0
-
-    @property
-    def latency_inflation(self) -> float:
-        if self.baseline_latency_D == 0:
-            return float("inf")
-        return self.ablated_latency_D / self.baseline_latency_D
 
 
 def _run_randomized(factory, seed: int, *, n: int = 4, f: int = 1):
@@ -87,10 +77,7 @@ def _run_randomized(factory, seed: int, *, n: int = 4, f: int = 1):
 def interference_plan(algo: str, n: int = 7) -> ChaosPlan:
     """The T2 probe: a victim scan at node 0 from t = 2.5 (the plan's
     last op) under ``n − 1`` staggered writers of four updates each."""
-    wave = tuple(
-        OpChainSpec(node, tuple((kind, value) for kind, (value,) in ops), start=start)
-        for node, ops, start in interference_schedule(n, 0, updates_per_writer=4)
-    )
+    wave = interference_wave(n, updates_per_writer=4)
     scan = OpChainSpec(0, (("scan", None),), start=2.5)
     return ChaosPlan(algo, n, (n - 1) // 2, seed=0, workload=wave + (scan,))
 

@@ -15,9 +15,10 @@ Two adversaries drive the Table I measurements:
   (Lemmas 6–8: chains of distinct exposure spans use disjoint faulty
   nodes).
 
-- :func:`interference_schedule` — the concurrency adversary for the
+- :func:`interference_wave` — the concurrency adversary for the
   pull-based baselines: every node except the victim issues back-to-back
-  UPDATEs while the victim SCANs.  Each concurrent update invalidates one
+  UPDATEs while the victim SCANs (:func:`interference_run` runs it under
+  seeded random delays).  Each concurrent update invalidates one
   confirmation/double-collect round, so [19]- and [12]-style scans pay
   ``Θ(c · D)`` with ``c`` concurrent writers (``c = n − 1`` ⇒ the paper's
   ``O(n · D)``), while EQ-ASO completes in ``O(D)`` amortized under the
@@ -32,8 +33,10 @@ from typing import Any, Sequence
 
 from repro.chaos.plan import ChainCrashSpec, ChaosPlan, DelaySpec, OpChainSpec
 from repro.chaos.runner import ExecutionResult, run_plan
-from repro.harness.registry import ExperimentCheckError
-from repro.runtime.cluster import OpHandle
+from repro.net.delays import UniformDelay
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime.cluster import Cluster, OpHandle
+from repro.sim.rng import SeededRng
 
 #: the node whose operations the staircase delays
 VICTIM = 0
@@ -41,6 +44,12 @@ VICTIM = 0
 #: when :func:`quiet_plan`'s ops arrive: 40·D apart, long after the
 #: previous op has settled and its echoes have drained
 QUIET = 40.0
+
+
+class ExperimentCheckError(RuntimeError):
+    """A fact an experiment checks did not hold: a caption fact of a
+    figure, or the safety or liveness of a lockstep plan's run
+    (:func:`run_checked`)."""
 
 
 def max_chains_for_budget(k: int) -> int:
@@ -162,45 +171,75 @@ def staircase_victim_latency(algo: str, kind: str, k: int) -> float:
     return handle.latency
 
 
-def interference_schedule(
-    n: int,
-    victim: int,
-    *,
-    updates_per_writer: int,
-    stagger: float = 1.0,
-) -> list[tuple[int, list[tuple[str, tuple[Any, ...]]], float]]:
-    """Per-node op chains for the concurrency adversary: every node except
-    the victim issues ``updates_per_writer`` back-to-back updates, with
-    writer ``i`` starting ``i·stagger`` later than its predecessor.
+def staircase_mean_latency(algo: str, kind: str, k: int, ops: int) -> float:
+    """Mean latency (in D) of ``ops`` back-to-back victim ``kind``
+    operations under :func:`staircase_plan` — the amortized measure."""
+    if kind == "update":
+        chain = [("update", f"vic{i}") for i in range(ops)]
+    else:
+        chain = [("scan", None)] * ops
+    handles = run_staircase(algo, k, chain)
+    registry = MetricsRegistry.from_handles(handles, 1.0)  # plans run at D = 1
+    return registry.histogram(f"latency_D.{kind}").mean
+
+
+def interference_wave(n: int, *, updates_per_writer: int) -> tuple[OpChainSpec, ...]:
+    """The concurrency adversary's writers: every node except
+    :data:`VICTIM` issues ``updates_per_writer`` back-to-back updates,
+    the ``i``-th writer from ``t = i``.
 
     The staggering is what makes the pull-based baselines pay linearly: a
-    fresh write lands every ``stagger`` time units for ``≈ n·stagger``
-    total, and each landing invalidates one confirmation/double-collect
-    round — so a [19]- or [12]-style scan only completes once the wave has
-    passed, ``Θ(n·D)`` later.  Returns ``(node, ops, start)`` triples for
-    :meth:`Cluster.chain_ops`.
+    fresh write lands every D for ``≈ n·D`` in total, and each landing
+    invalidates one confirmation/double-collect round — so a [19]- or
+    [12]-style scan only completes once the wave has passed, ``Θ(n·D)``
+    later.
     """
-    schedule: list[tuple[int, list[tuple[str, tuple[Any, ...]]], float]] = []
-    position = 0
-    for node in range(n):
-        if node == victim:
-            continue
-        ops = [
-            ("update", (f"w{node}.{i}",)) for i in range(updates_per_writer)
-        ]
-        schedule.append((node, ops, position * stagger))
-        position += 1
-    return schedule
+    writers = [node for node in range(n) if node != VICTIM]
+    return tuple(
+        OpChainSpec(
+            node,
+            tuple(("update", f"w{node}.{i}") for i in range(updates_per_writer)),
+            start=float(position),
+        )
+        for position, node in enumerate(writers)
+    )
+
+
+def interference_run(
+    factory: Any, n: int, kind: str, delays: SeededRng, *, updates_per_writer: int = 3
+) -> tuple[float, float]:
+    """The victim's latency and the worst in the wave (in D) when one
+    ``kind`` op at :data:`VICTIM` starts mid-wave (t = 2.5) under
+    :func:`interference_wave` on ``n`` nodes, delays drawn uniformly from
+    ``[0.25, 1]·D`` out of ``delays``.  A hand-built cluster, not a plan:
+    under lockstep delays the confirmation rounds align and the
+    interference vanishes, which would understate the pull-based cost.
+    """
+    cluster = Cluster(
+        factory, n=n, f=(n - 1) // 2, delay_model=UniformDelay(1.0, delays, lo=0.25)
+    )
+    wave: list[OpHandle] = []
+    for chain in interference_wave(n, updates_per_writer=updates_per_writer):
+        ops = [(op, (value,)) for op, value in chain.ops]
+        wave.extend(cluster.chain_ops(chain.node, ops, start=chain.start))
+    args = ("victim-value",) if kind == "update" else ()
+    victim = cluster.invoke_at(2.5, VICTIM, kind, *args)
+    cluster.run_until_complete(wave + [victim])
+    worst = max(h.latency / cluster.D for h in wave if h.done)
+    return victim.latency / cluster.D, worst
 
 
 __all__ = [
     "QUIET",
     "VICTIM",
-    "interference_schedule",
+    "ExperimentCheckError",
+    "interference_run",
+    "interference_wave",
     "max_chains_for_budget",
     "quiet_plan",
     "run_checked",
     "run_staircase",
+    "staircase_mean_latency",
     "staircase_plan",
     "staircase_victim_latency",
 ]

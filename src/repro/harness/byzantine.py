@@ -17,7 +17,7 @@ from typing import Any, Callable, Sequence
 from repro.chaos.algos import BYZ_BEHAVIOURS
 from repro.chaos.plan import ByzSpec, ChaosPlan, OpChainSpec
 from repro.harness.adversary import run_checked
-from repro.harness.metrics import summarize
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(slots=True)
@@ -87,17 +87,14 @@ def byz_scaling(
     for k in byz_counts:
         plan = byz_scaling_plan(k, behaviour, n=n, f=f_cap, ops_per_honest=ops_per_honest)
         result = run_checked(plan)
-        stats = {
-            kind: summarize([h for h in result.handles if h.kind == kind], 1.0)
-            for kind in ("update", "scan")
-        }
+        registry = MetricsRegistry.from_handles(result.handles, 1.0)  # D = 1
         points.append(
             ByzPoint(
                 behaviour=behaviour,
                 num_byzantine=k,
                 n=n,
-                update_mean_D=stats["update"].mean,
-                scan_mean_D=stats["scan"].mean,
+                update_mean_D=registry.histogram("latency_D.update").mean,
+                scan_mean_D=registry.histogram("latency_D.scan").mean,
                 linearizable=result.ok,
             )
         )

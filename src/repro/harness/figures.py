@@ -22,7 +22,7 @@ stated fact.
 
 Every caption fact is a :func:`_check`: it lands in the result's
 ``checks`` list when it holds and raises
-:class:`~repro.harness.registry.ExperimentCheckError`
+:class:`~repro.harness.adversary.ExperimentCheckError`
 naming it when it does not (a plain ``assert`` would vanish under
 ``python -O`` and leave the ``[check]`` lines unchecked).
 """
@@ -34,7 +34,7 @@ from typing import Any
 
 from repro.core.one_shot import OneShotAso
 from repro.core.tags import Snapshot, Timestamp, ValueTs
-from repro.harness.registry import ExperimentCheckError
+from repro.harness.adversary import ExperimentCheckError
 from repro.net.delays import AdversarialDelay
 from repro.runtime.cluster import Cluster
 from repro.spec.base import scan_base

@@ -21,6 +21,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,18 +32,33 @@ from repro.baselines.la_based import ClassifierLA
 from repro.chaos.plan import ChaosPlan
 from repro.harness.adversary import (
     VICTIM,
-    interference_schedule,
+    interference_run,
     quiet_plan,
     run_checked,
-    run_staircase,
+    staircase_mean_latency,
     staircase_plan,
     staircase_victim_latency,
 )
-from repro.harness.metrics import growth_exponent, summarize
-from repro.net.delays import AdversarialDelay, UniformDelay
+from repro.net.delays import AdversarialDelay
 from repro.net.faults import CrashPlan, chain_crash_plan
 from repro.runtime.cluster import Cluster
 from repro.sim.rng import SeededRng
+
+
+def growth_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of log(y) against log(x) — the measured growth
+    order (≈0 constant, ≈0.5 square-root, ≈1 linear).  Points with
+    non-positive coordinates are dropped."""
+    pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if x > 0 and y > 0]
+    if len(pts) < 2:
+        raise ValueError("need at least two positive points")
+    mx = sum(p[0] for p in pts) / len(pts)
+    my = sum(p[1] for p in pts) / len(pts)
+    sxx = sum((p[0] - mx) ** 2 for p in pts)
+    sxy = sum((p[0] - mx) * (p[1] - my) for p in pts)
+    if sxx == 0:
+        return 0.0
+    return sxy / sxx
 
 
 @dataclass(slots=True)
@@ -65,20 +81,14 @@ class Curve:
 def scale_k(
     ks: Sequence[int] = (1, 3, 6, 10, 15, 21),
     algorithms: dict[str, str] | None = None,
-    kind: str = "scan",
 ) -> list[Curve]:
-    """Victim-op latency vs k under the staircase adversary
+    """Victim SCAN latency vs k under the staircase adversary
     (``algorithms``: curve label -> ``CAMPAIGN_ALGOS`` key)."""
     algos = algorithms or {"EQ-ASO": "eq_aso", "SCD-broadcast": "scd"}
-    curves = []
-    for label, algo in algos.items():
-        xs: list[float] = []
-        ys: list[float] = []
-        for k in ks:
-            xs.append(k)
-            ys.append(staircase_victim_latency(algo, kind, k))
-        curves.append(Curve(label, xs, ys).fit())
-    return curves
+    return [
+        Curve(label, list(ks), [staircase_victim_latency(algo, "scan", k) for k in ks]).fit()
+        for label, algo in algos.items()
+    ]
 
 
 def amortized_curve(
@@ -87,13 +97,8 @@ def amortized_curve(
     """Mean EQ-ASO op latency vs sequence length at fixed k.  Once the
     chains have fired, the crashed nodes can never expose another value
     (Sec. III-F, second observation), so the mean converges to O(D)."""
-    xs: list[float] = []
-    ys: list[float] = []
-    for count in op_counts:
-        handles = run_staircase("eq_aso", k, [("scan", None)] * count)
-        xs.append(count)
-        ys.append(summarize(handles, 1.0).mean)  # plans run at D = 1
-    return Curve(f"EQ-ASO amortized (k={k})", xs, ys).fit()
+    ys = [staircase_mean_latency("eq_aso", "scan", k, count) for count in op_counts]
+    return Curve(f"EQ-ASO amortized (k={k})", list(op_counts), ys).fit()
 
 
 #: the failure-free rows (FF, MESSAGES): label -> ``CAMPAIGN_ALGOS`` key
@@ -114,14 +119,11 @@ def failure_free_plan(algo: str, kind: str, n: int) -> ChaosPlan:
     return quiet_plan(algo, n, (1 % n, "update", "warm"), op)
 
 
-def failure_free(
-    ns: Sequence[int] = (4, 7, 10, 16, 25),
-    algorithms: dict[str, str] | None = None,
-) -> dict[str, list[Curve]]:
-    """Quiet-cluster single-op latency vs n, per op kind
-    (``algorithms``: curve label -> ``CAMPAIGN_ALGOS`` key)."""
+def failure_free(ns: Sequence[int] = (4, 7, 10, 16, 25)) -> dict[str, list[Curve]]:
+    """Quiet-cluster single-op latency vs n, per op kind, for every
+    :data:`FF_ALGORITHMS` row."""
     out: dict[str, list[Curve]] = {"update": [], "scan": []}
-    for label, algo in (algorithms or FF_ALGORITHMS).items():
+    for label, algo in FF_ALGORITHMS.items():
         for kind in ("update", "scan"):
             ys = [
                 run_checked(failure_free_plan(algo, kind, n)).handles[-1].latency
@@ -143,9 +145,8 @@ def interference_scan(
     retry one collect round per interfering write → Θ(n·D) for [19]) and
     the worst UPDATE in the wave (the [12]-style update embeds a
     stable-collect, so the unluckiest writers wait out Θ(n) interference).
-    Randomized (seeded) delays desynchronize deliveries — under lockstep
-    constant delays the confirmation rounds align and the interference
-    vanishes, which understates the pull-based cost.
+    Each point is one :func:`~repro.harness.adversary.interference_run`
+    (seeded random delays: lockstep would hide the retry cost).
     """
     algos = algorithms or {
         "Delporte [19]": DelporteAso,
@@ -154,27 +155,18 @@ def interference_scan(
     }
     curves = []
     for label, factory in algos.items():
-        scan_ys: list[float] = []
-        upd_ys: list[float] = []
-        xs: list[float] = []
-        for n in ns:
-            delay_model = UniformDelay(1.0, SeededRng(seed).child("delays"), lo=0.25)
-            cluster = Cluster(factory, n=n, f=(n - 1) // 2, delay_model=delay_model)
-            wave: list = []
-            for node, ops, start in interference_schedule(
-                n, 0, updates_per_writer=updates_per_writer
-            ):
-                wave.extend(cluster.chain_ops(node, ops, start=start))
-            # invoke mid-wave: the first stores/writes have landed
-            op = cluster.invoke_at(2.5, 0, "scan")
-            cluster.run_until_complete(wave + [op])
-            xs.append(n)
-            scan_ys.append(op.latency / cluster.D)
-            upd_ys.append(
-                max(h.latency / cluster.D for h in wave if h.done)
+        runs = [
+            interference_run(
+                factory,
+                n,
+                "scan",
+                SeededRng(seed).child("delays"),
+                updates_per_writer=updates_per_writer,
             )
-        curves.append(Curve(f"{label} victim scan", xs, scan_ys).fit())
-        curves.append(Curve(f"{label} worst update", xs, upd_ys).fit())
+            for n in ns
+        ]
+        curves.append(Curve(f"{label} victim scan", list(ns), [s for s, _ in runs]).fit())
+        curves.append(Curve(f"{label} worst update", list(ns), [u for _, u in runs]).fit())
     return curves
 
 
@@ -189,9 +181,7 @@ def _la_match(factory, writer: int):
     return lambda p: isinstance(p, MLAValue) and p.element.proposer == writer
 
 
-def la_comparison(
-    ks: Sequence[int] = (0, 1, 3, 6, 10), n_fixed: int | None = None
-) -> list[Curve]:
+def la_comparison(ks: Sequence[int] = (0, 1, 3, 6, 10)) -> list[Curve]:
     """One-shot LA decision latency vs k: early-stopping vs classifier.
 
     The chain adversary exposes doomed *proposals* to the victim proposer,
@@ -210,8 +200,7 @@ def la_comparison(
         for k in ks:
             # the snapshot staircase's chains and sizes; the LA messages
             # are not in writers_of, so the crashes and delays are built here
-            n = n_fixed or 23
-            f = (n - 1) // 2
+            n, f = 23, 11
             crash_plan = CrashPlan()
             writers: tuple[int, ...] = ()
             if k:
@@ -243,6 +232,7 @@ def la_comparison(
 
 __all__ = [
     "Curve",
+    "growth_exponent",
     "FF_ALGORITHMS",
     "scale_k",
     "amortized_curve",

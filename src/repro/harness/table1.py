@@ -22,13 +22,10 @@ from typing import Sequence
 
 from repro.chaos.algos import CAMPAIGN_ALGOS
 from repro.harness.adversary import (
-    interference_schedule,
-    run_staircase,
+    interference_run,
+    staircase_mean_latency,
     staircase_victim_latency,
 )
-from repro.harness.metrics import collect_registry
-from repro.net.delays import UniformDelay
-from repro.runtime.cluster import Cluster
 from repro.sim.rng import SeededRng
 
 #: row label -> :data:`~repro.chaos.algos.CAMPAIGN_ALGOS` key
@@ -41,18 +38,6 @@ ALGORITHMS: dict[str, str] = {
     "IMPR registers [1702.08176]": "impr",
     "EQ-ASO [this paper]": "eq_aso",
     "SSO-Fast-Scan [this paper]": "sso_fast_scan",
-}
-
-#: the paper's analytical entries, for the EXPERIMENTS.md comparison
-PAPER_CLAIMS: dict[str, dict[str, str]] = {
-    "Delporte et al. [19]": {"update": "O(D)", "scan": "O(n·D)"},
-    "Store-collect [12]": {"update": "O(n·D)", "scan": "O(n·D)"},
-    "SCD-broadcast [29]": {"update": "O(k·D)*", "scan": "O(k·D)*"},
-    "LA-based [41,42]+[11]": {"update": "O(log n·D)", "scan": "O(log n·D)"},
-    "BFK fast snapshot [2408.02562]": {"update": "O(D)", "scan": "O(c·D)†"},
-    "IMPR registers [1702.08176]": {"update": "O(D)", "scan": "O(c·D)"},
-    "EQ-ASO [this paper]": {"update": "O(√k·D)", "scan": "O(√k·D)"},
-    "SSO-Fast-Scan [this paper]": {"update": "O(√k·D)", "scan": "O(1)"},
 }
 
 
@@ -72,47 +57,6 @@ class Table1Row:
             "scan_worst_D": round(self.scan_worst, 2),
             "scan_amortized_D": round(self.scan_amortized, 2),
         }
-
-
-def _victim_latency_under_interference(
-    algo: str, kind: str, *, n: int = 9, updates_per_writer: int = 3, seed: int = 42
-) -> float:
-    """Worst latency of an op of ``kind`` while a staggered wave of
-    updates is in flight (seeded random delays — lockstep constant delays
-    hide the pull-based retry cost, see
-    :func:`repro.harness.scaling.interference_scan`)."""
-    f = (n - 1) // 2
-    rng = SeededRng(seed)
-    cluster = Cluster(
-        CAMPAIGN_ALGOS[algo].factory,
-        n=n,
-        f=f,
-        delay_model=UniformDelay(1.0, rng.child("d"), lo=0.25),
-    )
-    victim = 0
-    wave = []
-    for node, ops, start in interference_schedule(
-        n, victim, updates_per_writer=updates_per_writer
-    ):
-        wave.extend(cluster.chain_ops(node, ops, start=start))
-    args = ("victim-value",) if kind == "update" else ()
-    victim_op = cluster.invoke_at(2.5, victim, kind, *args)
-    cluster.run_until_complete(wave + [victim_op])
-    worst = victim_op.latency / cluster.D
-    if kind == "update":
-        worst = max(worst, max(h.latency / cluster.D for h in wave if h.done))
-    return worst
-
-
-def _amortized(algo: str, kind: str, k: int, ops: int) -> float:
-    """Mean per-op latency of a long victim sequence under the chains."""
-    if kind == "update":
-        chain = [("update", f"vic{i}") for i in range(ops)]
-    else:
-        chain = [("scan", None)] * ops
-    handles = run_staircase(algo, k, chain)
-    registry = collect_registry(handles, 1.0)  # plans run at D = 1
-    return registry.histogram(f"latency_D.{kind}").mean
 
 
 def run_table1(
@@ -140,25 +84,24 @@ def run_table1(
         upd_worst = staircase_victim_latency(algo, "update", k)
         scan_worst = staircase_victim_latency(algo, "scan", k)
         if interference:
-            upd_worst = max(
-                upd_worst,
-                _victim_latency_under_interference(
-                    algo, "update", n=interference_n, seed=seed
-                ),
+            # under the staggered update wave, an update's worst case is
+            # the victim's or a writer's, a scan's the victim's
+            factory = CAMPAIGN_ALGOS[algo].factory
+            upd = interference_run(
+                factory, interference_n, "update", SeededRng(seed).child("d")
             )
-            scan_worst = max(
-                scan_worst,
-                _victim_latency_under_interference(
-                    algo, "scan", n=interference_n, seed=seed
-                ),
+            scan, _ = interference_run(
+                factory, interference_n, "scan", SeededRng(seed).child("d")
             )
+            upd_worst = max(upd_worst, *upd)
+            scan_worst = max(scan_worst, scan)
         rows.append(
             Table1Row(
                 algorithm=name,
                 update_worst=upd_worst,
-                update_amortized=_amortized(algo, "update", k, amortized_ops),
+                update_amortized=staircase_mean_latency(algo, "update", k, amortized_ops),
                 scan_worst=scan_worst,
-                scan_amortized=_amortized(algo, "scan", k, amortized_ops),
+                scan_amortized=staircase_mean_latency(algo, "scan", k, amortized_ops),
             )
         )
     return rows
@@ -179,4 +122,4 @@ def format_table1(rows: Sequence[Table1Row]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["ALGORITHMS", "PAPER_CLAIMS", "Table1Row", "run_table1", "format_table1"]
+__all__ = ["ALGORITHMS", "Table1Row", "run_table1", "format_table1"]

@@ -26,6 +26,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.obs.query import Trace, render_spacetime
@@ -72,52 +73,15 @@ def _demo(args: argparse.Namespace) -> int:
     return 0
 
 
-#: structural contract of ``summary --format json`` (validated through
-#: the bench schema's shared ``check_fields`` before printing)
-SUMMARY_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "events": int,
-    "spans": int,
-    "D": (int, float),
-    "by_kind": dict,
-    "sends_by_message": dict,
-    "sends_by_node": dict,
-}
-
-#: structural contract of ``phases --format json``
-PHASES_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "ops": int,
-    "end_to_end_D": (int, float),
-    "phases_D": dict,
-}
-
-#: structural contract of ``coverage --format json``
-COVERAGE_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "phases": dict,
-    "faults": dict,
-    "interleavings": dict,
-    "distinct": dict,
-}
-
-
-def _emit_json(obj: dict, fields: dict, where: str) -> int:
-    """Validate a CLI JSON payload against its contract, then print it."""
-    import json
-
-    from repro.bench.schema import check_fields
-
-    problems = check_fields(obj, fields, where)
-    if problems:  # pragma: no cover - defensive: contract drift is a bug
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
+def _print_json(obj: object) -> None:
     print(json.dumps(obj, indent=1, sort_keys=True))
-    return 0
 
 
 def _summary(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
     if args.format == "json":
-        return _emit_json(trace.summary_dict(), SUMMARY_FIELDS, "summary")
+        _print_json(trace.summary_dict())
+        return 0
     print("\n".join(trace.summary_lines()))
     return 0
 
@@ -137,7 +101,8 @@ def _phases(args: argparse.Namespace) -> int:
         print(f"no completed operations{which} in trace", file=sys.stderr)
         return 1
     if args.format == "json":
-        return _emit_json(totals, PHASES_FIELDS, "phases")
+        _print_json(totals)
+        return 0
     print(f"ops: {totals['ops']}")
     print(f"end-to-end: {totals['end_to_end_D']:.2f}D")
     for name, value in totals["phases_D"].items():
@@ -158,9 +123,7 @@ def _check(args: argparse.Namespace) -> int:
         print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        import json
-
-        print(json.dumps(result.to_dict(), indent=1, sort_keys=True))
+        _print_json(result.to_dict())
     else:
         print("\n".join(result.summary_lines()))
     return 0 if result.ok else 1
@@ -173,9 +136,7 @@ def _coverage(args: argparse.Namespace) -> int:
     if args.baseline is not None:
         novel = cov.novel_keys(Coverage.load(args.baseline))
         if args.format == "json":
-            import json
-
-            print(json.dumps(novel, indent=1, sort_keys=True))
+            _print_json(novel)
         else:
             total = sum(len(keys) for keys in novel.values())
             print(f"novel keys vs {args.baseline}: {total}")
@@ -184,7 +145,8 @@ def _coverage(args: argparse.Namespace) -> int:
                     print(f"  {space}: {key}")
         return 0
     if args.format == "json":
-        return _emit_json(cov.to_dict(), COVERAGE_FIELDS, "coverage")
+        _print_json(cov.to_dict())
+        return 0
     print("\n".join(cov.summary_lines()))
     return 0
 

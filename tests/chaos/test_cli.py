@@ -101,6 +101,17 @@ def test_plan_replay_round_trip(mutant, capsys):
     assert "FAIL [atomicity]" in out
 
 
+def test_repro_txt_plan_line_replays(mutant):
+    """The bundle's ``--plan`` line is a command the CLI accepts as is."""
+    (bundle,) = (p for p in mutant[2].iterdir() if p.is_dir())
+    lines = (bundle / "repro.txt").read_text().splitlines()
+    (line,) = [x for x in lines if "--plan" in x]
+    argv = shlex.split(line)
+    assert argv[:3] == ["python", "-m", "repro.chaos"]
+    assert argv[3:] == ["--plan", str(bundle / "plan.json")]
+    assert main(argv[3:]) == 1
+
+
 #: sha256 of the ``--smoke`` report and of the path-free files of the
 #: ``MUTANT_ARGV`` bundle.  Every campaign output, CI's serial/parallel
 #: diff and the ledger's ``chaos_sweep_all`` fingerprint rest on these
@@ -242,3 +253,27 @@ def test_unusable_plan_exits_two_with_one_error_line(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--algo", "eq_aso"],
+        ["--seeds", "3"],
+        ["--master-seed", "9"],
+        ["--budget", "1"],
+        ["--smoke"],
+        ["--workers", "2"],
+    ],
+    ids=lambda option: option[0],
+)
+def test_plan_refuses_every_sweep_option(option, tmp_path, capsys):
+    """A replay reads only the plan: a sweep option given with it is a
+    usage error (exit 2, one ``error:`` line), not silently ignored."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(_PLAN))
+    with pytest.raises(SystemExit) as exc:
+        main(["--plan", str(plan), *option])
+    assert exc.value.code == 2
+    (error,) = [x for x in capsys.readouterr().err.splitlines() if "error:" in x]
+    assert error.endswith(f"error: {option[0]} does not apply to --plan (a single replay)")

@@ -12,7 +12,7 @@ from repro.chaos.plan import ChaosPlan, OpChainSpec
 from repro.chaos.runner import run_plan
 from repro.harness.adversary import (
     VICTIM,
-    interference_schedule,
+    interference_wave,
     max_chains_for_budget,
     run_staircase,
     staircase_plan,
@@ -116,10 +116,12 @@ def test_which_chain_hops_fire(algo):
 
 
 def test_interference_schedule_staggering():
-    sched = interference_schedule(4, victim=1, updates_per_writer=2, stagger=1.5)
-    nodes = [node for node, _, _ in sched]
-    assert nodes == [0, 2, 3]
-    starts = [start for _, _, start in sched]
-    assert starts == [0.0, 1.5, 3.0]
-    for _, ops, _ in sched:
-        assert len(ops) == 2 and all(kind == "update" for kind, _ in ops)
+    """The wave's writers are every node but the victim, one D apart,
+    each with its own back-to-back updates."""
+    wave = interference_wave(4, updates_per_writer=2)
+    assert [chain.node for chain in wave] == [1, 2, 3]
+    assert [chain.start for chain in wave] == [0.0, 1.0, 2.0]
+    assert wave[1].ops == (("update", "w2.0"), ("update", "w2.1"))
+    for chain in wave:
+        assert chain.gap == 0.0
+        assert len(chain.ops) == 2 and all(kind == "update" for kind, _ in chain.ops)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness import figures
 from repro.harness.figures import build_figure1_history, run_figure1, run_figure2
-from repro.harness.registry import ExperimentCheckError
+from repro.harness.adversary import ExperimentCheckError
 from repro.spec import is_linearizable
 
 

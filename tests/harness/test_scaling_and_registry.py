@@ -1,5 +1,7 @@
 """Smoke + shape tests for the scaling experiments and the registry."""
 
+import math
+
 import pytest
 
 from repro.core import EqAso
@@ -7,10 +9,32 @@ from repro.harness.registry import EXPERIMENTS, run_experiment
 from repro.harness.scaling import (
     amortized_curve,
     failure_free,
+    growth_exponent,
     interference_scan,
     la_comparison,
     scale_k,
 )
+
+
+def test_growth_exponent_linear():
+    xs = [1, 2, 4, 8, 16]
+    assert growth_exponent(xs, [2 * x for x in xs]) == pytest.approx(1.0)
+
+
+def test_growth_exponent_sqrt():
+    xs = [1, 4, 16, 64]
+    assert growth_exponent(xs, [math.sqrt(x) for x in xs]) == pytest.approx(0.5)
+
+
+def test_growth_exponent_constant():
+    assert growth_exponent([1, 2, 4], [3.0, 3.0, 3.0]) == pytest.approx(0.0)
+
+
+def test_growth_exponent_needs_two_points():
+    with pytest.raises(ValueError):
+        growth_exponent([1], [1])
+    with pytest.raises(ValueError):
+        growth_exponent([0, 0], [1, 1])  # non-positive xs dropped
 
 
 def test_scale_k_eq_aso_sublinear():
@@ -99,12 +123,30 @@ def test_registry_runs_fig_experiments():
     assert str(res).startswith("== fig2")
 
 
+def test_trace_phases_add_up_to_each_latency():
+    """TRACE: every span's phases sum to its latency; on a quiet
+    5-node cluster a scan is readTag + lattice (4 D) and an update adds
+    phase 0 (6 D)."""
+    res = run_experiment("trace")
+    spans = res.payload["tracer"].spans
+    assert [span.kind for span in spans] == ["update"] * 3 + ["scan"] * 2
+    for span in spans:
+        phases = span.phase_durations(1.0)
+        assert sum(phases.values()) == pytest.approx(span.latency)
+        want = ["readTag", "lattice"] if span.kind == "scan" else ["readTag", "phase0", "lattice"]
+        assert list(phases) == want
+    registry = res.payload["registry"]
+    assert registry.histogram("latency_D.scan").mean == pytest.approx(4.0)
+    assert registry.histogram("latency_D.update").mean == pytest.approx(6.0)
+
+
 def test_master_seed_threads_to_seeded_experiments_only():
     """The shared --seed derives per-experiment child seeds via sim/rng;
     unseeded experiments must accept (and ignore) master_seed."""
-    from repro.harness.registry import SEEDED_EXPERIMENTS
-
-    assert "interference" in SEEDED_EXPERIMENTS
+    assert {name for name, exp in EXPERIMENTS.items() if exp.seeded} == {
+        "table1",
+        "interference",
+    }
     res_a = run_experiment(
         "interference", master_seed=1, ns=(5,), updates_per_writer=1
     )

@@ -4,10 +4,36 @@ import re
 
 import pytest
 
+from repro.bench.schema import check_fields
 from repro.chaos.algos import get_profile
 from repro.chaos.mutants import ABLATIONS, MUTANTS
 from repro.obs.__main__ import main
 from repro.obs.replay import infer_level
+
+#: structural contract of ``summary --format json``
+SUMMARY_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "events": int,
+    "spans": int,
+    "D": (int, float),
+    "by_kind": dict,
+    "sends_by_message": dict,
+    "sends_by_node": dict,
+}
+
+#: structural contract of ``phases --format json``
+PHASES_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "ops": int,
+    "end_to_end_D": (int, float),
+    "phases_D": dict,
+}
+
+#: structural contract of ``coverage --format json``
+COVERAGE_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "phases": dict,
+    "faults": dict,
+    "interleavings": dict,
+    "distinct": dict,
+}
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +204,6 @@ def test_demo_default_stays_lockstep_byte_stable(tmp_path):
 def test_summary_json_matches_contract_and_text(demo_trace, capsys):
     import json
 
-    from repro.bench.schema import check_fields
-    from repro.obs.__main__ import SUMMARY_FIELDS
-
     assert main(["summary", demo_trace, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert check_fields(data, SUMMARY_FIELDS, "summary") == []
@@ -199,15 +222,24 @@ def test_phases_json_matches_contract(demo_trace, capsys):
 
     import pytest as _pytest
 
-    from repro.bench.schema import check_fields
-    from repro.obs.__main__ import PHASES_FIELDS
-
     assert main(["phases", demo_trace, "--kind", "scan", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert check_fields(data, PHASES_FIELDS, "phases") == []
     assert data["ops"] == 2
     assert data["end_to_end_D"] == _pytest.approx(4.0)
     assert sum(data["phases_D"].values()) == _pytest.approx(data["end_to_end_D"])
+
+
+def test_coverage_json_matches_contract(demo_trace, capsys):
+    import json
+
+    assert main(["coverage", demo_trace, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert check_fields(data, COVERAGE_FIELDS, "coverage") == []
+    assert set(data) == set(COVERAGE_FIELDS)
+    # the tally counts the keys of each space
+    for space in ("phases", "faults", "interleavings"):
+        assert data["distinct"][space] == len(data[space])
 
 
 def test_check_passes_on_demo_trace(demo_trace, capsys):

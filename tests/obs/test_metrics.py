@@ -78,12 +78,15 @@ def test_registry_from_handles():
         make_handle(1, "scan", 0.0, 6.0, sent=20),
         make_handle(2, "update", 0.0, 6.0, sent=38),
         make_handle(3, "update", 0.0, 1.0, aborted=True),
+        OpHandle(node=4, kind="scan", args=()),  # never finished
     ]
     reg = MetricsRegistry.from_handles(handles, D=2.0)
     assert reg.counter("ops.scan").value == 2
     assert reg.counter("ops.update").value == 1
     assert reg.counter("ops.aborted").value == 1
     assert reg.histogram("latency_D.scan").mean == pytest.approx(2.5)
+    assert reg.histogram("latency_D.scan").minimum == pytest.approx(2.0)
+    assert reg.histogram("latency_D.scan").maximum == pytest.approx(3.0)
     assert reg.histogram("rounds.update").maximum == pytest.approx(3.0)
     assert reg.histogram("messages.update").mean == pytest.approx(38.0)
     # aborted op contributes nothing but the counter
